@@ -23,7 +23,7 @@ import (
 // page cache — before the journal entry is published). Between writes
 // the query blocks on the subscription's notify channel; it wakes for
 // new messages, for the recording sealing (clean return), or for
-// context cancellation.
+// context cancellation; idle (QuerySpec.Idle) runs before each block.
 //
 // Messages are delivered exactly once: the cut is taken under the same
 // lock that orders writes, so limits and journal[pos:] partition the
@@ -31,7 +31,7 @@ import (
 //
 // On a bag that is not live-wired (complete live bag, classic bag)
 // there is no tail: the chronological snapshot is the whole recording.
-func (bag *Bag) followQuery(ctx context.Context, parent obs.Span, aq *obs.ActiveQuery, topics []string, start, end bagio.Time, fn func(MessageRef) error) (err error) {
+func (bag *Bag) followQuery(ctx context.Context, parent obs.Span, aq *obs.ActiveQuery, topics []string, start, end bagio.Time, idle func() error, fn func(MessageRef) error) (err error) {
 	sp := parent.ChildOp(bag.ops.follow)
 	defer func() { sp.EndErr(err) }()
 	rec := bag.rec
@@ -107,6 +107,11 @@ func (bag *Bag) followQuery(ctx context.Context, parent obs.Span, aq *obs.Active
 			return nil // batch reached the journal's final entry
 		}
 		if len(refs) == 0 {
+			if idle != nil {
+				if err := idle(); err != nil {
+					return err
+				}
+			}
 			select {
 			case <-done:
 				return ctx.Err()

@@ -58,6 +58,13 @@ type QuerySpec struct {
 	// callback; messages it rejects are read but not delivered. Stride
 	// applies first: the predicate sees only stride-surviving messages.
 	Predicate func(MessageRef) bool
+	// Idle, when non-nil, is called by a Follow query each time it has
+	// delivered everything recorded so far and is about to block until
+	// the next write: the moment for a callback that batches what it is
+	// handed (borad's frame batcher) to push the batch out. An error
+	// ends the query. No other plan calls it — they block on nothing but
+	// I/O — and neither does Follow on a bag that is not recording.
+	Idle func() error
 	// Follow tails a bag that is still recording: the query first
 	// delivers a consistent snapshot of everything recorded before it
 	// subscribed (in timestamp order, like OrderTime), then streams
@@ -180,7 +187,7 @@ func (bag *Bag) QuerySpanContext(ctx context.Context, parent obs.Span, spec Quer
 		if spec.Workers != 0 {
 			return fmt.Errorf("bora: Follow queries are serial; Workers must be 0, got %d", spec.Workers)
 		}
-		return bag.followQuery(ctx, parent, aq, spec.Topics, spec.Start, end, fn)
+		return bag.followQuery(ctx, parent, aq, spec.Topics, spec.Start, end, spec.Idle, fn)
 	case spec.Order == OrderTime:
 		if spec.Workers != 0 {
 			return fmt.Errorf("bora: OrderTime queries are serial; Workers must be 0, got %d", spec.Workers)

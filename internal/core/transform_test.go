@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/bagio"
@@ -43,7 +44,10 @@ func TestQueryStride(t *testing.T) {
 	counts := func(spec QuerySpec) map[string][]byte {
 		t.Helper()
 		out := map[string][]byte{}
+		var mu sync.Mutex // the parallel plan calls back from its workers
 		if err := bag.Query(spec, func(m MessageRef) error {
+			mu.Lock()
+			defer mu.Unlock()
 			out[m.Conn.Topic] = append(out[m.Conn.Topic], m.Data[0])
 			return nil
 		}); err != nil {

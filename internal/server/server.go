@@ -8,9 +8,11 @@
 //   - Admission control. Concurrent queries are bounded globally
 //     (Options.MaxQueries) and to one stream per connection; rejected
 //     requests get a typed BUSY frame, never a queue without bound.
-//   - Flow control. A query carries the client's credit window; the
-//     server never has more MSG frames in flight than the client has
-//     acknowledged, so one slow reader holds buffers, not the daemon.
+//   - Flow control. A query carries the client's credit window: the
+//     number of MSG frames the server may run ahead of what the client
+//     has acknowledged. Frames leave in batches (see conn), so the
+//     daemon's memory per stream is one batch buffer; TCP bounds the
+//     rest, and one slow reader holds buffers, not the daemon.
 //   - Cancellation. Client disconnect, a CANCEL frame, or drain
 //     deadline all cancel a context threaded down through
 //     core.Bag.QueryContext — an abandoned stream stops reading from
@@ -43,6 +45,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bagio"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pool"
@@ -396,12 +399,19 @@ func (s *Server) open(ctx context.Context, name string, parent obs.Span) (*core.
 }
 
 // conn is one accepted connection. The read loop (serve) owns the
-// reader; writes go through writeFrame's mutex because a streaming
-// query goroutine and the read loop (PONG, BUSY) write concurrently.
-// The write side has no bufio layer: every frame is flushed to the
-// socket immediately anyway, so the per-connection wire.Encoder —
-// which assembles header + payload in one reusable buffer and issues
-// one Write per frame — replaces buffering without adding a copy.
+// reader; writes go through wmu because a streaming query goroutine
+// and the read loop (PONG, BUSY) write concurrently.
+//
+// The write side is the per-connection wire.Encoder and nothing else —
+// no bufio layer, no writer goroutine, no timer. A query stream appends
+// its MSG frames to the encoder's pending batch (writeMsg) and the
+// batch leaves as one Write of whole frames at exactly four points:
+// when it reaches flushBytes; before query.waitCredit parks (the client
+// must see the frames it is to acknowledge); with any non-MSG frame
+// (writeFrame appends and flushes everything, so order holds); and when
+// a Follow query has delivered everything recorded so far and is about
+// to block (core.QuerySpec.Idle). The byte stream is the one a Write
+// per frame would produce; only the write boundaries differ.
 type conn struct {
 	s  *Server
 	nc net.Conn
@@ -458,6 +468,7 @@ type query struct {
 	avail     atomic.Int64
 	notify    chan struct{}    // capacity 1; kicked on every credit grant
 	aq        *obs.ActiveQuery // per-query resource attribution
+	released  bool             // under conn.mu: see conn.release
 }
 
 // serve is the connection read loop: it dispatches request frames and,
@@ -536,20 +547,70 @@ func (c *conn) close() {
 	s.checkDrained()
 }
 
+// flushBytes is the size at which a query stream's pending batch is
+// written out: both ends' bufio reader size, so one flush is one read
+// for the peer. A frame larger than this leaves as soon as it is
+// appended, behind whatever was pending.
+const flushBytes = 64 << 10
+
+// writeFrame writes one non-MSG frame behind whatever the connection's
+// stream has pending, in one Write.
 func (c *conn) writeFrame(op byte, payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	return c.enc.WriteFrame(c.nc, op, payload)
 }
 
-// writeMsg streams one MSG frame, encoding the message straight into
-// the connection's frame buffer — the zero-allocation hot path of a
-// query stream. m.Data is only read during the call, so the borrowed
+// writeMsg adds one MSG frame to the pending batch, encoding the
+// message straight into the connection's batch buffer — the
+// zero-allocation hot path of a query stream — and flushes once the
+// batch is full. m.Data is only read during the call, so the borrowed
 // core.MessageRef bytes pass through without a copy.
 func (c *conn) writeMsg(m wire.Msg) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return c.enc.WriteMsg(c.nc, m)
+	c.enc.AppendMsg(m)
+	if c.enc.Buffered() < flushBytes {
+		return nil
+	}
+	return c.enc.Flush(c.nc)
+}
+
+// flush writes out the pending batch; a stream calls it before it
+// blocks on anything but the socket.
+func (c *conn) flush() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.enc.Flush(c.nc)
+}
+
+// endQuery releases q and writes its terminal frame (END or ERR) behind
+// the last pending MSGs. The release comes first so that no request the
+// client sends on seeing the frame can still find the finished query in
+// its way; both happen under the write lock so that a pipelined QUERY
+// admitted in between cannot get its QUERYHDR out ahead of the frame.
+func (c *conn) endQuery(q *query, op byte, payload []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.release(q)
+	return c.enc.WriteFrame(c.nc, op, payload)
+}
+
+// release frees what a follow-up request can observe of q: the
+// connection's stream slot (handleQuery skips a released c.cur), the
+// global admission token and the active-queries gauge. c.cur itself
+// stays until runQuery returns, so a drain still sees the connection as
+// busy while the terminal frame is on its way. Idempotent.
+func (c *conn) release(q *query) {
+	c.mu.Lock()
+	done := q.released
+	q.released = true
+	c.mu.Unlock()
+	if done {
+		return
+	}
+	<-c.s.sem
+	c.s.queriesG.Add(-1)
 }
 
 // writeErr reports a per-request failure without poisoning the
@@ -726,7 +787,7 @@ func (c *conn) handleQuery(payload []byte) error {
 		return c.busy("server draining")
 	}
 	c.mu.Lock()
-	if c.cur != nil {
+	if c.cur != nil && !c.cur.released {
 		c.mu.Unlock()
 		return c.busy("connection already streaming a query")
 	}
@@ -785,10 +846,12 @@ func (c *conn) cancelQuery() {
 }
 
 // waitCredit consumes one send credit, blocking until the client grants
-// more or the query dies. Time actually spent parked is charged to the
-// query's credit-stall attribution; the common non-blocking path stays
-// clock-free.
-func (q *query) waitCredit() error {
+// more or the query dies. Before it parks it flushes the connection's
+// pending batch: the grant it waits for is the client's answer to
+// frames that may still be sitting there. Time actually spent parked
+// is charged to the query's credit-stall attribution; the common
+// non-blocking path stays clock-free.
+func (q *query) waitCredit(flush func() error) error {
 	if q.unlimited {
 		return nil
 	}
@@ -796,6 +859,9 @@ func (q *query) waitCredit() error {
 		return nil
 	}
 	q.avail.Add(1) // undo; we did not get a credit
+	if err := flush(); err != nil {
+		return err
+	}
 	start := time.Now()
 	defer func() { q.aq.AddCreditStall(time.Since(start)) }()
 	for {
@@ -815,21 +881,18 @@ func (q *query) waitCredit() error {
 // credit window, then END — or ERR, with a canceled query (client gone,
 // CANCEL frame, drain deadline) counted under server.query.canceled.
 // recv is when the request frame was decoded; the gap to the first
-// streamed byte is the query's queue wait. Every completion — ok,
-// error, canceled — lands one record in the server's query log.
+// streamed byte is the query's queue wait. The terminal frame is the
+// release (endQuery): once the client has it, nothing of this query is
+// in a follow-up request's way and Stats counts it served. Every
+// completion — ok, error, canceled — then lands one record in the
+// server's query log.
 func (c *conn) runQuery(q *query, req wire.QueryReq, recv time.Time) {
 	s := c.s
 	sp := s.queryOp.StartQuery(req.TraceID)
 	var count, bytes uint64
 	var qerr error
 	defer func() {
-		<-s.sem
-		s.queriesG.Add(-1)
-		q.cancel()
-		c.mu.Lock()
-		c.cur = nil
-		closing := c.closeWhenDone
-		c.mu.Unlock()
+		c.release(q) // a stream that died on a write never reached endQuery
 		if s.qlog != nil {
 			q.aq.Messages.Store(int64(count))
 			q.aq.Bytes.Store(int64(bytes))
@@ -854,19 +917,29 @@ func (c *conn) runQuery(q *query, req wire.QueryReq, recv time.Time) {
 			rec.Fill(q.aq)
 			s.qlog.Record(rec)
 		}
+		q.cancel() // after the record: "canceled" there means before this
+		// The connection may already be streaming its next query, whose
+		// own return then decides about a drain's close.
+		c.mu.Lock()
+		closing := false
+		if c.cur == q {
+			c.cur = nil
+			closing = c.closeWhenDone
+		}
+		c.mu.Unlock()
 		if closing {
 			c.close()
 		}
 	}()
 	fail := func(err error) {
 		qerr = err
+		msg := err.Error()
 		if q.ctx.Err() != nil {
 			s.canceledC.Inc()
-			// Best effort: the usual cause is a vanished peer.
-			c.writeFrame(wire.OpErr, []byte("query canceled"))
-		} else {
-			c.writeErr(err)
+			msg = "query canceled"
 		}
+		// Best effort: a canceled query's peer has usually vanished.
+		c.endQuery(q, wire.OpErr, []byte(msg))
 		sp.EndErr(err)
 	}
 	bag, err := s.open(q.ctx, req.Name, sp)
@@ -912,29 +985,36 @@ func (c *conn) runQuery(q *query, req wire.QueryReq, recv time.Time) {
 	// First byte streamed: everything before this — admission, pool
 	// acquire, metadata assembly — is the query's queue wait.
 	q.aq.QueueWaitNs.Store(time.Since(recv).Nanoseconds())
-	spec := core.QuerySpec{Topics: req.Topics, Start: req.Start, End: req.End, Follow: req.Follow}
+	flush := c.flush
+	spec := core.QuerySpec{Topics: req.Topics, Start: req.Start, End: req.End, Follow: req.Follow, Idle: flush}
 	if req.Order == wire.OrderTime {
 		spec.Order = core.OrderTime
 	}
+	// The wire index of the connection the previous message came from: a
+	// stream changes connection once per topic (per message only in time
+	// order), so the topic-name lookup is paid on the change.
+	var lastConn *bagio.Connection
+	var lastIdx uint16
 	err = bag.QuerySpanContext(q.ctx, sp, spec, func(m core.MessageRef) error {
-		if err := q.waitCredit(); err != nil {
+		if err := q.waitCredit(flush); err != nil {
 			return err
 		}
-		i, ok := idx[m.Conn.Topic]
-		if !ok {
-			// First message of a topic the recording introduced after the
-			// stream started: grow the connection table and resend it, so
-			// the client learns the new index before any MSG uses it.
-			i = uint16(len(metas))
-			idx[m.Conn.Topic] = i
-			metas = append(metas, wire.ConnMeta{Topic: m.Conn.Topic, Type: m.Conn.Type})
-			if err := c.writeFrame(wire.OpQueryHdr, wire.EncodeQueryHdr(metas)); err != nil {
-				return err
+		if m.Conn != lastConn {
+			i, ok := idx[m.Conn.Topic]
+			if !ok {
+				// First message of a topic the recording introduced after the
+				// stream started: grow the connection table and resend it, so
+				// the client learns the new index before any MSG uses it.
+				i = uint16(len(metas))
+				idx[m.Conn.Topic] = i
+				metas = append(metas, wire.ConnMeta{Topic: m.Conn.Topic, Type: m.Conn.Type})
+				if err := c.writeFrame(wire.OpQueryHdr, wire.EncodeQueryHdr(metas)); err != nil {
+					return err
+				}
 			}
+			lastConn, lastIdx = m.Conn, i
 		}
-		if err := c.writeMsg(wire.Msg{
-			Conn: i, Time: m.Time, Data: m.Data,
-		}); err != nil {
+		if err := c.writeMsg(wire.Msg{Conn: lastIdx, Time: m.Time, Data: m.Data}); err != nil {
 			return err
 		}
 		count++
@@ -945,11 +1025,11 @@ func (c *conn) runQuery(q *query, req wire.QueryReq, recv time.Time) {
 		fail(err)
 		return
 	}
-	if err := c.writeFrame(wire.OpEnd, wire.EncodeEnd(wire.End{Count: count, Bytes: bytes})); err != nil {
+	s.served.Add(1)
+	if err := c.endQuery(q, wire.OpEnd, wire.EncodeEnd(wire.End{Count: count, Bytes: bytes})); err != nil {
 		qerr = err
 		sp.EndErr(err)
 		return
 	}
-	s.served.Add(1)
 	sp.EndBytes(int64(bytes))
 }

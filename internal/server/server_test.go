@@ -261,7 +261,9 @@ func TestBusyAtAdmissionLimit(t *testing.T) {
 }
 
 // TestPerConnBusy drives raw frames: a second QUERY on a connection
-// that is already streaming gets BUSY without killing the stream.
+// that is already streaming gets BUSY without killing the stream. The
+// first query's window of one frame parks it after its first MSG, so it
+// is certainly still streaming when the second QUERY is read.
 func TestPerConnBusy(t *testing.T) {
 	b := buildBackend(t, nil, 2, 30)
 	_, addr := startServer(t, b, Options{})
@@ -270,24 +272,36 @@ func TestPerConnBusy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	q := wire.EncodeQuery(wire.QueryReq{Name: "robot1"}) // unlimited window
-	if err := wire.WriteFrame(nc, wire.OpQuery, q); err != nil {
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := wire.WriteFrame(nc, wire.OpQuery, wire.EncodeQuery(wire.QueryReq{Name: "robot1", Window: 1})); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(nc, wire.OpQuery, q); err != nil {
+	expectOps(t, nc, wire.OpQueryHdr, wire.OpMsg)
+	if err := wire.WriteFrame(nc, wire.OpQuery, wire.EncodeQuery(wire.QueryReq{Name: "robot1"})); err != nil {
 		t.Fatal(err)
 	}
-	var sawBusy, sawEnd bool
-	for !(sawBusy && sawEnd) {
+	expectOps(t, nc, wire.OpBusy)
+	// The parked stream is alive: credit for the rest runs it to its END.
+	if err := wire.WriteFrame(nc, wire.OpCredit, wire.EncodeCredit(1000)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 60; i++ {
+		expectOps(t, nc, wire.OpMsg)
+	}
+	expectOps(t, nc, wire.OpEnd)
+}
+
+// expectOps reads one frame per opcode given and fails the test unless
+// they arrive in that order.
+func expectOps(t *testing.T, nc net.Conn, ops ...byte) {
+	t.Helper()
+	for _, op := range ops {
 		f, err := wire.ReadFrame(nc, 0)
 		if err != nil {
-			t.Fatalf("stream died before BUSY+END (busy=%v end=%v): %v", sawBusy, sawEnd, err)
+			t.Fatalf("waiting for opcode 0x%02x: %v", op, err)
 		}
-		switch f.Op {
-		case wire.OpBusy:
-			sawBusy = true
-		case wire.OpEnd:
-			sawEnd = true
+		if f.Op != op {
+			t.Fatalf("got opcode 0x%02x %q, want 0x%02x", f.Op, f.Payload, op)
 		}
 	}
 }

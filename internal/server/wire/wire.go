@@ -108,25 +108,65 @@ func WriteFrame(w io.Writer, op byte, payload []byte) error {
 	return err
 }
 
-// Encoder assembles frames in a reusable buffer and writes each with a
-// single Write call. One Encoder serves one connection's write side
-// (serialize externally, as conn write locks already do); steady-state
-// frame encoding performs zero allocations once the buffer has grown
-// to the largest frame seen.
+// Encoder assembles frames in a reusable buffer. AppendFrame and
+// AppendMsg add whole frames to a pending batch without writing; Flush
+// hands the batch to the writer as one Write of one contiguous buffer,
+// so every Write begins and ends on a frame boundary and a peer never
+// observes a header without its payload. WriteFrame, WriteMsg and
+// WriteMsgOp are append + flush: one Write per frame when nothing else
+// is pending. Where the write boundaries fall never changes the byte
+// stream. One Encoder serves one connection's write side (serialize
+// externally, as conn write locks already do); steady-state encoding
+// performs zero allocations once the buffer has grown to the largest
+// batch seen.
 type Encoder struct{ buf []byte }
 
-// WriteFrame writes one op+payload frame through the encoder's buffer.
-func (e *Encoder) WriteFrame(w io.Writer, op byte, payload []byte) error {
-	e.buf = AppendFrame(e.buf[:0], op, payload)
+// AppendFrame adds one op+payload frame to the pending batch.
+func (e *Encoder) AppendFrame(op byte, payload []byte) {
+	e.buf = AppendFrame(e.buf, op, payload)
+}
+
+// AppendMsg adds one MSG frame to the pending batch, encoding the
+// message fields directly into the batch buffer — no intermediate
+// payload slice, zero steady-state allocations. m.Data is only read
+// during the call, so borrowed buffers (core.MessageRef.Data) can be
+// passed straight through.
+func (e *Encoder) AppendMsg(m Msg) { e.appendMsg(OpMsg, m) }
+
+func (e *Encoder) appendMsg(op byte, m Msg) {
+	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(2+8+4+len(m.Data)))
+	e.buf = append(e.buf, op)
+	enc := enc{b: e.buf}
+	enc.u16(m.Conn)
+	enc.time(m.Time)
+	enc.bytes32(m.Data)
+	e.buf = enc.b
+}
+
+// Buffered returns the size of the pending batch in bytes.
+func (e *Encoder) Buffered() int { return len(e.buf) }
+
+// Flush writes the pending batch to w with a single Write call and
+// empties it — also on error: a failed Write leaves the stream torn,
+// and the connection has to go, not the batch be retried. Flushing an
+// empty batch writes nothing.
+func (e *Encoder) Flush(w io.Writer) error {
+	if len(e.buf) == 0 {
+		return nil
+	}
 	_, err := w.Write(e.buf)
+	e.buf = e.buf[:0]
 	return err
 }
 
-// WriteMsg writes one MSG frame, encoding the message fields directly
-// into the frame buffer — no intermediate payload slice, one Write,
-// zero steady-state allocations. m.Data is only read during the call,
-// so borrowed buffers (core.MessageRef.Data) can be passed straight
-// through.
+// WriteFrame appends one op+payload frame and flushes: the frame, and
+// anything pending before it, leaves in one Write.
+func (e *Encoder) WriteFrame(w io.Writer, op byte, payload []byte) error {
+	e.AppendFrame(op, payload)
+	return e.Flush(w)
+}
+
+// WriteMsg is AppendMsg + Flush.
 func (e *Encoder) WriteMsg(w io.Writer, m Msg) error {
 	return e.WriteMsgOp(w, OpMsg, m)
 }
@@ -134,15 +174,8 @@ func (e *Encoder) WriteMsg(w io.Writer, m Msg) error {
 // WriteMsgOp is WriteMsg under a caller-chosen opcode — the same
 // payload encoding serves MSG (download) and RECMSG (upload) frames.
 func (e *Encoder) WriteMsgOp(w io.Writer, op byte, m Msg) error {
-	e.buf = binary.BigEndian.AppendUint32(e.buf[:0], uint32(2+8+4+len(m.Data)))
-	e.buf = append(e.buf, op)
-	enc := enc{b: e.buf}
-	enc.u16(m.Conn)
-	enc.time(m.Time)
-	enc.bytes32(m.Data)
-	e.buf = enc.b
-	_, err := w.Write(e.buf)
-	return err
+	e.appendMsg(op, m)
+	return e.Flush(w)
 }
 
 // ReadFrame reads one frame from r, rejecting payloads longer than max
