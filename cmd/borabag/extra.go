@@ -5,12 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/container"
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/replay"
 	"repro/internal/rosbag"
@@ -162,165 +159,102 @@ func topicsOf(r *rosbag.Reader) map[string]bool {
 	return out
 }
 
-// cmdFsck checks one container's on-disk consistency and optionally
-// repairs it (borabag's fsck: detect torn writes, truncated indexes and
-// stale metadata left by a crash, then truncate back to the last
-// consistent state).
+// fsckWords is how one layout's fsck result reads: a classic bag counts
+// topics, a live one segments.
+type fsckWords struct{ what, clean, damaged, repaired string }
+
+var (
+	fsckClassic = fsckWords{"container", "%s: clean (%d topics)\n",
+		"%s: %d findings across %d topics\n", "%s: repaired, now clean (%d topics)\n"}
+	fsckLive = fsckWords{"live bag", "%s: clean (live layout, %d segments)\n",
+		"%s: %d findings across %d segments (live layout)\n", "%s: repaired, now sealed and clean (%d segments)\n"}
+)
+
+// cmdFsck checks a logical bag's on-disk consistency and optionally
+// repairs it (borabag's fsck: detect torn writes, truncated indexes,
+// stale metadata and an unsealed live recording left by a crash, then
+// truncate back to the last consistent state). Both layouts take the
+// same path over core's Fsck and Repair — a classic bag is a
+// one-segment bag — and differ only in how the result is worded.
 func cmdFsck(args []string) error {
 	fs := flag.NewFlagSet("fsck", flag.ExitOnError)
 	backend := backendFlag(fs)
 	name := fs.String("name", "", "logical bag name (required)")
-	repair := fs.Bool("repair", false, "repair the container in place after checking")
+	repair := fs.Bool("repair", false, "repair the bag in place after checking")
 	quiet := fs.Bool("q", false, "suppress per-finding output")
 	fs.Parse(args)
 	if *backend == "" || *name == "" {
 		return fmt.Errorf("fsck: -backend and -name are required")
 	}
+	b, err := openBackend(*backend)
+	if err != nil {
+		return err
+	}
 	root := filepath.Join(*backend, *name)
-	if _, err := os.Stat(root); err != nil {
-		return fmt.Errorf("fsck: %w", err)
-	}
-	if _, err := os.Stat(filepath.Join(root, core.LiveMetaFileName)); err == nil {
-		return fsckLive(*backend, *name, root, *repair, *quiet)
-	}
 
 	sp := metricsReg.Op("fsck.scan").Start()
-	rep, err := container.Fsck(root)
+	segs, unsealed, err := b.Fsck(*name)
 	if err != nil {
 		sp.EndErr(err)
 		return fmt.Errorf("fsck: %w", err)
 	}
 	sp.End()
-	metricsReg.Counter("fsck.findings").Add(int64(len(rep.Findings)))
-	printFindings := func(rep *container.Report) {
-		if *quiet {
-			return
-		}
-		for _, f := range rep.Findings {
-			loc := f.Topic
-			if loc == "" {
-				loc = f.Path
+	// A classic bag's one report is rooted at the bag directory itself;
+	// live segments are sub-directories of it.
+	live := len(segs) != 1 || segs[0].Root != root
+	words, size := fsckClassic, func(segs []*container.Report) int { return segs[0].Topics }
+	if live {
+		words, size = fsckLive, func(segs []*container.Report) int { return len(segs) }
+	}
+	// report prints every finding (unless -q) and returns their number.
+	report := func(segs []*container.Report) int {
+		findings := 0
+		for _, rep := range segs {
+			findings += len(rep.Findings)
+			for _, f := range rep.Findings {
+				loc := f.Topic
+				if loc == "" {
+					loc = f.Path
+				}
+				switch {
+				case *quiet:
+				case live:
+					fmt.Printf("%-22s %s %-32s %s\n", f.Kind, filepath.Base(rep.Root), loc, f.Detail)
+				default:
+					fmt.Printf("%-22s %-32s %s\n", f.Kind, loc, f.Detail)
+				}
 			}
-			fmt.Printf("%-22s %-32s %s\n", f.Kind, loc, f.Detail)
+		}
+		return findings
+	}
+	findings := report(segs)
+	if unsealed != nil {
+		findings++
+		if !*quiet {
+			fmt.Printf("%-22s %-32s %s\n", unsealed.Kind, filepath.Base(unsealed.Path), unsealed.Detail)
 		}
 	}
-	printFindings(rep)
-	if rep.Clean() {
-		fmt.Printf("%s: clean (%d topics)\n", root, rep.Topics)
+	metricsReg.Counter("fsck.findings").Add(int64(findings))
+	if findings == 0 {
+		fmt.Printf(words.clean, root, size(segs))
 		return nil
 	}
-	fmt.Printf("%s: %d findings across %d topics\n", root, len(rep.Findings), rep.Topics)
+	fmt.Printf(words.damaged, root, findings, size(segs))
 	if !*repair {
-		return fmt.Errorf("fsck: container is damaged (re-run with -repair to fix)")
+		return fmt.Errorf("fsck: %s is damaged (re-run with -repair to fix)", words.what)
 	}
 
 	rsp := metricsReg.Op("fsck.repair").Start()
-	after, err := container.Repair(root)
+	after, err := b.Repair(*name)
 	if err != nil {
 		rsp.EndErr(err)
 		return fmt.Errorf("fsck: repair: %w", err)
 	}
 	rsp.End()
 	metricsReg.Counter("fsck.repaired").Add(1)
-	if !after.Clean() {
-		printFindings(after)
-		return fmt.Errorf("fsck: container still damaged after repair (%d findings)", len(after.Findings))
+	if left := report(after); left > 0 {
+		return fmt.Errorf("fsck: %s still damaged after repair (%d findings)", words.what, left)
 	}
-	fmt.Printf("%s: repaired, now clean (%d topics)\n", root, after.Topics)
+	fmt.Printf(words.repaired, root, size(after))
 	return nil
-}
-
-// fsckLive is cmdFsck over the live segmented layout: every seg-*
-// container is checked, and a bag abandoned mid-recording (a crashed
-// recorder left state=recording) is reported as damaged. -repair routes
-// through core.RepairLive, which truncates each segment to its
-// consistent indexed prefix and flips the live meta to complete.
-func fsckLive(backend, name, root string, repair, quiet bool) error {
-	segs, err := liveSegments(root)
-	if err != nil {
-		return fmt.Errorf("fsck: %w", err)
-	}
-	b, err := openBackend(backend)
-	if err != nil {
-		return err
-	}
-	scan := func() (findings int, ferr error) {
-		for _, seg := range segs {
-			rep, err := container.Fsck(seg)
-			if err != nil {
-				return 0, fmt.Errorf("fsck: %s: %w", seg, err)
-			}
-			findings += len(rep.Findings)
-			if quiet {
-				continue
-			}
-			for _, f := range rep.Findings {
-				loc := f.Topic
-				if loc == "" {
-					loc = f.Path
-				}
-				fmt.Printf("%-22s %s %-32s %s\n", f.Kind, filepath.Base(seg), loc, f.Detail)
-			}
-		}
-		return findings, nil
-	}
-	findings, err := scan()
-	if err != nil {
-		return err
-	}
-	_, recording, err := b.ProbeBag(name)
-	if err != nil {
-		return fmt.Errorf("fsck: %w", err)
-	}
-	if b.LiveRecorder(name) != nil {
-		// An in-process recorder can't happen from the CLI, but keep the
-		// check honest for shared back ends.
-		return fmt.Errorf("fsck: %s is recording in this process", name)
-	}
-	if recording && !quiet {
-		fmt.Printf("%-22s %-32s recorder did not seal (crash or still recording elsewhere)\n", "live-unsealed", core.LiveMetaFileName)
-	}
-	if !recording && findings == 0 {
-		fmt.Printf("%s: clean (live layout, %d segments)\n", root, len(segs))
-		return nil
-	}
-	total := findings
-	if recording {
-		total++
-	}
-	fmt.Printf("%s: %d findings across %d segments (live layout)\n", root, total, len(segs))
-	if !repair {
-		return fmt.Errorf("fsck: live bag is damaged (re-run with -repair to fix)")
-	}
-	if err := b.RepairLive(name); err != nil {
-		return fmt.Errorf("fsck: repair: %w", err)
-	}
-	// RepairLive may have dropped unrecoverable segments; re-list.
-	if segs, err = liveSegments(root); err != nil {
-		return fmt.Errorf("fsck: %w", err)
-	}
-	if findings, err = scan(); err != nil {
-		return err
-	}
-	if findings > 0 {
-		return fmt.Errorf("fsck: live bag still damaged after repair (%d findings)", findings)
-	}
-	fmt.Printf("%s: repaired, now sealed and clean (%d segments)\n", root, len(segs))
-	return nil
-}
-
-// liveSegments lists root's seg-* directories in segment order.
-func liveSegments(root string) ([]string, error) {
-	ents, err := os.ReadDir(root)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, ent := range ents {
-		if ent.IsDir() && strings.HasPrefix(ent.Name(), "seg-") {
-			out = append(out, filepath.Join(root, ent.Name()))
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }

@@ -21,9 +21,6 @@ func TimeFromNanos(ns int64) Time {
 	return Time{Sec: uint32(ns / 1e9), NSec: uint32(ns % 1e9)}
 }
 
-// TimeFromStd converts a time.Time.
-func TimeFromStd(t time.Time) Time { return TimeFromNanos(t.UnixNano()) }
-
 // Nanos returns the timestamp as nanoseconds since the epoch.
 func (t Time) Nanos() int64 { return int64(t.Sec)*1e9 + int64(t.NSec) }
 

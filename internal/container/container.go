@@ -22,11 +22,13 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/bagio"
 	"repro/internal/faultfs"
 	"repro/internal/obs"
 	"repro/internal/stripe"
+	"repro/internal/timeindex"
 )
 
 // File names inside a topic sub-directory.
@@ -80,6 +82,55 @@ func EncodeTopicDir(topic string) string {
 // DecodeTopicDir inverts EncodeTopicDir.
 func DecodeTopicDir(dir string) string {
 	return "/" + strings.ReplaceAll(dir, "#", "/")
+}
+
+// encodeConn renders a topic's conn file: every bagio.Connection field
+// as one header (optional fields add no bytes when unset), plus the
+// stripe geometry when the data is striped.
+func encodeConn(conn *bagio.Connection, stripes int, stripeSize int64) []byte {
+	h := make(bagio.Header)
+	h.PutU32("conn", conn.ID)
+	h.PutString("topic", conn.Topic)
+	h.PutString("type", conn.Type)
+	h.PutString("md5sum", conn.MD5Sum)
+	h.PutString("message_definition", conn.Def)
+	if conn.Caller != "" {
+		h.PutString("callerid", conn.Caller)
+	}
+	if conn.Latch {
+		h.PutString("latching", "1")
+	}
+	if stripes > 1 {
+		h.PutU32("stripes", uint32(stripes))
+		h.PutU64("stripe_size", uint64(stripeSize))
+	}
+	return h.Encode()
+}
+
+// readConn loads and decodes dir's conn file — the inverse of
+// encodeConn. The file is a connection record flattened into one
+// header: the record's own fields (conn, topic) beside its connection
+// header's, so bagio's record decoder reads every field it knows.
+// stripes is 0 for a single data file.
+func readConn(dir string) (conn *bagio.Connection, stripes int, stripeSize int64, err error) {
+	buf, err := os.ReadFile(filepath.Join(dir, ConnFileName))
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	h, err := bagio.DecodeHeader(buf)
+	if err == nil {
+		conn, err = bagio.DecodeConnection(&bagio.Record{Header: h, Data: buf})
+	}
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("conn file: %w", err)
+	}
+	if n, err := h.U32("stripes"); err == nil && n > 1 {
+		stripes = int(n)
+		if sz, err := h.U64("stripe_size"); err == nil {
+			stripeSize = int64(sz)
+		}
+	}
+	return conn, stripes, stripeSize, nil
 }
 
 // Container is an open BORA container rooted at a back-end directory.
@@ -157,7 +208,8 @@ type Topic struct {
 
 	mu      sync.Mutex
 	entries []IndexEntry
-	loaded  bool // entries read from the index file
+	loaded  bool             // entries read from the index file
+	tix     *timeindex.Index // memoized TimeIndex (loaded, rebuilt, or the closed writer's)
 
 	trLoaded       bool // memoized TimeRange below is valid
 	trStart, trEnd bagio.Time
@@ -214,35 +266,12 @@ func Open(root string) (*Container, error) {
 			continue
 		}
 		dir := filepath.Join(root, ent.Name())
-		connBytes, err := os.ReadFile(filepath.Join(dir, ConnFileName))
+		conn, stripes, stripeSize, err := readConn(dir)
 		if err != nil {
 			return nil, fmt.Errorf("container: topic dir %s: %w", ent.Name(), err)
 		}
-		h, err := bagio.DecodeHeader(connBytes)
-		if err != nil {
-			return nil, fmt.Errorf("container: topic dir %s conn file: %w", ent.Name(), err)
-		}
-		conn := &bagio.Connection{}
-		conn.Topic, _ = h.String("topic")
-		conn.Type, _ = h.String("type")
-		conn.MD5Sum, _ = h.String("md5sum")
-		conn.Def, _ = h.String("message_definition")
-		if id, err := h.U32("conn"); err == nil {
-			conn.ID = id
-		}
-		topic := conn.Topic
-		if topic == "" {
-			topic = DecodeTopicDir(ent.Name())
-			conn.Topic = topic
-		}
-		t := &Topic{dir: dir, topic: topic, conn: conn}
-		if n, err := h.U32("stripes"); err == nil && n > 1 {
-			t.stripes = int(n)
-			if sz, err := h.U64("stripe_size"); err == nil {
-				t.stripeSize = int64(sz)
-			}
-		}
-		c.topics[topic] = t
+		t := &Topic{dir: dir, topic: conn.Topic, conn: conn, stripes: stripes, stripeSize: stripeSize}
+		c.topics[conn.Topic] = t
 	}
 	return c, nil
 }
@@ -292,6 +321,9 @@ type TopicOptions struct {
 	// shrink the window of messages a crash can lose at the cost of
 	// more small writes.
 	IndexFlushEvery int
+	// TimeWindow is the width of the coarse time-index windows the
+	// writer builds as it appends (≤ 0 selects timeindex.DefaultWindow).
+	TimeWindow time.Duration
 }
 
 // DefaultIndexFlushEvery bounds how many appended messages can be
@@ -320,24 +352,14 @@ func (c *Container) CreateTopicOpts(conn *bagio.Connection, opts TopicOptions) (
 	if opts.IndexFlushEvery <= 0 {
 		opts.IndexFlushEvery = DefaultIndexFlushEvery
 	}
-	h := make(bagio.Header)
-	h.PutU32("conn", conn.ID)
-	h.PutString("topic", conn.Topic)
-	h.PutString("type", conn.Type)
-	h.PutString("md5sum", conn.MD5Sum)
-	h.PutString("message_definition", conn.Def)
-	if opts.Stripes > 1 {
-		h.PutU32("stripes", uint32(opts.Stripes))
-		h.PutU64("stripe_size", uint64(opts.StripeSize))
-	}
-	if err := faultfs.WriteFileAtomic(c.fs, filepath.Join(dir, ConnFileName), h.Encode(), 0o644); err != nil {
+	if err := faultfs.WriteFileAtomic(c.fs, filepath.Join(dir, ConnFileName), encodeConn(conn, opts.Stripes, opts.StripeSize), 0o644); err != nil {
 		return nil, err
 	}
 	t := &Topic{dir: dir, topic: conn.Topic, conn: conn, loaded: true,
 		cache: c.blockCache, gen: c.Generation(),
 		indexLoadOp: c.indexLoadOp, blockFillOp: c.blockFillOp}
 	tw := &TopicWriter{topic: t, fs: c.fs, crc: crc32.New(crcTable),
-		flushEvery: opts.IndexFlushEvery}
+		flushEvery: opts.IndexFlushEvery, tix: timeindex.New(opts.TimeWindow)}
 	ixf, err := c.fs.Create(filepath.Join(dir, IndexFileName))
 	if err != nil {
 		return nil, err
@@ -364,12 +386,13 @@ func (c *Container) CreateTopicOpts(conn *bagio.Connection, opts TopicOptions) (
 	return tw, nil
 }
 
-// TopicWriter appends messages to one topic of a container. It keeps a
-// running CRC of the data stream, persisted at Close for later Verify.
-// Index entries are flushed to the index file incrementally (after the
-// data they reference, never before), so a crash mid-stream leaves a
-// consistent indexed prefix for Repair to recover rather than losing
-// the whole topic.
+// TopicWriter appends messages to one topic of a container — the only
+// thing that writes a topic directory. It keeps a running CRC of the
+// data stream and builds the coarse time index as it goes; Close
+// persists both. Index entries are flushed to the index file
+// incrementally (after the data they reference, never before), so a
+// crash mid-stream leaves a consistent indexed prefix for Repair to
+// recover rather than losing the whole topic.
 type TopicWriter struct {
 	topic   *Topic
 	fs      faultfs.Backend
@@ -378,6 +401,7 @@ type TopicWriter struct {
 	index   faultfs.File
 
 	crc        hash.Hash32
+	tix        *timeindex.Index // coarse time index, persisted at Close
 	offset     uint64
 	closed     bool
 	last       IndexEntry // entry minted by the most recent Append
@@ -410,8 +434,10 @@ func (tw *TopicWriter) Append(t bagio.Time, payload []byte) error {
 	// topic concurrently (the payload bytes above are already on disk,
 	// so anything the published entry describes is readable).
 	tw.topic.mu.Lock()
+	ordinal := len(tw.topic.entries)
 	tw.topic.entries = append(tw.topic.entries, e)
 	tw.topic.mu.Unlock()
+	tw.tix.Add(t, uint32(ordinal))
 	tw.last = e
 	tw.offset += uint64(len(payload))
 	n := len(tw.ixbuf)
@@ -440,10 +466,10 @@ func (tw *TopicWriter) flushIndex() error {
 }
 
 // Close flushes and syncs the data and index files and persists the
-// checksum record. The sync order (data, then index, then checksum)
-// matches the recovery invariant fsck assumes: anything the index
-// claims is backed by data, and a checksum only exists for a complete
-// topic.
+// checksum record, then the coarse time index. The order (data, then
+// index, then checksum, then the rebuildable time index) matches the
+// recovery invariant fsck assumes: anything the index claims is backed
+// by data, and a checksum only exists for a complete topic.
 func (tw *TopicWriter) Close() error {
 	if tw.closed {
 		return nil
@@ -481,7 +507,17 @@ func (tw *TopicWriter) Close() error {
 	if err := tw.index.Close(); err != nil {
 		return err
 	}
-	return writeChecksum(tw.fs, tw.topic.dir, tw.crc.Sum32(), int64(tw.offset))
+	if err := writeChecksum(tw.fs, tw.topic.dir, tw.crc.Sum32(), int64(tw.offset)); err != nil {
+		return err
+	}
+	if err := writeTimeIndex(tw.fs, tw.topic.dir, tw.tix); err != nil {
+		return err
+	}
+	// The index is final: this handle's TimeIndex serves it from memory.
+	tw.topic.mu.Lock()
+	tw.topic.tix = tw.tix
+	tw.topic.mu.Unlock()
+	return nil
 }
 
 // LastEntry returns the index entry minted by the most recent Append
@@ -518,6 +554,10 @@ func (t *Topic) Entries() ([]IndexEntry, error) {
 func (t *Topic) EntriesSpan(parent obs.Span) ([]IndexEntry, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.entriesLocked(parent)
+}
+
+func (t *Topic) entriesLocked(parent obs.Span) ([]IndexEntry, error) {
 	if t.loaded {
 		return t.entries, nil
 	}
@@ -542,6 +582,57 @@ func (t *Topic) EntriesSpan(parent obs.Span) ([]IndexEntry, error) {
 	return t.entries, nil
 }
 
+// TimeIndex returns the coarse-grain time index of a complete topic,
+// loaded from the timeidx file once per handle and served from memory
+// afterwards. A topic without the file (a container built by an older
+// tool) gets the index rebuilt from its entries; a file that is present
+// but does not parse is an error. The index is shared: callers only
+// query it.
+func (t *Topic) TimeIndex() (*timeindex.Index, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.tix != nil {
+		return t.tix, nil
+	}
+	tix, err := readTimeIndex(t.dir)
+	if os.IsNotExist(err) {
+		var entries []IndexEntry
+		if entries, err = t.entriesLocked(obs.Span{}); err == nil {
+			tix = buildTimeIndex(0, entries)
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("container: time index of %q: %w", t.topic, err)
+	}
+	t.tix = tix
+	return tix, nil
+}
+
+// readTimeIndex loads dir's persisted coarse time index.
+func readTimeIndex(dir string) (*timeindex.Index, error) {
+	buf, err := os.ReadFile(filepath.Join(dir, TimeIdxFileName))
+	if err != nil {
+		return nil, err
+	}
+	return timeindex.Unmarshal(buf)
+}
+
+// writeTimeIndex persists tix as dir's timeidx file, atomically.
+func writeTimeIndex(fs faultfs.Backend, dir string, tix *timeindex.Index) error {
+	return faultfs.WriteFileAtomic(fs, filepath.Join(dir, TimeIdxFileName), tix.Marshal(), 0o644)
+}
+
+// buildTimeIndex derives the coarse time index from a topic's entries:
+// what TopicWriter accumulates append by append, recomputed for a topic
+// whose file is missing or being repaired.
+func buildTimeIndex(window time.Duration, entries []IndexEntry) *timeindex.Index {
+	tix := timeindex.New(window)
+	for i, e := range entries {
+		tix.Add(e.Time, uint32(i))
+	}
+	return tix
+}
+
 // MessageCount returns the number of indexed messages.
 func (t *Topic) MessageCount() (int, error) {
 	es, err := t.Entries()
@@ -553,19 +644,36 @@ func (t *Topic) MessageCount() (int, error) {
 
 // DataSize returns the total payload bytes of the topic.
 func (t *Topic) DataSize() (int64, error) {
-	if t.stripes > 1 {
-		r, err := stripe.Open(t.dir, t.stripes, t.stripeSize)
-		if err != nil {
-			return 0, err
-		}
-		defer r.Close()
-		return r.Size(), nil
-	}
-	st, err := os.Stat(filepath.Join(t.dir, DataFileName))
+	r, size, err := openTopicData(t.dir, t.stripes, t.stripeSize)
 	if err != nil {
 		return 0, err
 	}
-	return st.Size(), nil
+	r.Close()
+	return size, nil
+}
+
+// openTopicData opens the logical data stream of the topic directory
+// dir — the single data file, or the lane set when stripes > 1 — and
+// reports its length. Every reader of topic data (queries, Verify,
+// fsck, repair) opens it here, so the two layouts fork in one place.
+func openTopicData(dir string, stripes int, stripeSize int64) (DataReader, int64, error) {
+	if stripes > 1 {
+		r, err := stripe.Open(dir, stripes, stripeSize)
+		if err != nil {
+			return nil, 0, err
+		}
+		return r, r.Size(), nil
+	}
+	f, err := os.Open(filepath.Join(dir, DataFileName))
+	if err != nil {
+		return nil, 0, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, st.Size(), nil
 }
 
 // DataReader serves random reads of a topic's logical data stream.
@@ -595,13 +703,7 @@ func (t *Topic) OpenData() (DataReader, error) {
 // unattributed; per-access charging is nil-safe, so this costs the
 // uncharged path nothing.
 func (t *Topic) OpenDataQ(aq *obs.ActiveQuery) (DataReader, error) {
-	var r DataReader
-	var err error
-	if t.stripes > 1 {
-		r, err = stripe.Open(t.dir, t.stripes, t.stripeSize)
-	} else {
-		r, err = os.Open(filepath.Join(t.dir, DataFileName))
-	}
+	r, _, err := openTopicData(t.dir, t.stripes, t.stripeSize)
 	if err != nil || t.cache == nil {
 		return r, err
 	}

@@ -348,3 +348,31 @@ func TestStripedTopicRoundTrip(t *testing.T) {
 		t.Errorf("DataSize = %d, %v; want %d", sz, err, want)
 	}
 }
+
+// TestConnFileCarriesEveryField: the conn file round-trips every
+// bagio.Connection field plus the stripe geometry, and a connection
+// without the optional fields costs no bytes for them.
+func TestConnFileCarriesEveryField(t *testing.T) {
+	full := &bagio.Connection{ID: 3, Topic: "/scan", Type: "acme_msgs/Sweep",
+		MD5Sum: "0123456789abcdef0123456789abcdef", Def: "uint32 seq\n", Caller: "/driver", Latch: true}
+	dir := filepath.Join(t.TempDir(), EncodeTopicDir(full.Topic))
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ConnFileName), encodeConn(full, 4, 4096), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	conn, stripes, stripeSize, err := readConn(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *conn != *full || stripes != 4 || stripeSize != 4096 {
+		t.Errorf("read back %+v, %d lanes of %d; wrote %+v, 4 lanes of 4096", *conn, stripes, stripeSize, *full)
+	}
+	plain := encodeConn(&bagio.Connection{Topic: "/imu", Type: "sensor_msgs/Imu"}, 0, 0)
+	for _, field := range []string{"callerid", "latching", "stripes"} {
+		if bytes.Contains(plain, []byte(field)) {
+			t.Errorf("plain connection's conn file spends bytes on %q", field)
+		}
+	}
+}

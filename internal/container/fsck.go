@@ -9,10 +9,7 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/bagio"
 	"repro/internal/faultfs"
-	"repro/internal/stripe"
-	"repro/internal/timeindex"
 )
 
 // FindingKind classifies one fsck finding.
@@ -102,12 +99,10 @@ type topicState struct {
 	stripeSize int64
 	window     int64 // timeidx window (ns) if the old file parsed, else 0
 
-	connOK   bool
 	dataSize int64 // -1 when missing
 
 	rawEntries []IndexEntry // decoded whole-entry prefix of the index file
 	keep       int          // longest consistent prefix backed by data
-	indexOK    bool         // index file present (possibly truncated)
 
 	debris []string // abandoned temp files inside the topic dir
 	drop   bool     // unrepairable: remove the whole topic dir
@@ -189,36 +184,19 @@ func fsckTopic(rep *Report, dir, dirName string) *topicState {
 	}
 
 	// Connection metadata: without it the topic is unservable.
-	connBytes, err := os.ReadFile(filepath.Join(dir, ConnFileName))
-	if err != nil {
-		rep.add(FindingBadConn, st.name, filepath.Join(dir, ConnFileName), "%v", err)
-		st.drop = true
-	} else if h, err := bagio.DecodeHeader(connBytes); err != nil {
+	if conn, stripes, stripeSize, err := readConn(dir); err != nil {
 		rep.add(FindingBadConn, st.name, filepath.Join(dir, ConnFileName), "%v", err)
 		st.drop = true
 	} else {
-		st.connOK = true
-		if topic, err := h.String("topic"); err == nil && topic != "" {
-			st.name = topic
-		}
-		if n, err := h.U32("stripes"); err == nil && n > 1 {
-			st.stripes = int(n)
-			if sz, err := h.U64("stripe_size"); err == nil {
-				st.stripeSize = int64(sz)
-			}
-		}
+		st.name, st.stripes, st.stripeSize = conn.Topic, stripes, stripeSize
 	}
 
 	// Data length.
-	if st.stripes > 1 {
-		if r, err := stripe.Open(dir, st.stripes, st.stripeSize); err == nil {
-			st.dataSize = r.Size()
-			r.Close()
-		} else {
-			rep.add(FindingMissingData, st.name, dir, "striped data unreadable: %v", err)
-		}
-	} else if fi, err := os.Stat(filepath.Join(dir, DataFileName)); err == nil {
-		st.dataSize = fi.Size()
+	if r, size, err := openTopicData(dir, st.stripes, st.stripeSize); err == nil {
+		st.dataSize = size
+		r.Close()
+	} else if st.stripes > 1 {
+		rep.add(FindingMissingData, st.name, dir, "striped data unreadable: %v", err)
 	} else {
 		rep.add(FindingMissingData, st.name, filepath.Join(dir, DataFileName), "%v", err)
 	}
@@ -232,7 +210,6 @@ func fsckTopic(rep *Report, dir, dirName string) *topicState {
 		st.drop = true
 		return st
 	}
-	st.indexOK = true
 	if tail := len(ixBytes) % IndexEntrySize; tail != 0 {
 		rep.add(FindingTruncatedIndexTail, st.name, ixPath,
 			"index is %d bytes: %d-byte torn entry at the tail", len(ixBytes), tail)
@@ -266,9 +243,7 @@ func fsckTopic(rep *Report, dir, dirName string) *topicState {
 	// Coarse time index: rebuildable from the message index, so missing
 	// or unparsable is one (repairable) finding; orphans another.
 	tixPath := filepath.Join(dir, TimeIdxFileName)
-	if tixBytes, err := os.ReadFile(tixPath); err != nil {
-		rep.add(FindingBadTimeIdx, st.name, tixPath, "%v", err)
-	} else if tix, err := timeindex.Unmarshal(tixBytes); err != nil {
+	if tix, err := readTimeIndex(dir); err != nil {
 		rep.add(FindingBadTimeIdx, st.name, tixPath, "%v", err)
 	} else {
 		st.window = int64(tix.Window())
@@ -302,13 +277,7 @@ func fsckTopic(rep *Report, dir, dirName string) *topicState {
 // crcData recomputes crc32c over the first size bytes of a topic's
 // logical data stream.
 func crcData(dir string, stripes int, stripeSize, size int64) (uint32, error) {
-	var r DataReader
-	var err error
-	if stripes > 1 {
-		r, err = stripe.Open(dir, stripes, stripeSize)
-	} else {
-		r, err = os.Open(filepath.Join(dir, DataFileName))
-	}
+	r, _, err := openTopicData(dir, stripes, stripeSize)
 	if err != nil {
 		return 0, err
 	}
@@ -404,16 +373,9 @@ func repairTopic(fs faultfs.Backend, st *topicState) error {
 		}
 	}
 	// Rebuild the coarse time index from the surviving entries, keeping
-	// the original window when the old file was readable.
-	window := timeindex.DefaultWindow
-	if st.window > 0 {
-		window = time.Duration(st.window)
-	}
-	tix := timeindex.New(window)
-	for i, e := range keepEntries {
-		tix.Add(e.Time, uint32(i))
-	}
-	if err := faultfs.WriteFileAtomic(fs, filepath.Join(st.dir, TimeIdxFileName), tix.Marshal(), 0o644); err != nil {
+	// the original window when the old file was readable (0 selects the
+	// default).
+	if err := writeTimeIndex(fs, st.dir, buildTimeIndex(time.Duration(st.window), keepEntries)); err != nil {
 		return err
 	}
 	// Recompute the checksum over the surviving data.

@@ -7,16 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bagio"
-	"repro/internal/timeindex"
 )
-
-func newTimeIdxFromEntries(entries []IndexEntry) []byte {
-	tix := timeindex.New(0)
-	for i, e := range entries {
-		tix.Add(e.Time, uint32(i))
-	}
-	return tix.Marshal()
-}
 
 // buildSealedTopic writes a 20-message topic and seals the container.
 func buildSealedTopic(t *testing.T) (string, string) {
@@ -38,30 +29,10 @@ func buildSealedTopic(t *testing.T) (string, string) {
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The container layer does not write timeidx (core does); hand-write
-	// an empty one so fsck sees a complete topic.
-	dir := filepath.Join(root, EncodeTopicDir("/imu"))
-	writeTimeIdx(t, dir, c)
 	if err := c.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	return root, dir
-}
-
-func writeTimeIdx(t *testing.T, dir string, c *Container) {
-	t.Helper()
-	topic, err := c.Topic("/imu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := topic.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tix := newTimeIdxFromEntries(entries)
-	if err := os.WriteFile(filepath.Join(dir, TimeIdxFileName), tix, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return root, filepath.Join(root, EncodeTopicDir("/imu"))
 }
 
 func findingKinds(rep *Report) []FindingKind {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -92,18 +91,12 @@ func (t *Topic) Verify() VerifyResult {
 		res.Detail = fmt.Sprintf("checksum records %d bytes, data has %d", wantLen, size)
 		return res
 	}
-	df, err := t.OpenData()
+	got, err := crcData(t.dir, t.stripes, t.stripeSize, size)
 	if err != nil {
 		res.Detail = err.Error()
 		return res
 	}
-	defer df.Close()
-	h := crc32.New(crcTable)
-	if _, err := io.Copy(h, io.NewSectionReader(df, 0, size)); err != nil {
-		res.Detail = err.Error()
-		return res
-	}
-	if got := h.Sum32(); got != wantSum {
+	if got != wantSum {
 		res.Detail = fmt.Sprintf("crc mismatch: data %08x, recorded %08x", got, wantSum)
 		return res
 	}

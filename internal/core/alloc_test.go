@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bagio"
 	"repro/internal/container"
@@ -162,6 +163,53 @@ func TestAllocBudgetAttribution(t *testing.T) {
 	}
 	if attributed-base > 1 {
 		t.Errorf("attribution costs %.0f extra allocs per query, budget is 1", attributed-base)
+	}
+}
+
+// TestAllocBudgetRecorderWrite pins the write side's steady state
+// beside the read-path budgets: WriteMessage is one lock, one index
+// into the connection table and the segment writer's append — no
+// per-message allocation from the connection lookup, in either layout.
+// What remains is amortized slice growth (entry list, index buffer,
+// time-index windows, live journal).
+func TestAllocBudgetRecorderWrite(t *testing.T) {
+	b := newBORA(t)
+	classic, err := b.CreateBag("classic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := b.CreateLiveBag("live", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 256)
+	for _, rec := range []*Recorder{classic, live} {
+		var ids []uint32
+		for _, topic := range []string{"/imu", "/tf", "/camera/rgb/image_color"} {
+			id, err := rec.AddConnection(topic, "bora_test/Msg")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		const batch = 3000
+		ns := int64(1e18)
+		write := func() error {
+			for i := 0; i < batch; i++ {
+				ns += 1e5 // 10 kHz: a handful of new time-index windows per run
+				if err := rec.WriteMessage(ids[i%len(ids)], bagio.TimeFromNanos(ns), payload); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		if err := write(); err != nil { // warm: topics created, buffers sized
+			t.Fatal(err)
+		}
+		checkAllocBudget(t, "Recorder.WriteMessage live="+fmt.Sprint(rec.live), batch, write)
+		if err := rec.Seal(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -14,7 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rosbag"
 	"repro/internal/tagman"
-	"repro/internal/timeindex"
 )
 
 // Stats counts the I/O-relevant operations performed on an open BORA
@@ -35,10 +32,9 @@ type Stats struct {
 // message) or are a direct slice of the shared block cache, so a
 // callback that stores Data, mutates it, or hands it to another
 // goroutine that outlives the callback must take an owned copy first:
-// Copy returns the bytes, Retain returns the whole ref with owned
-// bytes, and AppendTo retains into a caller-reused buffer. Callbacks
-// that fully consume the message before returning (writing it to a
-// file, socket, or sink; decoding it; counting it) need none of these.
+// Copy returns the bytes, Retain the whole ref with owned bytes.
+// Callbacks that fully consume the message before returning (writing it
+// to a file, socket, or sink; decoding it; counting it) need neither.
 // This is what makes the steady-state query hot loop allocation-free.
 type MessageRef struct {
 	Conn *bagio.Connection
@@ -56,13 +52,6 @@ func (m MessageRef) Copy() []byte {
 func (m MessageRef) Retain() MessageRef {
 	m.Data = m.Copy()
 	return m
-}
-
-// AppendTo appends Data to dst and returns the result — retention into
-// a buffer the caller reuses (or draws from its own pool), for
-// consumers that would otherwise pay Copy's per-message allocation.
-func (m MessageRef) AppendTo(dst []byte) []byte {
-	return append(dst, m.Data...)
 }
 
 // msgScratch is one stream's reusable read buffer. Every query plan
@@ -109,8 +98,8 @@ type topicChain struct {
 
 // Bag is an open logical bag backed by one or more BORA containers
 // (classic bags have exactly one; live bags have one per segment). A
-// Bag is safe for concurrent queries: the stats counters and the lazily
-// loaded time indexes are guarded by an internal mutex.
+// Bag is safe for concurrent queries: the stats counters and memoized
+// derived state are guarded by an internal mutex.
 type Bag struct {
 	name string
 	segs []*container.Container
@@ -121,46 +110,32 @@ type Bag struct {
 	rec     *Recorder
 	liveGen uint64 // completion generation of a complete live bag
 	tags    *tagman.Table
-	opts    Options
 	ops     bagObs
 
 	// mu guards the stats counters and the memoized derived state
-	// below. Connections, per-topic message counts and the coarse time
-	// indexes are immutable properties of a sealed container, so each
-	// is computed once per handle and served from memory afterwards —
-	// which is what makes pooled (cached) handles cheap to re-query.
-	// Live-wired handles skip every memoization: their derived state
-	// changes with each write.
-	mu      sync.Mutex
-	stats   Stats
-	timeIdx map[string]*timeindex.Index // keyed by topic part Dir()
-	conns   []*bagio.Connection
-	counts  map[string]int
+	// below. Connections and per-topic message counts are immutable
+	// properties of a sealed container, so each is computed once per
+	// handle and served from memory afterwards — which is what makes
+	// pooled (cached) handles cheap to re-query (the coarse time indexes
+	// are memoized the same way by their container.Topic). Live-wired
+	// handles skip every memoization: their derived state changes with
+	// each write.
+	mu     sync.Mutex
+	stats  Stats
+	conns  []*bagio.Connection
+	counts map[string]int
 }
 
 // Name returns the logical bag name.
 func (bag *Bag) Name() string { return bag.name }
 
-// Topics returns the bag's sorted topic names.
+// Topics returns the bag's sorted topic names: the tag table's keys,
+// or, on a live-wired handle, whatever has been recorded so far.
 func (bag *Bag) Topics() []string {
 	if bag.rec != nil {
 		return bag.rec.Topics()
 	}
-	if len(bag.segs) == 1 {
-		return bag.segs[0].Topics()
-	}
-	seen := map[string]bool{}
-	var out []string
-	for _, c := range bag.segs {
-		for _, t := range c.Topics() {
-			if !seen[t] {
-				seen[t] = true
-				out = append(out, t)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
+	return bag.tags.Topics()
 }
 
 // TagTable exposes the tag manager's hash table (topic → back-end path).
@@ -170,13 +145,10 @@ func (bag *Bag) TagTable() *tagman.Table { return bag.tags }
 // Container exposes the bag's first (for live bags: oldest) container.
 // Segment-spanning callers should use Segments.
 func (bag *Bag) Container() *container.Container {
-	if bag.rec != nil {
-		return bag.rec.firstContainer()
+	if segs := bag.Segments(); len(segs) > 0 {
+		return segs[0]
 	}
-	if len(bag.segs) == 0 {
-		return nil
-	}
-	return bag.segs[0]
+	return nil
 }
 
 // Segments returns the bag's containers in segment order. Classic bags
@@ -465,44 +437,11 @@ func (bag *Bag) positionsInRange(t *container.Topic, start, end bagio.Time) (pos
 	if bag.rec != nil {
 		return nil, true, 0, nil
 	}
-	ix, err := bag.timeIndex(t)
+	ix, err := t.TimeIndex()
 	if err != nil {
 		return nil, false, 0, err
 	}
 	return ix.QuerySorted(start, end), false, ix.WindowsScanned(start, end), nil
-}
-
-// timeIndex loads (or rebuilds) the coarse-grain time index of a topic
-// part, keyed by the part's directory (unique across segments).
-func (bag *Bag) timeIndex(t *container.Topic) (*timeindex.Index, error) {
-	bag.mu.Lock()
-	defer bag.mu.Unlock()
-	if bag.timeIdx == nil {
-		bag.timeIdx = map[string]*timeindex.Index{}
-	}
-	if ix, ok := bag.timeIdx[t.Dir()]; ok {
-		return ix, nil
-	}
-	var ix *timeindex.Index
-	if buf, err := os.ReadFile(filepath.Join(t.Dir(), container.TimeIdxFileName)); err == nil {
-		ix, err = timeindex.Unmarshal(buf)
-		if err != nil {
-			return nil, fmt.Errorf("bora: time index of %q: %w", t.Name(), err)
-		}
-	} else {
-		// No persisted index (e.g. container built by an older tool):
-		// rebuild from the entry list.
-		entries, err := t.Entries()
-		if err != nil {
-			return nil, err
-		}
-		ix = timeindex.New(bag.opts.TimeWindow)
-		for i, e := range entries {
-			ix.Add(e.Time, uint32(i))
-		}
-	}
-	bag.timeIdx[t.Dir()] = ix
-	return ix, nil
 }
 
 // mergeItem is one cursor of the chronological merge.
@@ -662,7 +601,7 @@ func (bag *Bag) ExportSpan(ws io.WriteSeeker, opts rosbag.WriterOptions, parent 
 	}
 	conns := map[string]uint32{}
 	for _, ch := range chains {
-		id, err := w.AddConnection(ch.name, ch.parts[0].Connection().Type)
+		id, err := w.RegisterConnection(ch.parts[0].Connection())
 		if err != nil {
 			return err
 		}

@@ -37,7 +37,6 @@ import (
 	"repro/internal/organizer"
 	"repro/internal/rosbag"
 	"repro/internal/tagman"
-	"repro/internal/timeindex"
 )
 
 // Options configure a BORA instance.
@@ -75,13 +74,6 @@ type Options struct {
 	Synchronous bool
 }
 
-func (o *Options) fill() {
-	if o.TimeWindow <= 0 {
-		o.TimeWindow = timeindex.DefaultWindow
-	}
-	o.FS = faultfs.Or(o.FS)
-}
-
 // BORA manages logical bags stored as containers under a back-end root
 // directory.
 type BORA struct {
@@ -97,7 +89,7 @@ type BORA struct {
 
 // New opens (creating if needed) a BORA back end rooted at dir.
 func New(dir string, opts Options) (*BORA, error) {
-	opts.fill()
+	opts.FS = faultfs.Or(opts.FS)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("bora: create back end: %w", err)
 	}
@@ -156,32 +148,6 @@ func (b *BORA) Remove(name string) error {
 	return os.RemoveAll(dir)
 }
 
-// topicSink adapts a container.TopicWriter to the organizer and builds
-// the coarse-grain time index as messages stream through.
-type topicSink struct {
-	tw     *container.TopicWriter
-	tix    *timeindex.Index
-	dir    string
-	fs     faultfs.Backend
-	nextID uint32
-}
-
-func (s *topicSink) Append(t bagio.Time, payload []byte) error {
-	if err := s.tw.Append(t, payload); err != nil {
-		return err
-	}
-	s.tix.Add(t, s.nextID)
-	s.nextID++
-	return nil
-}
-
-func (s *topicSink) Close() error {
-	if err := s.tw.Close(); err != nil {
-		return err
-	}
-	return faultfs.WriteFileAtomic(s.fs, filepath.Join(s.dir, container.TimeIdxFileName), s.tix.Marshal(), 0o644)
-}
-
 // DuplicateStats reports the work done by a duplication.
 type DuplicateStats struct {
 	Messages int64
@@ -193,13 +159,6 @@ type DuplicateStats struct {
 // named name (the BORA data duplication operation, Fig 6). The source
 // bag is read exactly once, sequentially.
 func (b *BORA) Duplicate(bagPath, name string) (*Bag, DuplicateStats, error) {
-	return b.DuplicateSpan(bagPath, name, obs.Span{})
-}
-
-// DuplicateSpan is Duplicate with the core.duplicate span nested under
-// parent (e.g. the front end's vfs.close span). A zero parent traces it
-// as a root.
-func (b *BORA) DuplicateSpan(bagPath, name string, parent obs.Span) (*Bag, DuplicateStats, error) {
 	f, err := os.Open(bagPath)
 	if err != nil {
 		return nil, DuplicateStats{}, err
@@ -209,67 +168,49 @@ func (b *BORA) DuplicateSpan(bagPath, name string, parent obs.Span) (*Bag, Dupli
 	if err != nil {
 		return nil, DuplicateStats{}, err
 	}
-	return b.DuplicateFromSpan(f, st.Size(), name, parent)
+	return b.DuplicateFrom(f, st.Size(), name, obs.Span{})
 }
 
-// DuplicateFrom is Duplicate reading from an arbitrary source.
-func (b *BORA) DuplicateFrom(r io.ReaderAt, size int64, name string) (*Bag, DuplicateStats, error) {
-	return b.DuplicateFromSpan(r, size, name, obs.Span{})
-}
-
-// DuplicateFromSpan is DuplicateFrom nested under parent (see
-// DuplicateSpan).
-func (b *BORA) DuplicateFromSpan(r io.ReaderAt, size int64, name string, parent obs.Span) (*Bag, DuplicateStats, error) {
+// DuplicateFrom is Duplicate reading from an arbitrary source, with the
+// core.duplicate span nested under parent (e.g. the front end's
+// vfs.close span). A zero parent traces it as a root.
+func (b *BORA) DuplicateFrom(r io.ReaderAt, size int64, name string, parent obs.Span) (*Bag, DuplicateStats, error) {
 	sp := parent.ChildOp(b.opts.Obs.Op("core.duplicate"))
-	c, err := container.CreateFS(filepath.Join(b.root, name), b.opts.FS)
-	if err != nil {
-		sp.EndErr(err)
-		return nil, DuplicateStats{}, err
+	stats, err := b.organize(r, size, name, sp)
+	var bag *Bag
+	if err == nil {
+		bag, err = b.OpenSpan(name, sp)
 	}
-	c.SetObs(b.opts.Obs)
-	dist := organizer.New(func(conn *bagio.Connection) (organizer.TopicSink, error) {
-		tw, err := c.CreateTopicOpts(conn, container.TopicOptions{
-			Stripes: b.opts.Stripes, StripeSize: b.opts.StripeSize,
-			IndexFlushEvery: b.opts.IndexFlushEvery,
-		})
-		if err != nil {
-			return nil, err
-		}
-		dir, err := c.TopicPath(conn.Topic)
-		if err != nil {
-			return nil, err
-		}
-		return &topicSink{tw: tw, tix: timeindex.New(b.opts.TimeWindow), dir: dir, fs: b.opts.FS}, nil
-	}, organizer.Options{Workers: b.opts.Workers, Obs: b.opts.Obs, Parent: sp, Synchronous: b.opts.Synchronous})
-
-	scanErr := rosbag.ScanSpan(r, size, sp, func(conn *bagio.Connection, t bagio.Time, data []byte) error {
-		return dist.Dispatch(conn, t, data)
-	})
-	stats, distErr := dist.Close()
-	if scanErr != nil {
-		err := fmt.Errorf("bora: duplicate scan: %w", scanErr)
-		sp.EndErr(err)
-		return nil, DuplicateStats{}, err
-	}
-	if distErr != nil {
-		err := fmt.Errorf("bora: duplicate distribute: %w", distErr)
-		sp.EndErr(err)
-		return nil, DuplicateStats{}, err
-	}
-	// Every topic committed; seal the container. This is the commit
-	// point: a crash before here leaves a building-state container that
-	// Open/List refuse and fsck repairs.
-	if err := c.Seal(); err != nil {
-		sp.EndErr(err)
-		return nil, DuplicateStats{}, err
-	}
-	bag, err := b.OpenSpan(name, sp)
 	if err != nil {
 		sp.EndErr(err)
 		return nil, DuplicateStats{}, err
 	}
 	sp.EndBytes(stats.Bytes)
 	return bag, DuplicateStats{Messages: stats.Messages, Bytes: stats.Bytes, Topics: stats.Topics}, nil
+}
+
+// organize is the Fig 6 pass: one scan of the source, the organizer's
+// workers appending through a fresh segment's topic writers, one seal.
+func (b *BORA) organize(r io.ReaderAt, size int64, name string, sp obs.Span) (organizer.Stats, error) {
+	seg, err := b.createSegment(filepath.Join(b.root, name))
+	if err != nil {
+		return organizer.Stats{}, err
+	}
+	dist := organizer.New(func(conn *bagio.Connection) (organizer.TopicSink, error) {
+		return seg.writer(conn)
+	}, organizer.Options{Workers: b.opts.Workers, Obs: b.opts.Obs, Parent: sp, Synchronous: b.opts.Synchronous})
+	scanErr := rosbag.ScanSpan(r, size, sp, dist.Dispatch)
+	stats, distErr := dist.Close()
+	if scanErr != nil {
+		return stats, fmt.Errorf("bora: duplicate scan: %w", scanErr)
+	}
+	if distErr != nil {
+		return stats, fmt.Errorf("bora: duplicate distribute: %w", distErr)
+	}
+	// Every topic committed; seal the container. This is the commit
+	// point: a crash before here leaves a building-state container that
+	// Open/List refuse and fsck repairs.
+	return stats, seg.seal()
 }
 
 // CopyContainer duplicates an existing BORA container into this back end
@@ -331,31 +272,49 @@ func (b *BORA) Open(name string) (*Bag, error) {
 // zero parent traces it as a root.
 func (b *BORA) OpenSpan(name string, parent obs.Span) (*Bag, error) {
 	sp := parent.ChildOp(b.opts.Obs.Op("core.open"))
-	if _, err := os.Stat(filepath.Join(b.root, name, LiveMetaFileName)); err == nil {
-		return b.openLiveSpan(name, sp)
-	}
-	c, err := container.Open(filepath.Join(b.root, name))
+	bag, err := b.open(name, sp)
+	sp.EndErr(err)
+	return bag, err
+}
+
+// open resolves name in either layout (see bagSegments). A bag still
+// recording resolves to a handle wired to its in-process recorder: its
+// topic chains are re-snapshotted per query, so the handle tracks
+// segment rotation. Zero segments is a legitimate (if empty) sealed bag
+// — a repair of a recording that crashed before its first flush
+// recovers nothing but still seals the name — and opens with no topics.
+func (b *BORA) open(name string, sp obs.Span) (*Bag, error) {
+	_, segDirs, lm, err := b.bagSegments(name)
 	if err != nil {
-		sp.EndErr(err)
 		return nil, err
 	}
-	c.SetObs(b.opts.Obs)
-	paths := map[string]string{}
-	for _, topic := range c.Topics() {
-		p, err := c.TopicPath(topic)
+	bag := &Bag{name: name, ops: newBagObs(b.opts.Obs)}
+	if lm != nil && lm.State == liveStateRecord {
+		if bag.rec = b.LiveRecorder(name); bag.rec == nil {
+			return nil, fmt.Errorf("bora: bag %q is mid-recording with no live recorder (crashed or foreign process; repair it first)", name)
+		}
+		bag.tags = tagman.BuildSpan(bag.rec.topicPaths(), sp)
+		return bag, nil
+	}
+	if lm != nil {
+		bag.liveGen = lm.Gen
+	}
+	paths := map[string]string{} // topic → dir of its first part
+	for _, sd := range segDirs {
+		c, err := container.Open(sd)
 		if err != nil {
-			sp.EndErr(err)
 			return nil, err
 		}
-		paths[topic] = p
+		c.SetObs(b.opts.Obs)
+		for _, topic := range c.Topics() {
+			if _, ok := paths[topic]; !ok {
+				if paths[topic], err = c.TopicPath(topic); err != nil {
+					return nil, err
+				}
+			}
+		}
+		bag.segs = append(bag.segs, c)
 	}
-	tags := tagman.BuildSpan(paths, sp)
-	sp.End()
-	return &Bag{
-		name: name,
-		segs: []*container.Container{c},
-		tags: tags,
-		opts: b.opts,
-		ops:  newBagObs(b.opts.Obs),
-	}, nil
+	bag.tags = tagman.BuildSpan(paths, sp)
+	return bag, nil
 }

@@ -1,15 +1,12 @@
 package core
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Rebag materializes the subset of bag selected by spec as a new
 // logical bag on the same back end — the paper's rebagging operation,
 // performed container-to-container so the result is already
 // BORA-organized (no intermediate bag file, no re-duplication). Any
-// QuerySpec works: writes are serialized internally, so parallel plans
+// QuerySpec works: the recorder serializes writes, so parallel plans
 // are safe, and per-topic message order is preserved regardless of the
 // delivery order queried.
 func (b *BORA) Rebag(bag *Bag, newName string, spec QuerySpec) (*Bag, int64, error) {
@@ -20,16 +17,12 @@ func (b *BORA) Rebag(bag *Bag, newName string, spec QuerySpec) (*Bag, int64, err
 	if err != nil {
 		return nil, 0, err
 	}
-	var (
-		mu   sync.Mutex
-		kept int64
-	)
+	// The recorder serializes writes itself and registers each topic with
+	// the source connection's full metadata, whatever its type.
 	err = bag.Query(spec, func(m MessageRef) error {
-		mu.Lock()
-		defer mu.Unlock()
-		kept++
-		return rec.WriteRaw(m.Conn.Topic, m.Conn.Type, m.Time, m.Data)
+		return rec.writeConn(m.Conn, m.Time, m.Data)
 	})
+	kept := rec.MessageCount()
 	if err != nil {
 		return nil, kept, fmt.Errorf("bora: rebag: %w", err)
 	}

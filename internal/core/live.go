@@ -11,8 +11,6 @@ import (
 
 	"repro/internal/container"
 	"repro/internal/faultfs"
-	"repro/internal/obs"
-	"repro/internal/tagman"
 )
 
 // Live bag layout. A live bag is a directory holding a .bora_live meta
@@ -150,16 +148,12 @@ func (b *BORA) CreateLiveBag(name string, window time.Duration) (*Recorder, erro
 	if err := writeLiveMeta(b.opts.FS, dir, &liveMeta{State: liveStateRecord, Window: int64(window)}); err != nil {
 		return nil, err
 	}
-	c, err := container.CreateFS(segmentDir(dir, 0), b.opts.FS)
+	seg, err := b.createSegment(segmentDir(dir, 0))
 	if err != nil {
 		return nil, err
 	}
-	seg := &recSegment{c: c, topics: map[string]*recordTopic{}}
-	r := &Recorder{
-		b: b, name: name, live: true, window: int64(window),
-		segs: []*recSegment{seg}, cur: seg,
-		connIDs: map[string]uint32{},
-	}
+	r := b.newRecorder(name, seg)
+	r.live, r.window = true, int64(window)
 	if err := b.registerLive(name, r); err != nil {
 		return nil, err
 	}
@@ -195,100 +189,79 @@ func (b *BORA) LiveRecorder(name string) *Recorder {
 	return b.live[name]
 }
 
-// openLiveSpan opens a live-layout bag. A recording bag resolves to a
-// handle wired to the in-process recorder (its topic chains are
-// re-snapshotted per query, so the handle tracks segment rotation); a
-// complete bag opens every sealed segment.
-func (b *BORA) openLiveSpan(name string, sp obs.Span) (*Bag, error) {
-	dir := filepath.Join(b.root, name)
-	lm, err := readLiveMeta(dir)
-	if err != nil {
-		sp.EndErr(err)
-		return nil, err
+// bagSegments lists the container directories of the logical bag name
+// and, for a live bag, its parsed meta. A classic bag is the one-segment
+// case: the bag directory itself, with a nil meta.
+func (b *BORA) bagSegments(name string) (dir string, segDirs []string, lm *liveMeta, err error) {
+	dir = filepath.Join(b.root, name)
+	lm, err = readLiveMeta(dir)
+	if os.IsNotExist(err) {
+		return dir, []string{dir}, nil, nil
 	}
-	if lm.State == liveStateRecord {
-		rec := b.LiveRecorder(name)
-		if rec == nil {
-			err := fmt.Errorf("bora: bag %q is mid-recording with no live recorder (crashed or foreign process; repair it first)", name)
-			sp.EndErr(err)
-			return nil, err
-		}
-		tags := tagman.BuildSpan(rec.topicPaths(), sp)
-		sp.End()
-		return &Bag{name: name, rec: rec, tags: tags, opts: b.opts, ops: newBagObs(b.opts.Obs)}, nil
+	if err == nil {
+		segDirs, err = segmentDirs(dir)
 	}
-	segDirs, err := segmentDirs(dir)
-	if err != nil {
-		sp.EndErr(err)
-		return nil, err
-	}
-	// Zero segments is a legitimate (if empty) sealed bag: a repair of a
-	// recording that crashed before its first flush recovers nothing but
-	// still seals the name. It opens as a bag with no topics.
-	segs := make([]*container.Container, 0, len(segDirs))
-	paths := map[string]string{}
-	for _, sd := range segDirs {
-		c, err := container.Open(sd)
-		if err != nil {
-			sp.EndErr(err)
-			return nil, err
-		}
-		c.SetObs(b.opts.Obs)
-		for _, topic := range c.Topics() {
-			if _, ok := paths[topic]; !ok {
-				p, err := c.TopicPath(topic)
-				if err != nil {
-					sp.EndErr(err)
-					return nil, err
-				}
-				paths[topic] = p
-			}
-		}
-		segs = append(segs, c)
-	}
-	tags := tagman.BuildSpan(paths, sp)
-	sp.End()
-	return &Bag{name: name, segs: segs, liveGen: lm.Gen, tags: tags, opts: b.opts, ops: newBagObs(b.opts.Obs)}, nil
+	return dir, segDirs, lm, err
 }
 
-// RepairLive recovers a live bag abandoned mid-recording (a crashed
-// recorder): every segment is repaired to its consistent indexed prefix
-// through container.Repair — the building tail segment loses at most
-// its unflushed index tail — and the live meta flips to complete with a
-// fresh generation. Segments left with nothing recoverable are removed.
-// Repairing an already-complete live bag is a no-op.
-func (b *BORA) RepairLive(name string) error {
-	dir := filepath.Join(b.root, name)
-	lm, err := readLiveMeta(dir)
+// Fsck checks the logical bag name in either layout and returns one
+// container report per segment (a classic bag's single report is rooted
+// at the bag directory itself) plus, for a live bag whose meta still
+// says recording — a crashed recorder, or one alive in another process —
+// the live-unsealed finding. It never mutates the tree.
+func (b *BORA) Fsck(name string) (segs []*container.Report, unsealed *container.Finding, err error) {
+	dir, segDirs, lm, err := b.bagSegments(name)
 	if err != nil {
-		return err
-	}
-	if lm.State == liveStateComplete {
-		return nil
-	}
-	if b.LiveRecorder(name) != nil {
-		return fmt.Errorf("bora: bag %q is still recording in this process", name)
-	}
-	segDirs, err := segmentDirs(dir)
-	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	for _, sd := range segDirs {
-		if _, err := container.RepairFS(sd, b.opts.FS); err != nil {
-			return fmt.Errorf("bora: repair live segment %s: %w", sd, err)
+		rep, err := container.Fsck(sd)
+		if err != nil {
+			return nil, nil, err
 		}
-		// A segment that lost every topic still reseals as an empty
-		// container; drop it only if even the reseal failed to leave an
-		// openable tree.
-		if _, err := container.ReadMeta(sd); err != nil {
-			if err := os.RemoveAll(sd); err != nil {
-				return err
-			}
-		}
+		segs = append(segs, rep)
 	}
-	return writeLiveMeta(b.opts.FS, dir, &liveMeta{
-		State: liveStateComplete, Window: lm.Window, Gen: container.NewGen(),
-	})
+	if lm != nil && lm.State == liveStateRecord {
+		unsealed = &container.Finding{Kind: "live-unsealed", Path: filepath.Join(dir, LiveMetaFileName),
+			Detail: "recorder did not seal (crash or still recording elsewhere)"}
+	}
+	return segs, unsealed, nil
+}
+
+// Repair restores the logical bag name to a consistent, sealed state
+// and returns every segment's post-repair report (clean on success).
+// Each damaged segment is cut back to its consistent indexed prefix by
+// container.Repair — an abandoned live recording loses at most its
+// building segment's unflushed index tail — and a live bag that was
+// still recording, or had a segment repaired, gets a complete meta with
+// a fresh generation. Repairing a clean bag changes nothing.
+func (b *BORA) Repair(name string) ([]*container.Report, error) {
+	dir, segDirs, lm, err := b.bagSegments(name)
+	if err != nil {
+		return nil, err
+	}
+	if b.LiveRecorder(name) != nil {
+		return nil, fmt.Errorf("bora: bag %q is still recording in this process", name)
+	}
+	var segs []*container.Report
+	repaired := false
+	for _, sd := range segDirs {
+		rep, err := container.Fsck(sd)
+		if err == nil && !rep.Clean() {
+			repaired = true
+			rep, err = container.RepairFS(sd, b.opts.FS)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bora: repair %s: %w", sd, err)
+		}
+		segs = append(segs, rep)
+	}
+	if lm != nil && (repaired || lm.State == liveStateRecord) {
+		err = writeLiveMeta(b.opts.FS, dir, &liveMeta{
+			State: liveStateComplete, Window: lm.Window, Gen: container.NewGen(),
+		})
+	}
+	return segs, err
 }
 
 // ProbeBag is the handle-cache staleness probe for one bag directory,

@@ -441,7 +441,7 @@ func TestRepairLiveAfterCrash(t *testing.T) {
 	if _, err := b.Open("crashed"); err == nil {
 		t.Fatal("open of crashed live bag succeeded")
 	}
-	if err := b.RepairLive("crashed"); err != nil {
+	if _, err := b.Repair("crashed"); err != nil {
 		t.Fatal(err)
 	}
 	bag, err := b.Open("crashed")

@@ -107,14 +107,9 @@ func (bag *Bag) QueryContext(ctx context.Context, spec QuerySpec, fn func(Messag
 	return bag.QuerySpanContext(ctx, obs.Span{}, spec, fn)
 }
 
-// QuerySpan is Query with its span nested under parent (e.g. a pool or
-// vfs operation wrapping the read). A zero parent traces it as a root.
-func (bag *Bag) QuerySpan(parent obs.Span, spec QuerySpec, fn func(MessageRef) error) error {
-	return bag.QuerySpanContext(context.Background(), parent, spec, fn)
-}
-
-// QuerySpanContext is Query with both a parent span and a context (see
-// QuerySpan and QueryContext).
+// QuerySpanContext is QueryContext with its span nested under parent
+// (e.g. a pool or vfs operation wrapping the read). A zero parent traces
+// it as a root.
 func (bag *Bag) QuerySpanContext(ctx context.Context, parent obs.Span, spec QuerySpec, fn func(MessageRef) error) error {
 	if ctx == nil {
 		ctx = context.Background()

@@ -8,10 +8,8 @@ import (
 
 	"repro/internal/bagio"
 	"repro/internal/container"
-	"repro/internal/faultfs"
 	"repro/internal/msgdef"
 	"repro/internal/msgs"
-	"repro/internal/timeindex"
 )
 
 // Recorder writes messages directly into BORA containers as they
@@ -40,39 +38,23 @@ type Recorder struct {
 	live   bool
 	window int64 // segment rotation window in nanoseconds (live only)
 
-	mu      sync.Mutex
-	segs    []*recSegment
-	cur     *recSegment
-	segEnd  int64 // rotation boundary (ns); 0 until the first write
-	connIDs map[string]uint32
-	sink    []sinkConn // RecordSink connection table (AddConnection order)
-	count   int64
-	sealed  bool
-	closed  bool
+	mu     sync.Mutex
+	segs   []*segment // classic recordings have exactly one; live ones grow one per rotation window
+	cur    *segment
+	segEnd int64 // rotation boundary (ns); 0 until the first write
+	// The one connection table: a connection's ID is its index, and it
+	// keeps that ID across segment rotations.
+	conns   []*bagio.Connection
+	byTopic map[string]*bagio.Connection
+	// parts is what a wired Bag reads: each topic's parts in segment
+	// order. A topic appears here with its first message.
+	parts  map[string][]*container.Topic
+	count  int64
+	sealed bool
+	closed bool
 
 	journal   []tailRef
 	followers map[*follower]struct{}
-}
-
-// recSegment is one building-or-sealed container of a recording.
-// Classic recordings have exactly one; live recordings grow one per
-// rotation window.
-type recSegment struct {
-	c      *container.Container
-	topics map[string]*recordTopic
-}
-
-type recordTopic struct {
-	tw   *container.TopicWriter
-	tix  *timeindex.Index
-	dir  string
-	next uint32
-}
-
-// sinkConn is one RecordSink connection registration.
-type sinkConn struct {
-	topic   string
-	msgType string
 }
 
 // tailRef is one journal entry: the topic part a message landed in and
@@ -98,57 +80,50 @@ type follower struct {
 // CreateBag starts recording a new logical bag directly into a classic
 // single-container layout on the back end.
 func (b *BORA) CreateBag(name string) (*Recorder, error) {
-	c, err := container.CreateFS(filepath.Join(b.root, name), b.opts.FS)
+	seg, err := b.createSegment(filepath.Join(b.root, name))
 	if err != nil {
 		return nil, err
 	}
-	seg := &recSegment{c: c, topics: map[string]*recordTopic{}}
-	return &Recorder{
-		b: b, name: name,
-		segs: []*recSegment{seg}, cur: seg,
-		connIDs: map[string]uint32{},
-	}, nil
+	return b.newRecorder(name, seg), nil
 }
 
-// Live reports whether this recorder writes the live segmented layout.
-func (r *Recorder) Live() bool { return r.live }
-
-// Name returns the logical bag name being recorded.
-func (r *Recorder) Name() string { return r.name }
-
-// topicLocked returns (creating on first use) the current segment's
-// writer state for topic. Connection IDs are recorder-wide: a topic
-// keeps its ID across segment rotations.
-func (r *Recorder) topicLocked(topic, msgType string) (*recordTopic, error) {
-	if rt, ok := r.cur.topics[topic]; ok {
-		return rt, nil
+func (b *BORA) newRecorder(name string, seg *segment) *Recorder {
+	return &Recorder{
+		b: b, name: name,
+		segs: []*segment{seg}, cur: seg,
+		byTopic: map[string]*bagio.Connection{},
+		parts:   map[string][]*container.Topic{},
 	}
-	id, ok := r.connIDs[topic]
-	if !ok {
-		id = uint32(len(r.connIDs))
-		r.connIDs[topic] = id
+}
+
+// connLocked returns the recorder's connection for src's topic,
+// registering a copy of src — every field but the ID — on first sight.
+func (r *Recorder) connLocked(src *bagio.Connection) *bagio.Connection {
+	if c, ok := r.byTopic[src.Topic]; ok {
+		return c
 	}
-	conn := &bagio.Connection{ID: id, Topic: topic, Type: msgType}
+	c := *src
+	c.ID = uint32(len(r.conns))
+	r.conns = append(r.conns, &c)
+	r.byTopic[c.Topic] = &c
+	return &c
+}
+
+// typedConnLocked is connLocked for a caller that knows only the topic
+// and type: the md5sum and definition come from msgdef when it knows
+// the type.
+func (r *Recorder) typedConnLocked(topic, msgType string) *bagio.Connection {
+	if c, ok := r.byTopic[topic]; ok {
+		return c
+	}
+	c := &bagio.Connection{Topic: topic, Type: msgType}
 	if sum, err := msgdef.MD5(msgType); err == nil {
-		conn.MD5Sum = sum
+		c.MD5Sum = sum
 	}
 	if def, err := msgdef.FullText(msgType); err == nil {
-		conn.Def = def
+		c.Def = def
 	}
-	tw, err := r.cur.c.CreateTopicOpts(conn, container.TopicOptions{
-		Stripes: r.b.opts.Stripes, StripeSize: r.b.opts.StripeSize,
-		IndexFlushEvery: r.b.opts.IndexFlushEvery,
-	})
-	if err != nil {
-		return nil, err
-	}
-	dir, err := r.cur.c.TopicPath(topic)
-	if err != nil {
-		return nil, err
-	}
-	rt := &recordTopic{tw: tw, tix: timeindex.New(r.b.opts.TimeWindow), dir: dir}
-	r.cur.topics[topic] = rt
-	return rt, nil
+	return r.connLocked(c)
 }
 
 // rotateLocked advances the building segment when t crosses the current
@@ -166,63 +141,74 @@ func (r *Recorder) rotateLocked(t bagio.Time) error {
 	if ns < r.segEnd {
 		return nil
 	}
-	if err := r.sealSegmentLocked(r.cur); err != nil {
+	if err := r.cur.seal(); err != nil {
 		return err
 	}
-	c, err := container.CreateFS(segmentDir(filepath.Join(r.b.root, r.name), len(r.segs)), r.b.opts.FS)
+	seg, err := r.b.createSegment(segmentDir(filepath.Join(r.b.root, r.name), len(r.segs)))
 	if err != nil {
 		return err
 	}
-	seg := &recSegment{c: c, topics: map[string]*recordTopic{}}
 	r.segs = append(r.segs, seg)
 	r.cur = seg
 	r.segEnd = (ns/r.window)*r.window + r.window
 	return nil
 }
 
-// sealSegmentLocked commits one segment: every topic's index tail is
-// flushed and synced, the coarse time index is persisted, and the
-// container meta flips building→sealed. The sealed segment's Topic
-// objects stay live — followers and the wired Bag keep reading them.
-func (r *Recorder) sealSegmentLocked(seg *recSegment) error {
-	for _, rt := range seg.topics {
-		if err := rt.tw.Close(); err != nil {
-			return err
-		}
-		if err := faultfs.WriteFileAtomic(r.b.opts.FS, filepath.Join(rt.dir, container.TimeIdxFileName), rt.tix.Marshal(), 0o644); err != nil {
-			return err
-		}
-	}
-	return seg.c.Seal()
-}
-
-// WriteRaw appends one serialized message on a topic.
-func (r *Recorder) WriteRaw(topic, msgType string, t bagio.Time, data []byte) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// errClosedLocked reports a write or registration after Seal or Close.
+func (r *Recorder) errClosedLocked() error {
 	if r.sealed || r.closed {
 		return fmt.Errorf("bora: recorder for %q is closed", r.name)
 	}
+	return nil
+}
+
+// appendLocked is the one append every write entry point ends in.
+func (r *Recorder) appendLocked(conn *bagio.Connection, t bagio.Time, data []byte) error {
 	if r.live {
 		if err := r.rotateLocked(t); err != nil {
 			return err
 		}
 	}
-	rt, err := r.topicLocked(topic, msgType)
-	if err != nil {
+	tw, ok := r.cur.topics[conn.Topic]
+	if !ok {
+		var err error
+		if tw, err = r.cur.writer(conn); err != nil {
+			return err
+		}
+		r.parts[conn.Topic] = append(r.parts[conn.Topic], tw.Topic())
+	}
+	if err := tw.Append(t, data); err != nil {
 		return err
 	}
-	if err := rt.tw.Append(t, data); err != nil {
-		return err
-	}
-	rt.tix.Add(t, rt.next)
-	rt.next++
 	r.count++
 	if r.live {
-		r.journal = append(r.journal, tailRef{t: rt.tw.Topic(), e: rt.tw.LastEntry()})
+		r.journal = append(r.journal, tailRef{t: tw.Topic(), e: tw.LastEntry()})
 		r.notifyLocked()
 	}
 	return nil
+}
+
+// WriteRaw appends one serialized message on a topic, registering the
+// connection on first use.
+func (r *Recorder) WriteRaw(topic, msgType string, t bagio.Time, data []byte) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.errClosedLocked(); err != nil {
+		return err
+	}
+	return r.appendLocked(r.typedConnLocked(topic, msgType), t, data)
+}
+
+// writeConn is WriteRaw for a message that arrives with its full
+// connection metadata (Rebag): everything but the ID carries over, so
+// nothing msgdef does not know is lost.
+func (r *Recorder) writeConn(conn *bagio.Connection, t bagio.Time, data []byte) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.errClosedLocked(); err != nil {
+		return err
+	}
+	return r.appendLocked(r.connLocked(conn), t, data)
 }
 
 // WriteMsg marshals and appends one typed message.
@@ -235,33 +221,24 @@ func (r *Recorder) WriteMsg(topic string, t bagio.Time, m msgs.Message) error {
 func (r *Recorder) AddConnection(topic, msgType string) (uint32, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.sealed || r.closed {
-		return 0, fmt.Errorf("bora: recorder for %q is closed", r.name)
+	if err := r.errClosedLocked(); err != nil {
+		return 0, err
 	}
-	for id, sc := range r.sink {
-		if sc.topic == topic {
-			return uint32(id), nil
-		}
-	}
-	r.sink = append(r.sink, sinkConn{topic: topic, msgType: msgType})
-	return uint32(len(r.sink) - 1), nil
+	return r.typedConnLocked(topic, msgType).ID, nil
 }
 
 // WriteMessage appends one serialized message on a connection returned
 // by AddConnection, implementing RecordSink.
 func (r *Recorder) WriteMessage(conn uint32, t bagio.Time, data []byte) error {
 	r.mu.Lock()
-	if r.sealed || r.closed {
-		r.mu.Unlock()
-		return fmt.Errorf("bora: recorder for %q is closed", r.name)
+	defer r.mu.Unlock()
+	if err := r.errClosedLocked(); err != nil {
+		return err
 	}
-	if int(conn) >= len(r.sink) {
-		r.mu.Unlock()
+	if int(conn) >= len(r.conns) {
 		return fmt.Errorf("bora: recorder for %q: unknown connection %d", r.name, conn)
 	}
-	sc := r.sink[conn]
-	r.mu.Unlock()
-	return r.WriteRaw(sc.topic, sc.msgType, t, data)
+	return r.appendLocked(r.conns[conn], t, data)
 }
 
 // MessageCount returns the number of messages recorded so far.
@@ -279,9 +256,9 @@ func (r *Recorder) Topics() []string {
 }
 
 func (r *Recorder) topicsLocked() []string {
-	out := make([]string, 0, len(r.connIDs))
-	for t := range r.connIDs {
-		out = append(out, t)
+	out := make([]string, 0, len(r.parts))
+	for name := range r.parts {
+		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
@@ -300,13 +277,9 @@ func (r *Recorder) Segments() int {
 func (r *Recorder) topicPaths() map[string]string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	paths := map[string]string{}
-	for _, seg := range r.segs {
-		for name, rt := range seg.topics {
-			if _, ok := paths[name]; !ok {
-				paths[name] = rt.dir
-			}
-		}
+	paths := make(map[string]string, len(r.parts))
+	for name, parts := range r.parts {
+		paths[name] = parts[0].Dir()
 	}
 	return paths
 }
@@ -323,32 +296,17 @@ func (r *Recorder) chains(topics []string, lenient bool) ([]topicChain, error) {
 	}
 	out := make([]topicChain, 0, len(topics))
 	for _, name := range topics {
-		var parts []*container.Topic
-		for _, seg := range r.segs {
-			if rt, ok := seg.topics[name]; ok {
-				parts = append(parts, rt.tw.Topic())
-			}
-		}
+		parts := r.parts[name]
 		if len(parts) == 0 {
 			if lenient {
 				continue
 			}
 			return nil, fmt.Errorf("bora: unknown topic %q", name)
 		}
-		out = append(out, topicChain{name: name, parts: parts})
+		// Capped: the recorder keeps appending to its own slice.
+		out = append(out, topicChain{name: name, parts: parts[:len(parts):len(parts)]})
 	}
 	return out, nil
-}
-
-// firstContainer returns the first segment's container (for
-// Bag.Container compatibility on wired handles).
-func (r *Recorder) firstContainer() *container.Container {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.segs) == 0 {
-		return nil
-	}
-	return r.segs[0].c
 }
 
 // subscribe registers a live tail. The returned follower's limits/pos
@@ -363,9 +321,11 @@ func (r *Recorder) subscribe() *follower {
 		pos:    len(r.journal),
 		limits: map[*container.Topic]int{},
 	}
-	for _, seg := range r.segs {
-		for _, rt := range seg.topics {
-			f.limits[rt.tw.Topic()] = int(rt.next)
+	for _, parts := range r.parts {
+		for _, t := range parts {
+			// A writer's topic serves Entries from memory: it cannot fail.
+			entries, _ := t.Entries()
+			f.limits[t] = len(entries)
 		}
 	}
 	if r.followers == nil {
@@ -417,7 +377,7 @@ func (r *Recorder) sealLocked() error {
 	if r.sealed {
 		return nil
 	}
-	if err := r.sealSegmentLocked(r.cur); err != nil {
+	if err := r.cur.seal(); err != nil {
 		return err
 	}
 	if r.live {

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/rosbag"
 )
 
 // Recorder is the `rosbag record` node of Fig 1c: it subscribes to a
@@ -100,11 +99,4 @@ func (r *Recorder) Stop() error {
 	defer r.mu.Unlock()
 	r.stopped = true
 	return r.writeErr
-}
-
-// NewBagRecorder is NewRecorder for a classic bag writer — the
-// pre-RecordSink signature, kept for callers that have a *rosbag.Writer
-// in hand.
-func NewBagRecorder(g *Graph, nodeName string, w *rosbag.Writer, topics ...string) (*Recorder, error) {
-	return NewRecorder(g, nodeName, w, topics...)
 }

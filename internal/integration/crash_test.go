@@ -13,6 +13,7 @@ import (
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/faultfs"
+	"repro/internal/obs"
 	"repro/internal/rosbag"
 	"repro/internal/vfs"
 	"repro/internal/workload"
@@ -79,7 +80,7 @@ func duplicateWithPlan(t *testing.T, raw []byte, plan faultfs.Plan) (*faultfs.In
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = b.DuplicateFrom(bytes.NewReader(raw), int64(len(raw)), "sweep")
+	_, _, err = b.DuplicateFrom(bytes.NewReader(raw), int64(len(raw)), "sweep", obs.Span{})
 	return in, root, err
 }
 
@@ -167,12 +168,12 @@ func TestCrashConsistencySweep(t *testing.T) {
 		}
 
 		// Repairable: repair must converge to a clean container.
-		after, err := container.Repair(croot)
+		after, err := b2.Repair("sweep")
 		if err != nil {
 			t.Fatalf("CrashAt=%d: repair: %v", n, err)
 		}
-		if !after.Clean() {
-			t.Fatalf("CrashAt=%d: post-repair findings: %v", n, after.Findings)
+		if len(after) != 1 || !after[0].Clean() {
+			t.Fatalf("CrashAt=%d: post-repair reports: %v", n, after)
 		}
 
 		// Prefix property: every surviving topic serves a byte-identical

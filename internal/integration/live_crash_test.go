@@ -80,7 +80,7 @@ func queryPayloads(t *testing.T, bag *core.Bag, spec core.QuerySpec) map[string]
 // TestLiveCrashRecoverySweep extends the crash-consistency harness to
 // the live recorder: the recording is crashed at every backend
 // operation boundary, and after each crash the invariant of the live
-// lifecycle must hold — the abandoned bag refuses to open, RepairLive
+// lifecycle must hold — the abandoned bag refuses to open, Repair
 // converges it to a sealed bag, every recovered topic serves a
 // byte-identical prefix of the payloads handed to the recorder (losing
 // at most the unflushed tail, never altering or reordering), and a
@@ -119,9 +119,9 @@ func TestLiveCrashRecoverySweep(t *testing.T) {
 			t.Fatalf("CrashAt=%d: crashed live bag opened without repair", n)
 		}
 
-		// Recoverable: RepairLive converges to a sealed, openable bag.
-		if err := b2.RepairLive("live"); err != nil {
-			t.Fatalf("CrashAt=%d: RepairLive: %v", n, err)
+		// Recoverable: Repair converges to a sealed, openable bag.
+		if _, err := b2.Repair("live"); err != nil {
+			t.Fatalf("CrashAt=%d: Repair: %v", n, err)
 		}
 		bag, err := b2.Open("live")
 		if err != nil {

@@ -146,31 +146,21 @@ func (p *Pool) BlockCache() *BlockLRU { return p.blocks }
 // deduplicated, so concurrent misses on the same name build once —
 // and plugs the pool's block cache under the container's data reads.
 func (p *Pool) Acquire(name string) (*core.Bag, error) {
-	return p.AcquireSpan(name, obs.Span{})
+	return p.AcquireContextSpan(context.Background(), name, obs.Span{})
 }
 
-// AcquireContext is Acquire with an upfront cancellation check: a
-// request whose context died while it sat in admission control (or in
-// a client's retry loop) skips the cold open entirely instead of
-// warming the cache for a departed caller. A context that expires
-// mid-open does not abort the open — the handle is cached for the
-// next client and the error surfaces on the caller's next check.
-func (p *Pool) AcquireContext(ctx context.Context, name string) (*core.Bag, error) {
-	return p.AcquireContextSpan(ctx, name, obs.Span{})
-}
-
-// AcquireContextSpan is AcquireContext nested under parent (see
-// AcquireSpan).
+// AcquireContextSpan is Acquire with the pool.acquire span nested under
+// parent (e.g. a front-end vfs.open; a zero parent traces it as a root)
+// and an upfront cancellation check: a request whose context died while
+// it sat in admission control (or in a client's retry loop) skips the
+// cold open entirely instead of warming the cache for a departed
+// caller. A context that expires mid-open does not abort the open — the
+// handle is cached for the next client and the error surfaces on the
+// caller's next check.
 func (p *Pool) AcquireContextSpan(ctx context.Context, name string, parent obs.Span) (*core.Bag, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return p.AcquireSpan(name, parent)
-}
-
-// AcquireSpan is Acquire with the pool.acquire span nested under parent
-// (e.g. a front-end vfs.open). A zero parent traces it as a root.
-func (p *Pool) AcquireSpan(name string, parent obs.Span) (*core.Bag, error) {
 	sp := parent.ChildOp(p.acquireOp)
 	bag, hit, err := p.acquire(name, sp)
 	if err != nil {

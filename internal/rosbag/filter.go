@@ -33,7 +33,7 @@ func Filter(src io.ReaderAt, size int64, ws io.WriteSeeker, q Query, keep func(M
 		id, ok := conns[m.Conn.Topic]
 		if !ok {
 			var err error
-			id, err = w.AddConnection(m.Conn.Topic, m.Conn.Type)
+			id, err = w.RegisterConnection(m.Conn)
 			if err != nil {
 				return err
 			}

@@ -1,11 +1,11 @@
 package rosbag
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
 	"repro/internal/bagio"
+	"repro/internal/obs"
 )
 
 // ReindexStats reports what a salvage pass recovered.
@@ -25,125 +25,37 @@ type ReindexStats struct {
 // byte is recovered.
 func Reindex(r io.ReaderAt, size int64, ws io.WriteSeeker, opts WriterOptions) (ReindexStats, error) {
 	var stats ReindexStats
-	sc := bagio.NewRecordScanner(io.NewSectionReader(r, 0, size))
-	if err := sc.ReadMagic(); err != nil {
-		return stats, err
-	}
-	first, err := sc.ReadRecord()
+	wk, err := openWalk(r, size)
 	if err != nil {
-		return stats, fmt.Errorf("rosbag: reindex: bag header: %w", err)
+		return stats, fmt.Errorf("rosbag: reindex: %w", err)
 	}
-	if op, err := first.Op(); err != nil || op != bagio.OpBagHeader {
-		return stats, fmt.Errorf("rosbag: reindex: first record is not a bag header")
-	}
-
 	w, err := NewWriter(ws, opts)
 	if err != nil {
 		return stats, err
 	}
-	conns := map[uint32]*bagio.Connection{}
 	newIDs := map[uint32]uint32{}
-
-	writeMessage := func(md *bagio.MessageData) error {
-		c := conns[md.Conn]
-		if c == nil {
-			return fmt.Errorf("rosbag: reindex: message on unknown connection %d", md.Conn)
-		}
-		id, ok := newIDs[md.Conn]
+	// A damaged record ends the salvage (Truncated: keep what we have); a
+	// failing writer fails it.
+	var writeErr error
+	walkErr := wk.run(0, obs.Span{}, nil, func(c *bagio.Connection, t bagio.Time, data []byte) error {
+		id, ok := newIDs[c.ID]
 		if !ok {
-			id, err = w.AddConnection(c.Topic, c.Type)
-			if err != nil {
-				return err
+			if id, writeErr = w.RegisterConnection(c); writeErr != nil {
+				return writeErr
 			}
-			newIDs[md.Conn] = id
+			newIDs[c.ID] = id
 		}
-		if err := w.WriteMessage(id, md.Time, md.Data); err != nil {
-			return err
+		if writeErr = w.WriteMessage(id, t, data); writeErr != nil {
+			return writeErr
 		}
 		stats.Messages++
 		return nil
+	})
+	stats.Connections, stats.Chunks = len(wk.conns), wk.chunks
+	if writeErr != nil {
+		return stats, writeErr
 	}
-
-scan:
-	for {
-		rec, err := sc.ReadRecord()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			stats.Truncated = true // damaged tail: keep what we have
-			break
-		}
-		op, err := rec.Op()
-		if err != nil {
-			stats.Truncated = true
-			break
-		}
-		switch op {
-		case bagio.OpChunk:
-			inner, err := bagio.DecodeChunk(rec)
-			if err != nil {
-				stats.Truncated = true
-				break scan
-			}
-			stats.Chunks++
-			isc := bagio.NewRecordScanner(bytes.NewReader(inner))
-			for {
-				irec, err := isc.ReadRecord()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					stats.Truncated = true
-					break scan
-				}
-				iop, err := irec.Op()
-				if err != nil {
-					stats.Truncated = true
-					break scan
-				}
-				switch iop {
-				case bagio.OpConnection:
-					c, err := bagio.DecodeConnection(irec)
-					if err != nil {
-						stats.Truncated = true
-						break scan
-					}
-					if _, dup := conns[c.ID]; !dup {
-						conns[c.ID] = c
-						stats.Connections++
-					}
-				case bagio.OpMessageData:
-					md, err := bagio.DecodeMessageData(irec)
-					if err != nil {
-						stats.Truncated = true
-						break scan
-					}
-					if err := writeMessage(md); err != nil {
-						return stats, err
-					}
-				default:
-					stats.Truncated = true
-					break scan
-				}
-			}
-		case bagio.OpConnection:
-			c, err := bagio.DecodeConnection(rec)
-			if err != nil {
-				stats.Truncated = true
-				break scan
-			}
-			if _, dup := conns[c.ID]; !dup {
-				conns[c.ID] = c
-				stats.Connections++
-			}
-		case bagio.OpIndexData, bagio.OpChunkInfo:
-			// Pre-existing index remnants: regenerated by the writer.
-		default:
-			stats.Truncated = true
-			break scan
-		}
-	}
+	stats.Truncated = walkErr != nil
 	if err := w.Close(); err != nil {
 		return stats, err
 	}

@@ -19,70 +19,73 @@ type ScanFunc func(conn *bagio.Connection, t bagio.Time, data []byte) error
 // scanning the file once" (Fig 6). Connections are discovered from the
 // records embedded in chunks; the index section at the tail is skipped.
 func Scan(r io.ReaderAt, size int64, fn ScanFunc) error {
-	return ScanObs(r, size, nil, fn)
+	return ScanSpan(r, size, obs.Span{}, fn)
 }
 
-// ScanObs is Scan recording the pass to reg as one rosbag.scan span
-// carrying the total payload bytes delivered, with one rosbag.scan_chunk
-// child span per chunk. A nil registry disables recording.
-func ScanObs(r io.ReaderAt, size int64, reg *obs.Registry, fn ScanFunc) error {
-	return scanObs(r, size, obs.Span{}, reg, fn)
-}
-
-// ScanSpan is ScanObs nested under parent: the rosbag.scan span becomes
-// a child of parent's trace context and records to parent's registry. A
-// zero parent disables recording.
+// ScanSpan is Scan recorded to parent's registry as one rosbag.scan
+// child span of parent carrying the total payload bytes delivered, with
+// one rosbag.scan_chunk child span per chunk. A zero parent disables
+// recording.
 func ScanSpan(r io.ReaderAt, size int64, parent obs.Span, fn ScanFunc) error {
-	return scanObs(r, size, parent, parent.Registry(), fn)
-}
-
-func scanObs(r io.ReaderAt, size int64, parent obs.Span, reg *obs.Registry, fn ScanFunc) error {
-	op := reg.Op("rosbag.scan")
-	if op == nil {
-		return scan(r, size, obs.Span{}, nil, fn)
+	reg := parent.Registry()
+	sp := parent.ChildOp(reg.Op("rosbag.scan"))
+	w, err := openWalk(r, size)
+	if err == nil {
+		// The chunk section ends at index_pos; everything after it is
+		// connection/chunk-info records a scan does not need.
+		var bh *bagio.BagHeader
+		if bh, err = bagio.DecodeBagHeader(w.header); err == nil {
+			err = w.run(bh.IndexPos, sp, reg.Op("rosbag.scan_chunk"), fn)
+		}
 	}
-	sp := parent.ChildOp(op)
-	var delivered int64
-	err := scan(r, size, sp, reg.Op("rosbag.scan_chunk"), func(conn *bagio.Connection, t bagio.Time, data []byte) error {
-		delivered += int64(len(data))
-		return fn(conn, t, data)
-	})
 	if err != nil {
 		sp.EndErr(err)
 		return err
 	}
-	sp.EndBytes(delivered)
+	sp.EndBytes(w.delivered)
 	return nil
 }
 
-func scan(r io.ReaderAt, size int64, sp obs.Span, chunkOp *obs.Op, fn ScanFunc) error {
+// walker is one sequential pass over a bag's record stream: the chunk
+// walk Scan and Reindex share. Connections are discovered from the
+// records embedded in chunks (or between them); conns, chunks and
+// delivered count what the pass has seen so far.
+type walker struct {
+	sc        *bagio.RecordScanner
+	header    *bagio.Record // the bag header record
+	conns     map[uint32]*bagio.Connection
+	chunks    int   // chunks decoded
+	delivered int64 // payload bytes handed to the callback
+}
+
+// openWalk checks the magic and reads the bag header record.
+func openWalk(r io.ReaderAt, size int64) (*walker, error) {
 	sc := bagio.NewRecordScanner(io.NewSectionReader(r, 0, size))
 	if err := sc.ReadMagic(); err != nil {
-		return err
+		return nil, err
 	}
 	first, err := sc.ReadRecord()
 	if err != nil {
-		return fmt.Errorf("rosbag: scan bag header: %w", err)
+		return nil, fmt.Errorf("rosbag: bag header: %w", err)
 	}
-	op, err := first.Op()
-	if err != nil {
-		return err
+	if op, err := first.Op(); err != nil || op != bagio.OpBagHeader {
+		return nil, fmt.Errorf("rosbag: first record is not a bag header")
 	}
-	if op != bagio.OpBagHeader {
-		return fmt.Errorf("rosbag: first record has op %#x, want bag header", op)
-	}
-	bh, err := bagio.DecodeBagHeader(first)
-	if err != nil {
-		return err
-	}
-	conns := map[uint32]*bagio.Connection{}
+	return &walker{sc: sc, header: first, conns: map[uint32]*bagio.Connection{}}, nil
+}
+
+// run delivers every message of the chunk section to fn in file order,
+// each chunk under a chunkOp child span of sp. With indexPos != 0 the
+// pass trusts the header: it ends at that offset, or at the first
+// chunk-info record. A salvage pass (indexPos 0: the header of a damaged
+// bag proves nothing) reads to the end and skips index remnants. The
+// error is the first damaged record, or whatever fn returned.
+func (w *walker) run(indexPos uint64, sp obs.Span, chunkOp *obs.Op, fn ScanFunc) error {
 	for {
-		// The chunk section ends at index_pos; everything after it is
-		// connection/chunk-info records we do not need for a scan.
-		if bh.IndexPos != 0 && uint64(sc.Offset()) >= bh.IndexPos {
+		if indexPos != 0 && uint64(w.sc.Offset()) >= indexPos {
 			return nil
 		}
-		rec, err := sc.ReadRecord()
+		rec, err := w.sc.ReadRecord()
 		if err == io.EOF {
 			return nil
 		}
@@ -97,36 +100,46 @@ func scan(r io.ReaderAt, size int64, sp obs.Span, chunkOp *obs.Op, fn ScanFunc) 
 		case bagio.OpChunk:
 			csp := sp.ChildOp(chunkOp)
 			inner, err := bagio.DecodeChunk(rec)
-			if err != nil {
-				csp.EndErr(err)
-				return err
+			if err == nil {
+				w.chunks++
+				err = w.chunkRecords(inner, fn)
 			}
-			if err := scanChunkRecords(inner, conns, fn); err != nil {
+			if err != nil {
 				csp.EndErr(err)
 				return err
 			}
 			csp.EndBytes(int64(len(inner)))
-		case bagio.OpIndexData:
-			// Interleaved per-chunk index records: not needed.
 		case bagio.OpConnection:
-			c, err := bagio.DecodeConnection(rec)
-			if err != nil {
+			if err := w.addConn(rec); err != nil {
 				return err
 			}
-			if _, dup := conns[c.ID]; !dup {
-				conns[c.ID] = c
-			}
+		case bagio.OpIndexData:
+			// Interleaved per-chunk index records: not needed.
 		case bagio.OpChunkInfo:
-			// Reached the index section of an unclosed-header bag.
-			return nil
+			if indexPos != 0 {
+				return nil // the index section of a closed bag
+			}
 		default:
-			return fmt.Errorf("rosbag: unexpected op %#x at offset %d during scan", op, sc.Offset())
+			return fmt.Errorf("rosbag: unexpected op %#x at offset %d", op, w.sc.Offset())
 		}
 	}
 }
 
-// scanChunkRecords iterates the records inside an uncompressed chunk.
-func scanChunkRecords(inner []byte, conns map[uint32]*bagio.Connection, fn ScanFunc) error {
+// addConn records the connection of an op=0x07 record; the first record
+// of an id wins.
+func (w *walker) addConn(rec *bagio.Record) error {
+	c, err := bagio.DecodeConnection(rec)
+	if err != nil {
+		return err
+	}
+	if _, dup := w.conns[c.ID]; !dup {
+		w.conns[c.ID] = c
+	}
+	return nil
+}
+
+// chunkRecords iterates the records inside an uncompressed chunk.
+func (w *walker) chunkRecords(inner []byte, fn ScanFunc) error {
 	sc := bagio.NewRecordScanner(bytes.NewReader(inner))
 	for {
 		rec, err := sc.ReadRecord()
@@ -142,22 +155,19 @@ func scanChunkRecords(inner []byte, conns map[uint32]*bagio.Connection, fn ScanF
 		}
 		switch op {
 		case bagio.OpConnection:
-			c, err := bagio.DecodeConnection(rec)
-			if err != nil {
+			if err := w.addConn(rec); err != nil {
 				return err
-			}
-			if _, dup := conns[c.ID]; !dup {
-				conns[c.ID] = c
 			}
 		case bagio.OpMessageData:
 			md, err := bagio.DecodeMessageData(rec)
 			if err != nil {
 				return err
 			}
-			c := conns[md.Conn]
+			c := w.conns[md.Conn]
 			if c == nil {
 				return fmt.Errorf("rosbag: message on connection %d before its connection record", md.Conn)
 			}
+			w.delivered += int64(len(md.Data))
 			if err := fn(c, md.Time, md.Data); err != nil {
 				return err
 			}

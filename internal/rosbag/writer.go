@@ -102,31 +102,44 @@ func Create(path string, opts WriterOptions) (*Writer, *os.File, error) {
 
 // AddConnection registers a topic/type pair and returns its connection
 // id. Registering the same pair twice returns the existing id. The
-// message definition and MD5 are filled from msgdef when known.
+// message definition and MD5 are filled from msgdef when known; a
+// caller that already holds the connection's metadata (copying from
+// another bag or a container) uses RegisterConnection instead, so
+// nothing msgdef does not know is lost.
 func (w *Writer) AddConnection(topic, msgType string) (uint32, error) {
-	if w.closed {
-		return 0, fmt.Errorf("rosbag: writer is closed")
-	}
-	key := topic + "\x00" + msgType
-	if id, ok := w.connByKey[key]; ok {
+	// WriteMsg asks per message: answer a known pair before deriving
+	// anything (a closed writer falls through to the error below).
+	if id, ok := w.connByKey[topic+"\x00"+msgType]; ok && !w.closed {
 		return id, nil
 	}
-	c := &bagio.Connection{
-		ID:    uint32(len(w.conns)),
-		Topic: topic,
-		Type:  msgType,
-	}
+	c := &bagio.Connection{Topic: topic, Type: msgType}
 	if sum, err := msgdef.MD5(msgType); err == nil {
 		c.MD5Sum = sum
 	}
 	if def, err := msgdef.FullText(msgType); err == nil {
 		c.Def = def
 	}
-	w.conns = append(w.conns, c)
+	return w.RegisterConnection(c)
+}
+
+// RegisterConnection registers a copy of src — every field but the id,
+// which the writer assigns — and returns that id. Registering the same
+// topic/type pair twice returns the existing id.
+func (w *Writer) RegisterConnection(src *bagio.Connection) (uint32, error) {
+	if w.closed {
+		return 0, fmt.Errorf("rosbag: writer is closed")
+	}
+	key := src.Topic + "\x00" + src.Type
+	if id, ok := w.connByKey[key]; ok {
+		return id, nil
+	}
+	c := *src
+	c.ID = uint32(len(w.conns))
+	w.conns = append(w.conns, &c)
 	w.connByKey[key] = c.ID
 	// Connection records live both inside chunks (so chunks are
 	// self-describing) and in the index section (written on Close).
-	w.appendToChunk((c.Encode()))
+	w.appendToChunk(c.Encode())
 	return c.ID, nil
 }
 

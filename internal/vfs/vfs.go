@@ -13,6 +13,7 @@
 package vfs
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -90,7 +91,7 @@ func MountWithPool(backend *core.BORA, workDir string, p *pool.Pool) (*FS, error
 // shared pool when one is mounted, cold otherwise.
 func (fs *FS) openBag(base string, sp obs.Span) (*core.Bag, error) {
 	if fs.pool != nil {
-		return fs.pool.AcquireSpan(base, sp)
+		return fs.pool.AcquireContextSpan(context.TODO(), base, sp)
 	}
 	return fs.backend.OpenSpan(base, sp)
 }
@@ -231,7 +232,16 @@ func (w *WriteFile) Close() error {
 	if err := w.spool.Close(); err != nil {
 		return err
 	}
-	if _, _, err := w.fs.backend.DuplicateSpan(w.path, w.base, sp); err != nil {
+	src, err := os.Open(w.path)
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	st, err := src.Stat()
+	if err != nil {
+		return err
+	}
+	if _, _, err := w.fs.backend.DuplicateFrom(src, st.Size(), w.base, sp); err != nil {
 		return fmt.Errorf("vfs: organize %s: %w", w.base, err)
 	}
 	return nil
