@@ -111,6 +111,44 @@ func TestAllocBudgetSerialQuery(t *testing.T) {
 			return nil
 		})
 	})
+	checkStridedAllocBudget(t, bag, "serial", QuerySpec{}, start, end)
+}
+
+// checkStridedAllocBudget reruns spec strided, full-axis and windowed.
+// A stride is decided on the index, so against the same query
+// unstrided it may cost one selection slice per topic part and nothing
+// per message — however few messages survive to amortize it over.
+func checkStridedAllocBudget(t *testing.T, bag *Bag, name string, spec QuerySpec, start, end bagio.Time) {
+	t.Helper()
+	allocs := func(spec QuerySpec) float64 {
+		return testing.AllocsPerRun(3, func() {
+			err := bag.Query(spec, func(m MessageRef) error {
+				allocSink += len(m.Data)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	parts := float64(len(bag.Topics())) // a classic bag: one part per topic
+	for _, c := range []struct {
+		name       string
+		start, end bagio.Time
+	}{
+		{name + " strided", bagio.Time{}, bagio.Time{}},
+		{name + " strided time-bounded", start, end},
+	} {
+		spec.Start, spec.End = c.start, c.end
+		spec.Stride = 0
+		plain := allocs(spec)
+		spec.Stride = 3
+		strided := allocs(spec)
+		t.Logf("%s: %.0f allocs per query, %.0f unstrided", c.name, strided, plain)
+		if !raceenabled.Enabled && strided > plain+parts {
+			t.Errorf("%s: %.0f allocs per query vs %.0f unstrided; budget is one slice per part (%.0f)", c.name, strided, plain, parts)
+		}
+	}
 }
 
 // TestAllocBudgetChronoQuery pins the chronological k-way merge at zero
@@ -124,6 +162,9 @@ func TestAllocBudgetChronoQuery(t *testing.T) {
 			return nil
 		})
 	})
+	base := int64(1_000_000_000_000_000_000)
+	checkStridedAllocBudget(t, bag, "chrono", QuerySpec{Order: OrderTime},
+		bagio.TimeFromNanos(base+2e9), bagio.TimeFromNanos(base+12e9))
 }
 
 // TestAllocBudgetAttribution pins the cost of per-query attribution on

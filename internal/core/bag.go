@@ -1,10 +1,9 @@
 package core
 
 import (
-	"container/heap"
+	"context"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"repro/internal/bagio"
@@ -65,24 +64,24 @@ var scratchPool = sync.Pool{New: func() interface{} { return new(msgScratch) }}
 // bagObs holds the pre-resolved obs handles for a bag's query paths;
 // all fields are nil (no-op) when observability is off.
 type bagObs struct {
-	read         *obs.Op // core.read: full-topic query (Fig 7)
-	readTime     *obs.Op // core.read_time: topics + time range (Fig 8)
-	readChrono   *obs.Op // core.read_chrono: k-way chronological merge
-	readParallel *obs.Op // core.read_parallel: concurrent per-topic streams
-	readTopic    *obs.Op // core.read_topic: one topic's sequential stream
-	follow       *obs.Op // core.follow: snapshot + live-tail query
-	export       *obs.Op // core.export: container -> standard bag stream
+	read       *obs.Op // core.read: full-topic query (Fig 7)
+	readTime   *obs.Op // core.read_time: topics + time range (Fig 8)
+	readChrono *obs.Op // core.read_chrono: k-way chronological merge
+	readPooled *obs.Op // core.read_parallel: concurrent per-topic streams
+	readTopic  *obs.Op // core.read_topic: one topic's sequential stream
+	follow     *obs.Op // core.follow: snapshot + live-tail query
+	export     *obs.Op // core.export: container -> standard bag stream
 }
 
 func newBagObs(reg *obs.Registry) bagObs {
 	return bagObs{
-		read:         reg.Op("core.read"),
-		readTime:     reg.Op("core.read_time"),
-		readChrono:   reg.Op("core.read_chrono"),
-		readParallel: reg.Op("core.read_parallel"),
-		readTopic:    reg.Op("core.read_topic"),
-		follow:       reg.Op("core.follow"),
-		export:       reg.Op("core.export"),
+		read:       reg.Op("core.read"),
+		readTime:   reg.Op("core.read_time"),
+		readChrono: reg.Op("core.read_chrono"),
+		readPooled: reg.Op("core.read_parallel"),
+		readTopic:  reg.Op("core.read_topic"),
+		follow:     reg.Op("core.follow"),
+		export:     reg.Op("core.export"),
 	}
 }
 
@@ -211,24 +210,6 @@ func (bag *Bag) Stats() Stats {
 	return bag.stats
 }
 
-// addStats merges one query's counters under the lock.
-func (bag *Bag) addStats(d Stats) {
-	bag.mu.Lock()
-	bag.stats.Seeks += d.Seeks
-	bag.stats.BytesRead += d.BytesRead
-	bag.stats.EntriesScanned += d.EntriesScanned
-	bag.stats.WindowsScanned += d.WindowsScanned
-	bag.stats.MessagesRead += d.MessagesRead
-	bag.mu.Unlock()
-}
-
-// noteReads feeds the container-level read counters (hot-bag tracking).
-func (bag *Bag) noteReads(msgs, bytes int64) {
-	if len(bag.segs) > 0 {
-		bag.segs[0].NoteReads(msgs, bytes)
-	}
-}
-
 // Connections returns connection metadata for every topic, memoized
 // after the first call (except on live-wired handles, whose topic set
 // still grows). Callers must not mutate the returned slice's entries.
@@ -354,230 +335,6 @@ func (bag *Bag) chains(topics []string, lenient bool) ([]topicChain, error) {
 	return out, nil
 }
 
-// readTopicRange streams one topic part's messages within [start, end].
-// sp is the part stream's already-started core.read_topic span —
-// callers create it as a child (serial queries) or a fork (parallel
-// streams, one trace lane each) of their own span — and is ended here.
-// aq, when non-nil, is charged the stream's index probes and (via
-// OpenDataQ) its block-cache traffic; the per-message loop itself never
-// touches it.
-func (bag *Bag) readTopicRange(sp obs.Span, aq *obs.ActiveQuery, t *container.Topic, start, end bagio.Time, fn func(MessageRef) error) (err error) {
-	var d Stats
-	defer func() {
-		bag.addStats(d)
-		bag.noteReads(int64(d.MessagesRead), d.BytesRead)
-		aq.AddIndexProbes(int64(d.EntriesScanned))
-		if err != nil {
-			sp.EndErr(err)
-		} else {
-			sp.EndBytes(d.BytesRead)
-		}
-	}()
-	entries, err := t.EntriesSpan(sp)
-	if err != nil {
-		return err
-	}
-	positions, all, windows, err := bag.positionsInRange(t, start, end)
-	if err != nil {
-		return err
-	}
-	d.WindowsScanned += windows
-	if !all && len(positions) == 0 {
-		return nil
-	}
-	df, err := t.OpenDataQ(aq)
-	if err != nil {
-		return err
-	}
-	defer df.Close()
-	d.Seeks++ // one open/position per topic file
-	conn := t.Connection()
-	scratch := scratchPool.Get().(*msgScratch)
-	defer scratchPool.Put(scratch)
-	count := len(positions)
-	if all {
-		count = len(entries)
-	}
-	for i := 0; i < count; i++ {
-		pos := i
-		if !all {
-			pos = int(positions[i])
-		}
-		e := entries[pos]
-		d.EntriesScanned++
-		if e.Time.Before(start) || end.Before(e.Time) {
-			continue // fine-grain filter at window boundaries
-		}
-		// Borrowed read: data lives in scratch (or the block cache) and
-		// is valid only until the callback returns — see MessageRef.
-		data, err := t.ReadMessageInto(df, e, &scratch.buf)
-		if err != nil {
-			return err
-		}
-		d.BytesRead += int64(len(data))
-		d.MessagesRead++
-		if err := fn(MessageRef{Conn: conn, Time: e.Time, Data: data}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// positionsInRange returns the entry ordinals to visit for [start, end]
-// and the number of coarse windows scanned. A full-range query visits
-// every entry in append order without touching the time index; that
-// case reports all=true with nil positions rather than materializing
-// an ordinal list per query. Live-wired handles always full-scan: the
-// building segment's time index is still growing, and the fine-grain
-// filter in the read loops bounds delivery regardless.
-func (bag *Bag) positionsInRange(t *container.Topic, start, end bagio.Time) (positions []uint32, all bool, windows int, err error) {
-	if start == bagio.MinTime && end == bagio.MaxTime {
-		return nil, true, 0, nil
-	}
-	if bag.rec != nil {
-		return nil, true, 0, nil
-	}
-	ix, err := t.TimeIndex()
-	if err != nil {
-		return nil, false, 0, err
-	}
-	return ix.QuerySorted(start, end), false, ix.WindowsScanned(start, end), nil
-}
-
-// mergeItem is one cursor of the chronological merge.
-type mergeItem struct {
-	topic   *container.Topic
-	entries []container.IndexEntry
-	pos     int
-	file    container.DataReader
-}
-
-type mergeHeap []*mergeItem
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	return h[i].entries[h[i].pos].Time.Before(h[j].entries[h[j].pos].Time)
-}
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(*mergeItem)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// readMessagesChrono yields messages of the requested topics in global
-// timestamp order, merging the per-part streams of every chain through
-// a k-way heap. limits, when non-nil, is a snapshot cut (from a Follow
-// subscription): each part delivers at most its limit entries, parts
-// absent from the map deliver nothing, and unknown topics resolve
-// leniently — together that restricts the merge to exactly the
-// messages recorded before the subscription.
-func (bag *Bag) readMessagesChrono(parent obs.Span, aq *obs.ActiveQuery, topics []string, start, end bagio.Time, limits map[*container.Topic]int, fn func(MessageRef) error) (err error) {
-	sp := parent.ChildOp(bag.ops.readChrono)
-	defer func() { sp.EndErr(err) }()
-	if end.IsZero() {
-		end = bagio.MaxTime
-	}
-	chains, err := bag.chains(topics, limits != nil)
-	if err != nil {
-		return err
-	}
-	var d Stats
-	defer func() {
-		bag.addStats(d)
-		bag.noteReads(int64(d.MessagesRead), d.BytesRead)
-		aq.AddIndexProbes(int64(d.EntriesScanned))
-	}()
-	var h mergeHeap
-	defer func() {
-		for _, it := range h {
-			it.file.Close()
-		}
-	}()
-	for _, ch := range chains {
-		for _, t := range ch.parts {
-			entries, err := t.EntriesSpan(sp)
-			if err != nil {
-				return err
-			}
-			// Restrict to the queried range up front. The per-topic entry
-			// list is copied (it is sorted below and the topic's cached
-			// slice must stay in append order) — one slice per part per
-			// query, never per message.
-			positions, all, windows, err := bag.positionsInRange(t, start, end)
-			if err != nil {
-				return err
-			}
-			d.WindowsScanned += windows
-			count := len(positions)
-			if all {
-				count = len(entries)
-			}
-			if limits != nil {
-				lim, ok := limits[t]
-				if !ok {
-					continue // part created after the snapshot cut
-				}
-				if count > lim {
-					count = lim
-				}
-			}
-			filtered := make([]container.IndexEntry, 0, count)
-			for i := 0; i < count; i++ {
-				pos := i
-				if !all {
-					pos = int(positions[i])
-				}
-				e := entries[pos]
-				d.EntriesScanned++
-				if e.Time.Before(start) || end.Before(e.Time) {
-					continue
-				}
-				filtered = append(filtered, e)
-			}
-			if len(filtered) == 0 {
-				continue
-			}
-			sort.SliceStable(filtered, func(i, j int) bool { return filtered[i].Time.Before(filtered[j].Time) })
-			df, err := t.OpenDataQ(aq)
-			if err != nil {
-				return err
-			}
-			d.Seeks++
-			h = append(h, &mergeItem{topic: t, entries: filtered, file: df})
-		}
-	}
-	heap.Init(&h)
-	// One scratch serves the whole merge: messages are delivered one at
-	// a time, and the callback's borrow of the previous payload ends
-	// before the next read overwrites it.
-	scratch := scratchPool.Get().(*msgScratch)
-	defer scratchPool.Put(scratch)
-	for h.Len() > 0 {
-		it := h[0]
-		e := it.entries[it.pos]
-		data, err := it.topic.ReadMessageInto(it.file, e, &scratch.buf)
-		if err != nil {
-			return err
-		}
-		d.BytesRead += int64(len(data))
-		d.MessagesRead++
-		if err := fn(MessageRef{Conn: it.topic.Connection(), Time: e.Time, Data: data}); err != nil {
-			return err
-		}
-		it.pos++
-		if it.pos >= len(it.entries) {
-			heap.Pop(&h).(*mergeItem).file.Close()
-		} else {
-			heap.Fix(&h, 0)
-		}
-	}
-	return nil
-}
-
 // Export reconstructs a standard bag file from the container so the bag
 // can be shared with machines that do not run BORA ("bag is a file").
 // Messages are written in chronological order.
@@ -607,7 +364,7 @@ func (bag *Bag) ExportSpan(ws io.WriteSeeker, opts rosbag.WriterOptions, parent 
 		}
 		conns[ch.name] = id
 	}
-	err = bag.readMessagesChrono(sp, nil, nil, bagio.MinTime, bagio.MaxTime, nil, func(m MessageRef) error {
+	err = bag.QuerySpanContext(context.Background(), sp, QuerySpec{Order: OrderTime}, func(m MessageRef) error {
 		return w.WriteMessage(conns[m.Conn.Topic], m.Time, m.Data)
 	})
 	if err != nil {

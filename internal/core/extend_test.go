@@ -206,80 +206,6 @@ func TestRebagTimeAndPredicate(t *testing.T) {
 	}
 }
 
-func TestMultiBag(t *testing.T) {
-	b := newBORA(t)
-	names := []string{"r0", "r1", "r2"}
-	for i, name := range names {
-		src := makeSourceBag(t, t.TempDir(), 3+i)
-		if _, _, err := b.Duplicate(src, name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mb, err := b.OpenMulti(names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mb.Bags()) != 3 {
-		t.Fatalf("Bags = %d", len(mb.Bags()))
-	}
-	common := mb.CommonTopics()
-	if len(common) != 3 {
-		t.Errorf("CommonTopics = %v", common)
-	}
-
-	var mu sync.Mutex
-	perBag := map[string]int{}
-	err = mb.Query(QuerySpec{Topics: []string{"/imu"}}, func(m MultiRef) error {
-		if m.Conn.Topic != "/imu" {
-			t.Errorf("topic %s", m.Conn.Topic)
-		}
-		mu.Lock()
-		perBag[m.BagName]++
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// r0: 3s × 10 Hz, r1: 4s, r2: 5s.
-	for i, name := range names {
-		if got, want := perBag[name], (3+i)*10; got != want {
-			t.Errorf("%s: %d messages, want %d", name, got, want)
-		}
-	}
-	if st := mb.Stats(); st.MessagesRead != 120 {
-		t.Errorf("Stats.MessagesRead = %d", st.MessagesRead)
-	}
-
-	// Time-bounded cross-bag query.
-	base := int64(1_000_000_000_000_000_000)
-	var count int64
-	var cmu sync.Mutex
-	err = mb.Query(QuerySpec{
-		Topics: []string{"/imu"},
-		Start:  bagio.TimeFromNanos(base),
-		End:    bagio.TimeFromNanos(base + 1e9 - 1),
-	}, func(m MultiRef) error {
-		cmu.Lock()
-		count++
-		cmu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 30 { // first second of each of 3 bags
-		t.Errorf("windowed cross-bag count = %d, want 30", count)
-	}
-
-	if _, err := b.OpenMulti(nil); err == nil {
-		t.Error("empty OpenMulti accepted")
-	}
-	if _, err := b.OpenMulti([]string{"r0", "missing"}); err == nil || !strings.Contains(err.Error(), "missing") {
-		t.Errorf("missing bag error = %v", err)
-	}
-}
-
 func TestQueryParallel(t *testing.T) {
 	b := newBORA(t)
 	src := makeSourceBag(t, t.TempDir(), 8)

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"container/heap"
 	"context"
 	"fmt"
+	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/bagio"
+	"repro/internal/container"
 	"repro/internal/obs"
 )
 
@@ -27,8 +31,7 @@ const (
 )
 
 // QuerySpec describes one read over an open bag. It is the single query
-// spec across the core API: Bag.Query, MultiBag.Query and BORA.Rebag
-// all take it. The zero value reads every message of every topic,
+// spec across the core API: Bag.Query and BORA.Rebag both take it. The zero value reads every message of every topic,
 // grouped by topic.
 type QuerySpec struct {
 	// Topics to read; empty selects every topic in the bag.
@@ -50,13 +53,16 @@ type QuerySpec struct {
 	Workers int
 	// Stride, when > 1, delivers every Stride-th message of each topic
 	// — the topic's first in-window message, then every Stride-th after
-	// it. Unlike Predicate it is part of the serializable TransformSpec
-	// form, so content-addressed dataset builds can hash it. 0 and 1
-	// deliver everything; negative is an error.
+	// it, counted in append order, so every Order, Workers and Follow
+	// setting delivers the same messages. Unlike Predicate it is part of
+	// the serializable TransformSpec form, so content-addressed dataset
+	// builds can hash it. 0 and 1 deliver everything; negative is an
+	// error.
 	Stride int
 	// Predicate, when non-nil, is consulted per message before the
 	// callback; messages it rejects are read but not delivered. Stride
-	// applies first: the predicate sees only stride-surviving messages.
+	// applies first: the predicate sees only stride-surviving messages
+	// (the rest are never read).
 	Predicate func(MessageRef) bool
 	// Idle, when non-nil, is called by a Follow query each time it has
 	// delivered everything recorded so far and is about to block until
@@ -110,6 +116,12 @@ func (bag *Bag) QueryContext(ctx context.Context, spec QuerySpec, fn func(Messag
 // QuerySpanContext is QueryContext with its span nested under parent
 // (e.g. a pool or vfs operation wrapping the read). A zero parent traces
 // it as a root.
+//
+// Every query runs the same way: the spec is validated into a query,
+// each topic part is resolved to a selection from its index alone
+// (cursor.selectEntries), and one of three ordering policies — topic
+// order, time order, Follow — drains the resulting cursors through
+// cursor.deliver.
 func (bag *Bag) QuerySpanContext(ctx context.Context, parent obs.Span, spec QuerySpec, fn func(MessageRef) error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -117,16 +129,16 @@ func (bag *Bag) QuerySpanContext(ctx context.Context, parent obs.Span, spec Quer
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	end := spec.End
-	if end.IsZero() {
-		end = bagio.MaxTime
+	if spec.End.IsZero() {
+		spec.End = bagio.MaxTime
 	}
-	if end.Before(spec.Start) {
-		return fmt.Errorf("bora: end time %v before start time %v", end, spec.Start)
+	if spec.End.Before(spec.Start) {
+		return fmt.Errorf("bora: end time %v before start time %v", spec.End, spec.Start)
 	}
 	if spec.Stride < 0 {
 		return fmt.Errorf("bora: negative stride %d", spec.Stride)
 	}
+	spec.Stride = max(spec.Stride, 1)
 	if pred := spec.Predicate; pred != nil {
 		inner := fn
 		fn = func(m MessageRef) error {
@@ -136,30 +148,11 @@ func (bag *Bag) QuerySpanContext(ctx context.Context, parent obs.Span, spec Quer
 			return inner(m)
 		}
 	}
-	if stride := spec.Stride; stride > 1 {
-		// Per-topic downsampling. The wrap sits outside the predicate
-		// (stride counts in-window messages, the predicate filters the
-		// survivors) and the counters are mutex-guarded because parallel
-		// plans deliver from several goroutines.
-		inner := fn
-		var mu sync.Mutex
-		counts := map[string]int{}
-		fn = func(m MessageRef) error {
-			mu.Lock()
-			n := counts[m.Conn.Topic]
-			counts[m.Conn.Topic] = n + 1
-			mu.Unlock()
-			if n%stride != 0 {
-				return nil
-			}
-			return inner(m)
-		}
-	}
 	if done := ctx.Done(); done != nil {
 		// The check wraps outside the predicate so it counts messages
 		// read, not messages delivered: a query whose predicate rejects
 		// everything still notices cancellation. The counter is atomic
-		// because parallel plans deliver from several goroutines.
+		// because pooled streams deliver from several goroutines.
 		inner := fn
 		var n atomic.Int64
 		fn = func(m MessageRef) error {
@@ -174,47 +167,316 @@ func (bag *Bag) QuerySpanContext(ctx context.Context, parent obs.Span, spec Quer
 		}
 	}
 	// Per-query attribution: the ActiveQuery (if any) is fetched from the
-	// context exactly once per query and threaded down by pointer — the
+	// context exactly once per query and carried by pointer — the
 	// per-message hot loops never touch the context.
-	aq := obs.QueryFromContext(ctx)
+	q := &query{QuerySpec: spec, bag: bag, aq: obs.QueryFromContext(ctx), fn: fn}
 	switch {
 	case spec.Follow:
 		if spec.Workers != 0 {
 			return fmt.Errorf("bora: Follow queries are serial; Workers must be 0, got %d", spec.Workers)
 		}
-		return bag.followQuery(ctx, parent, aq, spec.Topics, spec.Start, end, spec.Idle, fn)
+		return q.follow(ctx, parent)
 	case spec.Order == OrderTime:
 		if spec.Workers != 0 {
 			return fmt.Errorf("bora: OrderTime queries are serial; Workers must be 0, got %d", spec.Workers)
 		}
-		return bag.readMessagesChrono(parent, aq, spec.Topics, spec.Start, end, nil, fn)
-	case spec.Workers != 0:
-		return bag.readParallel(parent, aq, spec.Topics, spec.Start, end, spec.Workers, fn)
+		return q.readTime(parent)
 	default:
-		return bag.readSerial(parent, aq, spec.Topics, spec.Start, end, fn)
+		return q.readTopics(parent)
 	}
 }
 
-// readSerial streams the resolved topics one after another. The span
-// keeps the historical op names: core.read for a full-axis scan
-// (Fig 7), core.read_time when the time index bounds the scan (Fig 8).
-func (bag *Bag) readSerial(parent obs.Span, aq *obs.ActiveQuery, topics []string, start, end bagio.Time, fn func(MessageRef) error) (err error) {
-	op := bag.ops.read
-	if start != bagio.MinTime || end != bagio.MaxTime {
-		op = bag.ops.readTime
+// query is a validated QuerySpec (End and Stride normalized) bound to
+// its bag: what selection and every ordering policy read.
+type query struct {
+	QuerySpec
+	bag *Bag
+	aq  *obs.ActiveQuery
+	fn  func(MessageRef) error // the callback behind the predicate and cancellation wraps
+	// A live Follow's snapshot cut: limits caps each part's selection at
+	// its entry count when the query subscribed (absent parts select
+	// nothing), and phases receives each chain's stride phase at the cut
+	// for the tail to continue from. Both nil otherwise.
+	limits map[*container.Topic]int
+	phases map[string]int
+}
+
+// bounded reports whether the window excludes anything.
+func (q *query) bounded() bool {
+	return q.Start != bagio.MinTime || q.End != bagio.MaxTime
+}
+
+// readTopics is the topic-order policy: each chain streams its parts in
+// segment order, which preserves per-topic append order even when the
+// topic spans live segments, and chains are handed to a pool of workers
+// in request order. Workers == 0 is that pool with one worker, the
+// calling goroutine; any other size fans the chains out — the "multiple
+// levels of parallelism in a file system can be exploited to further
+// improve I/O performance" note of Fig 7 — and fails fast: the first
+// error stops the hand-out and ends in-flight streams at their next
+// message, so a poisoned topic cannot force the remaining topics to
+// stream in full (nor fn to keep firing) before the error surfaces.
+//
+// The span keeps the historical op names: core.read for a full-axis
+// serial scan (Fig 7), core.read_time when the time index bounds it
+// (Fig 8), core.read_parallel for a pool.
+//
+// Each worker draws one scratch buffer from the shared scratchPool, so
+// concurrent streams never share a read buffer and steady-state
+// streaming stays allocation-free across queries. The borrowed-Data
+// contract consequently holds per callback invocation even though fn
+// fires from several goroutines.
+func (q *query) readTopics(parent obs.Span) (err error) {
+	op := q.bag.ops.read
+	if q.Workers != 0 {
+		op = q.bag.ops.readPooled
+	} else if q.bounded() {
+		op = q.bag.ops.readTime
 	}
 	sp := parent.ChildOp(op)
 	defer func() { sp.EndErr(err) }()
-	chains, err := bag.chains(topics, false)
+	chains, err := q.bag.chains(q.Topics, false)
 	if err != nil {
 		return err
 	}
-	for _, ch := range chains {
-		for _, t := range ch.parts {
-			if err := bag.readTopicRange(sp.ChildOp(bag.ops.readTopic), aq, t, start, end, fn); err != nil {
-				return err
+	workers := q.Workers
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, len(chains)))
+	var (
+		next   atomic.Int64          // the next chain to hand out
+		failed atomic.Pointer[error] // the run's first error; set means stop
+		wg     sync.WaitGroup
+	)
+	// A part's core.read_topic span is a child of the policy's, or — for
+	// a pooled stream — a fork, which gives each concurrent stream its
+	// own trace lane with a stable, disjoint track id.
+	startSpan := sp.ChildOp
+	if workers > 1 {
+		startSpan = sp.ForkOp
+		// Checked on every delivery: once a topic fails, in-flight streams
+		// end at their next message instead of draining in full.
+		inner := q.fn
+		q.fn = func(m MessageRef) error {
+			if first := failed.Load(); first != nil {
+				return *first
+			}
+			return inner(m)
+		}
+	}
+	worker := func() {
+		defer wg.Done()
+		scratch := scratchPool.Get().(*msgScratch)
+		defer scratchPool.Put(scratch)
+		for failed.Load() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= len(chains) {
+				return
+			}
+			phase := 0
+			for _, t := range chains[i].parts {
+				if err := q.readPart(startSpan(q.bag.ops.readTopic), t, &phase, scratch); err != nil {
+					failed.CompareAndSwap(nil, &err)
+					break
+				}
 			}
 		}
 	}
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go worker()
+	}
+	worker()
+	wg.Wait()
+	if first := failed.Load(); first != nil {
+		return *first
+	}
 	return nil
+}
+
+// readPart streams one part's selection in append order under sp, the
+// part's already-started core.read_topic span, and ends it.
+func (q *query) readPart(sp obs.Span, t *container.Topic, phase *int, scratch *msgScratch) error {
+	c := &cursor{q: q, t: t, scratch: scratch}
+	err := c.selectEntries(sp, phase)
+	if err == nil {
+		err = c.deliver(c.entries)
+	}
+	c.close()
+	if err != nil {
+		sp.EndErr(err)
+	} else {
+		sp.EndBytes(c.d.BytesRead)
+	}
+	return err
+}
+
+// readTime is the time-order policy: messages of the requested topics
+// in global timestamp order, merging the per-part cursors of every
+// chain through a k-way heap. Under a snapshot cut (q.limits, from a
+// Follow subscription) each part selects from at most its limit
+// entries and unknown topics resolve leniently — together that
+// restricts the merge to exactly the messages recorded before the
+// subscription.
+func (q *query) readTime(parent obs.Span) (err error) {
+	sp := parent.ChildOp(q.bag.ops.readChrono)
+	defer func() { sp.EndErr(err) }()
+	chains, err := q.bag.chains(q.Topics, q.limits != nil)
+	if err != nil {
+		return err
+	}
+	// One scratch serves the whole merge: messages are delivered one at
+	// a time, and the callback's borrow of the previous payload ends
+	// before the next read overwrites it.
+	scratch := scratchPool.Get().(*msgScratch)
+	defer scratchPool.Put(scratch)
+	var h mergeHeap
+	defer func() {
+		for _, c := range h {
+			c.close()
+		}
+	}()
+	for _, ch := range chains {
+		phase := 0
+		for _, t := range ch.parts {
+			c := &cursor{q: q, t: t, scratch: scratch}
+			err := c.selectEntries(sp, &phase)
+			if err != nil || len(c.entries) == 0 {
+				c.close()
+				if err != nil {
+					return err
+				}
+				continue
+			}
+			// Parts recorded chronologically are already in time order;
+			// only an out-of-order part is copied (the selection may be
+			// the topic's shared slice) and sorted, stably, so equal
+			// stamps keep append order.
+			less := func(i, j int) bool { return c.entries[i].Time.Before(c.entries[j].Time) }
+			if !sort.SliceIsSorted(c.entries, less) {
+				c.entries = append([]container.IndexEntry(nil), c.entries...)
+				sort.SliceStable(c.entries, less)
+			}
+			c.ord = len(h)
+			h = append(h, c)
+		}
+		if q.phases != nil {
+			q.phases[ch.name] = phase
+		}
+	}
+	heap.Init(&h)
+	for h.Len() > 0 {
+		c := h[0]
+		if err := c.deliver(c.entries[c.pos : c.pos+1]); err != nil {
+			return err
+		}
+		if c.pos++; c.pos < len(c.entries) {
+			heap.Fix(&h, 0)
+		} else {
+			heap.Pop(&h).(*cursor).close()
+		}
+	}
+	return nil
+}
+
+// follow is the Follow policy, in two phases.
+//
+// Phase 1 (snapshot): subscribe to the recorder under its write lock,
+// capturing a consistent cut — per-part entry counts plus the journal
+// position. Everything recorded before the cut is delivered by the
+// time-order policy, restricted to the cut by per-part limits, so the
+// snapshot is byte-identical to what a post-hoc OrderTime query of the
+// same messages would deliver. The cut hands the tail the journal
+// position and each topic's stride phase.
+//
+// Phase 2 (tail): drain the recorder's journal from the cut position,
+// in write order, reading each payload back through the same
+// cursor.deliver as every other policy (the bytes are on disk — and in
+// the page cache — before the journal entry is published). Between
+// writes the query blocks on the subscription's notify channel; it
+// wakes for new messages, for the recording sealing (clean return), or
+// for context cancellation; QuerySpec.Idle runs before each block.
+//
+// Messages are delivered exactly once: the cut is taken under the same
+// lock that orders writes, so limits and journal[pos:] partition the
+// recording with no overlap and no gap.
+//
+// On a bag that is not live-wired (complete live bag, classic bag)
+// there is no tail: the chronological snapshot is the whole recording.
+func (q *query) follow(ctx context.Context, parent obs.Span) (err error) {
+	sp := parent.ChildOp(q.bag.ops.follow)
+	defer func() { sp.EndErr(err) }()
+	rec := q.bag.rec
+	if rec == nil {
+		return q.readTime(sp)
+	}
+	f := rec.subscribe()
+	defer rec.unsubscribe(f)
+	// Seeded with the requested topics, phases doubles as the tail's
+	// topic filter: under a topic list, exactly its names are keys.
+	q.limits, q.phases = f.limits, make(map[string]int, len(q.Topics))
+	for _, name := range q.Topics {
+		q.phases[name] = 0
+	}
+	if err := q.readTime(sp); err != nil {
+		return err
+	}
+	// One cursor per topic part the tail touches — parts appear as
+	// segments rotate — and one scratch for the whole tail: delivery is
+	// strictly one message at a time.
+	cursors := map[*container.Topic]*cursor{}
+	defer func() {
+		for _, c := range cursors {
+			c.close()
+		}
+	}()
+	scratch := scratchPool.Get().(*msgScratch)
+	defer scratchPool.Put(scratch)
+	pos := f.pos
+	var batch []tailRef
+	for {
+		refs, sealed := rec.tailBatch(pos, batch)
+		batch = refs[:0]
+		pos += len(refs)
+		for _, ref := range refs {
+			topic := ref.t.Name()
+			phase, wanted := q.phases[topic]
+			if !wanted && len(q.Topics) > 0 {
+				continue
+			}
+			c := cursors[ref.t]
+			if c == nil {
+				c = &cursor{q: q, t: ref.t, scratch: scratch}
+				cursors[ref.t] = c
+			}
+			c.d.EntriesScanned++
+			if ref.e.Time.Before(q.Start) || q.End.Before(ref.e.Time) {
+				continue
+			}
+			if q.Stride > 1 {
+				if q.phases[topic] = (phase + 1) % q.Stride; phase != 0 {
+					continue
+				}
+			}
+			if err := c.deliver([]container.IndexEntry{ref.e}); err != nil {
+				return err
+			}
+		}
+		if sealed {
+			return nil // batch reached the journal's final entry
+		}
+		if len(refs) == 0 {
+			if q.Idle != nil {
+				if err := q.Idle(); err != nil {
+					return err
+				}
+			}
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-f.ch:
+			}
+		}
+	}
 }

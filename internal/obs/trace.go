@@ -57,7 +57,7 @@ func NewTracer(capacity int) *Tracer {
 }
 
 // NewTrack allocates a fresh rendering lane. Concurrent streams (e.g.
-// the per-topic readers of core.readParallel, or one virtual clock of a
+// the pooled topic streams of a core query, or one virtual clock of a
 // simulated experiment) each take a lane so they render side by side
 // instead of stacked on the main track. Lane IDs are never reused, so
 // concurrent readers always get disjoint tracks.

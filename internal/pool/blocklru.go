@@ -74,13 +74,14 @@ func (c *BlockLRU) Get(key container.BlockKey) ([]byte, bool) {
 		return nil, false
 	}
 	c.lru.MoveToFront(el)
-	it := el.Value.(*blockItem)
+	// Taken under the lock: a concurrent Put of the same key replaces it.
+	data := el.Value.(*blockItem).data
 	c.hits++
-	c.hitBytes += int64(len(it.data))
+	c.hitBytes += int64(len(data))
 	c.mu.Unlock()
 	c.hitsC.Inc()
-	c.hitBytesC.Add(int64(len(it.data)))
-	return it.data, true
+	c.hitBytesC.Add(int64(len(data)))
+	return data, true
 }
 
 // Put inserts (or refreshes) a block, taking ownership of data, then

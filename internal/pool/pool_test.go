@@ -377,6 +377,31 @@ func TestBlockLRUAccounting(t *testing.T) {
 	}
 }
 
+// TestBlockLRUSameKeyRace: two queries that miss one block both fill it,
+// so Get and the refreshing Put race on a single key. Get must take the
+// block's slice under the lock; run under -race.
+func TestBlockLRUSameKeyRace(t *testing.T) {
+	c := NewBlockLRU(1024, 256, nil)
+	key := container.BlockKey{Path: "p", Gen: 1}
+	c.Put(key, make([]byte, 256))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				if g%2 == 0 {
+					c.Put(key, make([]byte, 256))
+				} else if data, ok := c.Get(key); !ok || len(data) != 256 {
+					t.Errorf("Get = %d bytes, %v; want the 256-byte block", len(data), ok)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // TestPoolConcurrentMixedWorkload runs readers against a churning
 // backend — Acquire + Query racing Remove, re-Duplicate, Invalidate and
 // LRU eviction — and expects no panics or races (run under -race) and a
