@@ -222,5 +222,3 @@ func BenchmarkValidateReal(b *testing.B) { benchExperiment(b, "validate-real") }
 
 func BenchmarkAblationRebag(b *testing.B)       { benchExperiment(b, "ablation-rebag") }
 func BenchmarkAblationCompression(b *testing.B) { benchExperiment(b, "ablation-compression") }
-
-func BenchmarkAblationStripe(b *testing.B) { benchExperiment(b, "ablation-stripe") }

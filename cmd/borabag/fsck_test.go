@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/bagio"
+	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/faultfs"
 	"repro/internal/obs"
@@ -109,13 +110,35 @@ func runFsck(t *testing.T, backend string, extra ...string) (string, error) {
 
 // TestFsckCommandBothLayouts pins `borabag fsck [-repair]` on the four
 // states a bag directory can be in — summary lines and exit status
-// captured from the two-code-path implementation this one replaced.
+// captured from the two-code-path implementation this one replaced —
+// and on a topic in the striped layout of an older build, which is one
+// finding that -repair refuses rather than "fixes" by dropping the topic.
 func TestFsckCommandBothLayouts(t *testing.T) {
 	raw := fsckSourceBag(t)
 	duplicate := func(b *core.BORA) error {
 		_, _, err := b.DuplicateFrom(bytes.NewReader(raw), int64(len(raw)), "bag", obs.Span{})
 		return err
 	}
+	// striped rewrites /tf's conn file the way the older build wrote it.
+	striped := func(b *core.BORA) error {
+		if err := duplicate(b); err != nil {
+			return err
+		}
+		path := filepath.Join(b.Root(), "bag", container.EncodeTopicDir("/tf"), container.ConnFileName)
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		h, err := bagio.DecodeHeader(buf)
+		if err != nil {
+			return err
+		}
+		h.PutU32("stripes", 4)
+		h.PutU64("stripe_size", 4096)
+		return os.WriteFile(path, h.Encode(), 0o644)
+	}
+	const stripedRefusal = "bora: repair <be>/bag: container: repair <be>/bag/tf/conn: " +
+		"striped topic data (written by an older build) is not supported"
 	type run struct{ out, err string }
 	cases := []struct {
 		name    string
@@ -143,6 +166,12 @@ func TestFsckCommandBothLayouts(t *testing.T) {
 				err: "fsck: live bag is damaged (re-run with -repair to fix)"},
 			repair: run{out: "<be>/bag: 4 findings across 2 segments (live layout)\n<be>/bag: repaired, now sealed and clean (2 segments)\n"},
 			after:  run{out: "<be>/bag: clean (live layout, 2 segments)\n"}},
+		{name: "striped topic of an older build", build: striped,
+			check: run{out: "<be>/bag: 1 findings across 3 topics\n",
+				err: "fsck: container is damaged (re-run with -repair to fix)"},
+			repair: run{out: "<be>/bag: 1 findings across 3 topics\n", err: "fsck: repair: " + stripedRefusal},
+			after: run{out: "<be>/bag: 1 findings across 3 topics\n",
+				err: "fsck: container is damaged (re-run with -repair to fix)"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -163,7 +192,7 @@ func TestFsckCommandBothLayouts(t *testing.T) {
 				out, err := runFsck(t, backend, step.extra...)
 				got := run{out: out}
 				if err != nil {
-					got.err = err.Error()
+					got.err = strings.ReplaceAll(err.Error(), backend, "<be>")
 				}
 				if got != step.want {
 					t.Errorf("%s:\n got %+q\nwant %+q", step.what, got, step.want)

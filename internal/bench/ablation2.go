@@ -16,7 +16,6 @@ import (
 func init() {
 	register("ablation-rebag", runAblationRebag)
 	register("ablation-compression", runAblationCompression)
-	register("ablation-stripe", runAblationStripe)
 }
 
 // runAblationRebag compares the two rebagging paths on real files: the
@@ -151,78 +150,6 @@ func runAblationCompression(reg *obs.Registry) (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			comp, fmt.Sprintf("%d", st.Size()), fmtDur(recTime), fmtDur(time.Since(dupStart)),
 		})
-	}
-	return t, nil
-}
-
-// runAblationStripe compares the single-file topic layout against the
-// striped layout on real files: striping spreads each topic over lane
-// files (as a parallel file system would over OSTs) at the cost of
-// per-stripe boundary handling on a single local disk.
-func runAblationStripe(reg *obs.Registry) (*Table, error) {
-	t := &Table{
-		ID:     "ablation-stripe",
-		Title:  "Topic data layout: single file vs striped lanes (real)",
-		Header: []string{"layout", "duplicate", "full query", "windowed query"},
-		Notes: []string{
-			"real wall-clock on one local disk; striping pays off on multi-device",
-			"back ends (Fig 15/17 platforms), not locally",
-		},
-	}
-	dir, err := os.MkdirTemp("", "bora-stripe-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	src := filepath.Join(dir, "src.bag")
-	if _, err := workload.WriteHandheldSLAMBag(src, workload.SyntheticOptions{
-		Seconds: 4, ScaleDown: 2000,
-		Writer: rosbag.WriterOptions{ChunkThreshold: 64 * 1024},
-	}); err != nil {
-		return nil, err
-	}
-	base := bagio.TimeFromNanos(int64(1_500_000_000) * 1e9)
-	layouts := []struct {
-		label   string
-		stripes int
-	}{
-		{"single file", 0},
-		{"4 lanes × 64KB", 4},
-	}
-	for _, l := range layouts {
-		backend, err := core.New(filepath.Join(dir, "backend-"+fmt.Sprint(l.stripes)), core.Options{
-			TimeWindow: 500 * time.Millisecond, Stripes: l.stripes, Obs: reg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		dupStart := time.Now()
-		bag, _, err := backend.Duplicate(src, "bag")
-		if err != nil {
-			return nil, err
-		}
-		dupTime := time.Since(dupStart)
-
-		qStart := time.Now()
-		n := 0
-		if err := bag.Query(core.QuerySpec{Topics: []string{workload.TopicIMU, workload.TopicRGBImage}}, func(core.MessageRef) error {
-			n++
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return nil, fmt.Errorf("ablation-stripe: empty query")
-		}
-		fullTime := time.Since(qStart)
-
-		wStart := time.Now()
-		if err := bag.Query(core.QuerySpec{Topics: []string{workload.TopicIMU}, Start: base, End: base.Add(time.Second)}, func(core.MessageRef) error {
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{l.label, fmtDur(dupTime), fmtDur(fullTime), fmtDur(time.Since(wStart))})
 	}
 	return t, nil
 }

@@ -17,7 +17,7 @@ func TestIDsCoverPaperArtifacts(t *testing.T) {
 		"fig2", "fig3", "fig9", "fig10", "fig11", "fig12",
 		"fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
 		"ablation-window", "ablation-workers", "ablation-chunk",
-		"ablation-rebag", "ablation-compression", "ablation-stripe", "validate-real",
+		"ablation-rebag", "ablation-compression", "validate-real",
 		"live-tail",
 	} {
 		if !have[want] {

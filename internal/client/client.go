@@ -34,6 +34,8 @@ import (
 
 // Defaults used when an Options field is zero.
 const (
+	// DefaultDialTimeout bounds each TCP connect attempt and is not an
+	// option: a caller that wants a tighter deadline gives DialContext one.
 	DefaultDialTimeout = 5 * time.Second
 	DefaultAttempts    = 4
 	DefaultBackoff     = 50 * time.Millisecond
@@ -80,9 +82,6 @@ var ErrStreamActive = errors.New("client: a query stream is active on this conne
 
 // Options configure a Client.
 type Options struct {
-	// DialTimeout bounds each TCP connect attempt; zero selects
-	// DefaultDialTimeout.
-	DialTimeout time.Duration
 	// Attempts is the total try budget for Dial and for each Query's
 	// BUSY retries; zero selects DefaultAttempts, 1 disables retry.
 	Attempts int
@@ -92,11 +91,8 @@ type Options struct {
 	BackoffMax time.Duration
 	// Window is the query flow-control window: the server runs at most
 	// this many MSG frames ahead of what the stream has acknowledged.
-	// Zero selects DefaultWindow; negative disables flow control (the
-	// server streams as fast as TCP accepts).
+	// Zero selects DefaultWindow.
 	Window int
-	// MaxFrame bounds inbound frames; zero selects wire.DefaultMaxFrame.
-	MaxFrame uint32
 	// Obs, when non-nil, records client-side query spans (client.query)
 	// on this registry, tagged with each query's trace id — the client
 	// half of a cross-process trace (see obs.MergeChromeTraces). Nil
@@ -105,9 +101,6 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = DefaultDialTimeout
-	}
 	if o.Attempts <= 0 {
 		o.Attempts = DefaultAttempts
 	}
@@ -117,11 +110,8 @@ func (o *Options) fill() {
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = DefaultBackoffMax
 	}
-	if o.Window == 0 {
+	if o.Window <= 0 {
 		o.Window = DefaultWindow
-	}
-	if o.MaxFrame == 0 {
-		o.MaxFrame = wire.DefaultMaxFrame
 	}
 }
 
@@ -185,7 +175,7 @@ func DialContext(ctx context.Context, addr string, opts Options) (*Client, error
 				return nil, fmt.Errorf("client: dial %s: %w (after %d attempts)", addr, err, i)
 			}
 		}
-		d := net.Dialer{Timeout: opts.DialTimeout}
+		d := net.Dialer{Timeout: DefaultDialTimeout}
 		nc, err := d.DialContext(ctx, "tcp", addr)
 		if err == nil {
 			return &Client{
@@ -237,7 +227,7 @@ func (c *Client) writeFrame(op byte, payload []byte) error {
 // The frame's Payload is valid only until the next readFrame; every
 // caller decodes (copying what it keeps) before reading again.
 func (c *Client) readFrame() (wire.Frame, error) {
-	return wire.ReadFrameInto(c.br, c.opts.MaxFrame, &c.rbuf)
+	return wire.ReadFrameInto(c.br, wire.DefaultMaxFrame, &c.rbuf)
 }
 
 // roundTrip sends one request and reads its single response frame,
@@ -375,12 +365,10 @@ func (c *Client) Query(name string, q QuerySpec) (*Stream, error) {
 		End:     q.End,
 		Follow:  q.Follow,
 		TraceID: qid,
+		Window:  uint32(c.opts.Window),
 	}
 	if q.Chrono {
 		req.Order = wire.OrderTime
-	}
-	if c.opts.Window > 0 {
-		req.Window = uint32(c.opts.Window)
 	}
 	var lastErr error
 	for i := 0; i < c.opts.Attempts; i++ {
@@ -412,7 +400,7 @@ func (c *Client) Query(name string, q QuerySpec) (*Stream, error) {
 			if creditAt < 1 {
 				creditAt = 1
 			}
-			st = &Stream{c: c, conns: conns, creditAt: creditAt, flow: c.opts.Window > 0, sp: sp, qid: qid}
+			st = &Stream{c: c, conns: conns, creditAt: creditAt, flow: true, sp: sp, qid: qid}
 			return nil
 		})
 		if err == nil {
@@ -460,7 +448,7 @@ type Stream struct {
 	c        *Client
 	conns    []wire.ConnMeta
 	creditAt int
-	flow     bool
+	flow     bool     // still granting credit; false once a CREDIT write failed
 	sp       obs.Span // client.query span; ended when the stream ends
 	qid      uint64   // the query's trace id
 

@@ -67,9 +67,6 @@ type ClusterOptions struct {
 	// Replication is the replica-set width R per bag; zero selects
 	// ring.DefaultReplication.
 	Replication int
-	// VNodes is the ring's virtual-node count per member; zero selects
-	// ring.DefaultVNodes.
-	VNodes int
 	// Node configures the per-node connections. Attempts is forced to 1
 	// — the rotation loop owns retry, a single node never sleeps — and
 	// Obs defaults to the cluster's registry.
@@ -81,24 +78,18 @@ type ClusterOptions struct {
 	// passes; zeros select DefaultRotationBackoff/-Max.
 	Backoff    time.Duration
 	BackoffMax time.Duration
-	// DownBase / DownMax bound a failed node's bench window, doubling
-	// per consecutive failure; zeros select DefaultDownBase/-Max.
-	DownBase time.Duration
-	DownMax  time.Duration
 	// HotQPS is the per-bag query rate past which the replica set is
-	// widened by HotWiden and traffic spread across it. Zero selects
-	// DefaultHotQPS; negative disables hot widening.
+	// widened by DefaultHotWiden and traffic spread across it. Zero
+	// selects DefaultHotQPS; negative disables hot widening.
 	HotQPS float64
-	// HotWiden is the widening amount for hot bags; zero selects
-	// DefaultHotWiden.
-	HotWiden int
-	// MaxIdlePerNode caps each node's idle-connection cache; zero
-	// selects DefaultMaxIdlePerNode.
-	MaxIdlePerNode int
 	// Obs, when non-nil, records cluster.* counters (route, failover,
 	// busy_retry, node_down, hot_widen, unavailable) and the
 	// nodes_down gauge on this registry.
 	Obs *obs.Registry
+
+	// hotWiden overrides DefaultHotWiden for this package's tests, which
+	// widen across a three-node fleet; zero selects the default.
+	hotWiden int
 }
 
 func (o *ClusterOptions) fill() {
@@ -114,20 +105,11 @@ func (o *ClusterOptions) fill() {
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = DefaultRotationBackoffMax
 	}
-	if o.DownBase <= 0 {
-		o.DownBase = DefaultDownBase
-	}
-	if o.DownMax <= 0 {
-		o.DownMax = DefaultDownMax
-	}
 	if o.HotQPS == 0 {
 		o.HotQPS = DefaultHotQPS
 	}
-	if o.HotWiden <= 0 {
-		o.HotWiden = DefaultHotWiden
-	}
-	if o.MaxIdlePerNode <= 0 {
-		o.MaxIdlePerNode = DefaultMaxIdlePerNode
+	if o.hotWiden <= 0 {
+		o.hotWiden = DefaultHotWiden
 	}
 	if o.Node.Obs == nil {
 		o.Node.Obs = o.Obs
@@ -137,7 +119,7 @@ func (o *ClusterOptions) fill() {
 }
 
 // Cluster routes requests across a fixed borad membership. Build one
-// with NewCluster or LoadCluster; methods are safe for concurrent use.
+// with NewCluster; methods are safe for concurrent use.
 type Cluster struct {
 	ring *ring.Ring
 	opts ClusterOptions
@@ -176,7 +158,7 @@ type node struct {
 // NewCluster builds a cluster client over the membership.
 func NewCluster(members []ring.Member, opts ClusterOptions) (*Cluster, error) {
 	opts.fill()
-	r, err := ring.New(members, opts.VNodes)
+	r, err := ring.New(members, ring.DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -205,16 +187,6 @@ func NewCluster(members []ring.Member, opts ClusterOptions) (*Cluster, error) {
 	return cl, nil
 }
 
-// LoadCluster builds a cluster client from a membership file (see
-// ring.ParseMembers for the format).
-func LoadCluster(path string, opts ClusterOptions) (*Cluster, error) {
-	members, err := ring.LoadMembers(path)
-	if err != nil {
-		return nil, err
-	}
-	return NewCluster(members, opts)
-}
-
 // Ring returns the cluster's placement ring.
 func (cl *Cluster) Ring() *ring.Ring { return cl.ring }
 
@@ -236,7 +208,7 @@ func (cl *Cluster) Close() error {
 // candidates returns the nodes to try for a bag, in order: the ring's
 // replica set with healthy nodes first (preserving ring order for
 // cache affinity), benched nodes demoted to the back as recovery
-// probes. A hot bag's set is widened by HotWiden and its healthy
+// probes. A hot bag's set is widened by hotWiden and its healthy
 // prefix rotated round-robin, trading affinity for spread exactly
 // where affinity has already paid for itself (a hot bag is warm on
 // every replica).
@@ -247,7 +219,7 @@ func (cl *Cluster) candidates(name string, query bool) []*node {
 		cl.hot.Note(name)
 		if cl.hot.Rate(name) >= cl.opts.HotQPS {
 			hot = true
-			r += cl.opts.HotWiden
+			r += cl.opts.hotWiden
 			cl.widenC.Inc()
 		}
 	}
@@ -341,9 +313,9 @@ func (n *node) markUp() {
 func (cl *Cluster) markDown(n *node) {
 	n.mu.Lock()
 	n.failures++
-	d := cl.opts.DownBase << (n.failures - 1)
-	if d > cl.opts.DownMax || d <= 0 {
-		d = cl.opts.DownMax
+	d := DefaultDownBase << (n.failures - 1)
+	if d > DefaultDownMax || d <= 0 {
+		d = DefaultDownMax
 	}
 	n.downUntil = time.Now().Add(d)
 	first := !n.down
@@ -377,7 +349,7 @@ func (n *node) checkout() (c *Client, cached bool, err error) {
 
 func (n *node) checkin(c *Client) {
 	n.mu.Lock()
-	if !n.closed && len(n.idle) < n.cl.opts.MaxIdlePerNode {
+	if !n.closed && len(n.idle) < DefaultMaxIdlePerNode {
 		n.idle = append(n.idle, c)
 		n.mu.Unlock()
 		return

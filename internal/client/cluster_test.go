@@ -98,9 +98,6 @@ func testFleet(t *testing.T, total int, opts ClusterOptions) (*Cluster, map[stri
 		fakes[name] = f
 		members = append(members, ring.Member{Name: name, Addr: f.addr})
 	}
-	if opts.Node.Window == 0 {
-		opts.Node.Window = -1 // no flow control against fakes that never read mid-stream
-	}
 	if opts.Backoff == 0 {
 		opts.Backoff = time.Millisecond
 		opts.BackoffMax = 4 * time.Millisecond
@@ -248,8 +245,7 @@ func TestClusterAllBusyExhaustsBudget(t *testing.T) {
 // skips the benched node outright.
 func TestClusterDeadPrimaryFailsOver(t *testing.T) {
 	reg := obs.NewRegistry()
-	cl, fakes := testFleet(t, 4, ClusterOptions{Replication: 2, Obs: reg,
-		Node: Options{DialTimeout: time.Second}})
+	cl, fakes := testFleet(t, 4, ClusterOptions{Replication: 2, Obs: reg})
 	const bag = "robot1"
 	set := replicas(cl, fakes, bag, 2)
 
@@ -303,7 +299,6 @@ func TestClusterAllDownFailsFast(t *testing.T) {
 		Replication: 2,
 		Attempts:    50,              // would be ~50 rotation sleeps if fail-fast broke
 		Backoff:     2 * time.Second, // each a multi-second one
-		Node:        Options{DialTimeout: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +389,7 @@ func TestClusterHotWidening(t *testing.T) {
 	cl, fakes := testFleet(t, 2, ClusterOptions{
 		Replication: 1,
 		HotQPS:      1.0, // hot after ~10 queries inside the 10s window
-		HotWiden:    2,
+		hotWiden:    2,
 		Obs:         reg,
 	})
 	const bag = "swarmbag"

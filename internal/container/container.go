@@ -13,6 +13,7 @@ package container
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
@@ -27,7 +28,6 @@ import (
 	"repro/internal/bagio"
 	"repro/internal/faultfs"
 	"repro/internal/obs"
-	"repro/internal/stripe"
 	"repro/internal/timeindex"
 )
 
@@ -47,7 +47,7 @@ const IndexEntrySize = 4 + 4 + 8 + 4 + 8
 // IndexEntry locates one message of a topic. LogicalOffset is the byte
 // offset within the topic's logical stream; PhysicalOffset points into
 // the topic data file (they coincide for the local POSIX back end but
-// differ when a back end relocates or stripes data).
+// differ when a back end relocates data).
 type IndexEntry struct {
 	Time           bagio.Time
 	LogicalOffset  uint64
@@ -85,9 +85,8 @@ func DecodeTopicDir(dir string) string {
 }
 
 // encodeConn renders a topic's conn file: every bagio.Connection field
-// as one header (optional fields add no bytes when unset), plus the
-// stripe geometry when the data is striped.
-func encodeConn(conn *bagio.Connection, stripes int, stripeSize int64) []byte {
+// as one header (optional fields add no bytes when unset).
+func encodeConn(conn *bagio.Connection) []byte {
 	h := make(bagio.Header)
 	h.PutU32("conn", conn.ID)
 	h.PutString("topic", conn.Topic)
@@ -100,37 +99,36 @@ func encodeConn(conn *bagio.Connection, stripes int, stripeSize int64) []byte {
 	if conn.Latch {
 		h.PutString("latching", "1")
 	}
-	if stripes > 1 {
-		h.PutU32("stripes", uint32(stripes))
-		h.PutU64("stripe_size", uint64(stripeSize))
-	}
 	return h.Encode()
 }
+
+// ErrStripedLayout refuses a topic directory whose conn file declares
+// stripes > 1: an older build spread such a topic's data across lane
+// files, a layout this build neither reads nor repairs. Test with
+// errors.Is.
+var ErrStripedLayout = errors.New("striped topic data (written by an older build) is not supported")
 
 // readConn loads and decodes dir's conn file — the inverse of
 // encodeConn. The file is a connection record flattened into one
 // header: the record's own fields (conn, topic) beside its connection
 // header's, so bagio's record decoder reads every field it knows.
-// stripes is 0 for a single data file.
-func readConn(dir string) (conn *bagio.Connection, stripes int, stripeSize int64, err error) {
+func readConn(dir string) (*bagio.Connection, error) {
 	buf, err := os.ReadFile(filepath.Join(dir, ConnFileName))
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 	h, err := bagio.DecodeHeader(buf)
-	if err == nil {
-		conn, err = bagio.DecodeConnection(&bagio.Record{Header: h, Data: buf})
-	}
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("conn file: %w", err)
+		return nil, fmt.Errorf("conn file: %w", err)
 	}
 	if n, err := h.U32("stripes"); err == nil && n > 1 {
-		stripes = int(n)
-		if sz, err := h.U64("stripe_size"); err == nil {
-			stripeSize = int64(sz)
-		}
+		return nil, fmt.Errorf("conn file: %d lanes: %w", n, ErrStripedLayout)
 	}
-	return conn, stripes, stripeSize, nil
+	conn, err := bagio.DecodeConnection(&bagio.Record{Header: h, Data: buf})
+	if err != nil {
+		return nil, fmt.Errorf("conn file: %w", err)
+	}
+	return conn, nil
 }
 
 // Container is an open BORA container rooted at a back-end directory.
@@ -195,13 +193,11 @@ func (c *Container) NoteReads(n, bytes int64) {
 // Topic is one topic sub-directory of a container. Topics are safe for
 // concurrent readers: the lazy index load is guarded by a mutex.
 type Topic struct {
-	dir        string
-	topic      string
-	conn       *bagio.Connection
-	stripes    int // >1 when the data file is striped across lanes
-	stripeSize int64
-	cache      BlockCache // nil: OpenData reads straight from disk
-	gen        uint64     // container generation baked into cache keys
+	dir   string
+	topic string
+	conn  *bagio.Connection
+	cache BlockCache // nil: OpenData reads straight from disk
+	gen   uint64     // container generation baked into cache keys
 
 	indexLoadOp *obs.Op
 	blockFillOp *obs.Op
@@ -266,12 +262,11 @@ func Open(root string) (*Container, error) {
 			continue
 		}
 		dir := filepath.Join(root, ent.Name())
-		conn, stripes, stripeSize, err := readConn(dir)
+		conn, err := readConn(dir)
 		if err != nil {
 			return nil, fmt.Errorf("container: topic dir %s: %w", ent.Name(), err)
 		}
-		t := &Topic{dir: dir, topic: conn.Topic, conn: conn, stripes: stripes, stripeSize: stripeSize}
-		c.topics[conn.Topic] = t
+		c.topics[conn.Topic] = &Topic{dir: dir, topic: conn.Topic, conn: conn}
 	}
 	return c, nil
 }
@@ -308,12 +303,8 @@ func (c *Container) TopicPath(name string) (string, error) {
 	return t.dir, nil
 }
 
-// TopicOptions tune a topic's on-disk layout. Stripes > 1 spreads the
-// topic's data across lane files (internal/stripe), the distribution of
-// parallel file systems; StripeSize ≤ 0 selects the stripe default.
+// TopicOptions tune how a topic is written.
 type TopicOptions struct {
-	Stripes    int
-	StripeSize int64
 	// IndexFlushEvery persists buffered index entries to the index file
 	// after every N appends (≤ 0 selects DefaultIndexFlushEvery). The
 	// data payload is always written before its entry is flushed, so a
@@ -337,7 +328,7 @@ func (c *Container) CreateTopic(conn *bagio.Connection) (*TopicWriter, error) {
 	return c.CreateTopicOpts(conn, TopicOptions{})
 }
 
-// CreateTopicOpts is CreateTopic with explicit layout options.
+// CreateTopicOpts is CreateTopic with explicit options.
 func (c *Container) CreateTopicOpts(conn *bagio.Connection, opts TopicOptions) (*TopicWriter, error) {
 	if _, dup := c.topics[conn.Topic]; dup {
 		return nil, fmt.Errorf("container: topic %q already exists", conn.Topic)
@@ -346,13 +337,10 @@ func (c *Container) CreateTopicOpts(conn *bagio.Connection, opts TopicOptions) (
 	if err := c.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if opts.Stripes > 1 && opts.StripeSize <= 0 {
-		opts.StripeSize = stripe.DefaultStripeSize
-	}
 	if opts.IndexFlushEvery <= 0 {
 		opts.IndexFlushEvery = DefaultIndexFlushEvery
 	}
-	if err := faultfs.WriteFileAtomic(c.fs, filepath.Join(dir, ConnFileName), encodeConn(conn, opts.Stripes, opts.StripeSize), 0o644); err != nil {
+	if err := faultfs.WriteFileAtomic(c.fs, filepath.Join(dir, ConnFileName), encodeConn(conn), 0o644); err != nil {
 		return nil, err
 	}
 	t := &Topic{dir: dir, topic: conn.Topic, conn: conn, loaded: true,
@@ -365,22 +353,9 @@ func (c *Container) CreateTopicOpts(conn *bagio.Connection, opts TopicOptions) (
 		return nil, err
 	}
 	tw.index = ixf
-	if opts.Stripes > 1 {
-		t.stripes = opts.Stripes
-		t.stripeSize = opts.StripeSize
-		sw, err := stripe.Create(dir, opts.Stripes, opts.StripeSize)
-		if err != nil {
-			ixf.Close()
-			return nil, err
-		}
-		tw.striped = sw
-	} else {
-		df, err := c.fs.Create(filepath.Join(dir, DataFileName))
-		if err != nil {
-			ixf.Close()
-			return nil, err
-		}
-		tw.data = df
+	if tw.data, err = c.fs.Create(filepath.Join(dir, DataFileName)); err != nil {
+		ixf.Close()
+		return nil, err
 	}
 	c.topics[conn.Topic] = t
 	return tw, nil
@@ -394,11 +369,10 @@ func (c *Container) CreateTopicOpts(conn *bagio.Connection, opts TopicOptions) (
 // crash mid-stream leaves a consistent indexed prefix for Repair to
 // recover rather than losing the whole topic.
 type TopicWriter struct {
-	topic   *Topic
-	fs      faultfs.Backend
-	data    faultfs.File   // single-file layout
-	striped *stripe.Writer // striped layout (nil when single-file)
-	index   faultfs.File
+	topic *Topic
+	fs    faultfs.Backend
+	data  faultfs.File
+	index faultfs.File
 
 	crc        hash.Hash32
 	tix        *timeindex.Index // coarse time index, persisted at Close
@@ -415,11 +389,7 @@ func (tw *TopicWriter) Append(t bagio.Time, payload []byte) error {
 	if tw.closed {
 		return fmt.Errorf("container: topic writer for %q is closed", tw.topic.topic)
 	}
-	if tw.striped != nil {
-		if _, err := tw.striped.Append(payload); err != nil {
-			return fmt.Errorf("container: append to %q: %w", tw.topic.topic, err)
-		}
-	} else if _, err := tw.data.Write(payload); err != nil {
+	if _, err := tw.data.Write(payload); err != nil {
 		return fmt.Errorf("container: append to %q: %w", tw.topic.topic, err)
 	}
 	tw.crc.Write(payload)
@@ -477,28 +447,17 @@ func (tw *TopicWriter) Close() error {
 	tw.closed = true
 	if err := tw.flushIndex(); err != nil {
 		tw.index.Close()
-		if tw.striped != nil {
-			tw.striped.Close()
-		} else {
-			tw.data.Close()
-		}
+		tw.data.Close()
 		return err
 	}
-	if tw.striped != nil {
-		if err := tw.striped.Close(); err != nil {
-			tw.index.Close()
-			return err
-		}
-	} else {
-		if err := tw.data.Sync(); err != nil {
-			tw.data.Close()
-			tw.index.Close()
-			return err
-		}
-		if err := tw.data.Close(); err != nil {
-			tw.index.Close()
-			return err
-		}
+	if err := tw.data.Sync(); err != nil {
+		tw.data.Close()
+		tw.index.Close()
+		return err
+	}
+	if err := tw.data.Close(); err != nil {
+		tw.index.Close()
+		return err
 	}
 	if err := tw.index.Sync(); err != nil {
 		tw.index.Close()
@@ -644,7 +603,7 @@ func (t *Topic) MessageCount() (int, error) {
 
 // DataSize returns the total payload bytes of the topic.
 func (t *Topic) DataSize() (int64, error) {
-	r, size, err := openTopicData(t.dir, t.stripes, t.stripeSize)
+	r, size, err := openTopicData(t.dir)
 	if err != nil {
 		return 0, err
 	}
@@ -652,18 +611,10 @@ func (t *Topic) DataSize() (int64, error) {
 	return size, nil
 }
 
-// openTopicData opens the logical data stream of the topic directory
-// dir — the single data file, or the lane set when stripes > 1 — and
+// openTopicData opens the data file of the topic directory dir and
 // reports its length. Every reader of topic data (queries, Verify,
-// fsck, repair) opens it here, so the two layouts fork in one place.
-func openTopicData(dir string, stripes int, stripeSize int64) (DataReader, int64, error) {
-	if stripes > 1 {
-		r, err := stripe.Open(dir, stripes, stripeSize)
-		if err != nil {
-			return nil, 0, err
-		}
-		return r, r.Size(), nil
-	}
+// fsck, repair) opens it here.
+func openTopicData(dir string) (DataReader, int64, error) {
 	f, err := os.Open(filepath.Join(dir, DataFileName))
 	if err != nil {
 		return nil, 0, err
@@ -682,18 +633,10 @@ type DataReader interface {
 	io.Closer
 }
 
-// Striped reports the topic's lane count (1 for a single data file).
-func (t *Topic) Striped() int {
-	if t.stripes > 1 {
-		return t.stripes
-	}
-	return 1
-}
-
 // OpenData opens the topic's contiguous logical data stream for
-// reading; striped topics fan reads out across their lane files. When
-// the container carries a block cache the returned reader serves cache
-// hits from memory and fills misses block-by-block from the file.
+// reading. When the container carries a block cache the returned reader
+// serves cache hits from memory and fills misses block-by-block from
+// the file.
 func (t *Topic) OpenData() (DataReader, error) {
 	return t.OpenDataQ(nil)
 }
@@ -703,7 +646,7 @@ func (t *Topic) OpenData() (DataReader, error) {
 // unattributed; per-access charging is nil-safe, so this costs the
 // uncharged path nothing.
 func (t *Topic) OpenDataQ(aq *obs.ActiveQuery) (DataReader, error) {
-	r, _, err := openTopicData(t.dir, t.stripes, t.stripeSize)
+	r, _, err := openTopicData(t.dir)
 	if err != nil || t.cache == nil {
 		return r, err
 	}

@@ -277,81 +277,9 @@ func TestOpenDiscoversMultipleTopics(t *testing.T) {
 	}
 }
 
-func TestStripedTopicRoundTrip(t *testing.T) {
-	c := newTestContainer(t)
-	tw, err := c.CreateTopicOpts(&bagio.Connection{Topic: "/cam", Type: "sensor_msgs/Image"},
-		TopicOptions{Stripes: 3, StripeSize: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var payloads [][]byte
-	for i := 0; i < 25; i++ {
-		p := bytes.Repeat([]byte{byte(i)}, 10+i)
-		payloads = append(payloads, p)
-		if err := tw.Append(bagio.Time{Sec: uint32(i)}, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Seal(); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := Open(c.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	topic, err := c2.Topic("/cam")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if topic.Striped() != 3 {
-		t.Errorf("Striped = %d", topic.Striped())
-	}
-	entries, err := topic.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 25 {
-		t.Fatalf("entries = %d", len(entries))
-	}
-	df, err := topic.OpenData()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer df.Close()
-	for i, e := range entries {
-		got, err := topic.ReadMessage(df, e)
-		if err != nil {
-			t.Fatalf("entry %d: %v", i, err)
-		}
-		if !bytes.Equal(got, payloads[i]) {
-			t.Errorf("entry %d payload mismatch", i)
-		}
-	}
-	// Verify covers striped data too.
-	results, err := c2.Verify()
-	if err != nil {
-		t.Fatalf("striped verify: %v", err)
-	}
-	if !results[0].OK {
-		t.Errorf("striped verify = %+v", results[0])
-	}
-	// Size matches the logical stream.
-	var want int64
-	for _, p := range payloads {
-		want += int64(len(p))
-	}
-	if sz, err := topic.DataSize(); err != nil || sz != want {
-		t.Errorf("DataSize = %d, %v; want %d", sz, err, want)
-	}
-}
-
 // TestConnFileCarriesEveryField: the conn file round-trips every
-// bagio.Connection field plus the stripe geometry, and a connection
-// without the optional fields costs no bytes for them.
+// bagio.Connection field, and a connection without the optional fields
+// costs no bytes for them.
 func TestConnFileCarriesEveryField(t *testing.T) {
 	full := &bagio.Connection{ID: 3, Topic: "/scan", Type: "acme_msgs/Sweep",
 		MD5Sum: "0123456789abcdef0123456789abcdef", Def: "uint32 seq\n", Caller: "/driver", Latch: true}
@@ -359,18 +287,18 @@ func TestConnFileCarriesEveryField(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, ConnFileName), encodeConn(full, 4, 4096), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, ConnFileName), encodeConn(full), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	conn, stripes, stripeSize, err := readConn(dir)
+	conn, err := readConn(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *conn != *full || stripes != 4 || stripeSize != 4096 {
-		t.Errorf("read back %+v, %d lanes of %d; wrote %+v, 4 lanes of 4096", *conn, stripes, stripeSize, *full)
+	if *conn != *full {
+		t.Errorf("read back %+v, wrote %+v", *conn, *full)
 	}
-	plain := encodeConn(&bagio.Connection{Topic: "/imu", Type: "sensor_msgs/Imu"}, 0, 0)
-	for _, field := range []string{"callerid", "latching", "stripes"} {
+	plain := encodeConn(&bagio.Connection{Topic: "/imu", Type: "sensor_msgs/Imu"})
+	for _, field := range []string{"callerid", "latching"} {
 		if bytes.Contains(plain, []byte(field)) {
 			t.Errorf("plain connection's conn file spends bytes on %q", field)
 		}

@@ -1,6 +1,7 @@
 package container
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -30,8 +31,12 @@ const (
 	// FindingBadConn: a topic's connection file is missing or does not
 	// decode; without it the topic cannot be served.
 	FindingBadConn FindingKind = "bad-conn"
-	// FindingMissingData: a topic has no data file (or unreadable
-	// stripe lanes).
+	// FindingStripedLayout: a topic's conn file declares the striped
+	// data layout of an older build (ErrStripedLayout). Nothing else in
+	// the directory is examined, and Repair refuses the container
+	// rather than dropping data it cannot read.
+	FindingStripedLayout FindingKind = "striped-layout"
+	// FindingMissingData: a topic has no data file.
 	FindingMissingData FindingKind = "missing-data"
 	// FindingMissingIndex: a topic has no index file; its data cannot
 	// be delimited into messages.
@@ -93,11 +98,9 @@ func (r *Report) add(kind FindingKind, topic, path, format string, args ...inter
 // topicState is everything fsck learned about one topic directory,
 // reused by Repair so the repair pass does not re-derive it.
 type topicState struct {
-	dir        string
-	name       string
-	stripes    int
-	stripeSize int64
-	window     int64 // timeidx window (ns) if the old file parsed, else 0
+	dir    string
+	name   string
+	window int64 // timeidx window (ns) if the old file parsed, else 0
 
 	dataSize int64 // -1 when missing
 
@@ -184,19 +187,20 @@ func fsckTopic(rep *Report, dir, dirName string) *topicState {
 	}
 
 	// Connection metadata: without it the topic is unservable.
-	if conn, stripes, stripeSize, err := readConn(dir); err != nil {
+	if conn, err := readConn(dir); errors.Is(err, ErrStripedLayout) {
+		rep.add(FindingStripedLayout, st.name, filepath.Join(dir, ConnFileName), "%v", err)
+		return st
+	} else if err != nil {
 		rep.add(FindingBadConn, st.name, filepath.Join(dir, ConnFileName), "%v", err)
 		st.drop = true
 	} else {
-		st.name, st.stripes, st.stripeSize = conn.Topic, stripes, stripeSize
+		st.name = conn.Topic
 	}
 
 	// Data length.
-	if r, size, err := openTopicData(dir, st.stripes, st.stripeSize); err == nil {
+	if r, size, err := openTopicData(dir); err == nil {
 		st.dataSize = size
 		r.Close()
-	} else if st.stripes > 1 {
-		rep.add(FindingMissingData, st.name, dir, "striped data unreadable: %v", err)
 	} else {
 		rep.add(FindingMissingData, st.name, filepath.Join(dir, DataFileName), "%v", err)
 	}
@@ -264,7 +268,7 @@ func fsckTopic(rep *Report, dir, dirName string) *topicState {
 		rep.add(FindingChecksumMismatch, st.name, filepath.Join(dir, ChecksumFileName),
 			"checksum records %d bytes, data has %d", length, st.dataSize)
 	case st.dataSize >= 0:
-		if got, err := crcData(dir, st.stripes, st.stripeSize, st.dataSize); err != nil {
+		if got, err := crcData(dir, st.dataSize); err != nil {
 			rep.add(FindingChecksumMismatch, st.name, filepath.Join(dir, ChecksumFileName), "%v", err)
 		} else if got != sum {
 			rep.add(FindingChecksumMismatch, st.name, filepath.Join(dir, ChecksumFileName),
@@ -275,9 +279,9 @@ func fsckTopic(rep *Report, dir, dirName string) *topicState {
 }
 
 // crcData recomputes crc32c over the first size bytes of a topic's
-// logical data stream.
-func crcData(dir string, stripes int, stripeSize, size int64) (uint32, error) {
-	r, _, err := openTopicData(dir, stripes, stripeSize)
+// data file.
+func crcData(dir string, size int64) (uint32, error) {
+	r, _, err := openTopicData(dir)
 	if err != nil {
 		return 0, err
 	}
@@ -310,6 +314,11 @@ func RepairFS(root string, fs faultfs.Backend) (*Report, error) {
 	}
 	if rep.Clean() {
 		return rep, nil
+	}
+	for _, f := range rep.Findings {
+		if f.Kind == FindingStripedLayout {
+			return nil, fmt.Errorf("container: repair %s: %w", f.Path, ErrStripedLayout)
+		}
 	}
 	var manifest []string
 	for _, st := range states {
@@ -345,12 +354,6 @@ func RepairFS(root string, fs faultfs.Backend) (*Report, error) {
 // repairTopic makes one topic consistent: drop it entirely, or truncate
 // index and data to the consistent prefix and rebuild the derived files.
 func repairTopic(fs faultfs.Backend, st *topicState) error {
-	// Striped topics cannot be truncated lane-by-lane without rewriting
-	// the stripe layout; a damaged striped topic is dropped whole.
-	if st.stripes > 1 && (st.keep < len(st.rawEntries) ||
-		(st.dataSize >= 0 && indexedLen(st) != uint64(st.dataSize))) {
-		st.drop = true
-	}
 	if st.dataSize < 0 {
 		st.drop = true // no data file: nothing recoverable
 	}
@@ -367,7 +370,7 @@ func repairTopic(fs faultfs.Backend, st *topicState) error {
 	if err := fs.Truncate(filepath.Join(st.dir, IndexFileName), int64(st.keep*IndexEntrySize)); err != nil {
 		return err
 	}
-	if st.stripes <= 1 && st.dataSize >= 0 && uint64(st.dataSize) != indexed {
+	if uint64(st.dataSize) != indexed {
 		if err := fs.Truncate(filepath.Join(st.dir, DataFileName), int64(indexed)); err != nil {
 			return err
 		}
@@ -379,7 +382,7 @@ func repairTopic(fs faultfs.Backend, st *topicState) error {
 		return err
 	}
 	// Recompute the checksum over the surviving data.
-	sum, err := crcData(st.dir, st.stripes, st.stripeSize, int64(indexed))
+	sum, err := crcData(st.dir, int64(indexed))
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,11 @@
 package container
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bagio"
@@ -215,6 +217,71 @@ func TestFsckDetectsDebrisAndBadTimeIdx(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "checksum.tmp-777")); !os.IsNotExist(err) {
 		t.Error("debris survived repair")
 	}
+}
+
+// TestStripedLayoutRefused: a topic directory an older build wrote with
+// its data striped across lane files (conn file: stripes=4) is refused
+// by Open with the typed error, is one fsck finding, and is left alone
+// by Repair — which must not "fix" the container by dropping a topic
+// whose data it cannot read.
+func TestStripedLayoutRefused(t *testing.T) {
+	root, _ := buildSealedTopic(t)
+	dir := filepath.Join(root, EncodeTopicDir("/cam"))
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	h, err := bagio.DecodeHeader(encodeConn(&bagio.Connection{Topic: "/cam", Type: "sensor_msgs/Image"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.PutU32("stripes", 4)
+	h.PutU64("stripe_size", 4096)
+	var entry [IndexEntrySize]byte
+	IndexEntry{Length: 5}.encode(entry[:])
+	for name, content := range map[string][]byte{
+		ConnFileName: h.Encode(), IndexFileName: entry[:], "data.0": []byte("hello"),
+		"data.1": nil, "data.2": nil, "data.3": nil,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := readTree(t, root)
+
+	if _, err := Open(root); !errors.Is(err, ErrStripedLayout) {
+		t.Errorf("Open: %v, want ErrStripedLayout", err)
+	}
+	rep, err := Fsck(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kinds := findingKinds(rep); !reflect.DeepEqual(kinds, []FindingKind{FindingStripedLayout}) {
+		t.Errorf("findings = %v, want exactly one striped-layout", rep.Findings)
+	}
+	if _, err := Repair(root); !errors.Is(err, ErrStripedLayout) {
+		t.Errorf("Repair: %v, want ErrStripedLayout", err)
+	}
+	if after := readTree(t, root); !reflect.DeepEqual(after, before) {
+		t.Errorf("Repair changed the refused container:\n got %v\nwant %v", after, before)
+	}
+}
+
+// readTree maps every file under root (by path below root) to its content.
+func readTree(t *testing.T, root string) map[string]string {
+	t.Helper()
+	tree := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		buf, err := os.ReadFile(path)
+		tree[strings.TrimPrefix(path, root)] = string(buf)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
 }
 
 func TestFsckDeterministicReport(t *testing.T) {

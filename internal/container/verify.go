@@ -91,7 +91,7 @@ func (t *Topic) Verify() VerifyResult {
 		res.Detail = fmt.Sprintf("checksum records %d bytes, data has %d", wantLen, size)
 		return res
 	}
-	got, err := crcData(t.dir, t.stripes, t.stripeSize, size)
+	got, err := crcData(t.dir, size)
 	if err != nil {
 		res.Detail = err.Error()
 		return res

@@ -49,12 +49,6 @@ type Options struct {
 	// Workers is the data organizer's distribution pool size; zero lets
 	// the organizer size itself from system specs.
 	Workers int
-	// Stripes > 1 stripes each topic's data across lane files
-	// (internal/stripe), matching the layout of parallel file systems.
-	Stripes int
-	// StripeSize is the lane stripe width when Stripes > 1; zero selects
-	// the stripe default.
-	StripeSize int64
 	// Obs receives op-level metrics (latency, bytes, error counts) from
 	// every layer this instance touches: core operations, the organizer
 	// pool, container index/data access, and the front ends mounted on
@@ -224,14 +218,18 @@ func (b *BORA) CopyContainer(srcRoot, name string) (*Bag, error) {
 		return nil, err
 	}
 	dstRoot := filepath.Join(b.root, name)
-	if err := copyTree(src.Root(), dstRoot); err != nil {
+	if err := copyTree(b.opts.FS, src.Root(), dstRoot); err != nil {
 		return nil, fmt.Errorf("bora: copy container: %w", err)
 	}
 	return b.Open(name)
 }
 
-func copyTree(src, dst string) error {
-	return filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+// copyTree copies the sealed container at src to dst through fs. The
+// meta file goes last and atomically — the commit point organize uses —
+// so a copy interrupted anywhere is a directory Open and List refuse,
+// never a sealed container with topics missing.
+func copyTree(fs faultfs.Backend, src, dst string) error {
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -241,23 +239,36 @@ func copyTree(src, dst string) error {
 		}
 		target := filepath.Join(dst, rel)
 		if d.IsDir() {
-			return os.MkdirAll(target, 0o755)
+			return fs.MkdirAll(target, 0o755)
+		}
+		if rel == container.MetaFileName {
+			return nil
 		}
 		in, err := os.Open(path)
 		if err != nil {
 			return err
 		}
 		defer in.Close()
-		out, err := os.Create(target)
+		out, err := fs.Create(target)
 		if err != nil {
 			return err
 		}
-		if _, err := io.Copy(out, in); err != nil {
-			out.Close()
-			return err
+		if _, err = io.Copy(out, in); err == nil {
+			err = out.Sync()
 		}
-		return out.Close()
+		if cerr := out.Close(); err == nil {
+			err = cerr
+		}
+		return err
 	})
+	if err != nil {
+		return err
+	}
+	meta, err := os.ReadFile(filepath.Join(src, container.MetaFileName))
+	if err != nil {
+		return err
+	}
+	return faultfs.WriteFileAtomic(fs, filepath.Join(dst, container.MetaFileName), meta, 0o644)
 }
 
 // Open opens a logical bag with the BORA-assisted open (Fig 4b): parse

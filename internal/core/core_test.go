@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/bagio"
+	"repro/internal/faultfs"
 	"repro/internal/msgs"
 	"repro/internal/rosbag"
 )
@@ -302,6 +303,61 @@ func TestCopyContainer(t *testing.T) {
 	}
 	if _, err := b2.CopyContainer(filepath.Join(b.Root(), "nonexistent"), "x"); err == nil {
 		t.Error("CopyContainer from non-container should fail")
+	}
+}
+
+// TestCopyContainerCommitsLast crashes a container copy at every
+// back-end operation: what is left behind either refuses to open and
+// stays off the listing, or is the whole source, topic file for topic
+// file — never a sealed container with topics missing.
+func TestCopyContainerCommitsLast(t *testing.T) {
+	b := newBORA(t)
+	if _, _, err := b.Duplicate(makeSourceBag(t, t.TempDir(), 3), "bag1"); err != nil {
+		t.Fatal(err)
+	}
+	srcRoot := filepath.Join(b.Root(), "bag1")
+	want := topicFiles(t, srcRoot)
+	// copyInto copies bag1 into a fresh back end through inj and returns
+	// a plain view of what the copy left there.
+	copyInto := func(inj *faultfs.Injector) (*BORA, error) {
+		dir := filepath.Join(t.TempDir(), "backend2")
+		dst, err := New(dir, Options{FS: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, copyErr := dst.CopyContainer(srcRoot, "copy")
+		after, err := New(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after, copyErr
+	}
+	clean := faultfs.NewInjector(faultfs.OS, faultfs.Plan{})
+	if _, err := copyInto(clean); err != nil {
+		t.Fatal(err)
+	}
+	total := clean.Ops()
+	if total < int64(len(want)) {
+		t.Fatalf("copying %d topic files took %d operations through Options.FS", len(want), total)
+	}
+	for at := int64(1); at <= total; at++ {
+		after, err := copyInto(faultfs.NewInjector(faultfs.OS, faultfs.Plan{Seed: at, CrashAt: at}))
+		if err == nil {
+			t.Errorf("crash at op %d: the copy reported success", at)
+		}
+		names, lerr := after.List()
+		if lerr != nil {
+			t.Fatal(lerr)
+		}
+		if _, err := after.Open("copy"); err != nil {
+			if len(names) != 0 {
+				t.Errorf("crash at op %d: List shows %v though Open refuses: %v", at, names, err)
+			}
+			continue
+		}
+		if got := topicFiles(t, filepath.Join(after.Root(), "copy")); !reflect.DeepEqual(got, want) {
+			t.Errorf("crash at op %d: the copy opens with %d of %d topic files intact", at, len(got), len(want))
+		}
 	}
 }
 

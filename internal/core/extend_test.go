@@ -1,17 +1,13 @@
 package core
 
 import (
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/bagio"
 	"repro/internal/msgs"
-	"repro/internal/rosbag"
 )
 
 func TestRecorderOnlineMode(t *testing.T) {
@@ -296,80 +292,6 @@ func TestQueryTimeParallel(t *testing.T) {
 	}
 }
 
-func TestStripedBackendEndToEnd(t *testing.T) {
-	b, err := New(filepath.Join(t.TempDir(), "backend"), Options{
-		TimeWindow: time.Second, Workers: 2, Stripes: 4, StripeSize: 4096,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := makeSourceBag(t, t.TempDir(), 6)
-	bag, stats, err := b.Duplicate(src, "striped")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Messages != 96 {
-		t.Errorf("Messages = %d", stats.Messages)
-	}
-	for _, topic := range bag.Topics() {
-		tp, err := bag.Container().Topic(topic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tp.Striped() != 4 {
-			t.Errorf("%s: Striped = %d", topic, tp.Striped())
-		}
-	}
-	// Queries behave identically over the striped layout.
-	var count int
-	if err := bag.Query(QuerySpec{Topics: []string{"/imu"}}, func(m MessageRef) error {
-		var imu msgs.Imu
-		if err := imu.Unmarshal(m.Data); err != nil {
-			return err
-		}
-		count++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 60 {
-		t.Errorf("imu count = %d", count)
-	}
-	base := int64(1_000_000_000_000_000_000)
-	count = 0
-	if err := bag.Query(QuerySpec{
-		Topics: []string{"/tf"},
-		Start:  bagio.TimeFromNanos(base + 1e9),
-		End:    bagio.TimeFromNanos(base + 3e9 - 1),
-	}, func(MessageRef) error { count++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if count != 10 {
-		t.Errorf("windowed tf count = %d", count)
-	}
-	if _, err := bag.Container().Verify(); err != nil {
-		t.Errorf("striped container verify: %v", err)
-	}
-	// Export from the striped layout still produces a valid bag.
-	out := filepath.Join(t.TempDir(), "out.bag")
-	f, err := os.Create(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bag.Export(f, rosbag.WriterOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	r, rf, err := rosbag.Open(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rf.Close()
-	if got := r.MessageCount(); got != 96 {
-		t.Errorf("exported count = %d", got)
-	}
-}
-
 func TestBagInfo(t *testing.T) {
 	b := newBORA(t)
 	src := makeSourceBag(t, t.TempDir(), 5)
@@ -401,9 +323,6 @@ func TestBagInfo(t *testing.T) {
 	// 50 samples at 10 Hz over 4.9 s → ~10 Hz.
 	if imu.RateHz < 9 || imu.RateHz > 11 {
 		t.Errorf("imu rate = %.1f Hz", imu.RateHz)
-	}
-	if imu.Striped != 1 {
-		t.Errorf("imu Striped = %d", imu.Striped)
 	}
 	if info.End.Sub(info.Start) <= 0 {
 		t.Error("time range empty")

@@ -19,8 +19,6 @@ type TopicInfo struct {
 	// RateHz is the average message rate over the topic's span (0 for
 	// single-message topics).
 	RateHz float64
-	// Striped is the topic's lane count (1 = single data file).
-	Striped int
 }
 
 // Info summarizes an open BORA bag, mirroring `rosbag info` over the
@@ -43,11 +41,7 @@ func (bag *Bag) Info() (Info, error) {
 		return info, err
 	}
 	for i, ch := range chains {
-		ti := TopicInfo{
-			Topic:   ch.name,
-			Type:    ch.parts[0].Connection().Type,
-			Striped: ch.parts[0].Striped(),
-		}
+		ti := TopicInfo{Topic: ch.name, Type: ch.parts[0].Connection().Type}
 		for _, t := range ch.parts {
 			entries, err := t.Entries()
 			if err != nil {
@@ -103,12 +97,8 @@ func (info Info) String() string {
 	}
 	fmt.Fprintf(&sb, "topics:\n")
 	for _, t := range info.Topics {
-		lane := ""
-		if t.Striped > 1 {
-			lane = fmt.Sprintf("  (%d lanes)", t.Striped)
-		}
-		fmt.Fprintf(&sb, "  %-32s %8d msgs  %10d B  %6.1f Hz  %s%s\n",
-			t.Topic, t.Messages, t.Bytes, t.RateHz, t.Type, lane)
+		fmt.Fprintf(&sb, "  %-32s %8d msgs  %10d B  %6.1f Hz  %s\n",
+			t.Topic, t.Messages, t.Bytes, t.RateHz, t.Type)
 	}
 	return sb.String()
 }

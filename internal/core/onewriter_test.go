@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bagio"
 	"repro/internal/container"
+	"repro/internal/faultfs"
 	"repro/internal/rosbag"
 )
 
@@ -123,7 +124,7 @@ func TestOneWriterEquivalence(t *testing.T) {
 
 	// Repair rebuilds a lost time index through the writer's own helper.
 	damaged := filepath.Join(t.TempDir(), "copy")
-	if err := copyTree(filepath.Join(b.Root(), "dup"), damaged); err != nil {
+	if err := copyTree(faultfs.OS, filepath.Join(b.Root(), "dup"), damaged); err != nil {
 		t.Fatal(err)
 	}
 	lost := filepath.Join(damaged, container.EncodeTopicDir("/imu"), container.TimeIdxFileName)

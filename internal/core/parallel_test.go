@@ -56,20 +56,27 @@ func TestReadParallelFailFast(t *testing.T) {
 	}
 	poison := errors.New("poisoned topic")
 	var delivered atomic.Int64
+	// The other topics' streams wait at their first message until /t0
+	// has been poisoned, so how much they deliver afterwards does not
+	// depend on which worker the host happened to run first.
+	poisoned := make(chan struct{})
 	err = bag.Query(QuerySpec{Workers: workers}, func(m MessageRef) error {
 		if m.Conn.Topic == "/t0" {
+			close(poisoned)
 			return poison
 		}
+		<-poisoned
 		delivered.Add(1)
 		return nil
 	})
 	if !errors.Is(err, poison) {
 		t.Fatalf("err = %v, want the poison error", err)
 	}
-	// /t0 sorts first, so it fails while at most the other in-flight
-	// workers (plus the handful of topics handed out before the stop flag
-	// is observed) are streaming. Without fail-fast every topic is read in
-	// full and delivered would be (topics-1)*perTopic.
+	// /t0 sorts first, so it is handed out first and fails while at most
+	// the other in-flight workers (plus the handful of topics handed out
+	// before the stop flag is observed) are streaming. Without fail-fast
+	// every topic is read in full and delivered would be
+	// (topics-1)*perTopic.
 	total := int64((topics - 1) * perTopic)
 	if got := delivered.Load(); got >= total {
 		t.Errorf("delivered %d messages, want < %d (fail-fast did not halt dispatch)", got, total)

@@ -17,7 +17,7 @@ type segment struct {
 	topics map[string]*container.TopicWriter
 }
 
-// createSegment starts a building container at dir, laid out per the
+// createSegment starts a building container at dir, written per the
 // instance options.
 func (b *BORA) createSegment(dir string) (*segment, error) {
 	c, err := container.CreateFS(dir, b.opts.FS)
@@ -26,11 +26,8 @@ func (b *BORA) createSegment(dir string) (*segment, error) {
 	}
 	c.SetObs(b.opts.Obs)
 	return &segment{
-		c: c,
-		opts: container.TopicOptions{
-			Stripes: b.opts.Stripes, StripeSize: b.opts.StripeSize,
-			IndexFlushEvery: b.opts.IndexFlushEvery, TimeWindow: b.opts.TimeWindow,
-		},
+		c:      c,
+		opts:   container.TopicOptions{IndexFlushEvery: b.opts.IndexFlushEvery, TimeWindow: b.opts.TimeWindow},
 		topics: map[string]*container.TopicWriter{},
 	}, nil
 }

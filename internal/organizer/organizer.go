@@ -28,8 +28,6 @@ type Options struct {
 	// Workers is the number of distribution goroutines. Zero selects
 	// "determined by system specs": GOMAXPROCS-1, at least 1.
 	Workers int
-	// QueueDepth is the per-worker channel depth. Zero selects 64.
-	QueueDepth int
 	// Obs receives the pipeline's metrics: organizer.dispatch (scanner-side
 	// routing latency), organizer.enqueue_stall (time spent blocked on a
 	// full worker queue), organizer.worker (per-goroutine pool lifetime),
@@ -47,6 +45,11 @@ type Options struct {
 	// back-end operations becomes deterministic — which is what the
 	// crash-consistency harness sweeps over.
 	Synchronous bool
+
+	// queueDepth is the per-worker channel depth: 64 unless this
+	// package's tests shrink it so a full queue (back-pressure, a
+	// failure surfacing mid-stream) is reached within a small fixture.
+	queueDepth int
 }
 
 func (o *Options) fill() {
@@ -56,8 +59,8 @@ func (o *Options) fill() {
 			o.Workers = 1
 		}
 	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 64
+	if o.queueDepth <= 0 {
+		o.queueDepth = 64
 	}
 }
 
@@ -143,7 +146,7 @@ func New(create func(conn *bagio.Connection) (TopicSink, error), opts Options) *
 	}
 	d.workers = make([]chan workItem, opts.Workers)
 	for i := range d.workers {
-		ch := make(chan workItem, opts.QueueDepth)
+		ch := make(chan workItem, opts.queueDepth)
 		d.workers[i] = ch
 		d.wg.Add(1)
 		go d.runWorker(ch)

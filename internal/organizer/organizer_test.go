@@ -52,7 +52,7 @@ func TestDistributePreservesPerTopicOrder(t *testing.T) {
 		s := &memSink{topic: c.Topic}
 		sinks[c.Topic] = s
 		return s, nil
-	}, Options{Workers: 4, QueueDepth: 8})
+	}, Options{Workers: 4, queueDepth: 8})
 
 	topics := []string{"/a", "/b", "/c", "/d", "/e"}
 	const perTopic = 200
@@ -127,7 +127,7 @@ func TestSinkCreateFailurePropagates(t *testing.T) {
 func TestAppendFailurePropagates(t *testing.T) {
 	d := New(func(c *bagio.Connection) (TopicSink, error) {
 		return &memSink{topic: c.Topic, failOn: 3}, nil
-	}, Options{Workers: 1, QueueDepth: 1})
+	}, Options{Workers: 1, queueDepth: 1})
 	var sawErr bool
 	for i := 0; i < 100; i++ {
 		if err := d.Dispatch(conn("/t"), bagio.Time{Sec: uint32(i)}, []byte{1}); err != nil {
@@ -162,8 +162,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Workers < 1 {
 		t.Errorf("Workers = %d", o.Workers)
 	}
-	if o.QueueDepth < 1 {
-		t.Errorf("QueueDepth = %d", o.QueueDepth)
+	if o.queueDepth < 1 {
+		t.Errorf("queueDepth = %d", o.queueDepth)
 	}
 }
 
@@ -177,7 +177,7 @@ func TestStatsCountAppendsNotDispatches(t *testing.T) {
 		s := &memSink{topic: c.Topic, failOn: 5}
 		sinks[c.Topic] = s
 		return s, nil
-	}, Options{Workers: 4, QueueDepth: 4})
+	}, Options{Workers: 4, queueDepth: 4})
 
 	topics := []string{"/a", "/b", "/c", "/d", "/e", "/f"}
 	var dispatched int64
@@ -234,7 +234,7 @@ func TestDistributeRace(t *testing.T) {
 			s.failOn = 50
 		}
 		return s, nil
-	}, Options{Workers: 6, QueueDepth: 2})
+	}, Options{Workers: 6, queueDepth: 2})
 	topics := []string{"/a", "/b", "/c", "/d", "/e", "/f", "/g", "/poison"}
 	for i := 0; i < 500; i++ {
 		for _, tp := range topics {

@@ -20,7 +20,7 @@ func TestHotHandleEvictionProtection(t *testing.T) {
 		duplicate(t, b, src, name)
 	}
 	hot := obs.NewRateTracker(0, 0)
-	p := New(b, Options{MaxBags: 2, HotTracker: hot, HotQPS: 8})
+	p := New(b, Options{maxBags: 2, HotTracker: hot, HotQPS: 8})
 
 	mustAcquire := func(name string) {
 		t.Helper()

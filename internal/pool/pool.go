@@ -31,18 +31,9 @@ const (
 
 // Options configure a Pool.
 type Options struct {
-	// MaxBags bounds the number of resident open handles; zero selects
-	// DefaultMaxBags. Evicted handles stay valid for clients already
-	// holding them (a Bag keeps no open file descriptors between
-	// queries); they simply stop being shared.
-	MaxBags int
 	// BlockCacheBytes bounds the block cache's payload bytes; zero
-	// selects DefaultBlockCacheBytes, negative disables the block
-	// cache entirely.
+	// selects DefaultBlockCacheBytes.
 	BlockCacheBytes int64
-	// BlockSize is the cache's fixed block width; zero selects
-	// DefaultBlockSize.
-	BlockSize int64
 	// HotTracker, when non-nil, protects hot bags' handles from LRU
 	// eviction: entries whose query rate is at least HotQPS are skipped
 	// when the pool looks for a victim (unless every other entry is hot
@@ -52,6 +43,14 @@ type Options struct {
 	// HotQPS is the rate at which an entry reads as hot for eviction
 	// protection; zero selects DefaultHotQPS.
 	HotQPS float64
+
+	// maxBags (resident open handles) and blockSize (the cache's fixed
+	// block width) are DefaultMaxBags and DefaultBlockSize unless this
+	// package's tests shrink them to fixture scale. Evicted handles stay
+	// valid for clients already holding them (a Bag keeps no open file
+	// descriptors between queries); they simply stop being shared.
+	maxBags   int
+	blockSize int64
 }
 
 // DefaultHotQPS is the eviction-protection threshold when Options
@@ -63,7 +62,7 @@ const DefaultHotQPS = 8.0
 type Pool struct {
 	b       *core.BORA
 	maxBags int
-	blocks  *BlockLRU        // nil when the block cache is disabled
+	blocks  *BlockLRU
 	hot     *obs.RateTracker // nil when hot-handle protection is off
 	hotQPS  float64
 
@@ -99,8 +98,14 @@ type entry struct {
 // New builds a pool over b, registering its metrics on b's obs
 // registry (see DESIGN.md for the metric names).
 func New(b *core.BORA, opts Options) *Pool {
-	if opts.MaxBags <= 0 {
-		opts.MaxBags = DefaultMaxBags
+	if opts.maxBags <= 0 {
+		opts.maxBags = DefaultMaxBags
+	}
+	if opts.blockSize <= 0 {
+		opts.blockSize = DefaultBlockSize
+	}
+	if opts.BlockCacheBytes <= 0 {
+		opts.BlockCacheBytes = DefaultBlockCacheBytes
 	}
 	if opts.HotQPS <= 0 {
 		opts.HotQPS = DefaultHotQPS
@@ -108,7 +113,8 @@ func New(b *core.BORA, opts Options) *Pool {
 	reg := b.Obs()
 	p := &Pool{
 		b:             b,
-		maxBags:       opts.MaxBags,
+		maxBags:       opts.maxBags,
+		blocks:        NewBlockLRU(opts.BlockCacheBytes, opts.blockSize, reg),
 		hot:           opts.HotTracker,
 		hotQPS:        opts.HotQPS,
 		acquireOp:     reg.Op("pool.acquire"),
@@ -120,25 +126,11 @@ func New(b *core.BORA, opts Options) *Pool {
 		bags:          map[string]*entry{},
 		lru:           list.New(),
 	}
-	if opts.BlockCacheBytes >= 0 {
-		capacity := opts.BlockCacheBytes
-		if capacity == 0 {
-			capacity = DefaultBlockCacheBytes
-		}
-		blockSize := opts.BlockSize
-		if blockSize <= 0 {
-			blockSize = DefaultBlockSize
-		}
-		p.blocks = NewBlockLRU(capacity, blockSize, reg)
-	}
 	return p
 }
 
 // Backend returns the BORA instance the pool serves.
 func (p *Pool) Backend() *core.BORA { return p.b }
-
-// BlockCache returns the pool's shared block cache (nil when disabled).
-func (p *Pool) BlockCache() *BlockLRU { return p.blocks }
 
 // Acquire returns an open handle for the named bag, sharing one handle
 // across all concurrent clients. A resident handle costs one small
@@ -222,17 +214,15 @@ func (p *Pool) acquire(name string, sp obs.Span) (*core.Bag, bool, error) {
 		p.drop(e) // do not cache failures
 		return nil, false, err
 	}
-	if p.blocks != nil {
-		// A no-op on live-wired handles: a growing data file must not
-		// populate the cache with blocks cut short at today's EOF.
-		bag.SetBlockCache(p.blocks)
-	}
+	// A no-op on live-wired handles: a growing data file must not
+	// populate the cache with blocks cut short at today's EOF.
+	bag.SetBlockCache(p.blocks)
 	e.bag, e.gen = bag, bag.Generation()
 	return bag, false, nil
 }
 
 // entryFor returns the live entry for name, creating it (and evicting
-// from the cold end past MaxBags) as needed.
+// from the cold end past maxBags) as needed.
 func (p *Pool) entryFor(name string) *entry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -310,7 +300,7 @@ type Stats struct {
 	HandleEvictions     int64
 	HandleInvalidations int64
 	HandlesResident     int
-	Block               BlockStats // zero when the block cache is disabled
+	Block               BlockStats
 }
 
 // Stats returns the pool's current counters.
@@ -324,8 +314,6 @@ func (p *Pool) Stats() Stats {
 		HandlesResident:     len(p.bags),
 	}
 	p.mu.Unlock()
-	if p.blocks != nil {
-		s.Block = p.blocks.Stats()
-	}
+	s.Block = p.blocks.Stats()
 	return s
 }

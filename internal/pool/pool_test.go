@@ -119,7 +119,7 @@ func TestEvictionLRU(t *testing.T) {
 	for _, name := range []string{"a", "b", "c"} {
 		duplicate(t, b, src, name)
 	}
-	p := New(b, Options{MaxBags: 2})
+	p := New(b, Options{maxBags: 2})
 	for _, name := range []string{"a", "b"} {
 		if _, err := p.Acquire(name); err != nil {
 			t.Fatal(err)
@@ -297,7 +297,7 @@ func TestBlockCacheRepeatQuery(t *testing.T) {
 	src := filepath.Join(t.TempDir(), "src.bag")
 	writeBag(t, src, 4, 50)
 	duplicate(t, b, src, "bag1")
-	p := New(b, Options{BlockSize: 4096})
+	p := New(b, Options{blockSize: 4096})
 	bag, err := p.Acquire("bag1")
 	if err != nil {
 		t.Fatal(err)
@@ -415,7 +415,7 @@ func TestPoolConcurrentMixedWorkload(t *testing.T) {
 	for _, name := range names {
 		duplicate(t, b, src, name)
 	}
-	p := New(b, Options{MaxBags: 2}) // force eviction churn too
+	p := New(b, Options{maxBags: 2}) // force eviction churn too
 	var wg sync.WaitGroup
 	const readers, iters = 8, 40
 	for r := 0; r < readers; r++ {

@@ -68,9 +68,6 @@ type Options struct {
 	// MaxQueries bounds concurrent query streams across all
 	// connections; zero selects DefaultMaxQueries.
 	MaxQueries int
-	// MaxFrame bounds inbound frame payloads; zero selects
-	// wire.DefaultMaxFrame.
-	MaxFrame uint32
 	// QueryLog, when non-nil, receives one obs.QueryRecord per completed
 	// query stream (ok, error or canceled) — the slow-query log served
 	// at /slowqueries. Nil disables per-query logging; resource
@@ -99,14 +96,13 @@ const DefaultHotQPS = 8.0
 // Server is a borad instance. Create with New, feed listeners to Serve,
 // stop with Shutdown (graceful) or Close (immediate).
 type Server struct {
-	b        *core.BORA
-	pl       *pool.Pool
-	maxFrame uint32
-	sem      chan struct{} // global query admission tokens
-	qlog     *obs.QueryLog // per-query records; nil = disabled
-	pprof    bool          // mount /debug/pprof/ on the sidecar
-	hot      *obs.RateTracker
-	hotQPS   float64
+	b      *core.BORA
+	pl     *pool.Pool
+	sem    chan struct{} // global query admission tokens
+	qlog   *obs.QueryLog // per-query records; nil = disabled
+	pprof  bool          // mount /debug/pprof/ on the sidecar
+	hot    *obs.RateTracker
+	hotQPS float64
 
 	queryOp   *obs.Op      // server.query: one span per QUERY stream
 	reqOp     *obs.Op      // server.request: non-query request frames
@@ -137,9 +133,6 @@ func New(b *core.BORA, opts Options) *Server {
 	if opts.MaxQueries <= 0 {
 		opts.MaxQueries = DefaultMaxQueries
 	}
-	if opts.MaxFrame == 0 {
-		opts.MaxFrame = wire.DefaultMaxFrame
-	}
 	if opts.HotQPS == 0 {
 		opts.HotQPS = DefaultHotQPS
 	}
@@ -154,7 +147,6 @@ func New(b *core.BORA, opts Options) *Server {
 	return &Server{
 		b:         b,
 		pl:        opts.Pool,
-		maxFrame:  opts.MaxFrame,
 		sem:       make(chan struct{}, opts.MaxQueries),
 		qlog:      opts.QueryLog,
 		pprof:     opts.Pprof,
@@ -478,7 +470,7 @@ type query struct {
 func (c *conn) serve() {
 	defer c.close()
 	for {
-		f, err := wire.ReadFrameInto(c.br, c.s.maxFrame, &c.rbuf)
+		f, err := wire.ReadFrameInto(c.br, wire.DefaultMaxFrame, &c.rbuf)
 		if err != nil {
 			return
 		}

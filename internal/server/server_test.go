@@ -334,7 +334,9 @@ func TestDrainFinishesInFlightStream(t *testing.T) {
 	// Draining: new connections must be refused (listener closed) and
 	// new queries BUSY-rejected; give Shutdown a moment to take effect.
 	waitFor(t, time.Second, func() bool { return srv.draining.Load() })
-	if _, err := client.Dial(addr, client.Options{Attempts: 1, DialTimeout: 200 * time.Millisecond}); err == nil {
+	dialCtx, dialCancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer dialCancel()
+	if _, err := client.DialContext(dialCtx, addr, client.Options{Attempts: 1}); err == nil {
 		t.Error("dial succeeded during drain")
 	}
 
