@@ -54,7 +54,7 @@ type ZeroCopyReader interface {
 // short; it is cached at its true length, which is safe because sealed
 // containers never grow.
 type cachedReader struct {
-	inner  DataReader
+	inner  dataFile
 	cache  BlockCache
 	path   string
 	gen    uint64
@@ -139,3 +139,5 @@ func (r *cachedReader) block(block, bs int64) ([]byte, error) {
 }
 
 func (r *cachedReader) Close() error { return r.inner.Close() }
+
+func (r *cachedReader) length(want uint64) uint64 { return r.inner.length(want) }

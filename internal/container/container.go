@@ -18,6 +18,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -521,24 +522,53 @@ func (t *Topic) entriesLocked(parent obs.Span) ([]IndexEntry, error) {
 		return t.entries, nil
 	}
 	sp := parent.ChildOp(t.indexLoadOp)
-	buf, err := os.ReadFile(filepath.Join(t.dir, IndexFileName))
+	entries, err := readIndex(filepath.Join(t.dir, IndexFileName))
 	if err != nil {
-		err = fmt.Errorf("container: read index of %q: %w", t.topic, err)
+		err = fmt.Errorf("container: index of %q: %w", t.topic, err)
 		sp.EndErr(err)
 		return nil, err
 	}
-	if len(buf)%IndexEntrySize != 0 {
-		err = fmt.Errorf("container: index of %q has %d bytes, not a multiple of %d", t.topic, len(buf), IndexEntrySize)
-		sp.EndErr(err)
-		return nil, err
-	}
-	t.entries = make([]IndexEntry, len(buf)/IndexEntrySize)
-	for i := range t.entries {
-		t.entries[i] = decodeIndexEntry(buf[i*IndexEntrySize:])
-	}
-	t.loaded = true
-	sp.EndBytes(int64(len(buf)))
+	t.entries, t.loaded = entries, true
+	sp.EndBytes(int64(len(entries)) * IndexEntrySize)
 	return t.entries, nil
+}
+
+// indexChunk is how many entries readIndex decodes per read: 28 KiB of
+// file at a time, on the stack.
+const indexChunk = 1024
+
+// readIndex decodes an index file straight into the entry slice it
+// returns, through a fixed chunk: the only garbage a cold open's index
+// load leaves is the entries themselves (a whole-file read beside them
+// doubled it, once per topic per open).
+func readIndex(path string) ([]IndexEntry, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if st.Size()%IndexEntrySize != 0 {
+		return nil, fmt.Errorf("%d bytes, not a multiple of %d", st.Size(), IndexEntrySize)
+	}
+	entries := make([]IndexEntry, st.Size()/IndexEntrySize)
+	var chunk [indexChunk * IndexEntrySize]byte
+	for done := 0; done < len(entries); {
+		buf := chunk[:min(len(entries)-done, indexChunk)*IndexEntrySize]
+		if n, err := f.ReadAt(buf, int64(done)*IndexEntrySize); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the file shrank under the load
+			}
+			return nil, fmt.Errorf("read at entry %d of %d stopped after %d bytes: %w", done, len(entries), n, err)
+		}
+		for ; len(buf) > 0; buf, done = buf[IndexEntrySize:], done+1 {
+			entries[done] = decodeIndexEntry(buf)
+		}
+	}
+	return entries, nil
 }
 
 // TimeIndex returns the coarse-grain time index of a complete topic,
@@ -603,34 +633,63 @@ func (t *Topic) MessageCount() (int, error) {
 
 // DataSize returns the total payload bytes of the topic.
 func (t *Topic) DataSize() (int64, error) {
-	r, size, err := openTopicData(t.dir)
+	r, err := openTopicData(t.dir)
 	if err != nil {
 		return 0, err
 	}
 	r.Close()
-	return size, nil
+	return int64(r.size), nil
 }
 
-// openTopicData opens the data file of the topic directory dir and
-// reports its length. Every reader of topic data (queries, Verify,
-// fsck, repair) opens it here.
-func openTopicData(dir string) (DataReader, int64, error) {
+// openTopicData opens the data file of the topic directory dir, noting
+// its length. Every reader of topic data (queries, Verify, fsck,
+// repair) opens it here.
+func openTopicData(dir string) (dataFile, error) {
 	f, err := os.Open(filepath.Join(dir, DataFileName))
 	if err != nil {
-		return nil, 0, err
+		return dataFile{}, err
 	}
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return nil, 0, err
+		return dataFile{}, err
 	}
-	return f, st.Size(), nil
+	return dataFile{File: f, size: uint64(st.Size())}, nil
 }
 
 // DataReader serves random reads of a topic's logical data stream.
 type DataReader interface {
 	io.ReaderAt
 	io.Closer
+}
+
+// sizedReader is a reader that knows how long its data file is, so a
+// read can be refused before a buffer is sized from a corrupt entry.
+// Both readers OpenData returns are sized.
+type sizedReader interface {
+	// length returns the file's length, asking the file system again when
+	// the length on record is below want: a part still being recorded
+	// grows under its readers.
+	length(want uint64) uint64
+}
+
+// dataFile is a topic's data file open for reading and its length as
+// last asked. One stream reads through it; it is not shared.
+type dataFile struct {
+	*os.File
+	size uint64
+}
+
+func (d *dataFile) length(want uint64) uint64 {
+	if d.size < want {
+		// Seek rather than Stat: the same answer without a FileInfo
+		// allocated per wake-up of a Follow tail. Every read is a ReadAt,
+		// so the offset this moves is nobody's.
+		if end, err := d.Seek(0, io.SeekEnd); err == nil {
+			d.size = uint64(end)
+		}
+	}
+	return d.size
 }
 
 // OpenData opens the topic's contiguous logical data stream for
@@ -645,18 +704,68 @@ func (t *Topic) OpenData() (DataReader, error) {
 // misses, miss fill time) charged to aq. A nil aq leaves the reads
 // unattributed; per-access charging is nil-safe, so this costs the
 // uncharged path nothing.
+//
+// Which reader comes back also decides, once per open, how
+// ReadExtentInto reads through it: a plain file takes coalesced
+// extents, a block-cache reader (a ZeroCopyReader) one message at a
+// time, since its fills already are block-sized extents.
 func (t *Topic) OpenDataQ(aq *obs.ActiveQuery) (DataReader, error) {
-	r, _, err := openTopicData(t.dir)
-	if err != nil || t.cache == nil {
-		return r, err
+	r, err := openTopicData(t.dir)
+	if err != nil {
+		return nil, err
+	}
+	if t.cache == nil {
+		return &r, nil
 	}
 	return &cachedReader{inner: r, cache: t.cache, path: t.dir, gen: t.gen, fillOp: t.blockFillOp, aq: aq}, nil
+}
+
+// ErrIndexBeyondData reports an index entry whose payload does not lie
+// inside the topic's data file: a corrupt index, or data truncated
+// under a good one. Test with errors.Is.
+var ErrIndexBeyondData = errors.New("index entry lies beyond the topic's data")
+
+// end is the offset just past the entry's payload, saturating where a
+// corrupt entry's would overflow.
+func (e IndexEntry) end() uint64 {
+	end := e.PhysicalOffset + uint64(e.Length)
+	if end < e.PhysicalOffset {
+		return math.MaxUint64
+	}
+	return end
+}
+
+// bound refuses to read e through r when the data file ends before e
+// does, naming the entry. The ordinal is looked up only here, on the
+// error path (-1: not one of the topic's loaded entries).
+func (t *Topic) bound(r io.ReaderAt, e IndexEntry) (size uint64, err error) {
+	s, ok := r.(sizedReader)
+	if !ok {
+		return math.MaxUint64, nil
+	}
+	if size = s.length(e.end()); size >= e.end() {
+		return size, nil
+	}
+	ord := -1
+	t.mu.Lock()
+	for i := range t.entries {
+		if t.entries[i] == e {
+			ord = i
+			break
+		}
+	}
+	t.mu.Unlock()
+	return size, fmt.Errorf("container: topic %q entry %d (offset %d, length %d) in %d bytes of data: %w",
+		t.topic, ord, e.PhysicalOffset, e.Length, size, ErrIndexBeyondData)
 }
 
 // ReadMessage reads the payload for one index entry into a freshly
 // allocated buffer the caller owns. Streaming read loops should prefer
 // ReadMessageInto, which amortizes the allocation across messages.
 func (t *Topic) ReadMessage(r io.ReaderAt, e IndexEntry) ([]byte, error) {
+	if _, err := t.bound(r, e); err != nil {
+		return nil, err
+	}
 	buf := make([]byte, e.Length)
 	if _, err := r.ReadAt(buf, int64(e.PhysicalOffset)); err != nil {
 		return nil, fmt.Errorf("container: read message of %q at %d: %w", t.topic, e.PhysicalOffset, err)
@@ -665,10 +774,11 @@ func (t *Topic) ReadMessage(r io.ReaderAt, e IndexEntry) ([]byte, error) {
 }
 
 // ReadMessageInto reads the payload for one index entry without
-// allocating per message. When r can serve the read as a direct slice
-// of an internal buffer (a block-cache hit, see ZeroCopyReader) that
-// slice is returned and scratch is untouched; otherwise the payload is
-// read into *scratch, growing it once to the topic's largest message.
+// allocating per message: ReadExtentInto of that one entry. When r can
+// serve the read as a direct slice of an internal buffer (a block-cache
+// hit, see ZeroCopyReader) that slice is returned and scratch is
+// untouched; otherwise the payload is read into *scratch, growing it
+// once to the topic's largest message.
 //
 // Either way the returned bytes are READ-ONLY and only valid until the
 // next call with the same reader or scratch — exactly the lifetime
@@ -678,30 +788,108 @@ func (t *Topic) ReadMessage(r io.ReaderAt, e IndexEntry) ([]byte, error) {
 // streaming callers batch their totals into NoteReads when a read loop
 // finishes.
 func (t *Topic) ReadMessageInto(r io.ReaderAt, e IndexEntry, scratch *[]byte) ([]byte, error) {
-	if zc, ok := r.(ZeroCopyReader); ok {
-		if data, ok := zc.ReadSlice(int64(e.PhysicalOffset), int(e.Length)); ok {
-			return data, nil
+	entries := [1]IndexEntry{e}
+	data, _, err := t.ReadExtentInto(r, entries[:], scratch)
+	return data, err
+}
+
+// extentCap bounds one coalesced read, and so the scratch a stream holds
+// for it. Chosen by measurement (benchmark workload scan_small — cold
+// open and full scan of five topics of 40–345 B messages — four runs per
+// value, medians): 32 KiB 17.9 M msg/s, 64 KiB 19.1 M, 128 KiB 19.4 M,
+// 256 KiB 19.8 M, against 2.1 M reading a message at a time; peak RSS
+// 23.1 / 23.3 / 23.9 / 24.8 MB. 64 KiB takes 97 % of the largest's
+// throughput at the smallest's memory.
+const extentCap = 64 << 10
+
+// extentRun plans one read over the head of entries: how many entries
+// it covers (at least the head, whatever its size — a message larger
+// than the cap is read alone) and how many bytes. The run extends over
+// the following entries for as long as each starts exactly where the
+// previous one ends, ends inside the first size bytes of the file, and
+// keeps the total within extentCap. Adjacency only: a gap byte is never
+// read, so a strided or sparse selection plans one message per read.
+func extentRun(entries []IndexEntry, size uint64) (k, n int) {
+	head := entries[0]
+	next, n := head.end(), int(head.Length)
+	for k = 1; k < len(entries); k++ {
+		e := entries[k]
+		if e.PhysicalOffset != next || e.end() > size || n+int(e.Length) > extentCap {
+			break
+		}
+		next, n = e.end(), n+int(e.Length)
+	}
+	return k, n
+}
+
+// ReadExtentInto reads the leading run of entries (see extentRun) with
+// one ReadAt and returns the bytes and how many entries they hold, k ≥ 1:
+// entry i's payload is buf[entries[i].PhysicalOffset-entries[0].PhysicalOffset:][:entries[i].Length].
+// The caller comes back with entries[k:]. Only a plain file is read in
+// runs; through a block cache (ZeroCopyReader) the head entry is served
+// alone, as a direct slice of its cached block when it lies in one.
+//
+// Every read is bounded by the data file's length before a buffer is
+// sized from an entry: a head entry that ends past the file fails with
+// ErrIndexBeyondData and allocates nothing. A read that stops early
+// (the file shrank, a device error) still returns the messages wholly
+// inside what arrived; the error surfaces on the call that has the
+// first incomplete message as its head, so a damaged file delivers
+// exactly the prefix a message-at-a-time reader would.
+//
+// The bytes are READ-ONLY and valid until the next call with the same
+// reader or scratch, like ReadMessageInto's.
+func (t *Topic) ReadExtentInto(r io.ReaderAt, entries []IndexEntry, scratch *[]byte) ([]byte, int, error) {
+	zc, cached := r.(ZeroCopyReader)
+	if cached {
+		if data, ok := zc.ReadSlice(int64(entries[0].PhysicalOffset), int(entries[0].Length)); ok {
+			return data, 1, nil
 		}
 	}
-	n := int(e.Length)
+	return t.readExtent(r, entries, !cached, scratch)
+}
+
+// readExtent is ReadExtentInto past the block cache: bound, plan (a run
+// when runs is set, else the head alone), size the scratch, ReadAt. It
+// is a function of its own so that a cache hit, the per-message hot path
+// of every pooled query, pays for none of this one's frame.
+func (t *Topic) readExtent(r io.ReaderAt, entries []IndexEntry, runs bool, scratch *[]byte) ([]byte, int, error) {
+	head := entries[0]
+	size, err := t.bound(r, head)
+	if err != nil {
+		return nil, 0, err
+	}
+	k, n := 1, int(head.Length)
+	if runs && len(entries) > 1 {
+		k, n = extentRun(entries, size)
+	}
 	if cap(*scratch) < n {
-		*scratch = make([]byte, n, growCap(n))
+		*scratch = make([]byte, n, growCap(n, size))
 	}
 	buf := (*scratch)[:n]
-	if _, err := r.ReadAt(buf, int64(e.PhysicalOffset)); err != nil {
-		return nil, fmt.Errorf("container: read message of %q at %d: %w", t.topic, e.PhysicalOffset, err)
+	if got, err := r.ReadAt(buf, int64(head.PhysicalOffset)); err != nil {
+		whole := 0
+		for whole < k && entries[whole].end()-head.PhysicalOffset <= uint64(got) {
+			whole++
+		}
+		if k = whole; k == 0 {
+			return nil, 0, fmt.Errorf("container: read message of %q at %d: %w", t.topic, head.PhysicalOffset, err)
+		}
 	}
-	return buf, nil
+	return buf, k, nil
 }
 
 // growCap rounds a scratch-buffer size up so a stream of slightly
 // growing messages settles after a few reallocations instead of
-// reallocating per message.
-func growCap(n int) int {
-	const min = 4 << 10
-	c := min
+// reallocating per message — but never past limit, the data file's
+// length: no buffer outgrows the data it could ever hold.
+func growCap(n int, limit uint64) int {
+	c := 4 << 10
 	for c < n {
 		c *= 2
+	}
+	if uint64(c) > limit {
+		c = max(n, int(limit))
 	}
 	return c
 }

@@ -198,8 +198,8 @@ func fsckTopic(rep *Report, dir, dirName string) *topicState {
 	}
 
 	// Data length.
-	if r, size, err := openTopicData(dir); err == nil {
-		st.dataSize = size
+	if r, err := openTopicData(dir); err == nil {
+		st.dataSize = int64(r.size)
 		r.Close()
 	} else {
 		rep.add(FindingMissingData, st.name, filepath.Join(dir, DataFileName), "%v", err)
@@ -281,7 +281,7 @@ func fsckTopic(rep *Report, dir, dirName string) *topicState {
 // crcData recomputes crc32c over the first size bytes of a topic's
 // data file.
 func crcData(dir string, size int64) (uint32, error) {
-	r, _, err := openTopicData(dir)
+	r, err := openTopicData(dir)
 	if err != nil {
 		return 0, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -48,13 +49,22 @@ func (c *testBlockCache) Put(key container.BlockKey, data []byte) {
 // budgets are defined against.
 func cachedBag(t *testing.T, seconds int) (*Bag, int) {
 	t.Helper()
+	return warmBag(t, seconds, true)
+}
+
+// warmBag is cachedBag with the block cache optional: without one,
+// reads go to the data files as coalesced extents.
+func warmBag(t *testing.T, seconds int, cached bool) (*Bag, int) {
+	t.Helper()
 	b := newBORA(t)
 	src := makeSourceBag(t, t.TempDir(), seconds)
 	bag, _, err := b.Duplicate(src, "bag1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bag.Container().SetBlockCache(newTestBlockCache(1 << 20))
+	if cached {
+		bag.Container().SetBlockCache(newTestBlockCache(1 << 20))
+	}
 	n := 0
 	// Warm: loads entries, time indexes, and fills the block cache.
 	if err := bag.Query(QuerySpec{}, func(m MessageRef) error { n++; return nil }); err != nil {
@@ -148,6 +158,48 @@ func checkStridedAllocBudget(t *testing.T, bag *Bag, name string, spec QuerySpec
 		if !raceenabled.Enabled && strided > plain+parts {
 			t.Errorf("%s: %.0f allocs per query vs %.0f unstrided; budget is one slice per part (%.0f)", c.name, strided, plain, parts)
 		}
+	}
+}
+
+// TestAllocBudgetUncachedScan is the same budget with no block cache,
+// where every read is an extent into a pooled scratch: zero allocations
+// per message in topic and in time order, and the extent buffers come
+// back out of scratchPool — a repeat of the query allocates less than
+// one extent's worth of bytes in all.
+func TestAllocBudgetUncachedScan(t *testing.T) {
+	bag, msgs := warmBag(t, 20, false)
+	sink := func(m MessageRef) error {
+		allocSink += len(m.Data)
+		return nil
+	}
+	for _, c := range []struct {
+		name string
+		spec QuerySpec
+	}{
+		{"uncached topic order", QuerySpec{}},
+		{"uncached time order", QuerySpec{Order: OrderTime}},
+	} {
+		checkAllocBudget(t, c.name, msgs, func() error { return bag.Query(c.spec, sink) })
+	}
+	if raceenabled.Enabled {
+		return // sync.Pool drops Puts at random under the race detector
+	}
+	// The least a repeat allocates: a sync.Pool may miss now and then (a GC
+	// cycle, a goroutine moved to another P), a buffer made per query
+	// would show in every run.
+	least := uint64(1 << 62)
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		if err := bag.Query(QuerySpec{}, sink); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a repeated uncached topic-order query allocates %d bytes", least)
+	if least >= 16<<10 {
+		t.Errorf("a repeated query allocated %d bytes: its extent buffer did not come from scratchPool", least)
 	}
 }
 
@@ -315,10 +367,17 @@ func compareRecs(t *testing.T, name string, got, want []rec) {
 
 // TestBorrowEquivalence: every query plan's borrowed payloads are
 // byte-identical to the copying ReadMessage reference — with the block
-// cache on (zero-copy slices) and across serial, chrono, and parallel
-// plans. Runs under -race in CI.
+// cache on (zero-copy slices) and off (slices of a coalesced extent)
+// and across serial, chrono, and parallel plans. Runs under -race in CI.
 func TestBorrowEquivalence(t *testing.T) {
-	bag, _ := cachedBag(t, 5)
+	for _, cached := range []bool{true, false} {
+		bag, _ := warmBag(t, 5, cached)
+		checkBorrowEquivalence(t, fmt.Sprintf("cached=%v ", cached), bag)
+	}
+}
+
+func checkBorrowEquivalence(t *testing.T, name string, bag *Bag) {
+	t.Helper()
 	want := groundTruth(t, bag)
 	collect := func(spec QuerySpec) []rec {
 		var mu sync.Mutex // parallel plans deliver from several goroutines
@@ -337,7 +396,7 @@ func TestBorrowEquivalence(t *testing.T) {
 	}
 
 	// Serial grouped-by-topic delivery matches append order exactly.
-	compareRecs(t, "serial", collect(QuerySpec{}), want)
+	compareRecs(t, name+"serial", collect(QuerySpec{}), want)
 
 	// Chrono and parallel plans reorder across topics; compare as sets.
 	wantSorted := append([]rec(nil), want...)
@@ -351,7 +410,7 @@ func TestBorrowEquivalence(t *testing.T) {
 	} {
 		got := collect(c.spec)
 		sortRecs(got)
-		compareRecs(t, c.name, got, wantSorted)
+		compareRecs(t, name+c.name, got, wantSorted)
 	}
 }
 

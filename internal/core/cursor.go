@@ -17,9 +17,17 @@ type cursor struct {
 	entries []container.IndexEntry // the selection, in delivery order
 	pos     int                    // next entry (time order)
 	ord     int                    // position among the merge's cursors: the tie-break
+	merged  bool                   // time order: delivered an entry per call, between other cursors' entries
 	df      container.DataReader   // opened by the first delivery
-	scratch *msgScratch            // the owning stream's read buffer
-	d       Stats
+	scratch *msgScratch            // where reads land: the stream's buffer, or (own) one taken at open
+	own     bool                   // scratch came from scratchPool at open and goes back at close
+	// The extent last read, while entries it covers are still to be
+	// delivered: the next held of them lie in ext, whose first byte is
+	// file offset extOff.
+	ext    []byte
+	extOff uint64
+	held   int
+	d      Stats
 }
 
 // selectEntries decides what the cursor will read from the part's index
@@ -96,24 +104,56 @@ func (c *cursor) selectEntries(sp obs.Span, phase *int) error {
 	return nil
 }
 
-// deliver reads the messages entries describes, in order, and hands
-// each to the query's callback — a cursor's whole selection in topic
-// order, one entry at a time under the merge and the tail — opening
-// the part's data on first use. The reads are borrowed: data lives in
-// the stream's scratch (or the block cache) and is valid only until the
+// deliver hands the first n of entries to the query's callback, in
+// order, opening the part's data on first use; entries[n:] is what this
+// cursor will be asked for next, and is only looked ahead over. Topic
+// order passes the cursor's whole selection with n = all of it, the
+// merge its remaining selection with n = 1, the Follow tail a lone
+// journal entry.
+//
+// This is the one place core reads data, and it reads extents, not
+// messages: container.ReadExtentInto covers the leading run of
+// physically adjacent entries, up to a fixed cap, with one ReadAt, and
+// each message is sliced out of that buffer. An extent outlives the
+// call that read it, so a merge taking one message per call issues no
+// more reads than a topic scan does. A run of one — a strided or sparse
+// selection, a block-cache reader, the tail — is one read per message,
+// and no byte outside a selected message is ever read. The reads are
+// borrowed: data lives in the cursor's scratch beside its neighbours in
+// the extent (or in the block cache) and is valid only until the
 // callback returns — see MessageRef.
-func (c *cursor) deliver(entries []container.IndexEntry) (err error) {
-	if c.df == nil && len(entries) > 0 {
+func (c *cursor) deliver(entries []container.IndexEntry, n int) (err error) {
+	if c.df == nil && n > 0 {
 		if c.df, err = c.t.OpenDataQ(c.q.aq); err != nil {
 			return err
 		}
-		c.d.Seeks++ // one open/position per topic file
+		c.d.Seeks++
+		// A merge interleaves its cursors' deliveries, so an extent needs a
+		// buffer no other cursor reads into: taken here, returned at close,
+		// so memory follows the cursors actually open. A block-cache reader
+		// takes no extents — which reader, and so which way of reading, is
+		// decided by this open — and keeps sharing the stream's scratch.
+		if _, cached := c.df.(container.ZeroCopyReader); c.merged && !cached {
+			c.scratch, c.own = scratchPool.Get().(*msgScratch), true
+		}
 	}
 	t, df, buf, conn, fn := c.t, c.df, &c.scratch.buf, c.t.Connection(), c.q.fn
-	for _, e := range entries {
-		data, err := t.ReadMessageInto(df, e, buf)
-		if err != nil {
-			return err
+	for i, e := range entries[:n] {
+		var data []byte
+		if c.held > 0 {
+			at := e.PhysicalOffset - c.extOff
+			data = c.ext[at : at+uint64(e.Length) : at+uint64(e.Length)]
+			c.held--
+		} else {
+			k := 0
+			if data, k, err = t.ReadExtentInto(df, entries[i:], buf); err != nil {
+				return err
+			}
+			c.d.DataReads++
+			if k > 1 { // the read holds the next k-1 entries too
+				c.ext, c.extOff, c.held = data, e.PhysicalOffset, k-1
+				data = data[:e.Length:e.Length]
+			}
 		}
 		c.d.BytesRead += int64(len(data))
 		c.d.MessagesRead++
@@ -124,16 +164,21 @@ func (c *cursor) deliver(entries []container.IndexEntry) (err error) {
 	return nil
 }
 
-// close releases the reader and merges the cursor's counters into the
-// bag's stats, the container-level read counters (hot-bag tracking) and
-// the query's attribution — the one place a read's accounting lands.
+// close releases the reader and the scratch, and merges the cursor's
+// counters into the bag's stats, the container-level read counters
+// (hot-bag tracking) and the query's attribution — the one place a
+// read's accounting lands.
 func (c *cursor) close() {
 	if c.df != nil {
 		c.df.Close()
 	}
+	if c.own {
+		scratchPool.Put(c.scratch)
+	}
 	bag, d := c.q.bag, c.d
 	bag.mu.Lock()
 	bag.stats.Seeks += d.Seeks
+	bag.stats.DataReads += d.DataReads
 	bag.stats.BytesRead += d.BytesRead
 	bag.stats.EntriesScanned += d.EntriesScanned
 	bag.stats.WindowsScanned += d.WindowsScanned
@@ -143,6 +188,7 @@ func (c *cursor) close() {
 		bag.segs[0].NoteReads(int64(d.MessagesRead), d.BytesRead)
 	}
 	c.q.aq.AddIndexProbes(int64(d.EntriesScanned))
+	c.q.aq.AddDataReads(int64(d.DataReads))
 }
 
 // mergeHeap orders cursors by their next entry's timestamp; equal

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -233,7 +234,10 @@ type diffWrite struct {
 // /b in order with zero-length payloads, /far stamped a day before
 // every window the specs draw, and /late appearing only in the second
 // half. Stamps drift upward so a 1 s live window rotates several times.
-func diffLog(rng *rand.Rand, n int) []diffWrite {
+// With big set, /a's payloads are padded to a few KiB — its runs of
+// adjacent messages cross any extent cap — and one in forty past
+// 256 KiB, more than any extent holds.
+func diffLog(rng *rand.Rand, n int, big bool) []diffWrite {
 	base := int64(1_700_000_000) * 1e9
 	log := make([]diffWrite, 0, n)
 	for i := 0; i < n; i++ {
@@ -252,6 +256,13 @@ func diffLog(rng *rand.Rand, n int) []diffWrite {
 		}
 		if w.topic == "/a" {
 			ns += int64(rng.Intn(7)-3) * 1e8 // out of order, with repeats
+			if big {
+				pad := rng.Intn(4 << 10)
+				if rng.Intn(40) == 0 {
+					pad += 256 << 10
+				}
+				w.data = append(w.data, bytes.Repeat([]byte{byte(i)}, pad)...)
+			}
 		}
 		w.time = bagio.TimeFromNanos(ns)
 		log = append(log, w)
@@ -319,17 +330,30 @@ func checkAgainst(t *testing.T, bag *Bag, spec QuerySpec, want []queryRec) {
 
 // TestExecutorDifferential drives random specs over random recordings
 // through every policy and compares each delivery with the oracle.
-// Classic seeds query the sealed container (odd seeds through a block
-// cache, the zero-copy path); live seeds also query the wired handle
-// mid-recording, run Follow queries across the cut, and then query the
-// sealed multi-segment bag.
+// Classic seeds query the sealed container (seeds 1 and 5 through a
+// block cache, the zero-copy path; 3 and 7 straight off the data files,
+// the extent path, 7 with payloads larger than an extent and runs that
+// cross one); live seeds also query the wired handle mid-recording, run
+// Follow queries across the cut, and then query the sealed
+// multi-segment bag.
 func TestExecutorDifferential(t *testing.T) {
 	const writes, specsPerBag = 300, 60
 	allTopics := []string{"/a", "/b", "/far", "/late"}
 	span := int64(writes) * 2e7
-	for seed := int64(1); seed <= 6; seed++ {
+	for seed := int64(1); seed <= 7; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		log := diffLog(rng, writes)
+		log := diffLog(rng, writes, seed == 7)
+		if seed == 7 {
+			huge := 0
+			for _, w := range log {
+				if len(w.data) > 256<<10 {
+					huge++
+				}
+			}
+			if huge < 2 {
+				t.Fatalf("seed 7: %d payloads larger than an extent, want several", huge)
+			}
+		}
 		b := newBORA(t)
 		record := func(rec *Recorder, ws []diffWrite) {
 			for _, w := range ws {

@@ -301,7 +301,7 @@ func (q *query) readPart(sp obs.Span, t *container.Topic, phase *int, scratch *m
 	c := &cursor{q: q, t: t, scratch: scratch}
 	err := c.selectEntries(sp, phase)
 	if err == nil {
-		err = c.deliver(c.entries)
+		err = c.deliver(c.entries, len(c.entries))
 	}
 	c.close()
 	if err != nil {
@@ -326,9 +326,10 @@ func (q *query) readTime(parent obs.Span) (err error) {
 	if err != nil {
 		return err
 	}
-	// One scratch serves the whole merge: messages are delivered one at
-	// a time, and the callback's borrow of the previous payload ends
-	// before the next read overwrites it.
+	// One scratch serves every read of the merge that lasts one message
+	// (block-cache readers): the callback's borrow of the previous payload
+	// ends before the next read overwrites it. A cursor reading extents
+	// takes a buffer of its own when it opens (cursor.deliver).
 	scratch := scratchPool.Get().(*msgScratch)
 	defer scratchPool.Put(scratch)
 	var h mergeHeap
@@ -340,7 +341,7 @@ func (q *query) readTime(parent obs.Span) (err error) {
 	for _, ch := range chains {
 		phase := 0
 		for _, t := range ch.parts {
-			c := &cursor{q: q, t: t, scratch: scratch}
+			c := &cursor{q: q, t: t, scratch: scratch, merged: true}
 			err := c.selectEntries(sp, &phase)
 			if err != nil || len(c.entries) == 0 {
 				c.close()
@@ -368,7 +369,7 @@ func (q *query) readTime(parent obs.Span) (err error) {
 	heap.Init(&h)
 	for h.Len() > 0 {
 		c := h[0]
-		if err := c.deliver(c.entries[c.pos : c.pos+1]); err != nil {
+		if err := c.deliver(c.entries[c.pos:], 1); err != nil {
 			return err
 		}
 		if c.pos++; c.pos < len(c.entries) {
@@ -459,7 +460,7 @@ func (q *query) follow(ctx context.Context, parent obs.Span) (err error) {
 					continue
 				}
 			}
-			if err := c.deliver([]container.IndexEntry{ref.e}); err != nil {
+			if err := c.deliver([]container.IndexEntry{ref.e}, 1); err != nil {
 				return err
 			}
 		}

@@ -51,6 +51,7 @@ type ActiveQuery struct {
 	CacheHits   atomic.Int64 // block-cache hits charged to this query
 	CacheMisses atomic.Int64 // block-cache misses (each paid a disk fill)
 	IndexProbes atomic.Int64 // index entries examined across topics
+	DataReads   atomic.Int64 // reads issued against topic data files (one per extent; per message behind the block cache)
 
 	QueueWaitNs   atomic.Int64 // request receipt -> first byte streamed
 	DiskNs        atomic.Int64 // time inside block fills (cache misses)
@@ -75,6 +76,13 @@ func (q *ActiveQuery) NoteBlock(hit bool, d time.Duration) {
 func (q *ActiveQuery) AddIndexProbes(n int64) {
 	if q != nil {
 		q.IndexProbes.Add(n)
+	}
+}
+
+// AddDataReads charges n reads issued against topic data. Nil-safe.
+func (q *ActiveQuery) AddDataReads(n int64) {
+	if q != nil {
+		q.DataReads.Add(n)
 	}
 }
 

@@ -33,6 +33,7 @@ func TestActiveQueryNilSafe(t *testing.T) {
 	q.NoteBlock(true, 0)
 	q.NoteBlock(false, time.Millisecond)
 	q.AddIndexProbes(5)
+	q.AddDataReads(5)
 	q.AddCreditStall(time.Millisecond)
 }
 
@@ -42,6 +43,7 @@ func TestActiveQueryAccumulates(t *testing.T) {
 	q.NoteBlock(true, 0)
 	q.NoteBlock(false, 5*time.Millisecond)
 	q.AddIndexProbes(10)
+	q.AddDataReads(3)
 	q.AddCreditStall(2 * time.Millisecond)
 	q.Messages.Store(4)
 	q.Bytes.Store(400)
@@ -60,8 +62,8 @@ func TestActiveQueryAccumulates(t *testing.T) {
 	if r.IndexProbes != 10 || r.CreditStallNs != int64(2*time.Millisecond) {
 		t.Errorf("probes/stall = %d/%d", r.IndexProbes, r.CreditStallNs)
 	}
-	if r.Messages != 4 || r.Bytes != 400 {
-		t.Errorf("messages/bytes = %d/%d", r.Messages, r.Bytes)
+	if r.Messages != 4 || r.Bytes != 400 || r.DataReads != 3 {
+		t.Errorf("messages/bytes/data reads = %d/%d/%d", r.Messages, r.Bytes, r.DataReads)
 	}
 
 	// An untraced query leaves the identity fields empty.

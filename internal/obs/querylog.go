@@ -34,6 +34,7 @@ type QueryRecord struct {
 
 	Messages    int64 `json:"messages"`
 	Bytes       int64 `json:"bytes"`
+	DataReads   int64 `json:"data_reads"` // reads issued against topic data files
 	CacheHits   int64 `json:"cache_hits,omitempty"`
 	CacheMisses int64 `json:"cache_misses,omitempty"`
 	IndexProbes int64 `json:"index_probes,omitempty"`
@@ -55,6 +56,7 @@ func (r *QueryRecord) Fill(q *ActiveQuery) {
 	r.CacheHits = q.CacheHits.Load()
 	r.CacheMisses = q.CacheMisses.Load()
 	r.IndexProbes = q.IndexProbes.Load()
+	r.DataReads = q.DataReads.Load()
 	r.QueueWaitNs = q.QueueWaitNs.Load()
 	r.DiskNs = q.DiskNs.Load()
 	r.CreditStallNs = q.CreditStallNs.Load()

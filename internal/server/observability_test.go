@@ -152,6 +152,10 @@ func TestQueryAttributionEndToEnd(t *testing.T) {
 		if r.IndexProbes <= 0 {
 			t.Errorf("record %q index probes = %d, want > 0", r.TraceID, r.IndexProbes)
 		}
+		// The daemon reads through its block cache: a message per read.
+		if r.DataReads != r.Messages {
+			t.Errorf("record %q data reads = %d for %d messages, want one each behind the block cache", r.TraceID, r.DataReads, r.Messages)
+		}
 		if r.ParentSpan == 0 {
 			t.Errorf("record %q has no client parent span", r.TraceID)
 		}
