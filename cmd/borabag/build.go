@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/build"
 	"repro/internal/core"
-	"repro/internal/pool"
 )
 
 // windowFlags registers -start/-end on fs and returns a resolver that
@@ -34,16 +33,6 @@ func windowFlags(fs *flag.FlagSet) func() (start, end *float64) {
 	}
 }
 
-// buildPool returns the pool the build should route opens and stale
-// removals through: the shared -pool one when the global flag is set.
-func buildPool(b *core.BORA) *pool.Pool {
-	if !usePool {
-		return nil
-	}
-	poolOnce.Do(func() { sharedPool = pool.New(b, pool.Options{}) })
-	return sharedPool
-}
-
 // cmdBuild materializes a declarative dataset build spec: a DAG of
 // derivations over source bags, content-addressed so an unchanged
 // derivation is a no-op.
@@ -66,7 +55,7 @@ func cmdBuild(args []string) error {
 	if err != nil {
 		return err
 	}
-	bld := build.New(b, build.Options{Pool: buildPool(b), Workers: *workers})
+	bld := build.New(b, build.Options{Workers: *workers})
 	start := time.Now()
 	results, buildErr := bld.Build(g)
 	var rebuilt, cached, failed int
@@ -113,7 +102,7 @@ func cmdRebag(args []string) error {
 	if err != nil {
 		return err
 	}
-	bag, err := openBag(b, *name)
+	bag, err := b.Open(*name)
 	if err != nil {
 		return err
 	}

@@ -61,7 +61,7 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	bag, err := openBag(b, *name)
+	bag, err := b.Open(*name)
 	if err != nil {
 		return err
 	}
@@ -87,7 +87,7 @@ func cmdBagInfo(args []string) error {
 	if err != nil {
 		return err
 	}
-	bag, err := openBag(b, *name)
+	bag, err := b.Open(*name)
 	if err != nil {
 		return err
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -92,20 +91,10 @@ func fsckRecordLive(b *core.BORA) error {
 // printed, with the back-end path replaced by "<be>", and its error.
 func runFsck(t *testing.T, backend string, extra ...string) (string, error) {
 	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := os.Stdout
-	os.Stdout = w
-	ferr := cmdFsck(append([]string{"-backend", backend, "-name", "bag", "-q"}, extra...))
-	os.Stdout = old
-	w.Close()
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return strings.ReplaceAll(string(out), backend, "<be>"), ferr
+	out, ferr := captureStdout(t, func() error {
+		return cmdFsck(append([]string{"-backend", backend, "-name", "bag", "-q"}, extra...))
+	})
+	return strings.ReplaceAll(out, backend, "<be>"), ferr
 }
 
 // TestFsckCommandBothLayouts pins `borabag fsck [-repair]` on the four

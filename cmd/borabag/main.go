@@ -23,9 +23,6 @@
 //	-trace FILE       record span begin/end events and write them to FILE
 //	                  as Chrome trace-event JSON (load in chrome://tracing
 //	                  or Perfetto)
-//	-pool             serve bag opens through a shared handle pool
-//	                  (internal/pool: cached opens, block cache) and print
-//	                  its hit/miss/eviction stats to stderr afterwards
 //	-remote ADDR      run query/topics/record against a borad daemon at ADDR
 //	                  over the wire protocol instead of opening -backend
 //	                  locally
@@ -46,9 +43,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/pool"
 	"repro/internal/rosbag"
 	"repro/internal/workload"
 )
@@ -57,39 +54,6 @@ import (
 // (-metrics, -metrics-out, -trace); every subcommand threads it into the
 // stack it drives. Nil keeps the whole obs layer inert.
 var metricsReg *obs.Registry
-
-// usePool routes every bag open of the invocation through one shared
-// handle pool (global -pool flag); sharedPool is built lazily on the
-// first open so it wraps the backend the subcommand actually uses.
-var (
-	usePool    bool
-	sharedPool *pool.Pool
-	poolOnce   sync.Once
-)
-
-// openBag opens a logical bag for a subcommand: through the shared
-// pool when -pool is set, cold otherwise.
-func openBag(b *core.BORA, name string) (*core.Bag, error) {
-	if !usePool {
-		return b.Open(name)
-	}
-	poolOnce.Do(func() { sharedPool = pool.New(b, pool.Options{}) })
-	return sharedPool.Acquire(name)
-}
-
-// printPoolStats reports the shared pool's counters to stderr.
-func printPoolStats() {
-	if sharedPool == nil {
-		return
-	}
-	s := sharedPool.Stats()
-	fmt.Fprintln(os.Stderr)
-	fmt.Fprintln(os.Stderr, "== pool stats ==")
-	fmt.Fprintf(os.Stderr, "handles: %d resident, %d hits, %d misses, %d evictions, %d invalidations\n",
-		s.HandlesResident, s.HandleHits, s.HandleMisses, s.HandleEvictions, s.HandleInvalidations)
-	fmt.Fprintf(os.Stderr, "blocks:  %d resident (%d bytes), %d hits (%d bytes), %d misses, %d evictions\n",
-		s.Block.Blocks, s.Block.Resident, s.Block.Hits, s.Block.HitBytes, s.Block.Misses, s.Block.Evictions)
-}
 
 func main() {
 	args := os.Args[1:]
@@ -122,9 +86,6 @@ globalFlags:
 			tracer = obs.NewTracer(0)
 			metricsReg.AttachTracer(tracer)
 			args = args[2:]
-		case args[0] == "-pool":
-			usePool = true
-			args = args[1:]
 		case args[0] == "-remote" && len(args) > 1:
 			remoteAddr = args[1]
 			args = args[2:]
@@ -174,9 +135,6 @@ globalFlags:
 		usage()
 		os.Exit(2)
 	}
-	if usePool {
-		printPoolStats()
-	}
 	if printMetrics {
 		fmt.Fprintln(os.Stderr)
 		fmt.Fprintln(os.Stderr, "== obs snapshot ==")
@@ -222,7 +180,7 @@ func writeTraceFile(path string, tr *obs.Tracer) error {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `usage: borabag [-metrics] [-metrics-out FILE] [-trace FILE] [-pool] [-remote ADDR] <command> [flags]
+	fmt.Fprint(os.Stderr, `usage: borabag [-metrics] [-metrics-out FILE] [-trace FILE] [-remote ADDR] <command> [flags]
 
 commands:
   record     synthesize a Handheld-SLAM-like recording (Table II mix) into a
@@ -404,7 +362,7 @@ func cmdTopics(args []string) error {
 	if err != nil {
 		return err
 	}
-	bag, err := openBag(b, *name)
+	bag, err := b.Open(*name)
 	if err != nil {
 		return err
 	}
@@ -436,38 +394,42 @@ func cmdQuery(args []string) error {
 	if *follow && *parallel != 0 {
 		return fmt.Errorf("query: -follow streams serially; drop -parallel")
 	}
-	startSec, endSec := window()
+	var topics []string
+	if *topicsArg != "" {
+		topics = strings.Split(*topicsArg, ",")
+	}
+	// The window flows through TransformSpec, locally and remotely, so a
+	// NaN, negative or beyond-u32 bound is an error and an explicit
+	// -end 0 is an epoch bound rather than silently reading as "no bound".
+	var ts core.TransformSpec
+	ts.StartSec, ts.EndSec = window()
+	spec, err := ts.QuerySpec()
+	if err != nil {
+		return fmt.Errorf("query: %w", err)
+	}
 	if remoteAddr != "" {
 		if *parallel != 0 {
 			return fmt.Errorf("query: -parallel is not supported with -remote (the daemon streams serially per query)")
 		}
-		var topics []string
-		if *topicsArg != "" {
-			topics = strings.Split(*topicsArg, ",")
+		if spec.Predicate != nil {
+			// The wire's zero End means end of bag; widening the window to
+			// that would stream everything the caller excluded.
+			return fmt.Errorf("query: -end 0 (only messages stamped at the epoch) cannot be expressed with -remote")
 		}
-		var remoteStart, remoteEnd float64
-		if startSec != nil {
-			remoteStart = *startSec
-		}
-		if endSec != nil {
-			remoteEnd = *endSec
-		}
-		return remoteQuery(*name, topics, remoteStart, remoteEnd, *chrono, *follow, *quiet)
+		return remoteQuery(*name, client.QuerySpec{
+			Topics: topics, Start: spec.Start, End: spec.End, Chrono: *chrono, Follow: *follow,
+		}, *quiet)
 	}
 	b, err := openBackend(*backend)
 	if err != nil {
 		return err
 	}
 	openStart := time.Now()
-	bag, err := openBag(b, *name)
+	bag, err := b.Open(*name)
 	if err != nil {
 		return err
 	}
 	openTime := time.Since(openStart)
-	var topics []string
-	if *topicsArg != "" {
-		topics = strings.Split(*topicsArg, ",")
-	}
 	var mu sync.Mutex
 	var count int
 	var bytes int64
@@ -482,13 +444,6 @@ func cmdQuery(args []string) error {
 		return nil
 	}
 	queryStart := time.Now()
-	// The window flows through TransformSpec so an explicit -end 0 is an
-	// epoch bound rather than silently reading as "no bound".
-	ts := core.TransformSpec{StartSec: startSec, EndSec: endSec}
-	spec, err := ts.QuerySpec()
-	if err != nil {
-		return fmt.Errorf("query: %w", err)
-	}
 	spec.Topics = topics
 	spec.Workers = *parallel
 	if *chrono {
@@ -516,7 +471,7 @@ func cmdExport(args []string) error {
 	if err != nil {
 		return err
 	}
-	bag, err := openBag(b, *name)
+	bag, err := b.Open(*name)
 	if err != nil {
 		return err
 	}

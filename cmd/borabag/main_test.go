@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,6 +21,26 @@ func chdirTemp(t *testing.T) string {
 	}
 	t.Cleanup(func() { os.Chdir(old) })
 	return dir
+}
+
+// captureStdout runs cmd and returns what it printed to standard output,
+// with its error.
+func captureStdout(t *testing.T, cmd func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = w
+	cerr := cmd()
+	os.Stdout = old
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), cerr
 }
 
 func TestRecordInfoDuplicateQueryExport(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bagio"
 	"repro/internal/client"
 	"repro/internal/workload"
 )
@@ -44,24 +43,15 @@ func remoteTopics(name string) error {
 
 // remoteQuery is cmdQuery against a daemon: one streaming QUERY with
 // the same topic/time/order selection, counting messages and bytes.
-// With follow, the daemon streams the sealed prefix and then live
+// With spec.Follow, the daemon streams the sealed prefix and then live
 // messages until the recording seals (or the process is interrupted —
 // closing the connection cancels the server-side stream).
-func remoteQuery(name string, topics []string, startSec, endSec float64, chrono, follow, quiet bool) error {
+func remoteQuery(name string, spec client.QuerySpec, quiet bool) error {
 	cl, err := dialRemote()
 	if err != nil {
 		return err
 	}
 	defer cl.Close()
-	spec := client.QuerySpec{
-		Topics: topics,
-		Start:  bagio.TimeFromNanos(int64(startSec * 1e9)),
-		Chrono: chrono,
-		Follow: follow,
-	}
-	if endSec > 0 {
-		spec.End = bagio.TimeFromNanos(int64(endSec * 1e9))
-	}
 	queryStart := time.Now()
 	st, err := cl.Query(name, spec)
 	if err != nil {

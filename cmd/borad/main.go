@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	borad -backend DIR [-listen ADDR] [-http ADDR] [-pool=false]
+//	borad -backend DIR [-listen ADDR] [-http ADDR]
 //	      [-max-queries N] [-drain DUR] [-slow DUR] [-slowlog FILE]
 //	      [-querylog N] [-trace FILE] [-pprof]
 //	      [-cluster FILE -node NAME] [-hot-qps QPS]
@@ -22,12 +22,10 @@
 //	-node NAME      this daemon's member name in -cluster (required with it)
 //	-hot-qps QPS    per-bag query rate past which a bag reads as hot:
 //	                reported in /statz hot_bags and protected from handle
-//	                eviction (default 8, negative disables)
+//	                eviction (default 8)
 //	-http ADDR      optional HTTP sidecar: /metrics (obs snapshot JSON),
 //	                /healthz (200 ok / 503 draining), /statz (server
 //	                stats), /slowqueries (the query log)
-//	-pool           serve opens through a shared handle pool (default true;
-//	                -pool=false cold-opens per query, the paper's baseline)
 //	-max-queries N  concurrent query streams admitted across all
 //	                connections before BUSY (default 64)
 //	-drain DUR      graceful-drain deadline on SIGTERM/SIGINT (default 30s)
@@ -106,7 +104,6 @@ type config struct {
 	backend    string
 	listen     string
 	httpAddr   string
-	usePool    bool
 	maxQueries int
 	drain      time.Duration
 	slow       time.Duration
@@ -124,7 +121,6 @@ func main() {
 	flag.StringVar(&cfg.backend, "backend", "", "BORA back-end directory (required)")
 	flag.StringVar(&cfg.listen, "listen", ":7712", "TCP listen address for the wire protocol")
 	flag.StringVar(&cfg.httpAddr, "http", "", "HTTP sidecar listen address (empty = disabled)")
-	flag.BoolVar(&cfg.usePool, "pool", true, "serve opens through a shared handle pool")
 	flag.IntVar(&cfg.maxQueries, "max-queries", server.DefaultMaxQueries, "concurrent query streams before BUSY")
 	flag.DurationVar(&cfg.drain, "drain", 30*time.Second, "graceful-drain deadline on SIGTERM/SIGINT")
 	flag.DurationVar(&cfg.slow, "slow", 0, "slow-query threshold (0 = disabled)")
@@ -134,7 +130,7 @@ func main() {
 	flag.BoolVar(&cfg.pprof, "pprof", false, "mount net/http/pprof on the -http sidecar")
 	flag.StringVar(&cfg.cluster, "cluster", "", "cluster membership file (\"name addr\" lines)")
 	flag.StringVar(&cfg.node, "node", "", "this daemon's member name in -cluster")
-	flag.Float64Var(&cfg.hotQPS, "hot-qps", 0, "per-bag hot threshold in QPS (0 = default 8, negative disables)")
+	flag.Float64Var(&cfg.hotQPS, "hot-qps", 0, "per-bag hot threshold in QPS (0 = default 8)")
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "borad:", err)
@@ -175,27 +171,17 @@ func run(cfg config) error {
 	}
 	qlog := obs.NewQueryLog(cfg.querylog, cfg.slow, slowSink)
 
-	// One tracker shared between server and pool: the same per-bag rate
-	// drives the hot_bags stat and hot-handle eviction protection.
-	var hot *obs.RateTracker
-	if cfg.hotQPS >= 0 {
-		hot = obs.NewRateTracker(0, 0)
-	}
-	opts := server.Options{
+	srv := server.New(b, server.Options{
+		Pool:       pool.New(b, pool.Options{HotQPS: cfg.hotQPS}),
 		MaxQueries: cfg.maxQueries, QueryLog: qlog, Pprof: cfg.pprof,
-		Hot: hot, HotQPS: cfg.hotQPS,
-	}
-	if cfg.usePool {
-		opts.Pool = pool.New(b, pool.Options{HotTracker: hot, HotQPS: cfg.hotQPS})
-	}
-	srv := server.New(b, opts)
+	})
 
 	ln, err := net.Listen("tcp", cfg.listen)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "borad: serving %s on %s (pool=%v, max-queries=%d)\n",
-		cfg.backend, ln.Addr(), cfg.usePool, cfg.maxQueries)
+	fmt.Fprintf(os.Stderr, "borad: serving %s on %s (max-queries=%d)\n",
+		cfg.backend, ln.Addr(), cfg.maxQueries)
 
 	var hsrv *http.Server
 	if cfg.httpAddr != "" {

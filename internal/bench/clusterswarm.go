@@ -12,7 +12,6 @@ import (
 	"repro/internal/cluster/ring"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/pool"
 	"repro/internal/rosbag"
 	"repro/internal/server"
 	"repro/internal/workload"
@@ -60,7 +59,7 @@ func swarmRun(backendDir string, names []string, k, numClients, queriesEach, max
 		if err != nil {
 			return swarmResult{}, err
 		}
-		srv := server.New(b, server.Options{Pool: pool.New(b, pool.Options{}), MaxQueries: maxQueries})
+		srv := server.New(b, server.Options{MaxQueries: maxQueries})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return swarmResult{}, err
@@ -104,6 +103,9 @@ func swarmRun(backendDir string, names []string, k, numClients, queriesEach, max
 
 	var wg sync.WaitGroup
 	failed := make([]int, numClients)
+	// Mid-stream resumes, from the streams themselves: cluster.failover
+	// also counts every rotation past a busy or dead first candidate.
+	resumed := make([]int, numClients)
 	start := time.Now()
 	for c := 0; c < numClients; c++ {
 		wg.Add(1)
@@ -126,17 +128,18 @@ func swarmRun(backendDir string, names []string, k, numClients, queriesEach, max
 				if cs.Err() != nil {
 					failed[c]++
 				}
+				resumed[c] += cs.Failovers()
 			}
 		}(c)
 	}
 	wg.Wait()
 	res := swarmResult{
-		elapsed:   time.Since(start),
-		failovers: uint64(reg.Counter("cluster.failover").Load()),
-		busy:      uint64(reg.Counter("cluster.busy_retry").Load()),
+		elapsed: time.Since(start),
+		busy:    uint64(reg.Counter("cluster.busy_retry").Load()),
 	}
-	for _, n := range failed {
-		res.failed += n
+	for c := range failed {
+		res.failed += failed[c]
+		res.failovers += uint64(resumed[c])
 	}
 	return res, nil
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/build"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 func init() {
@@ -90,7 +89,7 @@ func runDatasetBuild(reg *obs.Registry) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	bld := build.New(b, build.Options{Pool: pool.New(b, pool.Options{}), Workers: 4})
+	bld := build.New(b, build.Options{Workers: 4})
 
 	t := &Table{
 		ID:     "dataset-build",

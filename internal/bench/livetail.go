@@ -13,7 +13,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/pool"
 	"repro/internal/server"
 )
 
@@ -129,7 +128,7 @@ func liveTailLocalRun(b *core.BORA, name string, prefix, paced int, pace time.Du
 // Follow query streams the same bag back — write → server journal →
 // follower wakeup → wire → client decode.
 func liveTailNetRun(b *core.BORA, name string, prefix, paced int, pace time.Duration, payload int) (*liveTailResult, error) {
-	srv := server.New(b, server.Options{Pool: pool.New(b, pool.Options{})})
+	srv := server.New(b, server.Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err

@@ -12,18 +12,10 @@ import (
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // Options configures a Builder.
 type Options struct {
-	// Pool, when set, routes source opens through the handle pool (so a
-	// fleet of derivations of one source shares a handle and its block
-	// cache) and removes stale outputs through it (so cached handles to
-	// the old generation are evicted, not just orphaned). Builds work
-	// without one; the pool's own staleness probes make rebuilt outputs
-	// safe either way.
-	Pool *pool.Pool
 	// Workers bounds how many derivations materialize concurrently;
 	// <= 0 means GOMAXPROCS. Dependency order is respected regardless.
 	Workers int
@@ -32,7 +24,6 @@ type Options struct {
 // Builder materializes build graphs against one BORA back end.
 type Builder struct {
 	b       *core.BORA
-	pool    *pool.Pool
 	workers int
 
 	derive    *obs.Op      // build.derive: one timed event per materialization
@@ -56,7 +47,6 @@ func New(b *core.BORA, opts Options) *Builder {
 	reg := b.Obs()
 	return &Builder{
 		b:         b,
-		pool:      opts.Pool,
 		workers:   workers,
 		derive:    reg.Op("build.derive"),
 		cacheHits: reg.Counter("build.cache_hits"),
@@ -219,25 +209,17 @@ func (bld *Builder) materialize(d Derivation, addr, outRoot string, r *Result) (
 	}()
 
 	// Whatever sits at the output name — a stale generation, a crashed
-	// half-build, an unrelated bag — goes; through the pool when there is
-	// one, so cached handles to the old bytes are evicted eagerly.
+	// half-build, an unrelated bag — goes. A daemon's pool over the same
+	// back end notices on its next Acquire (the generation probe).
 	if _, statErr := os.Stat(outRoot); statErr == nil {
-		if bld.pool != nil {
-			err = bld.pool.Remove(d.Name)
-		} else {
-			err = bld.b.Remove(d.Name)
-		}
-		if err != nil {
+		if err := bld.b.Remove(d.Name); err != nil {
 			return fmt.Errorf("remove stale output: %w", err)
 		}
 	}
 
-	var src *core.Bag
-	if bld.pool != nil {
-		src, err = bld.pool.Acquire(d.From)
-	} else {
-		src, err = bld.b.Open(d.From)
-	}
+	// A cold open: Rebag's topic scans then read whole extents rather
+	// than a pooled handle's block cache one message at a time.
+	src, err := bld.b.Open(d.From)
 	if err != nil {
 		return fmt.Errorf("open source %s: %w", d.From, err)
 	}

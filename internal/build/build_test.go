@@ -238,15 +238,15 @@ func TestBuildIncremental(t *testing.T) {
 }
 
 // TestBuildPoolInvalidation is the regression test for serving derived
-// containers through the handle pool: rebuilding a derivation under the
-// same logical name must evict the stale pooled handle via the pool's
-// generation-token probe, and the next Acquire must serve the new
-// generation.
+// containers through a daemon's handle pool while a builder — which
+// knows nothing of that pool — rebuilds them: a pool over the same back
+// end must see a derivation rebuilt under the same logical name on its
+// next Acquire, through the generation-token probe alone.
 func TestBuildPoolInvalidation(t *testing.T) {
 	b := newBackend(t, nil)
 	recordSource(t, b, "src", 30, 1)
 	p := pool.New(b, pool.Options{})
-	bld := New(b, Options{Pool: p})
+	bld := New(b, Options{})
 	d := Derivation{Name: "derived", From: "src", TransformSpec: core.TransformSpec{Topics: []string{"/imu"}}}
 
 	r1, err := bld.BuildOne(d)

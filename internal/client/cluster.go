@@ -211,8 +211,9 @@ func (cl *Cluster) Close() error {
 // probes. A hot bag's set is widened by hotWiden and its healthy
 // prefix rotated round-robin, trading affinity for spread exactly
 // where affinity has already paid for itself (a hot bag is warm on
-// every replica).
-func (cl *Cluster) candidates(name string, query bool) []*node {
+// every replica). demote, when non-nil, counts as benched whether or
+// not its penalty has run out.
+func (cl *Cluster) candidates(name string, query bool, demote *node) []*node {
 	r := cl.opts.Replication
 	hot := false
 	if query && cl.hot != nil {
@@ -229,7 +230,7 @@ func (cl *Cluster) candidates(name string, query bool) []*node {
 	var benched []*node
 	for _, m := range members {
 		n := cl.nodes[m.Name]
-		if n.benched(now) {
+		if n == demote || n.benched(now) {
 			benched = append(benched, n)
 		} else {
 			avail = append(avail, n)
@@ -368,57 +369,58 @@ func (n *node) flushIdle() {
 	}
 }
 
-// withConn runs fn over one of the node's connections, returning it to
-// the idle cache when the framing survived. A transport failure on a
-// cached connection gets one fresh dial on the same node before the
-// failure propagates — an idle conn killed by a daemon restart must
-// not read as the restarted daemon being down.
-func (n *node) withConn(fn func(*Client) error) error {
-	c, cached, err := n.checkout()
-	if err != nil {
-		return err
+// withConn runs fn over one of the node's connections. fn reports
+// whether it kept the connection (a stream now owns it); otherwise the
+// connection returns to the idle cache when the framing survived. A
+// transport failure on a cached connection gets one fresh dial on the
+// same node before the failure propagates — an idle conn killed by a
+// daemon restart must not read as the restarted daemon being down.
+func (n *node) withConn(fn func(*Client) (kept bool, err error)) error {
+	var stale error // the cached connection's failure, while retrying
+	for {
+		c, cached, err := n.checkout()
+		if err != nil {
+			if stale != nil {
+				return stale
+			}
+			return err
+		}
+		kept, err := fn(c)
+		if kept {
+			return nil
+		}
+		if err == nil || connReusable(err) {
+			n.checkin(c)
+			return err
+		}
+		c.Close()
+		if !cached || stale != nil {
+			return err
+		}
+		stale = err
+		n.flushIdle()
 	}
-	err = fn(c)
-	if err == nil || connReusable(err) {
-		n.checkin(c)
-		return err
-	}
-	c.Close()
-	if !cached {
-		return err
-	}
-	n.flushIdle()
-	c, _, derr := n.checkout()
-	if derr != nil {
-		return err
-	}
-	err = fn(c)
-	if err == nil || connReusable(err) {
-		n.checkin(c)
-		return err
-	}
-	c.Close()
-	return err
 }
 
-// do runs fn against the bag's replica set: candidates in health-then-
-// ring order, rotating on BUSY and benching on transport failure. A
+// rotate runs try against the bag's replica set: candidates in health-
+// then-ring order (demote, the node a stream failover just abandoned,
+// among the benched), rotating on BUSY and benching on transport failure. A
 // full pass in which nothing was even BUSY means the cluster is
 // unreachable — fail fast with ErrClusterUnavailable instead of
-// burning the backoff schedule against dead sockets.
-func (cl *Cluster) do(name string, query bool, fn func(*Client) error) error {
-	cl.routeC.Inc()
+// burning the backoff schedule against dead sockets. Node health and
+// the cluster.* retry counters are decided here and nowhere else.
+func (cl *Cluster) rotate(name string, query bool, demote *node, try func(*node) error) error {
 	var lastErr error
 	for attempt := 1; attempt <= cl.rot.Attempts; attempt++ {
 		if attempt > 1 {
 			time.Sleep(cl.rot.backoff(attempt - 1))
 		}
 		sawBusy := false
-		for i, n := range cl.candidates(name, query) {
+		for i, n := range cl.candidates(name, query, demote) {
 			if i > 0 {
 				cl.failoverC.Inc()
 			}
-			err := n.withConn(fn)
+			err := try(n)
 			switch classify(err) {
 			case failNone:
 				n.markUp()
@@ -429,11 +431,8 @@ func (cl *Cluster) do(name string, query bool, fn func(*Client) error) error {
 				sawBusy = true
 				lastErr = err
 			case failFatal:
-				if !connReusable(err) {
-					// diverged/desynced conn already closed by caller
-					cl.markDown(n)
-				} else {
-					n.markUp()
+				if connReusable(err) {
+					n.markUp() // it answered; the answer is the same everywhere
 				}
 				return err
 			case failDown:
@@ -449,15 +448,24 @@ func (cl *Cluster) do(name string, query bool, fn func(*Client) error) error {
 	return lastErr
 }
 
+// do routes one unary request: fn runs over a connection of whichever
+// replica the rotation reaches.
+func (cl *Cluster) do(name string, fn func(*Client) error) error {
+	cl.routeC.Inc()
+	return cl.rotate(name, false, nil, func(n *node) error {
+		return n.withConn(func(c *Client) (bool, error) { return false, fn(c) })
+	})
+}
+
 // Open warms the named bag on its owning replica.
 func (cl *Cluster) Open(name string) error {
-	return cl.do(name, false, func(c *Client) error { return c.Open(name) })
+	return cl.do(name, func(c *Client) error { return c.Open(name) })
 }
 
 // Info returns the named bag's topics from its owning replica.
 func (cl *Cluster) Info(name string) (wire.BagInfo, error) {
 	var bi wire.BagInfo
-	err := cl.do(name, false, func(c *Client) (err error) {
+	err := cl.do(name, func(c *Client) (err error) {
 		bi, err = c.Info(name)
 		return err
 	})
@@ -471,9 +479,9 @@ func (cl *Cluster) Stats() map[string]wire.ServerStats {
 	for _, m := range cl.ring.Members() {
 		n := cl.nodes[m.Name]
 		var st wire.ServerStats
-		err := n.withConn(func(c *Client) (err error) {
+		err := n.withConn(func(c *Client) (_ bool, err error) {
 			st, err = c.Stats()
-			return err
+			return false, err
 		})
 		if err == nil {
 			out[m.Name] = st

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,16 +19,46 @@ import (
 
 // fakeNode is a scriptable borad stand-in: it serves a deterministic
 // stream of `total` messages per query and can be told to reject with
-// BUSY, hard-close the connection mid-stream (a daemon SIGKILL), or
-// serve divergent bytes (a mismatched back end).
+// BUSY, answer a semantic ERR, hard-close the connection mid-stream (a
+// daemon SIGKILL), drop every connection it holds (a restart), or serve
+// divergent bytes (a mismatched back end).
 type fakeNode struct {
 	addr     string
 	total    int
 	opens    atomic.Int32
 	queries  atomic.Int32
-	busy     atomic.Bool
+	busy     atomic.Bool  // answer OPEN and QUERY with BUSY
+	fatal    atomic.Bool  // answer OPEN and QUERY with a semantic ERR
 	dieAfter atomic.Int32 // stream position to hard-close at; -1 = never
 	alt      atomic.Bool  // serve different payload bytes
+
+	mu    sync.Mutex
+	conns []net.Conn // every connection accepted so far
+}
+
+// restart closes every connection the node holds while it keeps
+// accepting new ones — what a client's idle cache sees of a daemon
+// restart.
+func (f *fakeNode) restart() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, nc := range f.conns {
+		nc.Close()
+	}
+	f.conns = nil
+}
+
+// reject answers a request the script refuses; false means serve it.
+func (f *fakeNode) reject(nc net.Conn) bool {
+	switch {
+	case f.busy.Load():
+		wire.WriteFrame(nc, wire.OpBusy, []byte("query limit reached"))
+	case f.fatal.Load():
+		wire.WriteFrame(nc, wire.OpErr, []byte(`unknown topic "/nope"`))
+	default:
+		return false
+	}
+	return true
 }
 
 func startFakeNode(t *testing.T, total int) *fakeNode {
@@ -35,6 +67,9 @@ func startFakeNode(t *testing.T, total int) *fakeNode {
 	f.dieAfter.Store(-1)
 	f.addr = fakeServer(t, func(nc net.Conn) {
 		defer nc.Close()
+		f.mu.Lock()
+		f.conns = append(f.conns, nc)
+		f.mu.Unlock()
 		for {
 			fr, err := wire.ReadFrame(nc, 0)
 			if err != nil {
@@ -45,6 +80,9 @@ func startFakeNode(t *testing.T, total int) *fakeNode {
 				wire.WriteFrame(nc, wire.OpPong, fr.Payload)
 			case wire.OpOpen:
 				f.opens.Add(1)
+				if f.reject(nc) {
+					continue
+				}
 				wire.WriteFrame(nc, wire.OpOK, nil)
 			case wire.OpInfo:
 				wire.WriteFrame(nc, wire.OpBagInfo, wire.EncodeBagInfo(wire.BagInfo{
@@ -55,8 +93,7 @@ func startFakeNode(t *testing.T, total int) *fakeNode {
 				wire.WriteFrame(nc, wire.OpOK, []byte("{}"))
 			case wire.OpQuery:
 				f.queries.Add(1)
-				if f.busy.Load() {
-					wire.WriteFrame(nc, wire.OpBusy, []byte("query limit reached"))
+				if f.reject(nc) {
 					continue
 				}
 				wire.WriteFrame(nc, wire.OpQueryHdr, wire.EncodeQueryHdr([]wire.ConnMeta{{Topic: "/t", Type: "ty"}}))
@@ -455,5 +492,140 @@ func TestClusterInfoOpenStats(t *testing.T) {
 	}
 	if st := cl.Stats(); len(st) != 3 {
 		t.Errorf("Stats reached %d nodes, want 3", len(st))
+	}
+}
+
+// TestClusterOneLoop: a unary request and a stream open are the same
+// rotation — the same scripted replica set must leave both with the same
+// outcome, node health, idle-connection cache and cluster.* counters.
+func TestClusterOneLoop(t *testing.T) {
+	const bag = "robot1"
+	deadAddr := func(t *testing.T) string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		return ln.Addr().String()
+	}
+	type nodeState struct {
+		Down     bool
+		Failures int
+		Idle     int
+	}
+	type outcome struct {
+		Err      string           // "", "busy", "unavailable" or "server"
+		Nodes    [2]nodeState     // primary, secondary
+		Counters map[string]int64 // cluster.* counters and the nodes_down gauge
+	}
+	tests := []struct {
+		name   string
+		script func(t *testing.T, cl *Cluster, set []*fakeNode)
+		want   outcome
+	}{
+		{
+			name:   "busy then ok",
+			script: func(t *testing.T, cl *Cluster, set []*fakeNode) { set[0].busy.Store(true) },
+			want: outcome{Nodes: [2]nodeState{{Idle: 1}, {Idle: 1}},
+				Counters: map[string]int64{"route": 1, "failover": 1, "busy_retry": 1}},
+		},
+		{
+			name: "dead then ok",
+			script: func(t *testing.T, cl *Cluster, set []*fakeNode) {
+				cl.nodes[cl.Ring().ReplicasFor(bag, 1)[0].Name].member.Addr = deadAddr(t)
+			},
+			want: outcome{Nodes: [2]nodeState{{Down: true, Failures: 1}, {Idle: 1}},
+				Counters: map[string]int64{"route": 1, "failover": 1, "node_down": 1, "nodes_down": 1}},
+		},
+		{
+			name: "all dead",
+			script: func(t *testing.T, cl *Cluster, set []*fakeNode) {
+				for _, m := range cl.Ring().ReplicasFor(bag, 2) {
+					cl.nodes[m.Name].member.Addr = deadAddr(t)
+				}
+			},
+			want: outcome{Err: "unavailable", Nodes: [2]nodeState{{Down: true, Failures: 1}, {Down: true, Failures: 1}},
+				Counters: map[string]int64{"route": 1, "failover": 1, "node_down": 2, "unavailable": 1, "nodes_down": 2}},
+		},
+		{
+			name:   "fatal ERR",
+			script: func(t *testing.T, cl *Cluster, set []*fakeNode) { set[0].fatal.Store(true) },
+			want: outcome{Err: "server", Nodes: [2]nodeState{{Idle: 1}, {}},
+				Counters: map[string]int64{"route": 1}},
+		},
+		{
+			// The probe of a benched node answers: whatever it answers, it is up.
+			name: "fatal ERR from a benched node",
+			script: func(t *testing.T, cl *Cluster, set []*fakeNode) {
+				cl.markDown(cl.nodes[cl.Ring().ReplicasFor(bag, 1)[0].Name])
+				set[0].fatal.Store(true)
+				set[1].busy.Store(true)
+			},
+			want: outcome{Err: "server", Nodes: [2]nodeState{{Idle: 1}, {Idle: 1}},
+				Counters: map[string]int64{"route": 1, "failover": 1, "busy_retry": 1, "node_down": 1}},
+		},
+		{
+			name: "stale idle conn after a daemon restart",
+			script: func(t *testing.T, cl *Cluster, set []*fakeNode) {
+				if err := cl.Open(bag); err != nil { // leaves one idle conn on the primary
+					t.Fatal(err)
+				}
+				set[0].restart()
+			},
+			want: outcome{Nodes: [2]nodeState{{Idle: 1}, {}},
+				Counters: map[string]int64{"route": 2}},
+		},
+	}
+	requests := map[string]func(cl *Cluster) error{
+		"request": func(cl *Cluster) error { return cl.Open(bag) },
+		"stream": func(cl *Cluster) error {
+			cs, err := cl.Query(bag, QuerySpec{})
+			if err != nil {
+				return err
+			}
+			for cs.Next() { // to the end: a finished stream hands its conn back
+			}
+			return cs.Err()
+		},
+	}
+	for _, tt := range tests {
+		for kind, request := range requests {
+			t.Run(tt.name+"/"+kind, func(t *testing.T) {
+				reg := obs.NewRegistry()
+				cl, fakes := testFleet(t, 4, ClusterOptions{Replication: 2, Attempts: 2, Obs: reg})
+				tt.script(t, cl, replicas(cl, fakes, bag, 2))
+
+				var got outcome
+				var se *ServerError
+				switch err := request(cl); {
+				case errors.Is(err, ErrClusterUnavailable):
+					got.Err = "unavailable"
+				case errors.Is(err, ErrBusy):
+					got.Err = "busy"
+				case errors.As(err, &se):
+					got.Err = "server"
+				case err != nil:
+					t.Fatalf("unclassified error: %v", err)
+				}
+				for i, m := range cl.Ring().ReplicasFor(bag, 2) {
+					n := cl.nodes[m.Name]
+					n.mu.Lock()
+					got.Nodes[i] = nodeState{Down: n.down, Failures: n.failures, Idle: len(n.idle)}
+					n.mu.Unlock()
+				}
+				got.Counters = map[string]int64{}
+				for _, c := range []string{"route", "failover", "busy_retry", "node_down", "unavailable"} {
+					if v := reg.Counter("cluster." + c).Load(); v != 0 {
+						got.Counters[c] = v
+					}
+				}
+				if v := reg.Gauge("cluster.nodes_down").Load(); v != 0 {
+					got.Counters["nodes_down"] = v
+				}
+				if !reflect.DeepEqual(got, tt.want) {
+					t.Errorf("got  %+v\nwant %+v", got, tt.want)
+				}
+			})
+		}
 	}
 }

@@ -12,7 +12,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -87,94 +86,23 @@ func hashFold(h, v uint64) uint64 {
 }
 
 // start acquires a live stream positioned just past the delivered
-// prefix, rotating over the replica set like Cluster.do. exclude is
-// the node a failover just abandoned; it is demoted to last so the
-// resume lands elsewhere first.
-func (cs *ClusterStream) start(exclude *node) error {
-	cl := cs.cl
-	var lastErr error
-	for attempt := 1; attempt <= cl.rot.Attempts; attempt++ {
-		if attempt > 1 {
-			time.Sleep(cl.rot.backoff(attempt - 1))
+// prefix, through the same rotation as every other cluster request.
+// demote is the node a failover just abandoned, so the resume lands
+// elsewhere first.
+func (cs *ClusterStream) start(demote *node) error {
+	return cs.cl.rotate(cs.name, true, demote, func(n *node) error {
+		var c *Client
+		var st *Stream
+		err := n.withConn(func(conn *Client) (kept bool, err error) {
+			c = conn
+			st, err = conn.Query(cs.name, cs.spec)
+			return err == nil, err
+		})
+		if err != nil {
+			return err
 		}
-		cands := cl.candidates(cs.name, true)
-		if exclude != nil && len(cands) > 1 {
-			kept := make([]*node, 0, len(cands))
-			for _, n := range cands {
-				if n != exclude {
-					kept = append(kept, n)
-				}
-			}
-			if len(kept) < len(cands) {
-				cands = append(kept, exclude)
-			}
-		}
-		sawBusy := false
-		for _, n := range cands {
-			st, c, err := n.query(cs.name, cs.spec)
-			if err == nil {
-				err = cs.adopt(n, c, st)
-				if err == nil {
-					n.markUp()
-					return nil
-				}
-			}
-			switch classify(err) {
-			case failBusy:
-				n.markUp()
-				cl.busyC.Inc()
-				sawBusy = true
-				lastErr = err
-			case failFatal:
-				return err
-			default: // failDown
-				cl.markDown(n)
-				lastErr = err
-			}
-		}
-		if !sawBusy {
-			cl.unavailC.Inc()
-			return fmt.Errorf("%w: %v", ErrClusterUnavailable, lastErr)
-		}
-	}
-	return lastErr
-}
-
-// query opens a stream on the node, with the same stale-idle-conn
-// retry as withConn: a cached connection's transport failure gets one
-// fresh dial before it counts against the node.
-func (n *node) query(name string, q QuerySpec) (*Stream, *Client, error) {
-	c, cached, err := n.checkout()
-	if err != nil {
-		return nil, nil, err
-	}
-	st, qerr := c.Query(name, q)
-	if qerr == nil {
-		return st, c, nil
-	}
-	if connReusable(qerr) {
-		n.checkin(c)
-		return nil, nil, qerr
-	}
-	c.Close()
-	if !cached {
-		return nil, nil, qerr
-	}
-	n.flushIdle()
-	c, _, err = n.checkout()
-	if err != nil {
-		return nil, nil, qerr
-	}
-	st, err = c.Query(name, q)
-	if err == nil {
-		return st, c, nil
-	}
-	if connReusable(err) {
-		n.checkin(c)
-		return nil, nil, err
-	}
-	c.Close()
-	return nil, nil, err
+		return cs.adopt(n, c, st)
+	})
 }
 
 // adopt takes ownership of a fresh stream, replaying and discarding

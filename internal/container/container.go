@@ -759,20 +759,6 @@ func (t *Topic) bound(r io.ReaderAt, e IndexEntry) (size uint64, err error) {
 		t.topic, ord, e.PhysicalOffset, e.Length, size, ErrIndexBeyondData)
 }
 
-// ReadMessage reads the payload for one index entry into a freshly
-// allocated buffer the caller owns. Streaming read loops should prefer
-// ReadMessageInto, which amortizes the allocation across messages.
-func (t *Topic) ReadMessage(r io.ReaderAt, e IndexEntry) ([]byte, error) {
-	if _, err := t.bound(r, e); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, e.Length)
-	if _, err := r.ReadAt(buf, int64(e.PhysicalOffset)); err != nil {
-		return nil, fmt.Errorf("container: read message of %q at %d: %w", t.topic, e.PhysicalOffset, err)
-	}
-	return buf, nil
-}
-
 // ReadMessageInto reads the payload for one index entry without
 // allocating per message: ReadExtentInto of that one entry. When r can
 // serve the read as a direct slice of an internal buffer (a block-cache

@@ -121,6 +121,7 @@ func TestTopicWriteReadRoundTrip(t *testing.T) {
 	}
 	defer df.Close()
 	var wantOff uint64
+	var scratch []byte
 	for i, e := range es {
 		if e.Time != (bagio.Time{Sec: uint32(10 + i)}) {
 			t.Errorf("entry %d time = %v", i, e.Time)
@@ -128,7 +129,7 @@ func TestTopicWriteReadRoundTrip(t *testing.T) {
 		if e.LogicalOffset != wantOff || e.PhysicalOffset != wantOff {
 			t.Errorf("entry %d offsets = %d/%d, want %d", i, e.LogicalOffset, e.PhysicalOffset, wantOff)
 		}
-		got, err := topic.ReadMessage(df, e)
+		got, err := topic.ReadMessageInto(df, e, &scratch)
 		if err != nil {
 			t.Fatal(err)
 		}

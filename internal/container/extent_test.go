@@ -202,8 +202,8 @@ func corruptEntry(t *testing.T, topic *Topic, ord int, e IndexEntry) {
 
 // TestIndexBeyondDataAllocatesNothing: an entry whose length runs past
 // the data file is refused by name before any buffer is sized from it —
-// on the plain path, through the block cache, and by the copying
-// ReadMessage — and the scratch never outgrows the file.
+// on the plain path and through the block cache — and the scratch never
+// outgrows the file.
 func TestIndexBeyondDataAllocatesNothing(t *testing.T) {
 	payloads := [][]byte{[]byte("first"), []byte("second!"), []byte("third")}
 	fileLen := 0
@@ -239,7 +239,6 @@ func TestIndexBeyondDataAllocatesNothing(t *testing.T) {
 		reads := map[string]func() error{
 			"ReadMessageInto": func() error { _, err := topic.ReadMessageInto(df, entries[1], &scratch); return err },
 			"ReadExtentInto":  func() error { _, _, err := topic.ReadExtentInto(df, entries[1:], &scratch); return err },
-			"ReadMessage":     func() error { _, err := topic.ReadMessage(df, entries[1]); return err },
 		}
 		for name, read := range reads {
 			err := read()

@@ -317,8 +317,8 @@ func recKey(r rec) string {
 	return fmt.Sprintf("%s/%d.%09d/%x", r.topic, r.time.Sec, r.time.NSec, r.data)
 }
 
-// groundTruth reads every message of every topic through the owning
-// ReadMessage path (fresh allocation per message, no cache) — the
+// groundTruth reads every message of every topic one entry at a time
+// (ReadMessageInto, copied out; no cache) — the
 // reference the borrowed query plans must match byte for byte.
 func groundTruth(t *testing.T, bag *Bag) []rec {
 	t.Helper()
@@ -336,13 +336,14 @@ func groundTruth(t *testing.T, bag *Bag) []rec {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var scratch []byte
 		for _, e := range entries {
-			data, err := topic.ReadMessage(df, e)
+			data, err := topic.ReadMessageInto(df, e, &scratch)
 			if err != nil {
 				df.Close()
 				t.Fatal(err)
 			}
-			out = append(out, rec{topic: name, time: e.Time, data: data})
+			out = append(out, rec{topic: name, time: e.Time, data: bytes.Clone(data)})
 		}
 		df.Close()
 	}
@@ -366,7 +367,7 @@ func compareRecs(t *testing.T, name string, got, want []rec) {
 }
 
 // TestBorrowEquivalence: every query plan's borrowed payloads are
-// byte-identical to the copying ReadMessage reference — with the block
+// byte-identical to the copying message-at-a-time reference — with the block
 // cache on (zero-copy slices) and off (slices of a coalesced extent)
 // and across serial, chrono, and parallel plans. Runs under -race in CI.
 func TestBorrowEquivalence(t *testing.T) {

@@ -134,8 +134,8 @@ type oracleMsg struct {
 }
 
 // oracle is every topic's messages in append order, read through
-// Topic.Entries and the owning Topic.ReadMessage — no selection, no
-// cursor, no borrowed buffers.
+// Topic.Entries and a copy of each Topic.ReadMessageInto — no selection,
+// no cursor, no extents.
 type oracle map[string][]oracleMsg
 
 func buildOracle(t *testing.T, bag *Bag) oracle {
@@ -155,8 +155,9 @@ func buildOracle(t *testing.T, bag *Bag) oracle {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var scratch []byte
 			for _, e := range entries {
-				data, err := part.ReadMessage(df, e)
+				data, err := part.ReadMessageInto(df, e, &scratch)
 				if err != nil {
 					t.Fatal(err)
 				}

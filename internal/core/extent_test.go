@@ -105,7 +105,7 @@ func TestDataReadsCountsExtents(t *testing.T) {
 }
 
 // perMessagePrefix is what a message-at-a-time reader gets out of a
-// part: every payload up to the first entry Topic.ReadMessage fails on,
+// part: every payload up to the first entry Topic.ReadMessageInto fails on,
 // and that failure.
 func perMessagePrefix(t *testing.T, topic *container.Topic) ([]string, error) {
 	t.Helper()
@@ -119,8 +119,9 @@ func perMessagePrefix(t *testing.T, topic *container.Topic) ([]string, error) {
 	}
 	defer df.Close()
 	var out []string
+	var scratch []byte
 	for _, e := range entries {
-		data, err := topic.ReadMessage(df, e)
+		data, err := topic.ReadMessageInto(df, e, &scratch)
 		if err != nil {
 			return out, err
 		}

@@ -102,12 +102,13 @@ func readTopicPayloads(t *testing.T, c *container.Container, topic string) [][]b
 	}
 	defer r.Close()
 	out := make([][]byte, 0, len(entries))
+	var scratch []byte
 	for _, e := range entries {
-		buf, err := tp.ReadMessage(r, e)
+		buf, err := tp.ReadMessageInto(r, e, &scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, buf)
+		out = append(out, bytes.Clone(buf))
 	}
 	return out
 }

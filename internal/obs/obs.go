@@ -27,7 +27,7 @@
 //
 // A Registry can additionally carry a Tracer (AttachTracer): spans then
 // emit begin/end events — with parent span ids (Span.Child/ChildOp) and
-// per-lane track ids (Span.Fork/ForkOp) — into a bounded ring buffer
+// per-lane track ids (Span.ForkOp) — into a bounded ring buffer
 // exportable as Chrome trace-event JSON (WriteChromeTrace), loadable in
 // chrome://tracing or Perfetto. cmd/borabag's -trace flag and
 // cmd/borabench's per-experiment trace sidecars are built on it; the
@@ -253,7 +253,7 @@ func (o *Op) Name() string {
 // Start begins a root span on o. On a nil Op the returned zero Span is
 // a no-op and no clock is read. When the registry carries a tracer, the
 // span also emits a begin event on the main track; use Span.Child /
-// Span.Fork to build a hierarchy under it.
+// Span.ForkOp to build a hierarchy under it.
 func (o *Op) Start() Span {
 	return Span{}.child(o, false)
 }
@@ -320,8 +320,8 @@ func (o *Op) record(d time.Duration, bytes int64, failed bool) {
 // Span is an in-flight timed operation. The zero Span (from a nil Op or
 // Registry) is a valid no-op. Spans are values: copy them freely, end
 // them exactly once. A span carries its trace context (id and track)
-// when the registry has a tracer attached; Child and Fork create nested
-// spans under it — Child on the same track, Fork on a fresh lane for
+// when the registry has a tracer attached; Child and ForkOp create nested
+// spans under it — Child on the same track, ForkOp on a fresh lane for
 // streams that run concurrently with their parent.
 type Span struct {
 	op    *Op
@@ -363,19 +363,10 @@ func (s Span) Child(name string) Span {
 // an optional parent without losing instrumentation.
 func (s Span) ChildOp(op *Op) Span { return s.child(op, false) }
 
-// Fork is Child on a freshly allocated track (lane): use it for the
+// ForkOp is ChildOp on a freshly allocated track (lane): use it for the
 // root span of work that runs concurrently with its parent — a worker
 // goroutine, a parallel per-topic stream — so each concurrent stream
 // renders as its own timeline lane with a stable, disjoint track id.
-func (s Span) Fork(name string) Span {
-	if s.op == nil {
-		return Span{}
-	}
-	return s.child(s.op.reg.Op(name), true)
-}
-
-// ForkOp is Fork on a pre-resolved op (see ChildOp for the zero-parent
-// semantics).
 func (s Span) ForkOp(op *Op) Span { return s.child(op, true) }
 
 func (s Span) child(op *Op, fork bool) Span {

@@ -7,11 +7,11 @@ import (
 )
 
 // RateTracker measures per-key event rates over a sliding window — the
-// hot-bag detector behind cluster mode. The serving daemon Notes every
-// query against its bag name and reads back which bags exceed a QPS
-// threshold; the cluster client runs its own tracker over the queries
-// it routes and widens a hot bag's replica set; the pool consults one
-// to keep hot handles out of LRU eviction.
+// hot-bag detector behind cluster mode. The serving daemon's pool owns
+// one: every query is Noted against its bag name, the bags above a QPS
+// threshold are reported and their handles kept out of LRU eviction.
+// The cluster client runs its own tracker over the queries it routes
+// and widens a hot bag's replica set.
 //
 // The window is quantized into buckets (a ring of per-bucket counts per
 // key), so Note is O(1), memory is bounded by maxKeys, and the reported

@@ -124,7 +124,7 @@ func TestChromeTraceStructure(t *testing.T) {
 	root := reg.Op("root").Start()
 	child := root.Child("child")
 	child.End()
-	lane := root.Fork("lane")
+	lane := root.ForkOp(reg.Op("lane"))
 	lane.End()
 	root.End()
 
@@ -278,7 +278,7 @@ func TestConcurrentForksDisjointTracks(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			lane := root.Fork(fmt.Sprintf("worker-%d", w))
+			lane := root.ForkOp(reg.Op(fmt.Sprintf("worker-%d", w)))
 			trackCh <- lane.track
 			for i := 0; i < spansEach; i++ {
 				lane.Child("item").End()

@@ -8,7 +8,7 @@ import (
 )
 
 // TestHotHandleEvictionProtection: an entry whose bag is hot in the
-// shared rate tracker survives LRU pressure — the pool evicts a colder
+// pool's rate tracker survives LRU pressure — the pool evicts a colder
 // entry instead — but protection degrades to plain LRU when everything
 // resident is hot (it bends the policy, never wedges it).
 func TestHotHandleEvictionProtection(t *testing.T) {
@@ -19,8 +19,7 @@ func TestHotHandleEvictionProtection(t *testing.T) {
 	for _, name := range []string{"bag1", "bag2", "bag3"} {
 		duplicate(t, b, src, name)
 	}
-	hot := obs.NewRateTracker(0, 0)
-	p := New(b, Options{maxBags: 2, HotTracker: hot, HotQPS: 8})
+	p := New(b, Options{maxBags: 2, HotQPS: 8})
 
 	mustAcquire := func(name string) {
 		t.Helper()
@@ -33,7 +32,10 @@ func TestHotHandleEvictionProtection(t *testing.T) {
 	// bag1 is the LRU victim-by-age, but it is hot: eviction must take
 	// bag2 instead when bag3 arrives.
 	for i := 0; i < 100; i++ {
-		hot.Note("bag1")
+		p.NoteQuery("bag1")
+	}
+	if hb := p.HotBags(); len(hb) != 1 || hb[0] != "bag1" {
+		t.Fatalf("HotBags = %v, want [bag1]: eviction and the report share one tracker", hb)
 	}
 	mustAcquire("bag3")
 
@@ -54,8 +56,8 @@ func TestHotHandleEvictionProtection(t *testing.T) {
 	// All-hot fallback: with every resident entry hot, pressure still
 	// evicts (plain LRU) rather than letting the pool exceed MaxBags.
 	for i := 0; i < 100; i++ {
-		hot.Note("bag2")
-		hot.Note("bag3")
+		p.NoteQuery("bag2")
+		p.NoteQuery("bag3")
 	}
 	mustAcquire("bag3")
 	evictionsBefore := p.Stats().HandleEvictions

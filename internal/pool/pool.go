@@ -34,14 +34,10 @@ type Options struct {
 	// BlockCacheBytes bounds the block cache's payload bytes; zero
 	// selects DefaultBlockCacheBytes.
 	BlockCacheBytes int64
-	// HotTracker, when non-nil, protects hot bags' handles from LRU
-	// eviction: entries whose query rate is at least HotQPS are skipped
-	// when the pool looks for a victim (unless every other entry is hot
-	// too). Share the server's tracker so "hot" means the same thing in
-	// Stats.HotBags and in eviction decisions.
-	HotTracker *obs.RateTracker
-	// HotQPS is the rate at which an entry reads as hot for eviction
-	// protection; zero selects DefaultHotQPS.
+	// HotQPS is the per-bag query rate (NoteQuery) at which a bag reads as
+	// hot: HotBags reports it, and its handle is skipped when the pool
+	// looks for an LRU victim (unless every other entry is hot too). Zero
+	// selects DefaultHotQPS.
 	HotQPS float64
 
 	// maxBags (resident open handles) and blockSize (the cache's fixed
@@ -53,8 +49,9 @@ type Options struct {
 	blockSize int64
 }
 
-// DefaultHotQPS is the eviction-protection threshold when Options
-// provide a HotTracker without a rate.
+// DefaultHotQPS is the per-bag QPS past which a bag reads as hot.
+// Deliberately lower than the cluster client's widening threshold: the
+// daemon flags warming traffic before clients must react to it.
 const DefaultHotQPS = 8.0
 
 // Pool serves shared open handles for one BORA back end. All methods
@@ -63,7 +60,7 @@ type Pool struct {
 	b       *core.BORA
 	maxBags int
 	blocks  *BlockLRU
-	hot     *obs.RateTracker // nil when hot-handle protection is off
+	hot     *obs.RateTracker // the daemon's one hot signal: NoteQuery feeds it
 	hotQPS  float64
 
 	acquireOp     *obs.Op
@@ -115,7 +112,7 @@ func New(b *core.BORA, opts Options) *Pool {
 		b:             b,
 		maxBags:       opts.maxBags,
 		blocks:        NewBlockLRU(opts.BlockCacheBytes, opts.blockSize, reg),
-		hot:           opts.HotTracker,
+		hot:           obs.NewRateTracker(0, 0),
 		hotQPS:        opts.HotQPS,
 		acquireOp:     reg.Op("pool.acquire"),
 		hits:          reg.Counter("pool.handle_hits"),
@@ -129,8 +126,20 @@ func New(b *core.BORA, opts Options) *Pool {
 	return p
 }
 
-// Backend returns the BORA instance the pool serves.
-func (p *Pool) Backend() *core.BORA { return p.b }
+// NoteQuery records one query against the named bag in the pool's rate
+// tracker — the one signal behind HotBags and hot-handle eviction
+// protection.
+func (p *Pool) NoteQuery(name string) { p.hot.Note(name) }
+
+// HotBags returns the bags whose query rate is at least the pool's hot
+// threshold, hottest first.
+func (p *Pool) HotBags() []string {
+	var names []string
+	for _, h := range p.hot.Above(p.hotQPS) {
+		names = append(names, h.Key)
+	}
+	return names
+}
 
 // Acquire returns an open handle for the named bag, sharing one handle
 // across all concurrent clients. A resident handle costs one small
@@ -234,18 +243,16 @@ func (p *Pool) entryFor(name string) *entry {
 	e.elem = p.lru.PushFront(e)
 	p.bags[name] = e
 	for len(p.bags) > p.maxBags {
+		// Walk coldward-first past hot entries: a bag being hammered right
+		// now must not lose its shared handle to one cold open of something
+		// else. The front element (the entry just acquired) is never a
+		// victim; if every other entry is hot the plain LRU back goes anyway
+		// — protection bends the policy, it cannot wedge it.
 		victim := p.lru.Back()
-		if p.hot != nil {
-			// Walk coldward-first past hot entries: a bag being hammered
-			// right now must not lose its shared handle to one cold open of
-			// something else. The front element (the entry just acquired) is
-			// never a victim; if every other entry is hot the plain LRU back
-			// goes anyway — protection bends the policy, it cannot wedge it.
-			for el := p.lru.Back(); el != nil && el != p.lru.Front(); el = el.Prev() {
-				if p.hot.Rate(el.Value.(*entry).name) < p.hotQPS {
-					victim = el
-					break
-				}
+		for el := p.lru.Back(); el != nil && el != p.lru.Front(); el = el.Prev() {
+			if p.hot.Rate(el.Value.(*entry).name) < p.hotQPS {
+				victim = el
+				break
 			}
 		}
 		ev := victim.Value.(*entry)
@@ -268,29 +275,6 @@ func (p *Pool) drop(e *entry) {
 		p.resident.Set(int64(len(p.bags)))
 	}
 	p.mu.Unlock()
-}
-
-// Invalidate discards the pooled handle for name, if any. The next
-// Acquire performs a cold open. Clients still holding the old handle
-// keep a valid (but possibly stale) view.
-func (p *Pool) Invalidate(name string) {
-	p.mu.Lock()
-	if e, ok := p.bags[name]; ok {
-		delete(p.bags, name)
-		p.lru.Remove(e.elem)
-		p.invalidN++
-		p.invalidations.Inc()
-		p.resident.Set(int64(len(p.bags)))
-	}
-	p.mu.Unlock()
-}
-
-// Remove deletes the named bag from the back end and invalidates its
-// pooled handle. Removals that bypass the pool are still caught by the
-// staleness probe (the meta read fails), just one Acquire later.
-func (p *Pool) Remove(name string) error {
-	p.Invalidate(name)
-	return p.b.Remove(name)
 }
 
 // Stats is a point-in-time summary of the pool's caches.

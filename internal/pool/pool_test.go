@@ -197,9 +197,11 @@ func TestInvalidationAfterRepair(t *testing.T) {
 	}
 }
 
-// TestInvalidationAfterRemoveAndReduplicate covers both removal paths:
-// through the pool (immediate invalidation) and out-of-band behind its
-// back (caught by the generation probe one Acquire later).
+// TestInvalidationAfterRemoveAndReduplicate: every removal happens
+// behind the pool's back (core.BORA.Remove) and is caught by the probe
+// one Acquire later — as a failed open while the bag is gone, as a new
+// generation once it has been re-duplicated, with or without an Acquire
+// in between.
 func TestInvalidationAfterRemoveAndReduplicate(t *testing.T) {
 	b := newBackend(t, nil)
 	src := filepath.Join(t.TempDir(), "src.bag")
@@ -210,7 +212,7 @@ func TestInvalidationAfterRemoveAndReduplicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Remove("bag1"); err != nil {
+	if err := b.Remove("bag1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Acquire("bag1"); err == nil {
@@ -224,8 +226,8 @@ func TestInvalidationAfterRemoveAndReduplicate(t *testing.T) {
 	if h2 == h1 {
 		t.Fatal("Acquire served the pre-remove handle for the re-duplicated bag")
 	}
-	// Out-of-band: remove + re-duplicate directly on the backend. The
-	// pooled handle is now stale; the probe must detect the new
+	// Remove + re-duplicate with no Acquire in between: the pooled handle
+	// is stale though its bag exists; the probe must detect the new
 	// generation and reopen.
 	if err := b.Remove("bag1"); err != nil {
 		t.Fatal(err)
@@ -403,8 +405,8 @@ func TestBlockLRUSameKeyRace(t *testing.T) {
 }
 
 // TestPoolConcurrentMixedWorkload runs readers against a churning
-// backend — Acquire + Query racing Remove, re-Duplicate, Invalidate and
-// LRU eviction — and expects no panics or races (run under -race) and a
+// backend — Acquire + Query racing Remove, re-Duplicate and LRU
+// eviction — and expects no panics or races (run under -race) and a
 // consistent pool afterwards. Read errors are expected while a bag is
 // mid-churn; corruption is not.
 func TestPoolConcurrentMixedWorkload(t *testing.T) {
@@ -436,7 +438,7 @@ func TestPoolConcurrentMixedWorkload(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			if err := p.Remove("r2"); err != nil {
+			if err := b.Remove("r2"); err != nil {
 				t.Errorf("Remove: %v", err)
 				return
 			}
@@ -444,7 +446,6 @@ func TestPoolConcurrentMixedWorkload(t *testing.T) {
 				t.Errorf("re-Duplicate: %v", err)
 				return
 			}
-			p.Invalidate("r0")
 		}
 	}()
 	wg.Wait()

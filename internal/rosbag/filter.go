@@ -1,10 +1,6 @@
 package rosbag
 
-import (
-	"io"
-
-	"repro/internal/bagio"
-)
+import "io"
 
 // Filter extracts the subset of a bag matching the query into a new bag
 // on ws — the stock rebagging workflow ("APIs like rebagging [are]
@@ -49,10 +45,4 @@ func Filter(src io.ReaderAt, size int64, ws io.WriteSeeker, q Query, keep func(M
 		return kept, err
 	}
 	return kept, w.Close()
-}
-
-// FilterTimeRange is a convenience wrapper selecting [start, end] on the
-// given topics.
-func FilterTimeRange(src io.ReaderAt, size int64, ws io.WriteSeeker, topics []string, start, end bagio.Time, opts WriterOptions) (uint64, error) {
-	return Filter(src, size, ws, Query{Topics: topics, Start: start, End: end}, nil, opts)
 }

@@ -188,12 +188,12 @@ func TestFilterTimeRangeAndPredicate(t *testing.T) {
 	}
 	// Convenience wrapper agrees.
 	out2 := &memFile{}
-	kept2, err := FilterTimeRange(mf, int64(len(mf.buf)), out2, []string{"/imu"}, start, end, WriterOptions{})
+	kept2, err := Filter(mf, int64(len(mf.buf)), out2, Query{Topics: []string{"/imu"}, Start: start, End: end}, nil, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if kept2 != 10 {
-		t.Errorf("FilterTimeRange kept %d", kept2)
+		t.Errorf("Filter over a time range kept %d", kept2)
 	}
 }
 

@@ -5,15 +5,17 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/obs"
+	"repro/internal/pool"
 )
 
 // TestStatsReportsHotBags: queried traffic heats a bag through the
-// server's rate tracker and surfaces it in Stats.HotBags (and the
-// server.hot_bags gauge) once past the threshold.
+// pool's rate tracker and surfaces it in Stats.HotBags (and the
+// server.hot_bags gauge) once past the pool's threshold.
 func TestStatsReportsHotBags(t *testing.T) {
 	reg := obs.NewRegistry()
 	b := buildBackend(t, reg, 2, 5)
-	srv, addr := startServer(t, b, Options{HotQPS: 0.5}) // hot after ~5 queries in the 10s window
+	// Hot after ~5 queries in the 10s window.
+	srv, addr := startServer(t, b, Options{Pool: pool.New(b, pool.Options{HotQPS: 0.5})})
 	cl, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -51,29 +53,41 @@ func TestStatsReportsHotBags(t *testing.T) {
 	}
 }
 
-// TestHotTrackingDisabled: a negative HotQPS turns the tracker off
-// entirely — no notes, no stats field.
-func TestHotTrackingDisabled(t *testing.T) {
-	reg := obs.NewRegistry()
-	b := buildBackend(t, reg, 1, 3)
-	srv, addr := startServer(t, b, Options{HotQPS: -1})
-	if srv.hot != nil {
-		t.Fatal("HotQPS < 0 still built a tracker")
-	}
+// TestServerServesThroughItsPool: a server given no pool builds one, so
+// with nothing wired by the caller the second QUERY of a bag is a pool
+// handle hit and a hammered bag is reported hot.
+func TestServerServesThroughItsPool(t *testing.T) {
+	b := buildBackend(t, nil, 1, 3)
+	srv, addr := startServer(t, b, Options{})
 	cl, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	for i := 0; i < 20; i++ {
+	query := func() {
+		t.Helper()
 		st, err := cl.Query("robot1", client.QuerySpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for st.Next() {
 		}
+		if err := st.Err(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if hb := srv.Stats().HotBags; hb != nil {
-		t.Errorf("HotBags = %v with tracking disabled", hb)
+	query()
+	query()
+	if st := srv.Stats(); st.PoolMisses != 1 || st.PoolHits != 1 || st.PoolResident != 1 {
+		t.Fatalf("after two queries: %d pool misses, %d hits, %d resident; want 1, 1, 1",
+			st.PoolMisses, st.PoolHits, st.PoolResident)
+	}
+	// Just past pool.DefaultHotQPS over the tracker's 10 s window.
+	hammer := int(pool.DefaultHotQPS*10) + 8
+	for i := 2; i < hammer; i++ {
+		query()
+	}
+	if hb := srv.Stats().HotBags; len(hb) != 1 || hb[0] != "robot1" {
+		t.Fatalf("HotBags = %v after %d queries, want [robot1]", hb, hammer)
 	}
 }

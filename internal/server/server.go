@@ -61,9 +61,8 @@ var ErrServerClosed = errors.New("server: closed")
 
 // Options configure a Server.
 type Options struct {
-	// Pool serves bag opens when non-nil; nil falls back to a cold
-	// core.Open per query (the per-query-open baseline the
-	// remote-clients experiment measures against).
+	// Pool serves every bag open and owns the hot-bag signal; it must
+	// wrap the server's backend. Nil builds pool.New(b, pool.Options{}).
 	Pool *pool.Pool
 	// MaxQueries bounds concurrent query streams across all
 	// connections; zero selects DefaultMaxQueries.
@@ -77,32 +76,16 @@ type Options struct {
 	// mux. Off by default: the profile endpoints can run CPU captures,
 	// so they are opt-in rather than ambient.
 	Pprof bool
-	// Hot, when non-nil, is the sliding-window tracker every QUERY's bag
-	// name is noted against — share one instance with the pool so hot
-	// bags are both reported (Stats.HotBags) and protected from handle
-	// eviction. Nil creates a private tracker; see HotQPS to disable.
-	Hot *obs.RateTracker
-	// HotQPS is the per-bag query rate at which a bag reads as hot in
-	// Stats; zero selects DefaultHotQPS, negative disables hot-bag
-	// tracking entirely.
-	HotQPS float64
 }
-
-// DefaultHotQPS is the per-bag QPS past which a bag is reported hot.
-// Deliberately lower than the cluster client's widening threshold: the
-// daemon flags warming traffic before clients must react to it.
-const DefaultHotQPS = 8.0
 
 // Server is a borad instance. Create with New, feed listeners to Serve,
 // stop with Shutdown (graceful) or Close (immediate).
 type Server struct {
-	b      *core.BORA
-	pl     *pool.Pool
-	sem    chan struct{} // global query admission tokens
-	qlog   *obs.QueryLog // per-query records; nil = disabled
-	pprof  bool          // mount /debug/pprof/ on the sidecar
-	hot    *obs.RateTracker
-	hotQPS float64
+	b     *core.BORA
+	pl    *pool.Pool    // every open, and the hot-bag signal
+	sem   chan struct{} // global query admission tokens
+	qlog  *obs.QueryLog // per-query records; nil = disabled
+	pprof bool          // mount /debug/pprof/ on the sidecar
 
 	queryOp   *obs.Op      // server.query: one span per QUERY stream
 	reqOp     *obs.Op      // server.request: non-query request frames
@@ -128,30 +111,23 @@ type Server struct {
 }
 
 // New builds a server over backend b. Metrics register on b's obs
-// registry; opts.Pool, if set, must wrap the same backend.
+// registry.
 func New(b *core.BORA, opts Options) *Server {
 	if opts.MaxQueries <= 0 {
 		opts.MaxQueries = DefaultMaxQueries
 	}
-	if opts.HotQPS == 0 {
-		opts.HotQPS = DefaultHotQPS
-	}
-	if opts.HotQPS > 0 && opts.Hot == nil {
-		opts.Hot = obs.NewRateTracker(0, 0)
-	}
-	if opts.HotQPS < 0 {
-		opts.Hot = nil
+	pl := opts.Pool
+	if pl == nil {
+		pl = pool.New(b, pool.Options{})
 	}
 	reg := b.Obs()
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
 		b:         b,
-		pl:        opts.Pool,
+		pl:        pl,
 		sem:       make(chan struct{}, opts.MaxQueries),
 		qlog:      opts.QueryLog,
 		pprof:     opts.Pprof,
-		hot:       opts.Hot,
-		hotQPS:    opts.HotQPS,
 		hotG:      reg.Gauge("server.hot_bags"),
 		queryOp:   reg.Op("server.query"),
 		reqOp:     reg.Op("server.request"),
@@ -300,7 +276,13 @@ func (s *Server) checkDrained() {
 
 // Stats returns a point-in-time summary of the server's serving state.
 func (s *Server) Stats() wire.ServerStats {
-	st := wire.ServerStats{
+	ps := s.pl.Stats()
+	hot := s.pl.HotBags()
+	if len(hot) > maxHotBagsReported {
+		hot = hot[:maxHotBagsReported]
+	}
+	s.hotG.Set(int64(len(hot)))
+	return wire.ServerStats{
 		ConnsAccepted:   s.accepted.Load(),
 		ConnsActive:     s.connsG.Load(),
 		QueriesActive:   s.queriesG.Load(),
@@ -308,24 +290,11 @@ func (s *Server) Stats() wire.ServerStats {
 		QueriesBusy:     s.busyC.Load(),
 		QueriesCanceled: s.canceledC.Load(),
 		Draining:        s.draining.Load(),
+		PoolHits:        ps.HandleHits,
+		PoolMisses:      ps.HandleMisses,
+		PoolResident:    int64(ps.HandlesResident),
+		HotBags:         hot,
 	}
-	if s.pl != nil {
-		ps := s.pl.Stats()
-		st.PoolHits = ps.HandleHits
-		st.PoolMisses = ps.HandleMisses
-		st.PoolResident = int64(ps.HandlesResident)
-	}
-	if s.hot != nil {
-		hot := s.hot.Above(s.hotQPS)
-		if len(hot) > maxHotBagsReported {
-			hot = hot[:maxHotBagsReported]
-		}
-		for _, h := range hot {
-			st.HotBags = append(st.HotBags, h.Key)
-		}
-		s.hotG.Set(int64(len(st.HotBags)))
-	}
-	return st
 }
 
 // maxHotBagsReported caps Stats.HotBags: the stat is a skew signal,
@@ -376,18 +345,6 @@ func (s *Server) HTTPHandler() http.Handler {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
-}
-
-// open resolves a bag handle for one request: through the pool when the
-// server has one, cold otherwise.
-func (s *Server) open(ctx context.Context, name string, parent obs.Span) (*core.Bag, error) {
-	if s.pl != nil {
-		return s.pl.AcquireContextSpan(ctx, name, parent)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.b.OpenSpan(name, parent)
 }
 
 // conn is one accepted connection. The read loop (serve) owns the
@@ -614,7 +571,7 @@ func (c *conn) writeErr(err error) error {
 func (c *conn) handleOpen(payload []byte) error {
 	sp := c.s.reqOp.Start()
 	name := string(payload)
-	if _, err := c.s.open(c.ctx, name, sp); err != nil {
+	if _, err := c.s.pl.AcquireContextSpan(c.ctx, name, sp); err != nil {
 		sp.EndErr(err)
 		return c.writeErr(err)
 	}
@@ -635,7 +592,7 @@ func (c *conn) handleInfo(payload []byte) error {
 }
 
 func (c *conn) bagInfo(name string, sp obs.Span) (wire.BagInfo, error) {
-	bag, err := c.s.open(c.ctx, name, sp)
+	bag, err := c.s.pl.AcquireContextSpan(c.ctx, name, sp)
 	if err != nil {
 		return wire.BagInfo{}, err
 	}
@@ -774,7 +731,7 @@ func (c *conn) handleQuery(payload []byte) error {
 	// Demand is demand: note the bag before admission so BUSY-rejected
 	// traffic still heats it — a saturated daemon is exactly when the
 	// hot signal matters most.
-	c.s.hot.Note(req.Name)
+	c.s.pl.NoteQuery(req.Name)
 	if c.s.draining.Load() {
 		return c.busy("server draining")
 	}
@@ -934,7 +891,7 @@ func (c *conn) runQuery(q *query, req wire.QueryReq, recv time.Time) {
 		c.endQuery(q, wire.OpErr, []byte(msg))
 		sp.EndErr(err)
 	}
-	bag, err := s.open(q.ctx, req.Name, sp)
+	bag, err := s.pl.AcquireContextSpan(q.ctx, req.Name, sp)
 	if err != nil {
 		fail(err)
 		return

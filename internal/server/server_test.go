@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/msgs"
 	"repro/internal/obs"
-	"repro/internal/pool"
 	"repro/internal/rosbag"
 	"repro/internal/server/wire"
 )
@@ -63,9 +62,6 @@ func buildBackend(t *testing.T, reg *obs.Registry, topics, per int) *core.BORA {
 // startServer serves b on an ephemeral loopback port.
 func startServer(t *testing.T, b *core.BORA, opts Options) (*Server, string) {
 	t.Helper()
-	if opts.Pool == nil {
-		opts.Pool = pool.New(b, pool.Options{})
-	}
 	srv := New(b, opts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -13,7 +13,6 @@
 package vfs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -25,7 +24,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultfs"
 	"repro/internal/obs"
-	"repro/internal/pool"
 	"repro/internal/rosbag"
 )
 
@@ -53,8 +51,7 @@ type fsObs struct {
 type FS struct {
 	mu      sync.Mutex
 	backend *core.BORA
-	pool    *pool.Pool // optional shared open-handle pool
-	workDir string     // spool area for in-flight writes and read snapshots
+	workDir string // spool area for in-flight writes and read snapshots
 	stats   OpStats
 	obs     fsObs
 }
@@ -63,19 +60,11 @@ type FS struct {
 // workDir (a temporary directory works). Per-op latency is recorded to
 // the backend's obs registry (see core.Options.Obs) under vfs.* ops.
 func Mount(backend *core.BORA, workDir string) (*FS, error) {
-	return MountWithPool(backend, workDir, nil)
-}
-
-// MountWithPool is Mount serving bag opens through a shared handle
-// pool: Stat and Open acquire cached handles (one tag-table build for
-// all front-end clients of a bag) and Remove invalidates through the
-// pool. A nil pool opens cold, exactly as Mount does.
-func MountWithPool(backend *core.BORA, workDir string, p *pool.Pool) (*FS, error) {
 	if err := os.MkdirAll(workDir, 0o755); err != nil {
 		return nil, fmt.Errorf("vfs: spool dir: %w", err)
 	}
 	reg := backend.Obs()
-	return &FS{backend: backend, pool: p, workDir: workDir, obs: fsObs{
+	return &FS{backend: backend, workDir: workDir, obs: fsObs{
 		create:  reg.Op("vfs.create"),
 		open:    reg.Op("vfs.open"),
 		read:    reg.Op("vfs.read"),
@@ -85,15 +74,6 @@ func MountWithPool(backend *core.BORA, workDir string, p *pool.Pool) (*FS, error
 		readdir: reg.Op("vfs.readdir"),
 		remove:  reg.Op("vfs.remove"),
 	}}, nil
-}
-
-// openBag resolves a bag handle for a front-end operation: through the
-// shared pool when one is mounted, cold otherwise.
-func (fs *FS) openBag(base string, sp obs.Span) (*core.Bag, error) {
-	if fs.pool != nil {
-		return fs.pool.AcquireContextSpan(context.TODO(), base, sp)
-	}
-	return fs.backend.OpenSpan(base, sp)
 }
 
 // Stats returns the accumulated op counts.
@@ -147,7 +127,7 @@ func (fs *FS) Stat(name string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	bag, err := fs.openBag(base, sp)
+	bag, err := fs.backend.OpenSpan(base, sp)
 	if err != nil {
 		return 0, err
 	}
@@ -271,7 +251,7 @@ func (fs *FS) Open(name string) (*ReadFile, error) {
 		sp.EndErr(err)
 		return nil, err
 	}
-	bag, err := fs.openBag(base, sp)
+	bag, err := fs.backend.OpenSpan(base, sp)
 	if err != nil {
 		sp.EndErr(err)
 		return nil, err
@@ -361,11 +341,7 @@ func (fs *FS) Remove(name string) error {
 		sp.EndErr(err)
 		return err
 	}
-	if fs.pool != nil {
-		err = fs.pool.Remove(base)
-	} else {
-		err = fs.backend.Remove(base)
-	}
+	err = fs.backend.Remove(base)
 	sp.EndErr(err)
 	return err
 }
