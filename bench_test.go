@@ -52,7 +52,6 @@ func BenchmarkFig16PVFSTime(b *testing.B)     { benchExperiment(b, "fig16") }
 func BenchmarkFig17Swarm(b *testing.B)        { benchExperiment(b, "fig17") }
 func BenchmarkFig18SwarmTime(b *testing.B)    { benchExperiment(b, "fig18") }
 func BenchmarkAblationWindow(b *testing.B)    { benchExperiment(b, "ablation-window") }
-func BenchmarkAblationWorkers(b *testing.B)   { benchExperiment(b, "ablation-workers") }
 func BenchmarkAblationChunkSize(b *testing.B) { benchExperiment(b, "ablation-chunk") }
 func BenchmarkLiveTail(b *testing.B)          { benchExperiment(b, "live-tail") }
 

@@ -9,13 +9,12 @@ import (
 	"repro/internal/client"
 	"repro/internal/container"
 	"repro/internal/core"
-	"repro/internal/organizer"
 	"repro/internal/pool"
 	"repro/internal/server"
 )
 
 // TestOptionCensus keeps DESIGN §5's option table equal to the code:
-// every exported field of the seven option structs has a row saying who
+// every exported field of the six option structs has a row saying who
 // sets it and what it defaults to, and no row outlives its field — so
 // the knob census cannot grow, or the table rot, unnoticed.
 func TestOptionCensus(t *testing.T) {
@@ -33,7 +32,6 @@ func TestOptionCensus(t *testing.T) {
 		"pool.Options":           pool.Options{},
 		"server.Options":         server.Options{},
 		"client.Options":         client.Options{},
-		"organizer.Options":      organizer.Options{},
 		"client.ClusterOptions":  client.ClusterOptions{},
 		"container.TopicOptions": container.TopicOptions{},
 	} {

@@ -51,7 +51,8 @@ func cmdReindex(args []string) error {
 	return nil
 }
 
-// cmdVerify checks a BORA bag's container integrity (CRC + index tiling).
+// cmdVerify checks a BORA bag's container integrity (CRC + index tiling),
+// every segment of a live bag included.
 func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	backend := backendFlag(fs)
@@ -65,15 +66,26 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	results, verr := bag.Container().Verify()
-	for _, r := range results {
-		status := "OK"
-		if !r.OK {
-			status = "FAIL"
+	segs := bag.Segments()
+	var first error
+	for _, c := range segs {
+		results, err := c.Verify()
+		if err != nil && first == nil {
+			first = err
 		}
-		fmt.Printf("%-4s %-32s %8d msgs %12d bytes  %s\n", status, r.Topic, r.Messages, r.Bytes, r.Detail)
+		for _, r := range results {
+			status := "OK"
+			if !r.OK {
+				status = "FAIL"
+			}
+			loc := r.Topic
+			if len(segs) > 1 {
+				loc = filepath.Base(c.Root()) + " " + r.Topic
+			}
+			fmt.Printf("%-4s %-32s %8d msgs %12d bytes  %s\n", status, loc, r.Messages, r.Bytes, r.Detail)
+		}
 	}
-	return verr
+	return first
 }
 
 // cmdBagInfo prints the container-level summary of a BORA bag (the

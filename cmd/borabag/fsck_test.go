@@ -54,7 +54,7 @@ func fsckSourceBag(t *testing.T) []byte {
 // an injector that crashes at that back-end operation.
 func fsckBackend(t *testing.T, dir string, crashAt int64) *core.BORA {
 	t.Helper()
-	opts := core.Options{Synchronous: true, IndexFlushEvery: 1}
+	opts := core.Options{IndexFlushEvery: 1}
 	if crashAt > 0 {
 		opts.FS = faultfs.NewInjector(faultfs.OS, faultfs.Plan{Seed: 5, CrashAt: crashAt})
 	}
@@ -188,5 +188,44 @@ func TestFsckCommandBothLayouts(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestVerifyCommandEverySegment corrupts one data byte in the second
+// segment of a live bag: verify must report it, not just check the
+// first segment.
+func TestVerifyCommandEverySegment(t *testing.T) {
+	backend := t.TempDir()
+	b := fsckBackend(t, backend, 0)
+	if err := fsckRecordLive(b); err != nil {
+		t.Fatal(err)
+	}
+	verify := func() (string, error) {
+		return captureStdout(t, func() error { return cmdVerify([]string{"-backend", backend, "-name", "bag"}) })
+	}
+	if out, err := verify(); err != nil || strings.Contains(out, "FAIL") {
+		t.Fatalf("verify of the clean live bag: %v\n%s", err, out)
+	}
+	bag, err := b.Open("bag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := bag.Segments()[1]
+	tp, err := seg.Topic(seg.Topics()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(tp.Dir(), container.DataFileName)
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[0] ^= 0xFF
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := verify()
+	if err == nil || !strings.Contains(out, "FAIL") {
+		t.Errorf("verify with segment 1 corrupted: err %v, output\n%s", err, out)
 	}
 }

@@ -305,7 +305,6 @@ func cmdDuplicate(args []string) error {
 	backend := backendFlag(fs)
 	name := fs.String("name", "", "logical bag name (default: file base name)")
 	window := fs.Duration("window", time.Second, "coarse time-index window")
-	workers := fs.Int("workers", 0, "organizer worker count (0 = auto)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("duplicate: exactly one bag path required")
@@ -318,7 +317,7 @@ func cmdDuplicate(args []string) error {
 		}
 		*name = strings.TrimSuffix(base, ".bag")
 	}
-	b, err := core.New(*backend, core.Options{TimeWindow: *window, Workers: *workers, Obs: metricsReg})
+	b, err := core.New(*backend, core.Options{TimeWindow: *window, Obs: metricsReg})
 	if err != nil {
 		return err
 	}

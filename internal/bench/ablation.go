@@ -2,22 +2,17 @@ package bench
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/pathsim"
-	"repro/internal/rosbag"
 	"repro/internal/simio"
 	"repro/internal/workload"
 )
 
 func init() {
 	register("ablation-window", runAblationWindow)
-	register("ablation-workers", runAblationWorkers)
 	register("ablation-chunk", runAblationChunk)
 }
 
@@ -42,46 +37,6 @@ func runAblationWindow(reg *obs.Registry) (*Table, error) {
 		narrow := pathsim.BoraQueryTime(simio.NewLocalEnv(simio.SingleNodeSSD()), bag, topics, 0, 5*int64(time.Second), w)
 		full := pathsim.BoraQueryTime(simio.NewLocalEnv(simio.SingleNodeSSD()), bag, topics, 0, bag.DurationNs, w)
 		t.Rows = append(t.Rows, []string{w.String(), fmtDur(narrow), fmtDur(full)})
-	}
-	return t, nil
-}
-
-// runAblationWorkers sweeps the data organizer's worker-pool size over a
-// real on-disk duplication (wall-clock measurement).
-func runAblationWorkers(reg *obs.Registry) (*Table, error) {
-	t := &Table{
-		ID:     "ablation-workers",
-		Title:  "Data organizer worker pool size vs real duplication time",
-		Header: []string{"workers", "duplication time", "messages"},
-		Notes: []string{
-			"Fig 6 design choice: 'the number of threads is determined by system specs'",
-			"real on-disk run with a scaled-down Handheld SLAM bag",
-		},
-	}
-	dir, err := os.MkdirTemp("", "bora-ablation-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	src := filepath.Join(dir, "src.bag")
-	if _, err := workload.WriteHandheldSLAMBag(src, workload.SyntheticOptions{
-		Seconds: 4, ScaleDown: 500, Writer: rosbag.WriterOptions{ChunkThreshold: 256 * 1024},
-	}); err != nil {
-		return nil, err
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		backend, err := core.New(filepath.Join(dir, fmt.Sprintf("backend%d", workers)), core.Options{Workers: workers, Obs: reg})
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		_, stats, err := backend.Duplicate(src, "bag1")
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", workers), fmtDur(time.Since(start)), fmt.Sprintf("%d", stats.Messages),
-		})
 	}
 	return t, nil
 }

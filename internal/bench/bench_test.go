@@ -16,7 +16,7 @@ func TestIDsCoverPaperArtifacts(t *testing.T) {
 		"table1", "table2", "table3", "table4",
 		"fig2", "fig3", "fig9", "fig10", "fig11", "fig12",
 		"fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-		"ablation-window", "ablation-workers", "ablation-chunk",
+		"ablation-window", "ablation-chunk",
 		"ablation-rebag", "ablation-compression", "validate-real",
 		"live-tail",
 	} {
@@ -253,9 +253,6 @@ func TestFig3Runs(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation-workers writes real bags")
-	}
 	win := runTable(t, "ablation-window")
 	if len(win.Rows) != 4 {
 		t.Errorf("ablation-window rows = %d", len(win.Rows))
@@ -266,10 +263,6 @@ func TestAblations(t *testing.T) {
 	lastChunks, _ := strconv.Atoi(chunk.Rows[len(chunk.Rows)-1][1])
 	if lastChunks >= firstChunks {
 		t.Error("chunk count did not shrink with threshold")
-	}
-	workers := runTable(t, "ablation-workers")
-	if len(workers.Rows) != 4 {
-		t.Errorf("ablation-workers rows = %d", len(workers.Rows))
 	}
 }
 

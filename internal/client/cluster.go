@@ -78,17 +78,17 @@ type ClusterOptions struct {
 	// passes; zeros select DefaultRotationBackoff/-Max.
 	Backoff    time.Duration
 	BackoffMax time.Duration
-	// HotQPS is the per-bag query rate past which the replica set is
-	// widened by DefaultHotWiden and traffic spread across it. Zero
-	// selects DefaultHotQPS; negative disables hot widening.
-	HotQPS float64
 	// Obs, when non-nil, records cluster.* counters (route, failover,
 	// busy_retry, node_down, hot_widen, unavailable) and the
 	// nodes_down gauge on this registry.
 	Obs *obs.Registry
 
-	// hotWiden overrides DefaultHotWiden for this package's tests, which
-	// widen across a three-node fleet; zero selects the default.
+	// hotQPS is the per-bag query rate past which the replica set is
+	// widened by hotWiden and traffic spread across it: DefaultHotQPS
+	// unless this package's tests set it (negative disables widening).
+	// hotWiden overrides DefaultHotWiden for the tests that widen
+	// across a three-node fleet. Zero selects each default.
+	hotQPS   float64
 	hotWiden int
 }
 
@@ -105,8 +105,8 @@ func (o *ClusterOptions) fill() {
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = DefaultRotationBackoffMax
 	}
-	if o.HotQPS == 0 {
-		o.HotQPS = DefaultHotQPS
+	if o.hotQPS == 0 {
+		o.hotQPS = DefaultHotQPS
 	}
 	if o.hotWiden <= 0 {
 		o.hotWiden = DefaultHotWiden
@@ -178,7 +178,7 @@ func NewCluster(members []ring.Member, opts ClusterOptions) (*Cluster, error) {
 		nodes: make(map[string]*node, r.Len()),
 	}
 	cl.rot.fill()
-	if opts.HotQPS > 0 {
+	if opts.hotQPS > 0 {
 		cl.hot = obs.NewRateTracker(0, 0)
 	}
 	for _, m := range r.Members() {
@@ -194,13 +194,7 @@ func (cl *Cluster) Ring() *ring.Ring { return cl.ring }
 // checked-out connections and finish normally.
 func (cl *Cluster) Close() error {
 	for _, n := range cl.nodes {
-		n.mu.Lock()
-		idle := n.idle
-		n.idle, n.closed = nil, true
-		n.mu.Unlock()
-		for _, c := range idle {
-			c.Close()
-		}
+		n.dropIdle(true)
 	}
 	return nil
 }
@@ -218,7 +212,7 @@ func (cl *Cluster) candidates(name string, query bool, demote *node) []*node {
 	hot := false
 	if query && cl.hot != nil {
 		cl.hot.Note(name)
-		if cl.hot.Rate(name) >= cl.opts.HotQPS {
+		if cl.hot.Rate(name) >= cl.opts.hotQPS {
 			hot = true
 			r += cl.opts.hotWiden
 			cl.widenC.Inc()
@@ -321,12 +315,8 @@ func (cl *Cluster) markDown(n *node) {
 	n.downUntil = time.Now().Add(d)
 	first := !n.down
 	n.down = true
-	idle := n.idle
-	n.idle = nil
 	n.mu.Unlock()
-	for _, c := range idle {
-		c.Close()
-	}
+	n.dropIdle(false)
 	cl.downC.Inc()
 	if first {
 		cl.downG.Add(1)
@@ -359,10 +349,13 @@ func (n *node) checkin(c *Client) {
 	c.Close()
 }
 
-func (n *node) flushIdle() {
+// dropIdle empties the node's idle-connection cache and closes what it
+// held. closing also stops checkin caching any more (Cluster.Close).
+func (n *node) dropIdle(closing bool) {
 	n.mu.Lock()
 	idle := n.idle
 	n.idle = nil
+	n.closed = n.closed || closing
 	n.mu.Unlock()
 	for _, c := range idle {
 		c.Close()
@@ -398,7 +391,7 @@ func (n *node) withConn(fn func(*Client) (kept bool, err error)) error {
 			return err
 		}
 		stale = err
-		n.flushIdle()
+		n.dropIdle(false)
 	}
 }
 

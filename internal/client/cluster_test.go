@@ -139,8 +139,8 @@ func testFleet(t *testing.T, total int, opts ClusterOptions) (*Cluster, map[stri
 		opts.Backoff = time.Millisecond
 		opts.BackoffMax = 4 * time.Millisecond
 	}
-	if opts.HotQPS == 0 {
-		opts.HotQPS = -1 // widening off unless the test turns it on
+	if opts.hotQPS == 0 {
+		opts.hotQPS = -1 // widening off unless the test turns it on
 	}
 	cl, err := NewCluster(members, opts)
 	if err != nil {
@@ -418,14 +418,14 @@ func TestClusterResumeDivergenceDetected(t *testing.T) {
 	}
 }
 
-// TestClusterHotWidening: a bag hammered past HotQPS gets its replica
+// TestClusterHotWidening: a bag hammered past hotQPS gets its replica
 // set widened and its traffic spread round-robin across it, so skewed
 // workloads stop bottlenecking on one daemon.
 func TestClusterHotWidening(t *testing.T) {
 	reg := obs.NewRegistry()
 	cl, fakes := testFleet(t, 2, ClusterOptions{
 		Replication: 1,
-		HotQPS:      1.0, // hot after ~10 queries inside the 10s window
+		hotQPS:      1.0, // hot after ~10 queries inside the 10s window
 		hotWiden:    2,
 		Obs:         reg,
 	})

@@ -1,5 +1,5 @@
 // Package ring places bags on borad nodes by consistent hashing: each
-// member contributes VNodes virtual points on a 64-bit hash circle, and
+// member contributes vnodes virtual points on a 64-bit hash circle, and
 // a bag's replica set is the first R distinct members clockwise from the
 // bag name's hash. The placement is a pure function of the membership
 // list — byte-stable across process restarts and identical on every
@@ -53,7 +53,6 @@ type point struct {
 type Ring struct {
 	members []Member
 	points  []point
-	vnodes  int
 }
 
 // New builds a ring over members with vnodes virtual points each (zero
@@ -77,7 +76,7 @@ func New(members []Member, vnodes int) (*Ring, error) {
 			return nil, fmt.Errorf("ring: duplicate member name %q", m.Name)
 		}
 	}
-	r := &Ring{members: ms, vnodes: vnodes, points: make([]point, 0, len(ms)*vnodes)}
+	r := &Ring{members: ms, points: make([]point, 0, len(ms)*vnodes)}
 	for i, m := range ms {
 		for v := 0; v < vnodes; v++ {
 			h := hashString(m.Name + "#" + strconv.Itoa(v))
@@ -100,9 +99,6 @@ func (r *Ring) Members() []Member { return r.members }
 
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.members) }
-
-// VNodes returns the virtual-node count per member.
-func (r *Ring) VNodes() int { return r.vnodes }
 
 // Owner returns the primary replica for key: the first member clockwise
 // from the key's hash.

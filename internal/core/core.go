@@ -5,8 +5,9 @@
 // paper are implemented here:
 //
 //   - Duplicate — data duplication (Fig 6): a one-time re-organization of
-//     an existing bag into a container, performed by the data organizer's
-//     scanner + worker pool.
+//     an existing bag into a container, performed by the data organizer:
+//     one sequential scan that appends each message to its topic's
+//     writer as it goes.
 //   - Open + Query — data acquisition (Fig 7): opening a bag only
 //     parses the container's sub-directories and builds the tag manager's
 //     hash table; a query by topics resolves back-end paths through the
@@ -34,7 +35,6 @@ import (
 	"repro/internal/container"
 	"repro/internal/faultfs"
 	"repro/internal/obs"
-	"repro/internal/organizer"
 	"repro/internal/rosbag"
 	"repro/internal/tagman"
 )
@@ -46,12 +46,9 @@ type Options struct {
 	// paper notes "the value of the time window can be configured by a
 	// developer".
 	TimeWindow time.Duration
-	// Workers is the data organizer's distribution pool size; zero lets
-	// the organizer size itself from system specs.
-	Workers int
 	// Obs receives op-level metrics (latency, bytes, error counts) from
-	// every layer this instance touches: core operations, the organizer
-	// pool, container index/data access, and the front ends mounted on
+	// every layer this instance touches: core operations, the data
+	// organizer, container index/data access, and the front ends mounted on
 	// this back end. Nil disables recording at near-zero cost.
 	Obs *obs.Registry
 	// FS routes every file-system mutation this instance performs
@@ -62,10 +59,6 @@ type Options struct {
 	// IndexFlushEvery is the per-topic index flush granularity passed to
 	// container.TopicOptions; zero selects the container default.
 	IndexFlushEvery int
-	// Synchronous disables the organizer worker pool so duplications
-	// perform back-end operations in a deterministic total order (used
-	// with FS injection to sweep crash points).
-	Synchronous bool
 }
 
 // BORA manages logical bags stored as containers under a back-end root
@@ -167,7 +160,8 @@ func (b *BORA) Duplicate(bagPath, name string) (*Bag, DuplicateStats, error) {
 
 // DuplicateFrom is Duplicate reading from an arbitrary source, with the
 // core.duplicate span nested under parent (e.g. the front end's
-// vfs.close span). A zero parent traces it as a root.
+// vfs.close span). A zero parent traces it as a root. On failure the
+// stats count the messages that reached the back end before it.
 func (b *BORA) DuplicateFrom(r io.ReaderAt, size int64, name string, parent obs.Span) (*Bag, DuplicateStats, error) {
 	sp := parent.ChildOp(b.opts.Obs.Op("core.duplicate"))
 	stats, err := b.organize(r, size, name, sp)
@@ -177,34 +171,46 @@ func (b *BORA) DuplicateFrom(r io.ReaderAt, size int64, name string, parent obs.
 	}
 	if err != nil {
 		sp.EndErr(err)
-		return nil, DuplicateStats{}, err
+		return nil, stats, err
 	}
 	sp.EndBytes(stats.Bytes)
-	return bag, DuplicateStats{Messages: stats.Messages, Bytes: stats.Bytes, Topics: stats.Topics}, nil
+	return bag, stats, nil
 }
 
-// organize is the Fig 6 pass: one scan of the source, the organizer's
-// workers appending through a fresh segment's topic writers, one seal.
-func (b *BORA) organize(r io.ReaderAt, size int64, name string, sp obs.Span) (organizer.Stats, error) {
+// organize is the Fig 6 pass on one goroutine: one scan of the source,
+// each message appended to its topic's writer in a fresh segment as the
+// scan delivers it (one organizer.append span each), one seal.
+func (b *BORA) organize(r io.ReaderAt, size int64, name string, sp obs.Span) (DuplicateStats, error) {
+	var st DuplicateStats
 	seg, err := b.createSegment(filepath.Join(b.root, name))
 	if err != nil {
-		return organizer.Stats{}, err
+		return st, err
 	}
-	dist := organizer.New(func(conn *bagio.Connection) (organizer.TopicSink, error) {
-		return seg.writer(conn)
-	}, organizer.Options{Workers: b.opts.Workers, Obs: b.opts.Obs, Parent: sp, Synchronous: b.opts.Synchronous})
-	scanErr := rosbag.ScanSpan(r, size, sp, dist.Dispatch)
-	stats, distErr := dist.Close()
-	if scanErr != nil {
-		return stats, fmt.Errorf("bora: duplicate scan: %w", scanErr)
+	appendOp := b.opts.Obs.Op("organizer.append")
+	err = rosbag.ScanSpan(r, size, sp, func(conn *bagio.Connection, t bagio.Time, data []byte) error {
+		tw, err := seg.writer(conn)
+		if err != nil {
+			return err
+		}
+		asp := sp.ChildOp(appendOp)
+		if err := tw.Append(t, data); err != nil {
+			asp.EndErr(err)
+			return err
+		}
+		asp.EndBytes(int64(len(data)))
+		st.Messages++
+		st.Bytes += int64(len(data))
+		return nil
+	})
+	st.Topics = len(seg.order)
+	if err != nil {
+		seg.close()
+		return st, fmt.Errorf("bora: duplicate: %w", err)
 	}
-	if distErr != nil {
-		return stats, fmt.Errorf("bora: duplicate distribute: %w", distErr)
-	}
-	// Every topic committed; seal the container. This is the commit
-	// point: a crash before here leaves a building-state container that
-	// Open/List refuse and fsck repairs.
-	return stats, seg.seal()
+	// Every topic is complete; seal the container. This is the commit
+	// point: a failure or crash before here leaves a building-state
+	// container that Open/List refuse and fsck repairs.
+	return st, seg.seal()
 }
 
 // CopyContainer duplicates an existing BORA container into this back end

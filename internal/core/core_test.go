@@ -2,14 +2,18 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bagio"
+	"repro/internal/container"
 	"repro/internal/faultfs"
 	"repro/internal/msgs"
 	"repro/internal/rosbag"
@@ -57,7 +61,7 @@ func makeSourceBag(t *testing.T, dir string, seconds int) string {
 
 func newBORA(t *testing.T) *BORA {
 	t.Helper()
-	b, err := New(filepath.Join(t.TempDir(), "backend"), Options{TimeWindow: time.Second, Workers: 2})
+	b, err := New(filepath.Join(t.TempDir(), "backend"), Options{TimeWindow: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,6 +362,103 @@ func TestCopyContainerCommitsLast(t *testing.T) {
 		if got := topicFiles(t, filepath.Join(after.Root(), "copy")); !reflect.DeepEqual(got, want) {
 			t.Errorf("crash at op %d: the copy opens with %d of %d topic files intact", at, len(got), len(want))
 		}
+	}
+}
+
+// filesOpenUnder counts this process's open descriptors on files below
+// dir; -1 when /proc/self/fd cannot be listed.
+func filesOpenUnder(dir string) int {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir+"/") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDuplicateFailureStaysUnsealed injects one I/O failure into a
+// duplicate, once while a topic is being created and once while a
+// message is being appended. Either way Duplicate returns the injected
+// cause, counts only the messages that reached a topic file, leaves the
+// container building — refused by List and Open, reported stale by
+// Fsck — and leaves no topic file open.
+func TestDuplicateFailureStaysUnsealed(t *testing.T) {
+	src := makeSourceBag(t, t.TempDir(), 3)
+	clean := faultfs.NewInjector(faultfs.OS, faultfs.Plan{})
+	b, err := New(filepath.Join(t.TempDir(), "backend"), Options{FS: clean})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := b.Duplicate(src, "bag"); err != nil {
+		t.Fatal(err)
+	}
+	// opOf returns the number of the nth clean-run op of kind on a file
+	// named file, and how many message appends (data writes) came before
+	// it.
+	opOf := func(kind, file string, nth int) (at, appended int64) {
+		for _, line := range clean.Trace() {
+			f := strings.Fields(line) // "N op path"
+			if f[1] == kind && filepath.Base(f[2]) == file {
+				if nth--; nth == 0 {
+					at, _ = strconv.ParseInt(f[0], 10, 64)
+					return at, appended
+				}
+			}
+			if f[1] == "write" && filepath.Base(f[2]) == container.DataFileName {
+				appended++
+			}
+		}
+		t.Fatalf("the clean duplicate has too few %s ops on %s files", kind, file)
+		return 0, 0
+	}
+	for _, tc := range []struct {
+		name       string
+		kind, file string
+		nth        int
+	}{
+		{"topic create", "create", container.IndexFileName, 2},
+		{"append", "write", container.DataFileName, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			at, appended := opOf(tc.kind, tc.file, tc.nth)
+			root := filepath.Join(t.TempDir(), "backend")
+			b, err := New(root, Options{FS: faultfs.NewInjector(faultfs.OS, faultfs.Plan{FailAt: at})})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, st, err := b.Duplicate(src, "bag")
+			if !errors.Is(err, faultfs.ErrInjected) {
+				t.Fatalf("fail at op %d: Duplicate returned %v, want the injected error", at, err)
+			}
+			if st.Messages != appended {
+				t.Errorf("fail at op %d: DuplicateStats.Messages = %d, want the %d appended", at, st.Messages, appended)
+			}
+			if names, err := b.List(); err != nil || len(names) != 0 {
+				t.Errorf("List = %v, %v; the failed duplicate is listed", names, err)
+			}
+			if _, err := b.Open("bag"); err == nil {
+				t.Error("the failed duplicate opens")
+			}
+			segs, _, err := b.Fsck("bag")
+			if err != nil || len(segs) != 1 {
+				t.Fatalf("Fsck = %v, %v", segs, err)
+			}
+			stale := false
+			for _, f := range segs[0].Findings {
+				stale = stale || f.Kind == container.FindingStaleMeta
+			}
+			if !stale {
+				t.Errorf("Fsck findings %v lack %s", segs[0].Findings, container.FindingStaleMeta)
+			}
+			if n := filesOpenUnder(root); n != 0 {
+				t.Errorf("%d files under the back end are still open", n)
+			}
+		})
 	}
 }
 

@@ -7,14 +7,18 @@ import (
 
 // segment is the one segment writer: a building container and the topic
 // writers filling it. Every path into the back end appends through one —
-// Duplicate hands writer to the organizer as its sink factory, CreateBag
-// records into a single segment, a live recording into a fresh one per
-// rotation window — so whoever feeds a container, the same three calls
-// create, fill and seal it.
+// Duplicate's organize pass as it scans the source, CreateBag records
+// into a single segment, a live recording into a fresh one per rotation
+// window — so whoever feeds a container, the same three calls create,
+// fill and seal it.
 type segment struct {
 	c      *container.Container
 	opts   container.TopicOptions
 	topics map[string]*container.TopicWriter
+	// order holds the writers in creation order. close walks it, not the
+	// map, so a seal issues the same back-end operations in the same
+	// order on every run — a crash point is reproducible from its seed.
+	order []*container.TopicWriter
 }
 
 // createSegment starts a building container at dir, written per the
@@ -34,8 +38,8 @@ func (b *BORA) createSegment(dir string) (*segment, error) {
 
 // writer returns the writer of conn's topic, creating the topic (with
 // conn's full metadata) on first use. Not safe for concurrent callers:
-// the organizer calls it from its scanner goroutine only, a Recorder
-// under its mutex.
+// organize calls it from its scanning goroutine, a Recorder under its
+// mutex.
 func (s *segment) writer(conn *bagio.Connection) (*container.TopicWriter, error) {
 	if tw, ok := s.topics[conn.Topic]; ok {
 		return tw, nil
@@ -45,18 +49,30 @@ func (s *segment) writer(conn *bagio.Connection) (*container.TopicWriter, error)
 		return nil, err
 	}
 	s.topics[conn.Topic] = tw
+	s.order = append(s.order, tw)
 	return tw, nil
 }
 
-// seal commits the segment: every topic writer closes (a no-op for
-// those the organizer already closed) and the container meta flips
-// building→sealed. The sealed segment's Topic objects stay live —
-// followers and a wired Bag keep reading them.
-func (s *segment) seal() error {
-	for _, tw := range s.topics {
-		if err := tw.Close(); err != nil {
-			return err
+// close closes every topic writer, in creation order, without sealing:
+// a segment abandoned on an error stays building, which Open and List
+// refuse and fsck reports. Every writer is closed even after one fails,
+// so no topic file stays open; the first error is returned.
+func (s *segment) close() error {
+	var first error
+	for _, tw := range s.order {
+		if err := tw.Close(); err != nil && first == nil {
+			first = err
 		}
+	}
+	return first
+}
+
+// seal commits the segment: every topic writer closes and the container
+// meta flips building→sealed. The sealed segment's Topic objects stay
+// live — followers and a wired Bag keep reading them.
+func (s *segment) seal() error {
+	if err := s.close(); err != nil {
+		return err
 	}
 	return s.c.Seal()
 }

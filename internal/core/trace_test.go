@@ -46,8 +46,7 @@ func exportTrace(t *testing.T, tr *obs.Tracer) traceDoc {
 // canonicalEdges reduces a trace to its sorted unique parent→child op-name
 // edge set ("- > name" for roots), the structure that is deterministic
 // across runs while timestamps, span counts and worker interleavings are
-// not. organizer.enqueue_stall is filtered: whether the scanner ever
-// outruns a worker queue is timing-dependent.
+// not.
 func canonicalEdges(doc traceDoc) []string {
 	names := map[uint64]string{}
 	for _, e := range doc.TraceEvents {
@@ -59,7 +58,7 @@ func canonicalEdges(doc traceDoc) []string {
 	}
 	set := map[string]bool{}
 	for _, e := range doc.TraceEvents {
-		if e.Ph != "B" || e.Name == "organizer.enqueue_stall" {
+		if e.Ph != "B" {
 			continue
 		}
 		parent := "-"
@@ -86,7 +85,7 @@ func TestTraceGolden(t *testing.T) {
 	tr := obs.NewTracer(0)
 	reg.AttachTracer(tr)
 	b, err := New(filepath.Join(t.TempDir(), "backend"),
-		Options{TimeWindow: time.Second, Workers: 1, Obs: reg})
+		Options{TimeWindow: time.Second, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +152,7 @@ func TestParallelReadersDisjointTracks(t *testing.T) {
 	tr := obs.NewTracer(64)
 	reg.AttachTracer(tr)
 	b, err := New(filepath.Join(t.TempDir(), "backend"),
-		Options{TimeWindow: time.Second, Workers: 2, Obs: reg})
+		Options{TimeWindow: time.Second, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +205,7 @@ func TestParallelReadersDisjointTracks(t *testing.T) {
 // default) emits nothing even with metrics on.
 func TestTraceDisabledNoEvents(t *testing.T) {
 	reg := obs.NewRegistry()
-	b, err := New(filepath.Join(t.TempDir(), "backend"), Options{Workers: 1, Obs: reg})
+	b, err := New(filepath.Join(t.TempDir(), "backend"), Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

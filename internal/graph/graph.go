@@ -239,7 +239,7 @@ func (b *sharedBuf) release() {
 // of PublishRaw, built for republishing core.MessageRef payloads
 // without a per-message copy (see replay.Play).
 //
-// Synchronous subscribers (SubscribeSync) receive data itself, inline.
+// Subscribers registered with SubscribeSync receive data itself, inline.
 // Only when the graph must retain the bytes past the call — queued
 // asynchronous subscribers, or a latched topic — is a copy made: one
 // pooled, refcounted buffer shared by every asynchronous subscriber

@@ -211,8 +211,7 @@ func TestClusterChaosKillMidStream(t *testing.T) {
 		// mid-flight, not one already sitting in socket buffers.
 		Node:    client.Options{Window: 8},
 		Backoff: 2 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
-		HotQPS: -1,
-		Obs:    reg,
+		Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

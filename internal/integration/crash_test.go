@@ -76,7 +76,7 @@ func duplicateWithPlan(t *testing.T, raw []byte, plan faultfs.Plan) (*faultfs.In
 	t.Helper()
 	root := t.TempDir()
 	in := faultfs.NewInjector(faultfs.OS, plan)
-	b, err := core.New(root, core.Options{FS: in, Synchronous: true, IndexFlushEvery: 1})
+	b, err := core.New(root, core.Options{FS: in, IndexFlushEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,25 +215,31 @@ func TestCrashConsistencySweep(t *testing.T) {
 	}
 }
 
-// normalizeFindings strips the run-specific temp-dir prefix and the
-// random suffix of atomic-write temporaries so reports from two
-// identically-seeded runs can be compared.
+// normalizePath strips a run's temp-dir root and the random suffix of
+// atomic-write temporaries, so paths from two identically-seeded runs
+// can be compared.
+func normalizePath(root, p string) string {
+	p = strings.ReplaceAll(p, root, "")
+	if j := strings.Index(p, faultfs.TempPattern); j >= 0 {
+		p = p[:j+len(faultfs.TempPattern)] + "*"
+	}
+	return p
+}
+
+// normalizeFindings applies normalizePath to a fsck report.
 func normalizeFindings(root string, rep *container.Report) []container.Finding {
 	out := append([]container.Finding(nil), rep.Findings...)
 	for i := range out {
-		p := strings.ReplaceAll(out[i].Path, root, "")
-		if j := strings.Index(p, faultfs.TempPattern); j >= 0 {
-			p = p[:j+len(faultfs.TempPattern)] + "*"
-		}
-		out[i].Path = p
+		out[i].Path = normalizePath(root, out[i].Path)
 		out[i].Detail = strings.ReplaceAll(out[i].Detail, root, "")
 	}
 	return out
 }
 
-// TestCrashSweepDeterministic runs the same seeded crash plan twice and
-// asserts both runs produce identical op traces and identical fsck
-// reports — the property that makes a failing crash point reproducible
+// TestCrashSweepDeterministic runs the same seeded plan twice — clean,
+// and crashed at several points — and asserts both runs issue the same
+// back-end operations in the same order and leave identical fsck
+// reports: the property that makes a failing crash point reproducible
 // from its seed alone.
 func TestCrashSweepDeterministic(t *testing.T) {
 	raw, _ := buildCrashBag(t)
@@ -242,17 +248,24 @@ func TestCrashSweepDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := clean.Ops()
-	for _, n := range []int64{3, total / 4, total / 2, total - 1} {
-		if n < 1 {
-			continue
-		}
+	for _, n := range []int64{0, 3, total / 4, total / 2, total - 1} {
 		inA, rootA, errA := duplicateWithPlan(t, raw, faultfs.Plan{Seed: 42, CrashAt: n})
 		inB, rootB, errB := duplicateWithPlan(t, raw, faultfs.Plan{Seed: 42, CrashAt: n})
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("CrashAt=%d: outcomes diverge: %v vs %v", n, errA, errB)
+		if (errA == nil) != (errB == nil) || (errA == nil) != (n == 0) {
+			t.Fatalf("CrashAt=%d: outcomes %v and %v", n, errA, errB)
 		}
-		if inA.Ops() != inB.Ops() {
-			t.Fatalf("CrashAt=%d: op counts diverge: %d vs %d", n, inA.Ops(), inB.Ops())
+		ta, tb := inA.Trace(), inB.Trace()
+		for i := 0; i < len(ta) || i < len(tb); i++ {
+			var a, b string
+			if i < len(ta) {
+				a = normalizePath(rootA, ta[i])
+			}
+			if i < len(tb) {
+				b = normalizePath(rootB, tb[i])
+			}
+			if a != b {
+				t.Fatalf("CrashAt=%d: op traces diverge at op %d of %d/%d:\n%q\n%q", n, i+1, len(ta), len(tb), a, b)
+			}
 		}
 		crootA, crootB := filepath.Join(rootA, "sweep"), filepath.Join(rootB, "sweep")
 		if _, err := os.Stat(crootA); os.IsNotExist(err) {

@@ -28,7 +28,7 @@ var liveCrashTopics = []string{"/imu", "/tf", "/camera/rgb/image_color"}
 func liveCrashRecord(t *testing.T, root string, plan faultfs.Plan) (*faultfs.Injector, map[string][][]byte, error) {
 	t.Helper()
 	in := faultfs.NewInjector(faultfs.OS, plan)
-	b, err := core.New(root, core.Options{FS: in, Synchronous: true, IndexFlushEvery: 1})
+	b, err := core.New(root, core.Options{FS: in, IndexFlushEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestLiveCrashRecoverySweep(t *testing.T) {
 				}
 			}
 			if len(want)-len(got) > 1 {
-				// Synchronous + IndexFlushEvery=1 leaves at most the
+				// IndexFlushEvery=1 leaves at most the
 				// in-flight write unindexed.
 				t.Fatalf("CrashAt=%d: topic %s lost %d messages, want at most the in-flight one", n, topic, len(want)-len(got))
 			}

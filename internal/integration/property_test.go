@@ -62,7 +62,7 @@ func treeBytes(t *testing.T, root string) map[string][]byte {
 func dupAndExport(t *testing.T, bagPath string) (string, string) {
 	t.Helper()
 	dir := t.TempDir()
-	b, err := core.New(filepath.Join(dir, "backend"), core.Options{Workers: 2})
+	b, err := core.New(filepath.Join(dir, "backend"), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

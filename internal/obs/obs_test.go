@@ -138,7 +138,7 @@ func TestZeroSpanIsNoop(t *testing.T) {
 
 func TestSnapshotEncodings(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("organizer.dropped_messages").Add(2)
+	r.Counter("cluster.failover").Add(2)
 	op := r.Op("core.duplicate")
 	op.Observe(2*time.Millisecond, 1<<20)
 	data, err := r.Snapshot().JSON()
@@ -149,7 +149,7 @@ func TestSnapshotEncodings(t *testing.T) {
 	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatalf("JSON round trip: %v", err)
 	}
-	if decoded.Counters["organizer.dropped_messages"] != 2 {
+	if decoded.Counters["cluster.failover"] != 2 {
 		t.Errorf("decoded counters = %+v", decoded.Counters)
 	}
 	if decoded.Ops["core.duplicate"].Bytes != 1<<20 {
@@ -161,7 +161,7 @@ func TestSnapshotEncodings(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	for _, want := range []string{"core.duplicate", "bytes 1048576", "organizer.dropped_messages"} {
+	for _, want := range []string{"core.duplicate", "bytes 1048576", "cluster.failover"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("text snapshot missing %q:\n%s", want, text)
 		}

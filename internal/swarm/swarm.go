@@ -116,7 +116,6 @@ type RealConfig struct {
 	Seconds int // per-bag synthetic recording length
 	Topics  []string
 	Dir     string // working directory (bags + containers)
-	Workers int    // organizer workers per duplication
 }
 
 // RealResult summarizes a real swarm run.
@@ -145,7 +144,7 @@ func Real(cfg RealConfig) (RealResult, error) {
 		}
 		cfg.Topics = app.Topics
 	}
-	backend, err := core.New(filepath.Join(cfg.Dir, "backend"), core.Options{Workers: cfg.Workers})
+	backend, err := core.New(filepath.Join(cfg.Dir, "backend"), core.Options{})
 	if err != nil {
 		return RealResult{}, err
 	}

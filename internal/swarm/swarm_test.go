@@ -77,7 +77,7 @@ func TestSimImprovementGrowsWithSwarm(t *testing.T) {
 }
 
 func TestRealSwarmConcurrentExtraction(t *testing.T) {
-	res, err := Real(RealConfig{Robots: 4, Seconds: 1, Dir: t.TempDir(), Workers: 2})
+	res, err := Real(RealConfig{Robots: 4, Seconds: 1, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,16 +132,18 @@ func (fs *FS) Stat(name string) (int64, error) {
 		return 0, err
 	}
 	var total int64
-	for _, topic := range bag.Topics() {
-		t, err := bag.Container().Topic(topic)
-		if err != nil {
-			return 0, err
+	for _, c := range bag.Segments() {
+		for _, topic := range c.Topics() {
+			t, err := c.Topic(topic)
+			if err != nil {
+				return 0, err
+			}
+			sz, err := t.DataSize()
+			if err != nil {
+				return 0, err
+			}
+			total += sz
 		}
-		sz, err := t.DataSize()
-		if err != nil {
-			return 0, err
-		}
-		total += sz
 	}
 	return total, nil
 }

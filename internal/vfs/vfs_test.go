@@ -7,7 +7,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/bagio"
 	"repro/internal/core"
 	"repro/internal/faultfs"
 	"repro/internal/rosbag"
@@ -17,7 +19,7 @@ import (
 func mountTestFS(t *testing.T) *FS {
 	t.Helper()
 	dir := t.TempDir()
-	backend, err := core.New(filepath.Join(dir, "backend"), core.Options{Workers: 2})
+	backend, err := core.New(filepath.Join(dir, "backend"), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +82,48 @@ func TestWriteThroughFrontEnd(t *testing.T) {
 	st := fs.Stats()
 	if st.Creates != 1 || st.Writes != 2 || st.Closes == 0 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestStatSumsEverySegment: Stat of a complete live bag counts the
+// payload of every segment — a topic that spans two segments, and one
+// that first appears in the second.
+func TestStatSumsEverySegment(t *testing.T) {
+	dir := t.TempDir()
+	backend, err := core.New(filepath.Join(dir, "backend"), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := backend.CreateLiveBag("two", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	write := func(topic string, ns int64, n int) {
+		conn, err := rec.AddConnection(topic, "bora_test/Msg")
+		if err == nil {
+			err = rec.WriteMessage(conn, bagio.TimeFromNanos(ns), make([]byte, n))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += int64(n)
+	}
+	write("/a", 1e18, 10)
+	write("/a", 1e18+2e9, 20) // a new window: the second segment
+	write("/b", 1e18+2e9+1, 40)
+	if err := rec.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if bag, err := backend.Open("two"); err != nil || len(bag.Segments()) != 2 {
+		t.Fatalf("the fixture is not a two-segment bag: %v", err)
+	}
+	fs, err := Mount(backend, filepath.Join(dir, "spool"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fs.Stat("two.bag"); err != nil || got != want {
+		t.Errorf("Stat = %d, %v; want %d, the payload bytes of both segments", got, err, want)
 	}
 }
 
@@ -426,7 +470,7 @@ func TestSpoolNeverLeaksUnderInjectedFaults(t *testing.T) {
 	run := func(plan faultfs.Plan) (*faultfs.Injector, string, error) {
 		dir := t.TempDir()
 		in := faultfs.NewInjector(faultfs.OS, plan)
-		backend, err := core.New(filepath.Join(dir, "backend"), core.Options{FS: in, Synchronous: true})
+		backend, err := core.New(filepath.Join(dir, "backend"), core.Options{FS: in})
 		if err != nil {
 			t.Fatal(err)
 		}
