@@ -53,7 +53,6 @@ func BenchmarkFig17Swarm(b *testing.B)        { benchExperiment(b, "fig17") }
 func BenchmarkFig18SwarmTime(b *testing.B)    { benchExperiment(b, "fig18") }
 func BenchmarkAblationWindow(b *testing.B)    { benchExperiment(b, "ablation-window") }
 func BenchmarkAblationChunkSize(b *testing.B) { benchExperiment(b, "ablation-chunk") }
-func BenchmarkLiveTail(b *testing.B)          { benchExperiment(b, "live-tail") }
 
 // --- real micro-benchmarks of the core structures ---
 
@@ -216,8 +215,6 @@ func BenchmarkBoraTimeQueryReal(b *testing.B) {
 func BenchmarkTable2Workload(b *testing.B)   { benchExperiment(b, "table2") }
 func BenchmarkTable3Apps(b *testing.B)       { benchExperiment(b, "table3") }
 func BenchmarkTable4Middleware(b *testing.B) { benchExperiment(b, "table4") }
-
-func BenchmarkValidateReal(b *testing.B) { benchExperiment(b, "validate-real") }
 
 func BenchmarkAblationRebag(b *testing.B)       { benchExperiment(b, "ablation-rebag") }
 func BenchmarkAblationCompression(b *testing.B) { benchExperiment(b, "ablation-compression") }

@@ -16,7 +16,7 @@
 // and its snapshot is written to DIR/<id>.obs.json next to the printed
 // table — per-op counts, bytes and log2 latency histograms for every
 // instrumented layer the experiment exercised. Experiments that split
-// their run into phases (e.g. validate-real's organize vs. query)
+// their run into phases (e.g. dataset-build's cold, no-op and touch-one)
 // additionally write one DIR/<id>.<phase>.obs.json delta per phase.
 //
 // With -trace DIR, each experiment's registry also carries a tracer and

@@ -23,7 +23,7 @@ type Table struct {
 	Notes  []string // expected paper shape, substitutions, caveats
 	// Phases carries per-phase metric deltas (obs.Snapshot.Delta) for
 	// experiments that split their run into named phases — e.g.
-	// validate-real's organize vs. query. cmd/borabench writes each as a
+	// dataset-build's cold, no-op and touch-one builds. cmd/borabench writes each as a
 	// <id>.<phase>.obs.json sidecar; Fprint ignores them.
 	Phases []Phase
 }
@@ -118,19 +118,6 @@ func RunObs(id string, reg *obs.Registry) (*Table, error) {
 	t, err := r(reg)
 	sp.EndErr(err)
 	return t, err
-}
-
-// RunAll executes every experiment in id order.
-func RunAll() ([]*Table, error) {
-	var out []*Table
-	for _, id := range IDs() {
-		t, err := Run(id)
-		if err != nil {
-			return out, fmt.Errorf("bench: %s: %w", id, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }
 
 // fmtDur renders a duration with experiment-friendly precision.

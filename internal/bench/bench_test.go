@@ -17,8 +17,7 @@ func TestIDsCoverPaperArtifacts(t *testing.T) {
 		"fig2", "fig3", "fig9", "fig10", "fig11", "fig12",
 		"fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
 		"ablation-window", "ablation-chunk",
-		"ablation-rebag", "ablation-compression", "validate-real",
-		"live-tail",
+		"ablation-rebag", "ablation-compression",
 	} {
 		if !have[want] {
 			t.Errorf("experiment %q not registered", want)
@@ -287,28 +286,14 @@ func TestAblationRebagAndCompression(t *testing.T) {
 	}
 }
 
-func TestValidateReal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("writes real bags and measures wall clock")
-	}
-	tab := runTable(t, "validate-real")
-	for _, row := range tab.Rows {
-		if r := ratioCell(t, row[3]); r < 1 {
-			t.Errorf("real measurement: BORA slower on %q (%.2fx)", row[0], r)
-		}
-	}
-}
-
 func TestRunAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	tables, err := RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != len(IDs()) {
-		t.Errorf("RunAll returned %d tables, want %d", len(tables), len(IDs()))
+	for _, id := range IDs() {
+		if _, err := Run(id); err != nil {
+			t.Errorf("%s: %v", id, err)
+		}
 	}
 }
 

@@ -45,7 +45,21 @@ func TestDatasetBuildExperiment(t *testing.T) {
 	if got := snap.Counters["build.bytes_materialized"]; got == 0 {
 		t.Error("build.bytes_materialized = 0")
 	}
+	// Each phase sidecar is the registry delta of that phase alone: a
+	// leak across phases would show the cold build's rebuilds later.
 	if len(tab.Phases) != 3 {
-		t.Errorf("phases = %d", len(tab.Phases))
+		t.Fatalf("phases = %d", len(tab.Phases))
+	}
+	for i, want := range []struct {
+		name     string
+		rebuilds int64
+	}{{"cold", 10}, {"noop", 0}, {"touch-one", 5}} {
+		ph := tab.Phases[i]
+		if ph.Name != want.name {
+			t.Errorf("phase %d named %q, want %q", i, ph.Name, want.name)
+		}
+		if got := ph.Snap.Counters["build.rebuilds"]; got != want.rebuilds {
+			t.Errorf("%s phase: build.rebuilds delta = %d, want %d", want.name, got, want.rebuilds)
+		}
 	}
 }

@@ -77,32 +77,3 @@ func TestSimExperimentEmitsSimTimeSpans(t *testing.T) {
 		}
 	}
 }
-
-// TestValidateRealPhases checks that the real-measurement experiment
-// splits its registry activity into organize and query phase deltas.
-func TestValidateRealPhases(t *testing.T) {
-	if testing.Short() {
-		t.Skip("writes real bags and measures wall clock")
-	}
-	reg := obs.NewRegistry()
-	tab, err := RunObs("validate-real", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Phases) != 2 {
-		t.Fatalf("validate-real has %d phases, want organize+query", len(tab.Phases))
-	}
-	org, query := tab.Phases[0], tab.Phases[1]
-	if org.Name != "organize" || query.Name != "query" {
-		t.Fatalf("phase names = %q, %q", org.Name, query.Name)
-	}
-	if org.Snap.Ops["core.duplicate"].Count == 0 {
-		t.Error("organize phase delta missing core.duplicate")
-	}
-	if _, ok := query.Snap.Ops["core.duplicate"]; ok {
-		t.Error("query phase delta contains core.duplicate; Delta leaked across phases")
-	}
-	if query.Snap.Ops["core.read"].Count == 0 {
-		t.Error("query phase delta missing core.read")
-	}
-}

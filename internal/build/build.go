@@ -134,16 +134,8 @@ func (bld *Builder) BuildContext(ctx context.Context, g *Graph) ([]Result, error
 	return results, errors.Join(errs...)
 }
 
-// BuildOne materializes a single derivation (probing, addressing,
-// cache check, rebuild) outside any graph.
-func (bld *Builder) BuildOne(d Derivation) (Result, error) {
-	if err := validBagName(d.Name); err != nil {
-		return Result{Name: d.Name, Err: err}, err
-	}
-	r := bld.buildOne(d)
-	return r, r.Err
-}
-
+// buildOne materializes a single derivation: probing, addressing,
+// cache check, rebuild.
 func (bld *Builder) buildOne(d Derivation) Result {
 	r := Result{Name: d.Name}
 	r.Err = bld.derivedo(d, &r)

@@ -211,8 +211,8 @@ func TestBuildIncremental(t *testing.T) {
 	// Touch src1: exactly imu1 and its dependent imu1-half rerun;
 	// window2 (off src2) stays cached byte-for-byte.
 	touchSource(t, b, "src1", 40, 2)
-	if deps := g.Dependents("imu1"); len(deps) != 1 || deps[0] != "imu1-half" {
-		t.Fatalf("Dependents(imu1) = %v", deps)
+	if deps := g.dependents("imu1"); len(deps) != 1 || deps[0] != "imu1-half" {
+		t.Fatalf("dependents(imu1) = %v", deps)
 	}
 	rs3, err := bld.Build(g)
 	if err != nil {
@@ -249,9 +249,9 @@ func TestBuildPoolInvalidation(t *testing.T) {
 	bld := New(b, Options{})
 	d := Derivation{Name: "derived", From: "src", TransformSpec: core.TransformSpec{Topics: []string{"/imu"}}}
 
-	r1, err := bld.BuildOne(d)
-	if err != nil {
-		t.Fatal(err)
+	r1 := bld.buildOne(d)
+	if r1.Err != nil {
+		t.Fatal(r1.Err)
 	}
 	h1, err := p.Acquire("derived")
 	if err != nil {
@@ -262,9 +262,9 @@ func TestBuildPoolInvalidation(t *testing.T) {
 	}
 
 	touchSource(t, b, "src", 30, 2)
-	r2, err := bld.BuildOne(d)
-	if err != nil {
-		t.Fatal(err)
+	r2 := bld.buildOne(d)
+	if r2.Err != nil {
+		t.Fatal(r2.Err)
 	}
 	if !r2.Rebuilt || r2.Gen == r1.Gen || r2.Address == r1.Address {
 		t.Fatalf("touch did not force a distinct rebuild: %+v vs %+v", r2, r1)
@@ -307,20 +307,19 @@ func TestBuildSingleflight(t *testing.T) {
 
 	const clients = 8
 	results := make([]Result, clients)
-	errs := make([]error, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = bld.BuildOne(d)
+			results[i] = bld.buildOne(d)
 		}(i)
 	}
 	wg.Wait()
 	var rebuilds int
 	for i := 0; i < clients; i++ {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
+		if results[i].Err != nil {
+			t.Fatal(results[i].Err)
 		}
 		if results[i].Rebuilt {
 			rebuilds++
@@ -370,7 +369,7 @@ func TestBuildFailurePropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bld.BuildOne(Derivation{Name: "of-live", From: "live"}); err == nil {
+	if r := bld.buildOne(Derivation{Name: "of-live", From: "live"}); r.Err == nil {
 		t.Error("derivation of a recording source accepted")
 	}
 	if _, err := rec.Close(); err != nil {
@@ -385,9 +384,9 @@ func TestBuildReplacesForeignOutput(t *testing.T) {
 	recordSource(t, b, "src", 20, 1)
 	recordSource(t, b, "derived", 4, 9) // squatter at the output name
 	bld := New(b, Options{})
-	r, err := bld.BuildOne(Derivation{Name: "derived", From: "src", TransformSpec: core.TransformSpec{Topics: []string{"/imu"}}})
-	if err != nil {
-		t.Fatal(err)
+	r := bld.buildOne(Derivation{Name: "derived", From: "src", TransformSpec: core.TransformSpec{Topics: []string{"/imu"}}})
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
 	if !r.Rebuilt || r.Messages != 20 {
 		t.Fatalf("foreign output not rebuilt: %+v", r)

@@ -185,9 +185,9 @@ func topoSort(g *Graph) ([]int, error) {
 	return order, nil
 }
 
-// Dependents returns the names of the derivations that consume name's
+// dependents returns the names of the derivations that consume name's
 // output, directly or transitively — the set a rebuild of name forces.
-func (g *Graph) Dependents(name string) []string {
+func (g *Graph) dependents(name string) []string {
 	forced := map[string]bool{name: true}
 	var out []string
 	// order is topological, so one pass propagates transitively.

@@ -30,11 +30,11 @@ func TestParseSpec(t *testing.T) {
 	if !(pos["full"] < pos["half"] && pos["half"] < pos["late"]) {
 		t.Errorf("build order %v", pos)
 	}
-	if deps := g.Dependents("full"); len(deps) != 2 {
-		t.Errorf("Dependents(full) = %v", deps)
+	if deps := g.dependents("full"); len(deps) != 2 {
+		t.Errorf("dependents(full) = %v", deps)
 	}
-	if deps := g.Dependents("late"); len(deps) != 0 {
-		t.Errorf("Dependents(late) = %v", deps)
+	if deps := g.dependents("late"); len(deps) != 0 {
+		t.Errorf("dependents(late) = %v", deps)
 	}
 }
 

@@ -496,3 +496,135 @@ func TestLiveBagListAndRemove(t *testing.T) {
 		t.Errorf("live bag directory survives Remove: %v", err)
 	}
 }
+
+// TestLiveJournalBounded pins the Follow journal's memory: a live
+// recording journals only while a follower is subscribed, and keeps
+// only what the slowest follower has not drained yet — without losing
+// or repeating a message for a follower that joins mid-recording.
+func TestLiveJournalBounded(t *testing.T) {
+	b := newBORA(t)
+	rec, err := b.CreateLiveBag("live", 500*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := int64(3_000_000_000) * 1e9
+	topics := []string{"/imu", "/tf", "/camera"}
+	n := 0
+	write := func(k int) {
+		for ; k > 0; k-- {
+			liveWrite(t, rec, topics[n%len(topics)], bagio.TimeFromNanos(base+int64(n)*1e6), n)
+			n++
+		}
+	}
+	journalLen := func() int {
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		return len(rec.journal)
+	}
+
+	const prefix, batch = 3000, 64
+	write(prefix)
+	if l := journalLen(); l != 0 {
+		t.Fatalf("no follower: journal holds %d entries, want 0", l)
+	}
+
+	bag, err := b.Open("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A tail counts deliveries per message index; gate, when non-nil,
+	// holds its first delivery until closed.
+	type tail struct {
+		mu        sync.Mutex
+		seen      map[int]int
+		delivered int
+		started   chan struct{}
+		done      chan error
+	}
+	follow := func(gate chan struct{}) *tail {
+		tl := &tail{seen: map[int]int{}, started: make(chan struct{}), done: make(chan error, 1)}
+		go func() {
+			first := true
+			tl.done <- bag.Query(QuerySpec{Follow: true}, func(m MessageRef) error {
+				if first {
+					first = false
+					close(tl.started)
+					if gate != nil {
+						<-gate
+					}
+				}
+				var i int
+				if _, err := fmt.Sscanf(string(m.Data[bytes.IndexByte(m.Data, '#')+1:]), "%d", &i); err != nil {
+					return err
+				}
+				tl.mu.Lock()
+				tl.seen[i]++
+				tl.delivered++
+				tl.mu.Unlock()
+				return nil
+			})
+		}()
+		return tl
+	}
+	awaitAll := func(tails ...*tail) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for _, tl := range tails {
+			for {
+				tl.mu.Lock()
+				d := tl.delivered
+				tl.mu.Unlock()
+				if d == n {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("follower delivered %d of %d messages", d, n)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}
+	round := func(tails ...*tail) {
+		t.Helper()
+		write(batch)
+		if l := journalLen(); l > batch+n/2 {
+			t.Fatalf("after %d messages: journal holds %d entries, want <= %d", n, l, batch+n/2)
+		}
+		awaitAll(tails...)
+	}
+
+	// A follower that keeps up bounds the journal by one batch.
+	a := follow(nil)
+	awaitAll(a)
+	for i := 0; i < 20; i++ {
+		round(a)
+	}
+	// A second follower joins mid-recording and lags: the journal keeps
+	// its undrained suffix while the first drains past it.
+	gate := make(chan struct{})
+	late := follow(gate)
+	<-late.started
+	for i := 0; i < 10; i++ {
+		round(a)
+	}
+	close(gate)
+	for i := 0; i < 20; i++ {
+		round(a, late)
+	}
+	if err := rec.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	for name, tl := range map[string]*tail{"first": a, "late": late} {
+		if err := <-tl.done; err != nil {
+			t.Fatalf("%s follower: %v", name, err)
+		}
+		for i := 0; i < n; i++ {
+			if c := tl.seen[i]; c != 1 {
+				t.Fatalf("%s follower saw message %d %d times, want once", name, i, c)
+			}
+		}
+	}
+	if l := journalLen(); l != 0 {
+		t.Errorf("after every follower left: journal holds %d entries, want 0", l)
+	}
+}

@@ -400,8 +400,8 @@ func (q *query) readTime(parent obs.Span) (err error) {
 // for context cancellation; QuerySpec.Idle runs before each block.
 //
 // Messages are delivered exactly once: the cut is taken under the same
-// lock that orders writes, so limits and journal[pos:] partition the
-// recording with no overlap and no gap.
+// lock that orders writes, so limits and the journal from pos
+// partition the recording with no overlap and no gap.
 //
 // On a bag that is not live-wired (complete live bag, classic bag)
 // there is no tail: the chronological snapshot is the whole recording.
@@ -434,12 +434,10 @@ func (q *query) follow(ctx context.Context, parent obs.Span) (err error) {
 	}()
 	scratch := scratchPool.Get().(*msgScratch)
 	defer scratchPool.Put(scratch)
-	pos := f.pos
 	var batch []tailRef
 	for {
-		refs, sealed := rec.tailBatch(pos, batch)
+		refs, sealed := rec.tailBatch(f, batch)
 		batch = refs[:0]
-		pos += len(refs)
 		for _, ref := range refs {
 			topic := ref.t.Name()
 			phase, wanted := q.phases[topic]

@@ -28,10 +28,11 @@ import (
 //     a handle wired to this recorder, and Follow queries tail it.
 //
 // All writes are serialized through one recorder mutex. That total
-// order is what live followers tail: each write appends the message's
-// index entry to an in-memory journal, and a Follow query delivers the
-// journal suffix it subscribed after, in order, with no duplicates or
-// gaps.
+// order is what live followers tail: while a follower is subscribed,
+// each write appends the message's index entry to an in-memory journal,
+// and a Follow query delivers the journal suffix it subscribed after, in
+// order, with no duplicates or gaps. The journal holds only what the
+// slowest follower has not drained yet.
 type Recorder struct {
 	b      *BORA
 	name   string
@@ -53,7 +54,10 @@ type Recorder struct {
 	sealed bool
 	closed bool
 
+	// journal[i] is the entry at absolute position jbase+i; positions
+	// below jbase every follower has drained.
 	journal   []tailRef
+	jbase     int
 	followers map[*follower]struct{}
 }
 
@@ -69,8 +73,9 @@ type tailRef struct {
 // follower is one live tail subscription. pos and limits are a
 // consistent snapshot taken under the recorder mutex: limits holds each
 // existing topic part's entry count at subscribe time, and pos is the
-// journal length — journal[pos:] is exactly the set of messages not
-// covered by limits.
+// absolute journal position of the next write — everything from pos on
+// is exactly the set of messages not covered by limits. tailBatch
+// advances pos as the follower drains.
 type follower struct {
 	ch     chan struct{} // capacity 1: write notifications coalesce
 	pos    int
@@ -181,7 +186,7 @@ func (r *Recorder) appendLocked(conn *bagio.Connection, t bagio.Time, data []byt
 		return err
 	}
 	r.count++
-	if r.live {
+	if len(r.followers) > 0 {
 		r.journal = append(r.journal, tailRef{t: tw.Topic(), e: tw.LastEntry()})
 		r.notifyLocked()
 	}
@@ -311,14 +316,14 @@ func (r *Recorder) chains(topics []string, lenient bool) ([]topicChain, error) {
 
 // subscribe registers a live tail. The returned follower's limits/pos
 // pair is a consistent cut of the recording: every message is either
-// covered by limits (visible to a snapshot query) or in journal[pos:]
-// (delivered by the tail), never both.
+// covered by limits (visible to a snapshot query) or journaled from pos
+// on (delivered by the tail), never both.
 func (r *Recorder) subscribe() *follower {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := &follower{
 		ch:     make(chan struct{}, 1),
-		pos:    len(r.journal),
+		pos:    r.jbase + len(r.journal),
 		limits: map[*container.Topic]int{},
 	}
 	for _, parts := range r.parts {
@@ -338,7 +343,29 @@ func (r *Recorder) subscribe() *follower {
 func (r *Recorder) unsubscribe(f *follower) {
 	r.mu.Lock()
 	delete(r.followers, f)
+	r.trimLocked()
 	r.mu.Unlock()
+}
+
+// trimLocked drops the journal prefix every follower has drained. A
+// fully drained journal is resliced to empty, keeping its backing
+// array; a partly drained one is compacted only once the drained prefix
+// is at least half of it, so each entry is copied amortized O(1) times.
+func (r *Recorder) trimLocked() {
+	low := r.jbase + len(r.journal)
+	for f := range r.followers {
+		low = min(low, f.pos)
+	}
+	drained := low - r.jbase
+	switch {
+	case drained == len(r.journal):
+		r.journal = r.journal[:0]
+	case 2*drained >= len(r.journal):
+		r.journal = r.journal[:copy(r.journal, r.journal[drained:])]
+	default:
+		return
+	}
+	r.jbase = low
 }
 
 // notifyLocked wakes every follower; sends coalesce on the capacity-1
@@ -352,14 +379,18 @@ func (r *Recorder) notifyLocked() {
 	}
 }
 
-// tailBatch copies journal[pos:] into buf and reports whether the
-// recording has sealed (no further writes possible). The sealed flag is
-// read under the same lock as the journal snapshot, so sealed=true
-// means the returned batch reaches the journal's final entry.
-func (r *Recorder) tailBatch(pos int, buf []tailRef) ([]tailRef, bool) {
+// tailBatch copies f's undrained journal suffix into buf, advances
+// f.pos past it, and reports whether the recording has sealed (no
+// further writes possible). The sealed flag is read under the same lock
+// as the journal snapshot, so sealed=true means the returned batch
+// reaches the journal's final entry.
+func (r *Recorder) tailBatch(f *follower, buf []tailRef) ([]tailRef, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append(buf[:0], r.journal[pos:]...), r.sealed
+	buf = append(buf[:0], r.journal[f.pos-r.jbase:]...)
+	f.pos = r.jbase + len(r.journal)
+	r.trimLocked()
+	return buf, r.sealed
 }
 
 // Seal commits the recording without opening it: the building segment

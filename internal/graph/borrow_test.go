@@ -21,7 +21,7 @@ func TestPublishBorrowedDelivery(t *testing.T) {
 
 	var mu sync.Mutex
 	var syncGot, asyncGot [][]byte
-	if _, err := subNode.SubscribeSync("/t", func(m Message) {
+	if _, err := subNode.subscribeSync("/t", func(m Message) {
 		// Borrowed: copy what we keep, per the contract.
 		mu.Lock()
 		syncGot = append(syncGot, append([]byte(nil), m.Data...))
@@ -80,7 +80,7 @@ func TestPublishBorrowedLatch(t *testing.T) {
 	defer g.Shutdown()
 	pubNode, _ := g.NewNode("pub")
 	subNode, _ := g.NewNode("sub")
-	pub, err := pubNode.AdvertiseLatched("/map", "x/Map")
+	pub, err := pubNode.advertise("/map", "x/Map", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestPublishBorrowedLatch(t *testing.T) {
 		buf[i] = 0 // publisher reuses its buffer
 	}
 	got := make(chan []byte, 1)
-	if _, err := subNode.SubscribeSync("/map", func(m Message) {
+	if _, err := subNode.subscribeSync("/map", func(m Message) {
 		got <- append([]byte(nil), m.Data...)
 	}); err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestSubscribeSyncClose(t *testing.T) {
 	subNode, _ := g.NewNode("sub")
 	var n int
 	var mu sync.Mutex
-	sub, err := subNode.SubscribeSync("/t", func(m Message) {
+	sub, err := subNode.subscribeSync("/t", func(m Message) {
 		mu.Lock()
 		n++
 		mu.Unlock()

@@ -157,9 +157,6 @@ type Publisher struct {
 	node  *Node
 	bus   *bus
 	latch bool
-
-	mu        sync.Mutex
-	published int64
 }
 
 // Advertise declares that the node publishes msgType on topic.
@@ -167,13 +164,9 @@ func (n *Node) Advertise(topic, msgType string) (*Publisher, error) {
 	return n.advertise(topic, msgType, false)
 }
 
-// AdvertiseLatched is Advertise with ROS latching semantics: the last
+// advertise with latch set gives ROS latching semantics: the last
 // published message is re-delivered to every new subscriber (used for
 // slow-changing state like maps and calibration).
-func (n *Node) AdvertiseLatched(topic, msgType string) (*Publisher, error) {
-	return n.advertise(topic, msgType, true)
-}
-
 func (n *Node) advertise(topic, msgType string, latch bool) (*Publisher, error) {
 	if topic == "" || msgType == "" {
 		return nil, fmt.Errorf("graph: Advertise needs topic and type")
@@ -196,9 +189,6 @@ func (p *Publisher) Publish(t bagio.Time, m msgs.Message) error {
 // PublishRaw fans out pre-serialized bytes. The buffer is not copied;
 // callers must not reuse it (ownership transfers to the subscribers).
 func (p *Publisher) PublishRaw(t bagio.Time, data []byte) error {
-	p.mu.Lock()
-	p.published++
-	p.mu.Unlock()
 	msg := Message{Topic: p.bus.name, Type: p.bus.msgType, Time: t, Data: data}
 	p.bus.mu.Lock()
 	if p.latch {
@@ -239,7 +229,7 @@ func (b *sharedBuf) release() {
 // of PublishRaw, built for republishing core.MessageRef payloads
 // without a per-message copy (see replay.Play).
 //
-// Subscribers registered with SubscribeSync receive data itself, inline.
+// Subscribers registered with subscribeSync receive data itself, inline.
 // Only when the graph must retain the bytes past the call — queued
 // asynchronous subscribers, or a latched topic — is a copy made: one
 // pooled, refcounted buffer shared by every asynchronous subscriber
@@ -247,9 +237,6 @@ func (b *sharedBuf) release() {
 // the latch. Asynchronous callbacks on such topics therefore get Data
 // valid only during the callback; they must Copy what they keep.
 func (p *Publisher) PublishBorrowed(t bagio.Time, data []byte) error {
-	p.mu.Lock()
-	p.published++
-	p.mu.Unlock()
 	msg := Message{Topic: p.bus.name, Type: p.bus.msgType, Time: t, Data: data}
 	p.bus.mu.Lock()
 	if p.latch {
@@ -286,13 +273,6 @@ func (p *Publisher) PublishBorrowed(t bagio.Time, data []byte) error {
 	return nil
 }
 
-// Published returns how many messages this publisher has sent.
-func (p *Publisher) Published() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.published
-}
-
 // delivery is one queued (or inline) hand-off to a subscriber. release,
 // when non-nil, must be called exactly once after the callback returns
 // — or when the message is dropped — to release the refcounted pooled
@@ -304,7 +284,7 @@ type delivery struct {
 
 // Subscriber receives one topic's messages — through a bounded queue
 // and a dedicated goroutine (Subscribe), or inline on the publisher's
-// goroutine (SubscribeSync).
+// goroutine (subscribeSync).
 type Subscriber struct {
 	node  *Node
 	bus   *bus
@@ -372,13 +352,13 @@ func (n *Node) Subscribe(topic string, queueSize int, cb func(Message)) (*Subscr
 	return n.attach(b, s)
 }
 
-// SubscribeSync attaches a callback that runs inline on the publishing
+// subscribeSync attaches a callback that runs inline on the publishing
 // goroutine — no queue, no drops, no cross-goroutine hand-off. The
 // callback must be fast (it stalls the publisher) and must not Close
 // its own subscription from inside the callback. Combined with
 // PublishBorrowed this is the zero-copy delivery path: the callback's
 // Message borrows the publisher's bytes and must copy what it keeps.
-func (n *Node) SubscribeSync(topic string, cb func(Message)) (*Subscriber, error) {
+func (n *Node) subscribeSync(topic string, cb func(Message)) (*Subscriber, error) {
 	if cb == nil {
 		return nil, fmt.Errorf("graph: nil callback")
 	}

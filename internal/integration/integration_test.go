@@ -175,21 +175,11 @@ func TestVFSRoundTripPreservesQueries(t *testing.T) {
 	}
 
 	// The BORA-Lib path and the front-end (stock reader) path must agree
-	// on a time-bounded IMU query.
+	// on every query class: by topic, by app, and topics over a window.
 	bag, err := backend.Open("hs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := bagio.TimeFromNanos(int64(1_500_000_000) * 1e9)
-	end := base.Add(time.Second)
-	var boraCount int
-	if err := bag.Query(core.QuerySpec{Topics: []string{workload.TopicIMU}, Start: base, End: end}, func(core.MessageRef) error {
-		boraCount++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
 	rf, err := fs.Open("hs.bag")
 	if err != nil {
 		t.Fatal(err)
@@ -199,15 +189,34 @@ func TestVFSRoundTripPreservesQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stockCount int
-	if err := stock.ReadMessages(rosbag.Query{Topics: []string{workload.TopicIMU}, Start: base, End: end}, func(rosbag.MessageRef) error {
-		stockCount++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if boraCount != stockCount || boraCount == 0 {
-		t.Errorf("BORA path %d vs front-end stock path %d messages", boraCount, stockCount)
+	base := bagio.TimeFromNanos(int64(1_500_000_000) * 1e9)
+	for _, qc := range []struct {
+		name       string
+		topics     []string
+		start, end bagio.Time // zero: the whole bag
+	}{
+		{"imu 1s window", []string{workload.TopicIMU}, base, base.Add(time.Second)},
+		{"imu full", []string{workload.TopicIMU}, bagio.Time{}, bagio.Time{}},
+		{"camera_info full", []string{workload.TopicRGBCameraInfo}, bagio.Time{}, bagio.Time{}},
+		{"RS app full", workload.Apps()[1].Topics, bagio.Time{}, bagio.Time{}},
+		{"imu+tf 2s window", []string{workload.TopicIMU, workload.TopicTF}, base, base.Add(2 * time.Second)},
+	} {
+		var boraCount, stockCount int
+		if err := bag.Query(core.QuerySpec{Topics: qc.topics, Start: qc.start, End: qc.end}, func(core.MessageRef) error {
+			boraCount++
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", qc.name, err)
+		}
+		if err := stock.ReadMessages(rosbag.Query{Topics: qc.topics, Start: qc.start, End: qc.end}, func(rosbag.MessageRef) error {
+			stockCount++
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", qc.name, err)
+		}
+		if boraCount != stockCount || boraCount == 0 {
+			t.Errorf("%s: BORA path %d vs front-end stock path %d messages", qc.name, boraCount, stockCount)
+		}
 	}
 }
 

@@ -32,7 +32,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0x7f})                    // unknown opcode
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := DecodeFrame(data, 1<<20)
+		fr, err := ReadFrame(bytes.NewReader(data), 1<<20)
 		if err != nil {
 			return
 		}

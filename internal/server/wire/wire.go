@@ -15,7 +15,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -245,12 +244,6 @@ func ReadFrameInto(r io.Reader, max uint32, buf *[]byte) (Frame, error) {
 	}
 	*buf = b
 	return Frame{Op: op, Payload: b}, nil
-}
-
-// DecodeFrame decodes one frame from a byte slice (ReadFrame over a
-// reader); the fuzz target drives the decode surface through it.
-func DecodeFrame(data []byte, max uint32) (Frame, error) {
-	return ReadFrame(bytes.NewReader(data), max)
 }
 
 // enc builds a payload. The zero value is ready to use.

@@ -48,25 +48,25 @@ func TestReadFrameRejects(t *testing.T) {
 		return append(hdr[:], body...)
 	}
 	t.Run("oversized", func(t *testing.T) {
-		_, err := DecodeFrame(frame(1<<30, OpMsg, nil), 1<<20)
+		_, err := ReadFrame(bytes.NewReader(frame(1<<30, OpMsg, nil)), 1<<20)
 		if !errors.Is(err, ErrFrameTooLarge) {
 			t.Errorf("err = %v, want ErrFrameTooLarge", err)
 		}
 	})
 	t.Run("unknown opcode", func(t *testing.T) {
-		_, err := DecodeFrame(frame(0, 0x7f, nil), 0)
+		_, err := ReadFrame(bytes.NewReader(frame(0, 0x7f, nil)), 0)
 		if !errors.Is(err, ErrUnknownOp) {
 			t.Errorf("err = %v, want ErrUnknownOp", err)
 		}
 	})
 	t.Run("truncated payload", func(t *testing.T) {
-		_, err := DecodeFrame(frame(100, OpPing, []byte("short")), 0)
+		_, err := ReadFrame(bytes.NewReader(frame(100, OpPing, []byte("short"))), 0)
 		if err != io.ErrUnexpectedEOF {
 			t.Errorf("err = %v, want io.ErrUnexpectedEOF", err)
 		}
 	})
 	t.Run("truncated header", func(t *testing.T) {
-		_, err := DecodeFrame([]byte{0, 0}, 0)
+		_, err := ReadFrame(bytes.NewReader([]byte{0, 0}), 0)
 		if err != io.ErrUnexpectedEOF {
 			t.Errorf("err = %v, want io.ErrUnexpectedEOF", err)
 		}
