@@ -2,6 +2,9 @@ package bagio
 
 import (
 	"bytes"
+	"compress/gzip"
+	"fmt"
+	"io"
 	"reflect"
 	"testing"
 )
@@ -66,24 +69,134 @@ func decodeByOp(r *Record) {
 	case OpConnection:
 		DecodeConnection(r)
 	case OpMessageData:
-		DecodeMessageData(r)
+		raw(r).MessageData()
 	case OpIndexData:
 		DecodeIndexData(r)
 	case OpChunkInfo:
 		DecodeChunkInfo(r)
 	case OpChunk:
-		if inner, err := DecodeChunk(r); err == nil {
-			// Inner records are themselves a record stream.
-			rs := NewRecordScanner(bytes.NewReader(inner))
+		if inner, err := chunkData(r); err == nil {
+			// Inner records are themselves a record stream, split in place.
 			for i := 0; i < 64; i++ {
-				ir, err := rs.ReadRecord()
+				raw, rest, err := SplitRecord(inner)
 				if err != nil {
 					break
 				}
-				decodeByOp(ir)
+				inner = rest
+				if h, err := DecodeHeader(raw.Header); err == nil {
+					decodeByOp(&Record{Header: h, Data: raw.Data})
+				}
 			}
 		}
 	}
+}
+
+// referenceChunk decodes a chunk's contents apart from ChunkData, through
+// the header map and a plain gzip read, to be held against it.
+func referenceChunk(r *Record) ([]byte, error) {
+	comp, err := r.Header.String(FieldCompression)
+	if err != nil {
+		return nil, err
+	}
+	size, err := r.Header.U32(FieldSize)
+	if err != nil {
+		return nil, err
+	}
+	out := r.Data
+	switch comp {
+	case CompressionNone:
+	case CompressionGZ:
+		zr, err := gzip.NewReader(bytes.NewReader(r.Data))
+		if err != nil {
+			return nil, err
+		}
+		if out, err = io.ReadAll(io.LimitReader(zr, int64(size)+1)); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("compression %q", comp)
+	}
+	if uint64(len(out)) != uint64(size) {
+		return nil, fmt.Errorf("chunk is %d bytes, header says %d", len(out), size)
+	}
+	return out, nil
+}
+
+// FuzzRawRecord holds the in-place path to the owned one over arbitrary
+// bytes. The header walker rejects exactly what DecodeHeader rejects;
+// ReadRaw and SplitRecord frame exactly the records ReadRecord frames;
+// the in-place accessors accept exactly the records the typed decoders
+// accept, with the same op, conn, time and data; and ChunkData agrees
+// with referenceChunk.
+func FuzzRawRecord(f *testing.F) {
+	var stream bytes.Buffer
+	for _, rec := range seedRecords(f) {
+		f.Add(rec)
+		stream.Write(rec)
+	}
+	f.Add(stream.Bytes())
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		_, decErr := DecodeHeader(b)
+		if walkErr := walkHeader(b, func(_, _ []byte) {}); (walkErr == nil) != (decErr == nil) {
+			t.Fatalf("header walker says %v, DecodeHeader says %v", walkErr, decErr)
+		}
+		owned := NewRecordScanner(bytes.NewReader(b))
+		borrowed := NewRecordScanner(bytes.NewReader(b))
+		rest := b
+		var scratch []byte
+		for i := 0; i < 64; i++ {
+			rec, err := owned.ReadRecord()
+			raw, rawErr := borrowed.ReadRaw()
+			split, next, splitErr := SplitRecord(rest)
+			rest = next
+			if (rawErr == nil) != (splitErr == nil) || (rawErr == io.EOF) != (splitErr == io.EOF) {
+				t.Fatalf("record %d: ReadRaw says %v, SplitRecord says %v", i, rawErr, splitErr)
+			}
+			if rawErr != nil {
+				if err == nil || (err == io.EOF) != (rawErr == io.EOF) {
+					t.Fatalf("record %d: ReadRecord says %v, ReadRaw says %v", i, err, rawErr)
+				}
+				return
+			}
+			if !bytes.Equal(raw.Header, split.Header) || !bytes.Equal(raw.Data, split.Data) {
+				t.Fatalf("record %d: ReadRaw and SplitRecord framed different bytes", i)
+			}
+			// ReadRecord decodes the header too; the in-place forms leave
+			// that to their accessors.
+			_, headerErr := DecodeHeader(raw.Header)
+			if (err == nil) != (headerErr == nil) {
+				t.Fatalf("record %d: ReadRecord says %v, the header decodes with %v", i, err, headerErr)
+			}
+			if err != nil {
+				return
+			}
+			op, opErr := raw.Header.Op()
+			wantOp, wantOpErr := rec.Op()
+			if (opErr == nil) != (wantOpErr == nil) || op != wantOp {
+				t.Fatalf("record %d: op %#x, %v in place; %#x, %v owned", i, op, opErr, wantOp, wantOpErr)
+			}
+			conn, connErr := raw.Header.U32(FieldConn)
+			wantConn, wantConnErr := rec.Header.U32(FieldConn)
+			if (connErr == nil) != (wantConnErr == nil) || conn != wantConn {
+				t.Fatalf("record %d: conn %d, %v in place; %d, %v owned", i, conn, connErr, wantConn, wantConnErr)
+			}
+			md, mdErr := raw.MessageData()
+			wantTime, wantTimeErr := rec.Header.GetTime(FieldTime)
+			if (mdErr == nil) != (wantConnErr == nil && wantTimeErr == nil) {
+				t.Fatalf("record %d: message %v in place; conn %v, time %v owned", i, mdErr, wantConnErr, wantTimeErr)
+			}
+			if mdErr == nil && (md.Conn != wantConn || md.Time != wantTime || !bytes.Equal(md.Data, rec.Data)) {
+				t.Fatalf("record %d: message %+v in place; conn %d, time %v owned", i, md, wantConn, wantTime)
+			}
+			inner, chunkErr := raw.ChunkData(&scratch)
+			wantInner, wantChunkErr := referenceChunk(rec)
+			if (chunkErr == nil) != (wantChunkErr == nil) || !bytes.Equal(inner, wantInner) {
+				t.Fatalf("record %d: chunk %v in place, %v owned", i, chunkErr, wantChunkErr)
+			}
+		}
+	})
 }
 
 // FuzzParseHeader feeds arbitrary bytes to the header field parser. A

@@ -14,6 +14,7 @@
 package bagio
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -75,13 +76,7 @@ func (h Header) SetOp(op byte) { h[FieldOp] = []byte{op} }
 // malformed.
 func (h Header) Op() (byte, error) {
 	v, ok := h[FieldOp]
-	if !ok {
-		return 0, fmt.Errorf("bagio: header missing %q field", FieldOp)
-	}
-	if len(v) != 1 {
-		return 0, fmt.Errorf("bagio: op field has length %d, want 1", len(v))
-	}
-	return v[0], nil
+	return opField(v, ok, nil)
 }
 
 // PutU32 stores a little-endian uint32 field.
@@ -112,20 +107,14 @@ func (h Header) PutTime(name string, t Time) {
 // U32 reads a little-endian uint32 field.
 func (h Header) U32(name string) (uint32, error) {
 	v, ok := h[name]
-	if !ok {
-		return 0, fmt.Errorf("bagio: header missing %q field", name)
-	}
-	if len(v) != 4 {
-		return 0, fmt.Errorf("bagio: field %q has length %d, want 4", name, len(v))
-	}
-	return binary.LittleEndian.Uint32(v), nil
+	return u32Field(name, v, ok, nil)
 }
 
 // U64 reads a little-endian uint64 field.
 func (h Header) U64(name string) (uint64, error) {
 	v, ok := h[name]
 	if !ok {
-		return 0, fmt.Errorf("bagio: header missing %q field", name)
+		return 0, errMissing(name)
 	}
 	if len(v) != 8 {
 		return 0, fmt.Errorf("bagio: field %q has length %d, want 8", name, len(v))
@@ -137,7 +126,7 @@ func (h Header) U64(name string) (uint64, error) {
 func (h Header) String(name string) (string, error) {
 	v, ok := h[name]
 	if !ok {
-		return "", fmt.Errorf("bagio: header missing %q field", name)
+		return "", errMissing(name)
 	}
 	return string(v), nil
 }
@@ -145,8 +134,46 @@ func (h Header) String(name string) (string, error) {
 // GetTime reads a ROS time field.
 func (h Header) GetTime(name string) (Time, error) {
 	v, ok := h[name]
+	return timeField(name, v, ok, nil)
+}
+
+func errMissing(name string) error { return fmt.Errorf("bagio: header missing %q field", name) }
+
+// opField, u32Field and timeField check and decode one field value (ok
+// reports it present, err a failed walk to it) for both Header and
+// RawHeader, so the two accept exactly the same widths.
+func opField(v []byte, ok bool, err error) (byte, error) {
+	if err != nil {
+		return 0, err
+	}
 	if !ok {
-		return Time{}, fmt.Errorf("bagio: header missing %q field", name)
+		return 0, errMissing(FieldOp)
+	}
+	if len(v) != 1 {
+		return 0, fmt.Errorf("bagio: op field has length %d, want 1", len(v))
+	}
+	return v[0], nil
+}
+
+func u32Field(name string, v []byte, ok bool, err error) (uint32, error) {
+	if err != nil {
+		return 0, err
+	}
+	if !ok {
+		return 0, errMissing(name)
+	}
+	if len(v) != 4 {
+		return 0, fmt.Errorf("bagio: field %q has length %d, want 4", name, len(v))
+	}
+	return binary.LittleEndian.Uint32(v), nil
+}
+
+func timeField(name string, v []byte, ok bool, err error) (Time, error) {
+	if err != nil {
+		return Time{}, err
+	}
+	if !ok {
+		return Time{}, errMissing(name)
 	}
 	if len(v) != 8 {
 		return Time{}, fmt.Errorf("bagio: time field %q has length %d, want 8", name, len(v))
@@ -190,34 +217,93 @@ func (h Header) Encode() []byte {
 // DecodeHeader parses an encoded header block into a Header.
 func DecodeHeader(b []byte) (Header, error) {
 	h := make(Header)
-	for len(b) > 0 {
+	if err := walkHeader(b, func(name, value []byte) {
+		h[string(name)] = bytes.Clone(value)
+	}); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// walkHeader is the one header field parser: it calls fn with the name
+// and value of each field of an encoded header block, in order, after
+// checking that the field fits the block, has an '=' separator and
+// does not repeat an earlier name. name and value alias b.
+func walkHeader(b []byte, fn func(name, value []byte)) error {
+	// Names seen so far: compared in place while there are few (no
+	// header this repository writes has more than seven fields), in a map
+	// past that, so a hostile header of many tiny fields stays linear.
+	var few [8][]byte
+	var many map[string]bool
+	for n := 0; len(b) > 0; n++ {
 		if len(b) < 4 {
-			return nil, fmt.Errorf("bagio: truncated header field length (%d trailing bytes)", len(b))
+			return fmt.Errorf("bagio: truncated header field length (%d trailing bytes)", len(b))
 		}
 		fl := binary.LittleEndian.Uint32(b[:4])
 		b = b[4:]
 		if uint32(len(b)) < fl {
-			return nil, fmt.Errorf("bagio: header field length %d exceeds remaining %d bytes", fl, len(b))
+			return fmt.Errorf("bagio: header field length %d exceeds remaining %d bytes", fl, len(b))
 		}
 		field := b[:fl]
 		b = b[fl:]
-		eq := -1
-		for i, c := range field {
-			if c == '=' {
-				eq = i
-				break
-			}
-		}
+		eq := bytes.IndexByte(field, '=')
 		if eq < 0 {
-			return nil, fmt.Errorf("bagio: header field %q has no '=' separator", string(field))
+			return fmt.Errorf("bagio: header field %q has no '=' separator", field)
 		}
-		name := string(field[:eq])
-		if _, dup := h[name]; dup {
-			return nil, fmt.Errorf("bagio: duplicate header field %q", name)
+		name := field[:eq]
+		dup := false
+		if n < len(few) {
+			for _, prev := range few[:n] {
+				dup = dup || bytes.Equal(prev, name)
+			}
+			few[n] = name
+		} else {
+			if many == nil {
+				many = make(map[string]bool, 2*len(few))
+				for _, prev := range few {
+					many[string(prev)] = true
+				}
+			}
+			dup = many[string(name)]
+			many[string(name)] = true
 		}
-		value := make([]byte, len(field)-eq-1)
-		copy(value, field[eq+1:])
-		h[name] = value
+		if dup {
+			return fmt.Errorf("bagio: duplicate header field %q", name)
+		}
+		fn(name, field[eq+1:])
 	}
-	return h, nil
+	return nil
+}
+
+// RawHeader is an encoded header block read in place, without a map or a
+// copy. Each accessor walks it with DecodeHeader's checks and reads its
+// field with Header's, so it fails wherever those two would.
+type RawHeader []byte
+
+// field returns the value of the named field (ok: present) in place.
+func (h RawHeader) field(name string) (v []byte, ok bool, err error) {
+	err = walkHeader(h, func(n, value []byte) {
+		if string(n) == name {
+			v, ok = value, true
+		}
+	})
+	return v, ok, err
+}
+
+// Op returns the record op code, as Header.Op.
+func (h RawHeader) Op() (byte, error) {
+	v, ok, err := h.field(FieldOp)
+	return opField(v, ok, err)
+}
+
+// U32 reads a little-endian uint32 field, as Header.U32.
+func (h RawHeader) U32(name string) (uint32, error) {
+	v, ok, err := h.field(name)
+	return u32Field(name, v, ok, err)
+}
+
+// GetTime reads a ROS time field, as Header.GetTime.
+func (h RawHeader) GetTime(name string) (Time, error) {
+	v, ok, err := h.field(name)
+	return timeField(name, v, ok, err)
 }

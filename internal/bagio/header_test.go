@@ -2,6 +2,7 @@ package bagio
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -96,11 +97,19 @@ func TestDecodeHeaderRejectsCorruption(t *testing.T) {
 }
 
 func TestDecodeHeaderRejectsDuplicateField(t *testing.T) {
-	h := make(Header)
-	h.PutString("x", "1")
-	enc := h.Encode()
-	if _, err := DecodeHeader(append(enc, enc...)); err == nil {
-		t.Error("DecodeHeader accepted duplicate field")
+	// One field, and more fields than the walker compares in place.
+	for _, n := range []int{1, 10} {
+		h := make(Header)
+		for i := range n {
+			h.PutString(fmt.Sprintf("f%d", i), "1")
+		}
+		enc := h.Encode()
+		field := len(enc) / n // every field encodes to the same length
+		for _, dup := range [][]byte{enc[:field], enc[len(enc)-field:]} {
+			if _, err := DecodeHeader(append(bytes.Clone(enc), dup...)); err == nil {
+				t.Errorf("%d fields: DecodeHeader accepted a second %q", n, dup[4:])
+			}
+		}
 	}
 }
 

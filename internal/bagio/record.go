@@ -17,6 +17,13 @@ type Record struct {
 // Op returns the record's op code.
 func (r *Record) Op() (byte, error) { return r.Header.Op() }
 
+// RawRecord is a record read in place: its header is still encoded, and
+// both slices alias the buffer the record was read from.
+type RawRecord struct {
+	Header RawHeader
+	Data   []byte
+}
+
 // BagHeader is the op=0x03 record: file-level metadata written at the
 // front of the bag and patched after indexing completes.
 type BagHeader struct {
@@ -146,19 +153,19 @@ func (m *MessageData) Encode() *Record {
 	return &Record{Header: h, Data: m.Data}
 }
 
-// DecodeMessageData extracts a message from an op=0x02 record. The Data
-// slice aliases the record's data block.
-func DecodeMessageData(r *Record) (*MessageData, error) {
+// MessageData extracts a message from an op=0x02 record read in place.
+// The Data slice aliases the record's data block.
+func (r RawRecord) MessageData() (MessageData, error) {
 	var m MessageData
 	var err error
 	if m.Conn, err = r.Header.U32(FieldConn); err != nil {
-		return nil, err
+		return m, err
 	}
 	if m.Time, err = r.Header.GetTime(FieldTime); err != nil {
-		return nil, err
+		return m, err
 	}
 	m.Data = r.Data
-	return &m, nil
+	return m, nil
 }
 
 // IndexEntry is one entry of an index-data record: the receive time of a
@@ -300,26 +307,6 @@ func DecodeChunkInfo(r *Record) (*ChunkInfo, error) {
 	return &ci, nil
 }
 
-// ChunkHeader describes an op=0x05 chunk record without decompressing it.
-type ChunkHeader struct {
-	Compression      string
-	UncompressedSize uint32
-}
-
-// DecodeChunkHeader extracts chunk framing fields from an op=0x05 record
-// header.
-func DecodeChunkHeader(h Header) (*ChunkHeader, error) {
-	var ch ChunkHeader
-	var err error
-	if ch.Compression, err = h.String(FieldCompression); err != nil {
-		return nil, err
-	}
-	if ch.UncompressedSize, err = h.U32(FieldSize); err != nil {
-		return nil, err
-	}
-	return &ch, nil
-}
-
 // EncodeChunk wraps raw (already concatenated) inner-record bytes in a
 // chunk record, compressing per the requested scheme.
 func EncodeChunk(inner []byte, compression string) (*Record, error) {
@@ -345,46 +332,56 @@ func EncodeChunk(inner []byte, compression string) (*Record, error) {
 	}
 }
 
-// DecodeChunk returns the uncompressed inner-record bytes of a chunk.
-func DecodeChunk(r *Record) ([]byte, error) {
-	ch, err := DecodeChunkHeader(r.Header)
+// ChunkData returns the inner-record bytes of a chunk read in place: an
+// uncompressed chunk's are r.Data itself, a compressed one's inflate
+// into *scratch, which grows as needed and is reused by later calls.
+func (r RawRecord) ChunkData(scratch *[]byte) ([]byte, error) {
+	comp, ok, err := r.Header.field(FieldCompression)
 	if err != nil {
 		return nil, err
 	}
-	switch ch.Compression {
+	if !ok {
+		return nil, errMissing(FieldCompression)
+	}
+	size, err := r.Header.U32(FieldSize)
+	if err != nil {
+		return nil, err
+	}
+	switch string(comp) {
 	case CompressionNone:
-		if uint64(len(r.Data)) != uint64(ch.UncompressedSize) {
-			return nil, fmt.Errorf("bagio: uncompressed chunk is %d bytes, header says %d", len(r.Data), ch.UncompressedSize)
+		if uint64(len(r.Data)) != uint64(size) {
+			return nil, fmt.Errorf("bagio: uncompressed chunk is %d bytes, header says %d", len(r.Data), size)
 		}
 		return r.Data, nil
 	case CompressionGZ:
-		if ch.UncompressedSize > MaxRecordLen {
-			return nil, fmt.Errorf("bagio: chunk uncompressed size %d exceeds limit", ch.UncompressedSize)
+		if size > MaxRecordLen {
+			return nil, fmt.Errorf("bagio: chunk uncompressed size %d exceeds limit", size)
 		}
 		zr, err := gzip.NewReader(bytes.NewReader(r.Data))
 		if err != nil {
 			return nil, fmt.Errorf("bagio: decompress chunk: %w", err)
 		}
-		// The size field is untrusted until the stream actually yields that
-		// many bytes: cap the preallocation and bound the copy one byte past
-		// the declared size so an inflated stream errors instead of growing.
-		prealloc := ch.UncompressedSize
-		if prealloc > 1<<20 {
-			prealloc = 1 << 20
-		}
-		buf := bytes.NewBuffer(make([]byte, 0, prealloc))
-		n, err := io.Copy(buf, io.LimitReader(zr, int64(ch.UncompressedSize)+1))
-		if err != nil {
+		// The size field is untrusted until the stream yields that many
+		// bytes (readN grows as they arrive), and the stream must end
+		// there: one more read reports EOF, or the checksum failure.
+		out, err := readN(zr, (*scratch)[:0], int(size))
+		*scratch = out
+		switch {
+		case err == io.EOF || err == io.ErrUnexpectedEOF:
+			return nil, fmt.Errorf("bagio: decompressed chunk is %d bytes, header says %d", len(out), size)
+		case err != nil:
 			return nil, fmt.Errorf("bagio: decompress chunk: %w", err)
 		}
-		if err := zr.Close(); err != nil && n <= int64(ch.UncompressedSize) {
+		var one [1]byte
+		switch _, err := io.ReadFull(zr, one[:]); err {
+		case io.EOF:
+			return out, nil
+		case nil:
+			return nil, fmt.Errorf("bagio: decompressed chunk is longer than the %d bytes its header says", size)
+		default:
 			return nil, fmt.Errorf("bagio: decompress chunk: %w", err)
 		}
-		if n != int64(ch.UncompressedSize) {
-			return nil, fmt.Errorf("bagio: decompressed chunk is %d bytes, header says %d", n, ch.UncompressedSize)
-		}
-		return buf.Bytes(), nil
 	default:
-		return nil, fmt.Errorf("bagio: unsupported chunk compression %q", ch.Compression)
+		return nil, fmt.Errorf("bagio: unsupported chunk compression %q", comp)
 	}
 }

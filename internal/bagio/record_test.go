@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/raceenabled"
 )
 
 func TestBagHeaderRoundTrip(t *testing.T) {
@@ -68,11 +71,20 @@ func TestConnectionTopicRemapPreferred(t *testing.T) {
 	}
 }
 
+// raw is r as a record read in place: its header re-encoded.
+func raw(r *Record) RawRecord { return RawRecord{Header: r.Header.Encode(), Data: r.Data} }
+
+// chunkData is ChunkData into a fresh buffer.
+func chunkData(r *Record) ([]byte, error) {
+	var out []byte
+	return raw(r).ChunkData(&out)
+}
+
 func TestMessageDataRoundTrip(t *testing.T) {
 	m := &MessageData{Conn: 12, Time: Time{Sec: 1000, NSec: 42}, Data: []byte("payload")}
-	got, err := DecodeMessageData(m.Encode())
+	got, err := raw(m.Encode()).MessageData()
 	if err != nil {
-		t.Fatalf("DecodeMessageData: %v", err)
+		t.Fatalf("MessageData: %v", err)
 	}
 	if got.Conn != m.Conn || got.Time != m.Time || !bytes.Equal(got.Data, m.Data) {
 		t.Errorf("round trip: got %+v want %+v", got, m)
@@ -128,9 +140,9 @@ func TestChunkRoundTripNone(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncodeChunk: %v", err)
 	}
-	out, err := DecodeChunk(rec)
+	out, err := chunkData(rec)
 	if err != nil {
-		t.Fatalf("DecodeChunk: %v", err)
+		t.Fatalf("ChunkData: %v", err)
 	}
 	if !bytes.Equal(inner, out) {
 		t.Error("chunk payload mismatch")
@@ -146,9 +158,9 @@ func TestChunkRoundTripGZ(t *testing.T) {
 	if len(rec.Data) >= len(inner) {
 		t.Errorf("gz chunk did not compress: %d >= %d", len(rec.Data), len(inner))
 	}
-	out, err := DecodeChunk(rec)
+	out, err := chunkData(rec)
 	if err != nil {
-		t.Fatalf("DecodeChunk: %v", err)
+		t.Fatalf("ChunkData: %v", err)
 	}
 	if !bytes.Equal(inner, out) {
 		t.Error("chunk payload mismatch after gz round trip")
@@ -161,16 +173,16 @@ func TestChunkRejectsUnknownCompression(t *testing.T) {
 	}
 	rec, _ := EncodeChunk([]byte("x"), CompressionNone)
 	rec.Header.PutString(FieldCompression, "lz9")
-	if _, err := DecodeChunk(rec); err == nil {
-		t.Error("DecodeChunk accepted unsupported compression")
+	if _, err := chunkData(rec); err == nil {
+		t.Error("ChunkData accepted unsupported compression")
 	}
 }
 
 func TestChunkSizeMismatchDetected(t *testing.T) {
 	rec, _ := EncodeChunk([]byte("abcdef"), CompressionNone)
 	rec.Header.PutU32(FieldSize, 5)
-	if _, err := DecodeChunk(rec); err == nil {
-		t.Error("DecodeChunk accepted size mismatch")
+	if _, err := chunkData(rec); err == nil {
+		t.Error("ChunkData accepted size mismatch")
 	}
 }
 
@@ -203,7 +215,7 @@ func TestRecordStreamRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		got, err := DecodeMessageData(rec)
+		got, err := raw(rec).MessageData()
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -262,6 +274,42 @@ func TestScannerRejectsBadMagic(t *testing.T) {
 	}
 }
 
+// TestReadRecordAllocatesItsSize pins the framing cost: a record is read
+// into one block of exactly its size, and a skipped one is not held.
+func TestReadRecordAllocatesItsSize(t *testing.T) {
+	const size = 768 << 10
+	rec, err := EncodeChunk(make([]byte, size), CompressionNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	rw := NewRecordWriter(&buf)
+	for i := 0; i < 2; i++ {
+		if err := rw.WriteRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if raceenabled.Enabled {
+		t.Skip("race detector enabled: allocation sizes differ")
+	}
+	rs := NewRecordScanner(bytes.NewReader(buf.Bytes()))
+	allocated := func(f func() error) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if got := allocated(func() error { _, err := rs.ReadRecord(); return err }); got > size*11/10 {
+		t.Errorf("reading a %d-byte record allocated %d bytes, want at most 1.1x", size, got)
+	}
+	if got := allocated(func() error { _, _, err := rs.SkipRecord(); return err }); got > 4<<10 {
+		t.Errorf("skipping a %d-byte record allocated %d bytes", size, got)
+	}
+}
+
 func TestScannerRejectsOversizeRecord(t *testing.T) {
 	// Header length prefix claims 2 GiB.
 	in := []byte{0, 0, 0, 0x80}
@@ -299,7 +347,7 @@ func TestMessageStreamQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeMessageData(rec)
+		got, err := raw(rec).MessageData()
 		if err != nil {
 			return false
 		}

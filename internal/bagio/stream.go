@@ -2,11 +2,11 @@ package bagio
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // ErrBadMagic reports a file that does not start with the v2.0 signature.
@@ -70,8 +70,11 @@ func (rw *RecordWriter) WriteRaw(b []byte) error {
 
 // RecordScanner reads records sequentially from a stream.
 type RecordScanner struct {
-	r   *bufio.Reader
-	off int64
+	r    *bufio.Reader
+	off  int64
+	lenb [4]byte // a length prefix: a local passed to io.ReadFull escapes, one allocation per block
+	head []byte  // the last header block, reused
+	data []byte  // ReadRaw's last data block, reused
 }
 
 // NewRecordScanner wraps r. Call ReadMagic first when scanning from the
@@ -82,10 +85,6 @@ func NewRecordScanner(r io.Reader) *RecordScanner {
 
 // Offset returns the byte offset of the next record to be read.
 func (rs *RecordScanner) Offset() int64 { return rs.off }
-
-// SetOffset informs the scanner of its absolute position after the caller
-// repositioned the underlying stream.
-func (rs *RecordScanner) SetOffset(off int64) { rs.off = off }
 
 // Reset re-targets the scanner at a new stream position.
 func (rs *RecordScanner) Reset(r io.Reader, off int64) {
@@ -106,86 +105,126 @@ func (rs *RecordScanner) ReadMagic() error {
 	return nil
 }
 
-func (rs *RecordScanner) readBlock(kind string) ([]byte, error) {
-	var lenb [4]byte
-	if _, err := io.ReadFull(rs.r, lenb[:]); err != nil {
+// readBlock reads one length-prefixed block into *dst, reusing its
+// capacity, and returns it; a nil dst discards the block. It returns
+// io.EOF when the stream ends cleanly before the length prefix.
+func (rs *RecordScanner) readBlock(kind string, dst *[]byte) ([]byte, error) {
+	if _, err := io.ReadFull(rs.r, rs.lenb[:]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("bagio: read %s length at offset %d: %w", kind, rs.off, err)
 	}
 	rs.off += 4
-	n := binary.LittleEndian.Uint32(lenb[:])
+	n := binary.LittleEndian.Uint32(rs.lenb[:])
 	if n > MaxRecordLen {
 		return nil, fmt.Errorf("bagio: %s length %d at offset %d exceeds limit", kind, n, rs.off-4)
 	}
-	// The length prefix is untrusted: cap the up-front allocation and let
-	// the buffer grow only as bytes actually arrive, so a corrupt prefix
-	// near MaxRecordLen on a tiny stream cannot allocate gigabytes.
-	prealloc := n
-	if prealloc > 1<<20 {
-		prealloc = 1 << 20
+	var block []byte
+	var err error
+	if dst == nil {
+		_, err = rs.r.Discard(int(n))
+	} else {
+		block, err = readN(rs.r, (*dst)[:0], int(n))
+		*dst = block
 	}
-	bb := bytes.NewBuffer(make([]byte, 0, prealloc))
-	if _, err := io.CopyN(bb, rs.r, int64(n)); err != nil {
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, fmt.Errorf("bagio: read %s of %d bytes at offset %d: %w", kind, n, rs.off, err)
 	}
 	rs.off += int64(n)
-	return bb.Bytes(), nil
+	return block, nil
 }
 
-// ReadRecord reads the next record. It returns io.EOF at a clean end of
-// stream.
-func (rs *RecordScanner) ReadRecord() (*Record, error) {
-	hb, err := rs.readBlock("header")
-	if err != nil {
-		return nil, err
-	}
-	h, err := DecodeHeader(hb)
-	if err != nil {
-		return nil, err
-	}
-	data, err := rs.readBlock("data")
-	if err != nil {
-		if err == io.EOF {
-			return nil, io.ErrUnexpectedEOF
+// readN appends exactly n bytes of r to buf. The count is untrusted
+// until the bytes arrive, so buf grows by at most 1 MiB per read: a
+// corrupt length near MaxRecordLen on a tiny stream cannot allocate
+// gigabytes, and a block of up to 1 MiB costs one exact allocation.
+func readN(r io.Reader, buf []byte, n int) ([]byte, error) {
+	for want := len(buf) + n; len(buf) < want; {
+		step := min(want-len(buf), 1<<20)
+		buf = slices.Grow(buf, step)
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return buf, err
 		}
+	}
+	return buf, nil
+}
+
+// frame is the one framing routine: it reads the next record's header
+// block into the scanner's buffer and its data block into *data (nil
+// discards it). It returns io.EOF at a clean end of stream.
+func (rs *RecordScanner) frame(data *[]byte) (r RawRecord, err error) {
+	if r.Header, err = rs.readBlock("header", &rs.head); err != nil {
+		return r, err
+	}
+	if r.Data, err = rs.readBlock("data", data); err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return r, err
+}
+
+// ReadRecord reads the next record into memory the caller owns. It
+// returns io.EOF at a clean end of stream.
+func (rs *RecordScanner) ReadRecord() (*Record, error) {
+	var data []byte
+	raw, err := rs.frame(&data)
+	if err != nil {
 		return nil, err
 	}
-	return &Record{Header: h, Data: data}, nil
+	h, err := DecodeHeader(raw.Header)
+	if err != nil {
+		return nil, err
+	}
+	return &Record{Header: h, Data: raw.Data}, nil
 }
+
+// ReadRaw reads the next record in place: its slices borrow buffers the
+// scanner reuses, valid until the next call on rs. It returns io.EOF at
+// a clean end of stream.
+func (rs *RecordScanner) ReadRaw() (RawRecord, error) { return rs.frame(&rs.data) }
 
 // SkipRecord reads and discards the next record, returning its op code
 // and total encoded length. It avoids retaining the data block.
 func (rs *RecordScanner) SkipRecord() (op byte, size int64, err error) {
 	start := rs.off
-	hb, err := rs.readBlock("header")
+	raw, err := rs.frame(nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	h, err := DecodeHeader(hb)
-	if err != nil {
+	if op, err = raw.Header.Op(); err != nil {
 		return 0, 0, err
 	}
-	op, err = h.Op()
-	if err != nil {
-		return 0, 0, err
-	}
-	var lenb [4]byte
-	if _, err := io.ReadFull(rs.r, lenb[:]); err != nil {
-		return 0, 0, fmt.Errorf("bagio: skip record data length: %w", err)
-	}
-	rs.off += 4
-	n := binary.LittleEndian.Uint32(lenb[:])
-	if n > MaxRecordLen {
-		return 0, 0, fmt.Errorf("bagio: data length %d exceeds limit", n)
-	}
-	if _, err := io.CopyN(io.Discard, rs.r, int64(n)); err != nil {
-		return 0, 0, fmt.Errorf("bagio: skip record data: %w", err)
-	}
-	rs.off += int64(n)
 	return op, rs.off - start, nil
+}
+
+// SplitRecord frames the first record of an in-memory record stream (a
+// chunk's contents) in place: its slices and rest alias b. It returns
+// io.EOF for an empty b and accepts the framing ReadRecord accepts (a
+// block longer than b, as any past MaxRecordLen is, is truncated).
+func SplitRecord(b []byte) (r RawRecord, rest []byte, err error) {
+	if len(b) == 0 {
+		return r, nil, io.EOF
+	}
+	if r.Header, rest, err = splitBlock("header", b); err == nil {
+		r.Data, rest, err = splitBlock("data", rest)
+	}
+	return r, rest, err
+}
+
+// splitBlock frames one length-prefixed block at the front of b, with
+// the block's capacity clipped so an append cannot reach rest.
+func splitBlock(kind string, b []byte) (block, rest []byte, err error) {
+	if len(b) < 4 {
+		return nil, nil, fmt.Errorf("bagio: truncated %s length (%d trailing bytes)", kind, len(b))
+	}
+	n := uint64(binary.LittleEndian.Uint32(b))
+	if n > uint64(len(b)-4) {
+		return nil, nil, fmt.Errorf("bagio: %s of %d bytes overruns the %d left", kind, n, len(b)-4)
+	}
+	return b[4 : 4+n : 4+n], b[4+n:], nil
 }

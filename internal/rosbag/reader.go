@@ -1,7 +1,6 @@
 package rosbag
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -93,8 +92,8 @@ func OpenReaderObs(r io.ReaderAt, size int64, reg *obs.Registry) (*Reader, error
 }
 
 func openReader(r io.ReaderAt, size int64) (*Reader, error) {
-	br := &Reader{r: r, size: size, conns: map[uint32]*bagio.Connection{}}
 	sc := bagio.NewRecordScanner(io.NewSectionReader(r, 0, size))
+	br := &Reader{r: r, size: size, conns: map[uint32]*bagio.Connection{}}
 	if err := sc.ReadMagic(); err != nil {
 		return nil, err
 	}
@@ -122,9 +121,7 @@ func openReader(r io.ReaderAt, size int64) (*Reader, error) {
 	}
 
 	// Seek to the index section and traverse it completely.
-	br.stats.Seeks++
-	sc = bagio.NewRecordScanner(io.NewSectionReader(r, int64(br.header.IndexPos), size-int64(br.header.IndexPos)))
-	sc.SetOffset(int64(br.header.IndexPos))
+	br.seek(sc, br.header.IndexPos)
 	for {
 		rec, err := sc.ReadRecord()
 		if err == io.EOF {
@@ -281,8 +278,9 @@ type indexedMessage struct {
 // buildEntryList reproduces the baseline's index-entry construction: for
 // every chunk overlapping the query window, read that chunk's index-data
 // records, filter by connection and time, then merge-sort everything by
-// timestamp (the O(N log N) step the paper describes).
-func (br *Reader) buildEntryList(connSet map[uint32]bool, start, end bagio.Time) ([]indexedMessage, error) {
+// timestamp (the O(N log N) step the paper describes). It reads through
+// sc, re-targeted per chunk.
+func (br *Reader) buildEntryList(sc *bagio.RecordScanner, connSet map[uint32]bool, start, end bagio.Time) ([]indexedMessage, error) {
 	var entries []indexedMessage
 	for chunkIdx, ci := range br.chunkInfos {
 		if ci.EndTime.Before(start) || end.Before(ci.StartTime) {
@@ -290,17 +288,13 @@ func (br *Reader) buildEntryList(connSet map[uint32]bool, start, end bagio.Time)
 		}
 		// The index-data records follow the chunk record on disk: skip
 		// over the chunk payload, then read index records.
-		br.stats.Seeks++
-		sc := bagio.NewRecordScanner(io.NewSectionReader(br.r, int64(ci.ChunkPos), br.size-int64(ci.ChunkPos)))
-		sc.SetOffset(int64(ci.ChunkPos))
-		op, skipped, err := sc.SkipRecord()
+		op, _, err := br.seek(sc, ci.ChunkPos).SkipRecord()
 		if err != nil {
 			return nil, fmt.Errorf("rosbag: skip chunk at %d: %w", ci.ChunkPos, err)
 		}
 		if op != bagio.OpChunk {
 			return nil, fmt.Errorf("rosbag: record at %d has op %#x, want chunk", ci.ChunkPos, op)
 		}
-		_ = skipped
 		for range ci.Counts {
 			rec, err := sc.ReadRecord()
 			if err != nil {
@@ -345,21 +339,27 @@ func (br *Reader) buildEntryList(connSet map[uint32]bool, start, end bagio.Time)
 	return entries, nil
 }
 
-// readChunkData loads and decompresses the chunk payload at ci.
-func (br *Reader) readChunkData(ci *bagio.ChunkInfo) ([]byte, error) {
+// seek re-targets sc at file offset pos.
+func (br *Reader) seek(sc *bagio.RecordScanner, pos uint64) *bagio.RecordScanner {
 	br.stats.Seeks++
-	sc := bagio.NewRecordScanner(io.NewSectionReader(br.r, int64(ci.ChunkPos), br.size-int64(ci.ChunkPos)))
-	sc.SetOffset(int64(ci.ChunkPos))
-	rec, err := sc.ReadRecord()
+	sc.Reset(io.NewSectionReader(br.r, int64(pos), br.size-int64(pos)), int64(pos))
+	return sc
+}
+
+// readChunkData loads and decompresses the chunk payload at ci into sc's
+// buffers, or *inflated when compressed: the result is valid until the
+// next call with either.
+func (br *Reader) readChunkData(sc *bagio.RecordScanner, ci *bagio.ChunkInfo, inflated *[]byte) ([]byte, error) {
+	rec, err := br.seek(sc, ci.ChunkPos).ReadRaw()
 	if err != nil {
 		return nil, fmt.Errorf("rosbag: read chunk at %d: %w", ci.ChunkPos, err)
 	}
-	if op, _ := rec.Op(); op != bagio.OpChunk {
+	if op, _ := rec.Header.Op(); op != bagio.OpChunk {
 		return nil, fmt.Errorf("rosbag: record at %d is not a chunk", ci.ChunkPos)
 	}
 	br.stats.ChunksRead++
 	br.stats.BytesRead += int64(len(rec.Data))
-	return bagio.DecodeChunk(rec)
+	return rec.ChunkData(inflated)
 }
 
 // ReadMessages yields matching messages in timestamp order. This is the
@@ -376,7 +376,11 @@ func (br *Reader) ReadMessages(q Query, fn func(MessageRef) error) (err error) {
 	}()
 	topicSet, start, end := q.normalize()
 	connSet := br.connIDs(topicSet)
-	entries, err := br.buildEntryList(connSet, start, end)
+	// One scanner and inflate buffer per call, so a callback may query
+	// the same Reader again without clobbering the chunk being delivered.
+	sc := bagio.NewRecordScanner(nil)
+	var inflated []byte
+	entries, err := br.buildEntryList(sc, connSet, start, end)
 	if err != nil {
 		return err
 	}
@@ -387,7 +391,7 @@ func (br *Reader) ReadMessages(q Query, fn func(MessageRef) error) (err error) {
 	var chunkData []byte
 	for _, e := range entries {
 		if e.chunk != cachedChunk {
-			chunkData, err = br.readChunkData(br.chunkInfos[e.chunk])
+			chunkData, err = br.readChunkData(sc, br.chunkInfos[e.chunk], &inflated)
 			if err != nil {
 				return err
 			}
@@ -396,12 +400,11 @@ func (br *Reader) ReadMessages(q Query, fn func(MessageRef) error) (err error) {
 		if int(e.offset) >= len(chunkData) {
 			return fmt.Errorf("rosbag: index offset %d beyond chunk of %d bytes", e.offset, len(chunkData))
 		}
-		sc := bagio.NewRecordScanner(bytes.NewReader(chunkData[e.offset:]))
-		rec, err := sc.ReadRecord()
+		rec, _, err := bagio.SplitRecord(chunkData[e.offset:])
 		if err != nil {
 			return fmt.Errorf("rosbag: message record at chunk offset %d: %w", e.offset, err)
 		}
-		md, err := bagio.DecodeMessageData(rec)
+		md, err := rec.MessageData()
 		if err != nil {
 			return err
 		}

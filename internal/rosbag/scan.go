@@ -1,7 +1,6 @@
 package rosbag
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -47,15 +46,18 @@ func ScanSpan(r io.ReaderAt, size int64, parent obs.Span, fn ScanFunc) error {
 }
 
 // walker is one sequential pass over a bag's record stream: the chunk
-// walk Scan and Reindex share. Connections are discovered from the
-// records embedded in chunks (or between them); conns, chunks and
-// delivered count what the pass has seen so far.
+// walk Scan and Reindex share. It parses in place, so the data a
+// ScanFunc sees aliases the scanner's (or inflated's) memory.
+// Connections are discovered from the records embedded in chunks (or
+// between them); conns, chunks and delivered count what the pass has
+// seen so far.
 type walker struct {
 	sc        *bagio.RecordScanner
 	header    *bagio.Record // the bag header record
 	conns     map[uint32]*bagio.Connection
-	chunks    int   // chunks decoded
-	delivered int64 // payload bytes handed to the callback
+	inflated  []byte // a compressed chunk's contents, reused chunk to chunk
+	chunks    int    // chunks decoded
+	delivered int64  // payload bytes handed to the callback
 }
 
 // openWalk checks the magic and reads the bag header record.
@@ -85,21 +87,21 @@ func (w *walker) run(indexPos uint64, sp obs.Span, chunkOp *obs.Op, fn ScanFunc)
 		if indexPos != 0 && uint64(w.sc.Offset()) >= indexPos {
 			return nil
 		}
-		rec, err := w.sc.ReadRecord()
+		rec, err := w.sc.ReadRaw()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		op, err := rec.Op()
+		op, err := rec.Header.Op()
 		if err != nil {
 			return err
 		}
 		switch op {
 		case bagio.OpChunk:
 			csp := sp.ChildOp(chunkOp)
-			inner, err := bagio.DecodeChunk(rec)
+			inner, err := rec.ChunkData(&w.inflated)
 			if err == nil {
 				w.chunks++
 				err = w.chunkRecords(inner, fn)
@@ -127,8 +129,12 @@ func (w *walker) run(indexPos uint64, sp obs.Span, chunkOp *obs.Op, fn ScanFunc)
 
 // addConn records the connection of an op=0x07 record; the first record
 // of an id wins.
-func (w *walker) addConn(rec *bagio.Record) error {
-	c, err := bagio.DecodeConnection(rec)
+func (w *walker) addConn(rec bagio.RawRecord) error {
+	h, err := bagio.DecodeHeader(rec.Header)
+	if err != nil {
+		return err
+	}
+	c, err := bagio.DecodeConnection(&bagio.Record{Header: h, Data: rec.Data})
 	if err != nil {
 		return err
 	}
@@ -138,18 +144,15 @@ func (w *walker) addConn(rec *bagio.Record) error {
 	return nil
 }
 
-// chunkRecords iterates the records inside an uncompressed chunk.
+// chunkRecords iterates the records of an uncompressed chunk in place.
 func (w *walker) chunkRecords(inner []byte, fn ScanFunc) error {
-	sc := bagio.NewRecordScanner(bytes.NewReader(inner))
-	for {
-		rec, err := sc.ReadRecord()
-		if err == io.EOF {
-			return nil
-		}
+	for len(inner) > 0 {
+		rec, rest, err := bagio.SplitRecord(inner)
 		if err != nil {
 			return err
 		}
-		op, err := rec.Op()
+		inner = rest
+		op, err := rec.Header.Op()
 		if err != nil {
 			return err
 		}
@@ -159,7 +162,7 @@ func (w *walker) chunkRecords(inner []byte, fn ScanFunc) error {
 				return err
 			}
 		case bagio.OpMessageData:
-			md, err := bagio.DecodeMessageData(rec)
+			md, err := rec.MessageData()
 			if err != nil {
 				return err
 			}
@@ -175,4 +178,5 @@ func (w *walker) chunkRecords(inner []byte, fn ScanFunc) error {
 			return fmt.Errorf("rosbag: unexpected op %#x inside chunk", op)
 		}
 	}
+	return nil
 }
