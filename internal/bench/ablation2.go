@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -27,7 +28,7 @@ func runAblationRebag(reg *obs.Registry) (*Table, error) {
 		Title:  "Rebagging: stock bag filter vs BORA container-to-container Rebag (real)",
 		Header: []string{"selection", "stock filter", "bora rebag", "speedup", "kept"},
 		Notes: []string{
-			"real wall-clock on a scaled-down Handheld SLAM bag",
+			"real wall-clock on a scaled-down Handheld SLAM bag; each path the fastest of three attempts",
 		},
 	}
 	dir, err := os.MkdirTemp("", "bora-rebag-")
@@ -60,51 +61,59 @@ func runAblationRebag(reg *obs.Registry) (*Table, error) {
 		{"imu only", []string{workload.TopicIMU}, bagio.Time{}, bagio.Time{}},
 		{"tf+markers, 2s window", []string{workload.TopicTF, workload.TopicMarkerArray}, base.Add(time.Second), base.Add(3 * time.Second)},
 	}
+	// Each path runs rebagAttempts times and keeps its fastest: a
+	// one-shot timing of a few milliseconds swings 2x on a shared host.
+	const rebagAttempts = 3
 	for i, qc := range cases {
-		// Stock path.
-		in, err := os.Open(src)
-		if err != nil {
-			return nil, err
-		}
-		st, err := in.Stat()
-		if err != nil {
-			in.Close()
-			return nil, err
-		}
-		outPath := filepath.Join(dir, fmt.Sprintf("stock%d.bag", i))
-		of, err := os.Create(outPath)
-		if err != nil {
-			in.Close()
-			return nil, err
-		}
-		stockStart := time.Now()
-		stockKept, err := rosbag.Filter(in, st.Size(), of,
-			rosbag.Query{Topics: qc.topics, Start: qc.start, End: qc.end}, nil, rosbag.WriterOptions{})
-		stockTime := time.Since(stockStart)
-		in.Close()
-		of.Close()
-		if err != nil {
-			return nil, err
-		}
-
-		// BORA path.
-		boraStart := time.Now()
-		_, boraKept, err := backend.Rebag(full, fmt.Sprintf("sub%d", i), core.QuerySpec{
-			Topics: qc.topics, Start: qc.start, End: qc.end,
-		})
-		boraTime := time.Since(boraStart)
-		if err != nil {
-			return nil, err
-		}
-		if uint64(boraKept) != stockKept {
-			return nil, fmt.Errorf("ablation-rebag: %s: stock kept %d, bora kept %d", qc.label, stockKept, boraKept)
+		stockTime, boraTime := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+		var kept int64
+		for a := 0; a < rebagAttempts; a++ {
+			sd, stockKept, err := timeStockFilter(src, filepath.Join(dir, fmt.Sprintf("stock%d.bag", i)),
+				rosbag.Query{Topics: qc.topics, Start: qc.start, End: qc.end})
+			if err != nil {
+				return nil, err
+			}
+			boraStart := time.Now()
+			_, boraKept, err := backend.Rebag(full, fmt.Sprintf("sub%d-%d", i, a), core.QuerySpec{
+				Topics: qc.topics, Start: qc.start, End: qc.end,
+			})
+			bd := time.Since(boraStart)
+			if err != nil {
+				return nil, err
+			}
+			if uint64(boraKept) != stockKept {
+				return nil, fmt.Errorf("ablation-rebag: %s: stock kept %d, bora kept %d", qc.label, stockKept, boraKept)
+			}
+			stockTime, boraTime, kept = min(stockTime, sd), min(boraTime, bd), boraKept
 		}
 		t.Rows = append(t.Rows, []string{
 			qc.label, fmtDur(stockTime), fmtDur(boraTime),
-			fmtRatio(stockTime, boraTime), fmt.Sprintf("%d", boraKept),
+			fmtRatio(stockTime, boraTime), fmt.Sprintf("%d", kept),
 		})
 	}
 	return t, nil
+}
+
+// timeStockFilter times the stock path: open the bag at src, filter it
+// by q, and write the kept messages as a new bag at out.
+func timeStockFilter(src, out string, q rosbag.Query) (time.Duration, uint64, error) {
+	in, err := os.Open(src)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer in.Close()
+	st, err := in.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
+	of, err := os.Create(out)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer of.Close()
+	start := time.Now()
+	kept, err := rosbag.Filter(in, st.Size(), of, q, nil, rosbag.WriterOptions{})
+	return time.Since(start), kept, err
 }
 
 // runAblationCompression sweeps the recorder's chunk compression on real

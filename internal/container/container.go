@@ -306,12 +306,12 @@ func (c *Container) TopicPath(name string) (string, error) {
 
 // TopicOptions tune how a topic is written.
 type TopicOptions struct {
-	// IndexFlushEvery persists buffered index entries to the index file
-	// after every N appends (≤ 0 selects DefaultIndexFlushEvery). The
-	// data payload is always written before its entry is flushed, so a
-	// flushed index never references unwritten data; smaller values
-	// shrink the window of messages a crash can lose at the cost of
-	// more small writes.
+	// IndexFlushEvery writes the buffered payloads, then the buffered
+	// index entries, every N appends (≤ 0 selects DefaultIndexFlushEvery),
+	// so a flushed index never references unwritten data; smaller values
+	// shrink the window of messages a crash can lose at the cost of more
+	// small writes. A full append buffer or a Flush writes the data
+	// sooner, never the index.
 	IndexFlushEvery int
 	// TimeWindow is the width of the coarse time-index windows the
 	// writer builds as it appends (≤ 0 selects timeindex.DefaultWindow).
@@ -348,7 +348,8 @@ func (c *Container) CreateTopicOpts(conn *bagio.Connection, opts TopicOptions) (
 		cache: c.blockCache, gen: c.Generation(),
 		indexLoadOp: c.indexLoadOp, blockFillOp: c.blockFillOp}
 	tw := &TopicWriter{topic: t, fs: c.fs, crc: crc32.New(crcTable),
-		flushEvery: opts.IndexFlushEvery, tix: timeindex.New(opts.TimeWindow)}
+		flushEvery: opts.IndexFlushEvery, tix: timeindex.New(opts.TimeWindow),
+		buf: appendBufs.Get().(*[]byte)}
 	ixf, err := c.fs.Create(filepath.Join(dir, IndexFileName))
 	if err != nil {
 		return nil, err
@@ -362,13 +363,21 @@ func (c *Container) CreateTopicOpts(conn *bagio.Connection, opts TopicOptions) (
 	return tw, nil
 }
 
+// appendBufCap is the capacity of a topic writer's pooled append buffer.
+const appendBufCap = 64 << 10
+
+var appendBufs = sync.Pool{New: func() any { b := make([]byte, 0, appendBufCap); return &b }}
+
 // TopicWriter appends messages to one topic of a container — the only
 // thing that writes a topic directory. It keeps a running CRC of the
 // data stream and builds the coarse time index as it goes; Close
-// persists both. Index entries are flushed to the index file
-// incrementally (after the data they reference, never before), so a
-// crash mid-stream leaves a consistent indexed prefix for Repair to
-// recover rather than losing the whole topic.
+// persists both. Payloads collect in an append buffer written as one
+// block when full, every IndexFlushEvery appends, at Flush and at Close
+// (a payload larger than the buffer goes straight through). An index
+// entry is published to the topic, and written to the index file, only
+// after its bytes are in the data file, so a crash mid-stream leaves a
+// consistent indexed prefix for Repair to recover rather than losing
+// the whole topic. A failed write is sticky, as in bufio.Writer.
 type TopicWriter struct {
 	topic *Topic
 	fs    faultfs.Backend
@@ -378,20 +387,35 @@ type TopicWriter struct {
 	crc        hash.Hash32
 	tix        *timeindex.Index // coarse time index, persisted at Close
 	offset     uint64
+	appended   uint32 // messages appended: the next time-index ordinal
 	closed     bool
-	last       IndexEntry // entry minted by the most recent Append
-	ixbuf      []byte     // encoded entries not yet written to the index file
-	pending    int        // entries in ixbuf
+	err        error        // the first failed write, returned ever after
+	last       IndexEntry   // entry minted by the most recent Append
+	buf        *[]byte      // payloads not yet written to the data file
+	staged     []IndexEntry // entries of buf's payloads, not yet published
+	ixbuf      []byte       // encoded entries not yet written to the index file
 	flushEvery int
 }
 
-// Append writes one message payload and records its index entry.
+// Append buffers one message payload and stages its index entry.
 func (tw *TopicWriter) Append(t bagio.Time, payload []byte) error {
+	if tw.err != nil {
+		return tw.err
+	}
 	if tw.closed {
 		return fmt.Errorf("container: topic writer for %q is closed", tw.topic.topic)
 	}
-	if _, err := tw.data.Write(payload); err != nil {
-		return fmt.Errorf("container: append to %q: %w", tw.topic.topic, err)
+	if len(*tw.buf)+len(payload) > appendBufCap {
+		if err := tw.Flush(); err != nil {
+			return err
+		}
+	}
+	if len(payload) > appendBufCap {
+		if _, err := tw.data.Write(payload); err != nil {
+			return tw.fail("append to", err)
+		}
+	} else {
+		*tw.buf = append(*tw.buf, payload...)
 	}
 	tw.crc.Write(payload)
 	e := IndexEntry{
@@ -400,39 +424,62 @@ func (tw *TopicWriter) Append(t bagio.Time, payload []byte) error {
 		Length:         uint32(len(payload)),
 		PhysicalOffset: tw.offset,
 	}
-	// The in-memory entry list is published under the topic mutex: a
-	// live follower may be snapshotting Entries() of this still-building
-	// topic concurrently (the payload bytes above are already on disk,
-	// so anything the published entry describes is readable).
-	tw.topic.mu.Lock()
-	ordinal := len(tw.topic.entries)
-	tw.topic.entries = append(tw.topic.entries, e)
-	tw.topic.mu.Unlock()
-	tw.tix.Add(t, uint32(ordinal))
+	tw.staged = append(tw.staged, e)
+	tw.tix.Add(t, tw.appended)
+	tw.appended++
 	tw.last = e
 	tw.offset += uint64(len(payload))
 	n := len(tw.ixbuf)
 	tw.ixbuf = append(tw.ixbuf, make([]byte, IndexEntrySize)...)
 	e.encode(tw.ixbuf[n:])
-	tw.pending++
-	if tw.pending >= tw.flushEvery {
+	if len(tw.ixbuf) >= tw.flushEvery*IndexEntrySize {
 		return tw.flushIndex()
 	}
 	return nil
 }
 
-// flushIndex appends the buffered index entries to the index file. Every
-// payload those entries describe has already been written, so the index
-// on disk never runs ahead of the data.
+func (tw *TopicWriter) fail(what string, err error) error {
+	tw.err = fmt.Errorf("container: %s %q: %w", what, tw.topic.topic, err)
+	return tw.err
+}
+
+// Flush writes the buffered payloads to the data file and publishes
+// their index entries to the topic (Entries). The index file follows
+// IndexFlushEvery.
+func (tw *TopicWriter) Flush() error {
+	if tw.err != nil || tw.closed {
+		return tw.err
+	}
+	if len(*tw.buf) > 0 {
+		if _, err := tw.data.Write(*tw.buf); err != nil {
+			return tw.fail("append to", err)
+		}
+		*tw.buf = (*tw.buf)[:0]
+	}
+	if len(tw.staged) > 0 {
+		// Under the topic mutex: a live follower may be reading Entries().
+		tw.topic.mu.Lock()
+		tw.topic.entries = append(tw.topic.entries, tw.staged...)
+		tw.topic.mu.Unlock()
+		tw.staged = tw.staged[:0]
+	}
+	return nil
+}
+
+// flushIndex writes the buffered payloads, then appends the buffered
+// index entries to the index file, so the index on disk never runs
+// ahead of the data.
 func (tw *TopicWriter) flushIndex() error {
-	if tw.pending == 0 {
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	if len(tw.ixbuf) == 0 {
 		return nil
 	}
 	if _, err := tw.index.Write(tw.ixbuf); err != nil {
-		return fmt.Errorf("container: write index for %q: %w", tw.topic.topic, err)
+		return tw.fail("write index for", err)
 	}
 	tw.ixbuf = tw.ixbuf[:0]
-	tw.pending = 0
 	return nil
 }
 
@@ -443,10 +490,13 @@ func (tw *TopicWriter) flushIndex() error {
 // by data, and a checksum only exists for a complete topic.
 func (tw *TopicWriter) Close() error {
 	if tw.closed {
-		return nil
+		return tw.err
 	}
+	err := tw.flushIndex()
 	tw.closed = true
-	if err := tw.flushIndex(); err != nil {
+	*tw.buf = (*tw.buf)[:0]
+	appendBufs.Put(tw.buf)
+	if err != nil {
 		tw.index.Close()
 		tw.data.Close()
 		return err
@@ -483,13 +533,13 @@ func (tw *TopicWriter) Close() error {
 // LastEntry returns the index entry minted by the most recent Append
 // (the zero entry before the first). Live recorders journal it so
 // tailing followers can read the message back without re-deriving
-// offsets.
+// offsets, once a Flush has written it.
 func (tw *TopicWriter) LastEntry() IndexEntry { return tw.last }
 
 // Topic returns the topic this writer appends to. A live recorder hands
 // it to in-process followers: the topic's in-memory entry list grows as
-// messages are appended, and the data already on disk backs every
-// published entry.
+// appends are flushed, and the data on disk backs every published
+// entry.
 func (tw *TopicWriter) Topic() *Topic { return tw.topic }
 
 // Name returns the topic name.

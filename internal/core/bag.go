@@ -153,10 +153,12 @@ func (bag *Bag) Container() *container.Container {
 
 // Segments returns the bag's containers in segment order. Classic bags
 // return exactly one. For a live-wired handle this is a snapshot —
-// rotation may append more.
+// rotation may append more — taken after the recorder's append buffers
+// are flushed, so every message recorded so far is in a data file.
 func (bag *Bag) Segments() []*container.Container {
 	if bag.rec != nil {
 		bag.rec.mu.Lock()
+		bag.rec.flushLocked() // a failure is sticky: the next write or query reports it
 		out := make([]*container.Container, len(bag.rec.segs))
 		for i, seg := range bag.rec.segs {
 			out[i] = seg.c

@@ -198,19 +198,27 @@ func (b *BORA) organize(r io.ReaderAt, size int64, name string, sp obs.Span) (Du
 			return err
 		}
 		asp.EndBytes(int64(len(data)))
-		st.Messages++
-		st.Bytes += int64(len(data))
 		return nil
 	})
-	st.Topics = len(seg.order)
 	if err != nil {
 		seg.close()
-		return st, fmt.Errorf("bora: duplicate: %w", err)
+		err = fmt.Errorf("bora: duplicate: %w", err)
+	} else {
+		// Every topic is complete; seal the container. This is the commit
+		// point: a failure or crash before here leaves a building-state
+		// container that Open/List refuse and fsck repairs.
+		err = seg.seal()
 	}
-	// Every topic is complete; seal the container. This is the commit
-	// point: a failure or crash before here leaves a building-state
-	// container that Open/List refuse and fsck repairs.
-	return st, seg.seal()
+	// Count what reached a topic file, not what a failed write left buffered.
+	st.Topics = len(seg.order)
+	for _, tw := range seg.order {
+		es, _ := tw.Topic().Entries() // a writer's topic serves them from memory
+		st.Messages += int64(len(es))
+		if len(es) > 0 {
+			st.Bytes += int64(es[len(es)-1].PhysicalOffset) + int64(es[len(es)-1].Length)
+		}
+	}
+	return st, err
 }
 
 // CopyContainer duplicates an existing BORA container into this back end

@@ -382,26 +382,33 @@ func filesOpenUnder(dir string) int {
 }
 
 // TestDuplicateFailureStaysUnsealed injects one I/O failure into a
-// duplicate, once while a topic is being created and once while a
-// message is being appended. Either way Duplicate returns the injected
-// cause, counts only the messages that reached a topic file, leaves the
-// container building — refused by List and Open, reported stale by
-// Fsck — and leaves no topic file open.
+// duplicate: while a topic is being created, while a message is being
+// appended, and — at the default cadence, where one data write carries
+// many buffered messages — on a later data write. Every time Duplicate
+// returns the injected cause, counts only the messages that reached a
+// topic file, leaves the container building — refused by List and
+// Open, reported stale by Fsck — and leaves no topic file open.
 func TestDuplicateFailureStaysUnsealed(t *testing.T) {
-	src := makeSourceBag(t, t.TempDir(), 3)
-	clean := faultfs.NewInjector(faultfs.OS, faultfs.Plan{})
-	b, err := New(filepath.Join(t.TempDir(), "backend"), Options{FS: clean})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := b.Duplicate(src, "bag"); err != nil {
-		t.Fatal(err)
+	// cleanRun duplicates a source of the given length fault-free at
+	// the given cadence: the source, the op trace, the sealed bag.
+	cleanRun := func(t *testing.T, seconds, flushEvery int) (string, []string, *Bag) {
+		src := makeSourceBag(t, t.TempDir(), seconds)
+		clean := faultfs.NewInjector(faultfs.OS, faultfs.Plan{})
+		b, err := New(filepath.Join(t.TempDir(), "backend"), Options{FS: clean, IndexFlushEvery: flushEvery})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bag, _, err := b.Duplicate(src, "bag")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src, clean.Trace(), bag
 	}
 	// opOf returns the number of the nth clean-run op of kind on a file
 	// named file, and how many message appends (data writes) came before
 	// it.
-	opOf := func(kind, file string, nth int) (at, appended int64) {
-		for _, line := range clean.Trace() {
+	opOf := func(t *testing.T, trace []string, kind, file string, nth int) (at, appended int64) {
+		for _, line := range trace {
 			f := strings.Fields(line) // "N op path"
 			if f[1] == kind && filepath.Base(f[2]) == file {
 				if nth--; nth == 0 {
@@ -418,16 +425,20 @@ func TestDuplicateFailureStaysUnsealed(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name       string
+		seconds    int
+		flushEvery int // 1: one data write per message; 0: the default cadence
 		kind, file string
 		nth        int
 	}{
-		{"topic create", "create", container.IndexFileName, 2},
-		{"append", "write", container.DataFileName, 10},
+		{"topic create", 3, 1, "create", container.IndexFileName, 2},
+		{"append", 3, 1, "write", container.DataFileName, 10},
+		{"buffered append", 60, 0, "write", container.DataFileName, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			at, appended := opOf(tc.kind, tc.file, tc.nth)
+			src, trace, clean := cleanRun(t, tc.seconds, tc.flushEvery)
+			at, appended := opOf(t, trace, tc.kind, tc.file, tc.nth)
 			root := filepath.Join(t.TempDir(), "backend")
-			b, err := New(root, Options{FS: faultfs.NewInjector(faultfs.OS, faultfs.Plan{FailAt: at})})
+			b, err := New(root, Options{FS: faultfs.NewInjector(faultfs.OS, faultfs.Plan{FailAt: at}), IndexFlushEvery: tc.flushEvery})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -435,8 +446,11 @@ func TestDuplicateFailureStaysUnsealed(t *testing.T) {
 			if !errors.Is(err, faultfs.ErrInjected) {
 				t.Fatalf("fail at op %d: Duplicate returned %v, want the injected error", at, err)
 			}
-			if st.Messages != appended {
+			if tc.flushEvery == 1 && st.Messages != appended {
 				t.Errorf("fail at op %d: DuplicateStats.Messages = %d, want the %d appended", at, st.Messages, appended)
+			}
+			if whole := wholeMessagesOnDisk(t, clean, filepath.Join(root, "bag")); st.Messages != whole {
+				t.Errorf("fail at op %d: DuplicateStats.Messages = %d, want the %d whole messages in the data files", at, st.Messages, whole)
 			}
 			if names, err := b.List(); err != nil || len(names) != 0 {
 				t.Errorf("List = %v, %v; the failed duplicate is listed", names, err)
@@ -460,6 +474,37 @@ func TestDuplicateFailureStaysUnsealed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// wholeMessagesOnDisk counts the messages of clean, a sealed duplicate of
+// the same source, whose bytes lie wholly inside the data files of the
+// failed duplicate at root.
+func wholeMessagesOnDisk(t *testing.T, clean *Bag, root string) int64 {
+	t.Helper()
+	var n int64
+	for _, name := range clean.Topics() {
+		st, err := os.Stat(filepath.Join(root, container.EncodeTopicDir(name), container.DataFileName))
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		tp, err := clean.Container().Topic(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, err := tp.Entries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if int64(e.PhysicalOffset)+int64(e.Length) <= st.Size() {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func TestRemove(t *testing.T) {

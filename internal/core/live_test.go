@@ -3,14 +3,19 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bagio"
+	"repro/internal/container"
+	"repro/internal/faultfs"
 	"repro/internal/msgs"
 	"repro/internal/rosbag"
 )
@@ -626,5 +631,94 @@ func TestLiveJournalBounded(t *testing.T) {
 	}
 	if l := journalLen(); l != 0 {
 		t.Errorf("after every follower left: journal holds %d entries, want 0", l)
+	}
+}
+
+// TestFollowFlushFailureSurfaces: the recorder writes buffered appends
+// out when a follower wakes for them. When that deferred data write
+// fails, the failure reaches everyone and blocks no one: the Follow
+// query returns the injected cause, a snapshot query fails with it, and
+// the recorder's next write to the topic fails too.
+func TestFollowFlushFailureSurfaces(t *testing.T) {
+	ts := bagio.TimeFromNanos(3_000_000_000 * 1e9)
+	// run subscribes a follower to an empty live bag, waits for it to
+	// park, then writes one message; the follower's wake-up flushes it.
+	// It returns the injector, the recorder, the bag and the Follow
+	// query's outcome.
+	run := func(plan faultfs.Plan) (*faultfs.Injector, *Recorder, *Bag, chan error) {
+		in := faultfs.NewInjector(faultfs.OS, plan)
+		b, err := New(filepath.Join(t.TempDir(), "backend"), Options{FS: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := b.CreateLiveBag("live", time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bag, err := b.Open("live")
+		if err != nil {
+			t.Fatal(err)
+		}
+		parked, done := make(chan struct{}, 1), make(chan error, 1)
+		idle := func() error {
+			select {
+			case parked <- struct{}{}:
+			default:
+			}
+			return nil
+		}
+		go func() {
+			done <- bag.Query(QuerySpec{Follow: true, Idle: idle}, func(MessageRef) error { return nil })
+		}()
+		select {
+		case <-parked:
+		case err := <-done:
+			t.Fatalf("Follow returned %v before it parked", err)
+		}
+		liveWrite(t, rec, "/imu", ts, 0)
+		return in, rec, bag, done
+	}
+	await := func(done chan error) error {
+		t.Helper()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatal("the Follow query hangs")
+			return nil
+		}
+	}
+
+	clean, rec, _, done := run(faultfs.Plan{})
+	if err := rec.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := await(done); err != nil {
+		t.Fatalf("clean run: Follow = %v", err)
+	}
+	var at int64
+	for _, line := range clean.Trace() {
+		f := strings.Fields(line) // "N op path"
+		if f[1] == "write" && filepath.Base(f[2]) == container.DataFileName {
+			at, _ = strconv.ParseInt(f[0], 10, 64)
+			break
+		}
+	}
+	if at == 0 {
+		t.Fatal("the clean run wrote no data")
+	}
+
+	_, rec, bag, done := run(faultfs.Plan{FailAt: at})
+	if err := await(done); !errors.Is(err, faultfs.ErrInjected) {
+		t.Errorf("Follow = %v, want the injected data-write failure", err)
+	}
+	if err := bag.Query(QuerySpec{}, func(MessageRef) error { return nil }); !errors.Is(err, faultfs.ErrInjected) {
+		t.Errorf("snapshot query = %v, want the injected data-write failure", err)
+	}
+	if err := rec.WriteRaw("/imu", "sensor_msgs/Imu", ts, []byte("next")); !errors.Is(err, faultfs.ErrInjected) {
+		t.Errorf("next write = %v, want the injected data-write failure", err)
+	}
+	if err := rec.Seal(); !errors.Is(err, faultfs.ErrInjected) {
+		t.Errorf("Seal = %v, want the injected data-write failure", err)
 	}
 }

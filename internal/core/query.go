@@ -393,8 +393,8 @@ func (q *query) readTime(parent obs.Span) (err error) {
 //
 // Phase 2 (tail): drain the recorder's journal from the cut position,
 // in write order, reading each payload back through the same
-// cursor.deliver as every other policy (the bytes are on disk — and in
-// the page cache — before the journal entry is published). Between
+// cursor.deliver as every other policy (tailBatch flushes the writers'
+// append buffers first, so the bytes are in the data file). Between
 // writes the query blocks on the subscription's notify channel; it
 // wakes for new messages, for the recording sealing (clean return), or
 // for context cancellation; QuerySpec.Idle runs before each block.
@@ -412,7 +412,10 @@ func (q *query) follow(ctx context.Context, parent obs.Span) (err error) {
 	if rec == nil {
 		return q.readTime(sp)
 	}
-	f := rec.subscribe()
+	f, err := rec.subscribe()
+	if err != nil {
+		return err
+	}
 	defer rec.unsubscribe(f)
 	// Seeded with the requested topics, phases doubles as the tail's
 	// topic filter: under a topic list, exactly its names are keys.
@@ -436,7 +439,10 @@ func (q *query) follow(ctx context.Context, parent obs.Span) (err error) {
 	defer scratchPool.Put(scratch)
 	var batch []tailRef
 	for {
-		refs, sealed := rec.tailBatch(f, batch)
+		refs, sealed, err := rec.tailBatch(f, batch)
+		if err != nil {
+			return err
+		}
 		batch = refs[:0]
 		for _, ref := range refs {
 			topic := ref.t.Name()

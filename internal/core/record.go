@@ -62,9 +62,8 @@ type Recorder struct {
 }
 
 // tailRef is one journal entry: the topic part a message landed in and
-// the index entry describing it. The referenced payload bytes are
-// already durable (TopicWriter writes data before publishing the
-// entry), so a follower can read the message back at any time.
+// the index entry describing it. tailBatch flushes the payload to the
+// data file before a follower gets the entry and reads the message back.
 type tailRef struct {
 	t *container.Topic
 	e container.IndexEntry
@@ -289,6 +288,18 @@ func (r *Recorder) topicPaths() map[string]string {
 	return paths
 }
 
+// flushLocked writes out the building segment's append buffers, in
+// creation order: wherever the recorder shows a reader the recording
+// (chains, subscribe, tailBatch, Bag.Segments), the reader sees it all.
+func (r *Recorder) flushLocked() error {
+	for _, tw := range r.cur.order {
+		if err := tw.Flush(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // chains snapshots the per-topic part lists (segment order) for a
 // query over the wired bag. Empty topics selects everything recorded so
 // far. When lenient, unknown topics are skipped instead of failing —
@@ -296,6 +307,9 @@ func (r *Recorder) topicPaths() map[string]string {
 func (r *Recorder) chains(topics []string, lenient bool) ([]topicChain, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if err := r.flushLocked(); err != nil {
+		return nil, err
+	}
 	if len(topics) == 0 {
 		topics = r.topicsLocked()
 	}
@@ -318,9 +332,12 @@ func (r *Recorder) chains(topics []string, lenient bool) ([]topicChain, error) {
 // pair is a consistent cut of the recording: every message is either
 // covered by limits (visible to a snapshot query) or journaled from pos
 // on (delivered by the tail), never both.
-func (r *Recorder) subscribe() *follower {
+func (r *Recorder) subscribe() (*follower, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if err := r.flushLocked(); err != nil {
+		return nil, err
+	}
 	f := &follower{
 		ch:     make(chan struct{}, 1),
 		pos:    r.jbase + len(r.journal),
@@ -337,7 +354,7 @@ func (r *Recorder) subscribe() *follower {
 		r.followers = map[*follower]struct{}{}
 	}
 	r.followers[f] = struct{}{}
-	return f
+	return f, nil
 }
 
 func (r *Recorder) unsubscribe(f *follower) {
@@ -383,14 +400,19 @@ func (r *Recorder) notifyLocked() {
 // f.pos past it, and reports whether the recording has sealed (no
 // further writes possible). The sealed flag is read under the same lock
 // as the journal snapshot, so sealed=true means the returned batch
-// reaches the journal's final entry.
-func (r *Recorder) tailBatch(f *follower, buf []tailRef) ([]tailRef, bool) {
+// reaches the journal's final entry. A non-empty batch flushes first.
+func (r *Recorder) tailBatch(f *follower, buf []tailRef) ([]tailRef, bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if f.pos < r.jbase+len(r.journal) {
+		if err := r.flushLocked(); err != nil {
+			return buf[:0], false, err
+		}
+	}
 	buf = append(buf[:0], r.journal[f.pos-r.jbase:]...)
 	f.pos = r.jbase + len(r.journal)
 	r.trimLocked()
-	return buf, r.sealed
+	return buf, r.sealed, nil
 }
 
 // Seal commits the recording without opening it: the building segment

@@ -73,15 +73,24 @@ func buildCrashBag(t *testing.T) ([]byte, map[string][][]byte) {
 // duplicateWithPlan runs one injected duplicate into a fresh backend and
 // returns the injector, the backend root and the duplicate error.
 func duplicateWithPlan(t *testing.T, raw []byte, plan faultfs.Plan) (*faultfs.Injector, string, error) {
+	in, root, _, err := duplicateEvery(t, raw, plan, 1)
+	return in, root, err
+}
+
+// duplicateEvery is duplicateWithPlan at the given index flush cadence.
+// It also returns how many messages the scan handed to a topic writer,
+// the one whose append observed the crash included.
+func duplicateEvery(t *testing.T, raw []byte, plan faultfs.Plan, every int) (*faultfs.Injector, string, int64, error) {
 	t.Helper()
 	root := t.TempDir()
 	in := faultfs.NewInjector(faultfs.OS, plan)
-	b, err := core.New(root, core.Options{FS: in, IndexFlushEvery: 1})
+	reg := obs.NewRegistry()
+	b, err := core.New(root, core.Options{FS: in, IndexFlushEvery: every, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, _, err = b.DuplicateFrom(bytes.NewReader(raw), int64(len(raw)), "sweep", obs.Span{})
-	return in, root, err
+	return in, root, reg.Snapshot().Ops["organizer.append"].Count, err
 }
 
 // readTopicPayloads reads a repaired topic's messages back in index
@@ -118,12 +127,23 @@ func readTopicPayloads(t *testing.T, c *container.Container, topic string) [][]b
 // invariant the fsck/repair layer promises — after any crash,
 // Fsck detects damage, Repair restores a consistent container, and the
 // repaired container serves a byte-identical prefix of every topic's
-// original messages (never altered or reordered ones) all the way
-// through the vfs front end.
+// original messages (never altered or reordered ones), short of what
+// the scan handed its writer by at most the index flush cadence, all
+// the way through the vfs front end. It sweeps two cadences: one write
+// per message, and eight messages buffered per write.
 func TestCrashConsistencySweep(t *testing.T) {
+	t.Parallel()
 	raw, expect := buildCrashBag(t)
+	for _, every := range []int{1, 8} {
+		t.Run(fmt.Sprintf("IndexFlushEvery=%d", every), func(t *testing.T) {
+			t.Parallel()
+			crashSweepDuplicate(t, raw, expect, every)
+		})
+	}
+}
 
-	clean, _, err := duplicateWithPlan(t, raw, faultfs.Plan{Seed: 1})
+func crashSweepDuplicate(t *testing.T, raw []byte, expect map[string][][]byte, every int) {
+	clean, _, _, err := duplicateEvery(t, raw, faultfs.Plan{Seed: 1}, every)
 	if err != nil {
 		t.Fatalf("clean duplicate: %v", err)
 	}
@@ -132,9 +152,10 @@ func TestCrashConsistencySweep(t *testing.T) {
 		t.Fatalf("suspiciously few backend ops in a clean duplicate: %d", total)
 	}
 	t.Logf("sweeping crash points 1..%d", total)
+	specs := workload.HandheldSLAMSpecs()
 
 	for n := int64(1); n <= total; n++ {
-		in, root, err := duplicateWithPlan(t, raw, faultfs.Plan{Seed: 99, CrashAt: n})
+		in, root, handed, err := duplicateEvery(t, raw, faultfs.Plan{Seed: 99, CrashAt: n}, every)
 		if err == nil {
 			t.Fatalf("CrashAt=%d: duplicate succeeded", n)
 		}
@@ -192,6 +213,21 @@ func TestCrashConsistencySweep(t *testing.T) {
 			for i := range got {
 				if !bytes.Equal(got[i], want[i]) {
 					t.Fatalf("CrashAt=%d: topic %s message %d differs from source", n, topic, i)
+				}
+			}
+			// The source is round-robin over specs: the scan handed topic
+			// j one message per full round, plus one of the partial round
+			// when j comes early enough.
+			for j, spec := range specs {
+				if spec.Name != topic {
+					continue
+				}
+				mine := handed / int64(len(specs))
+				if int64(j) < handed%int64(len(specs)) {
+					mine++
+				}
+				if lost := mine - int64(len(got)); lost < 0 || lost > int64(every) {
+					t.Fatalf("CrashAt=%d: topic %s kept %d of the %d messages handed to its writer, want at most %d lost", n, topic, len(got), mine, every)
 				}
 			}
 		}

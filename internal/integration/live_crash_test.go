@@ -19,21 +19,22 @@ import (
 // of them.
 var liveCrashTopics = []string{"/imu", "/tf", "/camera/rgb/image_color"}
 
-// liveCrashRecord drives one live recording through a fault-injecting
-// backend: rounds of round-robin writes whose timestamps advance fast
-// enough to rotate several segments, then a seal. It returns the
-// injector, every payload handed to the recorder per topic (including
-// the write that observed the crash — it may or may not have reached
-// the index), and the first error.
-func liveCrashRecord(t *testing.T, root string, plan faultfs.Plan) (*faultfs.Injector, map[string][][]byte, error) {
+// liveCrashRecord drives one live recording at the given index flush
+// cadence through a fault-injecting backend: rounds of round-robin
+// writes whose timestamps advance fast enough to rotate segments of the
+// given window, then a seal. It returns the injector, every payload
+// handed to the recorder per topic (including the write that observed
+// the crash — it may or may not have reached the index), and the first
+// error.
+func liveCrashRecord(t *testing.T, root string, plan faultfs.Plan, every int, window time.Duration) (*faultfs.Injector, map[string][][]byte, error) {
 	t.Helper()
 	in := faultfs.NewInjector(faultfs.OS, plan)
-	b, err := core.New(root, core.Options{FS: in, IndexFlushEvery: 1})
+	b, err := core.New(root, core.Options{FS: in, IndexFlushEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}
 	attempted := map[string][][]byte{}
-	rec, err := b.CreateLiveBag("live", time.Second)
+	rec, err := b.CreateLiveBag("live", window)
 	if err != nil {
 		return in, attempted, err
 	}
@@ -52,7 +53,7 @@ func liveCrashRecord(t *testing.T, root string, plan faultfs.Plan) (*faultfs.Inj
 			for len(payload) < 64 {
 				payload = append(payload, byte(5*i+11*j))
 			}
-			// 300ms per round against a 1s window: a rotation roughly
+			// 300ms per round: against a 1s window, a rotation roughly
 			// every fourth round.
 			ts := bagio.TimeFromNanos(int64(1e18) + int64(i)*300e6 + int64(j)*1000)
 			attempted[topic] = append(attempted[topic], payload)
@@ -85,9 +86,24 @@ func queryPayloads(t *testing.T, bag *core.Bag, spec core.QuerySpec) map[string]
 // byte-identical prefix of the payloads handed to the recorder (losing
 // at most the unflushed tail, never altering or reordering), and a
 // Follow query of the repaired bag delivers exactly the post-hoc
-// chronological stream.
+// chronological stream. It sweeps two cadences: one write per message
+// over 1s segments, and eight messages buffered per write over 5s
+// segments, which hold enough messages per topic to reach the cadence.
 func TestLiveCrashRecoverySweep(t *testing.T) {
-	clean, _, err := liveCrashRecord(t, t.TempDir(), faultfs.Plan{Seed: 1})
+	t.Parallel()
+	for _, row := range []struct {
+		every  int
+		window time.Duration
+	}{{1, time.Second}, {8, 5 * time.Second}} {
+		t.Run(fmt.Sprintf("IndexFlushEvery=%d", row.every), func(t *testing.T) {
+			t.Parallel()
+			liveCrashSweep(t, row.every, row.window)
+		})
+	}
+}
+
+func liveCrashSweep(t *testing.T, every int, window time.Duration) {
+	clean, _, err := liveCrashRecord(t, t.TempDir(), faultfs.Plan{Seed: 1}, every, window)
 	if err != nil {
 		t.Fatalf("clean live recording: %v", err)
 	}
@@ -99,7 +115,7 @@ func TestLiveCrashRecoverySweep(t *testing.T) {
 
 	for n := int64(1); n <= total; n++ {
 		root := t.TempDir()
-		in, attempted, err := liveCrashRecord(t, root, faultfs.Plan{Seed: 7, CrashAt: n})
+		in, attempted, err := liveCrashRecord(t, root, faultfs.Plan{Seed: 7, CrashAt: n}, every, window)
 		if err == nil {
 			t.Fatalf("CrashAt=%d: recording succeeded", n)
 		}
@@ -143,10 +159,10 @@ func TestLiveCrashRecoverySweep(t *testing.T) {
 					t.Fatalf("CrashAt=%d: topic %s message %d differs from what was recorded", n, topic, i)
 				}
 			}
-			if len(want)-len(got) > 1 {
-				// IndexFlushEvery=1 leaves at most the
-				// in-flight write unindexed.
-				t.Fatalf("CrashAt=%d: topic %s lost %d messages, want at most the in-flight one", n, topic, len(want)-len(got))
+			if len(want)-len(got) > every {
+				// IndexFlushEvery=N leaves at most the in-flight write
+				// and the N-1 buffered before it unindexed.
+				t.Fatalf("CrashAt=%d: topic %s lost %d messages, want at most %d", n, topic, len(want)-len(got), every)
 			}
 		}
 

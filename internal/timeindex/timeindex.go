@@ -31,6 +31,7 @@ type Index struct {
 	window  int64 // window width in nanoseconds
 	heap    []int64
 	byStart map[int64]*windowList
+	lastLen int // positions in the window Add appended to most recently
 }
 
 type windowList struct {
@@ -63,11 +64,13 @@ func (ix *Index) Add(t bagio.Time, pos uint32) {
 	ws := ix.windowStart(t)
 	wl, ok := ix.byStart[ws]
 	if !ok {
-		wl = &windowList{start: ws}
+		// Sized like the last window: one allocation at a steady rate.
+		wl = &windowList{start: ws, positions: make([]uint32, 0, ix.lastLen)}
 		ix.byStart[ws] = wl
 		ix.heapPush(ws)
 	}
 	wl.positions = append(wl.positions, pos)
+	ix.lastLen = len(wl.positions)
 }
 
 // heapPush inserts a window start into the min-heap.
