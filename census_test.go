@@ -3,7 +3,7 @@ package repro
 import (
 	"os"
 	"reflect"
-	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/client"
@@ -23,8 +23,8 @@ func TestOptionCensus(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := map[string]bool{}
-	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z]+\\.[A-Za-z]+\\.[A-Za-z]+)` \\|").FindAllSubmatch(design, -1) {
-		rows[string(m[1])] = true
+	for _, row := range designTable(designSection(design, "5"), "option", "who sets it", "default") {
+		rows[strings.Trim(row[0], "`")] = true
 	}
 	fields := 0
 	for name, opts := range map[string]any{

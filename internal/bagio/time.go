@@ -29,9 +29,6 @@ func (t Time) Before(u Time) bool {
 	return t.Sec < u.Sec || (t.Sec == u.Sec && t.NSec < u.NSec)
 }
 
-// After reports whether t is strictly later than u.
-func (t Time) After(u Time) bool { return u.Before(t) }
-
 // Equal reports whether two timestamps are identical.
 func (t Time) Equal(u Time) bool { return t == u }
 

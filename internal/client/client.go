@@ -418,8 +418,7 @@ func (c *Client) Query(name string, q QuerySpec) (*Stream, error) {
 // Message is one streamed query result. Data is borrowed from the
 // stream's reusable frame buffer: it is valid only until the next call
 // to Next or Close and must not be mutated — the network mirror of
-// core.MessageRef's ownership contract. Call Copy or Retain to keep
-// the bytes.
+// core.MessageRef's ownership contract. Call Copy to keep the bytes.
 type Message struct {
 	Topic string
 	Type  string
@@ -429,13 +428,6 @@ type Message struct {
 
 // Copy returns an owned copy of the message payload.
 func (m Message) Copy() []byte { return append([]byte(nil), m.Data...) }
-
-// Retain returns the Message with Data replaced by an owned copy,
-// safe to hold past the next Next.
-func (m Message) Retain() Message {
-	m.Data = m.Copy()
-	return m
-}
 
 // Stream iterates a query's results:
 //

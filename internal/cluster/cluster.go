@@ -102,9 +102,6 @@ func (p *PVFS) RandRead(n int64) { p.Seek(); p.SeqRead(n) }
 // SeqWrite implements simio.Env.
 func (p *PVFS) SeqWrite(n int64) { p.xfer(n, p.effWriteBW()) }
 
-// RandWrite implements simio.Env.
-func (p *PVFS) RandWrite(n int64) { p.Seek(); p.SeqWrite(n) }
-
 // Metadata implements simio.Env: round trip to the (single) PVFS
 // metadata server.
 func (p *PVFS) Metadata() {
@@ -201,9 +198,6 @@ func (l *Lustre) RandRead(n int64) { l.Seek(); l.SeqRead(n) }
 
 // SeqWrite implements simio.Env.
 func (l *Lustre) SeqWrite(n int64) { l.xfer(n, l.OSTDev.WriteBW) }
-
-// RandWrite implements simio.Env.
-func (l *Lustre) RandWrite(n int64) { l.Seek(); l.SeqWrite(n) }
 
 // Metadata implements simio.Env: namespace operations queue across the
 // MDS pool.

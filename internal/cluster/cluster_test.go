@@ -40,7 +40,6 @@ func TestPVFSEnvInterfaceOps(t *testing.T) {
 	p := NewPVFS()
 	p.RandRead(1 << 20)
 	p.SeqWrite(1 << 20)
-	p.RandWrite(1 << 20)
 	p.Metadata()
 	p.CPU(time.Millisecond)
 	if p.Clock().Elapsed() <= time.Millisecond {
@@ -120,7 +119,6 @@ func TestLustreWritePath(t *testing.T) {
 	if got < 950*time.Millisecond || got > 1100*time.Millisecond {
 		t.Errorf("3.6 GB write = %v, want ≈1 s", got)
 	}
-	l.RandWrite(1 << 20)
 	l.RandRead(1 << 20)
 	if l.Clock().Ops() != l.Clock().Ops() { // smoke: Ops accessible
 		t.Error("unreachable")

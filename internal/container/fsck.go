@@ -293,7 +293,7 @@ func crcData(dir string, size int64) (uint32, error) {
 	return h.Sum32(), nil
 }
 
-// Repair restores the container at root to a consistent, sealed state:
+// RepairFS restores the container at root to a consistent, sealed state:
 // temp debris is removed, each topic is truncated to its longest
 // consistent indexed prefix (index first, then data), coarse time
 // indexes and checksums are rebuilt from the surviving prefix, topics
@@ -301,11 +301,7 @@ func crcData(dir string, size int64) (uint32, error) {
 // resealed with the surviving manifest. The result is the post-repair
 // fsck report (clean on success) — the repaired container holds a
 // prefix of every topic's original messages, never altered ones.
-func Repair(root string) (*Report, error) {
-	return RepairFS(root, faultfs.OS)
-}
-
-// RepairFS is Repair with mutations routed through fs.
+// Mutations go through fs (nil: faultfs.OS).
 func RepairFS(root string, fs faultfs.Backend) (*Report, error) {
 	fs = faultfs.Or(fs)
 	rep, states, err := fsck(root)

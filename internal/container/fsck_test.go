@@ -104,7 +104,7 @@ func TestFsckDetectsTruncatedIndexTailAndRepairs(t *testing.T) {
 	if !hasFinding(rep, FindingIndexDataMismatch) {
 		t.Fatalf("findings = %v, want index-data-mismatch", findingKinds(rep))
 	}
-	after, err := Repair(root)
+	after, err := RepairFS(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestFsckDetectsUnindexedDataTail(t *testing.T) {
 	if !hasFinding(rep, FindingChecksumMismatch) {
 		t.Fatalf("findings = %v, want checksum-mismatch", findingKinds(rep))
 	}
-	after, err := Repair(root)
+	after, err := RepairFS(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestFsckDetectsMissingTopicDir(t *testing.T) {
 	if !hasFinding(rep, FindingMissingTopicDir) {
 		t.Fatalf("findings = %v, want missing-topic-dir", findingKinds(rep))
 	}
-	after, err := Repair(root)
+	after, err := RepairFS(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestFsckDetectsDebrisAndBadTimeIdx(t *testing.T) {
 	if !hasFinding(rep, FindingTempDebris) || !hasFinding(rep, FindingBadTimeIdx) {
 		t.Fatalf("findings = %v, want temp-debris and bad-timeidx", findingKinds(rep))
 	}
-	after, err := Repair(root)
+	after, err := RepairFS(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestStripedLayoutRefused(t *testing.T) {
 	if kinds := findingKinds(rep); !reflect.DeepEqual(kinds, []FindingKind{FindingStripedLayout}) {
 		t.Errorf("findings = %v, want exactly one striped-layout", rep.Findings)
 	}
-	if _, err := Repair(root); !errors.Is(err, ErrStripedLayout) {
+	if _, err := RepairFS(root, nil); !errors.Is(err, ErrStripedLayout) {
 		t.Errorf("Repair: %v, want ErrStripedLayout", err)
 	}
 	if after := readTree(t, root); !reflect.DeepEqual(after, before) {

@@ -415,8 +415,8 @@ func checkBorrowEquivalence(t *testing.T, name string, bag *Bag) {
 	}
 }
 
-// TestBorrowEquivalenceParallelRetain: a retaining callback (Retain per
-// message, from concurrent goroutines) observes the same bytes the
+// TestBorrowEquivalenceParallelRetain: a retaining callback (a ref with
+// copied Data per message, from concurrent goroutines) observes the same bytes the
 // copying reference does — the contract's escape hatch is sound even
 // while scratch buffers are being reused underneath it. Runs under
 // -race in CI.
@@ -427,7 +427,8 @@ func TestBorrowEquivalenceParallelRetain(t *testing.T) {
 	var mu sync.Mutex
 	var kept []MessageRef
 	err := bag.Query(QuerySpec{Workers: 2}, func(m MessageRef) error {
-		r := m.Retain()
+		r := m
+		r.Data = m.Copy()
 		mu.Lock()
 		kept = append(kept, r)
 		mu.Unlock()

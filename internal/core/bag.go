@@ -32,7 +32,7 @@ type Stats struct {
 // message) or are a direct slice of the shared block cache, so a
 // callback that stores Data, mutates it, or hands it to another
 // goroutine that outlives the callback must take an owned copy first:
-// Copy returns the bytes, Retain the whole ref with owned bytes.
+// Copy returns the bytes.
 // Callbacks that fully consume the message before returning (writing it
 // to a file, socket, or sink; decoding it; counting it) need neither.
 // This is what makes the steady-state query hot loop allocation-free.
@@ -45,13 +45,6 @@ type MessageRef struct {
 // Copy returns an owned copy of Data, valid indefinitely.
 func (m MessageRef) Copy() []byte {
 	return append([]byte(nil), m.Data...)
-}
-
-// Retain returns m with Data replaced by an owned copy — the ref a
-// callback may keep past its return.
-func (m MessageRef) Retain() MessageRef {
-	m.Data = m.Copy()
-	return m
 }
 
 // msgScratch is one stream's reusable read buffer. Every query plan

@@ -314,32 +314,37 @@ func (b *BORA) open(name string, sp obs.Span) (*Bag, error) {
 		return nil, err
 	}
 	bag := &Bag{name: name, ops: newBagObs(b.opts.Obs)}
+	var paths map[string]string // topic → dir of its first part
 	if lm != nil && lm.State == liveStateRecord {
 		if bag.rec = b.LiveRecorder(name); bag.rec == nil {
 			return nil, fmt.Errorf("bora: bag %q is mid-recording with no live recorder (crashed or foreign process; repair it first)", name)
 		}
-		bag.tags = tagman.BuildSpan(bag.rec.topicPaths(), sp)
-		return bag, nil
-	}
-	if lm != nil {
-		bag.liveGen = lm.Gen
-	}
-	paths := map[string]string{} // topic → dir of its first part
-	for _, sd := range segDirs {
-		c, err := container.Open(sd)
-		if err != nil {
-			return nil, err
+		paths = bag.rec.topicPaths()
+	} else {
+		if lm != nil {
+			bag.liveGen = lm.Gen
 		}
-		c.SetObs(b.opts.Obs)
-		for _, topic := range c.Topics() {
-			if _, ok := paths[topic]; !ok {
-				if paths[topic], err = c.TopicPath(topic); err != nil {
-					return nil, err
+		paths = map[string]string{}
+		for _, sd := range segDirs {
+			c, err := container.Open(sd)
+			if err != nil {
+				return nil, err
+			}
+			c.SetObs(b.opts.Obs)
+			for _, topic := range c.Topics() {
+				if _, ok := paths[topic]; !ok {
+					if paths[topic], err = c.TopicPath(topic); err != nil {
+						return nil, err
+					}
 				}
 			}
+			bag.segs = append(bag.segs, c)
 		}
-		bag.segs = append(bag.segs, c)
 	}
-	bag.tags = tagman.BuildSpan(paths, sp)
+	// The on-the-fly tag-table build of Table I, as a child of the open;
+	// its bytes are the finished table's footprint ("Hash Table Size").
+	tsp := sp.Child("tagman.build")
+	bag.tags = tagman.Build(paths)
+	tsp.EndBytes(int64(bag.tags.SizeBytes()))
 	return bag, nil
 }

@@ -24,7 +24,7 @@ import (
 // segment is building; each rotation seals the old segment through the
 // ordinary building→sealed container lifecycle, so at any instant the
 // sealed prefix is fully consistent and a crash loses at most the
-// building segment's unflushed index tail (container.Repair truncates
+// building segment's unflushed index tail (container.RepairFS truncates
 // it back to the flushed prefix, exactly as in the crash sweep).
 // Completion writes "complete" plus a fresh generation token, making
 // the bag a plain multi-segment container set that opens anywhere.
@@ -231,7 +231,7 @@ func (b *BORA) Fsck(name string) (segs []*container.Report, unsealed *container.
 // Repair restores the logical bag name to a consistent, sealed state
 // and returns every segment's post-repair report (clean on success).
 // Each damaged segment is cut back to its consistent indexed prefix by
-// container.Repair — an abandoned live recording loses at most its
+// container.RepairFS — an abandoned live recording loses at most its
 // building segment's unflushed index tail — and a live bag that was
 // still recording, or had a segment repaired, gets a complete meta with
 // a fresh generation. Repairing a clean bag changes nothing.

@@ -131,7 +131,7 @@ func TestOneWriterEquivalence(t *testing.T) {
 	if err := os.Remove(lost); err != nil {
 		t.Fatal(err)
 	}
-	if rep, err := container.Repair(damaged); err != nil || !rep.Clean() {
+	if rep, err := container.RepairFS(damaged, faultfs.OS); err != nil || !rep.Clean() {
 		t.Fatalf("repair: %v, %v", rep, err)
 	}
 	for file, w := range topicFiles(t, damaged) {

@@ -105,7 +105,7 @@ func TestKVStoreReadBack(t *testing.T) {
 	if err := e.Insert(25, &stream[25]); err == nil {
 		t.Error("duplicate key accepted")
 	}
-	if e.WALBytes() <= 0 {
+	if e.walLen <= 0 {
 		t.Error("WAL empty")
 	}
 }
@@ -137,8 +137,8 @@ func TestSQLStoreReadBackAndScan(t *testing.T) {
 	if !sort.SliceIsSorted(seqs, func(i, j int) bool { return seqs[i] < seqs[j] }) {
 		t.Error("scan not in key order")
 	}
-	if e.IndexDepth() < 2 {
-		t.Errorf("300 rows should split the root (depth %d)", e.IndexDepth())
+	if e.index.depth < 2 {
+		t.Errorf("300 rows should split the root (depth %d)", e.index.depth)
 	}
 	if err := e.Insert(123, &stream[123]); err == nil {
 		t.Error("duplicate primary key accepted")
@@ -156,19 +156,19 @@ func TestTSStoreFlattening(t *testing.T) {
 	if e.Points() != 20*7 {
 		t.Errorf("Points = %d, want 140 (7 scalars per transform)", e.Points())
 	}
-	if len(e.Series()) != 7 {
-		t.Errorf("Series = %v", e.Series())
+	if len(e.seriesNames()) != 7 {
+		t.Errorf("Series = %v", e.seriesNames())
 	}
 	start := stream[0].Transforms[0].Header.Stamp.Nanos()
 	end := stream[19].Transforms[0].Header.Stamp.Nanos()
-	vals, err := e.Range("tf.translation.x", start, end)
+	vals, err := e.rangeValues("tf.translation.x", start, end)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(vals) != 20 {
 		t.Errorf("Range returned %d values", len(vals))
 	}
-	if _, err := e.Range("nope", 0, 1); err == nil {
+	if _, err := e.rangeValues("nope", 0, 1); err == nil {
 		t.Error("unknown series accepted")
 	}
 }

@@ -63,6 +63,3 @@ func (e *KVStore) Get(seq uint32) (*msgs.TFMessage, bool, error) {
 	}
 	return &m, true, nil
 }
-
-// WALBytes returns the accumulated write-ahead-log size.
-func (e *KVStore) WALBytes() int64 { return e.walLen }

@@ -77,6 +77,3 @@ func (e *SQLStore) Scan(fn func(seq uint32, m *msgs.TFMessage) bool) error {
 	})
 	return scanErr
 }
-
-// IndexDepth reports the B-tree height (for diagnostics).
-func (e *SQLStore) IndexDepth() int { return e.index.depth }

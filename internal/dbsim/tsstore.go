@@ -69,8 +69,8 @@ func (e *TSStore) Insert(seq uint32, m *msgs.TFMessage) error {
 // Points returns the total scalar points written.
 func (e *TSStore) Points() int { return e.points }
 
-// Series returns the sorted series names.
-func (e *TSStore) Series() []string {
+// seriesNames returns the sorted series names.
+func (e *TSStore) seriesNames() []string {
 	out := make([]string, 0, len(e.series))
 	for name := range e.series {
 		out = append(out, name)
@@ -79,8 +79,8 @@ func (e *TSStore) Series() []string {
 	return out
 }
 
-// Range reads one series' values in [startNs, endNs], time-ordered.
-func (e *TSStore) Range(series string, startNs, endNs int64) ([]float64, error) {
+// rangeValues reads one series' values in [startNs, endNs], time-ordered.
+func (e *TSStore) rangeValues(series string, startNs, endNs int64) ([]float64, error) {
 	s, ok := e.series[series]
 	if !ok {
 		return nil, fmt.Errorf("dbsim: unknown series %q", series)

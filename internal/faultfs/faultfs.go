@@ -6,7 +6,7 @@
 // The containers BORA builds are meant to be the durable artifact a
 // robotic pipeline reads forever after a single duplication pass; a
 // crash or I/O error mid-organize must therefore leave damage that is
-// detectable (container.Fsck) and repairable (container.Repair), never
+// detectable (container.Fsck) and repairable (container.RepairFS), never
 // silently wrong. faultfs provides the machinery to prove that: every
 // write-path syscall runs through a Backend, and the Injector backend
 // can fail the Nth operation, tear a write short, or freeze the
@@ -37,7 +37,6 @@ type Backend interface {
 	MkdirAll(path string, perm os.FileMode) error
 	Create(path string) (File, error)
 	CreateTemp(dir, pattern string) (File, error)
-	WriteFile(path string, data []byte, perm os.FileMode) error
 	Rename(oldpath, newpath string) error
 	Remove(path string) error
 	Truncate(path string, size int64) error
@@ -53,10 +52,6 @@ func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(p
 func (osFS) Create(path string) (File, error) { return os.Create(path) }
 
 func (osFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
-
-func (osFS) WriteFile(path string, data []byte, perm os.FileMode) error {
-	return os.WriteFile(path, data, perm)
-}
 
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 

@@ -163,24 +163,6 @@ func (in *Injector) CreateTemp(dir, pattern string) (File, error) {
 	return &injectFile{in: in, f: f}, nil
 }
 
-func (in *Injector) WriteFile(path string, data []byte, perm os.FileMode) error {
-	v, keep := in.step("writefile", path, len(data))
-	switch v {
-	case vDead:
-		return fmt.Errorf("writefile %s: %w", path, ErrCrashed)
-	case vFail:
-		return fmt.Errorf("writefile %s: %w", path, ErrInjected)
-	case vShort, vCrash:
-		// Torn whole-file write: a prefix lands on disk.
-		in.under.WriteFile(path, data[:keep], perm)
-		if v == vCrash {
-			return fmt.Errorf("writefile %s: %w", path, ErrCrashed)
-		}
-		return fmt.Errorf("writefile %s: wrote %d of %d bytes: %w", path, keep, len(data), ErrInjected)
-	}
-	return in.under.WriteFile(path, data, perm)
-}
-
 func (in *Injector) Rename(oldpath, newpath string) error {
 	return in.dirOp("rename", newpath, func() error { return in.under.Rename(oldpath, newpath) })
 }

@@ -74,17 +74,6 @@ func (g *Graph) NewNode(name string) (*Node, error) {
 	return n, nil
 }
 
-// Nodes returns the registered node names.
-func (g *Graph) Nodes() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]string, 0, len(g.nodes))
-	for name := range g.nodes {
-		out = append(out, name)
-	}
-	return out
-}
-
 // Topics returns the advertised (topic, type) pairs.
 func (g *Graph) Topics() map[string]string {
 	g.mu.Lock()

@@ -103,8 +103,8 @@ func TestNodeRegistry(t *testing.T) {
 	if _, err := g.NewNode(""); err == nil {
 		t.Error("empty node name accepted")
 	}
-	if len(g.Nodes()) != 1 {
-		t.Errorf("Nodes = %v", g.Nodes())
+	if len(g.nodes) != 1 {
+		t.Errorf("nodes = %v", g.nodes)
 	}
 	n, _ := g.NewNode("b")
 	if _, err := n.Advertise("/x", "t/T"); err != nil {

@@ -12,7 +12,6 @@ import (
 	"crypto/md5"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -200,25 +199,6 @@ var (
 	md5Mu    sync.Mutex
 	md5Cache = map[string]string{}
 )
-
-// Definition returns the raw definition text of a type.
-func Definition(typeName string) (string, error) {
-	d, ok := definitions[typeName]
-	if !ok {
-		return "", fmt.Errorf("msgdef: unknown type %q", typeName)
-	}
-	return d, nil
-}
-
-// Types returns the sorted list of types with known definitions.
-func Types() []string {
-	names := make([]string, 0, len(definitions))
-	for n := range definitions {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // baseType strips array suffixes: "float64[9]" → "float64".
 func baseType(t string) string {

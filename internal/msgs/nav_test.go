@@ -34,7 +34,7 @@ func TestLaserScanRoundTrip(t *testing.T) {
 func TestNavSatFixRoundTrip(t *testing.T) {
 	m := &NavSatFix{
 		Header:    sampleHeader(3),
-		Status:    NavSatStatusSBAS,
+		Status:    1, // sensor_msgs/NavSatStatus STATUS_SBAS_FIX
 		Service:   0x0103,
 		Latitude:  31.1791,
 		Longitude: 121.5897,
@@ -48,8 +48,8 @@ func TestNavSatFixRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(m, got) {
 		t.Error("navsatfix round trip mismatch")
 	}
-	neg := &NavSatFix{Header: sampleHeader(4), Status: NavSatStatusNoFix}
-	if roundTrip(t, neg).(*NavSatFix).Status != NavSatStatusNoFix {
+	neg := &NavSatFix{Header: sampleHeader(4), Status: -1} // STATUS_NO_FIX
+	if roundTrip(t, neg).(*NavSatFix).Status != -1 {
 		t.Error("negative status lost")
 	}
 }
@@ -97,10 +97,10 @@ func TestPointCloud2RoundTrip(t *testing.T) {
 		Header: sampleHeader(8),
 		Height: 1,
 		Width:  2,
-		Fields: []PointField{
-			{Name: "x", Offset: 0, Datatype: PointFieldFloat32, Count: 1},
-			{Name: "y", Offset: 4, Datatype: PointFieldFloat32, Count: 1},
-			{Name: "z", Offset: 8, Datatype: PointFieldFloat32, Count: 1},
+		Fields: []PointField{ // Datatype 7: sensor_msgs/PointField FLOAT32
+			{Name: "x", Offset: 0, Datatype: 7, Count: 1},
+			{Name: "y", Offset: 4, Datatype: 7, Count: 1},
+			{Name: "z", Offset: 8, Datatype: 7, Count: 1},
 		},
 		PointStep: 12,
 		RowStep:   24,

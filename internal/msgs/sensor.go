@@ -1,7 +1,5 @@
 package msgs
 
-import "fmt"
-
 // Image is sensor_msgs/Image: an uncompressed camera frame. In the
 // Handheld SLAM workload this is the dominant unstructured payload
 // (topics A and B of Table II).
@@ -164,13 +162,4 @@ func (m *Imu) Unmarshal(b []byte) error {
 	m.LinearAcceleration.unmarshal(r)
 	copy(m.LinearAccelerationCovariance[:], r.F64Fixed(9))
 	return r.Finish()
-}
-
-// ImageSize returns the serialized payload size of a h×w image with the
-// given bytes per pixel, useful for sizing synthetic workloads.
-func ImageSize(h, w, bpp int) int {
-	if h < 0 || w < 0 || bpp < 0 {
-		panic(fmt.Sprintf("msgs: negative image dimension %d×%d×%d", h, w, bpp))
-	}
-	return h * w * bpp
 }

@@ -78,14 +78,6 @@ func (m *LaserScan) Unmarshal(b []byte) error {
 	return r.Finish()
 }
 
-// NavSatFix status constants.
-const (
-	NavSatStatusNoFix int8 = -1
-	NavSatStatusFix   int8 = 0
-	NavSatStatusSBAS  int8 = 1
-	NavSatStatusGBAS  int8 = 2
-)
-
 // NavSatFix is sensor_msgs/NavSatFix: a GPS fix.
 type NavSatFix struct {
 	Header                Header
@@ -259,12 +251,6 @@ func (f *PointField) unmarshal(r *Reader) {
 	f.Datatype = r.U8()
 	f.Count = r.U32()
 }
-
-// PointField datatype constants.
-const (
-	PointFieldFloat32 uint8 = 7
-	PointFieldFloat64 uint8 = 8
-)
 
 // PointCloud2 is sensor_msgs/PointCloud2: the point-cloud payload SLAM
 // builds from depth images.

@@ -174,7 +174,7 @@ func TestInvalidationAfterRepair(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(root, ".tmp-debris"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := container.Repair(root)
+	rep, err := container.RepairFS(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,6 @@ type Env interface {
 	RandRead(n int64)
 	// SeqWrite charges a sequential write of n bytes.
 	SeqWrite(n int64)
-	// RandWrite charges a repositioning plus a write of n bytes.
-	RandWrite(n int64)
 	// Metadata charges one namespace operation (open/create/stat/readdir
 	// entry).
 	Metadata()
@@ -49,9 +47,6 @@ func (e *LocalEnv) RandRead(n int64) { e.P.Dev.RandRead(e.C, n) }
 
 // SeqWrite implements Env.
 func (e *LocalEnv) SeqWrite(n int64) { e.P.Dev.SeqWrite(e.C, n) }
-
-// RandWrite implements Env.
-func (e *LocalEnv) RandWrite(n int64) { e.P.Dev.RandWrite(e.C, n) }
 
 // Metadata implements Env.
 func (e *LocalEnv) Metadata() { e.P.Dev.Metadata(e.C) }

@@ -175,12 +175,6 @@ func (d *Device) SeqWrite(c *Clock, n int64) {
 	c.elapsed += xferTime(n, d.WriteBW)
 }
 
-// RandWrite charges a positioning plus a write of n bytes.
-func (d *Device) RandWrite(c *Clock, n int64) {
-	d.Seek(c)
-	d.SeqWrite(c, n)
-}
-
 // Metadata charges one namespace operation.
 func (d *Device) Metadata(c *Clock) {
 	c.ops.MetadataOps++
@@ -194,16 +188,16 @@ type Network struct {
 	Bandwidth float64       // bytes per second
 }
 
-// RoundTrip charges one request/response exchange carrying n bytes.
-func (n *Network) RoundTrip(c *Clock, bytes int64) {
+// roundTrip charges one request/response exchange carrying n bytes.
+func (n *Network) roundTrip(c *Clock, bytes int64) {
 	c.ops.NetRTTs++
 	c.ops.BytesSent += bytes
 	c.elapsed += n.RTT + xferTime(bytes, n.Bandwidth)
 }
 
-// Transfer charges a bulk transfer of n bytes (streaming, latency paid
+// transfer charges a bulk transfer of n bytes (streaming, latency paid
 // once).
-func (n *Network) Transfer(c *Clock, bytes int64) {
+func (n *Network) transfer(c *Clock, bytes int64) {
 	c.ops.BytesSent += bytes
 	c.elapsed += n.RTT + xferTime(bytes, n.Bandwidth)
 }

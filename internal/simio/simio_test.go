@@ -73,7 +73,7 @@ func TestDeviceValidate(t *testing.T) {
 func TestNetworkCosts(t *testing.T) {
 	n := Network{Name: "test", RTT: time.Millisecond, Bandwidth: 1e9}
 	var c Clock
-	n.RoundTrip(&c, 1e9)
+	n.roundTrip(&c, 1e9)
 	if got := c.Elapsed(); got != time.Second+time.Millisecond {
 		t.Errorf("round trip = %v", got)
 	}
@@ -81,7 +81,7 @@ func TestNetworkCosts(t *testing.T) {
 		t.Errorf("ops = %+v", c.Ops())
 	}
 	c.Reset()
-	n.Transfer(&c, 2e9)
+	n.transfer(&c, 2e9)
 	if got := c.Elapsed(); got != 2*time.Second+time.Millisecond {
 		t.Errorf("transfer = %v", got)
 	}
@@ -98,12 +98,11 @@ func TestLocalEnv(t *testing.T) {
 	env.CPU(time.Millisecond)
 	env.SeqWrite(1 << 20)
 	env.RandRead(1 << 20)
-	env.RandWrite(1 << 20)
 	if env.Software().RecordParse == 0 {
 		t.Error("Software not populated")
 	}
 	ops := env.Clock().Ops()
-	if ops.Seeks != 3 || ops.MetadataOps != 1 {
+	if ops.Seeks != 2 || ops.MetadataOps != 1 {
 		t.Errorf("ops = %+v", ops)
 	}
 }

@@ -105,8 +105,8 @@ func Sim(cfg SimConfig) (SimResult, error) {
 	return res, nil
 }
 
-// SimBag exposes the layout used by Sim for inspection.
-func SimBag(bagBytes int64) (*layout.Bag, error) {
+// simBag exposes the layout used by Sim for inspection.
+func simBag(bagBytes int64) (*layout.Bag, error) {
 	return workload.HandheldSLAMBag(bagBytes)
 }
 

@@ -104,7 +104,7 @@ func TestRealValidation(t *testing.T) {
 }
 
 func TestSimBag(t *testing.T) {
-	bag, err := SimBag(2 * workload.GB)
+	bag, err := simBag(2 * workload.GB)
 	if err != nil {
 		t.Fatal(err)
 	}

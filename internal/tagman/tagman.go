@@ -14,8 +14,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-
-	"repro/internal/obs"
 )
 
 const (
@@ -142,18 +140,6 @@ func Build(paths map[string]string) *Table {
 	for topic, path := range paths {
 		t.Put(topic, path)
 	}
-	return t
-}
-
-// BuildSpan is Build recorded as a tagman.build child span of parent —
-// the on-the-fly hash-table construction cost of Table I, nested under
-// the open that triggered it. The span's byte volume is the finished
-// table's footprint (the "Hash Table Size" column), so snapshots show
-// how much table memory each open built. A zero parent records nothing.
-func BuildSpan(paths map[string]string, parent obs.Span) *Table {
-	sp := parent.Child("tagman.build")
-	t := Build(paths)
-	sp.EndBytes(int64(t.SizeBytes()))
 	return t
 }
 

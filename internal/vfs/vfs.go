@@ -325,11 +325,14 @@ func (r *ReadFile) Close() error {
 	r.fs.mu.Lock()
 	r.fs.stats.Closes++
 	r.fs.mu.Unlock()
+	// Unlink the snapshot however the close goes: Close has already
+	// marked r closed, so a retry would not reach the remove.
 	path := r.f.Name()
-	if err := r.f.Close(); err != nil {
-		return err
+	err := r.f.Close()
+	if rerr := os.Remove(path); err == nil {
+		err = rerr
 	}
-	return os.Remove(path)
+	return err
 }
 
 // Remove deletes a bag through the front end.

@@ -513,3 +513,37 @@ func TestSpoolNeverLeaksUnderInjectedFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestReadFileCloseUnlinksOnCloseError: a snapshot whose close fails is
+// still unlinked, and the close error is what Close returns.
+func TestReadFileCloseUnlinksOnCloseError(t *testing.T) {
+	fs := mountTestFS(t)
+	w, err := fs.Create("snap.bag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(writeSourceBag(t, t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rf, err := fs.Open("snap.bag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := rf.f.Name()
+	if err := rf.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rf.Close(); err == nil {
+		t.Error("Close over an already-closed snapshot returned nil")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("snapshot %s survived Close: %v", path, err)
+	}
+}
