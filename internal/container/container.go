@@ -207,9 +207,6 @@ type Topic struct {
 	entries []IndexEntry
 	loaded  bool             // entries read from the index file
 	tix     *timeindex.Index // memoized TimeIndex (loaded, rebuilt, or the closed writer's)
-
-	trLoaded       bool // memoized TimeRange below is valid
-	trStart, trEnd bagio.Time
 }
 
 // Create initializes an empty container at root (which must not exist or
@@ -930,18 +927,13 @@ func growCap(n int, limit uint64) int {
 	return c
 }
 
-// TimeRange returns the first and last message timestamps of the topic,
-// scanning the index once per open handle and serving from memory
-// afterwards (repeated windowed queries consult it per call).
+// TimeRange returns the earliest and latest message timestamps of the
+// topic's index entries — the zero times for an empty topic. On a topic
+// still being written it covers every entry published so far.
 func (t *Topic) TimeRange() (start, end bagio.Time, err error) {
 	es, err := t.Entries()
 	if err != nil || len(es) == 0 {
 		return bagio.Time{}, bagio.Time{}, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.trLoaded {
-		return t.trStart, t.trEnd, nil
 	}
 	start, end = es[0].Time, es[0].Time
 	for _, e := range es[1:] {
@@ -952,6 +944,5 @@ func (t *Topic) TimeRange() (start, end bagio.Time, err error) {
 			end = e.Time
 		}
 	}
-	t.trStart, t.trEnd, t.trLoaded = start, end, true
 	return start, end, nil
 }

@@ -141,28 +141,33 @@ func TestReadMessageIntoSpansBlocks(t *testing.T) {
 	}
 }
 
-// TestTimeRangeMemoized: TimeRange computes once per open handle and
-// serves repeats from memory.
-func TestTimeRangeMemoized(t *testing.T) {
-	topic := sealedTopic(t, [][]byte{[]byte("a"), []byte("b"), []byte("c")})
-	s1, e1, err := topic.TimeRange()
+// TestTimeRangeFollowsWriter: on a topic still being written,
+// TimeRange covers every entry published so far — including ones
+// published after an earlier call, and ones stamped before the first.
+func TestTimeRangeFollowsWriter(t *testing.T) {
+	c := newTestContainer(t)
+	tw, err := c.CreateTopic(&bagio.Connection{Topic: "/t", Type: "x/Y"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.Sec != 10 || e1.Sec != 12 {
-		t.Fatalf("TimeRange = [%v, %v], want secs [10, 12]", s1, e1)
-	}
-	topic.mu.Lock()
-	loaded := topic.trLoaded
-	topic.mu.Unlock()
-	if !loaded {
-		t.Fatal("TimeRange did not memoize")
-	}
-	s2, e2, err := topic.TimeRange()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2 != s1 || e2 != e1 {
-		t.Errorf("memoized TimeRange = [%v, %v], want [%v, %v]", s2, e2, s1, e1)
+	defer tw.Close()
+	topic := tw.Topic()
+	for _, step := range []struct{ sec, wantStart, wantEnd uint32 }{
+		{10, 10, 10}, {11, 10, 11}, {20, 10, 20}, {5, 5, 20},
+	} {
+		if err := tw.Append(bagio.Time{Sec: step.sec}, []byte("m")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		start, end, err := topic.TimeRange()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if start.Sec != step.wantStart || end.Sec != step.wantEnd {
+			t.Errorf("after an append at %ds: TimeRange = [%v, %v], want secs [%d, %d]",
+				step.sec, start, end, step.wantStart, step.wantEnd)
+		}
 	}
 }

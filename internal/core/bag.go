@@ -91,8 +91,10 @@ type topicChain struct {
 
 // Bag is an open logical bag backed by one or more BORA containers
 // (classic bags have exactly one; live bags have one per segment). A
-// Bag is safe for concurrent queries: the stats counters and memoized
-// derived state are guarded by an internal mutex.
+// Bag is safe for concurrent queries: the stats counters are guarded by
+// an internal mutex, and the derived state a query reads (connections,
+// index entries, time indexes) is held once per handle by the bag's
+// container.Topics.
 type Bag struct {
 	name string
 	segs []*container.Container
@@ -105,18 +107,8 @@ type Bag struct {
 	tags    *tagman.Table
 	ops     bagObs
 
-	// mu guards the stats counters and the memoized derived state
-	// below. Connections and per-topic message counts are immutable
-	// properties of a sealed container, so each is computed once per
-	// handle and served from memory afterwards — which is what makes
-	// pooled (cached) handles cheap to re-query (the coarse time indexes
-	// are memoized the same way by their container.Topic). Live-wired
-	// handles skip every memoization: their derived state changes with
-	// each write.
-	mu     sync.Mutex
-	stats  Stats
-	conns  []*bagio.Connection
-	counts map[string]int
+	mu    sync.Mutex // guards stats
+	stats Stats
 }
 
 // Name returns the logical bag name.
@@ -206,90 +198,37 @@ func (bag *Bag) Stats() Stats {
 	return bag.stats
 }
 
-// Connections returns connection metadata for every topic, memoized
-// after the first call (except on live-wired handles, whose topic set
-// still grows). Callers must not mutate the returned slice's entries.
+// Connections returns connection metadata for every topic. Callers
+// must not mutate the returned slice's entries.
 func (bag *Bag) Connections() ([]*bagio.Connection, error) {
-	live := bag.rec != nil
-	if !live {
-		bag.mu.Lock()
-		if bag.conns != nil {
-			out := make([]*bagio.Connection, len(bag.conns))
-			copy(out, bag.conns)
-			bag.mu.Unlock()
-			return out, nil
-		}
-		bag.mu.Unlock()
-	}
 	chains, err := bag.chains(nil, false)
 	if err != nil {
 		return nil, err
 	}
-	conns := make([]*bagio.Connection, 0, len(chains))
-	for _, ch := range chains {
-		conns = append(conns, ch.parts[0].Connection())
+	conns := make([]*bagio.Connection, len(chains))
+	for i, ch := range chains {
+		conns[i] = ch.parts[0].Connection()
 	}
-	if !live {
-		bag.mu.Lock()
-		bag.conns = conns
-		bag.mu.Unlock()
-	}
-	out := make([]*bagio.Connection, len(conns))
-	copy(out, conns)
-	return out, nil
+	return conns, nil
 }
 
 // MessageCount returns the total message count across the given topics
-// (all topics when none are given). Per-topic counts come from the
-// on-disk index the first time and from memory afterwards.
+// (all topics when none are given), read from each topic part's index
+// entries — loaded from disk once per handle.
 func (bag *Bag) MessageCount(topics ...string) (int, error) {
-	if len(topics) == 0 {
-		topics = bag.Topics()
-	}
-	n := 0
-	for _, name := range topics {
-		c, err := bag.topicCount(name)
-		if err != nil {
-			return 0, err
-		}
-		n += c
-	}
-	return n, nil
-}
-
-// topicCount memoizes one topic's index-entry count (summed across the
-// topic's chain; not memoized on live-wired handles).
-func (bag *Bag) topicCount(name string) (int, error) {
-	live := bag.rec != nil
-	if !live {
-		bag.mu.Lock()
-		if c, ok := bag.counts[name]; ok {
-			bag.mu.Unlock()
-			return c, nil
-		}
-		bag.mu.Unlock()
-	}
-	chains, err := bag.chains([]string{name}, false)
+	chains, err := bag.chains(topics, false)
 	if err != nil {
 		return 0, err
 	}
 	n := 0
 	for _, ch := range chains {
 		for _, t := range ch.parts {
-			es, err := t.Entries()
+			c, err := t.MessageCount()
 			if err != nil {
 				return 0, err
 			}
-			n += len(es)
+			n += c
 		}
-	}
-	if !live {
-		bag.mu.Lock()
-		if bag.counts == nil {
-			bag.counts = map[string]int{}
-		}
-		bag.counts[name] = n
-		bag.mu.Unlock()
 	}
 	return n, nil
 }

@@ -54,16 +54,15 @@ func (bag *Bag) Info() (Info, error) {
 			if len(entries) == 0 {
 				continue
 			}
-			// Range from the entry scan rather than t.TimeRange(): the
-			// latter memoizes, which would freeze a building segment's
-			// still-growing range on live-wired handles.
-			for _, e := range entries {
-				if ti.Start.IsZero() || e.Time.Before(ti.Start) {
-					ti.Start = e.Time
-				}
-				if ti.End.Before(e.Time) {
-					ti.End = e.Time
-				}
+			start, end, err := t.TimeRange()
+			if err != nil {
+				return info, err
+			}
+			if ti.Start.IsZero() || start.Before(ti.Start) {
+				ti.Start = start
+			}
+			if ti.End.Before(end) {
+				ti.End = end
 			}
 		}
 		if span := ti.End.Sub(ti.Start); span > 0 && ti.Messages > 1 {

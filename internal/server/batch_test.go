@@ -167,7 +167,7 @@ func TestBatchedStreamMatchesLocal(t *testing.T) {
 // A closed-loop client used to be BUSY-ed by its own finished query and
 // sleep a backoff.
 func TestEndIsTheRelease(t *testing.T) {
-	b := buildBackend(t, obs.NewRegistry(), 2, 5) // Stats counts on the registry
+	b := buildBackend(t, nil, 2, 5)
 	srv, addr := startServer(t, b, Options{MaxQueries: 1})
 	dial := func() *client.Client {
 		cl, err := client.Dial(addr, client.Options{Attempts: 1}) // no BUSY retry

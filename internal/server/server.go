@@ -111,7 +111,8 @@ type Server struct {
 }
 
 // New builds a server over backend b. Metrics register on b's obs
-// registry.
+// registry, or on a registry of the server's own when b has none, so
+// Stats counts either way.
 func New(b *core.BORA, opts Options) *Server {
 	if opts.MaxQueries <= 0 {
 		opts.MaxQueries = DefaultMaxQueries
@@ -121,6 +122,9 @@ func New(b *core.BORA, opts Options) *Server {
 		pl = pool.New(b, pool.Options{})
 	}
 	reg := b.Obs()
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
 		b:         b,

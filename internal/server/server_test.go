@@ -206,6 +206,31 @@ func TestInfoOpenPingStats(t *testing.T) {
 	}
 }
 
+// TestStatsWithoutRegistry: a backend built with no obs registry still
+// gets live connection and query counts from Stats.
+func TestStatsWithoutRegistry(t *testing.T) {
+	b := buildBackend(t, nil, 2, 5)
+	srv, addr := startServer(t, b, Options{})
+	cl, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	st, err := cl.Query("robot1", client.QuerySpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for st.Next() {
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if s := srv.Stats(); s.ConnsAccepted != 1 || s.ConnsActive != 1 || s.QueriesServed != 1 || s.QueriesActive != 0 {
+		t.Errorf("stats: accepted %d, active conns %d, served %d, active queries %d; want 1, 1, 1, 0",
+			s.ConnsAccepted, s.ConnsActive, s.QueriesServed, s.QueriesActive)
+	}
+}
+
 // TestBusyAtAdmissionLimit: with a global limit of 1, a second query is
 // rejected with the typed BUSY while the first stream is parked on flow
 // control, and succeeds once the first drains.

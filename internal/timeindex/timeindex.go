@@ -2,9 +2,8 @@
 // of the paper). Messages of a topic are grouped into fixed time windows;
 // for each window the index stores the list of message positions (index
 // entry ordinals) whose timestamps fall inside the window. The windows
-// are kept in a priority queue (binary min-heap keyed by window start),
-// matching the paper's internal structure, with a hash map beside it for
-// O(1) window lookup.
+// are kept in one table sorted by window start — the order the paper's
+// min-heap yields — so a query finds its windows by binary search.
 //
 // A query for [start, end] computes floor(start/W) and ceil(end/W) and
 // touches only the windows in between — reducing both the number of index
@@ -13,9 +12,10 @@
 package timeindex
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/bagio"
@@ -26,33 +26,32 @@ import (
 // small for high-rate topics while still bounding scans tightly.
 const DefaultWindow = time.Second
 
-// Index is a coarse-grain time index over one topic's messages.
+// Index is a coarse-grain time index over one topic's messages. Only Add
+// writes it: concurrent queries share a built index read-only.
 type Index struct {
-	window  int64 // window width in nanoseconds
-	heap    []int64
-	byStart map[int64]*windowList
-	lastLen int // positions in the window Add appended to most recently
+	window  int64    // window width in nanoseconds
+	windows []window // populated windows, strictly ascending by start
 }
 
-type windowList struct {
+type window struct {
 	start     int64 // window start in ns
 	positions []uint32
 }
 
 // New creates an index with the given window width. Width must be
 // positive; zero selects DefaultWindow.
-func New(window time.Duration) *Index {
-	if window <= 0 {
-		window = DefaultWindow
+func New(width time.Duration) *Index {
+	if width <= 0 {
+		width = DefaultWindow
 	}
-	return &Index{window: int64(window), byStart: map[int64]*windowList{}}
+	return &Index{window: int64(width)}
 }
 
 // Window returns the configured window width.
 func (ix *Index) Window() time.Duration { return time.Duration(ix.window) }
 
 // WindowCount returns the number of populated windows.
-func (ix *Index) WindowCount() int { return len(ix.byStart) }
+func (ix *Index) WindowCount() int { return len(ix.windows) }
 
 // windowStart maps a timestamp to its window's start (ns).
 func (ix *Index) windowStart(t bagio.Time) int64 {
@@ -60,40 +59,53 @@ func (ix *Index) windowStart(t bagio.Time) int64 {
 }
 
 // Add records that the message at ordinal position pos has timestamp t.
+// A chronological stream appends to the last window or opens the next;
+// a step back in time finds its window, or inserts it, in order.
 func (ix *Index) Add(t bagio.Time, pos uint32) {
 	ws := ix.windowStart(t)
-	wl, ok := ix.byStart[ws]
-	if !ok {
-		// Sized like the last window: one allocation at a steady rate.
-		wl = &windowList{start: ws, positions: make([]uint32, 0, ix.lastLen)}
-		ix.byStart[ws] = wl
-		ix.heapPush(ws)
+	n := len(ix.windows)
+	if n > 0 && ix.windows[n-1].start == ws {
+		ix.windows[n-1].positions = append(ix.windows[n-1].positions, pos)
+		return
 	}
-	wl.positions = append(wl.positions, pos)
-	ix.lastLen = len(wl.positions)
+	i, found := ix.search(ws)
+	if !found {
+		// Sized like the latest window: one allocation at a steady rate.
+		w := window{start: ws}
+		if n > 0 {
+			w.positions = make([]uint32, 0, len(ix.windows[n-1].positions))
+		}
+		ix.windows = slices.Insert(ix.windows, i, w)
+	}
+	ix.windows[i].positions = append(ix.windows[i].positions, pos)
 }
 
-// heapPush inserts a window start into the min-heap.
-func (ix *Index) heapPush(v int64) {
-	ix.heap = append(ix.heap, v)
-	i := len(ix.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if ix.heap[parent] <= ix.heap[i] {
-			break
-		}
-		ix.heap[parent], ix.heap[i] = ix.heap[i], ix.heap[parent]
-		i = parent
-	}
+// search returns the index of the first window starting at or after
+// ws, and whether that window starts at ws.
+func (ix *Index) search(ws int64) (int, bool) {
+	return slices.BinarySearchFunc(ix.windows, ws, func(w window, ws int64) int { return cmp.Compare(w.start, ws) })
 }
 
 // Min returns the earliest populated window start, in nanoseconds, or
 // false when the index is empty.
 func (ix *Index) Min() (int64, bool) {
-	if len(ix.heap) == 0 {
+	if len(ix.windows) == 0 {
 		return 0, false
 	}
-	return ix.heap[0], true
+	return ix.windows[0].start, true
+}
+
+// span returns the populated windows overlapping [start, end], in
+// ascending start order. The paper computes ceil(end/W) as the
+// (exclusive) upper window index; equivalently the last window to touch
+// is the one containing end.
+func (ix *Index) span(start, end bagio.Time) []window {
+	if end.Before(start) {
+		return nil
+	}
+	lo, _ := ix.search(ix.windowStart(start))
+	hi, _ := ix.search(ix.windowStart(end) + 1)
+	return ix.windows[lo:hi]
 }
 
 // Query returns the ordinal positions of messages in windows overlapping
@@ -104,49 +116,11 @@ func (ix *Index) Min() (int64, bool) {
 // paper describes ("a reduced number of messages for later fine-grain
 // looking up").
 func (ix *Index) Query(start, end bagio.Time) []uint32 {
-	if end.Before(start) {
-		return nil
-	}
-	first := (start.Nanos() / ix.window) * ix.window
-	// The paper computes ceil(end/W) as the (exclusive) upper window
-	// index; equivalently the last window to touch is the one containing
-	// end.
-	last := (end.Nanos() / ix.window) * ix.window
-	if sparse, ok := ix.sparseRange(first, last); ok {
-		var out []uint32
-		for _, ws := range sparse {
-			out = append(out, ix.byStart[ws].positions...)
-		}
-		return out
-	}
 	var out []uint32
-	for ws := first; ws <= last; ws += ix.window {
-		if wl, ok := ix.byStart[ws]; ok {
-			out = append(out, wl.positions...)
-		}
+	for _, w := range ix.span(start, end) {
+		out = append(out, w.positions...)
 	}
 	return out
-}
-
-// sparseRange returns the populated window starts within [first, last]
-// in ascending order when that is cheaper than arithmetic stepping —
-// the half-open-query guard: a bounded start with an unbounded end
-// spans ~2^32 one-second windows, and stepping a map probe through
-// each of them turns a cheap pruned scan into minutes of spinning.
-// ok=false means the dense walk is at least as cheap.
-func (ix *Index) sparseRange(first, last int64) ([]int64, bool) {
-	span := (last-first)/ix.window + 1
-	if span <= int64(len(ix.byStart)) {
-		return nil, false
-	}
-	var starts []int64
-	for ws := range ix.byStart {
-		if ws >= first && ws <= last {
-			starts = append(starts, ws)
-		}
-	}
-	sort.Slice(starts, func(a, b int) bool { return starts[a] < starts[b] })
-	return starts, true
 }
 
 // QuerySorted is Query with the positions returned in ascending
@@ -156,11 +130,8 @@ func (ix *Index) sparseRange(first, last int64) ([]int64, bool) {
 // skipped unless a single verification pass finds an inversion.
 func (ix *Index) QuerySorted(start, end bagio.Time) []uint32 {
 	out := ix.Query(start, end)
-	for i := 1; i < len(out); i++ {
-		if out[i-1] > out[i] {
-			sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-			break
-		}
+	if !slices.IsSorted(out) {
+		slices.Sort(out)
 	}
 	return out
 }
@@ -168,21 +139,7 @@ func (ix *Index) QuerySorted(start, end bagio.Time) []uint32 {
 // WindowsScanned reports how many populated windows a [start, end] query
 // touches; the cost-model validation uses it.
 func (ix *Index) WindowsScanned(start, end bagio.Time) int {
-	if end.Before(start) {
-		return 0
-	}
-	first := (start.Nanos() / ix.window) * ix.window
-	last := (end.Nanos() / ix.window) * ix.window
-	if sparse, ok := ix.sparseRange(first, last); ok {
-		return len(sparse)
-	}
-	n := 0
-	for ws := first; ws <= last; ws += ix.window {
-		if _, ok := ix.byStart[ws]; ok {
-			n++
-		}
-	}
-	return n
+	return len(ix.span(start, end))
 }
 
 // MaxPosition returns the largest message ordinal referenced by any
@@ -191,8 +148,8 @@ func (ix *Index) WindowsScanned(start, end bagio.Time) int {
 func (ix *Index) MaxPosition() (uint32, bool) {
 	var max uint32
 	found := false
-	for _, wl := range ix.byStart {
-		for _, p := range wl.positions {
+	for _, w := range ix.windows {
+		for _, p := range w.positions {
 			if !found || p > max {
 				max = p
 			}
@@ -204,8 +161,8 @@ func (ix *Index) MaxPosition() (uint32, bool) {
 
 // Build constructs an index over a topic's message timestamps, where
 // times[i] is the timestamp of the message at ordinal i.
-func Build(window time.Duration, times []bagio.Time) *Index {
-	ix := New(window)
+func Build(width time.Duration, times []bagio.Time) *Index {
+	ix := New(width)
 	for i, t := range times {
 		ix.Add(t, uint32(i))
 	}
@@ -218,47 +175,35 @@ func Build(window time.Duration, times []bagio.Time) *Index {
 //
 // Windows are emitted in ascending start order.
 func (ix *Index) Marshal() []byte {
-	starts := make([]int64, 0, len(ix.byStart))
-	for ws := range ix.byStart {
-		starts = append(starts, ws)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 	size := 8 + 4
-	for _, ws := range starts {
-		size += 8 + 4 + 4*len(ix.byStart[ws].positions)
+	for _, w := range ix.windows {
+		size += 8 + 4 + 4*len(w.positions)
 	}
 	buf := make([]byte, 0, size)
-	var b8 [8]byte
-	var b4 [4]byte
-	binary.LittleEndian.PutUint64(b8[:], uint64(ix.window))
-	buf = append(buf, b8[:]...)
-	binary.LittleEndian.PutUint32(b4[:], uint32(len(starts)))
-	buf = append(buf, b4[:]...)
-	for _, ws := range starts {
-		wl := ix.byStart[ws]
-		binary.LittleEndian.PutUint64(b8[:], uint64(ws))
-		buf = append(buf, b8[:]...)
-		binary.LittleEndian.PutUint32(b4[:], uint32(len(wl.positions)))
-		buf = append(buf, b4[:]...)
-		for _, p := range wl.positions {
-			binary.LittleEndian.PutUint32(b4[:], p)
-			buf = append(buf, b4[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(ix.window))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ix.windows)))
+	for _, w := range ix.windows {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(w.start))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(w.positions)))
+		for _, p := range w.positions {
+			buf = binary.LittleEndian.AppendUint32(buf, p)
 		}
 	}
 	return buf
 }
 
-// Unmarshal parses a serialized index.
+// Unmarshal parses a serialized index. Its windows must be strictly
+// ascending, as Marshal writes them.
 func Unmarshal(buf []byte) (*Index, error) {
 	if len(buf) < 12 {
 		return nil, fmt.Errorf("timeindex: truncated header (%d bytes)", len(buf))
 	}
-	window := int64(binary.LittleEndian.Uint64(buf[0:8]))
-	if window <= 0 {
-		return nil, fmt.Errorf("timeindex: invalid window %d", window)
+	width := int64(binary.LittleEndian.Uint64(buf[0:8]))
+	if width <= 0 {
+		return nil, fmt.Errorf("timeindex: invalid window %d", width)
 	}
 	count := binary.LittleEndian.Uint32(buf[8:12])
-	ix := New(time.Duration(window))
+	ix := New(time.Duration(width))
 	off := 12
 	for i := uint32(0); i < count; i++ {
 		if off+12 > len(buf) {
@@ -270,16 +215,19 @@ func Unmarshal(buf []byte) (*Index, error) {
 		if off+4*int(n) > len(buf) {
 			return nil, fmt.Errorf("timeindex: truncated position list at %d", off)
 		}
-		wl := &windowList{start: ws, positions: make([]uint32, n)}
-		for j := range wl.positions {
-			wl.positions[j] = binary.LittleEndian.Uint32(buf[off : off+4])
+		if k := len(ix.windows); k > 0 && ws <= ix.windows[k-1].start {
+			what := "descending windows"
+			if ws == ix.windows[k-1].start {
+				what = "duplicate window"
+			}
+			return nil, fmt.Errorf("timeindex: %s: %d after %d", what, ws, ix.windows[k-1].start)
+		}
+		w := window{start: ws, positions: make([]uint32, n)}
+		for j := range w.positions {
+			w.positions[j] = binary.LittleEndian.Uint32(buf[off : off+4])
 			off += 4
 		}
-		if _, dup := ix.byStart[ws]; dup {
-			return nil, fmt.Errorf("timeindex: duplicate window %d", ws)
-		}
-		ix.byStart[ws] = wl
-		ix.heapPush(ws)
+		ix.windows = append(ix.windows, w)
 	}
 	if off != len(buf) {
 		return nil, fmt.Errorf("timeindex: %d trailing bytes", len(buf)-off)

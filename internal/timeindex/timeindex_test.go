@@ -2,6 +2,7 @@ package timeindex
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -201,6 +202,10 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 			copy(b[28:40], b[12:24]) // second window header repeats the first
 			return b
 		}), "duplicate window"},
+		{"descending windows", mutate(func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[28:36], 0) // second window starts before the first
+			return b
+		}), "descending windows"},
 		{"trailing bytes", mutate(func(b []byte) []byte { return append(b, 0xFF) }), "trailing bytes"},
 	}
 	for _, tc := range cases {
@@ -267,11 +272,11 @@ func TestMarshalQuick(t *testing.T) {
 	}
 }
 
-// TestHalfOpenQueryTerminates pins the sparse-range guard: a bounded
-// start with an unbounded end spans billions of window slots, and the
-// query must walk the populated windows instead of stepping a map
-// probe through every empty one. With 1ns windows this test only
-// terminates through the sparse path.
+// TestHalfOpenQueryTerminates: a bounded start with an unbounded end
+// spans billions of window slots, and the query must touch only the
+// populated windows instead of stepping through every empty one. With
+// 1ns windows this test only terminates when the window table is
+// searched rather than walked slot by slot.
 func TestHalfOpenQueryTerminates(t *testing.T) {
 	ix := New(time.Nanosecond)
 	for i := uint32(0); i < 100; i++ {
@@ -284,11 +289,67 @@ func TestHalfOpenQueryTerminates(t *testing.T) {
 	if n := ix.WindowsScanned(ts(1_600_000_050, 0), bagio.MaxTime); n != 50 {
 		t.Fatalf("WindowsScanned = %d", n)
 	}
-	// The dense and sparse paths agree on a bounded range.
+	// A bounded range agrees.
 	// (Entries sit 500ns past each second, so second 20's entry is just
 	// outside the [10.0, 20.0] bound: ten survivors.)
 	dense := ix.QuerySorted(ts(1_600_000_010, 0), ts(1_600_000_020, 0))
 	if len(dense) != 10 {
 		t.Fatalf("bounded query returned %d positions", len(dense))
+	}
+}
+
+// TestQueryMatchesOracle: over random timestamps that step backwards as
+// well as forwards, Query returns exactly the positions of the windows
+// overlapping the range — windows ascending, positions in insertion
+// order within each — and WindowsScanned counts those windows.
+func TestQueryMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	const width = 3 * time.Second
+	w := int64(width)
+	for trial := 0; trial < 200; trial++ {
+		var times []bagio.Time
+		sec := uint32(rng.Intn(50))
+		for i := rng.Intn(60); i > 0; i-- {
+			if rng.Intn(4) == 0 {
+				sec = uint32(rng.Intn(80)) // a jump, often backwards
+			} else {
+				sec += uint32(rng.Intn(3))
+			}
+			times = append(times, ts(sec, uint32(rng.Intn(1e9))))
+		}
+		ix := Build(width, times)
+		start := ts(uint32(rng.Intn(90)), uint32(rng.Intn(1e9)))
+		end := start.Add(time.Duration(rng.Intn(30e9)))
+		first, last := start.Nanos()/w*w, end.Nanos()/w*w
+		var want []uint32
+		windows := map[int64]bool{}
+		for ws := first; ws <= last; ws += w {
+			for i, tm := range times {
+				if tm.Nanos()/w*w == ws {
+					want = append(want, uint32(i))
+					windows[ws] = true
+				}
+			}
+		}
+		if got := ix.Query(start, end); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Query = %v, want %v", trial, got, want)
+		}
+		if got := ix.WindowsScanned(start, end); got != len(windows) {
+			t.Fatalf("trial %d: WindowsScanned = %d, want %d", trial, got, len(windows))
+		}
+	}
+}
+
+// TestMarshalGolden pins the serialized bytes of an index built out of
+// time order — steps back into an open window and to a new earlier
+// window — so the on-disk timeidx format cannot drift.
+func TestMarshalGolden(t *testing.T) {
+	ix := New(2 * time.Second)
+	for i, sec := range []uint32{5, 6, 3, 9, 1, 4, 10, 0, 7} {
+		ix.Add(ts(sec, 250_000_000), uint32(i))
+	}
+	const want = "00943577000000000600000000000000000000000200000004000000070000000094357700000000010000000200000000286bee0000000002000000000000000500000000bca065010000000200000001000000080000000050d6dc01000000010000000300000000e40b54020000000100000006000000"
+	if got := hex.EncodeToString(ix.Marshal()); got != want {
+		t.Errorf("Marshal = %s\nwant      %s", got, want)
 	}
 }

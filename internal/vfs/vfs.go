@@ -7,9 +7,10 @@
 // container, so stock readers — including internal/rosbag — can parse
 // it.
 //
-// Every front-end call passes through an interposition layer that counts
-// operations and can charge a per-op overhead, modeling the FUSE 2.9
-// user/kernel crossings the paper accepts as "some one-time overhead".
+// Every front-end call is counted (OpStats) and timed on the backend's
+// obs registry. The FUSE 2.9 user/kernel crossing cost the paper accepts
+// as "some one-time overhead" is modeled by pathsim's FUSEOp, not
+// charged here.
 package vfs
 
 import (
@@ -96,9 +97,9 @@ func bagName(name string) (string, error) {
 }
 
 // List returns the bag file names visible on the front end.
-func (fs *FS) List() ([]string, error) {
+func (fs *FS) List() (_ []string, err error) {
 	sp := fs.obs.readdir.Start()
-	defer sp.End()
+	defer func() { sp.EndErr(err) }()
 	fs.mu.Lock()
 	fs.stats.Readdirs++
 	fs.mu.Unlock()
@@ -117,9 +118,9 @@ func (fs *FS) List() ([]string, error) {
 // Stat reports whether a bag exists and its logical size (the size of
 // the reconstructed bag stream is not materialized; Stat reports the
 // container's payload size, which is what analysis tools care about).
-func (fs *FS) Stat(name string) (int64, error) {
+func (fs *FS) Stat(name string) (_ int64, err error) {
 	sp := fs.obs.stat.Start()
-	defer sp.End()
+	defer func() { sp.EndErr(err) }()
 	fs.mu.Lock()
 	fs.stats.Stats++
 	fs.mu.Unlock()
@@ -165,9 +166,9 @@ type WriteFile struct {
 // of the same bag name cannot truncate each other's spool; the conflict
 // is detected at Close time, when the back end refuses a second
 // container of the same name.
-func (fs *FS) Create(name string) (*WriteFile, error) {
+func (fs *FS) Create(name string) (_ *WriteFile, err error) {
 	sp := fs.obs.create.Start()
-	defer sp.End()
+	defer func() { sp.EndErr(err) }()
 	fs.mu.Lock()
 	fs.stats.Creates++
 	fs.mu.Unlock()
@@ -192,19 +193,19 @@ func (w *WriteFile) Write(p []byte) (int, error) {
 	w.fs.stats.Writes++
 	w.fs.mu.Unlock()
 	n, err := w.spool.Write(p)
-	sp.EndBytes(int64(n))
+	end(sp, n, err)
 	return n, err
 }
 
 // Close finishes the write: the spooled bag is duplicated into a BORA
 // container (the one-time data organizer pass) and the spool removed.
-func (w *WriteFile) Close() error {
+func (w *WriteFile) Close() (err error) {
 	if w.closed {
 		return nil
 	}
 	w.closed = true
 	sp := w.fs.obs.close.Start()
-	defer sp.End()
+	defer func() { sp.EndErr(err) }()
 	w.fs.mu.Lock()
 	w.fs.stats.Closes++
 	w.fs.mu.Unlock()
@@ -296,7 +297,7 @@ func (r *ReadFile) Read(p []byte) (int, error) {
 	r.fs.stats.Reads++
 	r.fs.mu.Unlock()
 	n, err := r.f.Read(p)
-	sp.EndBytes(int64(n))
+	end(sp, n, err)
 	return n, err
 }
 
@@ -310,7 +311,7 @@ func (r *ReadFile) ReadAt(p []byte, off int64) (int, error) {
 	r.fs.stats.Reads++
 	r.fs.mu.Unlock()
 	n, err := r.f.ReadAt(p, off)
-	sp.EndBytes(int64(n))
+	end(sp, n, err)
 	return n, err
 }
 
@@ -321,7 +322,6 @@ func (r *ReadFile) Close() error {
 	}
 	r.closed = true
 	sp := r.fs.obs.close.Start()
-	defer sp.End()
 	r.fs.mu.Lock()
 	r.fs.stats.Closes++
 	r.fs.mu.Unlock()
@@ -332,7 +332,19 @@ func (r *ReadFile) Close() error {
 	if rerr := os.Remove(path); err == nil {
 		err = rerr
 	}
+	sp.EndErr(err)
 	return err
+}
+
+// end ends a read or write span: a failure counts as an error, a
+// success records the bytes moved. io.EOF is a read reaching the end of
+// the stream, not a failure.
+func end(sp obs.Span, n int, err error) {
+	if err != nil && err != io.EOF {
+		sp.EndErr(err)
+		return
+	}
+	sp.EndBytes(int64(n))
 }
 
 // Remove deletes a bag through the front end.

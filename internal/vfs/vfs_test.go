@@ -12,6 +12,7 @@ import (
 	"repro/internal/bagio"
 	"repro/internal/core"
 	"repro/internal/faultfs"
+	"repro/internal/obs"
 	"repro/internal/rosbag"
 	"repro/internal/workload"
 )
@@ -545,5 +546,42 @@ func TestReadFileCloseUnlinksOnCloseError(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("snapshot %s survived Close: %v", path, err)
+	}
+}
+
+// TestFailedOpsCountAsErrors: a front-end call that fails ends its span
+// as an error in the obs snapshot, and one that succeeds does not.
+func TestFailedOpsCountAsErrors(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	backend, err := core.New(filepath.Join(dir, "backend"), core.Options{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := Mount(backend, filepath.Join(dir, "spool"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Stat("missing.bag"); err == nil {
+		t.Fatal("Stat of a missing bag succeeded")
+	}
+	w, err := fs.Create("junk.bag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write([]byte("not a bag")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Close of bytes that are not a bag succeeded")
+	}
+	ops := reg.Snapshot().Ops
+	for _, c := range []struct {
+		op            string
+		count, errors int64
+	}{{"vfs.stat", 1, 1}, {"vfs.close", 1, 1}, {"vfs.create", 1, 0}, {"vfs.write", 1, 0}} {
+		if got := ops[c.op]; got.Count != c.count || got.Errors != c.errors {
+			t.Errorf("%s: count %d, errors %d; want %d, %d", c.op, got.Count, got.Errors, c.count, c.errors)
+		}
 	}
 }
