@@ -294,6 +294,7 @@ var (
 		"topicSink":   "one container writer", "recordTopic": "one container writer", "sinkConn": "one container writer",
 		"readSerial": "one query executor", "readMessagesChrono": "one query executor", "followQuery": "one query executor",
 		"positionsInRange": "one query executor", "readTopicRange": "one query executor", "MultiBag": "one query executor",
+		"cmdVerify": "fsck is the one judge of a container", "metaMagicV1": "fsck is the one judge of a container",
 	}
 	retiredExperiments = []string{"validate-real", "pool-clients", "live-tail"}
 	internalCmd        = []string{"internal", "cmd"}

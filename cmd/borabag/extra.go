@@ -51,43 +51,6 @@ func cmdReindex(args []string) error {
 	return nil
 }
 
-// cmdVerify checks a BORA bag's container integrity (CRC + index tiling),
-// every segment of a live bag included.
-func cmdVerify(args []string) error {
-	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	backend := backendFlag(fs)
-	name := fs.String("name", "", "logical bag name (required)")
-	fs.Parse(args)
-	b, err := openBackend(*backend)
-	if err != nil {
-		return err
-	}
-	bag, err := b.Open(*name)
-	if err != nil {
-		return err
-	}
-	segs := bag.Segments()
-	var first error
-	for _, c := range segs {
-		results, err := c.Verify()
-		if err != nil && first == nil {
-			first = err
-		}
-		for _, r := range results {
-			status := "OK"
-			if !r.OK {
-				status = "FAIL"
-			}
-			loc := r.Topic
-			if len(segs) > 1 {
-				loc = filepath.Base(c.Root()) + " " + r.Topic
-			}
-			fmt.Printf("%-4s %-32s %8d msgs %12d bytes  %s\n", status, loc, r.Messages, r.Bytes, r.Detail)
-		}
-	}
-	return first
-}
-
 // cmdBagInfo prints the container-level summary of a BORA bag (the
 // borabag analogue of `rosbag info`, without touching message data).
 func cmdBagInfo(args []string) error {

@@ -191,26 +191,29 @@ func TestFsckCommandBothLayouts(t *testing.T) {
 	}
 }
 
-// TestVerifyCommandEverySegment corrupts one data byte in the second
-// segment of a live bag: verify must report it, not just check the
-// first segment.
-func TestVerifyCommandEverySegment(t *testing.T) {
+// TestFsckCommandEverySegment corrupts one data byte in the second
+// segment of a live bag: fsck must report it, not just check the first
+// segment.
+func TestFsckCommandEverySegment(t *testing.T) {
 	backend := t.TempDir()
 	b := fsckBackend(t, backend, 0)
 	if err := fsckRecordLive(b); err != nil {
 		t.Fatal(err)
 	}
-	verify := func() (string, error) {
-		return captureStdout(t, func() error { return cmdVerify([]string{"-backend", backend, "-name", "bag"}) })
+	fsck := func() (string, error) {
+		return captureStdout(t, func() error { return cmdFsck([]string{"-backend", backend, "-name", "bag"}) })
 	}
-	if out, err := verify(); err != nil || strings.Contains(out, "FAIL") {
-		t.Fatalf("verify of the clean live bag: %v\n%s", err, out)
+	if out, err := fsck(); err != nil {
+		t.Fatalf("fsck of the clean live bag: %v\n%s", err, out)
 	}
 	bag, err := b.Open("bag")
 	if err != nil {
 		t.Fatal(err)
 	}
 	seg := bag.Segments()[1]
+	if name := filepath.Base(seg.Root()); name != "seg-00000001" {
+		t.Fatalf("second segment is %s, want seg-00000001", name)
+	}
 	tp, err := seg.Topic(seg.Topics()[0])
 	if err != nil {
 		t.Fatal(err)
@@ -224,8 +227,13 @@ func TestVerifyCommandEverySegment(t *testing.T) {
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err := verify()
-	if err == nil || !strings.Contains(out, "FAIL") {
-		t.Errorf("verify with segment 1 corrupted: err %v, output\n%s", err, out)
+	out, err := fsck()
+	found := false
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		found = found || len(f) > 1 && f[0] == string(container.FindingChecksumMismatch) && f[1] == "seg-00000001"
+	}
+	if err == nil || !found {
+		t.Errorf("fsck with segment 1 corrupted: err %v, want a checksum-mismatch in seg-00000001; output\n%s", err, out)
 	}
 }

@@ -121,8 +121,6 @@ globalFlags:
 		err = cmdBuild(args[1:])
 	case "fsck":
 		err = cmdFsck(args[1:])
-	case "verify":
-		err = cmdVerify(args[1:])
 	case "baginfo":
 		err = cmdBagInfo(args[1:])
 	case "play":
@@ -196,8 +194,8 @@ commands:
   rebag      filter a BORA bag into a new logical bag
   build      materialize a dataset build spec (-f dataset.json): a DAG of
              content-addressed derivations; unchanged ones are no-ops
-  verify     check a BORA bag's container integrity (CRC + index)
-  fsck       check a container for crash damage and optionally repair it
+  fsck       check a BORA bag, every segment: crash damage, index tiling
+             and data CRCs (-repair truncates it back to a clean state)
   baginfo    summarize a BORA bag (rosbag info over the container)
   play       replay a bag's messages in timestamp order (rosbag play)
   trace-merge  stitch client and server Chrome traces into one timeline

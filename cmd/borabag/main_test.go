@@ -128,7 +128,9 @@ func TestCommandValidation(t *testing.T) {
 	}
 }
 
-func TestVerifyCommand(t *testing.T) {
+// TestFsckCommandDetectsCorruption: fsck passes a freshly duplicated bag
+// and exits non-zero once one data byte is flipped.
+func TestFsckCommandDetectsCorruption(t *testing.T) {
 	dir := chdirTemp(t)
 	backend := filepath.Join(dir, "backend")
 	if err := cmdRecord([]string{"-o", "v.bag", "-seconds", "1", "-scale", "4000"}); err != nil {
@@ -137,10 +139,14 @@ func TestVerifyCommand(t *testing.T) {
 	if err := cmdDuplicate([]string{"-backend", backend, "v.bag"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdVerify([]string{"-backend", backend, "-name", "v"}); err != nil {
-		t.Fatalf("verify on clean bag: %v", err)
+	fsck := func() error {
+		_, err := captureStdout(t, func() error { return cmdFsck([]string{"-backend", backend, "-name", "v", "-q"}) })
+		return err
 	}
-	// Corrupt one data file, verification must fail.
+	if err := fsck(); err != nil {
+		t.Fatalf("fsck on clean bag: %v", err)
+	}
+	// Corrupt one data file, fsck must fail.
 	matches, err := filepath.Glob(filepath.Join(backend, "v", "*", "data"))
 	if err != nil || len(matches) == 0 {
 		t.Fatalf("no data files found: %v", err)
@@ -153,8 +159,8 @@ func TestVerifyCommand(t *testing.T) {
 	if err := os.WriteFile(matches[0], buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdVerify([]string{"-backend", backend, "-name", "v"}); err == nil {
-		t.Error("verify passed on corrupted container")
+	if err := fsck(); err == nil {
+		t.Error("fsck passed a corrupted container")
 	}
 }
 

@@ -160,9 +160,9 @@ func (c *Container) SetObs(reg *obs.Registry) {
 }
 
 // Generation returns the container's sealed generation (0 for a
-// still-building or legacy v1 container). Every Seal — first build,
-// repair, rebuild under the same name — mints a distinct value, so two
-// equal generations always describe the same on-disk tree.
+// still-building container). Every Seal — first build, repair, rebuild
+// under the same name — mints a distinct value, so two equal
+// generations always describe the same on-disk tree.
 func (c *Container) Generation() uint64 {
 	if c.meta == nil {
 		return 0
@@ -206,7 +206,7 @@ type Topic struct {
 	mu      sync.Mutex
 	entries []IndexEntry
 	loaded  bool             // entries read from the index file
-	tix     *timeindex.Index // memoized TimeIndex (loaded, rebuilt, or the closed writer's)
+	tix     *timeindex.Index // memoized TimeIndex (loaded, or the closed writer's)
 }
 
 // Create initializes an empty container at root (which must not exist or
@@ -231,7 +231,7 @@ func CreateFS(root string, fs faultfs.Backend) (*Container, error) {
 	if len(ents) > 0 {
 		return nil, fmt.Errorf("container: %s is not empty", root)
 	}
-	m := &Meta{Version: 2, State: StateBuilding}
+	m := &Meta{State: StateBuilding}
 	if err := writeMeta(fs, root, m); err != nil {
 		return nil, err
 	}
@@ -569,7 +569,10 @@ func (t *Topic) entriesLocked(parent obs.Span) ([]IndexEntry, error) {
 		return t.entries, nil
 	}
 	sp := parent.ChildOp(t.indexLoadOp)
-	entries, err := readIndex(filepath.Join(t.dir, IndexFileName))
+	entries, tail, err := readIndex(filepath.Join(t.dir, IndexFileName))
+	if err == nil && tail != 0 {
+		err = fmt.Errorf("%d-byte torn entry after %d whole ones", tail, len(entries))
+	}
 	if err != nil {
 		err = fmt.Errorf("container: index of %q: %w", t.topic, err)
 		sp.EndErr(err)
@@ -584,24 +587,22 @@ func (t *Topic) entriesLocked(parent obs.Span) ([]IndexEntry, error) {
 // file at a time, on the stack.
 const indexChunk = 1024
 
-// readIndex decodes an index file straight into the entry slice it
-// returns, through a fixed chunk: the only garbage a cold open's index
-// load leaves is the entries themselves (a whole-file read beside them
-// doubled it, once per topic per open).
-func readIndex(path string) ([]IndexEntry, error) {
+// readIndex decodes the whole entries of an index file straight into
+// the entry slice it returns, through a fixed chunk: the only garbage a
+// cold open's index load leaves is the entries themselves (a whole-file
+// read beside them doubled it, once per topic per open). tail is the
+// length of a torn final entry past them, which only fsck accepts.
+func readIndex(path string) (entries []IndexEntry, tail int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if st.Size()%IndexEntrySize != 0 {
-		return nil, fmt.Errorf("%d bytes, not a multiple of %d", st.Size(), IndexEntrySize)
-	}
-	entries := make([]IndexEntry, st.Size()/IndexEntrySize)
+	entries = make([]IndexEntry, st.Size()/IndexEntrySize)
 	var chunk [indexChunk * IndexEntrySize]byte
 	for done := 0; done < len(entries); {
 		buf := chunk[:min(len(entries)-done, indexChunk)*IndexEntrySize]
@@ -609,21 +610,21 @@ func readIndex(path string) ([]IndexEntry, error) {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF // the file shrank under the load
 			}
-			return nil, fmt.Errorf("read at entry %d of %d stopped after %d bytes: %w", done, len(entries), n, err)
+			return nil, 0, fmt.Errorf("read at entry %d of %d stopped after %d bytes: %w", done, len(entries), n, err)
 		}
 		for ; len(buf) > 0; buf, done = buf[IndexEntrySize:], done+1 {
 			entries[done] = decodeIndexEntry(buf)
 		}
 	}
-	return entries, nil
+	return entries, st.Size() % IndexEntrySize, nil
 }
 
 // TimeIndex returns the coarse-grain time index of a complete topic,
 // loaded from the timeidx file once per handle and served from memory
-// afterwards. A topic without the file (a container built by an older
-// tool) gets the index rebuilt from its entries; a file that is present
-// but does not parse is an error. The index is shared: callers only
-// query it.
+// afterwards. A missing or unparsable file is an error, and so is an
+// index naming a message past the topic's entries (checkTimeIndex):
+// fsck reports each, and RepairFS rebuilds the file. The index is
+// shared: callers only query it.
 func (t *Topic) TimeIndex() (*timeindex.Index, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -631,10 +632,10 @@ func (t *Topic) TimeIndex() (*timeindex.Index, error) {
 		return t.tix, nil
 	}
 	tix, err := readTimeIndex(t.dir)
-	if os.IsNotExist(err) {
+	if err == nil {
 		var entries []IndexEntry
 		if entries, err = t.entriesLocked(obs.Span{}); err == nil {
-			tix = buildTimeIndex(0, entries)
+			err = checkTimeIndex(tix, len(entries))
 		}
 	}
 	if err != nil {
@@ -642,6 +643,16 @@ func (t *Topic) TimeIndex() (*timeindex.Index, error) {
 	}
 	t.tix = tix
 	return tix, nil
+}
+
+// checkTimeIndex reports a time index that names a message ordinal at
+// or past n, the topic's entry count: fsck's orphan-time-windows, and
+// an out-of-range read for any query that trusted it.
+func checkTimeIndex(tix *timeindex.Index, n int) error {
+	if max, ok := tix.MaxPosition(); ok && int(max) >= n {
+		return fmt.Errorf("windows reference ordinal %d but only %d messages are indexed: %w", max, n, ErrIndexBeyondData)
+	}
+	return nil
 }
 
 // readTimeIndex loads dir's persisted coarse time index.
@@ -660,7 +671,7 @@ func writeTimeIndex(fs faultfs.Backend, dir string, tix *timeindex.Index) error 
 
 // buildTimeIndex derives the coarse time index from a topic's entries:
 // what TopicWriter accumulates append by append, recomputed for a topic
-// whose file is missing or being repaired.
+// being repaired.
 func buildTimeIndex(window time.Duration, entries []IndexEntry) *timeindex.Index {
 	tix := timeindex.New(window)
 	for i, e := range entries {
@@ -689,8 +700,8 @@ func (t *Topic) DataSize() (int64, error) {
 }
 
 // openTopicData opens the data file of the topic directory dir, noting
-// its length. Every reader of topic data (queries, Verify, fsck,
-// repair) opens it here.
+// its length. Every reader of topic data (queries, fsck, repair) opens
+// it here.
 func openTopicData(dir string) (dataFile, error) {
 	f, err := os.Open(filepath.Join(dir, DataFileName))
 	if err != nil {

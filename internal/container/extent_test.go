@@ -298,7 +298,8 @@ func TestReadBoundFollowsAGrowingFile(t *testing.T) {
 }
 
 // TestReadIndexChunked: an index longer than one decode chunk loads
-// entry for entry what the writer appended, and a torn file is refused.
+// entry for entry what the writer appended; a torn file decodes to its
+// whole entries and its tail, and a topic handle refuses it.
 func TestReadIndexChunked(t *testing.T) {
 	const n = 2*indexChunk + 37
 	payloads := make([][]byte, n)
@@ -325,8 +326,12 @@ func TestReadIndexChunked(t *testing.T) {
 	if err := os.Truncate(path, int64(n*IndexEntrySize-3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readIndex(path); err == nil {
-		t.Error("readIndex accepted a file that is not a whole number of entries")
+	if entries, tail, err := readIndex(path); err != nil || len(entries) != n-1 || tail != IndexEntrySize-3 {
+		t.Errorf("torn file: %d entries, %d-byte tail, %v; want %d, %d, nil", len(entries), tail, err, n-1, IndexEntrySize-3)
+	}
+	fresh := &Topic{dir: topic.dir, topic: topic.topic}
+	if _, err := fresh.Entries(); err == nil {
+		t.Error("Entries accepted a file that is not a whole number of entries")
 	}
 }
 

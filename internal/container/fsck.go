@@ -208,21 +208,17 @@ func fsckTopic(rep *Report, dir, dirName string) *topicState {
 	// Index: decode the whole-entry prefix, then find the longest
 	// consistent prefix actually backed by data.
 	ixPath := filepath.Join(dir, IndexFileName)
-	ixBytes, err := os.ReadFile(ixPath)
+	entries, tail, err := readIndex(ixPath)
 	if err != nil {
 		rep.add(FindingMissingIndex, st.name, ixPath, "%v", err)
 		st.drop = true
 		return st
 	}
-	if tail := len(ixBytes) % IndexEntrySize; tail != 0 {
+	if tail != 0 {
 		rep.add(FindingTruncatedIndexTail, st.name, ixPath,
-			"index is %d bytes: %d-byte torn entry at the tail", len(ixBytes), tail)
-		ixBytes = ixBytes[:len(ixBytes)-tail]
+			"index is %d bytes: %d-byte torn entry at the tail", int64(len(entries))*IndexEntrySize+tail, tail)
 	}
-	st.rawEntries = make([]IndexEntry, len(ixBytes)/IndexEntrySize)
-	for i := range st.rawEntries {
-		st.rawEntries[i] = decodeIndexEntry(ixBytes[i*IndexEntrySize:])
-	}
+	st.rawEntries = entries
 	var off uint64
 	for _, e := range st.rawEntries {
 		if e.LogicalOffset != off || e.PhysicalOffset != e.LogicalOffset {
@@ -251,9 +247,8 @@ func fsckTopic(rep *Report, dir, dirName string) *topicState {
 		rep.add(FindingBadTimeIdx, st.name, tixPath, "%v", err)
 	} else {
 		st.window = int64(tix.Window())
-		if max, ok := tix.MaxPosition(); ok && int(max) >= st.keep {
-			rep.add(FindingOrphanTimeWindows, st.name, tixPath,
-				"time windows reference ordinal %d but only %d messages are indexed", max, st.keep)
+		if err := checkTimeIndex(tix, st.keep); err != nil {
+			rep.add(FindingOrphanTimeWindows, st.name, tixPath, "%v", err)
 		}
 	}
 
@@ -341,7 +336,7 @@ func RepairFS(root string, fs faultfs.Backend) (*Report, error) {
 	// A repair reseal mints a fresh generation: cached handles built from
 	// the pre-repair tree must read as stale even when the surviving
 	// topic set is unchanged.
-	if err := writeMeta(fs, root, &Meta{Version: 2, State: StateSealed, Gen: newGen(), TopicDirs: manifest}); err != nil {
+	if err := writeMeta(fs, root, &Meta{State: StateSealed, Gen: newGen(), TopicDirs: manifest}); err != nil {
 		return nil, err
 	}
 	return Fsck(root)

@@ -2,6 +2,7 @@ package container
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -126,8 +127,8 @@ func TestFsckDetectsTruncatedIndexTailAndRepairs(t *testing.T) {
 	if n != 19 {
 		t.Fatalf("repaired topic has %d messages, want 19", n)
 	}
-	if res := topic.Verify(); !res.OK {
-		t.Fatalf("repaired topic fails verify: %s", res.Detail)
+	if res, err := c.Verify(); err != nil || !res[0].OK {
+		t.Fatalf("repaired topic fails verify: %v", err)
 	}
 }
 
@@ -162,9 +163,8 @@ func TestFsckDetectsUnindexedDataTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topic, _ := c.Topic("/imu")
-	if res := topic.Verify(); !res.OK || res.Messages != 20 {
-		t.Fatalf("repair lost indexed messages: %+v", res)
+	if res, err := c.Verify(); err != nil || !res[0].OK || res[0].Messages != 20 {
+		t.Fatalf("repair lost indexed messages: %+v, %v", res, err)
 	}
 }
 
@@ -314,7 +314,7 @@ func TestReadMetaLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Sealed() || m.State != StateBuilding || m.Version != 2 {
+	if m.Sealed() || m.State != StateBuilding {
 		t.Fatalf("fresh meta = %+v", m)
 	}
 	if _, err := Open(root); err == nil {
@@ -335,16 +335,63 @@ func TestReadMetaLifecycle(t *testing.T) {
 	}
 }
 
+// TestReadMetaLegacyV1: a v1 meta is damage, not a format. Open
+// refuses it, fsck reports bad-meta, and RepairFS reseals the container
+// with every topic serving the messages it held before.
 func TestReadMetaLegacyV1(t *testing.T) {
-	root := t.TempDir()
+	root, _ := buildSealedTopic(t)
+	messages := func() []string {
+		t.Helper()
+		c, err := Open(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, name := range c.Topics() {
+			topic, _ := c.Topic(name)
+			entries, err := topic.Entries()
+			if err != nil {
+				t.Fatal(err)
+			}
+			df, err := topic.OpenData()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var scratch []byte
+			for _, e := range entries {
+				data, err := topic.ReadMessageInto(df, e, &scratch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, fmt.Sprintf("%s %v %x", name, e.Time, data))
+			}
+			df.Close()
+		}
+		return out
+	}
+	before := messages()
+
 	if err := os.WriteFile(filepath.Join(root, MetaFileName), []byte("bora-container v1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadMeta(root)
+	if _, err := Open(root); err == nil {
+		t.Fatal("Open accepted a v1 meta")
+	}
+	rep, err := Fsck(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Sealed() || m.Version != 1 {
-		t.Fatalf("v1 meta = %+v", m)
+	if !hasFinding(rep, FindingBadMeta) {
+		t.Fatalf("findings = %v, want bad-meta", findingKinds(rep))
+	}
+	after, err := RepairFS(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !after.Clean() {
+		t.Fatalf("post-repair findings: %v", after.Findings)
+	}
+	if got := messages(); !reflect.DeepEqual(got, before) {
+		t.Errorf("repaired container serves %d messages, want the %d it held", len(got), len(before))
 	}
 }

@@ -22,8 +22,7 @@ import (
 // building-state meta behind: the container is invisible to Open/List
 // (never served half-written) but identifiable and repairable.
 const (
-	metaMagicV1 = "bora-container v1"
-	metaMagicV2 = "bora-container v2"
+	metaMagic = "bora-container v2"
 
 	// StateBuilding marks a container whose organize pass has not
 	// committed; StateSealed marks a complete, openable container.
@@ -37,8 +36,7 @@ var ErrUnsealed = errors.New("container: not sealed (crashed or in-progress dupl
 
 // Meta is the parsed container meta file.
 type Meta struct {
-	Version int
-	State   string
+	State string
 	// Gen is the container's generation: it starts at 0 while building
 	// and is bumped by every Seal (first duplicate, Repair reseal,
 	// re-Duplicate after Remove lands back at 1). Handle caches compare
@@ -55,28 +53,22 @@ type Meta struct {
 	Derivation string
 }
 
-// Sealed reports whether the container committed. Legacy v1 containers
-// predate the lifecycle and are treated as sealed.
+// Sealed reports whether the container committed.
 func (m *Meta) Sealed() bool { return m.State == StateSealed }
 
-// ReadMeta parses the meta file of the container rooted at root.
+// ReadMeta parses the meta file of the container rooted at root. Any
+// signature but v2's is an error, which fsck reports as bad-meta and
+// RepairFS reseals.
 func ReadMeta(root string) (*Meta, error) {
 	buf, err := os.ReadFile(filepath.Join(root, MetaFileName))
 	if err != nil {
 		return nil, err
 	}
 	lines := strings.Split(strings.TrimRight(string(buf), "\n"), "\n")
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("container: empty meta file in %s", root)
-	}
-	switch lines[0] {
-	case metaMagicV1:
-		return &Meta{Version: 1, State: StateSealed}, nil
-	case metaMagicV2:
-	default:
+	if lines[0] != metaMagic {
 		return nil, fmt.Errorf("container: unrecognized meta signature %q in %s", lines[0], root)
 	}
-	m := &Meta{Version: 2}
+	m := &Meta{}
 	for _, line := range lines[1:] {
 		switch {
 		case strings.HasPrefix(line, "state="):
@@ -106,7 +98,7 @@ func ReadMeta(root string) (*Meta, error) {
 // any point leaves the previous meta — or none — but never a torn one.
 func writeMeta(fs faultfs.Backend, root string, m *Meta) error {
 	var b strings.Builder
-	b.WriteString(metaMagicV2)
+	b.WriteString(metaMagic)
 	b.WriteByte('\n')
 	b.WriteString("state=" + m.State + "\n")
 	if m.Gen > 0 {
@@ -183,7 +175,7 @@ func (c *Container) Seal() error {
 	for name := range c.topics {
 		dirs = append(dirs, EncodeTopicDir(name))
 	}
-	m := &Meta{Version: 2, State: StateSealed, Gen: newGen(), TopicDirs: dirs}
+	m := &Meta{State: StateSealed, Gen: newGen(), TopicDirs: dirs}
 	if err := writeMeta(c.fs, c.root, m); err != nil {
 		return err
 	}

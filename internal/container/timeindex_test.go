@@ -2,6 +2,7 @@ package container
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -44,9 +45,9 @@ func TestTopicWriterPersistsTimeIndex(t *testing.T) {
 	}
 }
 
-// TestTopicTimeIndex: loaded once per handle, rebuilt from the entries
-// when the file is absent, an error when it is present but corrupt, and
-// safe under concurrent first calls (run with -race).
+// TestTopicTimeIndex: loaded once per handle, an error when the file is
+// absent, corrupt or names a message the topic lacks, and safe under
+// concurrent first calls (run with -race).
 func TestTopicTimeIndex(t *testing.T) {
 	root, dir := buildSealedTopic(t)
 	path := filepath.Join(dir, TimeIdxFileName)
@@ -100,9 +101,20 @@ func TestTopicTimeIndex(t *testing.T) {
 		t.Errorf("second call reloaded (%p vs %p, %v)", ix, got[0], err)
 	}
 
-	// Absent file: a fresh handle rebuilds the same index from entries.
-	if ix, err := open().TimeIndex(); err != nil || !bytes.Equal(ix.Marshal(), persisted) {
-		t.Errorf("rebuilt index differs from the one the writer persisted (%v)", err)
+	// Absent file: an error, never a rebuild (RepairFS writes the file).
+	if _, err := open().TimeIndex(); err == nil {
+		t.Error("missing time index accepted")
+	}
+
+	// An index naming a message past the topic's entries: refused with
+	// ErrIndexBeyondData, as fsck's orphan-time-windows.
+	orphan := timeindex.New(0)
+	orphan.Add(bagio.Time{Sec: 1}, 20)
+	if err := os.WriteFile(path, orphan.Marshal(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := open().TimeIndex(); !errors.Is(err, ErrIndexBeyondData) {
+		t.Errorf("orphan time index: err = %v, want ErrIndexBeyondData", err)
 	}
 
 	// Present but corrupt: an error, never a silent rebuild.

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/faultfs"
 )
@@ -37,88 +38,42 @@ func readChecksum(dir string) (sum uint32, length int64, err error) {
 	return binary.LittleEndian.Uint32(buf[0:4]), int64(binary.LittleEndian.Uint64(buf[4:12])), nil
 }
 
-// VerifyResult reports one topic's integrity check.
+// VerifyResult reports what fsck found on one topic of a container.
 type VerifyResult struct {
 	Topic    string
-	Messages int
-	Bytes    int64
-	OK       bool
+	Messages int   // the topic's consistent indexed prefix
+	Bytes    int64 // the topic's data file size
+	OK       bool  // no finding on the topic, none on the container
 	Detail   string
 }
 
-// Verify recomputes the data file's CRC and cross-checks the index: the
-// entry list must tile the data file exactly and the stored checksum
-// must match. Containers written before checksums existed verify
-// structurally only (Detail notes the missing checksum).
-func (t *Topic) Verify() VerifyResult {
-	res := VerifyResult{Topic: t.topic}
-	entries, err := t.Entries()
-	if err != nil {
-		res.Detail = err.Error()
-		return res
-	}
-	res.Messages = len(entries)
-	var expectLen int64
-	for i, e := range entries {
-		if int64(e.LogicalOffset) != expectLen {
-			res.Detail = fmt.Sprintf("index entry %d at logical offset %d, want %d (gap or overlap)", i, e.LogicalOffset, expectLen)
-			return res
-		}
-		expectLen += int64(e.Length)
-	}
-	size, err := t.DataSize()
-	if err != nil {
-		res.Detail = err.Error()
-		return res
-	}
-	if size != expectLen {
-		res.Detail = fmt.Sprintf("data is %d bytes, index accounts for %d", size, expectLen)
-		return res
-	}
-	res.Bytes = size
-
-	wantSum, wantLen, err := readChecksum(t.dir)
-	if os.IsNotExist(err) {
-		res.OK = true
-		res.Detail = "no checksum file (pre-checksum container); structural check only"
-		return res
-	}
-	if err != nil {
-		res.Detail = err.Error()
-		return res
-	}
-	if wantLen != size {
-		res.Detail = fmt.Sprintf("checksum records %d bytes, data has %d", wantLen, size)
-		return res
-	}
-	got, err := crcData(t.dir, size)
-	if err != nil {
-		res.Detail = err.Error()
-		return res
-	}
-	if got != wantSum {
-		res.Detail = fmt.Sprintf("crc mismatch: data %08x, recorded %08x", got, wantSum)
-		return res
-	}
-	res.OK = true
-	return res
-}
-
-// Verify checks every topic of the container, returning per-topic
-// results and the first failure as error (nil when all pass).
+// Verify runs fsck over the container and folds its findings into one
+// result per topic; it checks nothing fsck does not. The error names
+// the first finding, and is nil exactly when fsck finds the container
+// clean.
 func (c *Container) Verify() ([]VerifyResult, error) {
-	var out []VerifyResult
-	var firstErr error
-	for _, name := range c.Topics() {
-		t, err := c.Topic(name)
-		if err != nil {
-			return out, err
-		}
-		res := t.Verify()
-		out = append(out, res)
-		if !res.OK && firstErr == nil {
-			firstErr = fmt.Errorf("container: topic %q failed verification: %s", name, res.Detail)
-		}
+	rep, states, err := fsck(c.root)
+	if err != nil {
+		return nil, err
 	}
-	return out, firstErr
+	findings := map[string][]string{} // by topic; "" is the container
+	for _, f := range rep.Findings {
+		findings[f.Topic] = append(findings[f.Topic], f.String())
+	}
+	out := make([]VerifyResult, 0, len(c.topics))
+	for _, name := range c.Topics() {
+		res := VerifyResult{Topic: name}
+		for _, st := range states {
+			if st.name == name {
+				res.Messages, res.Bytes = st.keep, max(st.dataSize, 0)
+			}
+		}
+		detail := append(findings[name], findings[""]...)
+		res.OK, res.Detail = len(detail) == 0, strings.Join(detail, "; ")
+		out = append(out, res)
+	}
+	if !rep.Clean() {
+		return out, fmt.Errorf("container: %s failed verification: %s", c.root, rep.Findings[0])
+	}
+	return out, nil
 }

@@ -3,9 +3,11 @@ package container
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/bagio"
+	"repro/internal/faultfs"
 )
 
 // buildVerifiedTopic writes a small topic and reopens the container.
@@ -100,17 +102,22 @@ func TestVerifyDetectsIndexGap(t *testing.T) {
 	}
 }
 
+// TestVerifyWithoutChecksumFile: a topic with no checksum record fails
+// Verify with fsck's checksum-missing finding.
 func TestVerifyWithoutChecksumFile(t *testing.T) {
 	c, dir := buildVerifiedTopic(t)
 	if err := os.Remove(filepath.Join(dir, ChecksumFileName)); err != nil {
 		t.Fatal(err)
 	}
 	results, err := c.Verify()
-	if err != nil {
-		t.Fatalf("pre-checksum container should pass structurally: %v", err)
+	if err == nil {
+		t.Fatal("topic without a checksum record verified")
 	}
-	if !results[0].OK || results[0].Detail == "" {
-		t.Errorf("expected OK with a structural-only note, got %+v", results[0])
+	if results[0].OK || !strings.Contains(results[0].Detail, string(FindingChecksumMissing)) {
+		t.Errorf("expected a %s failure, got %+v", FindingChecksumMissing, results[0])
+	}
+	if results[0].Messages != 20 || results[0].Bytes != 60 {
+		t.Errorf("counts = %+v", results[0])
 	}
 }
 
@@ -121,5 +128,21 @@ func TestVerifyDetectsBadChecksumFile(t *testing.T) {
 	}
 	if _, err := c.Verify(); err == nil {
 		t.Error("malformed checksum file not detected")
+	}
+}
+
+// TestVerifyFailsTopicsOnContainerFinding: a finding on the container
+// itself (here a meta flipped back to building) fails every topic.
+func TestVerifyFailsTopicsOnContainerFinding(t *testing.T) {
+	c, _ := buildVerifiedTopic(t)
+	if err := writeMeta(faultfs.OS, c.Root(), &Meta{State: StateBuilding}); err != nil {
+		t.Fatal(err)
+	}
+	results, err := c.Verify()
+	if err == nil {
+		t.Fatal("container with a building meta verified")
+	}
+	if results[0].OK || !strings.Contains(results[0].Detail, string(FindingStaleMeta)) {
+		t.Errorf("expected a %s failure, got %+v", FindingStaleMeta, results[0])
 	}
 }

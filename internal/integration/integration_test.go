@@ -6,6 +6,7 @@ package integration
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/msgs"
 	"repro/internal/rosbag"
+	"repro/internal/timeindex"
 	"repro/internal/vfs"
 	"repro/internal/workload"
 )
@@ -331,6 +333,46 @@ func TestContainerFailureInjection(t *testing.T) {
 		err = bag.Query(core.QuerySpec{Topics: []string{workload.TopicIMU}, Start: bagio.Time{Sec: 1}, End: bagio.Time{Sec: 2}}, func(core.MessageRef) error { return nil })
 		if err == nil {
 			t.Error("time query over corrupt time index succeeded")
+		}
+	})
+
+	t.Run("time index beyond its topic", func(t *testing.T) {
+		tixPath := filepath.Join(topicDir, container.TimeIdxFileName)
+		orig, err := os.ReadFile(tixPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer os.WriteFile(tixPath, orig, 0o644)
+		c, err := container.Open(filepath.Dir(topicDir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		topic, err := c.Topic(workload.TopicIMU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, err := topic.Entries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One window position past the topic's last entry, inside the
+		// queried range: fsck's orphan-time-windows.
+		tix, err := timeindex.Unmarshal(orig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := entries[0].Time
+		tix.Add(at, uint32(len(entries)+1000))
+		if err := os.WriteFile(tixPath, tix.Marshal(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		bag, err := backend.Open("victim")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = bag.Query(core.QuerySpec{Topics: []string{workload.TopicIMU}, Start: at, End: at}, func(core.MessageRef) error { return nil })
+		if !errors.Is(err, container.ErrIndexBeyondData) {
+			t.Errorf("time query over a time index beyond its topic: err = %v, want ErrIndexBeyondData", err)
 		}
 	})
 

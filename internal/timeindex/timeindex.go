@@ -204,6 +204,8 @@ func Unmarshal(buf []byte) (*Index, error) {
 	}
 	count := binary.LittleEndian.Uint32(buf[8:12])
 	ix := New(time.Duration(width))
+	// Sized once, by no more windows than the bytes can hold headers for.
+	ix.windows = make([]window, 0, min(int(count), (len(buf)-12)/12))
 	off := 12
 	for i := uint32(0); i < count; i++ {
 		if off+12 > len(buf) {

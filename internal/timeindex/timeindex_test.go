@@ -153,29 +153,31 @@ func sortedU32(v []uint32) []uint32 {
 	return out
 }
 
-// TestUnmarshalRejectsCorruption corrupts a valid serialized index in
-// every way the wire format can go wrong and checks each is rejected
-// with the matching diagnostic rather than read out of bounds or
-// silently mis-parsed. Layout under test (window=1s, one position in
-// each of the windows at 1s and 2s):
+// corruptCase is one way a serialized index can be damaged, with the
+// diagnostic Unmarshal must give for it.
+type corruptCase struct {
+	name    string
+	in      []byte
+	wantErr string
+}
+
+// corruptions damages a valid serialized index in every way the wire
+// format can go wrong. Layout of the fixture (window=1s, one position
+// in each of the windows at 1s and 2s):
 //
 //	[0:8) window  [8:12) count=2
 //	[12:24) win1 start+n  [24:28) win1 pos
 //	[28:40) win2 start+n  [40:44) win2 pos
-func TestUnmarshalRejectsCorruption(t *testing.T) {
-	ix := Build(time.Second, []bagio.Time{ts(1, 0), ts(2, 0)})
-	good := ix.Marshal()
+func corruptions(tb testing.TB) (good []byte, cases []corruptCase) {
+	tb.Helper()
+	good = Build(time.Second, []bagio.Time{ts(1, 0), ts(2, 0)}).Marshal()
 	if len(good) != 44 {
-		t.Fatalf("fixture layout changed: %d bytes, want 44", len(good))
+		tb.Fatalf("fixture layout changed: %d bytes, want 44", len(good))
 	}
 	mutate := func(mut func(b []byte) []byte) []byte {
 		return mut(append([]byte(nil), good...))
 	}
-	cases := []struct {
-		name    string
-		in      []byte
-		wantErr string
-	}{
+	return good, []corruptCase{
 		{"empty", nil, "truncated header"},
 		{"short header", mutate(func(b []byte) []byte { return b[:11] }), "truncated header"},
 		{"zero window", mutate(func(b []byte) []byte {
@@ -208,6 +210,13 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 		}), "descending windows"},
 		{"trailing bytes", mutate(func(b []byte) []byte { return append(b, 0xFF) }), "trailing bytes"},
 	}
+}
+
+// TestUnmarshalRejectsCorruption checks each corruption is rejected
+// with the matching diagnostic rather than read out of bounds or
+// silently mis-parsed.
+func TestUnmarshalRejectsCorruption(t *testing.T) {
+	good, cases := corruptions(t)
 	for _, tc := range cases {
 		_, err := Unmarshal(tc.in)
 		if err == nil {
@@ -348,8 +357,10 @@ func TestMarshalGolden(t *testing.T) {
 	for i, sec := range []uint32{5, 6, 3, 9, 1, 4, 10, 0, 7} {
 		ix.Add(ts(sec, 250_000_000), uint32(i))
 	}
-	const want = "00943577000000000600000000000000000000000200000004000000070000000094357700000000010000000200000000286bee0000000002000000000000000500000000bca065010000000200000001000000080000000050d6dc01000000010000000300000000e40b54020000000100000006000000"
-	if got := hex.EncodeToString(ix.Marshal()); got != want {
-		t.Errorf("Marshal = %s\nwant      %s", got, want)
+	if got := hex.EncodeToString(ix.Marshal()); got != goldenHex {
+		t.Errorf("Marshal = %s\nwant      %s", got, goldenHex)
 	}
 }
+
+// goldenHex is TestMarshalGolden's index, serialized.
+const goldenHex = "00943577000000000600000000000000000000000200000004000000070000000094357700000000010000000200000000286bee0000000002000000000000000500000000bca065010000000200000001000000080000000050d6dc01000000010000000300000000e40b54020000000100000006000000"

@@ -7,10 +7,10 @@
 // container, so stock readers — including internal/rosbag — can parse
 // it.
 //
-// Every front-end call is counted (OpStats) and timed on the backend's
-// obs registry. The FUSE 2.9 user/kernel crossing cost the paper accepts
-// as "some one-time overhead" is modeled by pathsim's FUSEOp, not
-// charged here.
+// Every front-end call is counted and timed on the backend's obs
+// registry, one vfs.* op per call kind. The FUSE 2.9 user/kernel
+// crossing cost the paper accepts as "some one-time overhead" is
+// modeled by pathsim's FUSEOp, not charged here.
 package vfs
 
 import (
@@ -20,7 +20,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/faultfs"
@@ -28,21 +27,8 @@ import (
 	"repro/internal/rosbag"
 )
 
-// OpStats counts front-end operations, the quantity a FUSE layer would
-// translate into user/kernel crossings.
-type OpStats struct {
-	Creates  int
-	Opens    int
-	Reads    int
-	Writes   int
-	Closes   int
-	Stats    int
-	Readdirs int
-	Removes  int
-}
-
-// fsObs holds the per-op latency instruments behind OpStats. All fields
-// are nil (no-op) when the backend carries no obs registry.
+// fsObs holds the per-op count and latency instruments. All fields are
+// nil (no-op) when the backend carries no obs registry.
 type fsObs struct {
 	create, open, read, write, close *obs.Op
 	stat, readdir, remove            *obs.Op
@@ -50,16 +36,15 @@ type fsObs struct {
 
 // FS is a mounted BORA front end.
 type FS struct {
-	mu      sync.Mutex
 	backend *core.BORA
 	workDir string // spool area for in-flight writes and read snapshots
-	stats   OpStats
 	obs     fsObs
 }
 
 // Mount attaches a front end to a BORA back end, spooling through
-// workDir (a temporary directory works). Per-op latency is recorded to
-// the backend's obs registry (see core.Options.Obs) under vfs.* ops.
+// workDir (a temporary directory works). Per-op counts and latency are
+// recorded to the backend's obs registry (see core.Options.Obs) under
+// vfs.* ops.
 func Mount(backend *core.BORA, workDir string) (*FS, error) {
 	if err := os.MkdirAll(workDir, 0o755); err != nil {
 		return nil, fmt.Errorf("vfs: spool dir: %w", err)
@@ -75,13 +60,6 @@ func Mount(backend *core.BORA, workDir string) (*FS, error) {
 		readdir: reg.Op("vfs.readdir"),
 		remove:  reg.Op("vfs.remove"),
 	}}, nil
-}
-
-// Stats returns the accumulated op counts.
-func (fs *FS) Stats() OpStats {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.stats
 }
 
 // bagName validates and strips the .bag extension.
@@ -100,9 +78,6 @@ func bagName(name string) (string, error) {
 func (fs *FS) List() (_ []string, err error) {
 	sp := fs.obs.readdir.Start()
 	defer func() { sp.EndErr(err) }()
-	fs.mu.Lock()
-	fs.stats.Readdirs++
-	fs.mu.Unlock()
 	names, err := fs.backend.List()
 	if err != nil {
 		return nil, err
@@ -121,9 +96,6 @@ func (fs *FS) List() (_ []string, err error) {
 func (fs *FS) Stat(name string) (_ int64, err error) {
 	sp := fs.obs.stat.Start()
 	defer func() { sp.EndErr(err) }()
-	fs.mu.Lock()
-	fs.stats.Stats++
-	fs.mu.Unlock()
 	base, err := bagName(name)
 	if err != nil {
 		return 0, err
@@ -169,9 +141,6 @@ type WriteFile struct {
 func (fs *FS) Create(name string) (_ *WriteFile, err error) {
 	sp := fs.obs.create.Start()
 	defer func() { sp.EndErr(err) }()
-	fs.mu.Lock()
-	fs.stats.Creates++
-	fs.mu.Unlock()
 	base, err := bagName(name)
 	if err != nil {
 		return nil, err
@@ -189,9 +158,6 @@ func (w *WriteFile) Write(p []byte) (int, error) {
 		return 0, fmt.Errorf("vfs: write after close")
 	}
 	sp := w.fs.obs.write.Start()
-	w.fs.mu.Lock()
-	w.fs.stats.Writes++
-	w.fs.mu.Unlock()
 	n, err := w.spool.Write(p)
 	end(sp, n, err)
 	return n, err
@@ -206,9 +172,6 @@ func (w *WriteFile) Close() (err error) {
 	w.closed = true
 	sp := w.fs.obs.close.Start()
 	defer func() { sp.EndErr(err) }()
-	w.fs.mu.Lock()
-	w.fs.stats.Closes++
-	w.fs.mu.Unlock()
 	// Unlink the spool no matter how Close exits: an error from the
 	// spool close below must not leak the file.
 	defer os.Remove(w.path)
@@ -246,9 +209,6 @@ type ReadFile struct {
 // snapshot.
 func (fs *FS) Open(name string) (*ReadFile, error) {
 	sp := fs.obs.open.Start()
-	fs.mu.Lock()
-	fs.stats.Opens++
-	fs.mu.Unlock()
 	base, err := bagName(name)
 	if err != nil {
 		sp.EndErr(err)
@@ -293,9 +253,6 @@ func (r *ReadFile) Read(p []byte) (int, error) {
 		return 0, fmt.Errorf("vfs: read after close")
 	}
 	sp := r.fs.obs.read.Start()
-	r.fs.mu.Lock()
-	r.fs.stats.Reads++
-	r.fs.mu.Unlock()
 	n, err := r.f.Read(p)
 	end(sp, n, err)
 	return n, err
@@ -307,9 +264,6 @@ func (r *ReadFile) ReadAt(p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("vfs: read after close")
 	}
 	sp := r.fs.obs.read.Start()
-	r.fs.mu.Lock()
-	r.fs.stats.Reads++
-	r.fs.mu.Unlock()
 	n, err := r.f.ReadAt(p, off)
 	end(sp, n, err)
 	return n, err
@@ -322,9 +276,6 @@ func (r *ReadFile) Close() error {
 	}
 	r.closed = true
 	sp := r.fs.obs.close.Start()
-	r.fs.mu.Lock()
-	r.fs.stats.Closes++
-	r.fs.mu.Unlock()
 	// Unlink the snapshot however the close goes: Close has already
 	// marked r closed, so a retry would not reach the remove.
 	path := r.f.Name()
@@ -350,9 +301,6 @@ func end(sp obs.Span, n int, err error) {
 // Remove deletes a bag through the front end.
 func (fs *FS) Remove(name string) error {
 	sp := fs.obs.remove.Start()
-	fs.mu.Lock()
-	fs.stats.Removes++
-	fs.mu.Unlock()
 	base, err := bagName(name)
 	if err != nil {
 		sp.EndErr(err)

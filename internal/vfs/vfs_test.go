@@ -20,7 +20,7 @@ import (
 func mountTestFS(t *testing.T) *FS {
 	t.Helper()
 	dir := t.TempDir()
-	backend, err := core.New(filepath.Join(dir, "backend"), core.Options{})
+	backend, err := core.New(filepath.Join(dir, "backend"), core.Options{Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,6 +29,12 @@ func mountTestFS(t *testing.T) *FS {
 		t.Fatal(err)
 	}
 	return fs
+}
+
+// opCount reads how many front-end calls of one kind fs has served off
+// its backend's registry (op is the vfs.* suffix: "create", "write" ...).
+func opCount(fs *FS, op string) int64 {
+	return fs.backend.Obs().Snapshot().Ops["vfs."+op].Count
 }
 
 // writeSourceBag produces a small real Handheld-SLAM-like bag on disk.
@@ -80,9 +86,8 @@ func TestWriteThroughFrontEnd(t *testing.T) {
 	if sz, err := fs.Stat("sample.bag"); err != nil || sz <= 0 {
 		t.Errorf("Stat = %d, %v", sz, err)
 	}
-	st := fs.Stats()
-	if st.Creates != 1 || st.Writes != 2 || st.Closes == 0 {
-		t.Errorf("stats = %+v", st)
+	if c, w, cl := opCount(fs, "create"), opCount(fs, "write"), opCount(fs, "close"); c != 1 || w != 2 || cl == 0 {
+		t.Errorf("vfs ops: %d creates, %d writes, %d closes; want 1, 2, > 0", c, w, cl)
 	}
 }
 
@@ -375,8 +380,8 @@ func TestRemoveThroughFrontEnd(t *testing.T) {
 	if len(names) != 0 {
 		t.Errorf("List after remove = %v", names)
 	}
-	if st := fs.Stats(); st.Removes != 1 {
-		t.Errorf("stats.Removes = %d, want 1", st.Removes)
+	if n := opCount(fs, "remove"); n != 1 {
+		t.Errorf("vfs.remove count = %d, want 1", n)
 	}
 }
 
