@@ -574,6 +574,16 @@ var archRules = []archRule{
 		seeds: []seedFile{{"internal/bench/zz_seed.go", `package bench; func init() { register("live-tail", "", nil) }`}},
 	},
 	{
+		name: "sites/init-only-in-bench",
+		why: "the reach row roots every init, so whatever an init registers counts as reached even when nothing reads the registry; " +
+			"that is how nine msgs types outlived every caller. cmd/borabench reads internal/bench's experiment registry, the one init-filled table",
+		check: none([]string{"."}, func(f *srcFile, n ast.Node) bool {
+			fd, ok := n.(*ast.FuncDecl)
+			return ok && fd.Recv == nil && fd.Name.Name == "init" && f.dir != "internal/bench"
+		}, "a func init outside internal/bench"),
+		seeds: []seedFile{{"internal/msgs/zz_seed.go", `package msgs; func init() {}`}},
+	},
+	{
 		name: "retired/striped-layout",
 		why:  "one data layout: what stays of stripes is the refusal of an older build's container",
 		check: none([]string{"internal/container", "internal/core", "internal/bench", "cmd"}, func(_ *srcFile, n ast.Node) bool {

@@ -90,7 +90,7 @@ func runTable4(reg *obs.Registry) (*Table, error) {
 		Title:  "I/O middleware system comparison",
 		Header: []string{"system", "interposition", "usage", "app modification", "in this repo"},
 		Notes: []string{
-			"paper Table IV; BORA and PLFS rows are backed by working implementations here",
+			"paper Table IV; the BORA row is backed by a working implementation here, the PLFS row by the cost model Fig 3 runs",
 		},
 	}
 	t.Rows = [][]string{

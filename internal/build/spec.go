@@ -101,14 +101,14 @@ func NewGraph(derivations []Derivation) (*Graph, error) {
 	}
 	g := &Graph{Derivations: derivations, index: make(map[string]int, len(derivations))}
 	for i, d := range derivations {
-		if err := validBagName(d.Name); err != nil {
+		if err := core.ValidBagName(d.Name); err != nil {
 			return nil, fmt.Errorf("build: derivation %d: %w", i, err)
 		}
 		if dup, ok := g.index[d.Name]; ok {
 			return nil, fmt.Errorf("build: duplicate output name %q (derivations %d and %d)", d.Name, dup, i)
 		}
 		g.index[d.Name] = i
-		if err := validBagName(d.From); err != nil {
+		if err := core.ValidBagName(d.From); err != nil {
 			return nil, fmt.Errorf("build: derivation %q: source: %w", d.Name, err)
 		}
 		if d.From == d.Name {
@@ -124,24 +124,6 @@ func NewGraph(derivations []Derivation) (*Graph, error) {
 	}
 	g.order = order
 	return g, nil
-}
-
-// validBagName accepts names safe to join under a back-end root: no
-// path separators, no traversal, nothing hidden or empty.
-func validBagName(name string) error {
-	switch {
-	case name == "":
-		return fmt.Errorf("empty bag name")
-	case len(name) > 255:
-		return fmt.Errorf("bag name longer than 255 bytes")
-	case strings.ContainsAny(name, "/\\\x00\n\r"):
-		return fmt.Errorf("bag name %q contains a path separator or control byte", name)
-	case name == "." || name == "..":
-		return fmt.Errorf("bag name %q is a path traversal", name)
-	case strings.HasPrefix(name, "."):
-		return fmt.Errorf("bag name %q is hidden (reserved for BORA metadata)", name)
-	}
-	return nil
 }
 
 // topoSort is Kahn's algorithm over the single-parent dependency

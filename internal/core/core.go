@@ -28,6 +28,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -124,9 +125,41 @@ func (b *BORA) List() ([]string, error) {
 	return out, nil
 }
 
+// ValidBagName accepts names safe to join under a back-end root: no
+// path separators, no traversal, nothing hidden or empty. Every BORA
+// method that takes a bag name applies it (through bagDir); build and
+// vfs check the names they are given with it too.
+func ValidBagName(name string) error {
+	switch {
+	case name == "":
+		return fmt.Errorf("empty bag name")
+	case len(name) > 255:
+		return fmt.Errorf("bag name longer than 255 bytes")
+	case strings.ContainsAny(name, "/\\\x00\n\r"):
+		return fmt.Errorf("bag name %q contains a path separator or control byte", name)
+	case name == "." || name == "..":
+		return fmt.Errorf("bag name %q is a path traversal", name)
+	case strings.HasPrefix(name, "."):
+		return fmt.Errorf("bag name %q is hidden (reserved for BORA metadata)", name)
+	}
+	return nil
+}
+
+// bagDir is the directory of the logical bag name: the one place a
+// caller's name is joined under the back-end root.
+func (b *BORA) bagDir(name string) (string, error) {
+	if err := ValidBagName(name); err != nil {
+		return "", fmt.Errorf("bora: %w", err)
+	}
+	return filepath.Join(b.root, name), nil
+}
+
 // Remove deletes a logical bag — a classic container or a live bag.
 func (b *BORA) Remove(name string) error {
-	dir := filepath.Join(b.root, name)
+	dir, err := b.bagDir(name)
+	if err != nil {
+		return err
+	}
 	if _, err := os.Stat(filepath.Join(dir, container.MetaFileName)); err != nil {
 		if _, lerr := os.Stat(filepath.Join(dir, LiveMetaFileName)); lerr != nil {
 			return fmt.Errorf("bora: %q is not a BORA bag: %w", name, err)
@@ -182,7 +215,11 @@ func (b *BORA) DuplicateFrom(r io.ReaderAt, size int64, name string, parent obs.
 // scan delivers it (one organizer.append span each), one seal.
 func (b *BORA) organize(r io.ReaderAt, size int64, name string, sp obs.Span) (DuplicateStats, error) {
 	var st DuplicateStats
-	seg, err := b.createSegment(filepath.Join(b.root, name))
+	dir, err := b.bagDir(name)
+	if err != nil {
+		return st, err
+	}
+	seg, err := b.createSegment(dir)
 	if err != nil {
 		return st, err
 	}
@@ -227,11 +264,14 @@ func (b *BORA) organize(r io.ReaderAt, size int64, name string, sp obs.Span) (Du
 // re-organization happens — this is why BORA-to-BORA copies run at
 // native file-system speed in Fig 9.
 func (b *BORA) CopyContainer(srcRoot, name string) (*Bag, error) {
+	dstRoot, err := b.bagDir(name)
+	if err != nil {
+		return nil, err
+	}
 	src, err := container.Open(srcRoot)
 	if err != nil {
 		return nil, err
 	}
-	dstRoot := filepath.Join(b.root, name)
 	if err := copyTree(b.opts.FS, src.Root(), dstRoot); err != nil {
 		return nil, fmt.Errorf("bora: copy container: %w", err)
 	}

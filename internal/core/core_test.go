@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -525,6 +526,74 @@ func TestRemove(t *testing.T) {
 	if err := b.Remove("."); err == nil {
 		t.Error("Remove of non-container should fail")
 	}
+}
+
+// TestBagNamesStayUnderRoot: every BORA method that takes a bag name
+// refuses one that could leave the back-end root, and changes nothing
+// beside it. "../x" names a real bag next to the root, so a method that
+// joined it unchecked would open, repair or delete that bag.
+func TestBagNamesStayUnderRoot(t *testing.T) {
+	parent := t.TempDir()
+	b, err := New(filepath.Join(parent, "backend"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := makeSourceBag(t, parent, 1)
+	beside, err := New(parent, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := beside.Duplicate(src, "x"); err != nil {
+		t.Fatal(err)
+	}
+	before := treeState(t, parent)
+	names := []string{"", ".", "..", "../x", "a/b", `a\b`, ".hidden", strings.Repeat("n", 256)}
+	calls := []struct {
+		name string
+		call func(name string) error
+	}{
+		{"CreateBag", func(n string) error { _, err := b.CreateBag(n); return err }},
+		{"CreateLiveBag", func(n string) error { _, err := b.CreateLiveBag(n, time.Second); return err }},
+		{"Duplicate", func(n string) error { _, _, err := b.Duplicate(src, n); return err }},
+		{"Open", func(n string) error { _, err := b.Open(n); return err }},
+		{"Remove", func(n string) error { return b.Remove(n) }},
+		{"Fsck", func(n string) error { _, _, err := b.Fsck(n); return err }},
+		{"Repair", func(n string) error { _, err := b.Repair(n); return err }},
+		{"ProbeBag", func(n string) error { _, _, err := b.ProbeBag(n); return err }},
+		{"CopyContainer", func(n string) error { _, err := b.CopyContainer(filepath.Join(parent, "x"), n); return err }},
+	}
+	for _, c := range calls {
+		for _, name := range names {
+			if err := c.call(name); err == nil {
+				t.Errorf("%s(%.20q) accepted the name", c.name, name)
+			}
+			if after := treeState(t, parent); after != before {
+				t.Fatalf("%s(%.20q) changed the tree:\n%s\nwant\n%s", c.name, name, after, before)
+			}
+		}
+	}
+}
+
+// treeState lists every path under dir with its size, mode and mtime.
+func treeState(t *testing.T, dir string) string {
+	t.Helper()
+	var sb strings.Builder
+	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		fi, err := d.Info()
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, p)
+		fmt.Fprintf(&sb, "%s %d %v %d\n", rel, fi.Size(), fi.Mode(), fi.ModTime().UnixNano())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
 }
 
 func TestOpenMissing(t *testing.T) {

@@ -138,7 +138,10 @@ func (b *BORA) CreateLiveBag(name string, window time.Duration) (*Recorder, erro
 	if window <= 0 {
 		window = DefaultSegmentWindow
 	}
-	dir := filepath.Join(b.root, name)
+	dir, err := b.bagDir(name)
+	if err != nil {
+		return nil, err
+	}
 	if _, err := os.Stat(dir); err == nil {
 		return nil, fmt.Errorf("bora: bag %q already exists", name)
 	}
@@ -193,7 +196,9 @@ func (b *BORA) LiveRecorder(name string) *Recorder {
 // and, for a live bag, its parsed meta. A classic bag is the one-segment
 // case: the bag directory itself, with a nil meta.
 func (b *BORA) bagSegments(name string) (dir string, segDirs []string, lm *liveMeta, err error) {
-	dir = filepath.Join(b.root, name)
+	if dir, err = b.bagDir(name); err != nil {
+		return "", nil, nil, err
+	}
 	lm, err = readLiveMeta(dir)
 	if os.IsNotExist(err) {
 		return dir, []string{dir}, nil, nil
@@ -271,7 +276,10 @@ func (b *BORA) Repair(name string) ([]*container.Report, error) {
 // generation token to compare (the live meta's completion gen, or the
 // classic container's seal gen).
 func (b *BORA) ProbeBag(name string) (gen uint64, recording bool, err error) {
-	dir := filepath.Join(b.root, name)
+	dir, err := b.bagDir(name)
+	if err != nil {
+		return 0, false, err
+	}
 	if lm, err := readLiveMeta(dir); err == nil {
 		if lm.State == liveStateRecord {
 			return 0, true, nil

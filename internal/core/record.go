@@ -84,7 +84,11 @@ type follower struct {
 // CreateBag starts recording a new logical bag directly into a classic
 // single-container layout on the back end.
 func (b *BORA) CreateBag(name string) (*Recorder, error) {
-	seg, err := b.createSegment(filepath.Join(b.root, name))
+	dir, err := b.bagDir(name)
+	if err != nil {
+		return nil, err
+	}
+	seg, err := b.createSegment(dir)
 	if err != nil {
 		return nil, err
 	}

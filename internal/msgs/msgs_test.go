@@ -17,10 +17,7 @@ func sampleHeader(seq uint32) Header {
 func roundTrip(t *testing.T, m Message) Message {
 	t.Helper()
 	wire := m.Marshal(nil)
-	out, err := New(m.TypeName())
-	if err != nil {
-		t.Fatalf("New(%s): %v", m.TypeName(), err)
-	}
+	out := reflect.New(reflect.TypeOf(m).Elem()).Interface().(Message)
 	if err := out.Unmarshal(wire); err != nil {
 		t.Fatalf("Unmarshal(%s): %v", m.TypeName(), err)
 	}
@@ -187,55 +184,6 @@ func TestUnmarshalRejectsHugeArrayClaim(t *testing.T) {
 	if err := img.Unmarshal(hdr.Bytes()); err == nil {
 		t.Error("accepted absurd string length")
 	}
-}
-
-func TestRegistry(t *testing.T) {
-	for _, name := range []string{
-		"sensor_msgs/Image", "sensor_msgs/CameraInfo", "sensor_msgs/Imu",
-		"tf2_msgs/TFMessage", "visualization_msgs/MarkerArray",
-		"visualization_msgs/Marker", "geometry_msgs/TransformStamped",
-	} {
-		m, err := New(name)
-		if err != nil {
-			t.Errorf("New(%s): %v", name, err)
-			continue
-		}
-		if m.TypeName() != name {
-			t.Errorf("New(%s).TypeName() = %s", name, m.TypeName())
-		}
-	}
-	if _, err := New("fake_msgs/Nothing"); err == nil {
-		t.Error("New on unregistered type should error")
-	}
-	if _, err := Decode("fake_msgs/Nothing", nil); err == nil {
-		t.Error("Decode on unregistered type should error")
-	}
-	if len(RegisteredTypes()) < 7 {
-		t.Errorf("RegisteredTypes: %v", RegisteredTypes())
-	}
-}
-
-func TestDecode(t *testing.T) {
-	in := &Imu{Header: sampleHeader(8), Orientation: Identity()}
-	m, err := Decode("sensor_msgs/Imu", in.Marshal(nil))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if !reflect.DeepEqual(in, m.(*Imu)) {
-		t.Error("decode mismatch")
-	}
-	if _, err := Decode("sensor_msgs/Imu", []byte{1, 2}); err == nil {
-		t.Error("Decode accepted garbage")
-	}
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register did not panic")
-		}
-	}()
-	Register("sensor_msgs/Image", func() Message { return &Image{} })
 }
 
 // Property: scalar encode/decode round-trips for the Writer/Reader pair.

@@ -1,3 +1,18 @@
+// Package plfsim is Fig 3's cost model of a PLFS-like checkpoint
+// middleware — the closest prior container-based system the paper
+// compares against (Fig 3, Table IV). Like PLFS, the modelled layer maps
+// one logical file onto a container directory holding per-writer data
+// logs and index logs: every write appends raw bytes to the writer's
+// data log and an index record (logical offset, length, physical
+// offset) to its index log; a reader merges all index logs into a
+// global index before it can serve a read.
+//
+// The crucial contrast with BORA: PLFS's container has no data
+// semantics. A bag stored through PLFS is still one opaque byte stream,
+// so topic extraction must re-read and re-index everything — which is
+// why Fig 3 shows PLFS costing ~2× Ext4/XFS on both bag writes and topic
+// reads, and why the paper builds BORA instead of reusing checkpoint
+// middleware.
 package plfsim
 
 import (
@@ -12,8 +27,9 @@ import (
 // into bounded transfers, and PLFS logs an index record per write).
 const WriteGranularity = 8 * 1024
 
-// indexLogEntry is the on-disk width of one PLFS index record.
-const indexLogEntry = indexEntrySize
+// indexLogEntry is the on-disk width of one PLFS index record: logical
+// offset, length, physical offset.
+const indexLogEntry = 8 + 4 + 8
 
 // SimWrite replays recording a bag file through the PLFS-like layer for
 // Fig 3a: the payload streams into the data log, but every

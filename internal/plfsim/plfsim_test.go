@@ -1,232 +1,12 @@
 package plfsim
 
 import (
-	"bytes"
-	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/pathsim"
 	"repro/internal/simio"
 	"repro/internal/workload"
 )
-
-func TestSingleWriterRoundTrip(t *testing.T) {
-	c, err := Create(filepath.Join(t.TempDir(), "file1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := c.OpenWriter(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("hello plfs world")
-	if err := w.WriteAt(0, payload[:5]); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteAt(5, payload[5:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Errorf("double close: %v", err)
-	}
-	if err := w.WriteAt(0, payload); err == nil {
-		t.Error("write after close accepted")
-	}
-
-	r, err := c.OpenReader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Size() != int64(len(payload)) {
-		t.Errorf("Size = %d", r.Size())
-	}
-	if r.IndexRecords != 2 {
-		t.Errorf("IndexRecords = %d", r.IndexRecords)
-	}
-	got := make([]byte, len(payload))
-	if _, err := r.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Errorf("read %q, want %q", got, payload)
-	}
-}
-
-func TestMultiWriterMerge(t *testing.T) {
-	c, err := Create(filepath.Join(t.TempDir(), "ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// N writers each own a disjoint strided region (classic N-1 pattern).
-	const writers, recSize, recs = 4, 8, 10
-	want := make([]byte, writers*recSize*recs)
-	for pid := 0; pid < writers; pid++ {
-		w, err := c.OpenWriter(pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < recs; r++ {
-			off := int64((r*writers + pid) * recSize)
-			rec := bytes.Repeat([]byte{byte('A' + pid)}, recSize)
-			copy(want[off:], rec)
-			if err := w.WriteAt(off, rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r, err := c.OpenReader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	got := make([]byte, len(want))
-	if _, err := r.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("merged logical file mismatch")
-	}
-	if r.IndexRecords != writers*recs {
-		t.Errorf("IndexRecords = %d", r.IndexRecords)
-	}
-}
-
-func TestOverwriteLaterWins(t *testing.T) {
-	c, err := Create(filepath.Join(t.TempDir(), "ow"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := c.OpenWriter(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteAt(0, []byte("aaaaaaaa")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteAt(2, []byte("bbb")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := c.OpenReader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	got := make([]byte, 8)
-	if _, err := r.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "aabbbaaa" {
-		t.Errorf("got %q", got)
-	}
-}
-
-func TestHolesReadZero(t *testing.T) {
-	c, err := Create(filepath.Join(t.TempDir(), "holes"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := c.OpenWriter(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteAt(10, []byte{0xFF}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := c.OpenReader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	got := make([]byte, 11)
-	if _, err := r.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if got[i] != 0 {
-			t.Fatalf("hole byte %d = %#x", i, got[i])
-		}
-	}
-	if got[10] != 0xFF {
-		t.Error("written byte lost")
-	}
-	if _, err := r.ReadAt(got, -1); err == nil {
-		t.Error("negative offset accepted")
-	}
-}
-
-func TestRandomizedAgainstBuffer(t *testing.T) {
-	c, err := Create(filepath.Join(t.TempDir(), "rand"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	const size = 4096
-	want := make([]byte, size)
-	w, err := c.OpenWriter(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		off := rng.Intn(size - 64)
-		n := 1 + rng.Intn(64)
-		chunk := make([]byte, n)
-		rng.Read(chunk)
-		copy(want[off:], chunk)
-		if err := w.WriteAt(int64(off), chunk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := c.OpenReader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	for trial := 0; trial < 50; trial++ {
-		off := rng.Intn(size - 128)
-		n := 1 + rng.Intn(128)
-		got := make([]byte, n)
-		if _, err := r.ReadAt(got, int64(off)); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want[off:off+n]) {
-			t.Fatalf("trial %d: range [%d,%d) mismatch", trial, off, off+n)
-		}
-	}
-}
-
-func TestCreateOpenErrors(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := Open(dir); err == nil {
-		t.Error("Open accepted non-container")
-	}
-	c, err := Create(filepath.Join(dir, "c"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Create(c.Root()); err == nil {
-		t.Error("Create accepted non-empty dir")
-	}
-	if _, err := Open(c.Root()); err != nil {
-		t.Errorf("Open of valid container: %v", err)
-	}
-}
 
 // Fig 3 shape: PLFS ≈2× native on bag writes and ≈2× on topic reads.
 func TestFig3Shape(t *testing.T) {

@@ -2,6 +2,9 @@ package server
 
 import (
 	"fmt"
+	"net"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -9,6 +12,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/server/wire"
 )
 
 // TestRecordUploadAndQuery drives the RECORD verb end to end: upload a
@@ -234,5 +238,28 @@ func TestRecordSealedOnDisconnect(t *testing.T) {
 	}
 	if n != 10 {
 		t.Errorf("sealed %d messages, want 10", n)
+	}
+}
+
+// TestRecordNameCannotLeaveRoot: a RECORD whose name climbs out of the
+// back-end root gets an ERR frame, live or classic, and nothing is
+// created beside the root.
+func TestRecordNameCannotLeaveRoot(t *testing.T) {
+	b := buildBackend(t, nil, 1, 1)
+	_, addr := startServer(t, b, Options{})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	for _, live := range []bool{true, false} {
+		if err := wire.WriteFrame(nc, wire.OpRecord, wire.EncodeRecord(wire.RecordReq{Name: "../escaped", Live: live})); err != nil {
+			t.Fatal(err)
+		}
+		expectOps(t, nc, wire.OpErr)
+	}
+	if _, err := os.Stat(filepath.Join(filepath.Dir(b.Root()), "escaped")); !os.IsNotExist(err) {
+		t.Errorf("RECORD ../escaped created a bag beside the root (stat: %v)", err)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -62,14 +61,15 @@ func Mount(backend *core.BORA, workDir string) (*FS, error) {
 	}}, nil
 }
 
-// bagName validates and strips the .bag extension.
+// bagName strips the .bag extension; what is left must be a valid
+// back-end bag name (core.ValidBagName), so a path is refused.
 func bagName(name string) (string, error) {
 	if !strings.HasSuffix(name, ".bag") {
 		return "", fmt.Errorf("vfs: %q: front end only serves .bag files", name)
 	}
-	base := strings.TrimSuffix(filepath.Base(name), ".bag")
-	if base == "" || strings.ContainsAny(base, "/\\") {
-		return "", fmt.Errorf("vfs: invalid bag name %q", name)
+	base := strings.TrimSuffix(name, ".bag")
+	if err := core.ValidBagName(base); err != nil {
+		return "", fmt.Errorf("vfs: %q: %w", name, err)
 	}
 	return base, nil
 }

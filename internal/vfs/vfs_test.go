@@ -353,6 +353,37 @@ func TestFrontEndValidation(t *testing.T) {
 	}
 }
 
+// TestFrontEndRefusesPaths: a .bag name with a directory in it is
+// refused, not served as the bag its last element names.
+func TestFrontEndRefusesPaths(t *testing.T) {
+	fs := mountTestFS(t)
+	raw, err := os.ReadFile(writeSourceBag(t, t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := fs.Create("x.bag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w, err := fs.Create("dir/x.bag"); err == nil {
+		w.Close()
+		t.Error("Create(dir/x.bag) accepted")
+	}
+	if r, err := fs.Open("dir/x.bag"); err == nil {
+		r.Close()
+		t.Error("Open(dir/x.bag) served x")
+	}
+	if _, err := fs.Stat("dir/x.bag"); err == nil {
+		t.Error("Stat(dir/x.bag) served x")
+	}
+}
+
 func TestRemoveThroughFrontEnd(t *testing.T) {
 	fs := mountTestFS(t)
 	src := writeSourceBag(t, t.TempDir())
