@@ -295,6 +295,9 @@ var (
 		"readSerial": "one query executor", "readMessagesChrono": "one query executor", "followQuery": "one query executor",
 		"positionsInRange": "one query executor", "readTopicRange": "one query executor", "MultiBag": "one query executor",
 		"cmdVerify": "fsck is the one judge of a container", "metaMagicV1": "fsck is the one judge of a container",
+		"RateTracker": "no hot signal: no workload reaches it", "HotQPS": "no hot signal: no workload reaches it",
+		"NoteQuery": "no hot signal: no workload reaches it", "HotBags": "no hot signal: no workload reaches it",
+		"hotWiden": "no hot signal: no workload reaches it",
 	}
 	retiredExperiments = []string{"validate-real", "pool-clients", "live-tail"}
 	internalCmd        = []string{"internal", "cmd"}
@@ -399,8 +402,8 @@ var archRules = []archRule{
 		why:  "one way to a bag handle per process kind: the daemon serves through its pool, one-shot code opens cold",
 		check: func(tr *tree) (string, []string) {
 			return edges(tr, func(from, to string) string {
-				if to == "internal/pool" && inDirs(from, internalCmd...) && from != "internal/server" && from != "cmd/borad" {
-					return "only internal/server and cmd/borad may import internal/pool"
+				if to == "internal/pool" && inDirs(from, internalCmd...) && from != "internal/server" {
+					return "only internal/server may import internal/pool"
 				}
 				return ""
 			})
@@ -537,6 +540,7 @@ var archRules = []archRule{
 		seeds: []seedFile{
 			{"internal/core/zz_seed.go", `package core; type zz struct{ Synchronous bool }`},
 			{"internal/core/zz_seed.go", `package core; func readSerial() {}`},
+			{"internal/pool/zz_seed.go", `package pool; func (p *Pool) NoteQuery(string) {}`},
 		},
 	},
 	{
@@ -770,7 +774,7 @@ var importTable = map[string][]string{
 	"benchmark":              {"internal/bagio", "internal/client", "internal/container", "internal/core", "internal/obs", "internal/pool", "internal/rosbag", "internal/server", "internal/server/wire", "internal/tagman", "internal/timeindex", "internal/workload"},
 	"cmd/borabag":            {"internal/build", "internal/client", "internal/container", "internal/core", "internal/graph", "internal/obs", "internal/replay", "internal/rosbag", "internal/workload"},
 	"cmd/borabench":          {"internal/bench", "internal/obs"},
-	"cmd/borad":              {"internal/cluster/ring", "internal/core", "internal/obs", "internal/pool", "internal/server"},
+	"cmd/borad":              {"internal/cluster/ring", "internal/core", "internal/obs", "internal/server"},
 	"examples/liverecord":    {"internal/bagio", "internal/core", "internal/graph", "internal/msgs", "internal/rosbag", "internal/workload"},
 	"examples/objectdetect":  {"internal/bagio", "internal/core", "internal/msgs", "internal/workload"},
 	"examples/quickstart":    {"internal/bagio", "internal/core", "internal/rosbag", "internal/workload"},

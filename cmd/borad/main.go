@@ -1,7 +1,7 @@
 // Command borad is the BORA bag-serving daemon: it exposes a back-end
 // directory of organized containers over the length-prefixed wire
 // protocol (internal/server/wire), serving every open through a shared
-// handle pool so concurrent clients reuse hot bag handles and block
+// handle pool so concurrent clients reuse open bag handles and block
 // cache instead of paying a cold open per query.
 //
 // Usage:
@@ -9,7 +9,7 @@
 //	borad -backend DIR [-listen ADDR] [-http ADDR]
 //	      [-max-queries N] [-drain DUR] [-slow DUR] [-slowlog FILE]
 //	      [-querylog N] [-trace FILE] [-pprof]
-//	      [-cluster FILE -node NAME] [-hot-qps QPS]
+//	      [-cluster FILE -node NAME]
 //
 // Flags:
 //
@@ -20,9 +20,6 @@
 //	                back end. The daemon only validates its own entry and
 //	                logs the ring — placement lives client-side.
 //	-node NAME      this daemon's member name in -cluster (required with it)
-//	-hot-qps QPS    per-bag query rate past which a bag reads as hot:
-//	                reported in /statz hot_bags and protected from handle
-//	                eviction (default 8)
 //	-http ADDR      optional HTTP sidecar: /metrics (obs snapshot JSON),
 //	                /healthz (200 ok / 503 draining), /statz (server
 //	                stats), /slowqueries (the query log)
@@ -58,7 +55,6 @@ import (
 	"repro/internal/cluster/ring"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/pool"
 	"repro/internal/server"
 )
 
@@ -113,7 +109,6 @@ type config struct {
 	pprof      bool
 	cluster    string
 	node       string
-	hotQPS     float64
 }
 
 func main() {
@@ -130,7 +125,6 @@ func main() {
 	flag.BoolVar(&cfg.pprof, "pprof", false, "mount net/http/pprof on the -http sidecar")
 	flag.StringVar(&cfg.cluster, "cluster", "", "cluster membership file (\"name addr\" lines)")
 	flag.StringVar(&cfg.node, "node", "", "this daemon's member name in -cluster")
-	flag.Float64Var(&cfg.hotQPS, "hot-qps", 0, "per-bag hot threshold in QPS (0 = default 8)")
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "borad:", err)
@@ -172,7 +166,6 @@ func run(cfg config) error {
 	qlog := obs.NewQueryLog(cfg.querylog, cfg.slow, slowSink)
 
 	srv := server.New(b, server.Options{
-		Pool:       pool.New(b, pool.Options{HotQPS: cfg.hotQPS}),
 		MaxQueries: cfg.maxQueries, QueryLog: qlog, Pprof: cfg.pprof,
 	})
 

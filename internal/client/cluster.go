@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster/ring"
@@ -39,12 +38,6 @@ const (
 	// benched node when every healthier replica has failed first.
 	DefaultDownBase = 250 * time.Millisecond
 	DefaultDownMax  = 15 * time.Second
-	// DefaultHotQPS is the per-bag query rate (over the tracker's
-	// sliding window) past which the client widens the bag's replica
-	// set and spreads its traffic across it.
-	DefaultHotQPS = 32.0
-	// DefaultHotWiden is how many extra replicas a hot bag's set gains.
-	DefaultHotWiden = 1
 	// DefaultMaxIdlePerNode caps the per-node idle-connection cache.
 	DefaultMaxIdlePerNode = 4
 )
@@ -79,17 +72,9 @@ type ClusterOptions struct {
 	Backoff    time.Duration
 	BackoffMax time.Duration
 	// Obs, when non-nil, records cluster.* counters (route, failover,
-	// busy_retry, node_down, hot_widen, unavailable) and the
-	// nodes_down gauge on this registry.
+	// busy_retry, node_down, unavailable) and the nodes_down gauge on
+	// this registry.
 	Obs *obs.Registry
-
-	// hotQPS is the per-bag query rate past which the replica set is
-	// widened by hotWiden and traffic spread across it: DefaultHotQPS
-	// unless this package's tests set it (negative disables widening).
-	// hotWiden overrides DefaultHotWiden for the tests that widen
-	// across a three-node fleet. Zero selects each default.
-	hotQPS   float64
-	hotWiden int
 }
 
 func (o *ClusterOptions) fill() {
@@ -105,12 +90,6 @@ func (o *ClusterOptions) fill() {
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = DefaultRotationBackoffMax
 	}
-	if o.hotQPS == 0 {
-		o.hotQPS = DefaultHotQPS
-	}
-	if o.hotWiden <= 0 {
-		o.hotWiden = DefaultHotWiden
-	}
 	if o.Node.Obs == nil {
 		o.Node.Obs = o.Obs
 	}
@@ -124,14 +103,11 @@ type Cluster struct {
 	ring *ring.Ring
 	opts ClusterOptions
 	rot  Options // rotation backoff schedule (filled)
-	hot  *obs.RateTracker
-	rr   atomic.Int64 // round-robin cursor for hot-bag spreading
 
 	routeC    *obs.Counter
 	failoverC *obs.Counter
 	busyC     *obs.Counter
 	downC     *obs.Counter
-	widenC    *obs.Counter
 	unavailC  *obs.Counter
 	downG     *obs.Gauge
 
@@ -171,16 +147,12 @@ func NewCluster(members []ring.Member, opts ClusterOptions) (*Cluster, error) {
 		failoverC: opts.Obs.Counter("cluster.failover"),
 		busyC:     opts.Obs.Counter("cluster.busy_retry"),
 		downC:     opts.Obs.Counter("cluster.node_down"),
-		widenC:    opts.Obs.Counter("cluster.hot_widen"),
 		unavailC:  opts.Obs.Counter("cluster.unavailable"),
 		downG:     opts.Obs.Gauge("cluster.nodes_down"),
 
 		nodes: make(map[string]*node, r.Len()),
 	}
 	cl.rot.fill()
-	if opts.hotQPS > 0 {
-		cl.hot = obs.NewRateTracker(0, 0)
-	}
 	for _, m := range r.Members() {
 		cl.nodes[m.Name] = &node{cl: cl, member: m}
 	}
@@ -202,23 +174,10 @@ func (cl *Cluster) Close() error {
 // candidates returns the nodes to try for a bag, in order: the ring's
 // replica set with healthy nodes first (preserving ring order for
 // cache affinity), benched nodes demoted to the back as recovery
-// probes. A hot bag's set is widened by hotWiden and its healthy
-// prefix rotated round-robin, trading affinity for spread exactly
-// where affinity has already paid for itself (a hot bag is warm on
-// every replica). demote, when non-nil, counts as benched whether or
-// not its penalty has run out.
-func (cl *Cluster) candidates(name string, query bool, demote *node) []*node {
-	r := cl.opts.Replication
-	hot := false
-	if query && cl.hot != nil {
-		cl.hot.Note(name)
-		if cl.hot.Rate(name) >= cl.opts.hotQPS {
-			hot = true
-			r += cl.opts.hotWiden
-			cl.widenC.Inc()
-		}
-	}
-	members := cl.ring.ReplicasFor(name, r)
+// probes. demote, when non-nil, counts as benched whether or not its
+// penalty has run out.
+func (cl *Cluster) candidates(name string, demote *node) []*node {
+	members := cl.ring.ReplicasFor(name, cl.opts.Replication)
 	now := time.Now()
 	avail := make([]*node, 0, len(members))
 	var benched []*node
@@ -229,16 +188,6 @@ func (cl *Cluster) candidates(name string, query bool, demote *node) []*node {
 		} else {
 			avail = append(avail, n)
 		}
-	}
-	if hot && len(avail) > 1 {
-		off := int(cl.rr.Add(1)) % len(avail)
-		if off < 0 {
-			off += len(avail)
-		}
-		rotated := make([]*node, 0, len(avail))
-		rotated = append(rotated, avail[off:]...)
-		rotated = append(rotated, avail[:off]...)
-		avail = rotated
 	}
 	return append(avail, benched...)
 }
@@ -402,14 +351,14 @@ func (n *node) withConn(fn func(*Client) (kept bool, err error)) error {
 // unreachable — fail fast with ErrClusterUnavailable instead of
 // burning the backoff schedule against dead sockets. Node health and
 // the cluster.* retry counters are decided here and nowhere else.
-func (cl *Cluster) rotate(name string, query bool, demote *node, try func(*node) error) error {
+func (cl *Cluster) rotate(name string, demote *node, try func(*node) error) error {
 	var lastErr error
 	for attempt := 1; attempt <= cl.rot.Attempts; attempt++ {
 		if attempt > 1 {
 			time.Sleep(cl.rot.backoff(attempt - 1))
 		}
 		sawBusy := false
-		for i, n := range cl.candidates(name, query, demote) {
+		for i, n := range cl.candidates(name, demote) {
 			if i > 0 {
 				cl.failoverC.Inc()
 			}
@@ -445,7 +394,7 @@ func (cl *Cluster) rotate(name string, query bool, demote *node, try func(*node)
 // replica the rotation reaches.
 func (cl *Cluster) do(name string, fn func(*Client) error) error {
 	cl.routeC.Inc()
-	return cl.rotate(name, false, nil, func(n *node) error {
+	return cl.rotate(name, nil, func(n *node) error {
 		return n.withConn(func(c *Client) (bool, error) { return false, fn(c) })
 	})
 }

@@ -139,9 +139,6 @@ func testFleet(t *testing.T, total int, opts ClusterOptions) (*Cluster, map[stri
 		opts.Backoff = time.Millisecond
 		opts.BackoffMax = 4 * time.Millisecond
 	}
-	if opts.hotQPS == 0 {
-		opts.hotQPS = -1 // widening off unless the test turns it on
-	}
 	cl, err := NewCluster(members, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -415,60 +412,6 @@ func TestClusterResumeDivergenceDetected(t *testing.T) {
 	}
 	if n != 13 {
 		t.Errorf("delivered %d messages before detecting divergence, want 13", n)
-	}
-}
-
-// TestClusterHotWidening: a bag hammered past hotQPS gets its replica
-// set widened and its traffic spread round-robin across it, so skewed
-// workloads stop bottlenecking on one daemon.
-func TestClusterHotWidening(t *testing.T) {
-	reg := obs.NewRegistry()
-	cl, fakes := testFleet(t, 2, ClusterOptions{
-		Replication: 1,
-		hotQPS:      1.0, // hot after ~10 queries inside the 10s window
-		hotWiden:    2,
-		Obs:         reg,
-	})
-	const bag = "swarmbag"
-	for i := 0; i < 60; i++ {
-		drain(t, mustQuery(t, cl, bag))
-	}
-	if n := reg.Counter("cluster.hot_widen").Load(); n == 0 {
-		t.Fatal("hot bag never triggered widening")
-	}
-	served := 0
-	for name, f := range fakes {
-		if f.queries.Load() > 0 {
-			served++
-		} else {
-			t.Logf("node %s served nothing", name)
-		}
-	}
-	if served < 3 {
-		t.Errorf("hot bag's traffic reached %d nodes, want 3 (R=1 widened by 2)", served)
-	}
-	// Cold bags keep strict primary affinity throughout.
-	var cold string
-	for _, cand := range []string{"a", "b", "c", "d", "e"} {
-		if cl.Ring().Owner(cand).Name != cl.Ring().Owner(bag).Name {
-			cold = cand
-			break
-		}
-	}
-	before := map[string]int32{}
-	for name, f := range fakes {
-		before[name] = f.queries.Load()
-	}
-	drain(t, mustQuery(t, cl, cold))
-	owner := cl.Ring().Owner(cold).Name
-	for name, f := range fakes {
-		want := before[name]
-		if name == owner {
-			want++
-		}
-		if f.queries.Load() != want {
-			t.Errorf("cold bag: node %s saw %d queries, want %d", name, f.queries.Load(), want)
-		}
 	}
 }
 

@@ -90,7 +90,7 @@ func hashFold(h, v uint64) uint64 {
 // demote is the node a failover just abandoned, so the resume lands
 // elsewhere first.
 func (cs *ClusterStream) start(demote *node) error {
-	return cs.cl.rotate(cs.name, true, demote, func(n *node) error {
+	return cs.cl.rotate(cs.name, demote, func(n *node) error {
 		var c *Client
 		var st *Stream
 		err := n.withConn(func(conn *Client) (kept bool, err error) {

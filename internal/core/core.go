@@ -154,11 +154,16 @@ func (b *BORA) bagDir(name string) (string, error) {
 	return filepath.Join(b.root, name), nil
 }
 
-// Remove deletes a logical bag — a classic container or a live bag.
+// Remove deletes a logical bag — a classic container or a live bag. A
+// bag a recorder in this process still holds is refused: deleting it
+// would lose every later write silently.
 func (b *BORA) Remove(name string) error {
 	dir, err := b.bagDir(name)
 	if err != nil {
 		return err
+	}
+	if b.LiveRecorder(name) != nil {
+		return fmt.Errorf("bora: bag %q is still recording in this process", name)
 	}
 	if _, err := os.Stat(filepath.Join(dir, container.MetaFileName)); err != nil {
 		if _, lerr := os.Stat(filepath.Join(dir, LiveMetaFileName)); lerr != nil {

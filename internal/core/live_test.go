@@ -502,6 +502,48 @@ func TestLiveBagListAndRemove(t *testing.T) {
 	}
 }
 
+// TestRemoveRefusesRecordingBag: Remove refuses a bag a recorder in this
+// process still holds — deleting it would swallow every later write and
+// leave the name registered — and removes it once the recorder closes.
+func TestRemoveRefusesRecordingBag(t *testing.T) {
+	b := newBORA(t)
+	rec, err := b.CreateLiveBag("live", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := int64(3e18)
+	liveWrite(t, rec, "/imu", bagio.TimeFromNanos(base), 0)
+	if err := b.Remove("live"); err == nil {
+		t.Fatal("Remove of a bag still recording in this process succeeded")
+	}
+	dir := filepath.Join(b.Root(), "live")
+	if _, err := os.Stat(filepath.Join(dir, LiveMetaFileName)); err != nil {
+		t.Fatalf("refused Remove touched the bag: %v", err)
+	}
+	liveWrite(t, rec, "/imu", bagio.TimeFromNanos(base+1e6), 1)
+	if _, err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bag, err := b.Open("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := collect(t, func(fn func(MessageRef) error) error { return bag.Query(QuerySpec{}, fn) })
+	want := []queryRec{
+		{"/imu", bagio.TimeFromNanos(base), "/imu#000000"},
+		{"/imu", bagio.TimeFromNanos(base + 1e6), "/imu#000001"},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("sealed bag holds %v, want %v", got, want)
+	}
+	if err := b.Remove("live"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("bag directory survives Remove after Close: %v", err)
+	}
+}
+
 // TestLiveJournalBounded pins the Follow journal's memory: a live
 // recording journals only while a follower is subscribed, and keeps
 // only what the slowest follower has not drained yet — without losing

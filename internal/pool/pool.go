@@ -34,11 +34,6 @@ type Options struct {
 	// BlockCacheBytes bounds the block cache's payload bytes; zero
 	// selects DefaultBlockCacheBytes.
 	BlockCacheBytes int64
-	// HotQPS is the per-bag query rate (NoteQuery) at which a bag reads as
-	// hot: HotBags reports it, and its handle is skipped when the pool
-	// looks for an LRU victim (unless every other entry is hot too). Zero
-	// selects DefaultHotQPS.
-	HotQPS float64
 
 	// maxBags (resident open handles) and blockSize (the cache's fixed
 	// block width) are DefaultMaxBags and DefaultBlockSize unless this
@@ -49,19 +44,12 @@ type Options struct {
 	blockSize int64
 }
 
-// DefaultHotQPS is the per-bag QPS past which a bag reads as hot.
-// Deliberately lower than the cluster client's widening threshold: the
-// daemon flags warming traffic before clients must react to it.
-const DefaultHotQPS = 8.0
-
 // Pool serves shared open handles for one BORA back end. All methods
 // are safe for concurrent use.
 type Pool struct {
 	b       *core.BORA
 	maxBags int
 	blocks  *BlockLRU
-	hot     *obs.RateTracker // the daemon's one hot signal: NoteQuery feeds it
-	hotQPS  float64
 
 	acquireOp     *obs.Op
 	hits          *obs.Counter // pool.handle_hits
@@ -104,16 +92,11 @@ func New(b *core.BORA, opts Options) *Pool {
 	if opts.BlockCacheBytes <= 0 {
 		opts.BlockCacheBytes = DefaultBlockCacheBytes
 	}
-	if opts.HotQPS <= 0 {
-		opts.HotQPS = DefaultHotQPS
-	}
 	reg := b.Obs()
 	p := &Pool{
 		b:             b,
 		maxBags:       opts.maxBags,
 		blocks:        NewBlockLRU(opts.BlockCacheBytes, opts.blockSize, reg),
-		hot:           obs.NewRateTracker(0, 0),
-		hotQPS:        opts.HotQPS,
 		acquireOp:     reg.Op("pool.acquire"),
 		hits:          reg.Counter("pool.handle_hits"),
 		misses:        reg.Counter("pool.handle_misses"),
@@ -124,21 +107,6 @@ func New(b *core.BORA, opts Options) *Pool {
 		lru:           list.New(),
 	}
 	return p
-}
-
-// NoteQuery records one query against the named bag in the pool's rate
-// tracker — the one signal behind HotBags and hot-handle eviction
-// protection.
-func (p *Pool) NoteQuery(name string) { p.hot.Note(name) }
-
-// HotBags returns the bags whose query rate is at least the pool's hot
-// threshold, hottest first.
-func (p *Pool) HotBags() []string {
-	var names []string
-	for _, h := range p.hot.Above(p.hotQPS) {
-		names = append(names, h.Key)
-	}
-	return names
 }
 
 // Acquire returns an open handle for the named bag, sharing one handle
@@ -243,18 +211,7 @@ func (p *Pool) entryFor(name string) *entry {
 	e.elem = p.lru.PushFront(e)
 	p.bags[name] = e
 	for len(p.bags) > p.maxBags {
-		// Walk coldward-first past hot entries: a bag being hammered right
-		// now must not lose its shared handle to one cold open of something
-		// else. The front element (the entry just acquired) is never a
-		// victim; if every other entry is hot the plain LRU back goes anyway
-		// — protection bends the policy, it cannot wedge it.
 		victim := p.lru.Back()
-		for el := p.lru.Back(); el != nil && el != p.lru.Front(); el = el.Prev() {
-			if p.hot.Rate(el.Value.(*entry).name) < p.hotQPS {
-				victim = el
-				break
-			}
-		}
 		ev := victim.Value.(*entry)
 		p.lru.Remove(victim)
 		delete(p.bags, ev.name)

@@ -61,8 +61,8 @@ var ErrServerClosed = errors.New("server: closed")
 
 // Options configure a Server.
 type Options struct {
-	// Pool serves every bag open and owns the hot-bag signal; it must
-	// wrap the server's backend. Nil builds pool.New(b, pool.Options{}).
+	// Pool serves every bag open; it must wrap the server's backend.
+	// Nil builds pool.New(b, pool.Options{}).
 	Pool *pool.Pool
 	// MaxQueries bounds concurrent query streams across all
 	// connections; zero selects DefaultMaxQueries.
@@ -82,7 +82,7 @@ type Options struct {
 // stop with Shutdown (graceful) or Close (immediate).
 type Server struct {
 	b     *core.BORA
-	pl    *pool.Pool    // every open, and the hot-bag signal
+	pl    *pool.Pool    // every open
 	sem   chan struct{} // global query admission tokens
 	qlog  *obs.QueryLog // per-query records; nil = disabled
 	pprof bool          // mount /debug/pprof/ on the sidecar
@@ -94,7 +94,6 @@ type Server struct {
 	canceledC *obs.Counter // server.query.canceled
 	connsG    *obs.Gauge   // server.conns_active
 	queriesG  *obs.Gauge   // server.queries_active
-	hotG      *obs.Gauge   // server.hot_bags: bags above the hot threshold
 
 	served   atomic.Int64
 	draining atomic.Bool
@@ -132,7 +131,6 @@ func New(b *core.BORA, opts Options) *Server {
 		sem:       make(chan struct{}, opts.MaxQueries),
 		qlog:      opts.QueryLog,
 		pprof:     opts.Pprof,
-		hotG:      reg.Gauge("server.hot_bags"),
 		queryOp:   reg.Op("server.query"),
 		reqOp:     reg.Op("server.request"),
 		accepted:  reg.Counter("server.conns_accepted"),
@@ -281,11 +279,6 @@ func (s *Server) checkDrained() {
 // Stats returns a point-in-time summary of the server's serving state.
 func (s *Server) Stats() wire.ServerStats {
 	ps := s.pl.Stats()
-	hot := s.pl.HotBags()
-	if len(hot) > maxHotBagsReported {
-		hot = hot[:maxHotBagsReported]
-	}
-	s.hotG.Set(int64(len(hot)))
 	return wire.ServerStats{
 		ConnsAccepted:   s.accepted.Load(),
 		ConnsActive:     s.connsG.Load(),
@@ -297,13 +290,8 @@ func (s *Server) Stats() wire.ServerStats {
 		PoolHits:        ps.HandleHits,
 		PoolMisses:      ps.HandleMisses,
 		PoolResident:    int64(ps.HandlesResident),
-		HotBags:         hot,
 	}
 }
-
-// maxHotBagsReported caps Stats.HotBags: the stat is a skew signal,
-// not an inventory, and STATS answers should stay one small frame.
-const maxHotBagsReported = 16
 
 // readOnly guards a sidecar endpoint: every one of them is a read, so
 // anything but GET/HEAD answers 405 with an Allow header.
@@ -732,10 +720,6 @@ func (c *conn) handleQuery(payload []byte) error {
 	if err != nil {
 		return c.writeErr(err)
 	}
-	// Demand is demand: note the bag before admission so BUSY-rejected
-	// traffic still heats it — a saturated daemon is exactly when the
-	// hot signal matters most.
-	c.s.pl.NoteQuery(req.Name)
 	if c.s.draining.Load() {
 		return c.busy("server draining")
 	}

@@ -231,6 +231,37 @@ func TestStatsWithoutRegistry(t *testing.T) {
 	}
 }
 
+// TestServerServesThroughItsPool: a server given no pool builds one, so
+// with nothing wired by the caller the second QUERY of a bag is a pool
+// handle hit.
+func TestServerServesThroughItsPool(t *testing.T) {
+	b := buildBackend(t, nil, 1, 3)
+	srv, addr := startServer(t, b, Options{})
+	cl, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	query := func() {
+		t.Helper()
+		st, err := cl.Query("robot1", client.QuerySpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for st.Next() {
+		}
+		if err := st.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query()
+	query()
+	if st := srv.Stats(); st.PoolMisses != 1 || st.PoolHits != 1 || st.PoolResident != 1 {
+		t.Fatalf("after two queries: %d pool misses, %d hits, %d resident; want 1, 1, 1",
+			st.PoolMisses, st.PoolHits, st.PoolResident)
+	}
+}
+
 // TestBusyAtAdmissionLimit: with a global limit of 1, a second query is
 // rejected with the typed BUSY while the first stream is parked on flow
 // control, and succeeds once the first drains.

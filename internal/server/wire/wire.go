@@ -601,10 +601,6 @@ type ServerStats struct {
 	PoolHits        int64 `json:"pool_hits,omitempty"`
 	PoolMisses      int64 `json:"pool_misses,omitempty"`
 	PoolResident    int64 `json:"pool_resident,omitempty"`
-	// HotBags lists the bags currently above the server's hot-QPS
-	// threshold, hottest first — the signal cluster operators watch to
-	// see replica widening engage.
-	HotBags []string `json:"hot_bags,omitempty"`
 }
 
 // RecordReq is the RECORD request: open an upload stream creating the
