@@ -219,6 +219,66 @@ func TestAllocBudgetChronoQuery(t *testing.T) {
 		bagio.TimeFromNanos(base+2e9), bagio.TimeFromNanos(base+12e9))
 }
 
+// TestAllocBudgetFollowTail pins the live tail, writer included, under
+// the same per-message budget, in its most batch-heavy steady state:
+// every message is written, then awaited, so each is a batch of its own.
+// A batch's selections and survivor list reuse the slices of the batch
+// before, and the reads land in the cursors' scratch.
+func TestAllocBudgetFollowTail(t *testing.T) {
+	b := newBORA(t)
+	rec, err := b.CreateLiveBag("live", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []uint32
+	for _, topic := range []string{"/imu", "/tf", "/camera/rgb/image_color"} {
+		id, err := rec.AddConnection(topic, "bora_test/Msg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	bag, err := b.Open("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered, done := make(chan struct{}, 1), make(chan error, 1)
+	go func() {
+		done <- bag.Query(QuerySpec{Follow: true}, func(m MessageRef) error {
+			allocSink += len(m.Data)
+			delivered <- struct{}{}
+			return nil
+		})
+	}()
+	const msgs = 1000
+	payload := make([]byte, 256)
+	ns := int64(1e18)
+	tail := func() error {
+		for i := 0; i < msgs; i++ {
+			ns += 1e5
+			if err := rec.WriteMessage(ids[i%len(ids)], bagio.TimeFromNanos(ns), payload); err != nil {
+				return err
+			}
+			select {
+			case <-delivered:
+			case err := <-done:
+				return fmt.Errorf("the Follow query ended early: %v", err)
+			}
+		}
+		return nil
+	}
+	if err := tail(); err != nil { // warm: topics, cursors and buffers sized
+		t.Fatal(err)
+	}
+	checkAllocBudget(t, "Follow tail", msgs, tail)
+	if err := rec.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAllocBudgetAttribution pins the cost of per-query attribution on
 // the core hot path: running the same query with an *obs.ActiveQuery in
 // the context may add at most one allocation per query over the

@@ -7,17 +7,18 @@ import (
 
 // cursor is one topic part being read: the part, the entries the query
 // selected from it, a position in them, and the open data reader. Every
-// ordering policy is a loop over cursors — topic order drains one
-// cursor after another, time order merges many through a heap, and the
-// Follow tail delivers journal entries through one cursor per part it
-// touches.
+// ordering policy is a loop over cursors with lookahead — topic order
+// drains one cursor after another, time order merges many through a
+// heap, and the Follow tail gives each topic's current part a cursor
+// whose selection is the batch's journal entries for it, delivered in
+// journal order.
 type cursor struct {
 	q       *query
 	t       *container.Topic
 	entries []container.IndexEntry // the selection, in delivery order
-	pos     int                    // next entry (time order)
+	pos     int                    // next entry (time order, Follow tail)
 	ord     int                    // position among the merge's cursors: the tie-break
-	merged  bool                   // time order: delivered an entry per call, between other cursors' entries
+	merged  bool                   // time order, Follow tail: delivered an entry per call, between other cursors' entries
 	df      container.DataReader   // opened by the first delivery
 	scratch *msgScratch            // where reads land: the stream's buffer, or (own) one taken at open
 	own     bool                   // scratch came from scratchPool at open and goes back at close
@@ -107,9 +108,8 @@ func (c *cursor) selectEntries(sp obs.Span, phase *int) error {
 // deliver hands the first n of entries to the query's callback, in
 // order, opening the part's data on first use; entries[n:] is what this
 // cursor will be asked for next, and is only looked ahead over. Topic
-// order passes the cursor's whole selection with n = all of it, the
-// merge its remaining selection with n = 1, the Follow tail a lone
-// journal entry.
+// order passes the cursor's whole selection with n = all of it; the
+// merge and the Follow tail pass their remaining selection with n = 1.
 //
 // This is the one place core reads data, and it reads extents, not
 // messages: container.ReadExtentInto covers the leading run of
@@ -117,7 +117,7 @@ func (c *cursor) selectEntries(sp obs.Span, phase *int) error {
 // each message is sliced out of that buffer. An extent outlives the
 // call that read it, so a merge taking one message per call issues no
 // more reads than a topic scan does. A run of one — a strided or sparse
-// selection, a block-cache reader, the tail — is one read per message,
+// selection, a block-cache reader — is one read per message,
 // and no byte outside a selected message is ever read. The reads are
 // borrowed: data lives in the cursor's scratch beside its neighbours in
 // the extent (or in the block cache) and is valid only until the

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bagio"
 	"repro/internal/container"
@@ -23,18 +24,24 @@ func recordTopic(t *testing.T, b *BORA, name string, n int, size func(i int) int
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := int64(1_700_000_000) * 1e9
-	for i := 0; i < n; i++ {
-		payload := bytes.Repeat([]byte{byte(i), byte(i >> 8), byte(i >> 16)}, size(i)/3+1)[:size(i)]
-		if err := rec.WriteRaw("/t", "bora_test/Msg", bagio.TimeFromNanos(base+int64(i)*1e6), payload); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeTopic(t, rec, 0, n, size)
 	bag, err := rec.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return bag
+}
+
+// writeTopic writes messages lo..hi-1 of recordTopic's sequence to rec.
+func writeTopic(t *testing.T, rec *Recorder, lo, hi int, size func(i int) int) {
+	t.Helper()
+	base := int64(1_700_000_000) * 1e9
+	for i := lo; i < hi; i++ {
+		payload := bytes.Repeat([]byte{byte(i), byte(i >> 8), byte(i >> 16)}, size(i)/3+1)[:size(i)]
+		if err := rec.WriteRaw("/t", "bora_test/Msg", bagio.TimeFromNanos(base+int64(i)*1e6), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // everyPolicy is one spec per ordering policy (pooled being topic order
@@ -51,56 +58,109 @@ var everyPolicy = []struct {
 
 // TestDataReadsCountsExtents is the claim as a counter: over a plain
 // file a full-axis scan of 10 000 × 345 B messages issues at most 1 % as
-// many reads as it delivers messages — in every ordering policy — while
+// many reads as it delivers messages — in every ordering policy, and in
+// a live Follow tail whose journal batches hold the messages — while
 // a Stride 10 scan, whose survivors are never adjacent, issues exactly
 // one per message and reads exactly the bytes it delivers. Behind a
 // block cache the cursor reads a message at a time, and the counter
 // says so. The same number reaches the query's attribution.
 func TestDataReadsCountsExtents(t *testing.T) {
 	const msgs, size = 10_000, 345
-	bag := recordTopic(t, newBORA(t), "bag", msgs, func(int) int { return size })
-	run := func(spec QuerySpec) (st Stats, n int, bytes int64, aq *obs.ActiveQuery) {
-		t.Helper()
+	sizeOf := func(int) int { return size }
+	b := newBORA(t)
+	bag := recordTopic(t, b, "bag", msgs, sizeOf)
+	type result struct {
+		st    Stats
+		n     int
+		bytes int64
+		aq    *obs.ActiveQuery
+		err   error
+	}
+	// run queries bag with spec; first, when non-nil, runs before the
+	// first message is counted.
+	run := func(bag *Bag, spec QuerySpec, first func()) (r result) {
 		before := bag.Stats()
-		aq = &obs.ActiveQuery{}
+		r.aq = &obs.ActiveQuery{}
 		var mu sync.Mutex
-		err := bag.QueryContext(obs.ContextWithQuery(context.Background(), aq), spec, func(m MessageRef) error {
+		r.err = bag.QueryContext(obs.ContextWithQuery(context.Background(), r.aq), spec, func(m MessageRef) error {
 			mu.Lock()
-			n, bytes = n+1, bytes+int64(len(m.Data))
-			mu.Unlock()
+			defer mu.Unlock()
+			if r.n == 0 && first != nil {
+				first()
+			}
+			r.n, r.bytes = r.n+1, r.bytes+int64(len(m.Data))
 			return nil
 		})
+		after := bag.Stats()
+		r.st = Stats{DataReads: after.DataReads - before.DataReads, BytesRead: after.BytesRead - before.BytesRead}
+		return r
+	}
+	sealed := func(spec QuerySpec) result { return run(bag, spec, nil) }
+	// tail follows a live recording of the same messages: the first is
+	// the Follow snapshot's, and the callback holds it while the rest are
+	// written, so the tail drains them as journal batches.
+	tail := func(spec QuerySpec) result {
+		name := fmt.Sprintf("live-stride-%d", spec.Stride)
+		rec, err := b.CreateLiveBag(name, time.Hour)
 		if err != nil {
 			t.Fatal(err)
 		}
-		after := bag.Stats()
-		return Stats{DataReads: after.DataReads - before.DataReads, BytesRead: after.BytesRead - before.BytesRead}, n, bytes, aq
+		writeTopic(t, rec, 0, 1, sizeOf)
+		live, err := b.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		started, release, done := make(chan struct{}), make(chan struct{}), make(chan result, 1)
+		go func() { done <- run(live, spec, func() { close(started); <-release }) }()
+		select {
+		case <-started:
+		case r := <-done:
+			t.Fatalf("the Follow query ended before its first message: %v", r.err)
+		}
+		writeTopic(t, rec, 1, msgs, sizeOf)
+		close(release)
+		if err := rec.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		return <-done
+	}
+	check := func(name string, spec QuerySpec, run func(QuerySpec) result) {
+		r := run(spec)
+		if r.err != nil {
+			t.Fatalf("%s: %v", name, r.err)
+		}
+		if r.n != msgs || r.bytes != msgs*size || r.st.BytesRead != r.bytes {
+			t.Errorf("%s: delivered %d messages, %d bytes; BytesRead %d", name, r.n, r.bytes, r.st.BytesRead)
+		}
+		if r.st.DataReads == 0 || r.st.DataReads*100 > msgs {
+			t.Errorf("%s: %d data reads for %d messages, want at most 1 %%", name, r.st.DataReads, msgs)
+		}
+		if got := r.aq.DataReads.Load(); got != int64(r.st.DataReads) {
+			t.Errorf("%s: query attribution saw %d data reads, Stats %d", name, got, r.st.DataReads)
+		}
+
+		spec.Stride = 10
+		if r = run(spec); r.err != nil {
+			t.Fatalf("%s stride 10: %v", name, r.err)
+		}
+		if r.n != msgs/10 || r.st.DataReads != r.n {
+			t.Errorf("%s stride 10: %d data reads for %d messages, want one each", name, r.st.DataReads, r.n)
+		}
+		if r.st.BytesRead != r.bytes {
+			t.Errorf("%s stride 10: read %d bytes to deliver %d", name, r.st.BytesRead, r.bytes)
+		}
+		if got := r.aq.DataReads.Load(); got != int64(r.st.DataReads) {
+			t.Errorf("%s stride 10: query attribution saw %d data reads, Stats %d", name, got, r.st.DataReads)
+		}
 	}
 	for _, c := range everyPolicy {
-		st, n, bytes, aq := run(c.spec)
-		if n != msgs || bytes != msgs*size || st.BytesRead != bytes {
-			t.Errorf("%s: delivered %d messages, %d bytes; BytesRead %d", c.name, n, bytes, st.BytesRead)
-		}
-		if st.DataReads == 0 || st.DataReads*100 > msgs {
-			t.Errorf("%s: %d data reads for %d messages, want at most 1 %%", c.name, st.DataReads, msgs)
-		}
-		if got := aq.DataReads.Load(); got != int64(st.DataReads) {
-			t.Errorf("%s: query attribution saw %d data reads, Stats %d", c.name, got, st.DataReads)
-		}
-
-		c.spec.Stride = 10
-		st, n, bytes, _ = run(c.spec)
-		if n != msgs/10 || st.DataReads != n {
-			t.Errorf("%s stride 10: %d data reads for %d messages, want one each", c.name, st.DataReads, n)
-		}
-		if st.BytesRead != bytes {
-			t.Errorf("%s stride 10: read %d bytes to deliver %d", c.name, st.BytesRead, bytes)
-		}
+		check(c.name, c.spec, sealed)
 	}
+	check("follow (live tail)", QuerySpec{Follow: true}, tail)
 
 	bag.SetBlockCache(newTestBlockCache(1 << 20))
-	if st, n, _, _ := run(QuerySpec{}); st.DataReads != n {
-		t.Errorf("block cache: %d data reads for %d messages, want one each", st.DataReads, n)
+	if r := sealed(QuerySpec{}); r.err != nil || r.st.DataReads != r.n {
+		t.Errorf("block cache: %d data reads for %d messages (err %v), want one each", r.st.DataReads, r.n, r.err)
 	}
 }
 

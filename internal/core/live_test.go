@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,24 +105,42 @@ func TestLiveBagRotationAndReopen(t *testing.T) {
 }
 
 // TestFollowMidRecordingEquivalence is the acceptance pin: a Follow
-// query started mid-recording delivers every message — the sealed
-// prefix plus every post-subscription write, no duplicates, no gaps —
-// and per topic the byte stream is identical to a post-hoc query of the
-// completed bag.
+// query started a third of the way into a recording delivers, per topic
+// and byte for byte, what a post-hoc OrderTime query with the same spec
+// delivers of the completed bag — unfiltered (every message: the sealed
+// prefix plus every post-subscription write, no duplicates, no gaps),
+// strided (the stride phase the snapshot hands the tail, which plans per
+// batch) and windowed across a rotation and the snapshot cut.
 func TestFollowMidRecordingEquivalence(t *testing.T) {
+	base := int64(3_000_000_000) * 1e9
+	at := func(i int) bagio.Time { return bagio.TimeFromNanos(base + int64(i)*1e7) }
+	const total = 400 // 10 ms apart: a 500 ms segment holds 50, the cut falls at 133
+	for _, c := range []struct {
+		name string
+		spec QuerySpec
+		n    int // messages delivered
+	}{
+		{"all", QuerySpec{}, total},
+		{"stride 3", QuerySpec{Stride: 3}, 135}, // 45 of each topic's 134, 133 and 133
+		{"window", QuerySpec{Start: at(110), End: at(260)}, 151},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			checkFollowMidRecording(t, c.spec, total, c.n, at)
+		})
+	}
+}
+
+func checkFollowMidRecording(t *testing.T, spec QuerySpec, total, n int, at func(int) bagio.Time) {
 	b := newBORA(t)
 	rec, err := b.CreateLiveBag("live", 500*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := int64(3_000_000_000) * 1e9
-	const total = 400
 	topics := []string{"/imu", "/tf", "/camera"}
 
 	// Prefix: a third of the messages exist before the follower starts.
 	write := func(i int) {
-		ts := bagio.TimeFromNanos(base + int64(i)*1e7)
-		liveWrite(t, rec, topics[i%len(topics)], ts, i)
+		liveWrite(t, rec, topics[i%len(topics)], at(i), i)
 	}
 	for i := 0; i < total/3; i++ {
 		write(i)
@@ -144,9 +163,11 @@ func TestFollowMidRecordingEquivalence(t *testing.T) {
 		started = make(chan struct{})
 		done    = make(chan error, 1)
 	)
+	follow := spec
+	follow.Follow = true
 	go func() {
 		first := true
-		done <- bag.Query(QuerySpec{Follow: true}, func(m MessageRef) error {
+		done <- bag.Query(follow, func(m MessageRef) error {
 			if first {
 				first = false
 				close(started)
@@ -155,7 +176,11 @@ func TestFollowMidRecordingEquivalence(t *testing.T) {
 			return nil
 		})
 	}()
-	<-started
+	select {
+	case <-started:
+	case err := <-done:
+		t.Fatalf("follow ended before its first message: %v", err)
+	}
 	// Tail: the remaining messages land while the follower is draining.
 	for i := total / 3; i < total; i++ {
 		write(i)
@@ -166,9 +191,6 @@ func TestFollowMidRecordingEquivalence(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != total {
-		t.Fatalf("follow delivered %d messages, want %d", len(got), total)
-	}
 
 	// Post-hoc: reopen the completed bag and compare per-topic streams
 	// byte for byte.
@@ -177,15 +199,17 @@ func TestFollowMidRecordingEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []rcv
-	err = sealed.Query(QuerySpec{Order: OrderTime}, func(m MessageRef) error {
+	posthoc := spec
+	posthoc.Order = OrderTime
+	err = sealed.Query(posthoc, func(m MessageRef) error {
 		want = append(want, rcv{m.Conn.Topic, m.Time, append([]byte(nil), m.Data...)})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != total {
-		t.Fatalf("post-hoc query delivered %d messages, want %d", len(want), total)
+	if len(got) != n || len(want) != n {
+		t.Fatalf("follow delivered %d messages, post-hoc query %d, want %d", len(got), len(want), n)
 	}
 	perTopic := func(rs []rcv) map[string][][]byte {
 		m := map[string][][]byte{}
@@ -762,5 +786,91 @@ func TestFollowFlushFailureSurfaces(t *testing.T) {
 	}
 	if err := rec.Seal(); !errors.Is(err, faultfs.ErrInjected) {
 		t.Errorf("Seal = %v, want the injected data-write failure", err)
+	}
+}
+
+// TestFollowTailReleasesRotatedParts: rotation only moves forward, so a
+// Follow closes the part a topic left once it has delivered from it.
+// Across hundreds of rotations the follower holds open at most one part
+// per topic, not one per segment — a tail that kept every part it
+// touched open would hold 600 descriptors here, and a daemon tailing a
+// recording for a day would run out of them.
+func TestFollowTailReleasesRotatedParts(t *testing.T) {
+	openFiles := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open descriptors: %v", err)
+		}
+		return len(fds)
+	}
+	b := newBORA(t)
+	rec, err := b.CreateLiveBag("live", 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := int64(3_000_000_000) * 1e9
+	topics := []string{"/imu", "/tf", "/camera"}
+	n := 0
+	var written, delivered atomic.Int64 // written is set before the writes it counts
+	write := func(steps int) {
+		written.Add(int64(steps * len(topics)))
+		for ; steps > 0; steps-- { // one step per 10 ms segment, every topic in each
+			for _, topic := range topics {
+				liveWrite(t, rec, topic, bagio.TimeFromNanos(base+int64(n/len(topics))*1e7), n)
+				n++
+			}
+		}
+	}
+	write(2)
+	bag, err := b.Open("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked, done := make(chan struct{}, 1), make(chan error, 1)
+	idle := func() error {
+		if delivered.Load() == written.Load() {
+			select {
+			case parked <- struct{}{}:
+			default:
+			}
+		}
+		return nil
+	}
+	await := func() {
+		t.Helper()
+		select {
+		case <-parked:
+		case err := <-done:
+			t.Fatalf("Follow returned %v before it parked", err)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the follower delivered %d of %d messages", delivered.Load(), written.Load())
+		}
+	}
+	before := openFiles()
+	go func() {
+		done <- bag.Query(QuerySpec{Follow: true, Idle: idle}, func(MessageRef) error {
+			delivered.Add(1)
+			return nil
+		})
+	}()
+	await()
+	const rotations = 200
+	for i := 0; i < rotations; i += 10 {
+		write(10)
+		await()
+	}
+	held := openFiles() - before
+	t.Logf("after %d rotations: %d segments, %d more descriptors", rotations, rec.Segments(), held)
+	if held > len(topics)+2 {
+		t.Errorf("after %d rotations the follower holds %d more descriptors, want at most %d (one part per topic)", rotations, held, len(topics)+2)
+	}
+	if err := rec.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if int(delivered.Load()) != n {
+		t.Errorf("follow delivered %d messages, want %d", delivered.Load(), n)
 	}
 }

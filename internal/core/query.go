@@ -393,8 +393,9 @@ func (q *query) readTime(parent obs.Span) (err error) {
 //
 // Phase 2 (tail): drain the recorder's journal from the cut position,
 // in write order, reading each payload back through the same
-// cursor.deliver as every other policy (tailBatch flushes the writers'
-// append buffers first, so the bytes are in the data file). Between
+// cursor.deliver as every other policy — one extent per topic part per
+// batch (tailBatch flushes the writers' append buffers first, so the
+// bytes are in the data file, each part's batch adjacent). Between
 // writes the query blocks on the subscription's notify channel; it
 // wakes for new messages, for the recording sealing (clean return), or
 // for context cancellation; QuerySpec.Idle runs before each block.
@@ -426,34 +427,52 @@ func (q *query) follow(ctx context.Context, parent obs.Span) (err error) {
 	if err := q.readTime(sp); err != nil {
 		return err
 	}
-	// One cursor per topic part the tail touches — parts appear as
-	// segments rotate — and one scratch for the whole tail: delivery is
-	// strictly one message at a time.
-	cursors := map[*container.Topic]*cursor{}
+	// The tail delivers each batch with the merge's call shape: the
+	// batch's survivors are appended to their cursors' selections, then
+	// delivered one per call in journal order, so deliver looks ahead
+	// over a message's physical neighbours and each cursor reads one
+	// extent per batch. Cursors interleave as in the merge, so each takes
+	// a scratch of its own; the shared one serves block-cache readers.
+	//
+	// One cursor per topic, keyed by name: rotation only moves forward,
+	// so when a topic's entries land in a newer part its previous cursor
+	// is finished, and it closes at the end of the batch that last
+	// delivered from it. Open parts are bounded by topics, not segments.
+	cursors := map[string]*cursor{}
+	var finished []*cursor
 	defer func() {
 		for _, c := range cursors {
+			c.close()
+		}
+		for _, c := range finished {
 			c.close()
 		}
 	}()
 	scratch := scratchPool.Get().(*msgScratch)
 	defer scratchPool.Put(scratch)
-	var batch []tailRef
+	var (
+		batch []tailRef
+		order []*cursor // the batch's survivors' cursors, in journal order
+	)
 	for {
 		refs, sealed, err := rec.tailBatch(f, batch)
 		if err != nil {
 			return err
 		}
-		batch = refs[:0]
+		batch, order = refs[:0], order[:0]
 		for _, ref := range refs {
 			topic := ref.t.Name()
 			phase, wanted := q.phases[topic]
 			if !wanted && len(q.Topics) > 0 {
 				continue
 			}
-			c := cursors[ref.t]
-			if c == nil {
-				c = &cursor{q: q, t: ref.t, scratch: scratch}
-				cursors[ref.t] = c
+			c := cursors[topic]
+			if c == nil || c.t != ref.t {
+				if c != nil {
+					finished = append(finished, c)
+				}
+				c = &cursor{q: q, t: ref.t, scratch: scratch, merged: true}
+				cursors[topic] = c
 			}
 			c.d.EntriesScanned++
 			if ref.e.Time.Before(q.Start) || q.End.Before(ref.e.Time) {
@@ -464,10 +483,21 @@ func (q *query) follow(ctx context.Context, parent obs.Span) (err error) {
 					continue
 				}
 			}
-			if err := c.deliver([]container.IndexEntry{ref.e}, 1); err != nil {
+			c.entries = append(c.entries, ref.e)
+			order = append(order, c)
+		}
+		for _, c := range order {
+			if err := c.deliver(c.entries[c.pos:], 1); err != nil {
 				return err
 			}
+			if c.pos++; c.pos == len(c.entries) {
+				c.entries, c.pos = c.entries[:0], 0 // drained: the next batch reuses it
+			}
 		}
+		for _, c := range finished {
+			c.close()
+		}
+		finished = finished[:0]
 		if sealed {
 			return nil // batch reached the journal's final entry
 		}
