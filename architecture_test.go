@@ -466,6 +466,29 @@ var archRules = []archRule{
 		seeds: []seedFile{{"internal/core/zz_seed.go", `package core; func zz(t interface{ ReadMessageInto() }) { t.ReadMessageInto() }`}},
 	},
 	{
+		name: "names/core-does-not-branch-on-reader",
+		why:  "how a part is read is decided in container alone: core hands whatever OpenDataQ returns to ReadExtentInto and never asks which reader it holds",
+		check: none([]string{"internal/core"}, func(f *srcFile, n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.TypeAssertExpr:
+				return x.Type != nil && namesPkg(f, x.Type, "internal/container")
+			case *ast.CaseClause:
+				for _, e := range x.List {
+					if namesPkg(f, e, "internal/container") {
+						return true
+					}
+				}
+			case *ast.Ident:
+				return x.Name == "ZeroCopyReader" || x.Name == "zeroCopyReader"
+			}
+			return false
+		}, "core asks which container reader it holds"),
+		seeds: []seedFile{
+			{"internal/core/zz_seed.go", `package core; import "repro/internal/container"; func zz(r container.DataReader) bool { _, ok := r.(container.ZeroCopyReader); return ok }`},
+			{"internal/core/zz_seed.go", `package core; import c "repro/internal/container"; func zz(r c.DataReader) { switch r.(type) { case *c.Topic: } }`},
+		},
+	},
+	{
 		name: "sites/one-rotation-loop-in-client",
 		why:  "the cluster client has one rotation loop",
 		check: count([]string{"internal/client"}, 1, "", "rotation-budget read(s) (.rot.Attempts) in client", func(_ *srcFile, n ast.Node) bool {
@@ -703,6 +726,19 @@ func assigns(lhs, rhs string) func(*srcFile, ast.Node) bool {
 		}
 		return false
 	}
+}
+
+// namesPkg reports whether e mentions a name of pkg (container.X,
+// *container.X, []container.X, ...).
+func namesPkg(f *srcFile, e ast.Expr, pkg string) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if p, _, ok := f.qualified(n); ok && p == pkg {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 func isNil(e ast.Expr) bool {

@@ -209,8 +209,8 @@ func (bld *Builder) materialize(d Derivation, addr, outRoot string, r *Result) (
 		}
 	}
 
-	// A cold open: Rebag's topic scans then read whole extents rather
-	// than a pooled handle's block cache one message at a time.
+	// A handle of the build's own: a builder is a one-shot process with
+	// no pool to share one through (DESIGN §5).
 	src, err := bld.b.Open(d.From)
 	if err != nil {
 		return fmt.Errorf("open source %s: %w", d.From, err)

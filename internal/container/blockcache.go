@@ -31,28 +31,13 @@ type BlockCache interface {
 	Put(key BlockKey, data []byte)
 }
 
-// ZeroCopyReader is optionally implemented by DataReaders that can
-// serve a read as a direct slice of an internal buffer instead of
-// copying into the caller's. ReadSlice returns the bytes of
-// [off, off+n) and true when the whole span lies in one internal
-// buffer, or (nil, false) to make the caller fall back to ReadAt.
-//
-// The returned slice is READ-ONLY: with the block cache behind it, the
-// same bytes are shared by every concurrent reader of the topic. It
-// remains valid as long as the caller references it (cache eviction
-// only drops the cache's own reference), but hot paths should treat it
-// as valid only until their next read, matching core.MessageRef's
-// callback-scoped contract.
-type ZeroCopyReader interface {
-	ReadSlice(off int64, n int) ([]byte, bool)
-}
-
 // cachedReader adapts a topic DataReader to serve through a BlockCache:
-// ReadAt decomposes the request into fixed-size blocks, copies hits out
-// of the cache and fills misses from the underlying reader (recording
-// each fill under container.block_fill). The final block of a file is
-// short; it is cached at its true length, which is safe because sealed
-// containers never grow.
+// run hands out a run of messages inside one block as a slice of it,
+// and ReadAt, the fallback for what straddles blocks, copies hits out
+// of the cache block by block. Misses fill from the underlying reader
+// (each fill recorded under container.block_fill). The final block of a
+// file is short; it is cached at its true length, which is safe because
+// sealed containers never grow.
 type cachedReader struct {
 	inner  dataFile
 	cache  BlockCache
@@ -88,25 +73,33 @@ func (r *cachedReader) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// ReadSlice serves a read that fits inside one cache block as a direct
-// slice of the cached buffer — the zero-copy path of cache-hit message
-// reads. Reads spanning a block boundary report false and take the
-// copying ReadAt path instead.
-func (r *cachedReader) ReadSlice(off int64, n int) ([]byte, bool) {
-	if off < 0 || n < 0 {
-		return nil, false
-	}
+// run serves the leading run of entries that lies inside the head's
+// cache block — planned by extentRun against the end of that block, or
+// the file's size if that comes first — as one slice of the cached
+// block: no copy, no syscall, one cache lookup for the whole run. It
+// reports k = 0 when the head straddles a block boundary, when the
+// block comes back shorter than the run (a short final block), or when
+// the fill fails, so the caller falls back to ReadAt, which copies
+// across blocks and reports errors.
+//
+// The slice is READ-ONLY: the same bytes are shared by every concurrent
+// reader of the topic. Cache eviction only drops the cache's own
+// reference, so it stays valid while the caller holds it.
+func (r *cachedReader) run(entries []IndexEntry, size uint64) (data []byte, k int) {
 	bs := r.cache.BlockSize()
-	block := off / bs
-	within := off - block*bs
-	if within+int64(n) > bs {
-		return nil, false // spans blocks; fall back to ReadAt
+	head := entries[0]
+	block := int64(head.PhysicalOffset / uint64(bs))
+	start := uint64(block * bs)
+	if head.end() > start+uint64(bs) {
+		return nil, 0 // straddles blocks
 	}
+	k, n := extentRun(entries, min(start+uint64(bs), size))
 	data, err := r.block(block, bs)
-	if err != nil || within+int64(n) > int64(len(data)) {
-		return nil, false // error or short final block: let ReadAt report it
+	lo, hi := head.PhysicalOffset-start, head.PhysicalOffset-start+uint64(n)
+	if err != nil || hi > uint64(len(data)) {
+		return nil, 0
 	}
-	return data[within : within+int64(n) : within+int64(n)], true
+	return data[lo:hi:hi], k
 }
 
 // block returns the cached block's bytes, filling the cache on a miss.

@@ -761,12 +761,9 @@ func (t *Topic) OpenData() (DataReader, error) {
 // OpenDataQ is OpenData with the reader's block-cache traffic (hits,
 // misses, miss fill time) charged to aq. A nil aq leaves the reads
 // unattributed; per-access charging is nil-safe, so this costs the
-// uncharged path nothing.
-//
-// Which reader comes back also decides, once per open, how
-// ReadExtentInto reads through it: a plain file takes coalesced
-// extents, a block-cache reader (a ZeroCopyReader) one message at a
-// time, since its fills already are block-sized extents.
+// uncharged path nothing. Either reader is read the same way, in runs
+// of adjacent entries (ReadExtentInto); only container knows which one
+// it handed out.
 func (t *Topic) OpenDataQ(aq *obs.ActiveQuery) (DataReader, error) {
 	r, err := openTopicData(t.dir)
 	if err != nil {
@@ -818,11 +815,11 @@ func (t *Topic) bound(r io.ReaderAt, e IndexEntry) (size uint64, err error) {
 }
 
 // ReadMessageInto reads the payload for one index entry without
-// allocating per message: ReadExtentInto of that one entry. When r can
-// serve the read as a direct slice of an internal buffer (a block-cache
-// hit, see ZeroCopyReader) that slice is returned and scratch is
-// untouched; otherwise the payload is read into *scratch, growing it
-// once to the topic's largest message.
+// allocating per message: ReadExtentInto of that one entry. Through a
+// block cache whose block holds the whole payload, a slice of the
+// cached block is returned and scratch is untouched; otherwise the
+// payload is read into *scratch, growing it once to the topic's largest
+// message.
 //
 // Either way the returned bytes are READ-ONLY and only valid until the
 // next call with the same reader or scratch — exactly the lifetime
@@ -866,12 +863,14 @@ func extentRun(entries []IndexEntry, size uint64) (k, n int) {
 	return k, n
 }
 
-// ReadExtentInto reads the leading run of entries (see extentRun) with
-// one ReadAt and returns the bytes and how many entries they hold, k ≥ 1:
-// entry i's payload is buf[entries[i].PhysicalOffset-entries[0].PhysicalOffset:][:entries[i].Length].
-// The caller comes back with entries[k:]. Only a plain file is read in
-// runs; through a block cache (ZeroCopyReader) the head entry is served
-// alone, as a direct slice of its cached block when it lies in one.
+// ReadExtentInto reads the leading run of entries (see extentRun) and
+// returns the bytes and how many entries they hold, k ≥ 1: entry i's
+// payload is buf[entries[i].PhysicalOffset-entries[0].PhysicalOffset:][:entries[i].Length].
+// The caller comes back with entries[k:]. Every reader is read in runs:
+// a plain file with one ReadAt into *scratch; a block-cache reader as
+// one slice of the head's cached block, the run ending where that block
+// does (a head that straddles two blocks, or a block cut short, is read
+// alone, copied through the cache's ReadAt).
 //
 // Every read is bounded by the data file's length before a buffer is
 // sized from an entry: a head entry that ends past the file fails with
@@ -884,29 +883,26 @@ func extentRun(entries []IndexEntry, size uint64) (k, n int) {
 // The bytes are READ-ONLY and valid until the next call with the same
 // reader or scratch, like ReadMessageInto's.
 func (t *Topic) ReadExtentInto(r io.ReaderAt, entries []IndexEntry, scratch *[]byte) ([]byte, int, error) {
-	zc, cached := r.(ZeroCopyReader)
-	if cached {
-		if data, ok := zc.ReadSlice(int64(entries[0].PhysicalOffset), int(entries[0].Length)); ok {
-			return data, 1, nil
-		}
-	}
-	return t.readExtent(r, entries, !cached, scratch)
-}
-
-// readExtent is ReadExtentInto past the block cache: bound, plan (a run
-// when runs is set, else the head alone), size the scratch, ReadAt. It
-// is a function of its own so that a cache hit, the per-message hot path
-// of every pooled query, pays for none of this one's frame.
-func (t *Topic) readExtent(r io.ReaderAt, entries []IndexEntry, runs bool, scratch *[]byte) ([]byte, int, error) {
-	head := entries[0]
-	size, err := t.bound(r, head)
+	size, err := t.bound(r, entries[0])
 	if err != nil {
 		return nil, 0, err
 	}
-	k, n := 1, int(head.Length)
-	if runs && len(entries) > 1 {
-		k, n = extentRun(entries, size)
+	if c, ok := r.(*cachedReader); ok {
+		if data, k := c.run(entries, size); k > 0 {
+			return data, k, nil
+		}
+		entries = entries[:1] // copy the head alone: its neighbours are slices of the next block
 	}
+	return t.readExtent(r, entries, size, scratch)
+}
+
+// readExtent is ReadExtentInto through ReadAt: plan the run against the
+// file's size, size the scratch, read. It is a function of its own so
+// that a cache hit, the hot path of every pooled query, pays for none of
+// this one's frame.
+func (t *Topic) readExtent(r io.ReaderAt, entries []IndexEntry, size uint64, scratch *[]byte) ([]byte, int, error) {
+	head := entries[0]
+	k, n := extentRun(entries, size)
 	if cap(*scratch) < n {
 		*scratch = make([]byte, n, growCap(n, size))
 	}

@@ -118,7 +118,8 @@ func drain(t *testing.T, topic *Topic, r DataReader, sel []IndexEntry, scratch *
 // TestReadExtentIntoReadsRunsNotMessages: over a plain file a full scan
 // of 10 000 × 345 B messages costs at most 1 % as many ReadAts as
 // messages; every tenth message costs exactly one each, and no read
-// carries a byte that is not delivered.
+// carries a byte that is not delivered. Through a block cache the run is
+// bounded by the head's block instead.
 func TestReadExtentIntoReadsRunsNotMessages(t *testing.T) {
 	const msgs, size = 10_000, 345
 	payloads := make([][]byte, msgs)
@@ -173,17 +174,48 @@ func TestReadExtentIntoReadsRunsNotMessages(t *testing.T) {
 		}
 	}
 
-	// Behind a block cache the head entry is served alone, from the block.
-	topic.cache = newMapCache(4096)
+	// Behind a block cache the run inside the head's block is served as
+	// one slice of that block; a head straddling two blocks is copied
+	// alone. A drain costs a few cache lookups per block, not one per
+	// message.
+	const bs = 4096
+	cache := &countingCache{mapCache: newMapCache(bs)}
+	topic.cache = cache
 	cached, err := topic.OpenData()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cached.Close()
-	data, k, err := topic.ReadExtentInto(cached, entries, &scratch)
-	if err != nil || k != 1 || !bytes.Equal(data, payloads[0]) {
-		t.Errorf("cached reader: %d entries, err %v; want the head alone", k, err)
+	var noScratch []byte
+	data, k, err := topic.ReadExtentInto(cached, entries, &noScratch)
+	if err != nil || k != bs/size || !bytes.Equal(data, bytes.Join(payloads[:k], nil)) {
+		t.Errorf("cached reader: %d entries, err %v; want the %d whole in the first block", k, err, bs/size)
 	}
+	if cap(noScratch) != 0 {
+		t.Errorf("a run inside one block grew the scratch to %d bytes; want a slice of the block", cap(noScratch))
+	}
+	if _, k, err := topic.ReadExtentInto(cached, entries[bs/size:], &noScratch); err != nil || k != 1 {
+		t.Errorf("cached reader, head straddling two blocks: %d entries, err %v; want the head alone", k, err)
+	}
+	cache.gets = 0
+	got, err = drain(t, topic, cached, entries, &scratch)
+	if err != nil || !reflect.DeepEqual(got, payloads) {
+		t.Fatalf("full scan through the block cache differs from what was appended (err %v)", err)
+	}
+	if blocks := (msgs*size + bs - 1) / bs; cache.gets > 3*blocks {
+		t.Errorf("full scan through the block cache made %d lookups over %d blocks, want at most 3 per block", cache.gets, blocks)
+	}
+}
+
+// countingCache is a mapCache that counts lookups.
+type countingCache struct {
+	*mapCache
+	gets int
+}
+
+func (c *countingCache) Get(key BlockKey) ([]byte, bool) {
+	c.gets++
+	return c.mapCache.Get(key)
 }
 
 // corruptEntry rewrites entry ord of the topic's index file on disk.

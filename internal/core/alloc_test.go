@@ -49,12 +49,12 @@ func (c *testBlockCache) Put(key container.BlockKey, data []byte) {
 // budgets are defined against.
 func cachedBag(t *testing.T, seconds int) (*Bag, int) {
 	t.Helper()
-	return warmBag(t, seconds, true)
+	return warmBag(t, seconds, 1<<20)
 }
 
-// warmBag is cachedBag with the block cache optional: without one,
-// reads go to the data files as coalesced extents.
-func warmBag(t *testing.T, seconds int, cached bool) (*Bag, int) {
+// warmBag is cachedBag with blocks of blockSize bytes; 0 sets no block
+// cache, so reads go to the data files.
+func warmBag(t *testing.T, seconds int, blockSize int64) (*Bag, int) {
 	t.Helper()
 	b := newBORA(t)
 	src := makeSourceBag(t, t.TempDir(), seconds)
@@ -62,8 +62,8 @@ func warmBag(t *testing.T, seconds int, cached bool) (*Bag, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cached {
-		bag.Container().SetBlockCache(newTestBlockCache(1 << 20))
+	if blockSize > 0 {
+		bag.Container().SetBlockCache(newTestBlockCache(blockSize))
 	}
 	n := 0
 	// Warm: loads entries, time indexes, and fills the block cache.
@@ -161,13 +161,32 @@ func checkStridedAllocBudget(t *testing.T, bag *Bag, name string, spec QuerySpec
 	}
 }
 
+// leastRepeatAlloc is the least a repeat of query allocates, in bytes,
+// over five runs: a sync.Pool may miss now and then (a GC cycle, a
+// goroutine moved to another P), a buffer made per query would show in
+// every run.
+func leastRepeatAlloc(t *testing.T, query func() error) uint64 {
+	t.Helper()
+	least := uint64(1 << 62)
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		if err := query(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
 // TestAllocBudgetUncachedScan is the same budget with no block cache,
 // where every read is an extent into a pooled scratch: zero allocations
 // per message in topic and in time order, and the extent buffers come
 // back out of scratchPool — a repeat of the query allocates less than
 // one extent's worth of bytes in all.
 func TestAllocBudgetUncachedScan(t *testing.T) {
-	bag, msgs := warmBag(t, 20, false)
+	bag, msgs := warmBag(t, 20, 0)
 	sink := func(m MessageRef) error {
 		allocSink += len(m.Data)
 		return nil
@@ -184,19 +203,7 @@ func TestAllocBudgetUncachedScan(t *testing.T) {
 	if raceenabled.Enabled {
 		return // sync.Pool drops Puts at random under the race detector
 	}
-	// The least a repeat allocates: a sync.Pool may miss now and then (a GC
-	// cycle, a goroutine moved to another P), a buffer made per query
-	// would show in every run.
-	least := uint64(1 << 62)
-	var before, after runtime.MemStats
-	for i := 0; i < 5; i++ {
-		runtime.ReadMemStats(&before)
-		if err := bag.Query(QuerySpec{}, sink); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
+	least := leastRepeatAlloc(t, func() error { return bag.Query(QuerySpec{}, sink) })
 	t.Logf("a repeated uncached topic-order query allocates %d bytes", least)
 	if least >= 16<<10 {
 		t.Errorf("a repeated query allocated %d bytes: its extent buffer did not come from scratchPool", least)
@@ -205,77 +212,107 @@ func TestAllocBudgetUncachedScan(t *testing.T) {
 
 // TestAllocBudgetChronoQuery pins the chronological k-way merge at zero
 // steady-state allocations per message (the per-topic filtered entry
-// slices are per-query, not per-message).
+// slices are per-query, not per-message), behind a block cache whose
+// blocks hold whole topics and behind one of 1 KiB blocks, where runs
+// end at blocks and heads straddle two of them. Each merge cursor reads
+// into a scratch of its own, and that scratch comes out of scratchPool:
+// a repeat of the query allocates less than one straddled head's
+// buffer in all.
 func TestAllocBudgetChronoQuery(t *testing.T) {
-	bag, msgs := cachedBag(t, 20)
-	checkAllocBudget(t, "chrono merge", msgs, func() error {
-		return bag.Query(QuerySpec{Order: OrderTime}, func(m MessageRef) error {
-			allocSink += len(m.Data)
-			return nil
-		})
-	})
-	base := int64(1_000_000_000_000_000_000)
-	checkStridedAllocBudget(t, bag, "chrono", QuerySpec{Order: OrderTime},
-		bagio.TimeFromNanos(base+2e9), bagio.TimeFromNanos(base+12e9))
+	for _, bs := range []int64{1 << 20, 1 << 10} {
+		bag, msgs := warmBag(t, 20, bs)
+		chrono := func() error {
+			return bag.Query(QuerySpec{Order: OrderTime}, func(m MessageRef) error {
+				allocSink += len(m.Data)
+				return nil
+			})
+		}
+		name := fmt.Sprintf("chrono merge, %d B blocks", bs)
+		checkAllocBudget(t, name, msgs, chrono)
+		base := int64(1_000_000_000_000_000_000)
+		checkStridedAllocBudget(t, bag, name, QuerySpec{Order: OrderTime},
+			bagio.TimeFromNanos(base+2e9), bagio.TimeFromNanos(base+12e9))
+		if raceenabled.Enabled {
+			continue // sync.Pool drops Puts at random under the race detector
+		}
+		least := leastRepeatAlloc(t, chrono)
+		t.Logf("%s: a repeated query allocates %d bytes", name, least)
+		if least >= 4<<10 {
+			t.Errorf("%s: a repeated query allocated %d bytes: its cursors' scratch did not come from scratchPool", name, least)
+		}
+	}
 }
 
 // TestAllocBudgetFollowTail pins the live tail, writer included, under
 // the same per-message budget, in its most batch-heavy steady state:
 // every message is written, then awaited, so each is a batch of its own.
 // A batch's selections and survivor list reuse the slices of the batch
-// before, and the reads land in the cursors' scratch.
+// before, and the reads land in the cursors' scratch. The cached case
+// is a pooled handle: the pool plugs its block cache in, which a
+// live-wired handle declines (a growing file must not be cached short),
+// so it reads exactly as the plain one does.
 func TestAllocBudgetFollowTail(t *testing.T) {
-	b := newBORA(t)
-	rec, err := b.CreateLiveBag("live", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []uint32
-	for _, topic := range []string{"/imu", "/tf", "/camera/rgb/image_color"} {
-		id, err := rec.AddConnection(topic, "bora_test/Msg")
+	for _, cached := range []bool{false, true} {
+		name := fmt.Sprintf("Follow tail, cached=%v", cached)
+		b := newBORA(t)
+		rec, err := b.CreateLiveBag("live", time.Hour)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
-	}
-	bag, err := b.Open("live")
-	if err != nil {
-		t.Fatal(err)
-	}
-	delivered, done := make(chan struct{}, 1), make(chan error, 1)
-	go func() {
-		done <- bag.Query(QuerySpec{Follow: true}, func(m MessageRef) error {
-			allocSink += len(m.Data)
-			delivered <- struct{}{}
-			return nil
-		})
-	}()
-	const msgs = 1000
-	payload := make([]byte, 256)
-	ns := int64(1e18)
-	tail := func() error {
-		for i := 0; i < msgs; i++ {
-			ns += 1e5
-			if err := rec.WriteMessage(ids[i%len(ids)], bagio.TimeFromNanos(ns), payload); err != nil {
-				return err
+		var ids []uint32
+		for _, topic := range []string{"/imu", "/tf", "/camera/rgb/image_color"} {
+			id, err := rec.AddConnection(topic, "bora_test/Msg")
+			if err != nil {
+				t.Fatal(err)
 			}
-			select {
-			case <-delivered:
-			case err := <-done:
-				return fmt.Errorf("the Follow query ended early: %v", err)
-			}
+			ids = append(ids, id)
 		}
-		return nil
-	}
-	if err := tail(); err != nil { // warm: topics, cursors and buffers sized
-		t.Fatal(err)
-	}
-	checkAllocBudget(t, "Follow tail", msgs, tail)
-	if err := rec.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+		bag, err := b.Open("live")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := newTestBlockCache(1 << 10)
+		if cached {
+			bag.SetBlockCache(cache)
+		}
+		delivered, done := make(chan struct{}, 1), make(chan error, 1)
+		go func() {
+			done <- bag.Query(QuerySpec{Follow: true}, func(m MessageRef) error {
+				allocSink += len(m.Data)
+				delivered <- struct{}{}
+				return nil
+			})
+		}()
+		const msgs = 1000
+		payload := make([]byte, 256)
+		ns := int64(1e18)
+		tail := func() error {
+			for i := 0; i < msgs; i++ {
+				ns += 1e5
+				if err := rec.WriteMessage(ids[i%len(ids)], bagio.TimeFromNanos(ns), payload); err != nil {
+					return err
+				}
+				select {
+				case <-delivered:
+				case err := <-done:
+					return fmt.Errorf("the Follow query ended early: %v", err)
+				}
+			}
+			return nil
+		}
+		if err := tail(); err != nil { // warm: topics, cursors and buffers sized
+			t.Fatal(err)
+		}
+		checkAllocBudget(t, name, msgs, tail)
+		if err := rec.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if len(cache.m) != 0 {
+			t.Errorf("%s: the live handle cached %d blocks of a growing file", name, len(cache.m))
+		}
 	}
 }
 
@@ -431,9 +468,9 @@ func compareRecs(t *testing.T, name string, got, want []rec) {
 // cache on (zero-copy slices) and off (slices of a coalesced extent)
 // and across serial, chrono, and parallel plans. Runs under -race in CI.
 func TestBorrowEquivalence(t *testing.T) {
-	for _, cached := range []bool{true, false} {
-		bag, _ := warmBag(t, 5, cached)
-		checkBorrowEquivalence(t, fmt.Sprintf("cached=%v ", cached), bag)
+	for _, bs := range []int64{1 << 20, 1 << 10, 0} {
+		bag, _ := warmBag(t, 5, bs)
+		checkBorrowEquivalence(t, fmt.Sprintf("block size %d: ", bs), bag)
 	}
 }
 

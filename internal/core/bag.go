@@ -17,7 +17,7 @@ import (
 // bag, mirroring rosbag.Stats for side-by-side comparison.
 type Stats struct {
 	Seeks          int   // topic-part data files opened: one per part a query delivers from
-	DataReads      int   // reads issued against those files: one per coalesced extent, one per message behind a block cache
+	DataReads      int   // reads issued against those files: one per coalesced extent, with or without a block cache
 	BytesRead      int64 // payload bytes read
 	EntriesScanned int   // index entries examined
 	WindowsScanned int   // coarse time-index windows touched

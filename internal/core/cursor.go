@@ -20,8 +20,7 @@ type cursor struct {
 	ord     int                    // position among the merge's cursors: the tie-break
 	merged  bool                   // time order, Follow tail: delivered an entry per call, between other cursors' entries
 	df      container.DataReader   // opened by the first delivery
-	scratch *msgScratch            // where reads land: the stream's buffer, or (own) one taken at open
-	own     bool                   // scratch came from scratchPool at open and goes back at close
+	scratch *msgScratch            // where reads land: the stream's buffer, or a merged cursor's own, taken at open
 	// The extent last read, while entries it covers are still to be
 	// delivered: the next held of them lie in ext, whose first byte is
 	// file offset extOff.
@@ -113,28 +112,32 @@ func (c *cursor) selectEntries(sp obs.Span, phase *int) error {
 //
 // This is the one place core reads data, and it reads extents, not
 // messages: container.ReadExtentInto covers the leading run of
-// physically adjacent entries, up to a fixed cap, with one ReadAt, and
-// each message is sliced out of that buffer. An extent outlives the
-// call that read it, so a merge taking one message per call issues no
-// more reads than a topic scan does. A run of one — a strided or sparse
-// selection, a block-cache reader — is one read per message,
-// and no byte outside a selected message is ever read. The reads are
-// borrowed: data lives in the cursor's scratch beside its neighbours in
-// the extent (or in the block cache) and is valid only until the
-// callback returns — see MessageRef.
+// physically adjacent entries, up to a fixed cap, in one read — one
+// ReadAt of a plain file, or one slice of a cached block — and each
+// message is sliced out of that buffer. How a part is read is
+// container's business; this loop is the same for every reader. An
+// extent outlives the call that read it, so a merge taking one message
+// per call issues no more reads than a topic scan does. A run of one —
+// a strided or sparse selection — is one read per message, and no byte
+// outside a selected message is ever read. The reads are borrowed: data
+// lives in the cursor's scratch (or the block cache) beside its
+// neighbours in the extent and is valid only until the callback
+// returns — see MessageRef.
 func (c *cursor) deliver(entries []container.IndexEntry, n int) (err error) {
-	if c.df == nil && n > 0 {
+	if n == 0 {
+		return nil
+	}
+	if c.df == nil {
 		if c.df, err = c.t.OpenDataQ(c.q.aq); err != nil {
 			return err
 		}
 		c.d.Seeks++
-		// A merge interleaves its cursors' deliveries, so an extent needs a
-		// buffer no other cursor reads into: taken here, returned at close,
-		// so memory follows the cursors actually open. A block-cache reader
-		// takes no extents — which reader, and so which way of reading, is
-		// decided by this open — and keeps sharing the stream's scratch.
-		if _, cached := c.df.(container.ZeroCopyReader); c.merged && !cached {
-			c.scratch, c.own = scratchPool.Get().(*msgScratch), true
+		// A merge interleaves its cursors' deliveries and an extent outlives
+		// the call that read it, so a merged cursor reads into a buffer no
+		// other cursor touches: taken here, returned at close, so memory
+		// follows the cursors actually open.
+		if c.merged {
+			c.scratch = scratchPool.Get().(*msgScratch)
 		}
 	}
 	t, df, buf, conn, fn := c.t, c.df, &c.scratch.buf, c.t.Connection(), c.q.fn
@@ -164,15 +167,15 @@ func (c *cursor) deliver(entries []container.IndexEntry, n int) (err error) {
 	return nil
 }
 
-// close releases the reader and the scratch, and merges the cursor's
-// counters into the bag's stats, the container-level read counters
-// (hot-bag tracking) and the query's attribution — the one place a
-// read's accounting lands.
+// close releases the reader and a merged cursor's scratch, and merges
+// the cursor's counters into the bag's stats, the container-level read
+// counters and the query's attribution — the one place a read's
+// accounting lands.
 func (c *cursor) close() {
 	if c.df != nil {
 		c.df.Close()
 	}
-	if c.own {
+	if c.merged && c.scratch != nil {
 		scratchPool.Put(c.scratch)
 	}
 	bag, d := c.q.bag, c.d

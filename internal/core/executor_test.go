@@ -331,20 +331,22 @@ func checkAgainst(t *testing.T, bag *Bag, spec QuerySpec, want []queryRec) {
 
 // TestExecutorDifferential drives random specs over random recordings
 // through every policy and compares each delivery with the oracle.
-// Classic seeds query the sealed container (seeds 1 and 5 through a
-// block cache, the zero-copy path; 3 and 7 straight off the data files,
-// the extent path, 7 with payloads larger than an extent and runs that
-// cross one); live seeds also query the wired handle mid-recording, run
-// Follow queries across the cut, and then query the sealed
-// multi-segment bag.
+// Classic seeds query the sealed container (seeds 1, 5 and 9 through a
+// block cache, runs served as slices of a block; 3 and 7 straight off
+// the data files, the extent path; 7 and 9 with payloads larger than an
+// extent and runs that cross one, 9 behind 256 B blocks that most /a
+// payloads straddle); live seeds also query the wired handle
+// mid-recording, run Follow queries across the cut, and then query the
+// sealed multi-segment bag.
 func TestExecutorDifferential(t *testing.T) {
 	const writes, specsPerBag = 300, 60
 	allTopics := []string{"/a", "/b", "/far", "/late"}
 	span := int64(writes) * 2e7
-	for seed := int64(1); seed <= 7; seed++ {
+	for _, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 9} {
 		rng := rand.New(rand.NewSource(seed))
-		log := diffLog(rng, writes, seed == 7)
-		if seed == 7 {
+		big := seed >= 7
+		log := diffLog(rng, writes, big)
+		if big {
 			huge := 0
 			for _, w := range log {
 				if len(w.data) > 256<<10 {
@@ -352,7 +354,7 @@ func TestExecutorDifferential(t *testing.T) {
 				}
 			}
 			if huge < 2 {
-				t.Fatalf("seed 7: %d payloads larger than an extent, want several", huge)
+				t.Fatalf("seed %d: %d payloads larger than an extent, want several", seed, huge)
 			}
 		}
 		b := newBORA(t)
@@ -373,7 +375,10 @@ func TestExecutorDifferential(t *testing.T) {
 			if sealed, err = rec.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if seed%4 == 1 {
+			switch {
+			case seed == 9:
+				sealed.SetBlockCache(newTestBlockCache(256))
+			case seed%4 == 1:
 				sealed.SetBlockCache(newTestBlockCache(4096))
 			}
 		} else {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -62,8 +63,8 @@ var everyPolicy = []struct {
 // a live Follow tail whose journal batches hold the messages — while
 // a Stride 10 scan, whose survivors are never adjacent, issues exactly
 // one per message and reads exactly the bytes it delivers. Behind a
-// block cache the cursor reads a message at a time, and the counter
-// says so. The same number reaches the query's attribution.
+// block cache the same bounds hold: a run inside one cached block is one
+// read. The same number reaches the query's attribution.
 func TestDataReadsCountsExtents(t *testing.T) {
 	const msgs, size = 10_000, 345
 	sizeOf := func(int) int { return size }
@@ -158,9 +159,9 @@ func TestDataReadsCountsExtents(t *testing.T) {
 	}
 	check("follow (live tail)", QuerySpec{Follow: true}, tail)
 
-	bag.SetBlockCache(newTestBlockCache(1 << 20))
-	if r := sealed(QuerySpec{}); r.err != nil || r.st.DataReads != r.n {
-		t.Errorf("block cache: %d data reads for %d messages (err %v), want one each", r.st.DataReads, r.n, r.err)
+	bag.SetBlockCache(newTestBlockCache(256 << 10))
+	for _, c := range everyPolicy {
+		check("block cache, "+c.name, c.spec, sealed)
 	}
 }
 
@@ -205,10 +206,11 @@ func queryPrefix(bag *Bag, spec QuerySpec) ([]string, error) {
 }
 
 // TestTruncatedDataKeepsPrefix: a data file cut anywhere delivers, in
-// every ordering policy, exactly the messages a message-at-a-time
-// reader delivers — every message wholly before the cut, in order —
-// and then fails with the same typed error; never a short extent
-// reported as nothing, never a partial payload.
+// every ordering policy, over the plain file and behind a block cache of
+// 1 KiB blocks that most messages straddle, exactly the messages a
+// message-at-a-time reader delivers — every message wholly before the
+// cut, in order — and then fails with the same typed error; never a
+// short extent reported as nothing, never a partial payload.
 func TestTruncatedDataKeepsPrefix(t *testing.T) {
 	const msgs = 600
 	size := func(i int) int { return 200 + (i*37)%400 } // ≈ 240 KB: several extents
@@ -229,6 +231,7 @@ func TestTruncatedDataKeepsPrefix(t *testing.T) {
 	}{
 		// Deepest cut last: each truncates the file the one before left.
 		{"last byte missing", total - 1},
+		{"at a block boundary", int64(entries[500].PhysicalOffset) &^ (1<<10 - 1)},
 		{"mid-extent", int64(entries[400].PhysicalOffset) + int64(entries[400].Length)/2},
 		{"at a message boundary", int64(entries[250].PhysicalOffset)},
 		{"mid-message", int64(entries[3].PhysicalOffset) + 1},
@@ -249,22 +252,32 @@ func TestTruncatedDataKeepsPrefix(t *testing.T) {
 		if !errors.Is(wantErr, container.ErrIndexBeyondData) || len(want) >= msgs {
 			t.Fatalf("%s: the per-message reader delivered %d messages and failed with %v", c.name, len(want), wantErr)
 		}
+		cachedBag, err := b.Open("bag")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cachedBag.SetBlockCache(newTestBlockCache(1 << 10))
 		for _, p := range everyPolicy {
-			got, err := queryPrefix(cutBag, p.spec)
-			if !errors.Is(err, container.ErrIndexBeyondData) {
-				t.Errorf("%s, %s: err = %v, want ErrIndexBeyondData", c.name, p.name, err)
-			}
-			if err == nil || err.Error() != wantErr.Error() {
-				t.Errorf("%s, %s: failed with %q, the per-message reader with %q", c.name, p.name, err, wantErr)
-			}
-			if len(got) != len(want) {
-				t.Errorf("%s, %s: delivered %d messages, the per-message reader %d", c.name, p.name, len(got), len(want))
-				continue
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("%s, %s: message %d differs (%d bytes, want %d)", c.name, p.name, i, len(got[i]), len(want[i]))
-					break
+			for _, h := range []struct {
+				name string
+				bag  *Bag
+			}{{p.name, cutBag}, {p.name + ", block cache", cachedBag}} {
+				got, err := queryPrefix(h.bag, p.spec)
+				if !errors.Is(err, container.ErrIndexBeyondData) {
+					t.Errorf("%s, %s: err = %v, want ErrIndexBeyondData", c.name, h.name, err)
+				}
+				if err == nil || err.Error() != wantErr.Error() {
+					t.Errorf("%s, %s: failed with %q, the per-message reader with %q", c.name, h.name, err, wantErr)
+				}
+				if len(got) != len(want) {
+					t.Errorf("%s, %s: delivered %d messages, the per-message reader %d", c.name, h.name, len(got), len(want))
+					continue
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Errorf("%s, %s: message %d differs (%d bytes, want %d)", c.name, h.name, i, len(got[i]), len(want[i]))
+						break
+					}
 				}
 			}
 		}
@@ -321,4 +334,219 @@ func TestCorruptIndexEntryFailsBeforeAllocating(t *testing.T) {
 			}
 		}
 	}
+}
+
+// writeBlocked writes messages lo..hi-1 of a two-topic recording whose
+// payloads run from empty to larger than a 1 KiB block: /b takes every
+// third message, /a the rest, stamps interleaving the two.
+func writeBlocked(t *testing.T, rec *Recorder, lo, hi int) {
+	t.Helper()
+	base := int64(1_700_000_000) * 1e9
+	for i := lo; i < hi; i++ {
+		topic := "/a"
+		if i%3 == 0 {
+			topic = "/b"
+		}
+		n := (i * 37) % 300
+		if i%23 == 0 {
+			n = 1<<10 + 200 + i // larger than a block
+		}
+		payload := bytes.Repeat([]byte{byte(i), byte(i >> 8), byte(i >> 16)}, n/3+1)[:n]
+		if err := rec.WriteRaw(topic, "bora_test/Msg", bagio.TimeFromNanos(base+int64(i)*1e6), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCachedRunsStopAtBlocks: through a block cache of 1 KiB blocks,
+// over payloads from empty to larger than a block, a run ends where its
+// head's block does, a head straddling two blocks is read alone, the
+// short last block serves the file's tail, and every policy — topic
+// order, time order, Follow over a sealed bag and a live Follow tail —
+// delivers byte for byte what an uncached handle delivers
+// (TestTruncatedDataKeepsPrefix cuts the file behind the same cache).
+// Two time-order queries share one cached handle, as a daemon's clients
+// share a pooled one (run under -race in CI).
+func TestCachedRunsStopAtBlocks(t *testing.T) {
+	const msgs, bs = 600, 1 << 10
+	b := newBORA(t)
+	rec, err := b.CreateBag("bag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeBlocked(t, rec, 0, msgs)
+	if _, err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	open := func(name string, cache container.BlockCache) *Bag {
+		t.Helper()
+		bag, err := b.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cache != nil {
+			bag.SetBlockCache(cache)
+		}
+		return bag
+	}
+	topicOf := func(bag *Bag, name string) *container.Topic {
+		t.Helper()
+		topic, err := bag.Container().Topic(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topic
+	}
+	plain, cached := open("bag", nil), open("bag", newTestBlockCache(bs))
+
+	// Where runs end: each topic drained the way a cursor drains it.
+	var runs, straddles, larger int
+	for _, name := range []string{"/a", "/b"} {
+		topic, ref := topicOf(cached, name), topicOf(plain, name)
+		entries, err := topic.Entries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, err := topic.DataSize()
+		if err != nil || size%bs == 0 {
+			t.Fatalf("%s: %d bytes of data (err %v), want a short last block", name, size, err)
+		}
+		df, err := topic.OpenData()
+		if err != nil {
+			t.Fatal(err)
+		}
+		refDF, err := ref.OpenData()
+		if err != nil {
+			t.Fatal(err)
+		}
+		end := func(e container.IndexEntry) int64 { return int64(e.PhysicalOffset) + int64(e.Length) }
+		var scratch, refScratch []byte
+		for sel := entries; len(sel) > 0; {
+			data, k, err := topic.ReadExtentInto(df, sel, &scratch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			head := sel[0]
+			blockEnd := (int64(head.PhysicalOffset)/bs + 1) * bs
+			switch {
+			case end(head) > blockEnd:
+				straddles++
+				if head.Length > bs {
+					larger++
+				}
+				if k != 1 {
+					t.Errorf("%s: the head at %d straddles two blocks, yet the read covered %d entries", name, head.PhysicalOffset, k)
+				}
+			case end(sel[k-1]) > blockEnd:
+				t.Errorf("%s: the run at %d ends at %d, past its block's end %d", name, head.PhysicalOffset, end(sel[k-1]), blockEnd)
+			case k < len(sel) && end(sel[k]) <= min(blockEnd, size):
+				t.Errorf("%s: the run at %d stopped at %d, before its block's end %d", name, head.PhysicalOffset, end(sel[k-1]), blockEnd)
+			case k > 1:
+				runs++
+			}
+			for _, e := range sel[:k] {
+				want, err := ref.ReadMessageInto(refDF, e, &refScratch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				at := e.PhysicalOffset - head.PhysicalOffset
+				if !bytes.Equal(data[at:at+uint64(e.Length)], want) {
+					t.Fatalf("%s: the message at %d differs from the uncached read", name, e.PhysicalOffset)
+				}
+			}
+			sel = sel[k:]
+		}
+		df.Close()
+		refDF.Close()
+	}
+	if runs == 0 || straddles == 0 || larger == 0 {
+		t.Fatalf("%d runs, %d straddling heads, %d larger than a block: want some of each", runs, straddles, larger)
+	}
+
+	// Every policy, and a stride and a window, against the uncached handle.
+	same := func(what string, want, got *Bag, spec QuerySpec) {
+		t.Helper()
+		read := func(bag *Bag) []queryRec {
+			return collect(t, func(fn func(MessageRef) error) error { return bag.Query(spec, fn) })
+		}
+		w, g := read(want), read(got)
+		equal := reflect.DeepEqual(g, w)
+		if spec.Workers != 0 { // a pool's cross-topic interleaving is arbitrary
+			equal = reflect.DeepEqual(byTopic(g), byTopic(w))
+		}
+		if !equal {
+			t.Errorf("%s: delivered %d messages differing from the uncached handle's %d", what, len(g), len(w))
+		}
+	}
+	base := int64(1_700_000_000) * 1e9
+	for _, p := range everyPolicy {
+		same(p.name, plain, cached, p.spec)
+	}
+	same("time order, stride 3", plain, cached, QuerySpec{Order: OrderTime, Stride: 3})
+	same("time order, windowed", plain, cached, QuerySpec{Order: OrderTime,
+		Start: bagio.TimeFromNanos(base + 100e6), End: bagio.TimeFromNanos(base + 400e6)})
+
+	// Two time-order queries at once on one cached handle.
+	want := collect(t, func(fn func(MessageRef) error) error { return plain.Query(QuerySpec{Order: OrderTime}, fn) })
+	shared := open("bag", newTestBlockCache(bs))
+	gots := make([][]queryRec, 2)
+	var wg sync.WaitGroup
+	for i := range gots {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			err := shared.Query(QuerySpec{Order: OrderTime}, func(m MessageRef) error {
+				gots[i] = append(gots[i], queryRec{Topic: m.Conn.Topic, Time: m.Time, Data: string(m.Data)})
+				return nil
+			})
+			if err != nil {
+				t.Errorf("concurrent time order %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, got := range gots {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("concurrent time order %d: delivered %d messages differing from the uncached handle's %d", i, len(got), len(want))
+		}
+	}
+
+	// A live Follow tail on a handle given the cache, beside one without:
+	// both subscribe mid-recording, then the rest is written under them.
+	live, err := b.CreateLiveBag("live", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeBlocked(t, live, 0, msgs/2)
+	liveCache := newTestBlockCache(bs)
+	followers := []*Bag{open("live", nil), open("live", liveCache)}
+	tails := make([][]queryRec, len(followers))
+	for i, bag := range followers {
+		wg.Add(1)
+		go func(i int, bag *Bag) {
+			defer wg.Done()
+			err := bag.Query(QuerySpec{Follow: true}, func(m MessageRef) error {
+				tails[i] = append(tails[i], queryRec{Topic: m.Conn.Topic, Time: m.Time, Data: string(m.Data)})
+				return nil
+			})
+			if err != nil {
+				t.Errorf("live Follow %d: %v", i, err)
+			}
+		}(i, bag)
+	}
+	waitFollowers(t, live, len(followers))
+	writeBlocked(t, live, msgs/2, msgs)
+	if err := live.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if len(tails[0]) != msgs || !reflect.DeepEqual(tails[1], tails[0]) {
+		t.Errorf("live Follow tail: the cached handle delivered %d messages, the uncached %d, want %d each and equal", len(tails[1]), len(tails[0]), msgs)
+	}
+	if len(liveCache.m) != 0 {
+		t.Errorf("the live-wired handle cached %d blocks of a growing file", len(liveCache.m))
+	}
+	sealedLive := open("live", newTestBlockCache(bs))
+	same("sealed live bag, follow", open("live", nil), sealedLive, QuerySpec{Follow: true})
+	same("sealed live bag, topic order", open("live", nil), sealedLive, QuerySpec{})
 }

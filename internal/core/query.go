@@ -326,12 +326,9 @@ func (q *query) readTime(parent obs.Span) (err error) {
 	if err != nil {
 		return err
 	}
-	// One scratch serves every read of the merge that lasts one message
-	// (block-cache readers): the callback's borrow of the previous payload
-	// ends before the next read overwrites it. A cursor reading extents
-	// takes a buffer of its own when it opens (cursor.deliver).
-	scratch := scratchPool.Get().(*msgScratch)
-	defer scratchPool.Put(scratch)
+	// Each cursor takes a read buffer of its own when it opens
+	// (cursor.deliver): an extent it read is still being served while
+	// other cursors read theirs.
 	var h mergeHeap
 	defer func() {
 		for _, c := range h {
@@ -341,7 +338,7 @@ func (q *query) readTime(parent obs.Span) (err error) {
 	for _, ch := range chains {
 		phase := 0
 		for _, t := range ch.parts {
-			c := &cursor{q: q, t: t, scratch: scratch, merged: true}
+			c := &cursor{q: q, t: t, merged: true}
 			err := c.selectEntries(sp, &phase)
 			if err != nil || len(c.entries) == 0 {
 				c.close()
@@ -432,7 +429,7 @@ func (q *query) follow(ctx context.Context, parent obs.Span) (err error) {
 	// delivered one per call in journal order, so deliver looks ahead
 	// over a message's physical neighbours and each cursor reads one
 	// extent per batch. Cursors interleave as in the merge, so each takes
-	// a scratch of its own; the shared one serves block-cache readers.
+	// a scratch of its own when it opens.
 	//
 	// One cursor per topic, keyed by name: rotation only moves forward,
 	// so when a topic's entries land in a newer part its previous cursor
@@ -448,8 +445,6 @@ func (q *query) follow(ctx context.Context, parent obs.Span) (err error) {
 			c.close()
 		}
 	}()
-	scratch := scratchPool.Get().(*msgScratch)
-	defer scratchPool.Put(scratch)
 	var (
 		batch []tailRef
 		order []*cursor // the batch's survivors' cursors, in journal order
@@ -471,7 +466,7 @@ func (q *query) follow(ctx context.Context, parent obs.Span) (err error) {
 				if c != nil {
 					finished = append(finished, c)
 				}
-				c = &cursor{q: q, t: ref.t, scratch: scratch, merged: true}
+				c = &cursor{q: q, t: ref.t, merged: true}
 				cursors[topic] = c
 			}
 			c.d.EntriesScanned++

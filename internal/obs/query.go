@@ -48,10 +48,10 @@ type ActiveQuery struct {
 
 	Messages    atomic.Int64 // messages delivered to the client
 	Bytes       atomic.Int64 // payload bytes delivered
-	CacheHits   atomic.Int64 // block-cache hits charged to this query
+	CacheHits   atomic.Int64 // block-cache lookups that hit: one per run of messages inside a block, not per message
 	CacheMisses atomic.Int64 // block-cache misses (each paid a disk fill)
 	IndexProbes atomic.Int64 // index entries examined across topics
-	DataReads   atomic.Int64 // reads issued against topic data files (one per extent; per message behind the block cache)
+	DataReads   atomic.Int64 // reads issued against topic data files (one per extent, through the block cache too)
 
 	QueueWaitNs   atomic.Int64 // request receipt -> first byte streamed
 	DiskNs        atomic.Int64 // time inside block fills (cache misses)
