@@ -489,6 +489,20 @@ var archRules = []archRule{
 		},
 	},
 	{
+		name: "names/core-does-not-recheck-order",
+		why:  "a part's time order is kept by container (EntriesSpan's ordered prefix), so core never re-derives it per query",
+		check: none([]string{"internal/core"}, func(f *srcFile, n ast.Node) bool {
+			c, ok := n.(*ast.CallExpr)
+			if !ok {
+				return false
+			}
+			pkg, name, ok := f.qualified(c.Fun)
+			return ok && (pkg == "sort" && (name == "SliceIsSorted" || name == "IsSorted") ||
+				pkg == "slices" && strings.HasPrefix(name, "IsSorted"))
+		}, "core checks a selection's order itself"),
+		seeds: []seedFile{{"internal/core/zz_seed.go", `package core; import "slices"; func zz(s []int) bool { return slices.IsSortedFunc(s, func(a, b int) int { return a - b }) }`}},
+	},
+	{
 		name: "sites/one-rotation-loop-in-client",
 		why:  "the cluster client has one rotation loop",
 		check: count([]string{"internal/client"}, 1, "", "rotation-budget read(s) (.rot.Attempts) in client", func(_ *srcFile, n ast.Node) bool {

@@ -99,7 +99,7 @@ func BenchmarkTimeIndexQuery(b *testing.B) {
 	end := start.Add(5 * time.Second)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := ix.Query(start, end); len(got) == 0 {
+		if got := ix.QuerySorted(start, end); len(got) == 0 {
 			b.Fatal("empty query")
 		}
 	}

@@ -205,6 +205,7 @@ type Topic struct {
 
 	mu      sync.Mutex
 	entries []IndexEntry
+	ordered int              // entries[:ordered] is the longest prefix in time order
 	loaded  bool             // entries read from the index file
 	tix     *timeindex.Index // memoized TimeIndex (loaded, or the closed writer's)
 }
@@ -455,9 +456,15 @@ func (tw *TopicWriter) Flush() error {
 	}
 	if len(tw.staged) > 0 {
 		// Under the topic mutex: a live follower may be reading Entries().
-		tw.topic.mu.Lock()
-		tw.topic.entries = append(tw.topic.entries, tw.staged...)
-		tw.topic.mu.Unlock()
+		// The ordered prefix grows while it reaches the end, never after.
+		t := tw.topic
+		t.mu.Lock()
+		n := len(t.entries)
+		t.entries = append(t.entries, tw.staged...)
+		for t.ordered == n && n < len(t.entries) && inOrder(t.entries, n) {
+			t.ordered, n = n+1, n+1
+		}
+		t.mu.Unlock()
 		tw.staged = tw.staged[:0]
 	}
 	return nil
@@ -552,16 +559,19 @@ func (t *Topic) Dir() string { return t.dir }
 // order, which is timestamp order for bags recorded chronologically.
 // The returned slice is shared; callers must not mutate it.
 func (t *Topic) Entries() ([]IndexEntry, error) {
-	return t.EntriesSpan(obs.Span{})
+	entries, _, err := t.EntriesSpan(obs.Span{})
+	return entries, err
 }
 
 // EntriesSpan is Entries with the (first) index-file load recorded as a
 // container.index_load child of parent; cache hits record nothing. A
-// zero parent traces the load as a root span.
-func (t *Topic) EntriesSpan(parent obs.Span) ([]IndexEntry, error) {
+// zero parent traces the load as a root span. entries[:ordered] is their
+// longest prefix in time order (non-decreasing Time), under the same lock.
+func (t *Topic) EntriesSpan(parent obs.Span) (entries []IndexEntry, ordered int, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.entriesLocked(parent)
+	entries, err = t.entriesLocked(parent)
+	return entries, t.ordered, err
 }
 
 func (t *Topic) entriesLocked(parent obs.Span) ([]IndexEntry, error) {
@@ -569,7 +579,7 @@ func (t *Topic) entriesLocked(parent obs.Span) ([]IndexEntry, error) {
 		return t.entries, nil
 	}
 	sp := parent.ChildOp(t.indexLoadOp)
-	entries, tail, err := readIndex(filepath.Join(t.dir, IndexFileName))
+	entries, ordered, tail, err := readIndex(filepath.Join(t.dir, IndexFileName))
 	if err == nil && tail != 0 {
 		err = fmt.Errorf("%d-byte torn entry after %d whole ones", tail, len(entries))
 	}
@@ -578,7 +588,7 @@ func (t *Topic) entriesLocked(parent obs.Span) ([]IndexEntry, error) {
 		sp.EndErr(err)
 		return nil, err
 	}
-	t.entries, t.loaded = entries, true
+	t.entries, t.ordered, t.loaded = entries, ordered, true
 	sp.EndBytes(int64(len(entries)) * IndexEntrySize)
 	return t.entries, nil
 }
@@ -590,17 +600,18 @@ const indexChunk = 1024
 // readIndex decodes the whole entries of an index file straight into
 // the entry slice it returns, through a fixed chunk: the only garbage a
 // cold open's index load leaves is the entries themselves (a whole-file
-// read beside them doubled it, once per topic per open). tail is the
-// length of a torn final entry past them, which only fsck accepts.
-func readIndex(path string) (entries []IndexEntry, tail int64, err error) {
+// read beside them doubled it, once per topic per open); entries[:ordered]
+// is their longest prefix in time order, found in the same loop. tail is
+// the length of a torn final entry past them, which only fsck accepts.
+func readIndex(path string) (entries []IndexEntry, ordered int, tail int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	entries = make([]IndexEntry, st.Size()/IndexEntrySize)
 	var chunk [indexChunk * IndexEntrySize]byte
@@ -610,13 +621,21 @@ func readIndex(path string) (entries []IndexEntry, tail int64, err error) {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF // the file shrank under the load
 			}
-			return nil, 0, fmt.Errorf("read at entry %d of %d stopped after %d bytes: %w", done, len(entries), n, err)
+			return nil, 0, 0, fmt.Errorf("read at entry %d of %d stopped after %d bytes: %w", done, len(entries), n, err)
 		}
 		for ; len(buf) > 0; buf, done = buf[IndexEntrySize:], done+1 {
 			entries[done] = decodeIndexEntry(buf)
+			if ordered == done && inOrder(entries, done) {
+				ordered++
+			}
 		}
 	}
-	return entries, st.Size() % IndexEntrySize, nil
+	return entries, ordered, st.Size() % IndexEntrySize, nil
+}
+
+// inOrder reports whether entry i does not step back in time from i-1.
+func inOrder(entries []IndexEntry, i int) bool {
+	return i == 0 || !entries[i].Time.Before(entries[i-1].Time)
 }
 
 // TimeIndex returns the coarse-grain time index of a complete topic,

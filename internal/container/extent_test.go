@@ -358,7 +358,7 @@ func TestReadIndexChunked(t *testing.T) {
 	if err := os.Truncate(path, int64(n*IndexEntrySize-3)); err != nil {
 		t.Fatal(err)
 	}
-	if entries, tail, err := readIndex(path); err != nil || len(entries) != n-1 || tail != IndexEntrySize-3 {
+	if entries, _, tail, err := readIndex(path); err != nil || len(entries) != n-1 || tail != IndexEntrySize-3 {
 		t.Errorf("torn file: %d entries, %d-byte tail, %v; want %d, %d, nil", len(entries), tail, err, n-1, IndexEntrySize-3)
 	}
 	fresh := &Topic{dir: topic.dir, topic: topic.topic}

@@ -208,7 +208,7 @@ func fsckTopic(rep *Report, dir, dirName string) *topicState {
 	// Index: decode the whole-entry prefix, then find the longest
 	// consistent prefix actually backed by data.
 	ixPath := filepath.Join(dir, IndexFileName)
-	entries, tail, err := readIndex(ixPath)
+	entries, _, tail, err := readIndex(ixPath)
 	if err != nil {
 		rep.add(FindingMissingIndex, st.name, ixPath, "%v", err)
 		st.drop = true

@@ -243,6 +243,40 @@ func TestAllocBudgetChronoQuery(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetWindowedQuery: a window of a topic recorded in time
+// order is a range, not a walk. On a warm handle behind a block cache, a
+// repeated bounded unstrided query allocates the same bytes for a 2 s
+// window as for a 20 s one: its selections are views of the shared
+// entry slices, with no positions list and nothing per entry. A strided
+// repeat adds at most one selection slice per part.
+func TestAllocBudgetWindowedQuery(t *testing.T) {
+	bag, _ := warmBag(t, 30, 1<<20)
+	base := int64(1_000_000_000_000_000_000)
+	window := func(seconds int64, stride int) QuerySpec {
+		return QuerySpec{Start: bagio.TimeFromNanos(base + 2e9), End: bagio.TimeFromNanos(base + (2+seconds)*1e9), Stride: stride}
+	}
+	query := func(spec QuerySpec) func() error {
+		return func() error {
+			return bag.Query(spec, func(m MessageRef) error {
+				allocSink += len(m.Data)
+				return nil
+			})
+		}
+	}
+	short, long := leastRepeatAlloc(t, query(window(2, 1))), leastRepeatAlloc(t, query(window(20, 1)))
+	t.Logf("a repeated windowed query allocates %d bytes over 2 s, %d over 20 s", short, long)
+	if short != long {
+		t.Errorf("a 20 s window allocated %d bytes, a 2 s one %d: the selection costs something per entry", long, short)
+	}
+	allocs := func(spec QuerySpec) float64 { return testing.AllocsPerRun(3, func() { query(spec)() }) }
+	parts := float64(len(bag.Topics())) // a classic bag: one part per topic
+	plain, strided := allocs(window(20, 1)), allocs(window(20, 3))
+	t.Logf("a 20 s window: %.0f allocs per query, %.0f strided", plain, strided)
+	if strided > plain+parts {
+		t.Errorf("a strided 20 s window: %.0f allocs per query vs %.0f unstrided; budget is one slice per part (%.0f)", strided, plain, parts)
+	}
+}
+
 // TestAllocBudgetFollowTail pins the live tail, writer included, under
 // the same per-message budget, in its most batch-heavy steady state:
 // every message is written, then awaited, so each is a batch of its own.

@@ -19,7 +19,7 @@ type Stats struct {
 	Seeks          int   // topic-part data files opened: one per part a query delivers from
 	DataReads      int   // reads issued against those files: one per coalesced extent, with or without a block cache
 	BytesRead      int64 // payload bytes read
-	EntriesScanned int   // index entries examined
+	EntriesScanned int   // index entries examined: binary-search probes included
 	WindowsScanned int   // coarse time-index windows touched
 	MessagesRead   int   // messages delivered to callers
 }
@@ -60,7 +60,7 @@ var scratchPool = sync.Pool{New: func() interface{} { return new(msgScratch) }}
 type bagObs struct {
 	read       *obs.Op // core.read: full-topic query (Fig 7)
 	readTime   *obs.Op // core.read_time: topics + time range (Fig 8)
-	readChrono *obs.Op // core.read_chrono: k-way chronological merge
+	readChrono *obs.Op // core.read_chrono: chronological merge, a run of one part per step
 	readPooled *obs.Op // core.read_parallel: concurrent per-topic streams
 	readTopic  *obs.Op // core.read_topic: one topic's sequential stream
 	follow     *obs.Op // core.follow: snapshot + live-tail query

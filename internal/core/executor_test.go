@@ -225,6 +225,29 @@ func (o oracle) wantSealed(spec QuerySpec) []queryRec {
 	return delivered(spec, ms)
 }
 
+// followWant is what a Follow query that subscribed after the log's
+// first cut writes must deliver: the snapshot in time order, then the
+// tail in write order (a message's place in the log).
+func followWant(full oracle, log []diffWrite, cut int, spec QuerySpec) []queryRec {
+	written := map[string][]int{}
+	for i, w := range log {
+		written[w.topic] = append(written[w.topic], i)
+	}
+	var snapshot, tail []oracleMsg
+	for _, m := range full.selected(spec) {
+		if written[m.Topic][m.ord] < cut {
+			snapshot = append(snapshot, m)
+		} else {
+			tail = append(tail, m)
+		}
+	}
+	byTime(snapshot)
+	sort.Slice(tail, func(i, j int) bool {
+		return written[tail[i].Topic][tail[i].ord] < written[tail[j].Topic][tail[j].ord]
+	})
+	return delivered(spec, append(snapshot, tail...))
+}
+
 type diffWrite struct {
 	topic string
 	time  bagio.Time
@@ -434,26 +457,8 @@ func TestExecutorDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			full := buildOracle(t, sealed)
-			// A message's place in the log: the tail delivers in write order.
-			written := map[string][]int{}
-			for i, w := range log {
-				written[w.topic] = append(written[w.topic], i)
-			}
 			for i, spec := range specs {
-				var snapshot, tail []oracleMsg
-				for _, m := range full.selected(spec) {
-					if written[m.Topic][m.ord] < cut {
-						snapshot = append(snapshot, m)
-					} else {
-						tail = append(tail, m)
-					}
-				}
-				byTime(snapshot)
-				sort.Slice(tail, func(i, j int) bool {
-					return written[tail[i].Topic][tail[i].ord] < written[tail[j].Topic][tail[j].ord]
-				})
-				want := delivered(spec, append(snapshot, tail...))
-				if !reflect.DeepEqual(gots[i], want) {
+				if want := followWant(full, log, cut, spec); !reflect.DeepEqual(gots[i], want) {
 					t.Errorf("seed %d cut %d %s: live Follow differs from the oracle (%d msgs, want %d)",
 						seed, cut, describe(spec), len(gots[i]), len(want))
 				}

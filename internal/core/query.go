@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"runtime"
@@ -24,9 +23,10 @@ const (
 	// (Fig 7). Only OrderTopic queries may run parallel plans.
 	OrderTopic Order = iota
 	// OrderTime yields messages in global timestamp order across
-	// topics, merging the per-topic streams through a k-way heap. It
-	// exists for consumers (e.g. SLAM replays) that need cross-topic
-	// chronology; pure extraction workloads should prefer OrderTopic.
+	// topics, merging the per-part selections in runs through a typed
+	// min-heap. It exists for consumers (e.g. SLAM replays) that need
+	// cross-topic chronology; pure extraction workloads should prefer
+	// OrderTopic.
 	OrderTime
 )
 
@@ -314,11 +314,12 @@ func (q *query) readPart(sp obs.Span, t *container.Topic, phase *int, scratch *m
 
 // readTime is the time-order policy: messages of the requested topics
 // in global timestamp order, merging the per-part cursors of every
-// chain through a k-way heap. Under a snapshot cut (q.limits, from a
-// Follow subscription) each part selects from at most its limit
-// entries and unknown topics resolve leniently — together that
-// restricts the merge to exactly the messages recorded before the
-// subscription.
+// chain through mergeHeap, one deliver call and one sift per run (the
+// top cursor's entries that go before every other cursor's head).
+// Under a snapshot cut (q.limits, from a Follow subscription) each
+// part selects from at most its limit entries and unknown topics
+// resolve leniently — together that restricts the merge to exactly the
+// messages recorded before the subscription.
 func (q *query) readTime(parent obs.Span) (err error) {
 	sp := parent.ChildOp(q.bag.ops.readChrono)
 	defer func() { sp.EndErr(err) }()
@@ -347,14 +348,13 @@ func (q *query) readTime(parent obs.Span) (err error) {
 				}
 				continue
 			}
-			// Parts recorded chronologically are already in time order;
-			// only an out-of-order part is copied (the selection may be
-			// the topic's shared slice) and sorted, stably, so equal
-			// stamps keep append order.
-			less := func(i, j int) bool { return c.entries[i].Time.Before(c.entries[j].Time) }
-			if !sort.SliceIsSorted(c.entries, less) {
+			// A part whose ordered prefix covers its selection is already in
+			// time order; any other is copied (the selection may be the
+			// topic's shared slice) and sorted, stably, so equal stamps
+			// keep append order.
+			if !c.inOrder {
 				c.entries = append([]container.IndexEntry(nil), c.entries...)
-				sort.SliceStable(c.entries, less)
+				sort.SliceStable(c.entries, func(i, j int) bool { return c.entries[i].Time.Before(c.entries[j].Time) })
 			}
 			c.ord = len(h)
 			h = append(h, c)
@@ -363,17 +363,19 @@ func (q *query) readTime(parent obs.Span) (err error) {
 			q.phases[ch.name] = phase
 		}
 	}
-	heap.Init(&h)
-	for h.Len() > 0 {
-		c := h[0]
-		if err := c.deliver(c.entries[c.pos:], 1); err != nil {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	for len(h) > 0 {
+		c, k := h[0], h.run()
+		if err := c.deliver(c.entries[c.pos:], k); err != nil {
 			return err
 		}
-		if c.pos++; c.pos < len(c.entries) {
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h).(*cursor).close()
+		if c.pos += k; c.pos == len(c.entries) {
+			c.close()
+			h[0], h = h[len(h)-1], h[:len(h)-1]
 		}
+		h.down(0)
 	}
 	return nil
 }

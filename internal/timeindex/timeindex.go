@@ -108,28 +108,28 @@ func (ix *Index) span(start, end bagio.Time) []window {
 	return ix.windows[lo:hi]
 }
 
-// Query returns the ordinal positions of messages in windows overlapping
-// [start, end]. Positions within each window are in insertion order;
-// windows are visited in ascending start order. The result may include
-// messages slightly outside [start, end] (up to one window on each side);
-// the caller performs the fine-grain timestamp filter, exactly as the
-// paper describes ("a reduced number of messages for later fine-grain
-// looking up").
-func (ix *Index) Query(start, end bagio.Time) []uint32 {
-	var out []uint32
-	for _, w := range ix.span(start, end) {
+// QuerySorted returns the ordinal positions of messages in windows
+// overlapping [start, end], in ascending order, which is what scan
+// planners want (a monotone file walk). The result may include messages
+// slightly outside [start, end] (up to one window on each side); the
+// caller performs the fine-grain timestamp filter, exactly as the paper
+// describes ("a reduced number of messages for later fine-grain looking
+// up"). The list is sized once from the windows' lengths. Containers
+// built from time-ordered topic streams — the normal duplicate output —
+// already yield ascending positions, so the sort is skipped unless a
+// single verification pass finds an inversion.
+func (ix *Index) QuerySorted(start, end bagio.Time) []uint32 {
+	ws, n := ix.span(start, end), 0
+	for _, w := range ws {
+		n += len(w.positions)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]uint32, 0, n)
+	for _, w := range ws {
 		out = append(out, w.positions...)
 	}
-	return out
-}
-
-// QuerySorted is Query with the positions returned in ascending
-// ordinal order, which is what scan planners want (a monotone file
-// walk). Containers built from time-ordered topic streams — the normal
-// duplicate output — already yield ascending positions, so the sort is
-// skipped unless a single verification pass finds an inversion.
-func (ix *Index) QuerySorted(start, end bagio.Time) []uint32 {
-	out := ix.Query(start, end)
 	if !slices.IsSorted(out) {
 		slices.Sort(out)
 	}

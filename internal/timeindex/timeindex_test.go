@@ -28,11 +28,11 @@ func TestPaperExample(t *testing.T) {
 	if ix.WindowCount() != 2 {
 		t.Fatalf("WindowCount = %d", ix.WindowCount())
 	}
-	got := ix.Query(ts(31, 0), ts(34, 0))
+	got := ix.QuerySorted(ts(31, 0), ts(34, 0))
 	if !reflect.DeepEqual(got, []uint32{0, 1, 2}) {
 		t.Errorf("Query[31,34] = %v", got)
 	}
-	got = ix.Query(ts(31, 0), ts(36, 0))
+	got = ix.QuerySorted(ts(31, 0), ts(36, 0))
 	if !reflect.DeepEqual(got, []uint32{0, 1, 2, 3}) {
 		t.Errorf("Query[31,36] = %v", got)
 	}
@@ -54,7 +54,7 @@ func TestQueryIsSuperset(t *testing.T) {
 		start := ts(uint32(100+rng.Intn(60)), 0)
 		end := start.Add(time.Duration(rng.Intn(20)) * time.Second)
 		got := map[uint32]bool{}
-		for _, p := range ix.Query(start, end) {
+		for _, p := range ix.QuerySorted(start, end) {
 			got[p] = true
 		}
 		for i, tm := range times {
@@ -75,10 +75,10 @@ func TestQueryIsSuperset(t *testing.T) {
 
 func TestQueryEmptyAndInverted(t *testing.T) {
 	ix := Build(time.Second, []bagio.Time{ts(10, 0)})
-	if got := ix.Query(ts(20, 0), ts(30, 0)); got != nil {
+	if got := ix.QuerySorted(ts(20, 0), ts(30, 0)); got != nil {
 		t.Errorf("query of empty range = %v", got)
 	}
-	if got := ix.Query(ts(30, 0), ts(20, 0)); got != nil {
+	if got := ix.QuerySorted(ts(30, 0), ts(20, 0)); got != nil {
 		t.Errorf("inverted range = %v", got)
 	}
 	if n := ix.WindowsScanned(ts(30, 0), ts(20, 0)); n != 0 {
@@ -131,13 +131,13 @@ func TestMarshalRoundTrip(t *testing.T) {
 		t.Errorf("shape mismatch: %v/%d vs %v/%d", out.Window(), out.WindowCount(), ix.Window(), ix.WindowCount())
 	}
 	start, end := ts(0, 0), ts(1000, 0)
-	if !reflect.DeepEqual(sortedU32(ix.Query(start, end)), sortedU32(out.Query(start, end))) {
+	if !reflect.DeepEqual(sortedU32(ix.QuerySorted(start, end)), sortedU32(out.QuerySorted(start, end))) {
 		t.Error("full query differs after round trip")
 	}
 	for trial := 0; trial < 20; trial++ {
 		s := ts(uint32(rng.Intn(1000)), 0)
 		e := s.Add(time.Duration(rng.Intn(50)) * time.Second)
-		if !reflect.DeepEqual(ix.Query(s, e), out.Query(s, e)) {
+		if !reflect.DeepEqual(ix.QuerySorted(s, e), out.QuerySorted(s, e)) {
 			t.Fatalf("trial %d: query differs after round trip", trial)
 		}
 	}
@@ -243,7 +243,7 @@ func TestPointQueryQuick(t *testing.T) {
 		}
 		ix := Build(7*time.Second, times)
 		got := map[uint32]bool{}
-		for _, p := range ix.Query(ts(uint32(probe), 0), ts(uint32(probe), 0)) {
+		for _, p := range ix.QuerySorted(ts(uint32(probe), 0), ts(uint32(probe), 0)) {
 			got[p] = true
 		}
 		for i, tm := range times {
@@ -274,7 +274,7 @@ func TestMarshalQuick(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		return reflect.DeepEqual(ix.Query(ts(uint32(lo), 0), ts(uint32(hi), 0)), out.Query(ts(uint32(lo), 0), ts(uint32(hi), 0)))
+		return reflect.DeepEqual(ix.QuerySorted(ts(uint32(lo), 0), ts(uint32(hi), 0)), out.QuerySorted(ts(uint32(lo), 0), ts(uint32(hi), 0)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -308,9 +308,9 @@ func TestHalfOpenQueryTerminates(t *testing.T) {
 }
 
 // TestQueryMatchesOracle: over random timestamps that step backwards as
-// well as forwards, Query returns exactly the positions of the windows
-// overlapping the range — windows ascending, positions in insertion
-// order within each — and WindowsScanned counts those windows.
+// well as forwards, QuerySorted returns exactly the positions of the
+// windows overlapping the range, ascending, and WindowsScanned counts
+// those windows.
 func TestQueryMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	const width = 3 * time.Second
@@ -340,8 +340,8 @@ func TestQueryMatchesOracle(t *testing.T) {
 				}
 			}
 		}
-		if got := ix.Query(start, end); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: Query = %v, want %v", trial, got, want)
+		if got := ix.QuerySorted(start, end); !reflect.DeepEqual(got, sortedU32(want)) {
+			t.Fatalf("trial %d: QuerySorted = %v, want %v", trial, got, sortedU32(want))
 		}
 		if got := ix.WindowsScanned(start, end); got != len(windows) {
 			t.Fatalf("trial %d: WindowsScanned = %d, want %d", trial, got, len(windows))
