@@ -489,6 +489,45 @@ var archRules = []archRule{
 		},
 	},
 	{
+		name: "sites/mapping-is-container's",
+		why:  "a part is mapped in one file, internal/container/mapped.go, which alone knows a mapping's lifetime and which faults are its own",
+		check: func(tr *tree) (string, []string) {
+			got := tr.sites(everywhere, func(f *srcFile, n ast.Node) bool {
+				return f.refersTo(n, "syscall", "Mmap") || f.refersTo(n, "syscall", "Munmap")
+			})
+			var bad []string
+			for _, s := range got {
+				if !strings.HasPrefix(s, "internal/container/mapped.go:") {
+					bad = append(bad, s+": syscall.Mmap or Munmap outside internal/container/mapped.go")
+				}
+			}
+			if len(got) == 0 {
+				bad = append(bad, "no syscall.Mmap or Munmap in internal/container/mapped.go")
+			}
+			return fmt.Sprintf("%d syscall.Mmap/Munmap sites, in internal/container/mapped.go", len(got)), bad
+		},
+		seeds: []seedFile{
+			{"internal/core/zz_seed.go", `package core; import "syscall"; var _ = syscall.Mmap`},
+			{"internal/container/zz_seed.go", `package container; import "syscall"; func zz() { syscall.Munmap(nil) }`},
+		},
+	},
+	{
+		name: "sites/one-fault-switch-in-core",
+		why:  "every ordering policy raises memory faults as panics through one helper (core's panicOnFault), so cursor.deliver's recover is the one place a cut mapping becomes an error",
+		check: count(everywhere, 1, "cursor.go", "debug.SetPanicOnFault call(s)", func(f *srcFile, n ast.Node) bool {
+			return calledQualified(f, n, "runtime/debug", "SetPanicOnFault")
+		}),
+		seeds: []seedFile{{"internal/core/zz_seed.go", `package core; import "runtime/debug"; func zz() { debug.SetPanicOnFault(true) }`}},
+	},
+	{
+		name: "names/pool-plugs-no-block-cache",
+		why:  "pooled handles read mapped parts: the pool building or plugging a block cache again would put a second copy of the page cache back on the serving path",
+		check: none([]string{"internal/pool"}, func(_ *srcFile, n ast.Node) bool {
+			return calledMethod(n, "SetBlockCache")
+		}, "internal/pool plugs a block cache"),
+		seeds: []seedFile{{"internal/pool/zz_seed.go", `package pool; func zz(c interface{ SetBlockCache(any) }) { c.SetBlockCache(nil) }`}},
+	},
+	{
 		name: "names/core-does-not-recheck-order",
 		why:  "a part's time order is kept by container (EntriesSpan's ordered prefix), so core never re-derives it per query",
 		check: none([]string{"internal/core"}, func(f *srcFile, n ast.Node) bool {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -21,14 +22,16 @@ func init() {
 
 // runAblationRebag compares the two rebagging paths on real files: the
 // stock filter (open + indexed read + full bag re-write) against BORA's
-// container-to-container Rebag.
+// container-to-container Rebag, by wall clock and by the bytes each
+// reads against the payload bytes kept: counters that repeat exactly.
 func runAblationRebag(reg *obs.Registry) (*Table, error) {
 	t := &Table{
 		ID:     "ablation-rebag",
 		Title:  "Rebagging: stock bag filter vs BORA container-to-container Rebag (real)",
-		Header: []string{"selection", "stock filter", "bora rebag", "speedup", "kept"},
+		Header: []string{"selection", "stock filter", "bora rebag", "speedup", "kept", "kept bytes", "stock bytes read", "bora bytes read"},
 		Notes: []string{
 			"real wall-clock on a scaled-down Handheld SLAM bag; each path the fastest of three attempts",
+			"bytes read: the stock filter's reads of the bag file, BORA's payload reads (Bag.Stats().BytesRead)",
 		},
 	}
 	dir, err := os.MkdirTemp("", "bora-rebag-")
@@ -66,13 +69,14 @@ func runAblationRebag(reg *obs.Registry) (*Table, error) {
 	const rebagAttempts = 3
 	for i, qc := range cases {
 		stockTime, boraTime := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
-		var kept int64
+		var kept, keptBytes, stockRead, boraRead int64
 		for a := 0; a < rebagAttempts; a++ {
-			sd, stockKept, err := timeStockFilter(src, filepath.Join(dir, fmt.Sprintf("stock%d.bag", i)),
+			sd, stockKept, kb, sr, err := timeStockFilter(src, filepath.Join(dir, fmt.Sprintf("stock%d.bag", i)),
 				rosbag.Query{Topics: qc.topics, Start: qc.start, End: qc.end})
 			if err != nil {
 				return nil, err
 			}
+			before := full.Stats().BytesRead
 			boraStart := time.Now()
 			_, boraKept, err := backend.Rebag(full, fmt.Sprintf("sub%d-%d", i, a), core.QuerySpec{
 				Topics: qc.topics, Start: qc.start, End: qc.end,
@@ -85,35 +89,51 @@ func runAblationRebag(reg *obs.Registry) (*Table, error) {
 				return nil, fmt.Errorf("ablation-rebag: %s: stock kept %d, bora kept %d", qc.label, stockKept, boraKept)
 			}
 			stockTime, boraTime, kept = min(stockTime, sd), min(boraTime, bd), boraKept
+			keptBytes, stockRead, boraRead = kb, sr, full.Stats().BytesRead-before
 		}
 		t.Rows = append(t.Rows, []string{
-			qc.label, fmtDur(stockTime), fmtDur(boraTime),
-			fmtRatio(stockTime, boraTime), fmt.Sprintf("%d", kept),
+			qc.label, fmtDur(stockTime), fmtDur(boraTime), fmtRatio(stockTime, boraTime),
+			fmt.Sprint(kept), fmt.Sprint(keptBytes), fmt.Sprint(stockRead), fmt.Sprint(boraRead),
 		})
 	}
 	return t, nil
 }
 
-// timeStockFilter times the stock path: open the bag at src, filter it
-// by q, and write the kept messages as a new bag at out.
-func timeStockFilter(src, out string, q rosbag.Query) (time.Duration, uint64, error) {
+// countingReaderAt counts the bytes read through it.
+type countingReaderAt struct {
+	io.ReaderAt
+	n int64
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	n, err := c.ReaderAt.ReadAt(p, off)
+	c.n += int64(n)
+	return n, err
+}
+
+// timeStockFilter times the stock path — open the bag at src, filter it
+// by q, and write the kept messages as a new bag at out — and counts the
+// messages and payload bytes it keeps and the bytes it reads of src.
+func timeStockFilter(src, out string, q rosbag.Query) (took time.Duration, kept uint64, keptBytes, read int64, err error) {
 	in, err := os.Open(src)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, 0, err
 	}
 	defer in.Close()
 	st, err := in.Stat()
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, 0, err
 	}
 	of, err := os.Create(out)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, 0, err
 	}
 	defer of.Close()
+	counted := &countingReaderAt{ReaderAt: in}
+	keep := func(m rosbag.MessageRef) bool { keptBytes += int64(len(m.Data)); return true }
 	start := time.Now()
-	kept, err := rosbag.Filter(in, st.Size(), of, q, nil, rosbag.WriterOptions{})
-	return time.Since(start), kept, err
+	kept, err = rosbag.Filter(counted, st.Size(), of, q, keep, rosbag.WriterOptions{})
+	return time.Since(start), kept, keptBytes, counted.n, err
 }
 
 // runAblationCompression sweeps the recorder's chunk compression on real

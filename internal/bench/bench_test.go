@@ -72,6 +72,15 @@ func runTable(t *testing.T, id string) *Table {
 }
 
 // ratioCell parses a "N.NNx" improvement cell.
+func intCell(t *testing.T, cell string) int64 {
+	t.Helper()
+	v, err := strconv.ParseInt(cell, 10, 64)
+	if err != nil {
+		t.Fatalf("bad count cell %q: %v", cell, err)
+	}
+	return v
+}
+
 func ratioCell(t *testing.T, cell string) float64 {
 	t.Helper()
 	v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "x"), 64)
@@ -270,12 +279,18 @@ func TestAblationRebagAndCompression(t *testing.T) {
 		t.Skip("writes real bags")
 	}
 	reb := runTable(t, "ablation-rebag")
-	// A windowed selection reads only the windows it needs, and Rebag's
-	// topic writers append in whole-buffer writes, so BORA beats the
-	// stock filter on every row, the whole-topic copy included.
+	// The claim in counters, not wall clocks (a timing of a few
+	// milliseconds swings 2x on a shared host): BORA reads only the
+	// selected topics' payloads, so it reads fewer bytes than the stock
+	// filter on every row, and a windowed selection reads only the
+	// messages it keeps — no byte of a window it does not need.
 	for _, row := range reb.Rows {
-		if r := ratioCell(t, row[3]); r < 1 {
-			t.Errorf("rebag ablation: BORA at %.2fx the stock filter on %q, want at least 1x", r, row[0])
+		kept, stock, bora := intCell(t, row[5]), intCell(t, row[6]), intCell(t, row[7])
+		if bora >= stock {
+			t.Errorf("rebag ablation %q: BORA read %d bytes, the stock filter %d; want fewer", row[0], bora, stock)
+		}
+		if strings.Contains(row[0], "window") && bora > kept {
+			t.Errorf("rebag ablation %q: BORA read %d bytes to keep %d; want no more than it keeps", row[0], bora, kept)
 		}
 	}
 	comp := runTable(t, "ablation-compression")

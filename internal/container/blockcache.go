@@ -23,7 +23,8 @@ type BlockKey struct {
 // invalidation — the generation in the key takes care of rebuilds.
 // Implementations must be safe for concurrent use. Get returns a
 // slice the caller must not mutate; Put takes ownership of data.
-// internal/pool provides the bounded LRU implementation.
+// internal/pool provides the bounded LRU implementation (plugged in by
+// the benchmark's cached-read probe only).
 type BlockCache interface {
 	// BlockSize returns the cache's fixed block width in bytes (> 0).
 	BlockSize() int64
@@ -34,17 +35,15 @@ type BlockCache interface {
 // cachedReader adapts a topic DataReader to serve through a BlockCache:
 // run hands out a run of messages inside one block as a slice of it,
 // and ReadAt, the fallback for what straddles blocks, copies hits out
-// of the cache block by block. Misses fill from the underlying reader
-// (each fill recorded under container.block_fill). The final block of a
-// file is short; it is cached at its true length, which is safe because
-// sealed containers never grow.
+// of the cache block by block. Misses fill from the underlying reader.
+// The final block of a file is short; it is cached at its true length,
+// which is safe because sealed containers never grow.
 type cachedReader struct {
-	inner  dataFile
-	cache  BlockCache
-	path   string
-	gen    uint64
-	fillOp *obs.Op
-	aq     *obs.ActiveQuery // query charged for hits/misses; nil = unattributed
+	inner dataFile
+	cache BlockCache
+	path  string
+	gen   uint64
+	aq    *obs.ActiveQuery // query charged for hits/misses; nil = unattributed
 }
 
 func (r *cachedReader) ReadAt(p []byte, off int64) (int, error) {
@@ -115,15 +114,12 @@ func (r *cachedReader) block(block, bs int64) ([]byte, error) {
 	if r.aq != nil {
 		fillStart = time.Now()
 	}
-	sp := r.fillOp.Start()
 	buf := make([]byte, bs)
 	n, err := r.inner.ReadAt(buf, block*bs)
 	if err != nil && err != io.EOF {
-		sp.EndErr(err)
 		return nil, err
 	}
 	buf = buf[:n]
-	sp.EndBytes(int64(n))
 	if r.aq != nil {
 		r.aq.NoteBlock(false, time.Since(fillStart))
 	}

@@ -141,21 +141,16 @@ type Container struct {
 
 	indexLoadOp *obs.Op // container.index_load: lazy index-file parses
 	readOp      *obs.Op // container.read: per-message payload reads
-	blockFillOp *obs.Op // container.block_fill: block-cache miss reads
-
-	blockCache BlockCache // nil: topic data reads go straight to disk
 }
 
 // SetObs routes the container's metrics (index loads, per-message data
-// reads, block-cache miss fills) to reg; existing and later-created
-// topics inherit it. A nil registry (the default) disables recording.
+// reads) to reg; existing and later-created topics inherit it. A nil
+// registry (the default) disables recording.
 func (c *Container) SetObs(reg *obs.Registry) {
 	c.indexLoadOp = reg.Op("container.index_load")
 	c.readOp = reg.Op("container.read")
-	c.blockFillOp = reg.Op("container.block_fill")
 	for _, t := range c.topics {
 		t.indexLoadOp = c.indexLoadOp
-		t.blockFillOp = c.blockFillOp
 	}
 }
 
@@ -175,13 +170,13 @@ func (c *Container) Generation() uint64 {
 // memory and fill misses from the underlying file. Cache keys carry the
 // topic path and the container generation, so a rebuilt container never
 // serves another generation's bytes. A nil cache (the default) keeps
-// reads direct.
+// reads direct. Only the benchmark's cached-read probe still sets one;
+// pooled handles map their parts (MapData).
 func (c *Container) SetBlockCache(bc BlockCache) {
 	for _, t := range c.topics {
 		t.cache = bc
 		t.gen = c.Generation()
 	}
-	c.blockCache = bc
 }
 
 // NoteReads records a batch of message payload reads under
@@ -194,14 +189,15 @@ func (c *Container) NoteReads(n, bytes int64) {
 // Topic is one topic sub-directory of a container. Topics are safe for
 // concurrent readers: the lazy index load is guarded by a mutex.
 type Topic struct {
-	dir   string
-	topic string
-	conn  *bagio.Connection
-	cache BlockCache // nil: OpenData reads straight from disk
-	gen   uint64     // container generation baked into cache keys
+	dir     string
+	topic   string
+	conn    *bagio.Connection
+	cache   BlockCache // nil: OpenData reads straight from disk
+	gen     uint64     // container generation baked into cache keys
+	mapped  bool       // MapData: read through mapping, made on first use under mu
+	mapping *mapping
 
 	indexLoadOp *obs.Op
-	blockFillOp *obs.Op
 
 	mu      sync.Mutex
 	entries []IndexEntry
@@ -342,9 +338,7 @@ func (c *Container) CreateTopicOpts(conn *bagio.Connection, opts TopicOptions) (
 	if err := faultfs.WriteFileAtomic(c.fs, filepath.Join(dir, ConnFileName), encodeConn(conn), 0o644); err != nil {
 		return nil, err
 	}
-	t := &Topic{dir: dir, topic: conn.Topic, conn: conn, loaded: true,
-		cache: c.blockCache, gen: c.Generation(),
-		indexLoadOp: c.indexLoadOp, blockFillOp: c.blockFillOp}
+	t := &Topic{dir: dir, topic: conn.Topic, conn: conn, loaded: true, indexLoadOp: c.indexLoadOp}
 	tw := &TopicWriter{topic: t, fs: c.fs, crc: crc32.New(crcTable),
 		flushEvery: opts.IndexFlushEvery, tix: timeindex.New(opts.TimeWindow),
 		buf: appendBufs.Get().(*[]byte)}
@@ -742,11 +736,11 @@ type DataReader interface {
 
 // sizedReader is a reader that knows how long its data file is, so a
 // read can be refused before a buffer is sized from a corrupt entry.
-// Both readers OpenData returns are sized.
+// Every reader OpenData returns is sized.
 type sizedReader interface {
 	// length returns the file's length, asking the file system again when
 	// the length on record is below want: a part still being recorded
-	// grows under its readers.
+	// grows under its readers, and a read cut short asks with MaxUint64.
 	length(want uint64) uint64
 }
 
@@ -770,9 +764,8 @@ func (d *dataFile) length(want uint64) uint64 {
 }
 
 // OpenData opens the topic's contiguous logical data stream for
-// reading. When the container carries a block cache the returned reader
-// serves cache hits from memory and fills misses block-by-block from
-// the file.
+// reading: a mapped topic's (MapData) shared mapping, a block-cache
+// reader when the container carries a cache, otherwise the file.
 func (t *Topic) OpenData() (DataReader, error) {
 	return t.OpenDataQ(nil)
 }
@@ -784,6 +777,11 @@ func (t *Topic) OpenData() (DataReader, error) {
 // of adjacent entries (ReadExtentInto); only container knows which one
 // it handed out.
 func (t *Topic) OpenDataQ(aq *obs.ActiveQuery) (DataReader, error) {
+	if t.mapped {
+		if m := t.mapData(); m != nil {
+			return m, nil
+		}
+	}
 	r, err := openTopicData(t.dir)
 	if err != nil {
 		return nil, err
@@ -791,7 +789,7 @@ func (t *Topic) OpenDataQ(aq *obs.ActiveQuery) (DataReader, error) {
 	if t.cache == nil {
 		return &r, nil
 	}
-	return &cachedReader{inner: r, cache: t.cache, path: t.dir, gen: t.gen, fillOp: t.blockFillOp, aq: aq}, nil
+	return &cachedReader{inner: r, cache: t.cache, path: t.dir, gen: t.gen, aq: aq}, nil
 }
 
 // ErrIndexBeyondData reports an index entry whose payload does not lie
@@ -886,10 +884,11 @@ func extentRun(entries []IndexEntry, size uint64) (k, n int) {
 // returns the bytes and how many entries they hold, k ≥ 1: entry i's
 // payload is buf[entries[i].PhysicalOffset-entries[0].PhysicalOffset:][:entries[i].Length].
 // The caller comes back with entries[k:]. Every reader is read in runs:
-// a plain file with one ReadAt into *scratch; a block-cache reader as
-// one slice of the head's cached block, the run ending where that block
-// does (a head that straddles two blocks, or a block cut short, is read
-// alone, copied through the cache's ReadAt).
+// a mapping as one slice of it; a plain file with one ReadAt into
+// *scratch; a block-cache reader as one slice of the head's cached
+// block, the run ending where that block does (a head that straddles
+// two blocks, or a block cut short, is read alone, copied through the
+// cache's ReadAt).
 //
 // Every read is bounded by the data file's length before a buffer is
 // sized from an entry: a head entry that ends past the file fails with
@@ -897,7 +896,10 @@ func extentRun(entries []IndexEntry, size uint64) (k, n int) {
 // (the file shrank, a device error) still returns the messages wholly
 // inside what arrived; the error surfaces on the call that has the
 // first incomplete message as its head, so a damaged file delivers
-// exactly the prefix a message-at-a-time reader would.
+// exactly the prefix a message-at-a-time reader would; a file cut after
+// it was opened is the same ErrIndexBeyondData. A mapping is measured
+// once per query, so a cut during one faults past its page (Fault) and
+// reads zeros up to that page's end.
 //
 // The bytes are READ-ONLY and valid until the next call with the same
 // reader or scratch, like ReadMessageInto's.
@@ -905,6 +907,11 @@ func (t *Topic) ReadExtentInto(r io.ReaderAt, entries []IndexEntry, scratch *[]b
 	size, err := t.bound(r, entries[0])
 	if err != nil {
 		return nil, 0, err
+	}
+	if m, ok := r.(*mapping); ok {
+		k, n := extentRun(entries, size)
+		lo, hi := entries[0].PhysicalOffset, entries[0].PhysicalOffset+uint64(n)
+		return m.data[lo:hi:hi], k, nil
 	}
 	if c, ok := r.(*cachedReader); ok {
 		if data, k := c.run(entries, size); k > 0 {
@@ -932,6 +939,10 @@ func (t *Topic) readExtent(r io.ReaderAt, entries []IndexEntry, size uint64, scr
 			whole++
 		}
 		if k = whole; k == 0 {
+			if s, ok := r.(sizedReader); ok && s.length(math.MaxUint64) < head.end() {
+				_, err = t.bound(r, head) // the file was cut under the read
+				return nil, 0, err
+			}
 			return nil, 0, fmt.Errorf("container: read message of %q at %d: %w", t.topic, head.PhysicalOffset, err)
 		}
 	}

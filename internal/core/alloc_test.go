@@ -44,6 +44,17 @@ func (c *testBlockCache) Put(key container.BlockKey, data []byte) {
 	c.m[key] = data
 }
 
+// setBlockCache plugs bc under every segment of a sealed bag; a
+// live-wired handle keeps reading its growing files.
+func setBlockCache(bag *Bag, bc container.BlockCache) {
+	if bag.LiveWired() {
+		return
+	}
+	for _, c := range bag.segs {
+		c.SetBlockCache(bc)
+	}
+}
+
 // cachedBag builds a bag whose container serves reads through a warm
 // block cache — the steady-state serving configuration the allocation
 // budgets are defined against.
@@ -210,6 +221,36 @@ func TestAllocBudgetUncachedScan(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetMappedQuery: a pooled handle's mapped parts serve
+// topic and time order at per-query overhead only, and a repeated query
+// takes no read buffer at all — a run is a slice of the mapping — so it
+// allocates less than one extent's worth of bytes in all.
+func TestAllocBudgetMappedQuery(t *testing.T) {
+	bag, msgs := warmBag(t, 20, 0)
+	bag.MapData()
+	sink := func(m MessageRef) error {
+		allocSink += len(m.Data)
+		return nil
+	}
+	for _, c := range []struct {
+		name string
+		spec QuerySpec
+	}{
+		{"mapped topic order", QuerySpec{}},
+		{"mapped time order", QuerySpec{Order: OrderTime}},
+	} {
+		checkAllocBudget(t, c.name, msgs, func() error { return bag.Query(c.spec, sink) })
+		if raceenabled.Enabled {
+			continue // sync.Pool drops Puts at random under the race detector
+		}
+		least := leastRepeatAlloc(t, func() error { return bag.Query(c.spec, sink) })
+		t.Logf("a repeated %s query allocates %d bytes", c.name, least)
+		if least >= 4<<10 {
+			t.Errorf("a repeated %s query allocated %d bytes: a mapped read took a buffer", c.name, least)
+		}
+	}
+}
+
 // TestAllocBudgetChronoQuery pins the chronological k-way merge at zero
 // steady-state allocations per message (the per-topic filtered entry
 // slices are per-query, not per-message), behind a block cache whose
@@ -307,7 +348,7 @@ func TestAllocBudgetFollowTail(t *testing.T) {
 		}
 		cache := newTestBlockCache(1 << 10)
 		if cached {
-			bag.SetBlockCache(cache)
+			setBlockCache(bag, cache)
 		}
 		delivered, done := make(chan struct{}, 1), make(chan error, 1)
 		go func() {

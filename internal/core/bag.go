@@ -17,7 +17,7 @@ import (
 // bag, mirroring rosbag.Stats for side-by-side comparison.
 type Stats struct {
 	Seeks          int   // topic-part data files opened: one per part a query delivers from
-	DataReads      int   // reads issued against those files: one per coalesced extent, with or without a block cache
+	DataReads      int   // reads issued against those files: one per coalesced extent, whatever the reader
 	BytesRead      int64 // payload bytes read
 	EntriesScanned int   // index entries examined: binary-search probes included
 	WindowsScanned int   // coarse time-index windows touched
@@ -29,10 +29,11 @@ type Stats struct {
 // Buffer-ownership contract: Data is READ-ONLY and borrowed — it is
 // valid only for the duration of the callback it was passed to. The
 // bytes live in a per-stream scratch buffer (reused for the next
-// message) or are a direct slice of the shared block cache, so a
-// callback that stores Data, mutates it, or hands it to another
-// goroutine that outlives the callback must take an owned copy first:
-// Copy returns the bytes.
+// message) or are a direct slice of a pooled handle's read-only mapping
+// of the part, so a callback that stores Data, mutates it, or hands it
+// to another goroutine that outlives the callback must take an owned
+// copy first: Copy returns the bytes (a retained slice of a mapping
+// faults once the handle is collected).
 // Callbacks that fully consume the message before returning (writing it
 // to a file, socket, or sink; decoding it; counting it) need neither.
 // This is what makes the steady-state query hot loop allocation-free.
@@ -178,16 +179,16 @@ func (bag *Bag) Generation() uint64 {
 	return 0
 }
 
-// SetBlockCache routes the bag's data reads through bc. Live-wired
-// handles skip it: the building segment's data files still grow, and
-// the block cache must never capture a short read of a block that
-// later fills in.
-func (bag *Bag) SetBlockCache(bc container.BlockCache) {
+// MapData makes this handle read each sealed part through one shared
+// read-only mapping (container.Container.MapData); the pool calls it on
+// the handles it keeps. Live-wired handles skip it: the building
+// segment's data files still grow.
+func (bag *Bag) MapData() {
 	if bag.rec != nil {
 		return
 	}
 	for _, c := range bag.segs {
-		c.SetBlockCache(bc)
+		c.MapData()
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime/debug"
 	"sort"
 
 	"repro/internal/container"
@@ -125,20 +126,31 @@ func (c *cursor) selectEntries(sp obs.Span, phase *int) error {
 // This is the one place core reads data, and it reads extents, not
 // messages: container.ReadExtentInto covers the leading run of
 // physically adjacent entries, up to a fixed cap, in one read — one
-// ReadAt of a plain file, or one slice of a cached block — and each
-// message is sliced out of that buffer. How a part is read is
-// container's business; this loop is the same for every reader. An
-// extent outlives the call that read it, so a merge taking a short run
-// per call issues no more reads than a topic scan does. A run of one —
-// a strided or sparse selection — is one read per message, and no byte
-// outside a selected message is ever read. The reads are borrowed: data
-// lives in the cursor's scratch (or the block cache) beside its
-// neighbours in the extent and is valid only until the callback
-// returns — see MessageRef.
+// slice of a pooled handle's mapping, one ReadAt of a plain file, or one
+// slice of a cached block — and each message is sliced out of that
+// buffer. How a part is read is container's business; this loop is the
+// same for every reader. An extent outlives the call that read it, so a
+// merge taking a short run per call issues no more reads than a topic
+// scan does. A run of one — a strided or sparse selection — is one read
+// per message, and no byte outside a selected message is ever read. The
+// reads are borrowed: data lives in the cursor's scratch (or the
+// mapping) beside its neighbours in the extent and is valid only until
+// the callback returns — see MessageRef.
+// A mapped part cut under the query faults where its bytes are
+// touched, here or in fn; the recover turns that fault (Topic.Fault
+// decides) into the part's ErrIndexBeyondData and re-panics anything
+// else.
 func (c *cursor) deliver(entries []container.IndexEntry, n int) (err error) {
 	if n == 0 {
 		return nil
 	}
+	defer func() {
+		if p := recover(); p != nil {
+			if err = c.t.Fault(c.df, p); err == nil {
+				panic(p)
+			}
+		}
+	}()
 	if c.df == nil {
 		if c.df, err = c.t.OpenDataQ(c.q.aq); err != nil {
 			return err
@@ -205,6 +217,11 @@ func (c *cursor) close() {
 	c.q.aq.AddIndexProbes(int64(d.EntriesScanned))
 	c.q.aq.AddDataReads(int64(d.DataReads))
 }
+
+// panicOnFault sets whether a memory fault on this goroutine panics
+// (for cursor.deliver to recover) rather than crashes, returning the old
+// setting: every policy run turns it on where it delivers.
+func panicOnFault(on bool) bool { return debug.SetPanicOnFault(on) }
 
 // mergeHeap is a typed min-heap of cursors by their next entry's
 // timestamp; equal stamps deliver in cursor order (request order of the

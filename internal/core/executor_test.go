@@ -400,9 +400,9 @@ func TestExecutorDifferential(t *testing.T) {
 			}
 			switch {
 			case seed == 9:
-				sealed.SetBlockCache(newTestBlockCache(256))
+				setBlockCache(sealed, newTestBlockCache(256))
 			case seed%4 == 1:
-				sealed.SetBlockCache(newTestBlockCache(4096))
+				setBlockCache(sealed, newTestBlockCache(4096))
 			}
 		} else {
 			rec, err := b.CreateLiveBag("bag", time.Second)

@@ -159,7 +159,7 @@ func TestDataReadsCountsExtents(t *testing.T) {
 	}
 	check("follow (live tail)", QuerySpec{Follow: true}, tail)
 
-	bag.SetBlockCache(newTestBlockCache(256 << 10))
+	setBlockCache(bag, newTestBlockCache(256<<10))
 	for _, c := range everyPolicy {
 		check("block cache, "+c.name, c.spec, sealed)
 	}
@@ -206,11 +206,21 @@ func queryPrefix(bag *Bag, spec QuerySpec) ([]string, error) {
 }
 
 // TestTruncatedDataKeepsPrefix: a data file cut anywhere delivers, in
-// every ordering policy, over the plain file and behind a block cache of
-// 1 KiB blocks that most messages straddle, exactly the messages a
-// message-at-a-time reader delivers — every message wholly before the
-// cut, in order — and then fails with the same typed error; never a
-// short extent reported as nothing, never a partial payload.
+// every ordering policy, over the plain file, behind a block cache of
+// 1 KiB blocks that most messages straddle, through a mapping made after
+// the cut and through a pooled handle's mapping made before it,
+// exactly the messages a message-at-a-time reader delivers — every
+// message wholly before the cut, in order — and then fails with the same
+// typed error; never a short extent reported as nothing, never a partial
+// payload.
+//
+// Then the cut is made during a query, by its first callback, after the
+// part was opened (one-shot handle) or mapped (pooled handle): the query
+// still ends with ErrIndexBeyondData, no crash, and every callback that
+// returned saw a whole message of the original, in order. The mapped
+// handle is cut at page boundaries: between a cut and the end of its
+// page a mapping reads zeros, which only a syscall per read could see
+// (DESIGN §6); a page past the cut faults, and that is what is tested.
 func TestTruncatedDataKeepsPrefix(t *testing.T) {
 	const msgs = 600
 	size := func(i int) int { return 200 + (i*37)%400 } // ≈ 240 KB: several extents
@@ -224,8 +234,24 @@ func TestTruncatedDataKeepsPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dataPath := filepath.Join(topic.Dir(), container.DataFileName)
+	orig, err := os.ReadFile(dataPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pooled is a long-lived mapped handle whose part is mapped whole
+	// before any cut.
+	pooled, err := b.Open("bag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled.MapData()
+	if got, err := queryPrefix(pooled, QuerySpec{}); err != nil || len(got) != msgs {
+		t.Fatalf("pooled handle before any cut: %d messages, %v", len(got), err)
+	}
 	total := int64(entries[msgs-1].PhysicalOffset) + int64(entries[msgs-1].Length)
-	for _, c := range []struct {
+	page := int64(os.Getpagesize())
+	cuts := []struct {
 		name string
 		cut  int64
 	}{
@@ -236,8 +262,9 @@ func TestTruncatedDataKeepsPrefix(t *testing.T) {
 		{"at a message boundary", int64(entries[250].PhysicalOffset)},
 		{"mid-message", int64(entries[3].PhysicalOffset) + 1},
 		{"at byte 0", 0},
-	} {
-		if err := os.Truncate(filepath.Join(topic.Dir(), container.DataFileName), c.cut); err != nil {
+	}
+	for _, c := range cuts {
+		if err := os.Truncate(dataPath, c.cut); err != nil {
 			t.Fatal(err)
 		}
 		cutBag, err := b.Open("bag")
@@ -256,12 +283,17 @@ func TestTruncatedDataKeepsPrefix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cachedBag.SetBlockCache(newTestBlockCache(1 << 10))
+		setBlockCache(cachedBag, newTestBlockCache(1<<10))
+		mappedBag, err := b.Open("bag")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mappedBag.MapData()
 		for _, p := range everyPolicy {
 			for _, h := range []struct {
 				name string
 				bag  *Bag
-			}{{p.name, cutBag}, {p.name + ", block cache", cachedBag}} {
+			}{{p.name, cutBag}, {p.name + ", block cache", cachedBag}, {p.name + ", mapped after the cut", mappedBag}, {p.name + ", mapped before the cut", pooled}} {
 				got, err := queryPrefix(h.bag, p.spec)
 				if !errors.Is(err, container.ErrIndexBeyondData) {
 					t.Errorf("%s, %s: err = %v, want ErrIndexBeyondData", c.name, h.name, err)
@@ -276,6 +308,63 @@ func TestTruncatedDataKeepsPrefix(t *testing.T) {
 				for i := range got {
 					if got[i] != want[i] {
 						t.Errorf("%s, %s: message %d differs (%d bytes, want %d)", c.name, h.name, i, len(got[i]), len(want[i]))
+						break
+					}
+				}
+			}
+		}
+	}
+
+	// Cuts made during a query: the first callback cuts the file.
+	oneShot, err := b.Open("bag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	original := func(i int) string {
+		e := entries[i]
+		return string(orig[e.PhysicalOffset : e.PhysicalOffset+uint64(e.Length)])
+	}
+	pageCuts := []struct {
+		name string
+		cut  int64
+	}{
+		{"at a page boundary", int64(entries[250].PhysicalOffset) &^ (page - 1)},
+		{"at byte 0", 0},
+	}
+	for _, h := range []struct {
+		name string
+		bag  *Bag
+		cuts []struct {
+			name string
+			cut  int64
+		}
+	}{{"one-shot", oneShot, cuts}, {"mapped", pooled, pageCuts}} {
+		for _, c := range h.cuts {
+			for _, p := range everyPolicy {
+				if err := os.WriteFile(dataPath, orig, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				var mu sync.Mutex
+				var got []string
+				err := h.bag.Query(p.spec, func(m MessageRef) error {
+					mu.Lock()
+					defer mu.Unlock()
+					got = append(got, string(m.Data))
+					if len(got) == 1 {
+						return os.Truncate(dataPath, c.cut)
+					}
+					return nil
+				})
+				name := fmt.Sprintf("cut during the query %s, %s handle, %s", c.name, h.name, p.name)
+				if !errors.Is(err, container.ErrIndexBeyondData) {
+					t.Errorf("%s: err = %v, want ErrIndexBeyondData", name, err)
+				}
+				if len(got) >= msgs {
+					t.Errorf("%s: delivered all %d messages", name, len(got))
+				}
+				for i := range got {
+					if got[i] != original(i) {
+						t.Errorf("%s: message %d is not the original's (%d bytes, want %d)", name, i, len(got[i]), len(original(i)))
 						break
 					}
 				}
@@ -385,7 +474,7 @@ func TestCachedRunsStopAtBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 		if cache != nil {
-			bag.SetBlockCache(cache)
+			setBlockCache(bag, cache)
 		}
 		return bag
 	}

@@ -98,9 +98,9 @@ const cancelCheckBatch = 64
 //
 // The MessageRef passed to fn borrows its Data: the bytes are valid
 // only until fn returns (see the MessageRef ownership contract). Every
-// plan reuses per-stream scratch buffers — and serves block-cache hits
-// as direct cache slices — so the steady-state per-message cost of the
-// hot loop is zero allocations.
+// plan reuses per-stream scratch buffers — and serves a pooled handle's
+// reads as slices of its mappings — so the steady-state per-message cost
+// of the hot loop is zero allocations.
 func (bag *Bag) Query(spec QuerySpec, fn func(MessageRef) error) error {
 	return bag.QuerySpanContext(context.Background(), obs.Span{}, spec, fn)
 }
@@ -267,6 +267,7 @@ func (q *query) readTopics(parent obs.Span) (err error) {
 	}
 	worker := func() {
 		defer wg.Done()
+		defer panicOnFault(panicOnFault(true))
 		scratch := scratchPool.Get().(*msgScratch)
 		defer scratchPool.Put(scratch)
 		for failed.Load() == nil {
@@ -323,6 +324,7 @@ func (q *query) readPart(sp obs.Span, t *container.Topic, phase *int, scratch *m
 func (q *query) readTime(parent obs.Span) (err error) {
 	sp := parent.ChildOp(q.bag.ops.readChrono)
 	defer func() { sp.EndErr(err) }()
+	defer panicOnFault(panicOnFault(true))
 	chains, err := q.bag.chains(q.Topics, q.limits != nil)
 	if err != nil {
 		return err
@@ -408,6 +410,7 @@ func (q *query) readTime(parent obs.Span) (err error) {
 func (q *query) follow(ctx context.Context, parent obs.Span) (err error) {
 	sp := parent.ChildOp(q.bag.ops.follow)
 	defer func() { sp.EndErr(err) }()
+	defer panicOnFault(panicOnFault(true))
 	rec := q.bag.rec
 	if rec == nil {
 		return q.readTime(sp)

@@ -8,22 +8,15 @@ import (
 	"repro/internal/obs"
 )
 
-// BlockLRU is the pool's bounded block cache: a byte-capped LRU of
-// fixed-size topic-data blocks implementing container.BlockCache. One
-// instance is shared by every container the pool opens; keys carry the
+// BlockLRU is a bounded block cache: a byte-capped LRU of fixed-size
+// topic-data blocks implementing container.BlockCache. Keys carry the
 // container generation, so blocks of a removed or rebuilt container
 // stop being referenced and age out rather than needing invalidation.
-// Safe for concurrent use.
+// Safe for concurrent use. Unused by the pool, whose handles map their
+// parts; kept for the benchmark's cached-read probe.
 type BlockLRU struct {
 	blockSize int64
 	capacity  int64
-
-	hitsC      *obs.Counter // pool.block_hits
-	missesC    *obs.Counter // pool.block_misses
-	evictionsC *obs.Counter // pool.block_evictions
-	hitBytesC  *obs.Counter // pool.block_hit_bytes
-	fillBytesC *obs.Counter // pool.block_fill_bytes
-	bytesG     *obs.Gauge   // pool.block_bytes
 
 	mu        sync.Mutex
 	size      int64
@@ -42,20 +35,14 @@ type blockItem struct {
 }
 
 // NewBlockLRU builds a block cache holding at most capacity payload
-// bytes in blockSize-wide blocks, registering its metrics on reg (a
-// nil registry disables recording, not the cache).
-func NewBlockLRU(capacity, blockSize int64, reg *obs.Registry) *BlockLRU {
+// bytes in blockSize-wide blocks. It records no metrics (Stats counts);
+// the registry parameter stays for the benchmark's call.
+func NewBlockLRU(capacity, blockSize int64, _ *obs.Registry) *BlockLRU {
 	return &BlockLRU{
-		blockSize:  blockSize,
-		capacity:   capacity,
-		hitsC:      reg.Counter("pool.block_hits"),
-		missesC:    reg.Counter("pool.block_misses"),
-		evictionsC: reg.Counter("pool.block_evictions"),
-		hitBytesC:  reg.Counter("pool.block_hit_bytes"),
-		fillBytesC: reg.Counter("pool.block_fill_bytes"),
-		bytesG:     reg.Gauge("pool.block_bytes"),
-		items:      map[container.BlockKey]*list.Element{},
-		lru:        list.New(),
+		blockSize: blockSize,
+		capacity:  capacity,
+		items:     map[container.BlockKey]*list.Element{},
+		lru:       list.New(),
 	}
 }
 
@@ -70,7 +57,6 @@ func (c *BlockLRU) Get(key container.BlockKey) ([]byte, bool) {
 	if !ok {
 		c.misses++
 		c.mu.Unlock()
-		c.missesC.Inc()
 		return nil, false
 	}
 	c.lru.MoveToFront(el)
@@ -79,8 +65,6 @@ func (c *BlockLRU) Get(key container.BlockKey) ([]byte, bool) {
 	c.hits++
 	c.hitBytes += int64(len(data))
 	c.mu.Unlock()
-	c.hitsC.Inc()
-	c.hitBytesC.Add(int64(len(data)))
 	return data, true
 }
 
@@ -92,8 +76,8 @@ func (c *BlockLRU) Put(key container.BlockKey, data []byte) {
 	if n > c.capacity {
 		return
 	}
-	var evictedBlocks int64
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		it := el.Value.(*blockItem)
 		c.size += n - int64(len(it.data))
@@ -111,13 +95,7 @@ func (c *BlockLRU) Put(key container.BlockKey, data []byte) {
 		delete(c.items, it.key)
 		c.size -= int64(len(it.data))
 		c.evictions++
-		evictedBlocks++
 	}
-	size := c.size
-	c.mu.Unlock()
-	c.fillBytesC.Add(n)
-	c.evictionsC.Add(evictedBlocks)
-	c.bytesG.Set(size)
 }
 
 // BlockStats is a point-in-time summary of a BlockLRU.

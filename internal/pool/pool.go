@@ -1,7 +1,10 @@
 // Package pool is the shared serving layer over a core.BORA back end:
-// a concurrency-safe cache of open bag handles plus a bounded block
-// cache under container data reads, built for the read-mostly,
-// reopen-heavy traffic of many concurrent analysis clients.
+// a concurrency-safe cache of open bag handles, built for the
+// read-mostly, reopen-heavy traffic of many concurrent analysis
+// clients. A pooled handle reads each sealed part through one read-only
+// mapping of its data file (core.Bag.MapData), shared by every query of
+// the handle, so a warm query hands out the page cache's bytes: no
+// syscall per read and no copy in user space.
 //
 // The paper accepts rebuilding the tag manager's hash table on every
 // open because one build is cheap (Table I); with N clients reopening
@@ -22,7 +25,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Defaults used when an Options field is zero.
+// Defaults used when an Options field is zero. The block sizes size a
+// BlockLRU, which the pool no longer builds: they stay for the
+// benchmark's cached-read probe until the block cache is deleted.
 const (
 	DefaultMaxBags         = 64
 	DefaultBlockCacheBytes = 64 << 20
@@ -31,17 +36,16 @@ const (
 
 // Options configure a Pool.
 type Options struct {
-	// BlockCacheBytes bounds the block cache's payload bytes; zero
-	// selects DefaultBlockCacheBytes.
+	// BlockCacheBytes is unused (pooled handles map their parts); it
+	// stays for the benchmark, which sets it, until the cache is deleted.
 	BlockCacheBytes int64
 
-	// maxBags (resident open handles) and blockSize (the cache's fixed
-	// block width) are DefaultMaxBags and DefaultBlockSize unless this
-	// package's tests shrink them to fixture scale. Evicted handles stay
-	// valid for clients already holding them (a Bag keeps no open file
-	// descriptors between queries); they simply stop being shared.
-	maxBags   int
-	blockSize int64
+	// maxBags (resident open handles) is DefaultMaxBags unless this
+	// package's tests shrink it to fixture scale. Evicted and invalidated
+	// handles stay valid for clients already holding them (a Bag keeps no
+	// open file descriptors between queries, and its mappings live as
+	// long as it does); they simply stop being shared.
+	maxBags int
 }
 
 // Pool serves shared open handles for one BORA back end. All methods
@@ -49,7 +53,6 @@ type Options struct {
 type Pool struct {
 	b       *core.BORA
 	maxBags int
-	blocks  *BlockLRU
 
 	acquireOp     *obs.Op
 	hits          *obs.Counter // pool.handle_hits
@@ -86,17 +89,10 @@ func New(b *core.BORA, opts Options) *Pool {
 	if opts.maxBags <= 0 {
 		opts.maxBags = DefaultMaxBags
 	}
-	if opts.blockSize <= 0 {
-		opts.blockSize = DefaultBlockSize
-	}
-	if opts.BlockCacheBytes <= 0 {
-		opts.BlockCacheBytes = DefaultBlockCacheBytes
-	}
 	reg := b.Obs()
 	p := &Pool{
 		b:             b,
 		maxBags:       opts.maxBags,
-		blocks:        NewBlockLRU(opts.BlockCacheBytes, opts.blockSize, reg),
 		acquireOp:     reg.Op("pool.acquire"),
 		hits:          reg.Counter("pool.handle_hits"),
 		misses:        reg.Counter("pool.handle_misses"),
@@ -113,7 +109,7 @@ func New(b *core.BORA, opts Options) *Pool {
 // across all concurrent clients. A resident handle costs one small
 // meta read (the staleness probe); a miss performs the cold open —
 // deduplicated, so concurrent misses on the same name build once —
-// and plugs the pool's block cache under the container's data reads.
+// and has the handle map its sealed parts as it reads them.
 func (p *Pool) Acquire(name string) (*core.Bag, error) {
 	return p.AcquireContextSpan(context.Background(), name, obs.Span{})
 }
@@ -191,9 +187,8 @@ func (p *Pool) acquire(name string, sp obs.Span) (*core.Bag, bool, error) {
 		p.drop(e) // do not cache failures
 		return nil, false, err
 	}
-	// A no-op on live-wired handles: a growing data file must not
-	// populate the cache with blocks cut short at today's EOF.
-	bag.SetBlockCache(p.blocks)
+	// A no-op on live-wired handles: a growing data file keeps pread.
+	bag.MapData()
 	e.bag, e.gen = bag, bag.Generation()
 	return bag, false, nil
 }
@@ -234,7 +229,8 @@ func (p *Pool) drop(e *entry) {
 	p.mu.Unlock()
 }
 
-// Stats is a point-in-time summary of the pool's caches.
+// Stats is a point-in-time summary of the pool's handle cache. Block
+// is always zero (no block cache); the benchmark reads it.
 type Stats struct {
 	HandleHits          int64
 	HandleMisses        int64
@@ -247,14 +243,12 @@ type Stats struct {
 // Stats returns the pool's current counters.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
-	s := Stats{
+	defer p.mu.Unlock()
+	return Stats{
 		HandleHits:          p.hitN,
 		HandleMisses:        p.missN,
 		HandleEvictions:     p.evictN,
 		HandleInvalidations: p.invalidN,
 		HandlesResident:     len(p.bags),
 	}
-	p.mu.Unlock()
-	s.Block = p.blocks.Stats()
-	return s
 }

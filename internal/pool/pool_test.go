@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -291,48 +293,121 @@ func TestCachedReopenSpeedup(t *testing.T) {
 	}
 }
 
-// TestBlockCacheRepeatQuery: the second identical query over a pooled
-// handle must be served (at least partly) from the block cache, with
-// identical bytes.
-func TestBlockCacheRepeatQuery(t *testing.T) {
+// mappings counts the lines of /proc/self/maps that map path — as it
+// stands, and as a file since deleted.
+func mappings(t *testing.T, path string) (live, deleted int) {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skip("no /proc/self/maps:", err)
+	}
+	for _, line := range strings.Split(string(maps), "\n") {
+		switch {
+		case strings.HasSuffix(line, " "+path):
+			live++
+		case strings.HasSuffix(line, " "+path+" (deleted)"):
+			deleted++
+		}
+	}
+	return live, deleted
+}
+
+// TestPooledHandleMapsEachPartOnce: sequential and concurrent queries on
+// one pooled handle read each part through one mapping — one line per
+// data file in /proc/self/maps, however many queries ran — and deliver
+// the bytes a one-shot handle reads through pread. Once the handle is
+// invalidated (Remove, then re-Duplicate) and nothing reaches it, a
+// garbage collection releases its mappings: none is leaked.
+func TestPooledHandleMapsEachPartOnce(t *testing.T) {
 	b := newBackend(t, nil)
 	src := filepath.Join(t.TempDir(), "src.bag")
 	writeBag(t, src, 4, 50)
 	duplicate(t, b, src, "bag1")
-	p := New(b, Options{blockSize: 4096})
+	root, err := filepath.EvalSymlinks(b.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(root, "bag1", "*", container.DataFileName))
+	if err != nil || len(files) != 4 {
+		t.Fatalf("data files %v, %v; want 4", files, err)
+	}
+	scan := func(bag *core.Bag) string {
+		var out strings.Builder
+		err := bag.Query(core.QuerySpec{}, func(m core.MessageRef) error {
+			out.WriteString(m.Conn.Topic + "\x00" + string(m.Data))
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		return out.String()
+	}
+	oneShot, err := b.Open("bag1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := scan(oneShot)
+	p := New(b, Options{})
 	bag, err := p.Acquire("bag1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := func() []string {
-		var out []string
-		err := bag.Query(core.QuerySpec{}, func(m core.MessageRef) error {
-			out = append(out, m.Conn.Topic+"\x00"+string(m.Data))
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	first := scan()
-	s1 := p.Stats().Block
-	if s1.FillBytes == 0 || s1.Misses == 0 {
-		t.Fatalf("first scan filled nothing: %+v", s1)
-	}
-	second := scan()
-	s2 := p.Stats().Block
-	if s2.Hits <= s1.Hits {
-		t.Fatalf("second scan hit the block cache %d times, want more than %d", s2.Hits, s1.Hits)
-	}
-	if len(first) != len(second) || len(first) != 4*50 {
-		t.Fatalf("scan sizes differ: %d vs %d, want 200", len(first), len(second))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("message %d differs between cold and cached scans", i)
+	for i := 0; i < 3; i++ {
+		if scan(bag) != want {
+			t.Fatalf("pooled scan %d differs from the one-shot handle's", i)
 		}
 	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if scan(bag) != want {
+				t.Error("a concurrent pooled scan differs from the one-shot handle's")
+			}
+		}()
+	}
+	wg.Wait()
+	for _, f := range files {
+		if live, _ := mappings(t, f); live != 1 {
+			t.Errorf("%s is mapped %d times after 7 queries, want once", f, live)
+		}
+	}
+
+	if err := b.Remove("bag1"); err != nil {
+		t.Fatal(err)
+	}
+	duplicate(t, b, src, "bag1")
+	bag = nil
+	fresh, err := p.Acquire("bag1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scan(fresh) != want {
+		t.Fatal("the re-duplicated bag reads differently")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		stale := 0
+		for _, f := range files {
+			_, deleted := mappings(t, f)
+			stale += deleted
+		}
+		if stale == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d mappings of the removed bag's files outlive its unreachable handle", stale)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for _, f := range files {
+		if live, _ := mappings(t, f); live != 1 {
+			t.Errorf("%s: the fresh handle maps it %d times, want once", f, live)
+		}
+	}
+	runtime.KeepAlive(p) // the pool holds the fresh handle, and so its mappings
 }
 
 // TestBlockLRUAccounting unit-tests the byte-capped LRU: eviction from

@@ -110,8 +110,8 @@ func TestQueryAttributionEndToEnd(t *testing.T) {
 		}
 		return st.QueryID()
 	}
-	qid1 := runQuery() // cold: fills the block cache
-	qid2 := runQuery() // warm: must see cache hits
+	qid1 := runQuery() // cold: maps the parts
+	qid2 := runQuery() // warm: reads the same mappings
 	if qid1 == qid2 {
 		t.Fatalf("two queries share trace id %016x", qid1)
 	}
@@ -152,10 +152,15 @@ func TestQueryAttributionEndToEnd(t *testing.T) {
 		if r.IndexProbes <= 0 {
 			t.Errorf("record %q index probes = %d, want > 0", r.TraceID, r.IndexProbes)
 		}
-		// The daemon reads through its block cache in runs: a run of
-		// adjacent messages inside one block is one read.
+		// The daemon reads its pooled handle's mapped parts in runs: a
+		// run of adjacent messages is one read, one slice of the mapping.
+		// No block cache sits in between, so its counters — and the fill
+		// time DiskNs measures — stay zero.
 		if r.DataReads <= 0 || r.DataReads >= r.Messages {
-			t.Errorf("record %q data reads = %d for %d messages, want fewer reads than messages behind the block cache", r.TraceID, r.DataReads, r.Messages)
+			t.Errorf("record %q data reads = %d for %d messages, want fewer reads than messages", r.TraceID, r.DataReads, r.Messages)
+		}
+		if r.CacheHits != 0 || r.CacheMisses != 0 || r.DiskNs != 0 {
+			t.Errorf("record %q cache hits/misses/disk ns = %d/%d/%d, want 0: pooled reads are mapped", r.TraceID, r.CacheHits, r.CacheMisses, r.DiskNs)
 		}
 		if r.ParentSpan == 0 {
 			t.Errorf("record %q has no client parent span", r.TraceID)
@@ -166,15 +171,6 @@ func TestQueryAttributionEndToEnd(t *testing.T) {
 		if r.Remote == "" {
 			t.Errorf("record %q has no remote address", r.TraceID)
 		}
-	}
-	if cold.CacheMisses <= 0 {
-		t.Errorf("cold query cache misses = %d, want > 0", cold.CacheMisses)
-	}
-	if cold.DiskNs <= 0 {
-		t.Errorf("cold query disk ns = %d, want > 0 (misses pay fills)", cold.DiskNs)
-	}
-	if warm.CacheHits <= 0 {
-		t.Errorf("warm query cache hits = %d, want > 0", warm.CacheHits)
 	}
 	// The attribution is the bag's own counter, query by query: the two
 	// queries are all the pooled handle has served.

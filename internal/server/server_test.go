@@ -6,14 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bagio"
 	"repro/internal/client"
+	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/msgs"
 	"repro/internal/obs"
@@ -528,5 +531,77 @@ func TestConcurrentClients(t *testing.T) {
 		if err != nil {
 			t.Errorf("client %d: %v", i, err)
 		}
+	}
+}
+
+// TestCutUnderMappedStreamIsAnError: a topic the daemon's pooled handle
+// has mapped is cut while a query streams it. The fault inside the
+// frame encoder becomes the query's ErrIndexBeyondData, which reaches
+// the client as a whole ERR frame behind whole MSG frames — no hang, no
+// crash — and the same connection then answers a Ping and serves a
+// query of an intact topic in full.
+func TestCutUnderMappedStreamIsAnError(t *testing.T) {
+	const per = 400
+	b := buildBackend(t, nil, 2, per)
+	_, addr := startServer(t, b, Options{})
+	cl, err := client.Dial(addr, client.Options{Window: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	done := make(chan error, 1)
+	go func() {
+		st, err := cl.Query("robot1", client.QuerySpec{Topics: []string{"/sensor00"}})
+		if err != nil {
+			done <- err
+			return
+		}
+		if !st.Next() {
+			done <- fmt.Errorf("no first message: %v", st.Err())
+			return
+		}
+		data := filepath.Join(b.Root(), "robot1", "sensor00", container.DataFileName)
+		if err := os.Truncate(data, 0); err != nil {
+			done <- err
+			return
+		}
+		n := 1
+		for st.Next() {
+			n++
+		}
+		if n >= per {
+			done <- fmt.Errorf("the cut stream delivered all %d messages", n)
+			return
+		}
+		if err := st.Err(); err == nil || !strings.Contains(err.Error(), container.ErrIndexBeyondData.Error()) {
+			done <- fmt.Errorf("the cut stream ended with %v, want the server's ErrIndexBeyondData", err)
+			return
+		}
+		if _, err := cl.Ping(); err != nil {
+			done <- fmt.Errorf("Ping after the error: %v", err)
+			return
+		}
+		st, err = cl.Query("robot1", client.QuerySpec{Topics: []string{"/sensor01"}})
+		if err != nil {
+			done <- err
+			return
+		}
+		n = 0
+		for st.Next() {
+			n++
+		}
+		if err := st.Err(); err != nil || n != per {
+			done <- fmt.Errorf("the intact topic after the error: %d messages, %v; want %d", n, err, per)
+			return
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("the client hung on a stream cut under the daemon's mapping")
 	}
 }

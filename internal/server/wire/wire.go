@@ -132,10 +132,11 @@ func (e *Encoder) AppendFrame(op byte, payload []byte) {
 // passed straight through.
 func (e *Encoder) AppendMsg(m Msg) { e.appendMsg(OpMsg, m) }
 
+// appendMsg commits a frame to the batch once its payload is copied: a
+// payload that faults mid-copy (a mapped part cut under the query) leaves
+// whole frames behind, so the ERR frame that follows is read as one.
 func (e *Encoder) appendMsg(op byte, m Msg) {
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(2+8+4+len(m.Data)))
-	e.buf = append(e.buf, op)
-	enc := enc{b: e.buf}
+	enc := enc{b: append(binary.BigEndian.AppendUint32(e.buf, uint32(2+8+4+len(m.Data))), op)}
 	enc.u16(m.Conn)
 	enc.time(m.Time)
 	enc.bytes32(m.Data)
