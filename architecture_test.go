@@ -467,7 +467,7 @@ var archRules = []archRule{
 	},
 	{
 		name: "names/core-does-not-branch-on-reader",
-		why:  "how a part is read is decided in container alone: core hands whatever OpenDataQ returns to ReadExtentInto and never asks which reader it holds",
+		why:  "how a part is read is decided in container alone: core hands whatever OpenData returns to ReadExtentInto and never asks which reader it holds",
 		check: none([]string{"internal/core"}, func(f *srcFile, n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.TypeAssertExpr:

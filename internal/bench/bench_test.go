@@ -71,7 +71,7 @@ func runTable(t *testing.T, id string) *Table {
 	return tab
 }
 
-// ratioCell parses a "N.NNx" improvement cell.
+// intCell parses a whole-number count cell.
 func intCell(t *testing.T, cell string) int64 {
 	t.Helper()
 	v, err := strconv.ParseInt(cell, 10, 64)
@@ -81,6 +81,7 @@ func intCell(t *testing.T, cell string) int64 {
 	return v
 }
 
+// ratioCell parses a "N.NNx" improvement cell.
 func ratioCell(t *testing.T, cell string) float64 {
 	t.Helper()
 	v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "x"), 64)

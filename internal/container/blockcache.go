@@ -1,11 +1,6 @@
 package container
 
-import (
-	"io"
-	"time"
-
-	"repro/internal/obs"
-)
+import "io"
 
 // BlockKey identifies one cached block of a topic's logical data
 // stream. Gen is the container generation the bytes were read under:
@@ -43,7 +38,6 @@ type cachedReader struct {
 	cache BlockCache
 	path  string
 	gen   uint64
-	aq    *obs.ActiveQuery // query charged for hits/misses; nil = unattributed
 }
 
 func (r *cachedReader) ReadAt(p []byte, off int64) (int, error) {
@@ -105,14 +99,7 @@ func (r *cachedReader) run(entries []IndexEntry, size uint64) (data []byte, k in
 func (r *cachedReader) block(block, bs int64) ([]byte, error) {
 	key := BlockKey{Path: r.path, Gen: r.gen, Block: block}
 	if data, ok := r.cache.Get(key); ok {
-		r.aq.NoteBlock(true, 0)
 		return data, nil
-	}
-	// The clock reads bracket real disk I/O, so their cost is noise; the
-	// hit path above stays clock-free.
-	var fillStart time.Time
-	if r.aq != nil {
-		fillStart = time.Now()
 	}
 	buf := make([]byte, bs)
 	n, err := r.inner.ReadAt(buf, block*bs)
@@ -120,9 +107,6 @@ func (r *cachedReader) block(block, bs int64) ([]byte, error) {
 		return nil, err
 	}
 	buf = buf[:n]
-	if r.aq != nil {
-		r.aq.NoteBlock(false, time.Since(fillStart))
-	}
 	r.cache.Put(key, buf)
 	return buf, nil
 }

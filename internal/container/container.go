@@ -766,17 +766,9 @@ func (d *dataFile) length(want uint64) uint64 {
 // OpenData opens the topic's contiguous logical data stream for
 // reading: a mapped topic's (MapData) shared mapping, a block-cache
 // reader when the container carries a cache, otherwise the file.
+// Every reader is read the same way, in runs of adjacent entries
+// (ReadExtentInto); only container knows which one it handed out.
 func (t *Topic) OpenData() (DataReader, error) {
-	return t.OpenDataQ(nil)
-}
-
-// OpenDataQ is OpenData with the reader's block-cache traffic (hits,
-// misses, miss fill time) charged to aq. A nil aq leaves the reads
-// unattributed; per-access charging is nil-safe, so this costs the
-// uncharged path nothing. Either reader is read the same way, in runs
-// of adjacent entries (ReadExtentInto); only container knows which one
-// it handed out.
-func (t *Topic) OpenDataQ(aq *obs.ActiveQuery) (DataReader, error) {
 	if t.mapped {
 		if m := t.mapData(); m != nil {
 			return m, nil
@@ -789,7 +781,7 @@ func (t *Topic) OpenDataQ(aq *obs.ActiveQuery) (DataReader, error) {
 	if t.cache == nil {
 		return &r, nil
 	}
-	return &cachedReader{inner: r, cache: t.cache, path: t.dir, gen: t.gen, aq: aq}, nil
+	return &cachedReader{inner: r, cache: t.cache, path: t.dir, gen: t.gen}, nil
 }
 
 // ErrIndexBeyondData reports an index entry whose payload does not lie
@@ -898,8 +890,9 @@ func extentRun(entries []IndexEntry, size uint64) (k, n int) {
 // first incomplete message as its head, so a damaged file delivers
 // exactly the prefix a message-at-a-time reader would; a file cut after
 // it was opened is the same ErrIndexBeyondData. A mapping is measured
-// once per query, so a cut during one faults past its page (Fault) and
-// reads zeros up to that page's end.
+// when a query opens it and again after its last run (Remeasure), so a
+// cut during one faults past its page (Fault) and reads zeros up to that
+// page's end, which the second measure turns into that error.
 //
 // The bytes are READ-ONLY and valid until the next call with the same
 // reader or scratch, like ReadMessageInto's.

@@ -12,7 +12,7 @@ import (
 
 // mapping is a sealed part's data file mapped read-only, made on the
 // part's first read by a long-lived handle (MapData) and shared by all
-// its queries; a cleanup unmaps it once neither the topic nor a cursor
+// its queries; a finalizer unmaps it once neither the topic nor a cursor
 // reading it reaches it. The descriptor is closed right after mmap.
 type mapping struct {
 	data []byte
@@ -39,9 +39,7 @@ func (t *Topic) mapData() *mapping {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if m := t.mapping; m != nil {
-		if fi, err := os.Stat(m.path); err == nil && os.SameFile(fi, m.file) {
-			m.size.Store(min(uint64(fi.Size()), uint64(len(m.data))))
-		}
+		m.measure()
 		return m
 	}
 	d, err := openTopicData(t.dir)
@@ -59,7 +57,7 @@ func (t *Topic) mapData() *mapping {
 	}
 	m := &mapping{data: data, file: fi, path: d.Name()}
 	m.size.Store(uint64(len(data)))
-	runtime.AddCleanup(m, func(data []byte) { syscall.Munmap(data) }, data)
+	runtime.SetFinalizer(m, func(m *mapping) { syscall.Munmap(m.data) })
 	t.mapping = m
 	return m
 }
@@ -79,6 +77,27 @@ func (m *mapping) ReadAt(p []byte, off int64) (int, error) {
 func (m *mapping) Close() error { return nil }
 
 func (m *mapping) length(uint64) uint64 { return m.size.Load() }
+
+// measure asks the file's length again (one stat) and reads to it from
+// now on; a path removed or re-created leaves the mapped file as it was.
+func (m *mapping) measure() uint64 {
+	if fi, err := os.Stat(m.path); err == nil && os.SameFile(fi, m.file) {
+		m.size.Store(min(uint64(fi.Size()), uint64(len(m.data))))
+	}
+	return m.size.Load()
+}
+
+// Remeasure ends a query's reads through r, which delivered bytes up to
+// file offset end. A mapped part cut during the query reads zeros from
+// the cut to its page's end instead of faulting: only its length, asked
+// again, tells that what was delivered past the cut was not its data.
+// Nil for other readers, whose reads past a cut come up short.
+func (t *Topic) Remeasure(r DataReader, end uint64) error {
+	if m, ok := r.(*mapping); ok && m.measure() < end {
+		return fmt.Errorf("container: topic %q: data cut to %d bytes under a mapped read that delivered up to %d: %w", t.topic, m.size.Load(), end, ErrIndexBeyondData)
+	}
+	return nil
+}
 
 // Fault turns p, a panic's value out of code using bytes read through
 // r, into the error it stands for: a memory fault (a panic only under

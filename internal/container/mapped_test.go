@@ -29,7 +29,7 @@ func within(m *mapping, b []byte) bool {
 // strided survivor one slice each, with no scratch grown and the same
 // bytes the writer appended. A cut between queries is measured by the
 // next OpenData, so an entry past it is refused by name, as over a
-// plain file.
+// plain file, and by Remeasure, which asks the length again.
 func TestMappedTopicReadsSlicesOfOneMapping(t *testing.T) {
 	const msgs, size = 2_000, 345
 	payloads := make([][]byte, msgs)
@@ -91,6 +91,14 @@ func TestMappedTopicReadsSlicesOfOneMapping(t *testing.T) {
 	}
 	if _, err := topic.ReadMessageInto(r, entries[msgs/2], &scratch); !errors.Is(err, ErrIndexBeyondData) {
 		t.Errorf("a message across the cut: err = %v, want ErrIndexBeyondData", err)
+	}
+	// A query that delivered up to the cut read the part's data; one that
+	// delivered past it read zeros the cut left in its page.
+	if err := topic.Remeasure(r, cut); err != nil {
+		t.Errorf("Remeasure up to the cut: %v", err)
+	}
+	if err := topic.Remeasure(r, cut+1); !errors.Is(err, ErrIndexBeyondData) {
+		t.Errorf("Remeasure past the cut: err = %v, want ErrIndexBeyondData", err)
 	}
 }
 

@@ -419,8 +419,8 @@ func TestAllocBudgetAttribution(t *testing.T) {
 	if aq.IndexProbes.Load() <= 0 {
 		t.Errorf("attributed query scanned no index entries: probes = %d", aq.IndexProbes.Load())
 	}
-	if aq.CacheHits.Load() <= 0 {
-		t.Errorf("attributed query hit no cached blocks: hits = %d", aq.CacheHits.Load())
+	if aq.DataReads.Load() <= 0 {
+		t.Errorf("attributed query issued no data reads: reads = %d", aq.DataReads.Load())
 	}
 	if raceenabled.Enabled {
 		t.Log("race detector enabled: skipping strict alloc assertion")

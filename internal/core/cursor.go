@@ -31,6 +31,7 @@ type cursor struct {
 	ext    []byte
 	extOff uint64
 	held   int
+	end    uint64 // the furthest file offset delivered: what Remeasure checks
 	d      Stats
 }
 
@@ -139,7 +140,10 @@ func (c *cursor) selectEntries(sp obs.Span, phase *int) error {
 // A mapped part cut under the query faults where its bytes are
 // touched, here or in fn; the recover turns that fault (Topic.Fault
 // decides) into the part's ErrIndexBeyondData and re-panics anything
-// else.
+// else. A cut inside a page reads zeros up to the page's end instead of
+// faulting, so the cursor's last run asks the part's length once more
+// (Topic.Remeasure): what it delivered past the cut ends the query with
+// the same error.
 func (c *cursor) deliver(entries []container.IndexEntry, n int) (err error) {
 	if n == 0 {
 		return nil
@@ -152,7 +156,7 @@ func (c *cursor) deliver(entries []container.IndexEntry, n int) (err error) {
 		}
 	}()
 	if c.df == nil {
-		if c.df, err = c.t.OpenDataQ(c.q.aq); err != nil {
+		if c.df, err = c.t.OpenData(); err != nil {
 			return err
 		}
 		c.d.Seeks++
@@ -184,9 +188,13 @@ func (c *cursor) deliver(entries []container.IndexEntry, n int) (err error) {
 		}
 		c.d.BytesRead += int64(len(data))
 		c.d.MessagesRead++
+		c.end = max(c.end, e.PhysicalOffset+uint64(e.Length))
 		if err := fn(MessageRef{Conn: conn, Time: e.Time, Data: data}); err != nil {
 			return err
 		}
+	}
+	if n == len(entries) {
+		return t.Remeasure(df, c.end)
 	}
 	return nil
 }

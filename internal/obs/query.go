@@ -48,28 +48,11 @@ type ActiveQuery struct {
 
 	Messages    atomic.Int64 // messages delivered to the client
 	Bytes       atomic.Int64 // payload bytes delivered
-	CacheHits   atomic.Int64 // block-cache lookups that hit: one per run of messages inside a block, not per message
-	CacheMisses atomic.Int64 // block-cache misses (each paid a disk fill)
 	IndexProbes atomic.Int64 // index entries examined across topics
-	DataReads   atomic.Int64 // reads issued against topic data files (one per extent, through the block cache too)
+	DataReads   atomic.Int64 // reads issued against topic data files (one per extent, whatever the reader)
 
 	QueueWaitNs   atomic.Int64 // request receipt -> first byte streamed
-	DiskNs        atomic.Int64 // time inside block fills (cache misses)
 	CreditStallNs atomic.Int64 // time parked waiting for client CREDIT
-}
-
-// NoteBlock charges one block-cache access: a hit, or a miss with the
-// disk time its fill took. Nil-safe.
-func (q *ActiveQuery) NoteBlock(hit bool, d time.Duration) {
-	if q == nil {
-		return
-	}
-	if hit {
-		q.CacheHits.Add(1)
-	} else {
-		q.CacheMisses.Add(1)
-		q.DiskNs.Add(int64(d))
-	}
 }
 
 // AddIndexProbes charges n examined index entries. Nil-safe.

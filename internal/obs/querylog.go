@@ -29,14 +29,12 @@ type QueryRecord struct {
 
 	DurationNs    int64 `json:"duration_ns"`
 	QueueWaitNs   int64 `json:"queue_wait_ns,omitempty"`
-	DiskNs        int64 `json:"disk_ns,omitempty"`
+	DiskNs        int64 `json:"disk_ns,omitempty"` // always 0: no read path times the disk (mapped reads fault pages in)
 	CreditStallNs int64 `json:"credit_stall_ns,omitempty"`
 
 	Messages    int64 `json:"messages"`
 	Bytes       int64 `json:"bytes"`
 	DataReads   int64 `json:"data_reads"` // reads issued against topic data files
-	CacheHits   int64 `json:"cache_hits,omitempty"`
-	CacheMisses int64 `json:"cache_misses,omitempty"`
 	IndexProbes int64 `json:"index_probes,omitempty"`
 
 	Slow bool `json:"slow,omitempty"`
@@ -53,12 +51,9 @@ func (r *QueryRecord) Fill(q *ActiveQuery) {
 	}
 	r.Messages = q.Messages.Load()
 	r.Bytes = q.Bytes.Load()
-	r.CacheHits = q.CacheHits.Load()
-	r.CacheMisses = q.CacheMisses.Load()
 	r.IndexProbes = q.IndexProbes.Load()
 	r.DataReads = q.DataReads.Load()
 	r.QueueWaitNs = q.QueueWaitNs.Load()
-	r.DiskNs = q.DiskNs.Load()
 	r.CreditStallNs = q.CreditStallNs.Load()
 }
 

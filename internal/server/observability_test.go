@@ -154,13 +154,13 @@ func TestQueryAttributionEndToEnd(t *testing.T) {
 		}
 		// The daemon reads its pooled handle's mapped parts in runs: a
 		// run of adjacent messages is one read, one slice of the mapping.
-		// No block cache sits in between, so its counters — and the fill
-		// time DiskNs measures — stay zero.
+		// No block cache sits in between, so DiskNs, which timed its
+		// fills, stays zero.
 		if r.DataReads <= 0 || r.DataReads >= r.Messages {
 			t.Errorf("record %q data reads = %d for %d messages, want fewer reads than messages", r.TraceID, r.DataReads, r.Messages)
 		}
-		if r.CacheHits != 0 || r.CacheMisses != 0 || r.DiskNs != 0 {
-			t.Errorf("record %q cache hits/misses/disk ns = %d/%d/%d, want 0: pooled reads are mapped", r.TraceID, r.CacheHits, r.CacheMisses, r.DiskNs)
+		if r.DiskNs != 0 {
+			t.Errorf("record %q disk ns = %d, want 0: pooled reads are mapped", r.TraceID, r.DiskNs)
 		}
 		if r.ParentSpan == 0 {
 			t.Errorf("record %q has no client parent span", r.TraceID)

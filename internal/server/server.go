@@ -736,7 +736,7 @@ func (c *conn) handleQuery(payload []byte) error {
 	}
 	qctx, qcancel := context.WithCancel(c.ctx)
 	// Per-query attribution: the ActiveQuery rides the context into
-	// core and the container's block cache. Two allocations (the struct
+	// core. Two allocations (the struct
 	// and the context value) per query, zero per message.
 	aq := &obs.ActiveQuery{ID: obs.QueryID{Trace: req.TraceID, Parent: req.ParentSpan}}
 	qctx = obs.ContextWithQuery(qctx, aq)
