@@ -512,8 +512,96 @@ var archRules = []archRule{
 		},
 	},
 	{
+		name: "sites/two-data-readers-in-container",
+		why:  "a sealed part is read through a mapping and a growing one (or one mmap refuses) through its file; the block cache stays only because benchmark/ pins it. A reader type is one with the length method ReadExtentInto bounds reads by",
+		check: func(tr *tree) (string, []string) {
+			var got []string
+			for _, f := range tr.files {
+				for _, d := range f.ast.Decls {
+					if fd, ok := d.(*ast.FuncDecl); ok && f.dir == "internal/container" && fd.Name.Name == "length" && recvType(fd) != "" {
+						got = append(got, recvType(fd))
+					}
+				}
+			}
+			sort.Strings(got)
+			held := "container's data readers: " + strings.Join(got, ", ")
+			if strings.Join(got, " ") != "cachedReader dataFile mapping" {
+				return held, []string{held + "; want mapping and dataFile, and cachedReader while benchmark/ pins it"}
+			}
+			return held, nil
+		},
+		seeds: []seedFile{{"internal/container/zz_seed.go", `package container; type zz struct{}; func (zz) length(uint64) uint64 { return 0 }`}},
+	},
+	{
+		name: "sites/the-view-decodes-the-index",
+		why:  "one index representation: the encoded entries behind IndexView, which alone decodes them, one at a time",
+		check: func(tr *tree) (string, []string) {
+			var sites, bad []string
+			for _, f := range tr.files {
+				for _, d := range f.ast.Decls {
+					fd, ok := d.(*ast.FuncDecl)
+					if !ok {
+						continue
+					}
+					ast.Inspect(fd, func(n ast.Node) bool {
+						if calledMethod(n, "decodeIndexEntry") {
+							sites = append(sites, tr.pos(n))
+							if f.dir != "internal/container" || recvType(fd) != "IndexView" {
+								bad = append(bad, tr.pos(n)+": decodeIndexEntry called outside IndexView's methods")
+							}
+						}
+						return true
+					})
+				}
+			}
+			if len(sites) == 0 {
+				bad = append(bad, "no decodeIndexEntry call in IndexView's methods")
+			}
+			return fmt.Sprintf("%d decodeIndexEntry call(s), in IndexView's methods", len(sites)), bad
+		},
+		seeds: []seedFile{{"internal/container/zz_seed.go", `package container; func (t *Topic) zz(b []byte) IndexEntry { return decodeIndexEntry(b) }`}},
+	},
+	{
+		name: "names/no-decoded-index-in-read-state",
+		why:  "a topic, its writer and a query's cursor hold the index as encoded bytes (IndexView), never as a decoded []IndexEntry",
+		check: func(tr *tree) (string, []string) {
+			holders := map[string]string{"internal/container.Topic": "", "internal/container.TopicWriter": "", "internal/core.cursor": ""}
+			var bad []string
+			for _, f := range tr.files {
+				ast.Inspect(f.ast, func(n ast.Node) bool {
+					ts, ok := n.(*ast.TypeSpec)
+					if !ok {
+						return true
+					}
+					st, isStruct := ts.Type.(*ast.StructType)
+					if _, held := holders[f.dir+"."+ts.Name.Name]; !isStruct || !held {
+						return false
+					}
+					holders[f.dir+"."+ts.Name.Name] = "found"
+					for _, fld := range st.Fields.List {
+						if at, ok := fld.Type.(*ast.ArrayType); ok && f.refersTo(at.Elt, "internal/container", "IndexEntry") {
+							bad = append(bad, tr.pos(fld)+": a decoded []IndexEntry in "+ts.Name.Name)
+						}
+					}
+					return false
+				})
+			}
+			for name, found := range holders {
+				if found == "" {
+					bad = append(bad, "no struct type "+name)
+				}
+			}
+			sort.Strings(bad)
+			return "Topic, TopicWriter and cursor hold no []IndexEntry", bad
+		},
+		seeds: []seedFile{
+			{"internal/container/zz_seed.go", `package container; type TopicWriter struct{ zz []IndexEntry }`},
+			{"internal/core/zz_seed.go", `package core; import "repro/internal/container"; type cursor struct{ zz []container.IndexEntry }`},
+		},
+	},
+	{
 		name: "sites/one-fault-switch-in-core",
-		why:  "every ordering policy raises memory faults as panics through one helper (core's panicOnFault), so cursor.deliver's recover is the one place a cut mapping becomes an error",
+		why:  "every ordering policy raises memory faults as panics through one helper (core's panicOnFault), so the policies' settle is the one place a cut mapping becomes an error",
 		check: count(everywhere, 1, "cursor.go", "debug.SetPanicOnFault call(s)", func(f *srcFile, n ast.Node) bool {
 			return calledQualified(f, n, "runtime/debug", "SetPanicOnFault")
 		}),
@@ -529,7 +617,7 @@ var archRules = []archRule{
 	},
 	{
 		name: "names/core-does-not-recheck-order",
-		why:  "a part's time order is kept by container (EntriesSpan's ordered prefix), so core never re-derives it per query",
+		why:  "a part's time order is kept by container (Topic.Ordered's prefix), so core never re-derives it per query",
 		check: none([]string{"internal/core"}, func(f *srcFile, n ast.Node) bool {
 			c, ok := n.(*ast.CallExpr)
 			if !ok {

@@ -78,15 +78,15 @@ func (r *cachedReader) ReadAt(p []byte, off int64) (int, error) {
 // The slice is READ-ONLY: the same bytes are shared by every concurrent
 // reader of the topic. Cache eviction only drops the cache's own
 // reference, so it stays valid while the caller holds it.
-func (r *cachedReader) run(entries []IndexEntry, size uint64) (data []byte, k int) {
+func (r *cachedReader) run(sel IndexView, size uint64) (data []byte, k int) {
 	bs := r.cache.BlockSize()
-	head := entries[0]
+	head := sel.At(0)
 	block := int64(head.PhysicalOffset / uint64(bs))
 	start := uint64(block * bs)
 	if head.end() > start+uint64(bs) {
 		return nil, 0 // straddles blocks
 	}
-	k, n := extentRun(entries, min(start+uint64(bs), size))
+	k, n := extentRun(sel, min(start+uint64(bs), size))
 	data, err := r.block(block, bs)
 	lo, hi := head.PhysicalOffset-start, head.PhysicalOffset-start+uint64(n)
 	if err != nil || hi > uint64(len(data)) {

@@ -12,7 +12,6 @@
 package container
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
@@ -40,38 +39,6 @@ const (
 	TimeIdxFileName = "timeidx"
 	MetaFileName    = ".bora_meta"
 )
-
-// IndexEntrySize is the fixed on-disk width of one index entry:
-// sec u32, nsec u32, logical offset u64, length u32, physical offset u64.
-const IndexEntrySize = 4 + 4 + 8 + 4 + 8
-
-// IndexEntry locates one message of a topic. LogicalOffset is the byte
-// offset within the topic's logical stream; PhysicalOffset points into
-// the topic data file (they coincide for the local POSIX back end but
-// differ when a back end relocates data).
-type IndexEntry struct {
-	Time           bagio.Time
-	LogicalOffset  uint64
-	Length         uint32
-	PhysicalOffset uint64
-}
-
-func (e IndexEntry) encode(dst []byte) {
-	binary.LittleEndian.PutUint32(dst[0:4], e.Time.Sec)
-	binary.LittleEndian.PutUint32(dst[4:8], e.Time.NSec)
-	binary.LittleEndian.PutUint64(dst[8:16], e.LogicalOffset)
-	binary.LittleEndian.PutUint32(dst[16:20], e.Length)
-	binary.LittleEndian.PutUint64(dst[20:28], e.PhysicalOffset)
-}
-
-func decodeIndexEntry(src []byte) IndexEntry {
-	return IndexEntry{
-		Time:           bagio.Time{Sec: binary.LittleEndian.Uint32(src[0:4]), NSec: binary.LittleEndian.Uint32(src[4:8])},
-		LogicalOffset:  binary.LittleEndian.Uint64(src[8:16]),
-		Length:         binary.LittleEndian.Uint32(src[16:20]),
-		PhysicalOffset: binary.LittleEndian.Uint64(src[20:28]),
-	}
-}
 
 // EncodeTopicDir converts a ROS topic name to a file-system-safe
 // directory name. ROS topic names never contain '#', so the mapping is
@@ -187,22 +154,24 @@ func (c *Container) NoteReads(n, bytes int64) {
 }
 
 // Topic is one topic sub-directory of a container. Topics are safe for
-// concurrent readers: the lazy index load is guarded by a mutex.
+// concurrent readers: the lazy loads are guarded by a mutex.
 type Topic struct {
 	dir     string
 	topic   string
 	conn    *bagio.Connection
 	cache   BlockCache // nil: OpenData reads straight from disk
 	gen     uint64     // container generation baked into cache keys
-	mapped  bool       // MapData: read through mapping, made on first use under mu
+	growing bool       // made by CreateTopic: its writer publishes ix, and data is read through the file
+	mapped  bool       // MapData: one mapping per file for the handle, made on first use under mu
 	mapping *mapping
 
 	indexLoadOp *obs.Op
 
 	mu      sync.Mutex
-	entries []IndexEntry
-	ordered int              // entries[:ordered] is the longest prefix in time order
-	loaded  bool             // entries read from the index file
+	ix      IndexView // the index, when loaded: the writer's published entries, or a pooled handle's mapping
+	loaded  bool      // ix is the index: Index serves it
+	ordered int       // Ordered: of the first checked entries, the leading ordered are in time order
+	checked int
 	tix     *timeindex.Index // memoized TimeIndex (loaded, or the closed writer's)
 }
 
@@ -338,7 +307,7 @@ func (c *Container) CreateTopicOpts(conn *bagio.Connection, opts TopicOptions) (
 	if err := faultfs.WriteFileAtomic(c.fs, filepath.Join(dir, ConnFileName), encodeConn(conn), 0o644); err != nil {
 		return nil, err
 	}
-	t := &Topic{dir: dir, topic: conn.Topic, conn: conn, loaded: true, indexLoadOp: c.indexLoadOp}
+	t := &Topic{dir: dir, topic: conn.Topic, conn: conn, growing: true, loaded: true, indexLoadOp: c.indexLoadOp}
 	tw := &TopicWriter{topic: t, fs: c.fs, crc: crc32.New(crcTable),
 		flushEvery: opts.IndexFlushEvery, tix: timeindex.New(opts.TimeWindow),
 		buf: appendBufs.Get().(*[]byte)}
@@ -369,7 +338,10 @@ var appendBufs = sync.Pool{New: func() any { b := make([]byte, 0, appendBufCap);
 // entry is published to the topic, and written to the index file, only
 // after its bytes are in the data file, so a crash mid-stream leaves a
 // consistent indexed prefix for Repair to recover rather than losing
-// the whole topic. A failed write is sticky, as in bufio.Writer.
+// the whole topic. The encoded entries stay in one append-only buffer:
+// its flushed prefix is the topic's index view, and the index file
+// receives what it has not yet written. A failed write is sticky, as in
+// bufio.Writer.
 type TopicWriter struct {
 	topic *Topic
 	fs    faultfs.Backend
@@ -381,15 +353,15 @@ type TopicWriter struct {
 	offset     uint64
 	appended   uint32 // messages appended: the next time-index ordinal
 	closed     bool
-	err        error        // the first failed write, returned ever after
-	last       IndexEntry   // entry minted by the most recent Append
-	buf        *[]byte      // payloads not yet written to the data file
-	staged     []IndexEntry // entries of buf's payloads, not yet published
-	ixbuf      []byte       // encoded entries not yet written to the index file
+	err        error      // the first failed write, returned ever after
+	last       IndexEntry // entry minted by the most recent Append
+	buf        *[]byte    // payloads not yet written to the data file
+	ixbuf      []byte     // every entry appended, encoded; published up to the data written
+	written    int        // ixbuf[:written] is in the index file
 	flushEvery int
 }
 
-// Append buffers one message payload and stages its index entry.
+// Append buffers one message payload and encodes its index entry.
 func (tw *TopicWriter) Append(t bagio.Time, payload []byte) error {
 	if tw.err != nil {
 		return tw.err
@@ -416,7 +388,6 @@ func (tw *TopicWriter) Append(t bagio.Time, payload []byte) error {
 		Length:         uint32(len(payload)),
 		PhysicalOffset: tw.offset,
 	}
-	tw.staged = append(tw.staged, e)
 	tw.tix.Add(t, tw.appended)
 	tw.appended++
 	tw.last = e
@@ -424,7 +395,7 @@ func (tw *TopicWriter) Append(t bagio.Time, payload []byte) error {
 	n := len(tw.ixbuf)
 	tw.ixbuf = append(tw.ixbuf, make([]byte, IndexEntrySize)...)
 	e.encode(tw.ixbuf[n:])
-	if len(tw.ixbuf) >= tw.flushEvery*IndexEntrySize {
+	if len(tw.ixbuf)-tw.written >= tw.flushEvery*IndexEntrySize {
 		return tw.flushIndex()
 	}
 	return nil
@@ -436,7 +407,7 @@ func (tw *TopicWriter) fail(what string, err error) error {
 }
 
 // Flush writes the buffered payloads to the data file and publishes
-// their index entries to the topic (Entries). The index file follows
+// their index entries to the topic (Index). The index file follows
 // IndexFlushEvery.
 func (tw *TopicWriter) Flush() error {
 	if tw.err != nil || tw.closed {
@@ -448,18 +419,14 @@ func (tw *TopicWriter) Flush() error {
 		}
 		*tw.buf = (*tw.buf)[:0]
 	}
-	if len(tw.staged) > 0 {
-		// Under the topic mutex: a live follower may be reading Entries().
-		// The ordered prefix grows while it reaches the end, never after.
-		t := tw.topic
+	// Under the topic mutex: a live follower may be taking the view. The
+	// writer alone sets it, so it reads its length unlocked; the bytes
+	// published are never written again, and an Append that moves the
+	// buffer leaves readers the old one.
+	if t, n := tw.topic, len(tw.ixbuf); n > len(t.ix.b) {
 		t.mu.Lock()
-		n := len(t.entries)
-		t.entries = append(t.entries, tw.staged...)
-		for t.ordered == n && n < len(t.entries) && inOrder(t.entries, n) {
-			t.ordered, n = n+1, n+1
-		}
+		t.ix = IndexView{b: tw.ixbuf[:n:n]}
 		t.mu.Unlock()
-		tw.staged = tw.staged[:0]
 	}
 	return nil
 }
@@ -471,13 +438,13 @@ func (tw *TopicWriter) flushIndex() error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	if len(tw.ixbuf) == 0 {
+	if len(tw.ixbuf) == tw.written {
 		return nil
 	}
-	if _, err := tw.index.Write(tw.ixbuf); err != nil {
+	if _, err := tw.index.Write(tw.ixbuf[tw.written:]); err != nil {
 		return tw.fail("write index for", err)
 	}
-	tw.ixbuf = tw.ixbuf[:0]
+	tw.written = len(tw.ixbuf)
 	return nil
 }
 
@@ -549,89 +516,6 @@ func (t *Topic) Connection() *bagio.Connection { return t.conn }
 // Dir returns the topic's back-end directory.
 func (t *Topic) Dir() string { return t.dir }
 
-// Entries loads (once) and returns the topic's index entries in append
-// order, which is timestamp order for bags recorded chronologically.
-// The returned slice is shared; callers must not mutate it.
-func (t *Topic) Entries() ([]IndexEntry, error) {
-	entries, _, err := t.EntriesSpan(obs.Span{})
-	return entries, err
-}
-
-// EntriesSpan is Entries with the (first) index-file load recorded as a
-// container.index_load child of parent; cache hits record nothing. A
-// zero parent traces the load as a root span. entries[:ordered] is their
-// longest prefix in time order (non-decreasing Time), under the same lock.
-func (t *Topic) EntriesSpan(parent obs.Span) (entries []IndexEntry, ordered int, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	entries, err = t.entriesLocked(parent)
-	return entries, t.ordered, err
-}
-
-func (t *Topic) entriesLocked(parent obs.Span) ([]IndexEntry, error) {
-	if t.loaded {
-		return t.entries, nil
-	}
-	sp := parent.ChildOp(t.indexLoadOp)
-	entries, ordered, tail, err := readIndex(filepath.Join(t.dir, IndexFileName))
-	if err == nil && tail != 0 {
-		err = fmt.Errorf("%d-byte torn entry after %d whole ones", tail, len(entries))
-	}
-	if err != nil {
-		err = fmt.Errorf("container: index of %q: %w", t.topic, err)
-		sp.EndErr(err)
-		return nil, err
-	}
-	t.entries, t.ordered, t.loaded = entries, ordered, true
-	sp.EndBytes(int64(len(entries)) * IndexEntrySize)
-	return t.entries, nil
-}
-
-// indexChunk is how many entries readIndex decodes per read: 28 KiB of
-// file at a time, on the stack.
-const indexChunk = 1024
-
-// readIndex decodes the whole entries of an index file straight into
-// the entry slice it returns, through a fixed chunk: the only garbage a
-// cold open's index load leaves is the entries themselves (a whole-file
-// read beside them doubled it, once per topic per open); entries[:ordered]
-// is their longest prefix in time order, found in the same loop. tail is
-// the length of a torn final entry past them, which only fsck accepts.
-func readIndex(path string) (entries []IndexEntry, ordered int, tail int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	entries = make([]IndexEntry, st.Size()/IndexEntrySize)
-	var chunk [indexChunk * IndexEntrySize]byte
-	for done := 0; done < len(entries); {
-		buf := chunk[:min(len(entries)-done, indexChunk)*IndexEntrySize]
-		if n, err := f.ReadAt(buf, int64(done)*IndexEntrySize); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF // the file shrank under the load
-			}
-			return nil, 0, 0, fmt.Errorf("read at entry %d of %d stopped after %d bytes: %w", done, len(entries), n, err)
-		}
-		for ; len(buf) > 0; buf, done = buf[IndexEntrySize:], done+1 {
-			entries[done] = decodeIndexEntry(buf)
-			if ordered == done && inOrder(entries, done) {
-				ordered++
-			}
-		}
-	}
-	return entries, ordered, st.Size() % IndexEntrySize, nil
-}
-
-// inOrder reports whether entry i does not step back in time from i-1.
-func inOrder(entries []IndexEntry, i int) bool {
-	return i == 0 || !entries[i].Time.Before(entries[i-1].Time)
-}
-
 // TimeIndex returns the coarse-grain time index of a complete topic,
 // loaded from the timeidx file once per handle and served from memory
 // afterwards. A missing or unparsable file is an error, and so is an
@@ -646,9 +530,10 @@ func (t *Topic) TimeIndex() (*timeindex.Index, error) {
 	}
 	tix, err := readTimeIndex(t.dir)
 	if err == nil {
-		var entries []IndexEntry
-		if entries, err = t.entriesLocked(obs.Span{}); err == nil {
-			err = checkTimeIndex(tix, len(entries))
+		var v IndexView
+		if v, err = t.indexLocked(obs.Span{}); err == nil {
+			err = checkTimeIndex(tix, v.Len())
+			v.Close()
 		}
 	}
 	if err != nil {
@@ -685,21 +570,12 @@ func writeTimeIndex(fs faultfs.Backend, dir string, tix *timeindex.Index) error 
 // buildTimeIndex derives the coarse time index from a topic's entries:
 // what TopicWriter accumulates append by append, recomputed for a topic
 // being repaired.
-func buildTimeIndex(window time.Duration, entries []IndexEntry) *timeindex.Index {
+func buildTimeIndex(window time.Duration, v IndexView) *timeindex.Index {
 	tix := timeindex.New(window)
-	for i, e := range entries {
-		tix.Add(e.Time, uint32(i))
+	for i := 0; i < v.Len(); i++ {
+		tix.Add(v.Time(i), uint32(i))
 	}
 	return tix
-}
-
-// MessageCount returns the number of indexed messages.
-func (t *Topic) MessageCount() (int, error) {
-	es, err := t.Entries()
-	if err != nil {
-		return 0, err
-	}
-	return len(es), nil
 }
 
 // DataSize returns the total payload bytes of the topic.
@@ -764,12 +640,14 @@ func (d *dataFile) length(want uint64) uint64 {
 }
 
 // OpenData opens the topic's contiguous logical data stream for
-// reading: a mapped topic's (MapData) shared mapping, a block-cache
-// reader when the container carries a cache, otherwise the file.
-// Every reader is read the same way, in runs of adjacent entries
+// reading. A sealed part is mapped: a pooled handle's (MapData) one
+// shared mapping, else a mapping for this reader alone, unmapped by its
+// Close. A block-cache reader serves a container that carries a cache,
+// and the file itself a part being written or one mmap refuses. Every
+// reader is read the same way, in runs of adjacent entries
 // (ReadExtentInto); only container knows which one it handed out.
 func (t *Topic) OpenData() (DataReader, error) {
-	if t.mapped {
+	if t.mapped || t.cache == nil && !t.growing {
 		if m := t.mapData(); m != nil {
 			return m, nil
 		}
@@ -801,7 +679,7 @@ func (e IndexEntry) end() uint64 {
 
 // bound refuses to read e through r when the data file ends before e
 // does, naming the entry. The ordinal is looked up only here, on the
-// error path (-1: not one of the topic's loaded entries).
+// error path (-1: not one of the topic's entries).
 func (t *Topic) bound(r io.ReaderAt, e IndexEntry) (size uint64, err error) {
 	s, ok := r.(sizedReader)
 	if !ok {
@@ -810,36 +688,27 @@ func (t *Topic) bound(r io.ReaderAt, e IndexEntry) (size uint64, err error) {
 	if size = s.length(e.end()); size >= e.end() {
 		return size, nil
 	}
-	ord := -1
-	t.mu.Lock()
-	for i := range t.entries {
-		if t.entries[i] == e {
-			ord = i
-			break
-		}
-	}
-	t.mu.Unlock()
 	return size, fmt.Errorf("container: topic %q entry %d (offset %d, length %d) in %d bytes of data: %w",
-		t.topic, ord, e.PhysicalOffset, e.Length, size, ErrIndexBeyondData)
+		t.topic, t.ordinal(e), e.PhysicalOffset, e.Length, size, ErrIndexBeyondData)
 }
 
 // ReadMessageInto reads the payload for one index entry without
 // allocating per message: ReadExtentInto of that one entry. Through a
-// block cache whose block holds the whole payload, a slice of the
-// cached block is returned and scratch is untouched; otherwise the
-// payload is read into *scratch, growing it once to the topic's largest
-// message.
+// mapping, or a block cache whose block holds the whole payload, a slice
+// is returned and scratch is untouched; otherwise the payload is read
+// into *scratch, growing it once to the topic's largest message.
 //
 // Either way the returned bytes are READ-ONLY and only valid until the
-// next call with the same reader or scratch — exactly the lifetime
-// core.MessageRef hands to query callbacks. Callers that keep the
-// payload must copy it. It records nothing itself — even an untimed
-// atomic add per message is measurable against a page-cache hit — so
-// streaming callers batch their totals into NoteReads when a read loop
-// finishes.
+// next call with the same reader or scratch, and until the reader is
+// closed — exactly the lifetime core.MessageRef hands to query
+// callbacks. Callers that keep the payload must copy it. It records
+// nothing itself — even an untimed atomic add per message is measurable
+// against a page-cache hit — so streaming callers batch their totals
+// into NoteReads when a read loop finishes.
 func (t *Topic) ReadMessageInto(r io.ReaderAt, e IndexEntry, scratch *[]byte) ([]byte, error) {
-	entries := [1]IndexEntry{e}
-	data, _, err := t.ReadExtentInto(r, entries[:], scratch)
+	var one [IndexEntrySize]byte
+	e.encode(one[:])
+	data, _, err := t.ReadExtentInto(r, IndexView{b: one[:]}, scratch)
 	return data, err
 }
 
@@ -852,18 +721,18 @@ func (t *Topic) ReadMessageInto(r io.ReaderAt, e IndexEntry, scratch *[]byte) ([
 // throughput at the smallest's memory.
 const extentCap = 64 << 10
 
-// extentRun plans one read over the head of entries: how many entries
-// it covers (at least the head, whatever its size — a message larger
-// than the cap is read alone) and how many bytes. The run extends over
-// the following entries for as long as each starts exactly where the
+// extentRun plans one read over the head of sel: how many entries it
+// covers (at least the head, whatever its size — a message larger than
+// the cap is read alone) and how many bytes. The run extends over the
+// following entries for as long as each starts exactly where the
 // previous one ends, ends inside the first size bytes of the file, and
 // keeps the total within extentCap. Adjacency only: a gap byte is never
 // read, so a strided or sparse selection plans one message per read.
-func extentRun(entries []IndexEntry, size uint64) (k, n int) {
-	head := entries[0]
+func extentRun(sel IndexView, size uint64) (k, n int) {
+	head := sel.At(0)
 	next, n := head.end(), int(head.Length)
-	for k = 1; k < len(entries); k++ {
-		e := entries[k]
+	for k = 1; k < sel.Len(); k++ {
+		e := sel.At(k)
 		if e.PhysicalOffset != next || e.end() > size || n+int(e.Length) > extentCap {
 			break
 		}
@@ -872,15 +741,16 @@ func extentRun(entries []IndexEntry, size uint64) (k, n int) {
 	return k, n
 }
 
-// ReadExtentInto reads the leading run of entries (see extentRun) and
+// ReadExtentInto reads the leading run of sel (see extentRun) and
 // returns the bytes and how many entries they hold, k ≥ 1: entry i's
-// payload is buf[entries[i].PhysicalOffset-entries[0].PhysicalOffset:][:entries[i].Length].
-// The caller comes back with entries[k:]. Every reader is read in runs:
-// a mapping as one slice of it; a plain file with one ReadAt into
-// *scratch; a block-cache reader as one slice of the head's cached
-// block, the run ending where that block does (a head that straddles
-// two blocks, or a block cut short, is read alone, copied through the
-// cache's ReadAt).
+// payload is buf[sel.At(i).PhysicalOffset-sel.At(0).PhysicalOffset:][:sel.At(i).Length].
+// The caller comes back with sel.Slice(k, sel.Len()). Every reader is
+// read in runs: a mapping as one slice of it (a run that reaches its
+// last page copied into *scratch, see Guard); a plain file with one
+// ReadAt into *scratch; a block-cache reader as one slice of the head's
+// cached block, the run ending where that block does (a head that
+// straddles two blocks, or a block cut short, is read alone, copied
+// through the cache's ReadAt).
 //
 // Every read is bounded by the data file's length before a buffer is
 // sized from an entry: a head entry that ends past the file fails with
@@ -890,48 +760,46 @@ func extentRun(entries []IndexEntry, size uint64) (k, n int) {
 // first incomplete message as its head, so a damaged file delivers
 // exactly the prefix a message-at-a-time reader would; a file cut after
 // it was opened is the same ErrIndexBeyondData. A mapping is measured
-// when a query opens it and again after its last run (Remeasure), so a
-// cut during one faults past its page (Fault) and reads zeros up to that
-// page's end, which the second measure turns into that error.
+// when a query opens it; a cut during the query is for Guard to find.
 //
 // The bytes are READ-ONLY and valid until the next call with the same
 // reader or scratch, like ReadMessageInto's.
-func (t *Topic) ReadExtentInto(r io.ReaderAt, entries []IndexEntry, scratch *[]byte) ([]byte, int, error) {
-	size, err := t.bound(r, entries[0])
+func (t *Topic) ReadExtentInto(r io.ReaderAt, sel IndexView, scratch *[]byte) ([]byte, int, error) {
+	head := sel.At(0)
+	size, err := t.bound(r, head)
 	if err != nil {
 		return nil, 0, err
 	}
 	if m, ok := r.(*mapping); ok {
-		k, n := extentRun(entries, size)
-		lo, hi := entries[0].PhysicalOffset, entries[0].PhysicalOffset+uint64(n)
-		return m.data[lo:hi:hi], k, nil
+		m.release(head.PhysicalOffset)
+		k, n := extentRun(sel, size)
+		if hi := head.PhysicalOffset + uint64(n); hi <= m.lastPage() {
+			return m.data[head.PhysicalOffset:hi:hi], k, nil
+		}
+		return t.readTail(m, sel, size, scratch)
 	}
 	if c, ok := r.(*cachedReader); ok {
-		if data, k := c.run(entries, size); k > 0 {
+		if data, k := c.run(sel, size); k > 0 {
 			return data, k, nil
 		}
-		entries = entries[:1] // copy the head alone: its neighbours are slices of the next block
+		sel = sel.Slice(0, 1) // copy the head alone: its neighbours are slices of the next block
 	}
-	return t.readExtent(r, entries, size, scratch)
+	return t.readExtent(r, sel, size, scratch)
 }
 
 // readExtent is ReadExtentInto through ReadAt: plan the run against the
 // file's size, size the scratch, read. It is a function of its own so
-// that a cache hit, the hot path of every pooled query, pays for none of
-// this one's frame.
-func (t *Topic) readExtent(r io.ReaderAt, entries []IndexEntry, size uint64, scratch *[]byte) ([]byte, int, error) {
-	head := entries[0]
-	k, n := extentRun(entries, size)
+// that a slice of a mapping or a cached block, the hot path, pays for
+// none of this one's frame.
+func (t *Topic) readExtent(r io.ReaderAt, sel IndexView, size uint64, scratch *[]byte) ([]byte, int, error) {
+	head := sel.At(0)
+	k, n := extentRun(sel, size)
 	if cap(*scratch) < n {
 		*scratch = make([]byte, n, growCap(n, size))
 	}
 	buf := (*scratch)[:n]
 	if got, err := r.ReadAt(buf, int64(head.PhysicalOffset)); err != nil {
-		whole := 0
-		for whole < k && entries[whole].end()-head.PhysicalOffset <= uint64(got) {
-			whole++
-		}
-		if k = whole; k == 0 {
+		if k = whole(sel, k, head.PhysicalOffset+uint64(got)); k == 0 {
 			if s, ok := r.(sizedReader); ok && s.length(math.MaxUint64) < head.end() {
 				_, err = t.bound(r, head) // the file was cut under the read
 				return nil, 0, err
@@ -940,6 +808,16 @@ func (t *Topic) readExtent(r io.ReaderAt, entries []IndexEntry, size uint64, scr
 		}
 	}
 	return buf, k, nil
+}
+
+// whole is how many of sel's first k entries end at or before file
+// offset end.
+func whole(sel IndexView, k int, end uint64) int {
+	n := 0
+	for n < k && sel.At(n).end() <= end {
+		n++
+	}
+	return n
 }
 
 // growCap rounds a scratch-buffer size up so a stream of slightly
@@ -955,24 +833,4 @@ func growCap(n int, limit uint64) int {
 		c = max(n, int(limit))
 	}
 	return c
-}
-
-// TimeRange returns the earliest and latest message timestamps of the
-// topic's index entries — the zero times for an empty topic. On a topic
-// still being written it covers every entry published so far.
-func (t *Topic) TimeRange() (start, end bagio.Time, err error) {
-	es, err := t.Entries()
-	if err != nil || len(es) == 0 {
-		return bagio.Time{}, bagio.Time{}, err
-	}
-	start, end = es[0].Time, es[0].Time
-	for _, e := range es[1:] {
-		if e.Time.Before(start) {
-			start = e.Time
-		}
-		if end.Before(e.Time) {
-			end = e.Time
-		}
-	}
-	return start, end, nil
 }

@@ -54,7 +54,7 @@ func TestExtentRun(t *testing.T) {
 		var got []read
 		seen := map[uint64]bool{} // file bytes some read covered
 		for first := 0; first < len(c.entries); {
-			k, n := extentRun(c.entries[first:], size)
+			k, n := extentRun(viewOf(c.entries[first:]), size)
 			if k < 1 {
 				t.Fatalf("%s: planned %d entries at %d", c.name, k, first)
 			}
@@ -81,6 +81,15 @@ func TestExtentRun(t *testing.T) {
 	}
 }
 
+// viewOf encodes entries as an index view.
+func viewOf(entries []IndexEntry) IndexView {
+	v := MakeIndexView(len(entries))
+	for _, e := range entries {
+		v = v.Append(e)
+	}
+	return v
+}
+
 // countingFile is a plain data file that counts the ReadAts issued
 // against it.
 type countingFile struct {
@@ -98,8 +107,9 @@ func (c *countingFile) ReadAt(p []byte, off int64) (int, error) {
 func drain(t *testing.T, topic *Topic, r DataReader, sel []IndexEntry, scratch *[]byte) ([][]byte, error) {
 	t.Helper()
 	var out [][]byte
+	view := viewOf(sel)
 	for len(sel) > 0 {
-		buf, k, err := topic.ReadExtentInto(r, sel, scratch)
+		buf, k, err := topic.ReadExtentInto(r, view.Slice(view.Len()-len(sel), view.Len()), scratch)
 		if err != nil {
 			return out, err
 		}
@@ -187,14 +197,14 @@ func TestReadExtentIntoReadsRunsNotMessages(t *testing.T) {
 	}
 	defer cached.Close()
 	var noScratch []byte
-	data, k, err := topic.ReadExtentInto(cached, entries, &noScratch)
+	data, k, err := topic.ReadExtentInto(cached, viewOf(entries), &noScratch)
 	if err != nil || k != bs/size || !bytes.Equal(data, bytes.Join(payloads[:k], nil)) {
 		t.Errorf("cached reader: %d entries, err %v; want the %d whole in the first block", k, err, bs/size)
 	}
 	if cap(noScratch) != 0 {
 		t.Errorf("a run inside one block grew the scratch to %d bytes; want a slice of the block", cap(noScratch))
 	}
-	if _, k, err := topic.ReadExtentInto(cached, entries[bs/size:], &noScratch); err != nil || k != 1 {
+	if _, k, err := topic.ReadExtentInto(cached, viewOf(entries[bs/size:]), &noScratch); err != nil || k != 1 {
 		t.Errorf("cached reader, head straddling two blocks: %d entries, err %v; want the head alone", k, err)
 	}
 	cache.gets = 0
@@ -251,8 +261,8 @@ func TestIndexBeyondDataAllocatesNothing(t *testing.T) {
 		bad := good[1]
 		bad.Length = 0x7fffffff
 		corruptEntry(t, topic, 1, bad)
-		topic.loaded, topic.entries = false, nil // reload the corrupted index
-		entries, err := topic.Entries()
+		entries, err := topic.Entries() // a one-shot handle reads the index again
+
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +280,7 @@ func TestIndexBeyondDataAllocatesNothing(t *testing.T) {
 		}
 		reads := map[string]func() error{
 			"ReadMessageInto": func() error { _, err := topic.ReadMessageInto(df, entries[1], &scratch); return err },
-			"ReadExtentInto":  func() error { _, _, err := topic.ReadExtentInto(df, entries[1:], &scratch); return err },
+			"ReadExtentInto":  func() error { _, _, err := topic.ReadExtentInto(df, viewOf(entries[1:]), &scratch); return err },
 		}
 		for name, read := range reads {
 			err := read()
@@ -287,7 +297,7 @@ func TestIndexBeyondDataAllocatesNothing(t *testing.T) {
 			t.Errorf("cached=%v: scratch holds %d bytes against a %d-byte data file", cached, cap(scratch), fileLen)
 		}
 		// The extent before the bad entry still arrives: entry 0 alone.
-		if _, k, err := topic.ReadExtentInto(df, entries, &scratch); err != nil || k != 1 {
+		if _, k, err := topic.ReadExtentInto(df, viewOf(entries), &scratch); err != nil || k != 1 {
 			t.Errorf("cached=%v: extent ahead of the bad entry covered %d entries, err %v; want 1", cached, k, err)
 		}
 	}
@@ -329,11 +339,11 @@ func TestReadBoundFollowsAGrowingFile(t *testing.T) {
 	}
 }
 
-// TestReadIndexChunked: an index longer than one decode chunk loads
-// entry for entry what the writer appended; a torn file decodes to its
-// whole entries and its tail, and a topic handle refuses it.
+// TestReadIndexChunked: an index of a few thousand entries loads entry
+// for entry what the writer appended; a torn file reads as its whole
+// entries and its tail, and a topic handle refuses it.
 func TestReadIndexChunked(t *testing.T) {
-	const n = 2*indexChunk + 37
+	const n = 2*1024 + 37
 	payloads := make([][]byte, n)
 	for i := range payloads {
 		payloads[i] = make([]byte, i%5)
@@ -358,8 +368,9 @@ func TestReadIndexChunked(t *testing.T) {
 	if err := os.Truncate(path, int64(n*IndexEntrySize-3)); err != nil {
 		t.Fatal(err)
 	}
-	if entries, _, tail, err := readIndex(path); err != nil || len(entries) != n-1 || tail != IndexEntrySize-3 {
-		t.Errorf("torn file: %d entries, %d-byte tail, %v; want %d, %d, nil", len(entries), tail, err, n-1, IndexEntrySize-3)
+	raw, err := os.ReadFile(path)
+	if v := (IndexView{b: raw}); err != nil || v.Len() != n-1 || v.tail() != IndexEntrySize-3 {
+		t.Errorf("torn file: %d entries, %d-byte tail, %v; want %d, %d, nil", v.Len(), v.tail(), err, n-1, IndexEntrySize-3)
 	}
 	fresh := &Topic{dir: topic.dir, topic: topic.topic}
 	if _, err := fresh.Entries(); err == nil {

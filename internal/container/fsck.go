@@ -104,8 +104,9 @@ type topicState struct {
 
 	dataSize int64 // -1 when missing
 
-	rawEntries []IndexEntry // decoded whole-entry prefix of the index file
-	keep       int          // longest consistent prefix backed by data
+	index   IndexView // the index file's whole entries
+	keep    int       // longest consistent prefix backed by data
+	indexed uint64    // the data bytes index[:keep] covers
 
 	debris []string // abandoned temp files inside the topic dir
 	drop   bool     // unrepairable: remove the whole topic dir
@@ -205,22 +206,24 @@ func fsckTopic(rep *Report, dir, dirName string) *topicState {
 		rep.add(FindingMissingData, st.name, filepath.Join(dir, DataFileName), "%v", err)
 	}
 
-	// Index: decode the whole-entry prefix, then find the longest
-	// consistent prefix actually backed by data.
+	// Index: read the file, then find the longest consistent prefix of
+	// its whole entries actually backed by data.
 	ixPath := filepath.Join(dir, IndexFileName)
-	entries, _, tail, err := readIndex(ixPath)
+	raw, err := os.ReadFile(ixPath)
 	if err != nil {
 		rep.add(FindingMissingIndex, st.name, ixPath, "%v", err)
 		st.drop = true
 		return st
 	}
-	if tail != 0 {
+	ix := IndexView{b: raw}
+	if tail := ix.tail(); tail != 0 {
 		rep.add(FindingTruncatedIndexTail, st.name, ixPath,
-			"index is %d bytes: %d-byte torn entry at the tail", int64(len(entries))*IndexEntrySize+tail, tail)
+			"index is %d bytes: %d-byte torn entry at the tail", len(raw), tail)
 	}
-	st.rawEntries = entries
+	st.index = ix.Slice(0, ix.Len())
 	var off uint64
-	for _, e := range st.rawEntries {
+	for i := 0; i < st.index.Len(); i++ {
+		e := st.index.At(i)
 		if e.LogicalOffset != off || e.PhysicalOffset != e.LogicalOffset {
 			break
 		}
@@ -230,14 +233,14 @@ func fsckTopic(rep *Report, dir, dirName string) *topicState {
 		off += uint64(e.Length)
 		st.keep++
 	}
-	indexed := off
+	st.indexed = off
 	switch {
-	case st.keep < len(st.rawEntries):
+	case st.keep < st.index.Len():
 		rep.add(FindingIndexDataMismatch, st.name, ixPath,
-			"only %d of %d index entries are consistent and data-backed", st.keep, len(st.rawEntries))
-	case st.dataSize >= 0 && uint64(st.dataSize) > indexed:
+			"only %d of %d index entries are consistent and data-backed", st.keep, st.index.Len())
+	case st.dataSize >= 0 && uint64(st.dataSize) > off:
 		rep.add(FindingIndexDataMismatch, st.name, filepath.Join(dir, DataFileName),
-			"data has %d bytes but the index accounts for %d (unindexed tail)", st.dataSize, indexed)
+			"data has %d bytes but the index accounts for %d (unindexed tail)", st.dataSize, off)
 	}
 
 	// Coarse time index: rebuildable from the message index, so missing
@@ -356,8 +359,7 @@ func repairTopic(fs faultfs.Backend, st *topicState) error {
 			return err
 		}
 	}
-	keepEntries := st.rawEntries[:st.keep]
-	indexed := indexedLen(st)
+	indexed := st.indexed
 	if err := fs.Truncate(filepath.Join(st.dir, IndexFileName), int64(st.keep*IndexEntrySize)); err != nil {
 		return err
 	}
@@ -369,7 +371,7 @@ func repairTopic(fs faultfs.Backend, st *topicState) error {
 	// Rebuild the coarse time index from the surviving entries, keeping
 	// the original window when the old file was readable (0 selects the
 	// default).
-	if err := writeTimeIndex(fs, st.dir, buildTimeIndex(time.Duration(st.window), keepEntries)); err != nil {
+	if err := writeTimeIndex(fs, st.dir, buildTimeIndex(time.Duration(st.window), st.index.Slice(0, st.keep))); err != nil {
 		return err
 	}
 	// Recompute the checksum over the surviving data.
@@ -378,13 +380,4 @@ func repairTopic(fs faultfs.Backend, st *topicState) error {
 		return err
 	}
 	return writeChecksum(fs, st.dir, sum, int64(indexed))
-}
-
-// indexedLen returns the byte length the consistent index prefix covers.
-func indexedLen(st *topicState) uint64 {
-	var n uint64
-	for _, e := range st.rawEntries[:st.keep] {
-		n += uint64(e.Length)
-	}
-	return n
 }

@@ -4,62 +4,83 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"syscall"
 	"unsafe"
 )
 
-// mapping is a sealed part's data file mapped read-only, made on the
-// part's first read by a long-lived handle (MapData) and shared by all
-// its queries; a finalizer unmaps it once neither the topic nor a cursor
-// reading it reaches it. The descriptor is closed right after mmap.
+// mapping is a sealed part's file — data or index — mapped read-only.
+// A handle that maps its data (MapData) maps each file on first use and
+// shares the mapping among its queries until a finalizer unmaps it; a
+// one-shot handle maps each file for the one cursor that reads it, which
+// unmaps it when it closes. The descriptor is closed right after mmap.
 type mapping struct {
-	data []byte
-	file os.FileInfo   // the file mapped: a path re-created since is another file
-	path string        // re-measured once per query
-	size atomic.Uint64 // the file's length as last measured, at most len(data): reads end here
+	data     []byte
+	dev, ino uint64        // the file mapped: a path re-created since is another file
+	path     string        // where measure asks for its length again
+	size     atomic.Uint64 // the file's length as last measured, at most len(data): reads end here
+	oneShot  bool          // Close unmaps
+	released uint64        // one-shot: the pages below were released
 }
 
-// MapData makes the container's topics read their data through one
-// mapping each instead of a file opened per query: worth it for a handle
-// that serves many queries, not for a one-shot open, whose mappings
-// would wait for a garbage collection. Sealed containers only.
+// pageSize is the granularity of a mapping: a file cut inside a page
+// reads zeros to the page's end, a page wholly past the cut faults.
+var pageSize = uint64(os.Getpagesize())
+
+// MapData makes the container's topics keep one mapping per file for
+// the handle's lifetime, shared by every query, instead of one per
+// cursor: worth it for a handle that serves many queries. Sealed
+// containers only.
 func (c *Container) MapData() {
 	for _, t := range c.topics {
 		t.mapped = true
 	}
 }
 
-// mapData returns the topic's mapping, made on first use, re-measuring
-// the file (one stat) so that a part cut between queries is read to its
-// new end. Nil — mmap fails for an empty file, or at the system's
-// map-count limit — means read the plain file.
+// mapFile maps the file at path whole; nil without an error means mmap
+// refused it (an empty file, the map-count limit), so read the file. It
+// calls the system directly: an os.File would add a poller registration
+// and a FileInfo to each of a one-shot scan's two mappings per part.
+func mapFile(path string, oneShot bool) (*mapping, error) {
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	if err != nil {
+		return nil, &os.PathError{Op: "open", Path: path, Err: err}
+	}
+	defer syscall.Close(fd)
+	var st syscall.Stat_t
+	if err := syscall.Fstat(fd, &st); err != nil {
+		return nil, &os.PathError{Op: "stat", Path: path, Err: err}
+	}
+	data, err := syscall.Mmap(fd, 0, int(st.Size), syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		return nil, nil
+	}
+	m := &mapping{data: data, dev: uint64(st.Dev), ino: st.Ino, path: path, oneShot: oneShot}
+	m.size.Store(uint64(len(data)))
+	runtime.SetFinalizer(m, (*mapping).unmap)
+	return m, nil
+}
+
+// mapData returns a mapping of the topic's data for one reader: the
+// handle's, made on first use and re-measured (one stat) so that a part
+// cut between queries is read to its new end, or a fresh one. Nil means
+// read the plain file.
 func (t *Topic) mapData() *mapping {
+	path := filepath.Join(t.dir, DataFileName)
+	if !t.mapped {
+		m, _ := mapFile(path, true)
+		return m
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if m := t.mapping; m != nil {
 		m.measure()
 		return m
 	}
-	d, err := openTopicData(t.dir)
-	if err != nil {
-		return nil
-	}
-	defer d.Close()
-	fi, err := d.Stat()
-	if err != nil {
-		return nil
-	}
-	data, err := syscall.Mmap(int(d.Fd()), 0, int(d.size), syscall.PROT_READ, syscall.MAP_SHARED)
-	if err != nil {
-		return nil
-	}
-	m := &mapping{data: data, file: fi, path: d.Name()}
-	m.size.Store(uint64(len(data)))
-	runtime.SetFinalizer(m, func(m *mapping) { syscall.Munmap(m.data) })
-	t.mapping = m
-	return m
+	t.mapping, _ = mapFile(path, false)
+	return t.mapping
 }
 
 func (m *mapping) ReadAt(p []byte, off int64) (int, error) {
@@ -73,46 +94,134 @@ func (m *mapping) ReadAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// Close is a no-op: the mapping is the handle's, not the query's.
-func (m *mapping) Close() error { return nil }
-
-func (m *mapping) length(uint64) uint64 { return m.size.Load() }
-
-// measure asks the file's length again (one stat) and reads to it from
-// now on; a path removed or re-created leaves the mapped file as it was.
-func (m *mapping) measure() uint64 {
-	if fi, err := os.Stat(m.path); err == nil && os.SameFile(fi, m.file) {
-		m.size.Store(min(uint64(fi.Size()), uint64(len(m.data))))
-	}
-	return m.size.Load()
-}
-
-// Remeasure ends a query's reads through r, which delivered bytes up to
-// file offset end. A mapped part cut during the query reads zeros from
-// the cut to its page's end instead of faulting: only its length, asked
-// again, tells that what was delivered past the cut was not its data.
-// Nil for other readers, whose reads past a cut come up short.
-func (t *Topic) Remeasure(r DataReader, end uint64) error {
-	if m, ok := r.(*mapping); ok && m.measure() < end {
-		return fmt.Errorf("container: topic %q: data cut to %d bytes under a mapped read that delivered up to %d: %w", t.topic, m.size.Load(), end, ErrIndexBeyondData)
+// Close unmaps a one-shot mapping; a shared one is its finalizer's.
+func (m *mapping) Close() error {
+	if m.oneShot {
+		m.unmap()
 	}
 	return nil
 }
 
-// Fault turns p, a panic's value out of code using bytes read through
-// r, into the error it stands for: a memory fault (a panic only under
-// runtime/debug.SetPanicOnFault) inside r's mapping is the part cut
-// under it, the topic's ErrIndexBeyondData. Anything else is nil, for
-// the caller to re-panic.
-func (t *Topic) Fault(r DataReader, p any) error {
+func (m *mapping) unmap() {
+	if m.data != nil {
+		syscall.Munmap(m.data)
+		m.data = nil
+	}
+}
+
+func (m *mapping) length(uint64) uint64 { return m.size.Load() }
+
+// lastPage is the offset of the page that holds the file's last byte as
+// last measured.
+func (m *mapping) lastPage() uint64 { return (max(m.size.Load(), 1) - 1) &^ (pageSize - 1) }
+
+// measure asks the file's length again (one stat) and reads to it from
+// now on; a path removed or re-created leaves the mapped file as it was.
+func (m *mapping) measure() uint64 {
+	var st syscall.Stat_t
+	if syscall.Stat(m.path, &st) == nil && uint64(st.Dev) == m.dev && st.Ino == m.ino {
+		m.size.Store(min(uint64(st.Size), uint64(len(m.data))))
+	}
+	return m.size.Load()
+}
+
+// releaseEvery is how far a one-shot cursor reads past the pages it
+// last released before it releases them.
+const releaseEvery = 4 << 20
+
+// release drops a one-shot mapping's pages below off, which its one
+// cursor has read past, from the resident set (MADV_DONTNEED: touched
+// again, they are read from the page cache), so that a scan whose
+// callbacks read every byte holds a few MB of a part resident, not all.
+func (m *mapping) release(off uint64) {
+	if m.oneShot && off >= m.released+releaseEvery {
+		hi := off &^ (pageSize - 1)
+		syscall.Madvise(m.data[m.released:hi], syscall.MADV_DONTNEED)
+		m.released = hi
+	}
+}
+
+// readTail is ReadExtentInto for a run that reaches the mapping's last
+// page: copied into *scratch, then the file measured again, so what it
+// hands out is the part's data — not zeros a cut left in the page — and
+// no later cut changes it. Entries past a cut are dropped as a short
+// read drops them.
+func (t *Topic) readTail(m *mapping, sel IndexView, size uint64, scratch *[]byte) ([]byte, int, error) {
+	data, k, err := t.readExtent(m, sel, size, scratch)
+	if err != nil {
+		return nil, 0, err
+	}
+	if k = whole(sel, k, m.measure()); k == 0 {
+		_, err = t.bound(m, sel.At(0))
+		return nil, 0, err
+	}
+	return data, k, nil
+}
+
+// Guard is what a cursor checks before it hands out each message of a
+// run: that the part still holds the run. Only a slice of a mapping
+// needs it. A cut inside a page reads zeros to that page's end rather
+// than faulting, but a page wholly past the cut faults, and a sliced
+// run ends at or before the start of the file's last page (readTail
+// copies any that reaches into it). So the guard is a word of that
+// page: any cut below the run lies below it and makes Check fault, and
+// the caller, which runs with memory faults raised as panics
+// (runtime/debug.SetPanicOnFault), makes the fault the part's
+// ErrIndexBeyondData (Fault). One page stays resident however much is
+// read, and no check asks the file system anything.
+type Guard struct{ probe *uint32 }
+
+// Guard returns the guard of data, a run ReadExtentInto read through r:
+// the zero Guard, which checks nothing, for every reader but a mapping
+// and for a mapping's copies.
+func (t *Topic) Guard(r DataReader, data []byte) Guard {
 	m, ok := r.(*mapping)
-	f, isFault := p.(interface{ Addr() uintptr })
-	if !ok || !isFault {
-		return nil
+	if _, in := m.offset(uintptr(unsafe.Pointer(unsafe.SliceData(data)))); !ok || !in {
+		return Guard{}
 	}
-	off := f.Addr() - uintptr(unsafe.Pointer(unsafe.SliceData(m.data)))
-	if off >= uintptr(len(m.data)) { // below the mapping, off wraps around
-		return nil
+	return Guard{(*uint32)(unsafe.Pointer(&m.data[m.lastPage()]))}
+}
+
+// Check faults if the guarded run's part was cut below it.
+func (g Guard) Check() {
+	if g.probe != nil {
+		atomic.LoadUint32(g.probe)
 	}
-	return fmt.Errorf("container: topic %q: data cut under a mapped read (fault at offset %d): %w", t.topic, off, ErrIndexBeyondData)
+}
+
+// offset reports whether addr lies inside the mapping, and where; no
+// address lies inside a nil one.
+func (m *mapping) offset(addr uintptr) (uintptr, bool) {
+	if m == nil {
+		return 0, false
+	}
+	off := addr - uintptr(unsafe.Pointer(unsafe.SliceData(m.data)))
+	return off, off < uintptr(len(m.data)) // below the mapping, off wraps around
+}
+
+// fault reports whether p, a recovered panic's value, is a memory fault
+// inside the mapping, and at which offset.
+func (m *mapping) fault(p any) (uintptr, bool) {
+	if f, ok := p.(interface{ Addr() uintptr }); ok {
+		return m.offset(f.Addr())
+	}
+	return 0, false
+}
+
+// Fault turns p, a panic's value out of code reading the topic through
+// r and the index view ix, into the error it stands for: a memory fault
+// (a panic only under runtime/debug.SetPanicOnFault) inside either's
+// mapping is the part cut under it, the topic's ErrIndexBeyondData.
+// Anything else is nil, for the caller to re-panic.
+func (t *Topic) Fault(r DataReader, ix IndexView, p any) error {
+	m, _ := r.(*mapping)
+	for _, f := range [...]struct {
+		what string
+		m    *mapping
+	}{{"data", m}, {"index", ix.m}} {
+		if off, ok := f.m.fault(p); ok {
+			return fmt.Errorf("container: topic %q: %s cut under a mapped read (fault at offset %d): %w", t.topic, f.what, off, ErrIndexBeyondData)
+		}
+	}
+	return nil
 }

@@ -26,11 +26,15 @@ func within(m *mapping, b []byte) bool {
 
 // TestMappedTopicReadsSlicesOfOneMapping: a mapped topic hands every
 // OpenData the same mapping; a full scan is a run of slices of it and a
-// strided survivor one slice each, with no scratch grown and the same
-// bytes the writer appended. A cut between queries is measured by the
-// next OpenData, so an entry past it is refused by name, as over a
-// plain file, and by Remeasure, which asks the length again.
+// strided survivor one slice each, with the same bytes the writer
+// appended — except what ends in the mapping's last page, which is
+// copied into the scratch, one run's worth, and guarded by nothing. A
+// cut between queries is measured by the next OpenData, so an entry
+// past it is refused by name, as over a plain file; a run sliced before
+// the cut is guarded by the page the cut left wholly past the file's
+// end, which faults, and one sliced after it by the new last page.
 func TestMappedTopicReadsSlicesOfOneMapping(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	const msgs, size = 2_000, 345
 	payloads := make([][]byte, msgs)
 	for i := range payloads {
@@ -54,15 +58,21 @@ func TestMappedTopicReadsSlicesOfOneMapping(t *testing.T) {
 		t.Error("a second OpenData mapped the part again; want the one mapping")
 	}
 	var scratch []byte
-	for sel := entries; len(sel) > 0; {
+	var before Guard // the first run's, sliced before the cut
+	for sel := viewOf(entries); sel.Len() > 0; {
 		data, k, err := topic.ReadExtentInto(r, sel, &scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !within(m, data) {
-			t.Fatal("a run was not a slice of the mapping")
+		if end := sel.At(k - 1).end(); within(m, data) == (end > m.lastPage()) {
+			t.Fatalf("a run ending at %d (last page at %d) was a slice of the mapping: %v", end, m.lastPage(), within(m, data))
 		}
-		sel = sel[k:]
+		if g := topic.Guard(r, data); (g.probe != nil) != within(m, data) {
+			t.Fatalf("a run ending at %d is guarded by %v: want a probe for a slice of the mapping, none for a copy", sel.At(k-1).end(), g.probe)
+		} else if before.probe == nil {
+			before = g
+		}
+		sel = sel.Slice(k, sel.Len())
 	}
 	got, err := drain(t, topic, r, entries, &scratch)
 	if err != nil || !reflect.DeepEqual(got, payloads) {
@@ -70,12 +80,12 @@ func TestMappedTopicReadsSlicesOfOneMapping(t *testing.T) {
 	}
 	for i := 0; i < msgs; i += 10 {
 		data, err := topic.ReadMessageInto(r, entries[i], &scratch)
-		if err != nil || !within(m, data) || !bytes.Equal(data, payloads[i]) {
+		if err != nil || within(m, data) == (entries[i].end() > m.lastPage()) || !bytes.Equal(data, payloads[i]) {
 			t.Fatalf("strided message %d: err %v, a slice of the mapping %v", i, err, within(m, data))
 		}
 	}
-	if cap(scratch) != 0 {
-		t.Errorf("mapped reads grew the scratch to %d bytes; want none", cap(scratch))
+	if cap(scratch) > extentCap {
+		t.Errorf("mapped reads grew the scratch to %d bytes; want at most one run's", cap(scratch))
 	}
 
 	cut := entries[msgs/2].PhysicalOffset + 1
@@ -92,13 +102,20 @@ func TestMappedTopicReadsSlicesOfOneMapping(t *testing.T) {
 	if _, err := topic.ReadMessageInto(r, entries[msgs/2], &scratch); !errors.Is(err, ErrIndexBeyondData) {
 		t.Errorf("a message across the cut: err = %v, want ErrIndexBeyondData", err)
 	}
-	// A query that delivered up to the cut read the part's data; one that
-	// delivered past it read zeros the cut left in its page.
-	if err := topic.Remeasure(r, cut); err != nil {
-		t.Errorf("Remeasure up to the cut: %v", err)
+	check := func(g Guard) (p any) {
+		defer func() { p = recover() }()
+		g.Check()
+		return nil
 	}
-	if err := topic.Remeasure(r, cut+1); !errors.Is(err, ErrIndexBeyondData) {
-		t.Errorf("Remeasure past the cut: err = %v, want ErrIndexBeyondData", err)
+	if p := check(before); !errors.Is(topic.Fault(r, IndexView{}, p), ErrIndexBeyondData) {
+		t.Errorf("a run sliced before the cut: Check = %v, want a fault in the mapping", p)
+	}
+	data, err := topic.ReadMessageInto(r, entries[0], &scratch)
+	if err != nil || !within(m, data) {
+		t.Fatalf("the first message after the cut: %v, a slice of the mapping %v", err, within(m, data))
+	}
+	if p := check(topic.Guard(r, data)); p != nil {
+		t.Errorf("a run sliced after the cut: Check = %v, want nothing", p)
 	}
 }
 
@@ -147,7 +164,7 @@ func TestMappedFaultIsTyped(t *testing.T) {
 	if p == nil {
 		t.Fatal("touching a page past the cut did not fault")
 	}
-	if err := topic.Fault(r, p); !errors.Is(err, ErrIndexBeyondData) {
+	if err := topic.Fault(r, IndexView{}, p); !errors.Is(err, ErrIndexBeyondData) {
 		t.Errorf("Fault(mapping, fault in it) = %v, want ErrIndexBeyondData", err)
 	}
 	other := sealedTopic(t, payloads)
@@ -156,10 +173,10 @@ func TestMappedFaultIsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.Fault(r2, p); err != nil {
+	if err := other.Fault(r2, IndexView{}, p); err != nil {
 		t.Errorf("Fault(another mapping, the fault) = %v, want nil", err)
 	}
-	if err := topic.Fault(r, errors.New("not a fault")); err != nil {
+	if err := topic.Fault(r, IndexView{}, errors.New("not a fault")); err != nil {
 		t.Errorf("Fault(mapping, a plain panic) = %v, want nil", err)
 	}
 }
@@ -178,14 +195,15 @@ func TestCutUnderAFileReadIsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := topic.OpenData()
+	df, err := openTopicData(topic.dir) // the reader of a part being written, and where mmap fails
+	r := &df
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 	var scratch []byte
 	// The first extent is read whole; the cut lands inside the second.
-	_, k, err := topic.ReadExtentInto(r, entries, &scratch)
+	_, k, err := topic.ReadExtentInto(r, viewOf(entries), &scratch)
 	if err != nil {
 		t.Fatal(err)
 	}

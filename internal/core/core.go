@@ -254,10 +254,11 @@ func (b *BORA) organize(r io.ReaderAt, size int64, name string, sp obs.Span) (Du
 	// Count what reached a topic file, not what a failed write left buffered.
 	st.Topics = len(seg.order)
 	for _, tw := range seg.order {
-		es, _ := tw.Topic().Entries() // a writer's topic serves them from memory
-		st.Messages += int64(len(es))
-		if len(es) > 0 {
-			st.Bytes += int64(es[len(es)-1].PhysicalOffset) + int64(es[len(es)-1].Length)
+		ix, _ := tw.Topic().Index(obs.Span{}) // a writer's topic serves its buffer
+		if n := ix.Len(); n > 0 {
+			last := ix.At(n - 1)
+			st.Messages += int64(n)
+			st.Bytes += int64(last.PhysicalOffset) + int64(last.Length)
 		}
 	}
 	return st, err

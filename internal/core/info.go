@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bagio"
+	"repro/internal/obs"
 )
 
 // TopicInfo summarizes one topic of an open BORA bag.
@@ -43,27 +44,22 @@ func (bag *Bag) Info() (Info, error) {
 	for i, ch := range chains {
 		ti := TopicInfo{Topic: ch.name, Type: ch.parts[0].Connection().Type}
 		for _, t := range ch.parts {
-			entries, err := t.Entries()
+			ix, err := t.Index(obs.Span{})
 			if err != nil {
 				return info, err
 			}
-			ti.Messages += len(entries)
-			for _, e := range entries {
+			ti.Messages += ix.Len()
+			for i := 0; i < ix.Len(); i++ {
+				e := ix.At(i)
 				ti.Bytes += int64(e.Length)
+				if ti.Start.IsZero() || e.Time.Before(ti.Start) {
+					ti.Start = e.Time
+				}
+				if ti.End.Before(e.Time) {
+					ti.End = e.Time
+				}
 			}
-			if len(entries) == 0 {
-				continue
-			}
-			start, end, err := t.TimeRange()
-			if err != nil {
-				return info, err
-			}
-			if ti.Start.IsZero() || start.Before(ti.Start) {
-				ti.Start = start
-			}
-			if ti.End.Before(end) {
-				ti.End = end
-			}
+			ix.Close()
 		}
 		if span := ti.End.Sub(ti.Start); span > 0 && ti.Messages > 1 {
 			ti.RateHz = float64(ti.Messages-1) / span.Seconds()

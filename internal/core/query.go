@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -298,17 +297,19 @@ func (q *query) readTopics(parent obs.Span) (err error) {
 
 // readPart streams one part's selection in append order under sp, the
 // part's already-started core.read_topic span, and ends it.
-func (q *query) readPart(sp obs.Span, t *container.Topic, phase *int, scratch *msgScratch) error {
+func (q *query) readPart(sp obs.Span, t *container.Topic, phase *int, scratch *msgScratch) (err error) {
 	c := &cursor{q: q, t: t, scratch: scratch}
-	err := c.selectEntries(sp, phase)
-	if err == nil {
-		err = c.deliver(c.entries, len(c.entries))
-	}
-	c.close()
-	if err != nil {
-		sp.EndErr(err)
-	} else {
-		sp.EndBytes(c.d.BytesRead)
+	defer func() {
+		if err != nil {
+			sp.EndErr(err)
+		} else {
+			sp.EndBytes(c.d.BytesRead)
+		}
+	}()
+	open := []*cursor{c}
+	defer settle(&err, &open)
+	if err = c.selectEntries(sp, phase); err == nil {
+		err = c.deliver(c.sel, c.sel.Len())
 	}
 	return err
 }
@@ -325,6 +326,10 @@ func (q *query) readTime(parent obs.Span) (err error) {
 	sp := parent.ChildOp(q.bag.ops.readChrono)
 	defer func() { sp.EndErr(err) }()
 	defer panicOnFault(panicOnFault(true))
+	// Every cursor opened is settled at the end: closed, and a fault in
+	// any of their mappings made its part's error.
+	var open []*cursor
+	defer settle(&err, &open)
 	chains, err := q.bag.chains(q.Topics, q.limits != nil)
 	if err != nil {
 		return err
@@ -333,31 +338,25 @@ func (q *query) readTime(parent obs.Span) (err error) {
 	// (cursor.deliver): an extent it read is still being served while
 	// other cursors read theirs.
 	var h mergeHeap
-	defer func() {
-		for _, c := range h {
-			c.close()
-		}
-	}()
 	for _, ch := range chains {
 		phase := 0
 		for _, t := range ch.parts {
 			c := &cursor{q: q, t: t, merged: true}
-			err := c.selectEntries(sp, &phase)
-			if err != nil || len(c.entries) == 0 {
+			open = append(open, c)
+			if err := c.selectEntries(sp, &phase); err != nil {
+				return err
+			}
+			if c.sel.Len() == 0 {
 				c.close()
-				if err != nil {
-					return err
-				}
 				continue
 			}
 			// A part whose ordered prefix covers its selection is already in
-			// time order; any other is copied (the selection may be the
-			// topic's shared slice) and sorted, stably, so equal stamps
-			// keep append order.
+			// time order; any other is sorted into a view of its own,
+			// stably, so equal stamps keep append order.
 			if !c.inOrder {
-				c.entries = append([]container.IndexEntry(nil), c.entries...)
-				sort.SliceStable(c.entries, func(i, j int) bool { return c.entries[i].Time.Before(c.entries[j].Time) })
+				c.sel = c.sel.SortedByTime()
 			}
+			c.head = c.sel.Time(0)
 			c.ord = len(h)
 			h = append(h, c)
 		}
@@ -370,12 +369,14 @@ func (q *query) readTime(parent obs.Span) (err error) {
 	}
 	for len(h) > 0 {
 		c, k := h[0], h.run()
-		if err := c.deliver(c.entries[c.pos:], k); err != nil {
+		if err := c.deliver(c.sel.Slice(c.pos, c.sel.Len()), k); err != nil {
 			return err
 		}
-		if c.pos += k; c.pos == len(c.entries) {
+		if c.pos += k; c.pos == c.sel.Len() {
 			c.close()
 			h[0], h = h[len(h)-1], h[:len(h)-1]
+		} else {
+			c.head = c.sel.Time(c.pos)
 		}
 		h.down(0)
 	}
@@ -440,6 +441,9 @@ func (q *query) follow(ctx context.Context, parent obs.Span) (err error) {
 	// so when a topic's entries land in a newer part its previous cursor
 	// is finished, and it closes at the end of the batch that last
 	// delivered from it. Open parts are bounded by topics, not segments.
+	// The parts are the recorder's, still being written: read through
+	// their files and their writers' buffers, never mapped, so nothing
+	// here can fault for a settle to recover.
 	cursors := map[string]*cursor{}
 	var finished []*cursor
 	defer func() {
@@ -483,15 +487,15 @@ func (q *query) follow(ctx context.Context, parent obs.Span) (err error) {
 					continue
 				}
 			}
-			c.entries = append(c.entries, ref.e)
+			c.sel = c.sel.Append(ref.e)
 			order = append(order, c)
 		}
 		for _, c := range order {
-			if err := c.deliver(c.entries[c.pos:], 1); err != nil {
+			if err := c.deliver(c.sel.Slice(c.pos, c.sel.Len()), 1); err != nil {
 				return err
 			}
-			if c.pos++; c.pos == len(c.entries) {
-				c.entries, c.pos = c.entries[:0], 0 // drained: the next batch reuses it
+			if c.pos++; c.pos == c.sel.Len() {
+				c.sel, c.pos = c.sel.Reset(), 0 // drained: the next batch reuses it
 			}
 		}
 		for _, c := range finished {

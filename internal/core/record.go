@@ -349,9 +349,8 @@ func (r *Recorder) subscribe() (*follower, error) {
 	}
 	for _, parts := range r.parts {
 		for _, t := range parts {
-			// A writer's topic serves Entries from memory: it cannot fail.
-			entries, _ := t.Entries()
-			f.limits[t] = len(entries)
+			// A writer's topic counts its buffer: it cannot fail.
+			f.limits[t], _ = t.MessageCount()
 		}
 	}
 	if r.followers == nil {
