@@ -3,9 +3,11 @@ package container
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"unsafe"
 
 	"repro/internal/bagio"
 	"repro/internal/obs"
@@ -127,19 +129,38 @@ func (v IndexView) Close() {
 func (t *Topic) Index(parent obs.Span) (IndexView, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.indexLocked(parent)
+	return t.indexLocked(parent, true)
 }
 
-func (t *Topic) indexLocked(parent obs.Span) (IndexView, error) {
-	if t.loaded {
+// ReadIndex is Index read into bytes of its own, never a mapping: for a
+// walk over every entry (Entries, TimeRange, a bag's Info) that runs
+// outside a query's fault recovery, which a cut under it must not
+// crash.
+func (t *Topic) ReadIndex() (IndexView, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.indexLocked(obs.Span{}, false)
+}
+
+func (t *Topic) indexLocked(parent obs.Span, mapped bool) (IndexView, error) {
+	if t.loaded && (mapped || t.ix.m == nil) {
+		// A pooled handle's mapping is measured again (one stat): an index
+		// cut between queries is refused here, not read as zeros.
+		if m := t.ix.m; m != nil && m.measure() < uint64(len(m.data)) {
+			return IndexView{}, fmt.Errorf("container: index of %q cut to %d of its %d bytes since it was mapped: %w",
+				t.topic, m.size.Load(), len(m.data), ErrIndexBeyondData)
+		}
 		return t.ix, nil
 	}
 	sp := parent.ChildOp(t.indexLoadOp)
 	path := filepath.Join(t.dir, IndexFileName)
-	m, err := mapFile(path, !t.mapped)
-	v := IndexView{m: m}
-	if m != nil {
-		v.b = m.data
+	var v IndexView
+	var err error
+	if mapped {
+		v.m, err = mapFile(path, !t.mapped)
+	}
+	if v.m != nil {
+		v.b = v.m.data
 	} else if err == nil {
 		v.b, err = os.ReadFile(path)
 	}
@@ -153,10 +174,45 @@ func (t *Topic) indexLocked(parent obs.Span) (IndexView, error) {
 		return IndexView{}, err
 	}
 	sp.EndBytes(int64(len(v.b)))
-	if t.mapped {
+	if t.mapped && mapped {
 		t.ix, t.loaded = v, true
 	}
 	return v, nil
+}
+
+// IndexGuard is what a cursor checks before it reads each entry of sel,
+// a selection it reads across callbacks that may cut the part's index
+// under it, and from which entry on it must take HoldTail's copy
+// instead. A selection lying in a mapping is guarded as a sliced data
+// run is (Guard): the guard is a word of the mapping's last page, which
+// faults on any cut below it, so it vouches for every entry that ends
+// below that page. The entries from the returned position on reach into
+// the page, which a cut inside reads as zeros. Any other selection is
+// the cursor's own: the zero Guard, and no position.
+func (t *Topic) IndexGuard(sel IndexView) (Guard, int) {
+	m := sel.m
+	if m == nil || sel.Len() == 0 {
+		return Guard{}, math.MaxInt
+	}
+	off, _ := m.offset(uintptr(unsafe.Pointer(unsafe.SliceData(sel.b))))
+	last := m.lastPage()
+	return m.guard(), int(max(last, uint64(off))-uint64(off)) / IndexEntrySize
+}
+
+// HoldTail copies sel's entries from i on — those IndexGuard found in
+// the mapping's last page — into *scratch, then measures the index file
+// again, so that what the cursor reads from then on is the index, not
+// zeros a cut left in the page, and no later cut changes it; a file cut
+// short of the copy is ErrIndexBeyondData.
+func (t *Topic) HoldTail(sel IndexView, i int, scratch *[]byte) (IndexView, error) {
+	rest := sel.b[i*IndexEntrySize:]
+	*scratch = append((*scratch)[:0], rest...)
+	off, _ := sel.m.offset(uintptr(unsafe.Pointer(unsafe.SliceData(rest))))
+	if end := uint64(off) + uint64(len(rest)); sel.m.measure() < end {
+		return IndexView{}, fmt.Errorf("container: topic %q: index cut under a mapped read, to %d bytes of the %d read: %w",
+			t.topic, sel.m.size.Load(), end, ErrIndexBeyondData)
+	}
+	return IndexView{b: *scratch}, nil
 }
 
 // Ordered returns how many of v's leading entries — v is the topic's
@@ -179,8 +235,7 @@ func (t *Topic) Ordered(v IndexView) int {
 // Entries decodes the topic's index entries, in append order, into a
 // fresh slice; queries read the index through Index.
 func (t *Topic) Entries() ([]IndexEntry, error) {
-	v, err := t.Index(obs.Span{})
-	defer v.Close()
+	v, err := t.ReadIndex()
 	return v.entries(), err
 }
 
@@ -195,8 +250,7 @@ func (t *Topic) MessageCount() (int, error) {
 // topic's index entries — the zero times for an empty topic. On a topic
 // still being written it covers every entry published so far.
 func (t *Topic) TimeRange() (start, end bagio.Time, err error) {
-	v, err := t.Index(obs.Span{})
-	defer v.Close()
+	v, err := t.ReadIndex()
 	for i := 0; i < v.Len(); i++ {
 		ts := v.Time(i)
 		if i == 0 || ts.Before(start) {
@@ -212,8 +266,7 @@ func (t *Topic) TimeRange() (start, end bagio.Time, err error) {
 // ordinal is e's position among the topic's entries, -1 if it is none
 // of them: looked up only to name an entry in an error.
 func (t *Topic) ordinal(e IndexEntry) int {
-	v, _ := t.Index(obs.Span{})
-	defer v.Close()
+	v, _ := t.ReadIndex()
 	for i := 0; i < v.Len(); i++ {
 		if v.At(i) == e {
 			return i

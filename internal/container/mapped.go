@@ -22,7 +22,6 @@ type mapping struct {
 	path     string        // where measure asks for its length again
 	size     atomic.Uint64 // the file's length as last measured, at most len(data): reads end here
 	oneShot  bool          // Close unmaps
-	released uint64        // one-shot: the pages below were released
 }
 
 // pageSize is the granularity of a mapping: a file cut inside a page
@@ -125,22 +124,6 @@ func (m *mapping) measure() uint64 {
 	return m.size.Load()
 }
 
-// releaseEvery is how far a one-shot cursor reads past the pages it
-// last released before it releases them.
-const releaseEvery = 4 << 20
-
-// release drops a one-shot mapping's pages below off, which its one
-// cursor has read past, from the resident set (MADV_DONTNEED: touched
-// again, they are read from the page cache), so that a scan whose
-// callbacks read every byte holds a few MB of a part resident, not all.
-func (m *mapping) release(off uint64) {
-	if m.oneShot && off >= m.released+releaseEvery {
-		hi := off &^ (pageSize - 1)
-		syscall.Madvise(m.data[m.released:hi], syscall.MADV_DONTNEED)
-		m.released = hi
-	}
-}
-
 // readTail is ReadExtentInto for a run that reaches the mapping's last
 // page: copied into *scratch, then the file measured again, so what it
 // hands out is the part's data — not zeros a cut left in the page — and
@@ -179,8 +162,11 @@ func (t *Topic) Guard(r DataReader, data []byte) Guard {
 	if _, in := m.offset(uintptr(unsafe.Pointer(unsafe.SliceData(data)))); !ok || !in {
 		return Guard{}
 	}
-	return Guard{(*uint32)(unsafe.Pointer(&m.data[m.lastPage()]))}
+	return m.guard()
 }
+
+// guard is a Guard on a word of the mapping's last page.
+func (m *mapping) guard() Guard { return Guard{(*uint32)(unsafe.Pointer(&m.data[m.lastPage()]))} }
 
 // Check faults if the guarded run's part was cut below it.
 func (g Guard) Check() {
@@ -199,28 +185,20 @@ func (m *mapping) offset(addr uintptr) (uintptr, bool) {
 	return off, off < uintptr(len(m.data)) // below the mapping, off wraps around
 }
 
-// fault reports whether p, a recovered panic's value, is a memory fault
-// inside the mapping, and at which offset.
-func (m *mapping) fault(p any) (uintptr, bool) {
-	if f, ok := p.(interface{ Addr() uintptr }); ok {
-		return m.offset(f.Addr())
-	}
-	return 0, false
-}
-
 // Fault turns p, a panic's value out of code reading the topic through
 // r and the index view ix, into the error it stands for: a memory fault
 // (a panic only under runtime/debug.SetPanicOnFault) inside either's
 // mapping is the part cut under it, the topic's ErrIndexBeyondData.
 // Anything else is nil, for the caller to re-panic.
 func (t *Topic) Fault(r DataReader, ix IndexView, p any) error {
-	m, _ := r.(*mapping)
-	for _, f := range [...]struct {
-		what string
-		m    *mapping
-	}{{"data", m}, {"index", ix.m}} {
-		if off, ok := f.m.fault(p); ok {
-			return fmt.Errorf("container: topic %q: %s cut under a mapped read (fault at offset %d): %w", t.topic, f.what, off, ErrIndexBeyondData)
+	f, ok := p.(interface{ Addr() uintptr })
+	if !ok {
+		return nil
+	}
+	data, _ := r.(*mapping)
+	for what, m := range map[string]*mapping{"data": data, "index": ix.m} {
+		if off, in := m.offset(f.Addr()); in {
+			return fmt.Errorf("container: topic %q: %s cut under a mapped read (fault at offset %d): %w", t.topic, what, off, ErrIndexBeyondData)
 		}
 	}
 	return nil

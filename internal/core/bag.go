@@ -51,8 +51,10 @@ func (m MessageRef) Copy() []byte {
 // msgScratch is one stream's reusable read buffer. Every query plan
 // draws scratches from scratchPool — one per concurrent topic stream —
 // so steady-state reads allocate nothing: a buffer grows to the largest
-// message it has carried and is then shared across queries.
-type msgScratch struct{ buf []byte }
+// message it has carried and is then shared across queries. ix holds
+// the entries a cursor copies out of a mapped index's last page
+// (container.Topic.HoldTail).
+type msgScratch struct{ buf, ix []byte }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(msgScratch) }}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime/debug"
 	"sort"
 
@@ -20,9 +21,9 @@ type cursor struct {
 	q       *query
 	t       *container.Topic
 	ix      container.IndexView  // the part's index, held until close
-	sel     container.IndexView  // the selection, in delivery order: a range of ix, or its survivors
+	sel     container.IndexView  // the selection, in delivery order: a range of ix, its survivors, or a copy of its last entries (HoldTail)
 	inOrder bool                 // the selection is in time order (set where a policy needs it)
-	pos     int                  // next entry (time order, Follow tail)
+	pos     int                  // the next entry of sel to deliver
 	head    bagio.Time           // time order: the next entry's stamp, decoded once
 	ord     int                  // position among the merge's cursors: the tie-break
 	merged  bool                 // time order, Follow tail: delivered between other cursors' entries
@@ -36,7 +37,12 @@ type cursor struct {
 	extOff uint64
 	held   int
 	guard  container.Guard
-	d      Stats
+	// What checks that the index still holds the selection's entries
+	// below ixTail (IndexGuard, taken at the first delivery); from
+	// ixTail on, the entries are read from a copy (HoldTail).
+	ixGuard container.Guard
+	ixTail  int
+	d       Stats
 }
 
 // selectEntries decides what the cursor will read from the part's index
@@ -126,13 +132,12 @@ func (c *cursor) selectEntries(sp obs.Span, phase *int) error {
 	return nil
 }
 
-// deliver hands the first n of sel to the query's callback, in order,
-// opening the part's data on first use; sel's entries past n are what
-// this cursor will be asked for next, and are only looked ahead over.
-// Topic order passes the cursor's whole selection with n = all of it,
-// the merge its remaining selection with n = the run that goes before
-// every other cursor, and the Follow tail its remaining selection with
-// n = 1.
+// deliver hands the next n entries of the selection to the query's
+// callback, in order, from c.pos on, opening the part's data on first
+// use; the entries after them are what this cursor will be asked for
+// next, and are only looked ahead over. Topic order passes n = the
+// whole selection, the merge n = the run that goes before every other
+// cursor, and the Follow tail n = 1.
 //
 // This is the one place core reads data, and it reads extents, not
 // messages: container.ReadExtentInto covers the leading run of
@@ -148,17 +153,20 @@ func (c *cursor) selectEntries(sp obs.Span, phase *int) error {
 // its neighbours in the extent and is valid only until the callback
 // returns — see MessageRef.
 //
-// A mapped part can be cut under the query, between one callback and
-// the next, without any read failing: before each message the run's
-// container.Guard checks that the part still holds it, faulting if it
-// does not, and every fault is the policy's to recover (settle) into
+// A mapped part can be cut under the query, by a callback, without any
+// read failing. So before each entry is read a container.Guard checks
+// that the index still holds it (container.Topic.IndexGuard; the entries
+// in the index's last page are first copied, HoldTail), the run's Guard
+// checks the data before each callback, and once more after the
+// selection's last; every fault is the policy's to recover (settle) into
 // the part's ErrIndexBeyondData.
-func (c *cursor) deliver(sel container.IndexView, n int) (err error) {
+func (c *cursor) deliver(n int) (err error) {
 	if n == 0 {
 		return nil
 	}
+	t := c.t
 	if c.df == nil {
-		if c.df, err = c.t.OpenData(); err != nil {
+		if c.df, err = t.OpenData(); err != nil {
 			return err
 		}
 		c.d.Seeks++
@@ -169,10 +177,18 @@ func (c *cursor) deliver(sel container.IndexView, n int) (err error) {
 		if c.merged {
 			c.scratch = scratchPool.Get().(*msgScratch)
 		}
+		c.ixGuard, c.ixTail = t.IndexGuard(c.sel)
 	}
-	t, df, buf, conn, fn := c.t, c.df, &c.scratch.buf, c.t.Connection(), c.q.fn
-	for i := 0; i < n; i++ {
-		e := sel.At(i)
+	df, buf, conn, fn := c.df, &c.scratch.buf, t.Connection(), c.q.fn
+	for ; n > 0; n-- {
+		if c.pos >= c.ixTail { // the entry reaches into the mapped index's last page
+			if c.sel, err = t.HoldTail(c.sel, c.pos, &c.scratch.ix); err != nil {
+				return err
+			}
+			c.pos, c.ixGuard, c.ixTail = 0, container.Guard{}, math.MaxInt
+		}
+		c.ixGuard.Check()
+		e := c.sel.At(c.pos)
 		var data []byte
 		if c.held > 0 {
 			at := e.PhysicalOffset - c.extOff
@@ -180,7 +196,7 @@ func (c *cursor) deliver(sel container.IndexView, n int) (err error) {
 			c.held--
 		} else {
 			k := 0
-			if data, k, err = t.ReadExtentInto(df, sel.Slice(i, sel.Len()), buf); err != nil {
+			if data, k, err = t.ReadExtentInto(df, c.sel.Slice(c.pos, c.sel.Len()), buf); err != nil {
 				return err
 			}
 			c.d.DataReads++
@@ -193,9 +209,13 @@ func (c *cursor) deliver(sel container.IndexView, n int) (err error) {
 		c.guard.Check()
 		c.d.BytesRead += int64(len(data))
 		c.d.MessagesRead++
+		c.pos++
 		if err := fn(MessageRef{Conn: conn, Time: e.Time, Data: data}); err != nil {
 			return err
 		}
+	}
+	if c.pos == c.sel.Len() {
+		c.guard.Check() // the last callback may have cut what it read
 	}
 	return nil
 }
@@ -214,7 +234,7 @@ func (c *cursor) close() {
 	}
 	c.ix.Close()
 	// Nothing keeps pointing into what was unmapped.
-	c.ix, c.sel, c.ext, c.guard = container.IndexView{}, container.IndexView{}, nil, container.Guard{}
+	c.ix, c.sel, c.ext, c.guard, c.ixGuard = container.IndexView{}, container.IndexView{}, nil, container.Guard{}, container.Guard{}
 	if c.merged && c.scratch != nil {
 		scratchPool.Put(c.scratch)
 	}
@@ -297,7 +317,8 @@ func (h mergeHeap) run() int {
 		}
 	}
 	c, k := h[0], 1
-	for c.pos+k < c.sel.Len() && before(c, c.sel.Time(c.pos+k), next) {
+	n := c.sel.Len()
+	for c.pos+k < n && before(c, c.sel.Time(c.pos+k), next) {
 		k++
 	}
 	return k

@@ -192,15 +192,6 @@ func perMessagePrefix(t *testing.T, topic *container.Topic) ([]string, error) {
 	return out, nil
 }
 
-// viewOf encodes entries as an index view.
-func viewOf(entries []container.IndexEntry) container.IndexView {
-	v := container.MakeIndexView(len(entries))
-	for _, e := range entries {
-		v = v.Append(e)
-	}
-	return v
-}
-
 // queryPrefix runs spec to its end or its first error and returns what
 // was delivered before it.
 func queryPrefix(bag *Bag, spec QuerySpec) ([]string, error) {
@@ -522,7 +513,10 @@ func TestCachedRunsStopAtBlocks(t *testing.T) {
 		}
 		end := func(e container.IndexEntry) int64 { return int64(e.PhysicalOffset) + int64(e.Length) }
 		var scratch, refScratch []byte
-		view := viewOf(entries)
+		view, err := topic.ReadIndex()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for sel := entries; len(sel) > 0; {
 			data, k, err := topic.ReadExtentInto(df, view.Slice(len(entries)-len(sel), view.Len()), &scratch)
 			if err != nil {

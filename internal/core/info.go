@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/bagio"
-	"repro/internal/obs"
 )
 
 // TopicInfo summarizes one topic of an open BORA bag.
@@ -44,7 +43,7 @@ func (bag *Bag) Info() (Info, error) {
 	for i, ch := range chains {
 		ti := TopicInfo{Topic: ch.name, Type: ch.parts[0].Connection().Type}
 		for _, t := range ch.parts {
-			ix, err := t.Index(obs.Span{})
+			ix, err := t.ReadIndex()
 			if err != nil {
 				return info, err
 			}
@@ -59,7 +58,6 @@ func (bag *Bag) Info() (Info, error) {
 					ti.End = e.Time
 				}
 			}
-			ix.Close()
 		}
 		if span := ti.End.Sub(ti.Start); span > 0 && ti.Messages > 1 {
 			ti.RateHz = float64(ti.Messages-1) / span.Seconds()

@@ -97,13 +97,14 @@ func TestNoMappingOutlivesAOneShotQuery(t *testing.T) {
 }
 
 // TestIndexCutUnderQueryIsAnError: an index mapped for a query and cut
-// under it faults where a page past the cut is read — in the merge
-// heap, a run's planning or the selection — and the query ends with the
-// part's ErrIndexBeyondData instead of the process, in every ordering
-// policy, on a one-shot handle (mapped per cursor) and a pooled one
-// (mapped once). What was delivered before a cut at a page boundary is
-// the original. On the pooled handle a cut between queries faults in
-// the next query's selection.
+// under it ends the query with the part's ErrIndexBeyondData instead of
+// the process, in every ordering policy, on a one-shot handle (mapped
+// per cursor) and a pooled one (mapped once), wherever the cut falls:
+// at a page boundary, so that the pages past it fault; inside a page,
+// which reads zeros to its end; inside the index's last page, which
+// nothing faults on. Every message delivered before the error is the
+// original, never an entry read as zeros. On the pooled handle a cut
+// between queries is refused when the next query opens the index.
 func TestIndexCutUnderQueryIsAnError(t *testing.T) {
 	const msgs = 2000 // 56,000 bytes of index: 14 pages
 	b := newBORA(t)
@@ -131,15 +132,22 @@ func TestIndexCutUnderQueryIsAnError(t *testing.T) {
 	}
 	pooled.MapData()
 	page := int64(os.Getpagesize())
+	lastPage := (int64(len(orig)) - 1) &^ (page - 1)
 	cuts := []struct {
-		name    string
-		cut     int64
-		aligned bool
+		name string
+		cut  int64
 	}{
-		{"at byte 0", 0, true},
-		{"at the first page's end", page, true},
-		{"at a page boundary mid-index", int64(len(orig)) / 2 &^ (page - 1), true},
-		{"mid-page", page + 100, false},
+		{"at byte 0", 0},
+		{"at the first page's end", page},
+		{"at a page boundary mid-index", int64(len(orig)) / 2 &^ (page - 1)},
+		{"mid-page", page + 100},
+		{"in the last page, between entries", int64(len(orig)) - 10*container.IndexEntrySize},
+		{"in the last page, mid-entry", int64(len(orig)) - 10*container.IndexEntrySize - 5},
+	}
+	for _, c := range cuts[len(cuts)-2:] {
+		if c.cut <= lastPage {
+			t.Fatalf("cut %s at %d is not past the last page's start %d", c.name, c.cut, lastPage)
+		}
 	}
 	for _, h := range []struct {
 		name string
@@ -174,7 +182,7 @@ func TestIndexCutUnderQueryIsAnError(t *testing.T) {
 					t.Errorf("%s: err = %v, want ErrIndexBeyondData", name, err)
 				}
 				for i := range got {
-					if c.aligned && got[i] != want[i] {
+					if got[i] != want[i] {
 						t.Errorf("%s: message %d is not the original's", name, i)
 						break
 					}
@@ -188,14 +196,92 @@ func TestIndexCutUnderQueryIsAnError(t *testing.T) {
 	if got, err := queryPrefix(pooled, QuerySpec{}); err != nil || len(got) != msgs {
 		t.Fatalf("pooled handle, index restored: %d messages, %v", len(got), err)
 	}
-	if err := os.Truncate(ixPath, page); err != nil {
+	for _, cut := range []int64{page, cuts[len(cuts)-1].cut} {
+		for _, p := range everyPolicy {
+			spec := p.spec // a window: the selection reads the index past the cut
+			spec.Start, spec.End = entries[msgs/2].Time, entries[msgs-1].Time
+			// Once before the cut, so that the handle holds the time index.
+			if err := os.WriteFile(ixPath, orig, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := queryPrefix(pooled, spec); err != nil || len(got) != msgs/2 {
+				t.Fatalf("pooled handle, index restored, windowed %s: %d messages, %v", p.name, len(got), err)
+			}
+			if err := os.Truncate(ixPath, cut); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := queryPrefix(pooled, spec); len(got) != 0 || !errors.Is(err, container.ErrIndexBeyondData) {
+				t.Errorf("pooled handle, index cut to %d bytes between queries, windowed %s: %d messages, err = %v, want none and ErrIndexBeyondData", cut, p.name, len(got), err)
+			}
+		}
+	}
+}
+
+// TestCutByTheLastCallbackIsAnError: a mapped part whose data is cut by
+// a query's last callback, below the pages that callback's message was
+// read from, ends the query with the part's ErrIndexBeyondData — the
+// callback may have read zeros where the message was — in every
+// ordering policy, on a one-shot and a pooled handle. The window ends
+// far below the file's last page, so its last message is a slice of the
+// mapping, not a copy.
+func TestCutByTheLastCallbackIsAnError(t *testing.T) {
+	const msgs = 2000
+	b := newBORA(t)
+	bag := recordTopic(t, b, "bag", msgs, func(i int) int { return 100 + i%200 })
+	topic, err := bag.Container().Topic("/t")
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range everyPolicy {
-		spec := p.spec // a window: the selection reads the index past the cut
-		spec.Start, spec.End = entries[msgs/2].Time, entries[msgs-1].Time
-		if _, err := queryPrefix(pooled, spec); !errors.Is(err, container.ErrIndexBeyondData) {
-			t.Errorf("pooled handle, index cut between queries, windowed %s: err = %v, want ErrIndexBeyondData", p.name, err)
+	entries, err := topic.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataPath := filepath.Join(topic.Dir(), container.DataFileName)
+	orig, err := os.ReadFile(dataPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := entries[100], entries[msgs/2]
+	if page := uint64(os.Getpagesize()); last.PhysicalOffset+uint64(last.Length)+page > uint64(len(orig)) {
+		t.Fatalf("the window's last message ends within a page of the file's end (%d bytes)", len(orig))
+	}
+	pooled, err := b.Open("bag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled.MapData()
+	for _, h := range []struct {
+		name string
+		bag  func() *Bag
+	}{
+		{"one-shot", func() *Bag {
+			bag, err := b.Open("bag")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return bag
+		}},
+		{"pooled", func() *Bag { return pooled }},
+	} {
+		for _, p := range everyPolicy {
+			if err := os.WriteFile(dataPath, orig, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			spec := p.spec
+			spec.Start, spec.End = first.Time, last.Time
+			var mu sync.Mutex
+			n := 0
+			err := h.bag().Query(spec, func(m MessageRef) error {
+				mu.Lock()
+				defer mu.Unlock()
+				if n++; m.Time == last.Time {
+					return os.Truncate(dataPath, int64(last.PhysicalOffset)+1)
+				}
+				return nil
+			})
+			if want := msgs/2 - 100 + 1; n != want || !errors.Is(err, container.ErrIndexBeyondData) {
+				t.Errorf("%s handle, %s: %d messages, err = %v; want %d and ErrIndexBeyondData", h.name, p.name, n, err, want)
+			}
 		}
 	}
 }

@@ -309,7 +309,7 @@ func (q *query) readPart(sp obs.Span, t *container.Topic, phase *int, scratch *m
 	open := []*cursor{c}
 	defer settle(&err, &open)
 	if err = c.selectEntries(sp, phase); err == nil {
-		err = c.deliver(c.sel, c.sel.Len())
+		err = c.deliver(c.sel.Len())
 	}
 	return err
 }
@@ -369,10 +369,10 @@ func (q *query) readTime(parent obs.Span) (err error) {
 	}
 	for len(h) > 0 {
 		c, k := h[0], h.run()
-		if err := c.deliver(c.sel.Slice(c.pos, c.sel.Len()), k); err != nil {
+		if err := c.deliver(k); err != nil {
 			return err
 		}
-		if c.pos += k; c.pos == c.sel.Len() {
+		if c.pos == c.sel.Len() {
 			c.close()
 			h[0], h = h[len(h)-1], h[:len(h)-1]
 		} else {
@@ -491,10 +491,10 @@ func (q *query) follow(ctx context.Context, parent obs.Span) (err error) {
 			order = append(order, c)
 		}
 		for _, c := range order {
-			if err := c.deliver(c.sel.Slice(c.pos, c.sel.Len()), 1); err != nil {
+			if err := c.deliver(1); err != nil {
 				return err
 			}
-			if c.pos++; c.pos == c.sel.Len() {
+			if c.pos == c.sel.Len() {
 				c.sel, c.pos = c.sel.Reset(), 0 // drained: the next batch reuses it
 			}
 		}
