@@ -608,6 +608,14 @@ var archRules = []archRule{
 		seeds: []seedFile{{"internal/core/zz_seed.go", `package core; import "runtime/debug"; func zz() { debug.SetPanicOnFault(true) }`}},
 	},
 	{
+		name: "sites/one-vectored-write-in-server",
+		why:  "a pinned payload leaves its mapping by one writev of a query stream's batch, inside the query's fault guard, and the batch then checks the guards of the parts it sent from; a net.Buffers anywhere else would send mapped bytes that no guard checks",
+		check: count(everywhere, 1, "server.go", "net.Buffers site(s)", func(f *srcFile, n ast.Node) bool {
+			return f.refersTo(n, "net", "Buffers")
+		}),
+		seeds: []seedFile{{"internal/client/zz_seed.go", `package client; import "net"; var _ net.Buffers`}},
+	},
+	{
 		name: "names/pool-plugs-no-block-cache",
 		why:  "pooled handles read mapped parts: the pool building or plugging a block cache again would put a second copy of the page cache back on the serving path",
 		check: none([]string{"internal/pool"}, func(_ *srcFile, n ast.Node) bool {
@@ -972,7 +980,7 @@ var importTable = map[string][]string{
 	"internal/pool":          {"internal/container", "internal/core", "internal/obs"},
 	"internal/replay":        {"internal/bagio", "internal/core", "internal/graph", "internal/rosbag"},
 	"internal/rosbag":        {"internal/bagio", "internal/msgdef", "internal/msgs", "internal/obs"},
-	"internal/server":        {"internal/bagio", "internal/core", "internal/obs", "internal/pool", "internal/server/wire"},
+	"internal/server":        {"internal/bagio", "internal/container", "internal/core", "internal/obs", "internal/pool", "internal/server/wire"},
 	"internal/server/wire":   {"internal/bagio"},
 	"internal/simio":         {"internal/obs"},
 	"internal/swarm":         {"internal/cluster", "internal/core", "internal/layout", "internal/pathsim", "internal/rosbag", "internal/workload"},

@@ -78,7 +78,7 @@ func swarmRun(backendDir string, names []string, k, numClients, queriesEach, max
 	}
 	cl, err := client.NewCluster(members, client.ClusterOptions{
 		Replication: repl,
-		Node:        client.Options{Window: 16},
+		Node:        client.Options{Window: 7 << 10}, // bytes: ≈ 16 frames of 425-byte camera_info messages
 		// A deep rotation budget with quick backoff: at k=1 the whole
 		// swarm funnels through maxQueries admission slots, and waiting
 		// out BUSY is the experiment, not a failure.

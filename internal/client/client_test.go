@@ -1,13 +1,21 @@
 package client
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/raceenabled"
 	"repro/internal/server/wire"
 )
 
@@ -227,11 +235,13 @@ func TestQueryBusyExhausted(t *testing.T) {
 	}
 }
 
-// TestStreamGrantsCredit: with a window of 4 the client must grant
-// credit as it consumes, and the grants must let a strict server finish
-// a stream longer than the initial window.
+// TestStreamGrantsCredit: a stream asks for byte-counted credit and
+// grants back the bytes of the frames it consumed, so a strict server —
+// one that sends a frame only while what it has sent beyond the grants
+// is under the window — streams to the end.
 func TestStreamGrantsCredit(t *testing.T) {
-	const total = 20
+	const total, window = 20, 64
+	frame := wire.MsgHeadSize + 1 // each MSG carries a one-byte payload
 	var credits atomic.Int64
 	addr := fakeServer(t, func(nc net.Conn) {
 		defer nc.Close()
@@ -240,11 +250,10 @@ func TestStreamGrantsCredit(t *testing.T) {
 			return
 		}
 		q, err := wire.DecodeQuery(f.Payload)
-		if err != nil || q.Window == 0 {
-			wire.WriteFrame(nc, wire.OpErr, []byte("no window"))
+		if err != nil || q.Window != window || !q.ByteCredit {
+			wire.WriteFrame(nc, wire.OpErr, []byte(fmt.Sprintf("want a byte-counted window of %d, got %+v", window, q)))
 			return
 		}
-		// Strict server: never exceeds the granted window.
 		go func() { // credit reader
 			for {
 				f, err := wire.ReadFrame(nc, 0)
@@ -259,9 +268,8 @@ func TestStreamGrantsCredit(t *testing.T) {
 			}
 		}()
 		wire.WriteFrame(nc, wire.OpQueryHdr, wire.EncodeQueryHdr([]wire.ConnMeta{{Topic: "/t", Type: "ty"}}))
-		sent := 0
-		for sent < total {
-			if int64(sent) >= int64(q.Window)+credits.Load() {
+		for sent := 0; sent < total; {
+			if int64(sent*frame) >= int64(q.Window)+credits.Load() {
 				time.Sleep(time.Millisecond)
 				continue
 			}
@@ -270,7 +278,7 @@ func TestStreamGrantsCredit(t *testing.T) {
 		}
 		wire.WriteFrame(nc, wire.OpEnd, wire.EncodeEnd(wire.End{Count: total, Bytes: total}))
 	})
-	cl, err := Dial(addr, Options{Window: 4})
+	cl, err := Dial(addr, Options{Window: window})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +300,10 @@ func TestStreamGrantsCredit(t *testing.T) {
 	if n != total {
 		t.Errorf("received %d messages, want %d", n, total)
 	}
-	if credits.Load() < total-4 {
-		t.Errorf("client granted %d credits for a %d-message stream with window 4", credits.Load(), total)
+	// The strict server sent the last frame only once the grants exceeded
+	// all but the last frame's bytes, less the window.
+	if got := credits.Load(); got <= int64((total-1)*frame-window) {
+		t.Errorf("client granted %d bytes of credit for a %d-byte stream with a %d-byte window", got, total*frame, window)
 	}
 }
 
@@ -342,5 +352,87 @@ func TestStreamCloseDrains(t *testing.T) {
 	}
 	if _, err := cl.Ping(); err != nil {
 		t.Fatalf("client unusable after Stream.Close: %v", err)
+	}
+}
+
+// replayConn is a connection whose peer sends stream over and over (or
+// once, then EOF, when once is set) and swallows whatever it is sent.
+type replayConn struct {
+	net.Conn
+	stream []byte
+	off    int
+	once   bool
+}
+
+func (c *replayConn) Read(p []byte) (int, error) {
+	if c.off == len(c.stream) {
+		if c.once {
+			return 0, io.EOF
+		}
+		c.off = 0
+	}
+	n := copy(p, c.stream[c.off:])
+	c.off += n
+	return n, nil
+}
+
+func (c *replayConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// streamOver is a Stream of one /t connection reading from nc.
+func streamOver(nc net.Conn) *Stream {
+	c := &Client{nc: nc, fr: wire.NewReader(bufio.NewReaderSize(nc, 64<<10)), streaming: true}
+	return &Stream{c: c, conns: []wire.ConnMeta{{Topic: "/t", Type: "ty"}}, creditAt: 64 << 10, flow: true}
+}
+
+// TestStreamReadsFramesInPlace: a MSG frame that fits the 64 KiB read
+// buffer is decoded where it lies — Next allocates nothing per frame,
+// credit grants included — while a lying length prefix larger than the
+// buffer still costs the client only the bytes that actually arrive.
+func TestStreamReadsFramesInPlace(t *testing.T) {
+	var frames []byte
+	for i := 0; i < 7; i++ { // sizes that straddle the buffer's refills
+		frames = wire.AppendMsg(frames, wire.Msg{Conn: 0, Data: bytes.Repeat([]byte{byte(i)}, 345+i*1000)})
+	}
+	st := streamOver(&replayConn{stream: frames})
+	// Where they lie: the first two payloads are as far apart in memory
+	// as in the stream, not copied one after the other to one place.
+	var at [2]uintptr
+	for i := range at {
+		if !st.Next() {
+			t.Fatal(st.Err())
+		}
+		at[i] = uintptr(unsafe.Pointer(unsafe.SliceData(st.Message().Data)))
+	}
+	if d := at[1] - at[0]; d != uintptr(wire.MsgHeadSize+345) {
+		t.Errorf("the second payload lies %d bytes after the first, want the first frame's %d: frames are copied out of the read buffer", d, wire.MsgHeadSize+345)
+	}
+	for i := 0; i < 100; i++ { // warm up: the first credit grant sizes the encoder's buffer
+		if !st.Next() {
+			t.Fatal(st.Err())
+		}
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if !st.Next() {
+			t.Fatal(st.Err())
+		}
+	})
+	t.Logf("Stream.Next: %.2f allocs/frame", allocs)
+	if !raceenabled.Enabled && allocs != 0 {
+		t.Errorf("Stream.Next allocates %.2f per frame that fits the read buffer, want 0", allocs)
+	}
+
+	// The header claims the largest frame the protocol allows; 100 KB
+	// of it arrive before the peer hangs up.
+	lie := binary.BigEndian.AppendUint32(nil, wire.DefaultMaxFrame)
+	lie = append(append(lie, wire.OpMsg), make([]byte, 100<<10)...)
+	st = streamOver(&replayConn{stream: lie, once: true})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if st.Next() || !errors.Is(st.Err(), io.ErrUnexpectedEOF) {
+		t.Fatalf("a frame cut 100 KB into its claimed %d bytes: err %v, want io.ErrUnexpectedEOF", wire.DefaultMaxFrame, st.Err())
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("reading 100 KB of a frame claiming %d bytes allocated %d bytes", wire.DefaultMaxFrame, got)
 	}
 }

@@ -37,6 +37,7 @@ type cursor struct {
 	extOff uint64
 	held   int
 	guard  container.Guard
+	pin    container.Guard // guard, when the extent is pinned (MessageRef.Pin)
 	// What checks that the index still holds the selection's entries
 	// below ixTail (IndexGuard, taken at the first delivery); from
 	// ixTail on, the entries are read from a copy (HoldTail).
@@ -151,7 +152,8 @@ func (c *cursor) selectEntries(sp obs.Span, phase *int) error {
 // no byte outside a selected message is ever read. The reads are
 // borrowed: data lives in the cursor's scratch (or the mapping) beside
 // its neighbours in the extent and is valid only until the callback
-// returns — see MessageRef.
+// returns, or, when it is a slice of a pooled handle's shared mapping,
+// pinned until the query's next Idle — see MessageRef.
 //
 // A mapped part can be cut under the query, by a callback, without any
 // read failing. So before each entry is read a container.Guard checks
@@ -200,7 +202,10 @@ func (c *cursor) deliver(n int) (err error) {
 				return err
 			}
 			c.d.DataReads++
-			c.guard = t.Guard(df, data)
+			c.guard, c.pin = t.Guard(df, data), container.Guard{}
+			if c.guard.Shared() {
+				c.pin = c.guard
+			}
 			if k > 1 { // the read holds the next k-1 entries too
 				c.ext, c.extOff, c.held = data, e.PhysicalOffset, k-1
 				data = data[:e.Length:e.Length]
@@ -210,7 +215,7 @@ func (c *cursor) deliver(n int) (err error) {
 		c.d.BytesRead += int64(len(data))
 		c.d.MessagesRead++
 		c.pos++
-		if err := fn(MessageRef{Conn: conn, Time: e.Time, Data: data}); err != nil {
+		if err := fn(MessageRef{Conn: conn, Time: e.Time, Data: data, Pin: c.pin}); err != nil {
 			return err
 		}
 	}
@@ -234,7 +239,7 @@ func (c *cursor) close() {
 	}
 	c.ix.Close()
 	// Nothing keeps pointing into what was unmapped.
-	c.ix, c.sel, c.ext, c.guard, c.ixGuard = container.IndexView{}, container.IndexView{}, nil, container.Guard{}, container.Guard{}
+	c.ix, c.sel, c.ext, c.guard, c.pin, c.ixGuard = container.IndexView{}, container.IndexView{}, nil, container.Guard{}, container.Guard{}, container.Guard{}
 	if c.merged && c.scratch != nil {
 		scratchPool.Put(c.scratch)
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bagio"
 	"repro/internal/msgs"
@@ -56,13 +57,21 @@ func TestReadParallelFailFast(t *testing.T) {
 	}
 	poison := errors.New("poisoned topic")
 	var delivered atomic.Int64
-	// The other topics' streams wait at their first message until /t0
-	// has been poisoned, so how much they deliver afterwards does not
-	// depend on which worker the host happened to run first.
+	// The other topics' streams wait at their first message until /t0's
+	// failure is in: its part's cursor closes, and counts its seek, only
+	// after the callback's error has returned, so however the host
+	// schedules the streams released then, each must stop at its next
+	// message.
 	poisoned := make(chan struct{})
+	seeks := bag.Stats().Seeks
+	go func() {
+		for deadline := time.Now().Add(10 * time.Second); bag.Stats().Seeks == seeks && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		close(poisoned)
+	}()
 	err = bag.Query(QuerySpec{Workers: workers}, func(m MessageRef) error {
 		if m.Conn.Topic == "/t0" {
-			close(poisoned)
 			return poison
 		}
 		<-poisoned
@@ -73,13 +82,12 @@ func TestReadParallelFailFast(t *testing.T) {
 		t.Fatalf("err = %v, want the poison error", err)
 	}
 	// /t0 sorts first, so it is handed out first and fails while at most
-	// the other in-flight workers (plus the handful of topics handed out
-	// before the stop flag is observed) are streaming. Without fail-fast
-	// every topic is read in full and delivered would be
+	// the other workers-1 streams are in flight, each held at its first
+	// message; no topic is handed out after the failure. Without
+	// fail-fast every topic is read in full and delivered would be
 	// (topics-1)*perTopic.
-	total := int64((topics - 1) * perTopic)
-	if got := delivered.Load(); got >= total {
-		t.Errorf("delivered %d messages, want < %d (fail-fast did not halt dispatch)", got, total)
+	if got := delivered.Load(); got > workers-1 {
+		t.Errorf("delivered %d messages, want at most %d: one per stream in flight (fail-fast did not halt the streams)", got, workers-1)
 	}
 }
 

@@ -63,12 +63,14 @@ type QuerySpec struct {
 	// applies first: the predicate sees only stride-surviving messages
 	// (the rest are never read).
 	Predicate func(MessageRef) bool
-	// Idle, when non-nil, is called by a Follow query each time it has
-	// delivered everything recorded so far and is about to block until
-	// the next write: the moment for a callback that batches what it is
-	// handed (borad's frame batcher) to push the batch out. An error
-	// ends the query. No other plan calls it — they block on nothing but
-	// I/O — and neither does Follow on a bag that is not recording.
+	// Idle, when non-nil, is the moment for a callback that batches what
+	// it is handed (borad's frame batcher) to push the batch out. Every
+	// plan calls it after a part's last delivery, before it settles the
+	// part's cursors: the last moment pinned Data (MessageRef.Pin) of the
+	// part may be read, inside the query's fault guard. A Follow query
+	// also calls it each time it has delivered everything recorded so far
+	// and is about to block until the next write. With Workers, several
+	// streams may call it at once. An error ends the query.
 	Idle func() error
 	// Follow tails a bag that is still recording: the query first
 	// delivers a consistent snapshot of everything recorded before it
@@ -255,13 +257,19 @@ func (q *query) readTopics(parent obs.Span) (err error) {
 	if workers > 1 {
 		startSpan = sp.ForkOp
 		// Checked on every delivery: once a topic fails, in-flight streams
-		// end at their next message instead of draining in full.
+		// end at their next message instead of draining in full. A failing
+		// callback raises the flag as it returns, not once its part has
+		// settled, so no other stream outruns the failure.
 		inner := q.fn
 		q.fn = func(m MessageRef) error {
 			if first := failed.Load(); first != nil {
 				return *first
 			}
-			return inner(m)
+			err := inner(m)
+			if err != nil {
+				failed.CompareAndSwap(nil, &err)
+			}
+			return err
 		}
 	}
 	worker := func() {
@@ -310,6 +318,15 @@ func (q *query) readPart(sp obs.Span, t *container.Topic, phase *int, scratch *m
 	defer settle(&err, &open)
 	if err = c.selectEntries(sp, phase); err == nil {
 		err = c.deliver(c.sel.Len())
+	}
+	return q.idle(err)
+}
+
+// idle calls QuerySpec.Idle after a policy's last delivery from its
+// cursors, before settle closes them, unless the deliveries failed.
+func (q *query) idle(err error) error {
+	if err == nil && q.Idle != nil {
+		err = q.Idle()
 	}
 	return err
 }
@@ -380,7 +397,7 @@ func (q *query) readTime(parent obs.Span) (err error) {
 		}
 		h.down(0)
 	}
-	return nil
+	return q.idle(nil)
 }
 
 // follow is the Follow policy, in two phases.
@@ -506,10 +523,8 @@ func (q *query) follow(ctx context.Context, parent obs.Span) (err error) {
 			return nil // batch reached the journal's final entry
 		}
 		if len(refs) == 0 {
-			if q.Idle != nil {
-				if err := q.Idle(); err != nil {
-					return err
-				}
+			if err := q.idle(nil); err != nil {
+				return err
 			}
 			select {
 			case <-ctx.Done():

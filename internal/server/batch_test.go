@@ -4,15 +4,25 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"math/rand/v2"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/bagio"
 	"repro/internal/client"
+	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/pool"
+	"repro/internal/raceenabled"
 	"repro/internal/server/wire"
 )
 
@@ -112,12 +122,12 @@ func TestBatchedStreamMatchesLocal(t *testing.T) {
 		name                 string
 		want                 [2][]rec // local result in topic order, in time order
 	}{
-		{size: 0, countA: 600, countB: 600},
-		{size: 345, countA: 600, countB: 600},
-		{size: fill - 1, countA: 6, countB: 600},
-		{size: fill, countA: 6, countB: 600},
-		{size: fill + 1, countA: 6, countB: 600},
-		{size: 1 << 20, countA: 2, countB: 600},
+		{size: 0, countA: 3000, countB: 3000},
+		{size: 345, countA: 3000, countB: 3000},
+		{size: fill - 1, countA: 6, countB: 3000},
+		{size: fill, countA: 6, countB: 3000},
+		{size: fill + 1, countA: 6, countB: 3000},
+		{size: 1 << 20, countA: 2, countB: 3000},
 	}
 	for i := range bags {
 		bg := &bags[i]
@@ -127,12 +137,19 @@ func TestBatchedStreamMatchesLocal(t *testing.T) {
 			localQuery(t, b, bg.name, core.QuerySpec{}),
 			localQuery(t, b, bg.name, core.QuerySpec{Order: core.OrderTime}),
 		}
-		if n := len(bg.want[0]); n != bg.countA+bg.countB || n <= client.DefaultWindow {
-			t.Fatalf("%s: fixture holds %d messages; want %d, and more than the default window", bg.name, n, bg.countA+bg.countB)
+		size := 0
+		for _, r := range bg.want[0] {
+			size += msgFrameOverhead + len(r.Data)
+		}
+		if n := len(bg.want[0]); n != bg.countA+bg.countB || size <= client.DefaultWindow {
+			t.Fatalf("%s: fixture holds %d messages in %d bytes of frames; want %d, and more than the default window", bg.name, n, size, bg.countA+bg.countB)
 		}
 	}
 	_, addr := startServer(t, b, Options{})
-	for _, window := range []int{1, 2, 3, 64, 0, -1} { // 0: client.DefaultWindow; -1: no flow control
+	// Windows in bytes: one frame per grant whatever its size, about one
+	// and about three 345-byte frames, 64 of them, client.DefaultWindow
+	// (0), and no flow control (-1).
+	for _, window := range []int{1, 400, 1100, 64 * 364, 0, -1} {
 		cl, err := client.Dial(addr, client.Options{Window: window})
 		if err != nil {
 			t.Fatal(err)
@@ -410,5 +427,325 @@ func TestDisconnectMidBatch(t *testing.T) {
 	waitFor(t, 10*time.Second, func() bool { return srv.Stats().ConnsActive == 0 })
 	if st := srv.Stats(); st.QueriesActive != 0 || len(srv.sem) != 0 {
 		t.Errorf("after disconnect: %d queries active, %d admission tokens held", st.QueriesActive, len(srv.sem))
+	}
+}
+
+// sharedPin returns a pin of a pooled handle's shared mapping, as a
+// query hands it out (core.MessageRef.Pin); the pool stays reachable,
+// and the mapping with it, until the test ends.
+func sharedPin(t *testing.T) container.Guard {
+	t.Helper()
+	b := buildBackend(t, nil, 1, 400)
+	pl := pool.New(b, pool.Options{})
+	t.Cleanup(func() { runtime.KeepAlive(pl) })
+	bag, err := pl.Acquire("robot1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pin container.Guard
+	if err := bag.Query(core.QuerySpec{}, func(m core.MessageRef) error {
+		if m.Pin.Shared() {
+			pin = m.Pin
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !pin.Shared() {
+		t.Fatal("a pooled handle's query pinned no payload")
+	}
+	return pin
+}
+
+// TestBatchIsThePerFrameEncoding: whatever frames a stream's batch is
+// handed — MSGs copied or left where they lie, QUERYHDR resends — and
+// wherever it is written out, what reaches the writer is the per-frame
+// encoding concatenated, and a write without pinned payloads is whole
+// frames in one Write.
+func TestBatchIsThePerFrameEncoding(t *testing.T) {
+	pin := sharedPin(t)
+	rng := rand.New(rand.NewPCG(1, 2))
+	for round := 0; round < 50; round++ {
+		var b batch
+		var want []byte
+		w := &frameWriter{t: t}
+		for i, n := 0, 1+rng.IntN(40); i < n; i++ {
+			data := make([]byte, rng.IntN(3)*rng.IntN(2000))
+			for j := range data {
+				data[j] = byte(rng.Uint32())
+			}
+			m := wire.Msg{Conn: uint16(rng.Uint32()), Time: bagio.Time{Sec: rng.Uint32(), NSec: rng.Uint32()}, Data: data}
+			switch rng.IntN(4) {
+			case 0:
+				b.frame(wire.OpQueryHdr, data)
+				want = wire.AppendFrame(want, wire.OpQueryHdr, data)
+			case 1:
+				if len(data) == 0 {
+					m.Data = []byte{0} // a pinned payload is never empty: pinBytes
+				}
+				b.msg(m, pin)
+				want = wire.AppendFrame(want, wire.OpMsg, wire.EncodeMsg(m))
+			default:
+				b.msg(m, container.Guard{})
+				want = wire.AppendFrame(want, wire.OpMsg, wire.EncodeMsg(m))
+			}
+			if rng.IntN(4) == 0 {
+				w.write(&b)
+			}
+		}
+		w.write(&b)
+		if !bytes.Equal(w.got, want) {
+			t.Fatalf("round %d: batched stream (%d bytes in %d writes) differs from the per-frame encoding (%d bytes)",
+				round, len(w.got), w.writes, len(want))
+		}
+	}
+}
+
+// frameWriter collects what a batch writes, and fails the test on a
+// Write of no bytes or, from a batch without pinned payloads, one of
+// anything but whole frames. (A pinned batch written to anything but a
+// socket arrives one Write per piece: net.Buffers.)
+type frameWriter struct {
+	t      *testing.T
+	got    []byte
+	writes int
+	whole  bool
+}
+
+func (w *frameWriter) write(b *batch) {
+	w.t.Helper()
+	if b.size == 0 {
+		return
+	}
+	w.whole = len(b.vec) == 0
+	if err := b.writeTo(w); err != nil {
+		w.t.Fatal(err)
+	}
+	b.reset()
+	if b.size != 0 || len(b.buf) != 0 || len(b.vec) != 0 || len(b.guards) != 0 {
+		w.t.Fatal("batch not empty after its write")
+	}
+}
+
+func (w *frameWriter) Write(p []byte) (int, error) {
+	w.t.Helper()
+	if len(p) == 0 {
+		w.t.Error("empty Write")
+	}
+	for r := bytes.NewReader(p); w.whole && r.Len() > 0; {
+		if _, err := wire.ReadFrame(r, 0); err != nil {
+			w.t.Errorf("Write of %d bytes is not whole frames: %v", len(p), err)
+			break
+		}
+	}
+	w.got = append(w.got, p...)
+	w.writes++
+	return len(p), nil
+}
+
+// TestAllocBudgetBatch: once its buffers have grown, a stream's batch
+// encodes and writes copied and pinned frames with no allocation.
+func TestAllocBudgetBatch(t *testing.T) {
+	pin := sharedPin(t)
+	msg := wire.Msg{Conn: 3, Time: bagio.Time{Sec: 100, NSec: 5}, Data: bytes.Repeat([]byte{0xAB}, 4096)}
+	hdr := wire.EncodeQueryHdr([]wire.ConnMeta{{Topic: "/imu", Type: "sensor_msgs/Imu"}})
+	var b batch
+	fill := func() {
+		for i := 0; i < 16; i++ {
+			b.msg(msg, container.Guard{})
+			b.msg(msg, pin)
+			b.frame(wire.OpQueryHdr, hdr)
+		}
+		if err := b.writeTo(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		b.reset()
+	}
+	fill()
+	allocs := testing.AllocsPerRun(100, fill)
+	t.Logf("batch: %.1f allocs per batch of 48 frames", allocs)
+	if !raceenabled.Enabled && allocs != 0 {
+		t.Errorf("batch allocates %.1f per batch, want 0", allocs)
+	}
+}
+
+// TestOldFormQueryCountsFrames: a QUERY without the byte-credit flag —
+// an old client's — is frame-counted through the same credit path: with
+// a window of one, exactly one MSG per CREDIT of one. The same request
+// with the flag counts bytes: a CREDIT of one is one byte, and it takes
+// the frame's bytes to release the next.
+func TestOldFormQueryCountsFrames(t *testing.T) {
+	const per = 6
+	b := buildBackend(t, nil, 1, per)
+	_, addr := startServer(t, b, Options{})
+	for _, bytes := range []bool{false, true} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		nc.SetDeadline(time.Now().Add(10 * time.Second))
+		if err := wire.WriteFrame(nc, wire.OpQuery, wire.EncodeQuery(wire.QueryReq{Name: "robot1", Window: 1, ByteCredit: bytes})); err != nil {
+			t.Fatal(err)
+		}
+		expectOps(t, nc, wire.OpQueryHdr)
+		frame := uint32(0)
+		for i := 0; i < per; i++ {
+			if i > 0 {
+				expectSilence(t, nc) // parked: nothing without credit
+				grant := uint32(1)
+				if bytes {
+					if err := wire.WriteFrame(nc, wire.OpCredit, wire.EncodeCredit(1)); err != nil {
+						t.Fatal(err)
+					}
+					expectSilence(t, nc) // one byte of the frame's is not enough
+					grant = frame - 1
+				}
+				if err := wire.WriteFrame(nc, wire.OpCredit, wire.EncodeCredit(grant)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f, err := wire.ReadFrame(nc, 0)
+			if err != nil || f.Op != wire.OpMsg {
+				t.Fatalf("byte credit %v, message %d: opcode 0x%02x, %v; want MSG", bytes, i, f.Op, err)
+			}
+			frame = uint32(wire.HeaderSize + len(f.Payload))
+		}
+		expectOps(t, nc, wire.OpEnd) // the end takes no credit
+	}
+}
+
+// expectSilence fails the test if a frame arrives within 50 ms.
+func expectSilence(t *testing.T, nc net.Conn) {
+	t.Helper()
+	nc.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	f, err := wire.ReadFrame(nc, 0)
+	if err == nil {
+		t.Fatalf("opcode 0x%02x arrived from a stream parked on credit", f.Op)
+	}
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+}
+
+// TestCutUnderVectoredStream: payloads large enough to leave their
+// mapping by writev stream from a pooled handle over TCP while the
+// client cuts the part's data file, to nothing or inside a page. The
+// stream ends in ERR ErrIndexBeyondData on a connection that still
+// answers, or in a closed connection — never in END, never in a hang.
+func TestCutUnderVectoredStream(t *testing.T) {
+	const size, count = 8 << 10, 400
+	b, err := core.New(t.TempDir(), core.Options{TimeWindow: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := []int64{0, count / 2 * size, count/2*size + 100}
+	for i := range cuts {
+		recordBag(t, b, fmt.Sprintf("cut%d", i), size, count, count)
+	}
+	_, addr := startServer(t, b, Options{})
+	for i, cut := range cuts {
+		name := fmt.Sprintf("cut%d", i)
+		within(t, 20*time.Second, fmt.Sprintf("cut to %d bytes", cut), func() error {
+			cl, err := client.Dial(addr, client.Options{Window: 64 << 10})
+			if err != nil {
+				return err
+			}
+			defer cl.Close()
+			st, err := cl.Query(name, client.QuerySpec{Topics: []string{"/a"}})
+			if err != nil {
+				return err
+			}
+			if !st.Next() {
+				return fmt.Errorf("no first message: %v", st.Err())
+			}
+			if err := os.Truncate(filepath.Join(b.Root(), name, "a", container.DataFileName), cut); err != nil {
+				return err
+			}
+			n := 1
+			for st.Next() {
+				n++
+			}
+			var se *client.ServerError
+			switch err := st.Err(); {
+			case err == nil:
+				return fmt.Errorf("the cut stream ended in END after %d of %d messages", n, count)
+			case errors.As(err, &se):
+				if !strings.Contains(se.Msg, container.ErrIndexBeyondData.Error()) {
+					return fmt.Errorf("the cut stream ended with %v, want ErrIndexBeyondData", err)
+				}
+				if _, err := cl.Ping(); err != nil {
+					return fmt.Errorf("Ping after the ERR: %v", err)
+				}
+			default:
+				t.Logf("cut to %d bytes: the connection closed after %d messages: %v", cut, n, err)
+			}
+			return nil
+		})
+	}
+}
+
+// TestFlushChecksPinsAfterTheWrite: a part cut after a pinned payload
+// joined the batch, inside the payload's page, lets the writev send
+// zeros where the cut went; the guard check after the write faults, and
+// the query's fault guard makes that ErrIndexBeyondData, not a stream
+// that carries on.
+func TestFlushChecksPinsAfterTheWrite(t *testing.T) {
+	page := os.Getpagesize()
+	b, err := core.New(t.TempDir(), core.Options{TimeWindow: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordBag(t, b, "p", page/2, 400, 400) // two /a payloads a page
+	pl := pool.New(b, pool.Options{})
+	defer runtime.KeepAlive(pl)
+	bag, err := pl.Acquire("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	peer, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	go io.Copy(io.Discard, peer)
+	nc, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	c := &conn{nc: nc, vectored: vectored(nc)}
+	q := &query{out: new(batch)}
+	notCaught := errors.New("the cut went unnoticed")
+	var first uintptr
+	err = bag.Query(core.QuerySpec{Topics: []string{"/a"}}, func(m core.MessageRef) error {
+		at := uintptr(unsafe.Pointer(unsafe.SliceData(m.Data)))
+		if first == 0 {
+			first = at
+		}
+		off := int64(at - first) // the data file holds /a's payloads back to back
+		if off < 100*int64(page) || off%int64(page) != 0 {
+			return nil
+		}
+		if !c.vectored || !m.Pin.Shared() {
+			return fmt.Errorf("payload at %d: vectored %v, pinned %v; want both", off, c.vectored, m.Pin.Shared())
+		}
+		q.out.msg(wire.Msg{Data: m.Data}, m.Pin)
+		if err := os.Truncate(filepath.Join(b.Root(), "p", "a", container.DataFileName), off+int64(page/4)); err != nil {
+			return err
+		}
+		if err := c.flush(q); err != nil {
+			return err
+		}
+		return notCaught
+	})
+	if !errors.Is(err, container.ErrIndexBeyondData) {
+		t.Fatalf("query ended with %v, want ErrIndexBeyondData", err)
 	}
 }

@@ -8,11 +8,12 @@
 //   - Admission control. Concurrent queries are bounded globally
 //     (Options.MaxQueries) and to one stream per connection; rejected
 //     requests get a typed BUSY frame, never a queue without bound.
-//   - Flow control. A query carries the client's credit window: the
-//     number of MSG frames the server may run ahead of what the client
-//     has acknowledged. Frames leave in batches (see conn), so the
-//     daemon's memory per stream is one batch buffer; TCP bounds the
-//     rest, and one slow reader holds buffers, not the daemon.
+//   - Flow control. A query carries the client's credit window: how far
+//     the server may run ahead of what the client has acknowledged, in
+//     MSG frame bytes (or, from an old client, in frames). Frames leave
+//     in batches (see conn), so the daemon's memory per stream is one
+//     batch buffer; TCP bounds the rest, and one slow reader holds
+//     buffers, not the daemon.
 //   - Cancellation. Client disconnect, a CANCEL frame, or drain
 //     deadline all cancel a context threaded down through
 //     core.Bag.QueryContext — an abandoned stream stops reading from
@@ -38,14 +39,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/bagio"
+	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pool"
@@ -172,9 +176,10 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 		c := &conn{
-			s:  s,
-			nc: nc,
-			br: bufio.NewReaderSize(nc, 64<<10),
+			s:        s,
+			nc:       nc,
+			fr:       wire.NewReader(bufio.NewReaderSize(nc, 64<<10)),
+			vectored: vectored(nc),
 		}
 		c.ctx, c.cancelCtx = context.WithCancel(s.baseCtx)
 		s.mu.Lock()
@@ -340,26 +345,29 @@ func (s *Server) HTTPHandler() http.Handler {
 }
 
 // conn is one accepted connection. The read loop (serve) owns the
-// reader; writes go through wmu because a streaming query goroutine
-// and the read loop (PONG, BUSY) write concurrently.
+// reader, which decodes each frame where it lies in the read buffer:
+// every handler copies what it keeps before the next frame is read.
+// Writes go through wmu because a streaming query goroutine and the
+// read loop (PONG, BUSY) write concurrently.
 //
-// The write side is the per-connection wire.Encoder and nothing else —
-// no bufio layer, no writer goroutine, no timer. A query stream appends
-// its MSG frames to the encoder's pending batch (writeMsg) and the
-// batch leaves as one Write of whole frames at exactly four points:
-// when it reaches flushBytes; before query.waitCredit parks (the client
-// must see the frames it is to acknowledge); with any non-MSG frame
-// (writeFrame appends and flushes everything, so order holds); and when
-// a Follow query has delivered everything recorded so far and is about
-// to block (core.QuerySpec.Idle). The byte stream is the one a Write
-// per frame would produce; only the write boundaries differ.
+// The read loop's replies leave one frame per Write through the
+// connection's wire.Encoder. A query stream encodes its frames into a
+// batch of its own (query.out), without a lock, and takes wmu only to
+// write the batch out — no bufio layer, no writer goroutine, no timer —
+// at exactly four points: when it reaches flushBytes; before
+// query.waitCredit parks (the client must see the frames it is to
+// acknowledge); with the stream's terminal frame (endQuery); and at
+// core.QuerySpec.Idle — a Follow query's, about to block on the
+// recorder, and any query's holding pinned payloads of a part about to
+// settle. The byte stream is the one a Write per frame would produce;
+// only the write boundaries differ.
 type conn struct {
 	s  *Server
 	nc net.Conn
-	br *bufio.Reader
-	// rbuf is the read loop's reusable inbound payload buffer; every
-	// handler copies what it keeps before the next frame is read.
-	rbuf []byte
+	fr wire.Reader
+	// vectored: nc takes net.Buffers as one writev, so a stream sends
+	// pinned payloads from their mapping instead of copying them.
+	vectored bool
 
 	wmu sync.Mutex
 	enc wire.Encoder
@@ -400,16 +408,20 @@ type recording struct {
 // client may have this many unacknowledged RECMSG frames in flight.
 const DefaultRecordWindow = 256
 
-// query is one in-flight QUERY stream's flow-control state.
+// query is one in-flight QUERY stream's flow-control state and its
+// pending frames.
 type query struct {
 	ctx       context.Context
 	cancel    context.CancelFunc
 	follow    bool // live tail: canceled (not waited on) at drain
 	unlimited bool
-	avail     atomic.Int64
+	bytes     bool             // credit counts MSG frame bytes (wire.QueryReq.ByteCredit), not frames
+	avail     atomic.Int64     // credit granted and not yet taken (waitCredit)
+	credit    int64            // credit taken and not yet spent; the stream's own
 	notify    chan struct{}    // capacity 1; kicked on every credit grant
 	aq        *obs.ActiveQuery // per-query resource attribution
 	released  bool             // under conn.mu: see conn.release
+	out       *batch           // the stream's frames not yet written; runQuery's, from batches
 }
 
 // serve is the connection read loop: it dispatches request frames and,
@@ -419,7 +431,7 @@ type query struct {
 func (c *conn) serve() {
 	defer c.close()
 	for {
-		f, err := wire.ReadFrameInto(c.br, wire.DefaultMaxFrame, &c.rbuf)
+		f, err := c.fr.Next()
 		if err != nil {
 			return
 		}
@@ -494,47 +506,154 @@ func (c *conn) close() {
 // appended, behind whatever was pending.
 const flushBytes = 64 << 10
 
-// writeFrame writes one non-MSG frame behind whatever the connection's
-// stream has pending, in one Write.
+// pinBytes is the smallest pinned payload (core.MessageRef.Pin) a
+// stream sends from its mapping, by writev, rather than copying it into
+// the batch. Measured on a 2-CPU host, loopback TCP, 64 KiB batches of
+// one payload size: copying wins below it (256 B–1 KiB: 2.1–2.4 GB/s
+// against 1.5–1.8 by writev), the two are even from 2 to 8 KiB, and
+// writev wins at 16 KiB (2.5–2.7 GB/s against 1.9–2.4). On
+// remote_stream (seed 1, 8 s runs), whose payloads are 220–580 B or
+// ≈16 KB images, sending the images this way read 3.27 and 3.43 M msg/s
+// against 2.96 and 3.12 with every payload copied; pinning from 512 B,
+// which takes the 580-byte marker arrays too, read the same as 2 KiB.
+const pinBytes = 2 << 10
+
+// vectored reports whether nc takes a net.Buffers write as one writev:
+// TCP and Unix sockets do. Any other net.Conn (a wrapper) would get one
+// Write per buffer, so a stream on it copies its payloads instead.
+func vectored(nc net.Conn) bool {
+	switch nc.(type) {
+	case *net.TCPConn, *net.UnixConn:
+		return true
+	}
+	return false
+}
+
+// batch is a query stream's frames not yet written. Frames are encoded
+// into buf; a pinned payload is left where it lies, in its part's
+// mapping, and the batch then leaves as one writev of vec: buf's pieces
+// with the payloads between them. Batches are reused across queries
+// (batches), so a stream's buffers do not grow anew per query.
+type batch struct {
+	buf    []byte
+	vec    net.Buffers       // buf's pieces up to from, each followed by a pinned payload; empty when nothing is pinned
+	from   int               // where buf's piece not yet in vec starts
+	guards []container.Guard // the parts the pinned payloads lie in, one Guard each
+	size   int               // bytes pending, pinned payloads included
+	msgs   uint64            // MSG frames pending
+	bytes  uint64            // their payload bytes
+}
+
+// msg appends m's MSG frame. With a pin (core.MessageRef.Pin) it
+// leaves m.Data where it lies, to be written from there.
+func (b *batch) msg(m wire.Msg, pin container.Guard) {
+	if !pin.Shared() {
+		b.buf = wire.AppendMsg(b.buf, m)
+	} else {
+		b.buf = wire.AppendMsgHead(b.buf, m)
+		b.vec = append(b.vec, b.buf[b.from:], m.Data)
+		b.from = len(b.buf)
+		if !slices.Contains(b.guards, pin) {
+			b.guards = append(b.guards, pin)
+		}
+	}
+	b.size += wire.MsgHeadSize + len(m.Data)
+	b.msgs++
+	b.bytes += uint64(len(m.Data))
+}
+
+// frame appends one non-MSG frame.
+func (b *batch) frame(op byte, payload []byte) {
+	b.buf = wire.AppendFrame(b.buf, op, payload)
+	b.size += wire.HeaderSize + len(payload)
+}
+
+// batches keeps finished queries' batches for the next to reuse.
+var batches = sync.Pool{New: func() any { return new(batch) }}
+
+// writeTo writes the batch to w: one Write, or with pinned payloads one
+// writev. It is the one place a net.Buffers is written. Whatever it
+// returns, the caller resets the batch: a failed write leaves the
+// stream torn, and the connection has to go, not the batch be retried.
+func (b *batch) writeTo(w io.Writer) error {
+	if len(b.vec) == 0 {
+		_, err := w.Write(b.buf)
+		return err
+	}
+	if b.from < len(b.buf) {
+		b.vec = append(b.vec, b.buf[b.from:])
+	}
+	vec := b.vec
+	_, err := b.vec.WriteTo(w) // consumes b.vec; reset empties vec, its array
+	b.vec = vec
+	return err
+}
+
+// drop discards the batch if it holds pinned payloads, which may only
+// be written from inside the query, and reports how many MSG frames and
+// payload bytes went with it.
+func (b *batch) drop() (msgs, bytes uint64) {
+	if len(b.guards) == 0 {
+		return 0, 0
+	}
+	msgs, bytes = b.msgs, b.bytes
+	b.reset()
+	return msgs, bytes
+}
+
+// reset empties the batch.
+func (b *batch) reset() {
+	clear(b.vec) // no pointer into a mapping or an old buf stays behind
+	b.vec, b.buf, b.guards = b.vec[:0], b.buf[:0], b.guards[:0]
+	b.from, b.size, b.msgs, b.bytes = 0, 0, 0, 0
+}
+
+// writeFrame writes one non-MSG frame in one Write.
 func (c *conn) writeFrame(op byte, payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	return c.enc.WriteFrame(c.nc, op, payload)
 }
 
-// writeMsg adds one MSG frame to the pending batch, encoding the
-// message straight into the connection's batch buffer — the
-// zero-allocation hot path of a query stream — and flushes once the
-// batch is full. m.Data is only read during the call, so the borrowed
-// core.MessageRef bytes pass through without a copy.
-func (c *conn) writeMsg(m wire.Msg) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.enc.AppendMsg(m)
-	if c.enc.Buffered() < flushBytes {
+// flush writes out q's pending batch. A failed write closes the
+// connection: a writev can fail after part of a frame went out. Then
+// it checks the guard of every part a pinned payload came from, now
+// that the payloads have been read: a part cut under the write faults
+// here, inside the query's callback or Idle, into core's
+// ErrIndexBeyondData instead of having sent zeros unnoticed.
+func (c *conn) flush(q *query) error {
+	b := q.out
+	if b.size == 0 {
 		return nil
 	}
-	return c.enc.Flush(c.nc)
-}
-
-// flush writes out the pending batch; a stream calls it before it
-// blocks on anything but the socket.
-func (c *conn) flush() error {
 	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.enc.Flush(c.nc)
+	err := b.writeTo(c.nc)
+	c.wmu.Unlock()
+	if err != nil {
+		c.nc.Close()
+	} else {
+		for _, g := range b.guards {
+			g.Check()
+		}
+	}
+	b.reset()
+	return err
 }
 
 // endQuery releases q and writes its terminal frame (END or ERR) behind
-// the last pending MSGs. The release comes first so that no request the
-// client sends on seeing the frame can still find the finished query in
-// its way; both happen under the write lock so that a pipelined QUERY
-// admitted in between cannot get its QUERYHDR out ahead of the frame.
+// the last pending frames, in one write. The release comes first so
+// that no request the client sends on seeing the frame can still find
+// the finished query in its way; both happen under the write lock so
+// that a pipelined QUERY admitted in between cannot get its QUERYHDR
+// out ahead of the frame. By now the batch holds no pinned payload.
 func (c *conn) endQuery(q *query, op byte, payload []byte) error {
+	q.out.frame(op, payload)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.release(q)
-	return c.enc.WriteFrame(c.nc, op, payload)
+	err := q.out.writeTo(c.nc)
+	q.out.reset()
+	return err
 }
 
 // release frees what a follow-up request can observe of q: the
@@ -740,12 +859,8 @@ func (c *conn) handleQuery(payload []byte) error {
 	// and the context value) per query, zero per message.
 	aq := &obs.ActiveQuery{ID: obs.QueryID{Trace: req.TraceID, Parent: req.ParentSpan}}
 	qctx = obs.ContextWithQuery(qctx, aq)
-	q := &query{ctx: qctx, cancel: qcancel, follow: req.Follow, notify: make(chan struct{}, 1), aq: aq}
-	if req.Window == 0 {
-		q.unlimited = true
-	} else {
-		q.avail.Store(int64(req.Window))
-	}
+	q := &query{ctx: qctx, cancel: qcancel, follow: req.Follow, bytes: req.ByteCredit,
+		credit: int64(req.Window), unlimited: req.Window == 0, notify: make(chan struct{}, 1), aq: aq}
 	c.cur = q
 	c.mu.Unlock()
 	c.s.queriesG.Add(1)
@@ -758,7 +873,8 @@ func (c *conn) busy(reason string) error {
 	return c.writeFrame(wire.OpBusy, []byte(reason))
 }
 
-// addCredit grants the in-flight query n more MSG frames.
+// addCredit grants the in-flight query n more credit: MSG frames, or
+// their bytes.
 func (c *conn) addCredit(n uint32) {
 	c.mu.Lock()
 	q := c.cur
@@ -782,36 +898,52 @@ func (c *conn) cancelQuery() {
 	}
 }
 
-// waitCredit consumes one send credit, blocking until the client grants
-// more or the query dies. Before it parks it flushes the connection's
-// pending batch: the grant it waits for is the client's answer to
-// frames that may still be sitting there. Time actually spent parked
-// is charged to the query's credit-stall attribution; the common
-// non-blocking path stays clock-free.
-func (q *query) waitCredit(flush func() error) error {
+// waitCredit spends the credit an n-byte MSG payload costs: its frame,
+// or the frame's bytes. A frame goes while any credit is left, so a
+// window smaller than one frame admits one frame per grant. The
+// client's grants are taken all at once when what the stream holds is
+// spent (one Swap per grant, not an atomic per frame); with none, the
+// stream parks until the next. Before it parks it flushes the pending
+// batch: the grant it waits for is the client's answer to frames that
+// may still be sitting there. Time actually spent parked is charged to
+// the query's credit-stall attribution; the common non-blocking path
+// stays clock-free.
+func (q *query) waitCredit(n int, flush func() error) error {
 	if q.unlimited {
 		return nil
 	}
-	if q.avail.Add(-1) >= 0 {
-		return nil
+	if q.credit <= 0 {
+		if q.credit += q.avail.Swap(0); q.credit <= 0 {
+			if err := q.park(flush); err != nil {
+				return err
+			}
+		}
 	}
-	q.avail.Add(1) // undo; we did not get a credit
+	if q.bytes {
+		q.credit -= int64(wire.MsgHeadSize + n)
+	} else {
+		q.credit--
+	}
+	return nil
+}
+
+// park flushes and blocks until a grant brings the stream's credit
+// above zero or the query dies.
+func (q *query) park(flush func() error) error {
 	if err := flush(); err != nil {
 		return err
 	}
 	start := time.Now()
 	defer func() { q.aq.AddCreditStall(time.Since(start)) }()
-	for {
+	for q.credit <= 0 {
 		select {
 		case <-q.ctx.Done():
 			return q.ctx.Err()
 		case <-q.notify:
 		}
-		if q.avail.Add(-1) >= 0 {
-			return nil
-		}
-		q.avail.Add(1)
+		q.credit += q.avail.Swap(0)
 	}
+	return nil
 }
 
 // runQuery streams one QUERY: connection table, MSG frames under the
@@ -825,6 +957,11 @@ func (q *query) waitCredit(flush func() error) error {
 // server's query log.
 func (c *conn) runQuery(q *query, req wire.QueryReq, recv time.Time) {
 	s := c.s
+	q.out = batches.Get().(*batch)
+	defer func() {
+		q.out.reset()
+		batches.Put(q.out)
+	}()
 	sp := s.queryOp.StartQuery(req.TraceID)
 	var count, bytes uint64
 	var qerr error
@@ -870,6 +1007,8 @@ func (c *conn) runQuery(q *query, req wire.QueryReq, recv time.Time) {
 	}()
 	fail := func(err error) {
 		qerr = err
+		msgs, nb := q.out.drop()
+		count, bytes = count-msgs, bytes-nb
 		msg := err.Error()
 		if q.ctx.Err() != nil {
 			s.canceledC.Inc()
@@ -922,8 +1061,19 @@ func (c *conn) runQuery(q *query, req wire.QueryReq, recv time.Time) {
 	// First byte streamed: everything before this — admission, pool
 	// acquire, metadata assembly — is the query's queue wait.
 	q.aq.QueueWaitNs.Store(time.Since(recv).Nanoseconds())
-	flush := c.flush
-	spec := core.QuerySpec{Topics: req.Topics, Start: req.Start, End: req.End, Follow: req.Follow, Idle: flush}
+	flush := func() error { return c.flush(q) }
+	// Idle before a part settles pushes out its pinned payloads; a
+	// Follow query's, before it blocks on the recorder, everything.
+	idle := func() error {
+		if len(q.out.guards) == 0 {
+			return nil
+		}
+		return flush()
+	}
+	if req.Follow {
+		idle = flush
+	}
+	spec := core.QuerySpec{Topics: req.Topics, Start: req.Start, End: req.End, Follow: req.Follow, Idle: idle}
 	if req.Order == wire.OrderTime {
 		spec.Order = core.OrderTime
 	}
@@ -933,7 +1083,7 @@ func (c *conn) runQuery(q *query, req wire.QueryReq, recv time.Time) {
 	var lastConn *bagio.Connection
 	var lastIdx uint16
 	err = bag.QuerySpanContext(q.ctx, sp, spec, func(m core.MessageRef) error {
-		if err := q.waitCredit(flush); err != nil {
+		if err := q.waitCredit(len(m.Data), flush); err != nil {
 			return err
 		}
 		if m.Conn != lastConn {
@@ -945,18 +1095,21 @@ func (c *conn) runQuery(q *query, req wire.QueryReq, recv time.Time) {
 				i = uint16(len(metas))
 				idx[m.Conn.Topic] = i
 				metas = append(metas, wire.ConnMeta{Topic: m.Conn.Topic, Type: m.Conn.Type})
-				if err := c.writeFrame(wire.OpQueryHdr, wire.EncodeQueryHdr(metas)); err != nil {
-					return err
-				}
+				q.out.frame(wire.OpQueryHdr, wire.EncodeQueryHdr(metas))
 			}
 			lastConn, lastIdx = m.Conn, i
 		}
-		if err := c.writeMsg(wire.Msg{Conn: lastIdx, Time: m.Time, Data: m.Data}); err != nil {
-			return err
+		pin := m.Pin
+		if !c.vectored || len(m.Data) < pinBytes {
+			pin = container.Guard{} // copied
 		}
+		q.out.msg(wire.Msg{Conn: lastIdx, Time: m.Time, Data: m.Data}, pin)
 		count++
 		bytes += uint64(len(m.Data))
-		return nil
+		if q.out.size < flushBytes {
+			return nil
+		}
+		return flush()
 	})
 	if err != nil {
 		fail(err)

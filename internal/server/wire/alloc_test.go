@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"io"
-	"math/rand/v2"
 	"testing"
 
 	"repro/internal/bagio"
@@ -12,8 +11,9 @@ import (
 
 // TestAllocBudgetEncoder pins the streaming frame encode path at zero
 // steady-state allocations: once the Encoder's buffer covers the
-// largest frame, WriteMsg and WriteFrame allocate nothing per frame,
-// and once it covers the largest batch, neither do appends and Flush.
+// largest frame, WriteMsg and WriteFrame allocate nothing per frame.
+// (A query stream's batch of appended frames is the server's, and so is
+// its budget: server.TestAllocBudgetBatch.)
 func TestAllocBudgetEncoder(t *testing.T) {
 	var e Encoder
 	msg := Msg{Conn: 3, Time: bagio.Time{Sec: 100, NSec: 5}, Data: bytes.Repeat([]byte{0xAB}, 4096)}
@@ -44,24 +44,6 @@ func TestAllocBudgetEncoder(t *testing.T) {
 		t.Errorf("Encoder.WriteFrame allocates %.1f per frame, want 0", allocs)
 	}
 
-	// The batched path: a run of appended frames of both kinds, one
-	// Flush. The first batch grows the buffer to the batch's size.
-	const perBatch = 16
-	batch := func() {
-		for i := 0; i < perBatch; i++ {
-			e.AppendMsg(msg)
-			e.AppendFrame(OpQueryHdr, payload)
-		}
-		if err := e.Flush(io.Discard); err != nil {
-			t.Fatal(err)
-		}
-	}
-	batch()
-	allocs = testing.AllocsPerRun(100, batch)
-	t.Logf("Encoder append+flush: %.1f allocs/batch of %d frames", allocs, 2*perBatch)
-	if !raceenabled.Enabled && allocs != 0 {
-		t.Errorf("Encoder append+flush allocates %.1f per batch, want 0", allocs)
-	}
 }
 
 // TestAllocBudgetReadFrameInto pins the streaming frame read path at
@@ -117,6 +99,13 @@ func TestEncoderMatchesEncodeMsg(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Errorf("msg %d: Encoder.WriteMsg frame differs from WriteFrame(EncodeMsg)", i)
 		}
+		// A batch's appends encode the same frame, whole or head first.
+		if !bytes.Equal(AppendMsg(nil, m), want.Bytes()) {
+			t.Errorf("msg %d: AppendMsg frame differs from WriteFrame(EncodeMsg)", i)
+		}
+		if head := AppendMsgHead(nil, m); len(head) != MsgHeadSize || !bytes.Equal(append(head, m.Data...), want.Bytes()) {
+			t.Errorf("msg %d: AppendMsgHead + payload differs from WriteFrame(EncodeMsg)", i)
+		}
 		// And it must round-trip through the streaming read path.
 		var buf []byte
 		f, err := ReadFrameInto(bytes.NewReader(got.Bytes()), 0, &buf)
@@ -132,75 +121,4 @@ func TestEncoderMatchesEncodeMsg(t *testing.T) {
 		}
 	}
 
-	// Batching moves write boundaries and nothing else: for random frame
-	// sequences flushed at random points, what reaches the writer is the
-	// per-frame encoding concatenated, and every Write is whole frames.
-	rng := rand.New(rand.NewPCG(1, 2))
-	for round := 0; round < 50; round++ {
-		var e Encoder
-		var want []byte
-		w := &frameBoundaryWriter{t: t}
-		for i, n := 0, 1+rng.IntN(40); i < n; i++ {
-			data := make([]byte, rng.IntN(3)*rng.IntN(2000))
-			for j := range data {
-				data[j] = byte(rng.Uint32())
-			}
-			m := Msg{Conn: uint16(rng.Uint32()), Time: bagio.Time{Sec: rng.Uint32(), NSec: rng.Uint32()}, Data: data}
-			var err error
-			switch rng.IntN(5) {
-			case 0:
-				e.AppendFrame(OpQueryHdr, data)
-				want = AppendFrame(want, OpQueryHdr, data)
-			case 1: // a non-MSG frame: append + flush of everything pending
-				err = e.WriteFrame(w, OpEnd, data)
-				want = AppendFrame(want, OpEnd, data)
-			case 2:
-				err = e.WriteMsgOp(w, OpRecMsg, m)
-				want = AppendFrame(want, OpRecMsg, EncodeMsg(m))
-			default:
-				e.AppendMsg(m)
-				want = AppendFrame(want, OpMsg, EncodeMsg(m))
-			}
-			if err == nil && rng.IntN(4) == 0 {
-				err = e.Flush(w)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.Flush(w); err != nil {
-			t.Fatal(err)
-		}
-		if e.Buffered() != 0 {
-			t.Fatalf("round %d: %d bytes pending after Flush", round, e.Buffered())
-		}
-		if !bytes.Equal(w.got, want) {
-			t.Fatalf("round %d: batched stream (%d bytes in %d writes) differs from the per-frame encoding (%d bytes)",
-				round, len(w.got), w.writes, len(want))
-		}
-	}
-}
-
-// frameBoundaryWriter collects what it is written and fails the test on
-// an empty Write or one that is not a whole number of frames.
-type frameBoundaryWriter struct {
-	t      *testing.T
-	got    []byte
-	writes int
-}
-
-func (w *frameBoundaryWriter) Write(p []byte) (int, error) {
-	w.t.Helper()
-	if len(p) == 0 {
-		w.t.Error("empty Write")
-	}
-	for r := bytes.NewReader(p); r.Len() > 0; {
-		if _, err := ReadFrame(r, 0); err != nil {
-			w.t.Errorf("Write of %d bytes is not whole frames: %v", len(p), err)
-			break
-		}
-	}
-	w.got = append(w.got, p...)
-	w.writes++
-	return len(p), nil
 }

@@ -23,6 +23,14 @@ func FuzzDecodeFrame(f *testing.F) {
 		End:    bagio.Time{Sec: 2},
 		Window: 64,
 	})))
+	f.Add(frameBytes(OpQuery, EncodeQuery(QueryReq{ // byte-counted credit, traced, following
+		Name:       "robot1",
+		Window:     1 << 20,
+		TraceID:    7,
+		ParentSpan: 8,
+		Follow:     true,
+		ByteCredit: true,
+	})))
 	f.Add(frameBytes(OpQueryHdr, EncodeQueryHdr([]ConnMeta{{Topic: "/imu", Type: "sensor_msgs/Imu"}})))
 	f.Add(frameBytes(OpMsg, EncodeMsg(Msg{Conn: 0, Time: bagio.Time{Sec: 3, NSec: 4}, Data: []byte("data")})))
 	f.Add(frameBytes(OpEnd, EncodeEnd(End{Count: 1, Bytes: 4})))

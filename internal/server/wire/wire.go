@@ -15,6 +15,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -107,66 +108,57 @@ func WriteFrame(w io.Writer, op byte, payload []byte) error {
 	return err
 }
 
-// Encoder assembles frames in a reusable buffer. AppendFrame and
-// AppendMsg add whole frames to a pending batch without writing; Flush
-// hands the batch to the writer as one Write of one contiguous buffer,
-// so every Write begins and ends on a frame boundary and a peer never
-// observes a header without its payload. WriteFrame, WriteMsg and
-// WriteMsgOp are append + flush: one Write per frame when nothing else
-// is pending. Where the write boundaries fall never changes the byte
-// stream. One Encoder serves one connection's write side (serialize
-// externally, as conn write locks already do); steady-state encoding
-// performs zero allocations once the buffer has grown to the largest
-// batch seen.
+// MsgHeadSize is what a MSG frame carries before its payload: the frame
+// header, connection index, time stamp and payload length.
+const MsgHeadSize = HeaderSize + 2 + 8 + 4
+
+// AppendMsgHead appends the first MsgHeadSize bytes of m's MSG frame to
+// dst — everything but the payload — and returns the extended slice.
+// Followed by exactly m.Data it is the frame; a writer that sends the
+// payload from where it lies (borad's vectored flush) writes the two
+// back to back.
+func AppendMsgHead(dst []byte, m Msg) []byte { return appendMsgHead(dst, OpMsg, m) }
+
+func appendMsgHead(dst []byte, op byte, m Msg) []byte {
+	e := enc{b: append(binary.BigEndian.AppendUint32(dst, uint32(MsgHeadSize-HeaderSize+len(m.Data))), op)}
+	e.u16(m.Conn)
+	e.time(m.Time)
+	e.u32(uint32(len(m.Data)))
+	return e.b
+}
+
+// AppendMsg appends m's whole MSG frame to dst, encoding the fields
+// directly — no intermediate payload slice. m.Data is only read during
+// the call, so borrowed buffers (core.MessageRef.Data) pass straight
+// through; assigned back to dst, a payload that faults mid-copy (a
+// mapped part cut under the query) leaves dst's whole frames as they
+// were.
+func AppendMsg(dst []byte, m Msg) []byte { return append(AppendMsgHead(dst, m), m.Data...) }
+
+// Encoder writes frames one at a time through a reusable assembly
+// buffer: each Write carries one whole frame, so a peer never observes
+// a header without its payload, and steady-state encoding performs zero
+// allocations once the buffer has grown to the largest frame seen. One
+// Encoder serves one connection's write side (serialize externally, as
+// conn write locks already do).
 type Encoder struct{ buf []byte }
 
-// AppendFrame adds one op+payload frame to the pending batch.
-func (e *Encoder) AppendFrame(op byte, payload []byte) {
-	e.buf = AppendFrame(e.buf, op, payload)
-}
-
-// AppendMsg adds one MSG frame to the pending batch, encoding the
-// message fields directly into the batch buffer — no intermediate
-// payload slice, zero steady-state allocations. m.Data is only read
-// during the call, so borrowed buffers (core.MessageRef.Data) can be
-// passed straight through.
-func (e *Encoder) AppendMsg(m Msg) { e.appendMsg(OpMsg, m) }
-
-// appendMsg commits a frame to the batch once its payload is copied: a
-// payload that faults mid-copy (a mapped part cut under the query) leaves
-// whole frames behind, so the ERR frame that follows is read as one.
-func (e *Encoder) appendMsg(op byte, m Msg) {
-	enc := enc{b: append(binary.BigEndian.AppendUint32(e.buf, uint32(2+8+4+len(m.Data))), op)}
-	enc.u16(m.Conn)
-	enc.time(m.Time)
-	enc.bytes32(m.Data)
-	e.buf = enc.b
-}
-
-// Buffered returns the size of the pending batch in bytes.
-func (e *Encoder) Buffered() int { return len(e.buf) }
-
-// Flush writes the pending batch to w with a single Write call and
-// empties it — also on error: a failed Write leaves the stream torn,
-// and the connection has to go, not the batch be retried. Flushing an
-// empty batch writes nothing.
-func (e *Encoder) Flush(w io.Writer) error {
-	if len(e.buf) == 0 {
-		return nil
-	}
+// flush writes the pending frame to w with a single Write call and
+// empties the buffer — also on error: a failed Write leaves the stream
+// torn, and the connection has to go, not the frame be retried.
+func (e *Encoder) flush(w io.Writer) error {
 	_, err := w.Write(e.buf)
 	e.buf = e.buf[:0]
 	return err
 }
 
-// WriteFrame appends one op+payload frame and flushes: the frame, and
-// anything pending before it, leaves in one Write.
+// WriteFrame writes one op+payload frame in one Write.
 func (e *Encoder) WriteFrame(w io.Writer, op byte, payload []byte) error {
-	e.AppendFrame(op, payload)
-	return e.Flush(w)
+	e.buf = AppendFrame(e.buf, op, payload)
+	return e.flush(w)
 }
 
-// WriteMsg is AppendMsg + Flush.
+// WriteMsg writes m's MSG frame in one Write.
 func (e *Encoder) WriteMsg(w io.Writer, m Msg) error {
 	return e.WriteMsgOp(w, OpMsg, m)
 }
@@ -174,8 +166,8 @@ func (e *Encoder) WriteMsg(w io.Writer, m Msg) error {
 // WriteMsgOp is WriteMsg under a caller-chosen opcode — the same
 // payload encoding serves MSG (download) and RECMSG (upload) frames.
 func (e *Encoder) WriteMsgOp(w io.Writer, op byte, m Msg) error {
-	e.appendMsg(op, m)
-	return e.Flush(w)
+	e.buf = append(appendMsgHead(e.buf, op, m), m.Data...)
+	return e.flush(w)
 }
 
 // ReadFrame reads one frame from r, rejecting payloads longer than max
@@ -209,17 +201,35 @@ func ReadFrameInto(r io.Reader, max uint32, buf *[]byte) (Frame, error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return Frame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	op := hdr[4]
+	n, op, err := header(hdr, max)
+	if err != nil {
+		return Frame{}, err
+	}
+	if err := readPayload(r, n, buf); err != nil {
+		return Frame{}, err
+	}
+	return Frame{Op: op, Payload: *buf}, nil
+}
+
+// header checks a frame header: its payload length against max (0
+// selects DefaultMaxFrame) and its opcode.
+func header(hdr []byte, max uint32) (uint32, byte, error) {
+	n, op := binary.BigEndian.Uint32(hdr[:4]), hdr[4]
 	if max == 0 {
 		max = DefaultMaxFrame
 	}
 	if n > max {
-		return Frame{}, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, max)
+		return 0, 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, max)
 	}
 	if !KnownOp(op) {
-		return Frame{}, fmt.Errorf("%w: 0x%02x", ErrUnknownOp, op)
+		return 0, 0, fmt.Errorf("%w: 0x%02x", ErrUnknownOp, op)
 	}
+	return n, op, nil
+}
+
+// readPayload reads an n-byte payload from r into *buf, growing it by
+// at most readChunk ahead of the bytes that have arrived.
+func readPayload(r io.Reader, n uint32, buf *[]byte) error {
 	b := (*buf)[:0]
 	for remaining := int(n); remaining > 0; {
 		chunk := remaining
@@ -239,12 +249,71 @@ func ReadFrameInto(r io.Reader, max uint32, buf *[]byte) (Frame, error) {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return Frame{}, err
+			return err
 		}
 		remaining -= chunk
 	}
 	*buf = b
-	return Frame{Op: op, Payload: b}, nil
+	return nil
+}
+
+// Reader reads frames from a buffered stream without copying them. A
+// frame that fits the stream's buffer is decoded where it lies
+// (bufio.Reader.Peek), and stays there until the next Next discards it;
+// a larger one is read as ReadFrameInto reads it, into a buffer of the
+// Reader's own grown only as bytes arrive, so a lying length prefix
+// still costs the sender the bytes. Either way a Frame's Payload is
+// valid only until the next Next. Frames are limited to
+// DefaultMaxFrame; the zero Reader is not usable — see NewReader.
+type Reader struct {
+	br   *bufio.Reader
+	held int    // bytes of the last frame still in br, discarded by the next Next
+	buf  []byte // a payload larger than br's buffer
+}
+
+// NewReader returns a Reader of frames from br.
+func NewReader(br *bufio.Reader) Reader { return Reader{br: br} }
+
+// Next reads the next frame. Once br's buffer covers the frames of a
+// stream, it performs no allocation and no copy beyond what bufio's
+// refills do.
+func (r *Reader) Next() (Frame, error) {
+	if r.held > 0 {
+		r.br.Discard(r.held) // the bytes Peek returned: it cannot fail
+		r.held = 0
+	}
+	hdr, err := r.br.Peek(HeaderSize)
+	if err != nil {
+		return Frame{}, short(err, len(hdr))
+	}
+	n, op, err := header(hdr, DefaultMaxFrame)
+	if err != nil {
+		return Frame{}, err
+	}
+	size := HeaderSize + int(n)
+	if size > r.br.Size() {
+		r.br.Discard(HeaderSize)
+		if err := readPayload(r.br, n, &r.buf); err != nil {
+			return Frame{}, err
+		}
+		return Frame{Op: op, Payload: r.buf}, nil
+	}
+	p, err := r.br.Peek(size)
+	if err != nil {
+		return Frame{}, short(err, len(p))
+	}
+	r.held = size
+	return Frame{Op: op, Payload: p[HeaderSize:size:size]}, nil
+}
+
+// short is the error of a read that ended after got bytes of a frame:
+// a stream that ends mid-frame is io.ErrUnexpectedEOF, as io.ReadFull
+// reports it.
+func short(err error, got int) error {
+	if err == io.EOF && got > 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // enc builds a payload. The zero value is ready to use.
@@ -368,9 +437,11 @@ type QueryReq struct {
 	Start  bagio.Time
 	End    bagio.Time
 	Order  uint8
-	// Window is the initial credit: the server sends at most this many
-	// MSG frames beyond what the client has acknowledged with CREDIT
-	// grants. Zero disables flow control (unbounded).
+	// Window is the initial credit: the server sends MSG frames while
+	// what it has sent beyond what the client has acknowledged with
+	// CREDIT grants is less than this. It counts frames, or with
+	// ByteCredit their encoded bytes (HeaderSize + payload). Zero
+	// disables flow control (unbounded).
 	Window uint32
 	// TraceID and ParentSpan carry the client's query identity for
 	// cross-process observability (obs.QueryID): the server tags its
@@ -389,10 +460,18 @@ type QueryReq struct {
 	// optional trailing flags byte — after the trace block when one is
 	// present — which old decoders ignore like the trace block itself.
 	Follow bool
+	// ByteCredit counts Window and every CREDIT grant of the stream in
+	// encoded MSG frame bytes instead of frames. It rides in the flags
+	// byte too: an old server ignores it and counts frames, which only
+	// makes a byte-sized window larger than meant.
+	ByteCredit bool
 }
 
 // Query flag bits (the optional trailing flags byte).
-const flagFollow uint8 = 1 << 0
+const (
+	flagFollow     uint8 = 1 << 0
+	flagByteCredit uint8 = 1 << 1
+)
 
 // EncodeQuery renders a QUERY payload.
 func EncodeQuery(q QueryReq) []byte {
@@ -410,11 +489,18 @@ func EncodeQuery(q QueryReq) []byte {
 		e.u64(q.TraceID)
 		e.u64(q.ParentSpan)
 	}
+	var flags uint8
 	if q.Follow {
+		flags |= flagFollow
+	}
+	if q.ByteCredit {
+		flags |= flagByteCredit
+	}
+	if flags != 0 {
 		// The flags byte is only distinguishable from a trace block by
 		// remaining length, so it must follow the trace block when both
 		// are present (16+1 vs 16 vs 1 vs 0 trailing bytes).
-		e.u8(flagFollow)
+		e.u8(flags)
 	}
 	return e.b
 }
@@ -440,18 +526,18 @@ func DecodeQuery(p []byte) (QueryReq, error) {
 		// exact remaining length: trace block (16), flags byte (1), both
 		// (17). Any other trailing length is a malformed frame, not a
 		// silent fallback.
-		switch rem := len(d.b) - d.off; rem {
-		case 0:
+		rem := len(d.b) - d.off
+		switch rem {
+		case 0, 1:
 		case 16, 17:
 			q.TraceID = d.u64()
 			q.ParentSpan = d.u64()
-			if rem == 17 {
-				q.Follow = d.u8()&flagFollow != 0
-			}
-		case 1:
-			q.Follow = d.u8()&flagFollow != 0
 		default:
 			d.fail = true
+		}
+		if rem%16 == 1 {
+			flags := d.u8()
+			q.Follow, q.ByteCredit = flags&flagFollow != 0, flags&flagByteCredit != 0
 		}
 	}
 	if q.Order > OrderTime {
@@ -574,7 +660,8 @@ func DecodeBagInfo(p []byte) (BagInfo, error) {
 	return bi, d.err()
 }
 
-// EncodeCredit renders a CREDIT payload granting n more MSG frames.
+// EncodeCredit renders a CREDIT payload granting n more MSG frames, or
+// n more bytes of them on a ByteCredit stream.
 func EncodeCredit(n uint32) []byte {
 	var e enc
 	e.u32(n)

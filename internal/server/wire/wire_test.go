@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -292,5 +293,70 @@ func TestQueryFollowFlag(t *testing.T) {
 	// Unrecognized trailing lengths are malformed, not silently skipped.
 	if _, err := DecodeQuery(append(plain, 1, 2, 3)); !errors.Is(err, ErrTruncated) {
 		t.Errorf("3 trailing bytes: err = %v, want ErrTruncated", err)
+	}
+}
+
+// TestQueryByteCreditFlag: byte-counted credit rides in the trailing
+// flags byte beside Follow, with and without the trace block, and a
+// request without it — an old client's — decodes as frame-counted.
+func TestQueryByteCreditFlag(t *testing.T) {
+	base := QueryReq{Name: "bag1", Topics: []string{"/imu"}, Window: 1 << 20}
+	plain := EncodeQuery(base)
+	if got, err := DecodeQuery(plain); err != nil || got.ByteCredit {
+		t.Errorf("old-form request: got %+v err %v; want frame-counted credit", got, err)
+	}
+	for _, follow := range []bool{false, true} {
+		for _, trace := range []uint64{0, 99} {
+			q := base
+			q.ByteCredit, q.Follow, q.TraceID, q.ParentSpan = true, follow, trace, trace/3
+			p := EncodeQuery(q)
+			want := len(plain) + 1 // one flags byte carries both bits
+			if trace != 0 {
+				want += 16
+			}
+			if len(p) != want {
+				t.Errorf("follow %v, trace %d: payload %d bytes, want %d", follow, trace, len(p), want)
+			}
+			got, err := DecodeQuery(p)
+			if err != nil || !reflect.DeepEqual(got, q) {
+				t.Errorf("follow %v, trace %d: round-trip got %+v err %v", follow, trace, got, err)
+			}
+			// Without the bit the same request is frame-counted again.
+			q.ByteCredit = false
+			if got, err := DecodeQuery(EncodeQuery(q)); err != nil || got.ByteCredit || got.Follow != follow {
+				t.Errorf("follow %v, trace %d, no bit: got %+v err %v", follow, trace, got, err)
+			}
+		}
+	}
+}
+
+// TestReaderDecodesInPlace: a frame that fits the read buffer is
+// handed out where it lies in it, one larger is read whole into the
+// Reader's own buffer, and a stream cut mid-frame is ErrUnexpectedEOF.
+func TestReaderDecodesInPlace(t *testing.T) {
+	small := AppendMsg(nil, Msg{Conn: 1, Data: bytes.Repeat([]byte{1}, 100)})
+	large := AppendMsg(nil, Msg{Conn: 2, Data: bytes.Repeat([]byte{2}, 3000)})
+	stream := append(append(append([]byte(nil), small...), large...), small...)
+	br := bufio.NewReaderSize(bytes.NewReader(stream), 1024) // the large frame does not fit
+	r := NewReader(br)
+	for i, want := range [][]byte{small, large, small} {
+		f, err := r.Next()
+		if err != nil || f.Op != OpMsg || !bytes.Equal(f.Payload, want[HeaderSize:]) {
+			t.Fatalf("frame %d: op 0x%02x, %d bytes, %v", i, f.Op, len(f.Payload), err)
+		}
+		if len(want) <= br.Size() {
+			if r.held != len(want) {
+				t.Errorf("frame %d (%d bytes) fits the buffer but is not held there (held %d)", i, len(want), r.held)
+			}
+		} else if r.held != 0 || &f.Payload[0] != &r.buf[0] {
+			t.Errorf("frame %d (%d bytes) is larger than the buffer but not read into the Reader's own", i, len(want))
+		}
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Errorf("after the last frame: %v, want io.EOF", err)
+	}
+	r = NewReader(bufio.NewReader(bytes.NewReader(small[:50])))
+	if _, err := r.Next(); err != io.ErrUnexpectedEOF {
+		t.Errorf("cut frame: %v, want io.ErrUnexpectedEOF", err)
 	}
 }
