@@ -147,8 +147,9 @@ func TestBatchedStreamMatchesLocal(t *testing.T) {
 	}
 	_, addr := startServer(t, b, Options{})
 	// Windows in bytes: one frame per grant whatever its size, about one
-	// and about three 345-byte frames, 64 of them, client.DefaultWindow
-	// (0), and no flow control (-1).
+	// and about three 345-byte frames, 64 of them, and
+	// client.DefaultWindow (0, and -1: a client selects it for any
+	// window below one).
 	for _, window := range []int{1, 400, 1100, 64 * 364, 0, -1} {
 		cl, err := client.Dial(addr, client.Options{Window: window})
 		if err != nil {
