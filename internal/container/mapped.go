@@ -153,10 +153,7 @@ func (t *Topic) readTail(m *mapping, sel IndexView, size uint64, scratch *[]byte
 // ErrIndexBeyondData (Fault). One page stays resident however much is
 // read, and no check asks the file system anything. A Guard points into
 // the mapping, not at it: holding one keeps no mapping reachable.
-type Guard struct {
-	probe  *uint32
-	shared bool // the mapping is a pooled handle's (MapData), not one cursor's
-}
+type Guard struct{ probe *uint32 }
 
 // Guard returns the guard of data, a run ReadExtentInto read through r:
 // the zero Guard, which checks nothing, for every reader but a mapping
@@ -170,15 +167,18 @@ func (t *Topic) Guard(r DataReader, data []byte) Guard {
 }
 
 // guard is a Guard on a word of the mapping's last page.
-func (m *mapping) guard() Guard {
-	return Guard{(*uint32)(unsafe.Pointer(&m.data[m.lastPage()])), !m.oneShot}
-}
+func (m *mapping) guard() Guard { return Guard{(*uint32)(unsafe.Pointer(&m.data[m.lastPage()]))} }
 
-// Shared reports whether the guarded run is a slice of a pooled handle's
-// shared mapping (MapData): the bytes stay mapped while the handle is
-// held, past the cursor that read them, where a one-shot handle's are
-// unmapped when that cursor closes.
-func (g Guard) Shared() bool { return g.shared }
+// Pin returns g, the Guard of a run read through r, when r is a pooled
+// handle's shared mapping (MapData), and the zero Guard otherwise: such
+// a run stays mapped while the handle is held, past the cursor that read
+// it, where a one-shot handle's is unmapped when that cursor closes.
+func (t *Topic) Pin(r DataReader, g Guard) Guard {
+	if m, ok := r.(*mapping); ok && !m.oneShot {
+		return g
+	}
+	return Guard{}
+}
 
 // Check faults if the guarded run's part was cut below it.
 func (g Guard) Check() {

@@ -38,15 +38,16 @@ type Stats struct {
 // to a file, socket, or sink; decoding it; counting it) need neither.
 // This is what makes the steady-state query hot loop allocation-free.
 //
-// Pinned Data is the one exception. When Pin is set (Pin.Shared), Data
-// is a slice of a pooled handle's shared mapping below its last page,
-// and stays where it is past the callback: a callback may hold on to it
-// and read it later, until the query's next QuerySpec.Idle call returns
-// — core calls Idle before it settles the part — but no later. Whatever
-// reads it late checks Pin afterwards (Pin.Check), inside the callback
-// or Idle: a part cut under the read then faults into the query's
-// ErrIndexBeyondData as a cut under the callback does, instead of going
-// unnoticed as zeros. A Guard keeps no mapping reachable.
+// Pinned Data is the one exception. When Pin is set (not the zero
+// Guard), Data is a slice of a pooled handle's shared mapping below its
+// last page, and stays where it is past the callback: a callback may
+// hold on to it and read it later, until the query's next
+// QuerySpec.Idle call returns — core calls Idle before it settles the
+// part — but no later. Whatever reads it late checks Pin afterwards
+// (Pin.Check), inside the callback or Idle: a part cut under the read
+// then faults into the query's ErrIndexBeyondData as a cut under the
+// callback does, instead of going unnoticed as zeros. A Guard keeps no
+// mapping reachable.
 type MessageRef struct {
 	Conn *bagio.Connection
 	Time bagio.Time

@@ -202,10 +202,8 @@ func (c *cursor) deliver(n int) (err error) {
 				return err
 			}
 			c.d.DataReads++
-			c.guard, c.pin = t.Guard(df, data), container.Guard{}
-			if c.guard.Shared() {
-				c.pin = c.guard
-			}
+			c.guard = t.Guard(df, data)
+			c.pin = t.Pin(df, c.guard)
 			if k > 1 { // the read holds the next k-1 entries too
 				c.ext, c.extOff, c.held = data, e.PhysicalOffset, k-1
 				data = data[:e.Length:e.Length]

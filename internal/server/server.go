@@ -547,7 +547,7 @@ type batch struct {
 // msg appends m's MSG frame. With a pin (core.MessageRef.Pin) it
 // leaves m.Data where it lies, to be written from there.
 func (b *batch) msg(m wire.Msg, pin container.Guard) {
-	if !pin.Shared() {
+	if pin == (container.Guard{}) {
 		b.buf = wire.AppendMsg(b.buf, m)
 	} else {
 		b.buf = wire.AppendMsgHead(b.buf, m)
@@ -604,6 +604,7 @@ func (b *batch) drop() (msgs, bytes uint64) {
 // reset empties the batch.
 func (b *batch) reset() {
 	clear(b.vec) // no pointer into a mapping or an old buf stays behind
+	clear(b.guards)
 	b.vec, b.buf, b.guards = b.vec[:0], b.buf[:0], b.guards[:0]
 	b.from, b.size, b.msgs, b.bytes = 0, 0, 0, 0
 }
