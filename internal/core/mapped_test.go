@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -282,6 +283,68 @@ func TestCutByTheLastCallbackIsAnError(t *testing.T) {
 			if want := msgs/2 - 100 + 1; n != want || !errors.Is(err, container.ErrIndexBeyondData) {
 				t.Errorf("%s handle, %s: %d messages, err = %v; want %d and ErrIndexBeyondData", h.name, p.name, n, err, want)
 			}
+		}
+	}
+}
+
+// TestPinnedDataLastsUntilIdle: a pooled handle's query pins the
+// payloads it hands out as slices of its shared mapping
+// (MessageRef.Pin), and calls Idle after each part's last delivery, so
+// a callback that keeps pinned Data sees it checked, unchanged, before
+// the query returns — in every policy. A one-shot handle, whose cursors
+// unmap what they read, pins nothing.
+func TestPinnedDataLastsUntilIdle(t *testing.T) {
+	b := newBORA(t)
+	recordTopic(t, b, "bag", 2000, func(i int) int { return 100 + i%200 })
+	pooled, err := b.Open("bag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled.MapData()
+	for _, p := range everyPolicy {
+		oneShot, err := b.Open("bag")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := oneShot.Query(p.spec, func(m MessageRef) error {
+			if m.Pin != (container.Guard{}) {
+				return errors.New("a one-shot handle pinned a payload")
+			}
+			return nil
+		}); err != nil {
+			t.Errorf("%s: %v", p.name, err)
+		}
+
+		var (
+			mu               sync.Mutex
+			kept, want       [][]byte
+			pinned, verified int
+		)
+		spec := p.spec
+		spec.Idle = func() error {
+			mu.Lock()
+			defer mu.Unlock()
+			for i := range kept {
+				if !bytes.Equal(kept[i], want[i]) {
+					return fmt.Errorf("pinned payload %d changed before Idle", verified+i)
+				}
+			}
+			verified += len(kept)
+			kept, want = kept[:0], want[:0]
+			return nil
+		}
+		err = pooled.Query(spec, func(m MessageRef) error {
+			if m.Pin == (container.Guard{}) {
+				return nil
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			pinned++
+			kept, want = append(kept, m.Data), append(want, m.Copy())
+			return nil
+		})
+		if err != nil || pinned == 0 || verified != pinned {
+			t.Errorf("%s: err %v; %d payloads pinned, %d checked at Idle; want some, all checked", p.name, err, pinned, verified)
 		}
 	}
 }
