@@ -512,6 +512,57 @@ var archRules = []archRule{
 		},
 	},
 	{
+		name: "sites/only-data-is-mapped",
+		why:  "a part's data is mapped and its index is read into bytes the process owns, so no index view can fault or read zeros a cut left: mapFile's one caller is Topic.mapData, and an IndexView is its bytes alone",
+		check: func(tr *tree) (string, []string) {
+			var bad []string
+			callers := map[string]bool{}
+			var fields []int // per IndexView declaration
+			for _, f := range tr.files {
+				for _, d := range f.ast.Decls {
+					switch d := d.(type) {
+					case *ast.FuncDecl:
+						ast.Inspect(d, func(n ast.Node) bool {
+							if calledMethod(n, "mapFile") {
+								callers[recvType(d)+"."+d.Name.Name] = true
+								if f.dir != "internal/container" || recvType(d) != "Topic" || d.Name.Name != "mapData" {
+									bad = append(bad, tr.pos(n)+": mapFile called outside Topic.mapData")
+								}
+							}
+							return true
+						})
+					case *ast.GenDecl:
+						for _, sp := range d.Specs {
+							if ts, ok := sp.(*ast.TypeSpec); ok && f.dir == "internal/container" && ts.Name.Name == "IndexView" {
+								n := -1
+								if st, ok := ts.Type.(*ast.StructType); ok {
+									n = st.Fields.NumFields()
+								}
+								fields = append(fields, n)
+							}
+						}
+					}
+				}
+			}
+			names := make([]string, 0, len(callers))
+			for c := range callers {
+				names = append(names, c)
+			}
+			sort.Strings(names)
+			if len(names) != 1 {
+				bad = append(bad, fmt.Sprintf("mapFile called from %d function(s), want 1, Topic.mapData: %v", len(names), names))
+			}
+			if len(fields) != 1 || fields[0] != 1 {
+				bad = append(bad, fmt.Sprintf("IndexView declared with %v field(s), want one struct of 1: its bytes", fields))
+			}
+			return fmt.Sprintf("mapFile called from %v; IndexView's fields %v", names, fields), bad
+		},
+		seeds: []seedFile{
+			{"internal/container/zz_seed.go", `package container; func (t *Topic) zz() { mapFile("index", true) }`},
+			{"internal/container/zz_seed.go", `package container; type IndexView struct{ b []byte; m *mapping }`},
+		},
+	},
+	{
 		name: "sites/two-data-readers-in-container",
 		why:  "a sealed part is read through a mapping and a growing one (or one mmap refuses) through its file; the block cache stays only because benchmark/ pins it. A reader type is one with the length method ReadExtentInto bounds reads by",
 		check: func(tr *tree) (string, []string) {
@@ -962,7 +1013,7 @@ var importTable = map[string][]string{
 	"cmd/borad":              {"internal/cluster/ring", "internal/core", "internal/obs", "internal/server"},
 	"examples/liverecord":    {"internal/bagio", "internal/core", "internal/graph", "internal/msgs", "internal/rosbag", "internal/workload"},
 	"examples/objectdetect":  {"internal/bagio", "internal/core", "internal/msgs", "internal/workload"},
-	"examples/quickstart":    {"internal/bagio", "internal/core", "internal/rosbag", "internal/workload"},
+	"examples/quickstart":    {"internal/core", "internal/rosbag", "internal/workload"},
 	"examples/slam":          {"internal/bagio", "internal/core", "internal/msgs", "internal/workload"},
 	"examples/swarmanalysis": {"internal/swarm", "internal/workload"},
 	"examples/timequery":     {"internal/bagio", "internal/core", "internal/rosbag", "internal/workload"},

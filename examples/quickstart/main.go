@@ -15,7 +15,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/bagio"
 	"repro/internal/core"
 	"repro/internal/rosbag"
 	"repro/internal/workload"
@@ -73,11 +72,11 @@ func main() {
 
 	// 3b. Query by topics + time range (Fig 8): the coarse-grain time
 	// index bounds the scan before the fine-grain filter.
-	tstart, tend, err := timeRangeOf(bag)
+	info, err := bag.Info()
 	if err != nil {
 		log.Fatal(err)
 	}
-	mid := tstart.Add(tend.Sub(tstart) / 3)
+	mid := info.Start.Add(info.End.Sub(info.Start) / 3)
 	stop := mid.Add(time.Second)
 	start = time.Now()
 	var windowCount int
@@ -91,26 +90,4 @@ func main() {
 	st := bag.Stats()
 	fmt.Printf("time-range query [%s, %s]: %d messages in %v (scanned %d entries across %d windows)\n",
 		mid, stop, windowCount, time.Since(start), st.EntriesScanned, st.WindowsScanned)
-}
-
-// timeRangeOf finds the bag's overall time extent from the container.
-func timeRangeOf(bag *core.Bag) (bagio.Time, bagio.Time, error) {
-	var start, end bagio.Time
-	for i, name := range bag.Topics() {
-		t, err := bag.Container().Topic(name)
-		if err != nil {
-			return start, end, err
-		}
-		s, e, err := t.TimeRange()
-		if err != nil {
-			return start, end, err
-		}
-		if i == 0 || s.Before(start) {
-			start = s
-		}
-		if end.Before(e) {
-			end = e
-		}
-	}
-	return start, end, nil
 }

@@ -162,13 +162,13 @@ type Topic struct {
 	cache   BlockCache // nil: OpenData reads straight from disk
 	gen     uint64     // container generation baked into cache keys
 	growing bool       // made by CreateTopic: its writer publishes ix, and data is read through the file
-	mapped  bool       // MapData: one mapping per file for the handle, made on first use under mu
+	mapped  bool       // MapData: one data mapping and one index read for the handle, made on first use under mu
 	mapping *mapping
 
 	indexLoadOp *obs.Op
 
 	mu      sync.Mutex
-	ix      IndexView // the index, when loaded: the writer's published entries, or a pooled handle's mapping
+	ix      IndexView // the index, when loaded: the writer's published entries, or a pooled handle's read
 	loaded  bool      // ix is the index: Index serves it
 	ordered int       // Ordered: of the first checked entries, the leading ordered are in time order
 	checked int
@@ -519,10 +519,11 @@ func (t *Topic) Dir() string { return t.dir }
 // TimeIndex returns the coarse-grain time index of a complete topic,
 // loaded from the timeidx file once per handle and served from memory
 // afterwards. A missing or unparsable file is an error, and so is an
-// index naming a message past the topic's entries (checkTimeIndex):
-// fsck reports each, and RepairFS rebuilds the file. The index is
-// shared: callers only query it.
-func (t *Topic) TimeIndex() (*timeindex.Index, error) {
+// index naming a message past entries, the length of the caller's view
+// of the topic's index (checkTimeIndex): fsck reports each, and
+// RepairFS rebuilds the file. The index is shared: callers only query
+// it.
+func (t *Topic) TimeIndex(entries int) (*timeindex.Index, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.tix != nil {
@@ -530,10 +531,7 @@ func (t *Topic) TimeIndex() (*timeindex.Index, error) {
 	}
 	tix, err := readTimeIndex(t.dir)
 	if err == nil {
-		var st os.FileInfo
-		if st, err = os.Stat(filepath.Join(t.dir, IndexFileName)); err == nil {
-			err = checkTimeIndex(tix, int(st.Size()/IndexEntrySize))
-		}
+		err = checkTimeIndex(tix, entries)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("container: time index of %q: %w", t.topic, err)

@@ -144,10 +144,6 @@ func TestTopicWriteReadRoundTrip(t *testing.T) {
 	if sz, err := topic.DataSize(); err != nil || sz != int64(wantOff) {
 		t.Errorf("DataSize = %d, %v; want %d", sz, err, wantOff)
 	}
-	start, end, err := topic.TimeRange()
-	if err != nil || start != (bagio.Time{Sec: 10}) || end != (bagio.Time{Sec: 12}) {
-		t.Errorf("TimeRange = %v..%v, %v", start, end, err)
-	}
 }
 
 func TestCreateTopicDuplicate(t *testing.T) {

@@ -209,16 +209,15 @@ func fsckTopic(rep *Report, dir, dirName string) *topicState {
 	// Index: read the file, then find the longest consistent prefix of
 	// its whole entries actually backed by data.
 	ixPath := filepath.Join(dir, IndexFileName)
-	raw, err := os.ReadFile(ixPath)
+	ix, err := readIndex(ixPath, new([]byte))
 	if err != nil {
 		rep.add(FindingMissingIndex, st.name, ixPath, "%v", err)
 		st.drop = true
 		return st
 	}
-	ix := IndexView{b: raw}
 	if tail := ix.tail(); tail != 0 {
 		rep.add(FindingTruncatedIndexTail, st.name, ixPath,
-			"index is %d bytes: %d-byte torn entry at the tail", len(raw), tail)
+			"index is %d bytes: %d-byte torn entry at the tail", len(ix.b), tail)
 	}
 	st.index = ix.Slice(0, ix.Len())
 	var off uint64

@@ -3,11 +3,10 @@ package container
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
-	"unsafe"
+	"syscall"
 
 	"repro/internal/bagio"
 	"repro/internal/obs"
@@ -46,14 +45,12 @@ func decodeIndexEntry(src []byte) IndexEntry {
 	}
 }
 
-// IndexView is a run of encoded index entries, read where they lie: a
-// sealed part's mapped index file, a writer's append buffer, or the
-// survivors a query selected. At decodes one entry, Time one timestamp;
-// nothing decodes a whole index. Copies of a view share its bytes.
-type IndexView struct {
-	b []byte
-	m *mapping // the mapping b lies in, if any: Close releases a one-shot one
-}
+// IndexView is a run of encoded index entries in bytes the process
+// owns: a sealed part's index file as read, a writer's append buffer,
+// or the survivors a query selected. At decodes one entry, Time one
+// timestamp; nothing decodes a whole index. Copies of a view share its
+// bytes.
+type IndexView struct{ b []byte }
 
 // Len returns the number of whole entries in the view.
 func (v IndexView) Len() int { return len(v.b) / IndexEntrySize }
@@ -72,7 +69,7 @@ func (v IndexView) tail() int { return len(v.b) % IndexEntrySize }
 
 // Slice returns entries [lo, hi) as a view of the same bytes.
 func (v IndexView) Slice(lo, hi int) IndexView {
-	return IndexView{b: v.b[lo*IndexEntrySize : hi*IndexEntrySize : hi*IndexEntrySize], m: v.m}
+	return IndexView{b: v.b[lo*IndexEntrySize : hi*IndexEntrySize : hi*IndexEntrySize]}
 }
 
 // MakeIndexView returns an empty view with room for n appended entries.
@@ -89,8 +86,14 @@ func (v IndexView) Append(e IndexEntry) IndexView {
 }
 
 // Reset empties a view built by MakeIndexView and Append, keeping its
-// room. Only such a view: any other's bytes are shared.
-func (v IndexView) Reset() IndexView { return IndexView{b: v.b[:0]} }
+// room when that holds n entries, else making room for n. Only such a
+// view: any other's bytes are shared.
+func (v IndexView) Reset(n int) IndexView {
+	if cap(v.b) < n*IndexEntrySize {
+		return MakeIndexView(n)
+	}
+	return IndexView{b: v.b[:0]}
+}
 
 // SortedByTime returns v's entries stably sorted by time, as a new view.
 func (v IndexView) SortedByTime() IndexView {
@@ -112,107 +115,75 @@ func (v IndexView) entries() []IndexEntry {
 	return es
 }
 
-// Close releases a view Index returned: a one-shot handle's mapping is
-// unmapped, and no view of it may be read again.
-func (v IndexView) Close() {
-	if v.m != nil {
-		v.m.Close()
-	}
-}
-
-// Index returns the topic's index, its first load from a sealed part
-// traced as a container.index_load child of parent. A part being
-// written serves its writer's published entries. A sealed part maps its
-// index file: once for a handle that maps its data (MapData), else once
-// per call, for the caller to Close; where mmap fails, the file is read.
-// A torn final entry is refused (fsck reports it, repair drops it).
-func (t *Topic) Index(parent obs.Span) (IndexView, error) {
+// Index returns the topic's index, its load from a sealed part traced
+// as a container.index_load child of parent. A part being written
+// serves its writer's published entries. A sealed part's index file is
+// read, never mapped: for a handle that maps its data (MapData) once,
+// into bytes the handle holds; for any other, on every call, into *buf
+// (nil: bytes of the call's own), which the view then lies in. A torn
+// final entry is refused (fsck reports it, repair drops it).
+func (t *Topic) Index(parent obs.Span, buf *[]byte) (IndexView, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.indexLocked(parent, true)
-}
-
-// ReadIndex is Index read into bytes of its own, never a mapping: for a
-// walk over every entry (Entries, TimeRange, a bag's Info) that runs
-// outside a query's fault recovery, which a cut under it must not
-// crash.
-func (t *Topic) ReadIndex() (IndexView, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.indexLocked(obs.Span{}, false)
-}
-
-func (t *Topic) indexLocked(parent obs.Span, mapped bool) (IndexView, error) {
-	if t.loaded && (mapped || t.ix.m == nil) {
-		// A pooled handle's mapping is measured again (one stat): an index
-		// cut between queries is refused here, not read as zeros.
-		if m := t.ix.m; m != nil && m.measure() < uint64(len(m.data)) {
-			return IndexView{}, fmt.Errorf("container: index of %q cut to %d of its %d bytes since it was mapped: %w",
-				t.topic, m.size.Load(), len(m.data), ErrIndexBeyondData)
-		}
+	if t.loaded {
 		return t.ix, nil
 	}
+	if buf == nil || t.mapped {
+		buf = new([]byte)
+	}
 	sp := parent.ChildOp(t.indexLoadOp)
-	path := filepath.Join(t.dir, IndexFileName)
-	var v IndexView
-	var err error
-	if mapped {
-		v.m, err = mapFile(path, !t.mapped)
-	}
-	if v.m != nil {
-		v.b = v.m.data
-	} else if err == nil {
-		v.b, err = os.ReadFile(path)
-	}
-	if err == nil && v.tail() != 0 {
-		v.Close()
-		err = fmt.Errorf("%d-byte torn entry after %d whole ones", v.tail(), v.Len())
+	v, err := readIndex(filepath.Join(t.dir, IndexFileName), buf)
+	if err == nil {
+		err = t.torn(len(v.b))
 	}
 	if err != nil {
-		err = fmt.Errorf("container: index of %q: %w", t.topic, err)
 		sp.EndErr(err)
 		return IndexView{}, err
 	}
 	sp.EndBytes(int64(len(v.b)))
-	if t.mapped && mapped {
+	if t.mapped {
 		t.ix, t.loaded = v, true
 	}
 	return v, nil
 }
 
-// IndexGuard is what a cursor checks before it reads each entry of sel,
-// a selection it reads across callbacks that may cut the part's index
-// under it, and from which entry on it must take HoldTail's copy
-// instead. A selection lying in a mapping is guarded as a sliced data
-// run is (Guard): the guard is a word of the mapping's last page, which
-// faults on any cut below it, so it vouches for every entry that ends
-// below that page. The entries from the returned position on reach into
-// the page, which a cut inside reads as zeros. Any other selection is
-// the cursor's own: the zero Guard, and no position.
-func (t *Topic) IndexGuard(sel IndexView) (Guard, int) {
-	m := sel.m
-	if m == nil || sel.Len() == 0 {
-		return Guard{}, math.MaxInt
+// torn refuses an index file of size bytes that ends in a torn entry.
+func (t *Topic) torn(size int) error {
+	if tail := size % IndexEntrySize; tail != 0 {
+		return fmt.Errorf("container: index of %q: %d-byte torn entry after %d whole ones", t.topic, tail, size/IndexEntrySize)
 	}
-	off, _ := m.offset(uintptr(unsafe.Pointer(unsafe.SliceData(sel.b))))
-	last := m.lastPage()
-	return m.guard(), int(max(last, uint64(off))-uint64(off)) / IndexEntrySize
+	return nil
 }
 
-// HoldTail copies sel's entries from i on — those IndexGuard found in
-// the mapping's last page — into *scratch, then measures the index file
-// again, so that what the cursor reads from then on is the index, not
-// zeros a cut left in the page, and no later cut changes it; a file cut
-// short of the copy is ErrIndexBeyondData.
-func (t *Topic) HoldTail(sel IndexView, i int, scratch *[]byte) (IndexView, error) {
-	rest := sel.b[i*IndexEntrySize:]
-	*scratch = append((*scratch)[:0], rest...)
-	off, _ := sel.m.offset(uintptr(unsafe.Pointer(unsafe.SliceData(rest))))
-	if end := uint64(off) + uint64(len(rest)); sel.m.measure() < end {
-		return IndexView{}, fmt.Errorf("container: topic %q: index cut under a mapped read, to %d bytes of the %d read: %w",
-			t.topic, sel.m.size.Load(), end, ErrIndexBeyondData)
+// readIndex is the one reader of an index file: the file at path read
+// whole by pread into *buf, grown to fit. A read cut short by a cut
+// since the fstat keeps the whole entries it got; a file that ends in a
+// torn entry is read with it, for the caller to refuse or report.
+func readIndex(path string, buf *[]byte) (IndexView, error) {
+	fd, st, err := openFile(path)
+	if err != nil {
+		return IndexView{}, err
 	}
-	return IndexView{b: *scratch}, nil
+	defer syscall.Close(fd)
+	if cap(*buf) < int(st.Size) {
+		*buf = make([]byte, st.Size)
+	}
+	b, n := (*buf)[:st.Size], 0
+	for n < len(b) {
+		k, err := syscall.Pread(fd, b[n:], int64(n))
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil {
+			return IndexView{}, &os.PathError{Op: "pread", Path: path, Err: err}
+		}
+		if k == 0 {
+			n -= n % IndexEntrySize
+			break
+		}
+		n += k
+	}
+	return IndexView{b: b[:n:n]}, nil
 }
 
 // Ordered returns how many of v's leading entries — v is the topic's
@@ -235,38 +206,30 @@ func (t *Topic) Ordered(v IndexView) int {
 // Entries decodes the topic's index entries, in append order, into a
 // fresh slice; queries read the index through Index.
 func (t *Topic) Entries() ([]IndexEntry, error) {
-	v, err := t.ReadIndex()
+	v, err := t.Index(obs.Span{}, nil)
 	return v.entries(), err
 }
 
-// MessageCount returns the number of indexed messages.
+// MessageCount returns the number of indexed messages: a sealed part
+// whose index is not held is counted by its index file's length, no
+// entry read.
 func (t *Topic) MessageCount() (int, error) {
-	v, err := t.Index(obs.Span{})
-	v.Close()
-	return v.Len(), err
-}
-
-// TimeRange returns the earliest and latest message timestamps of the
-// topic's index entries — the zero times for an empty topic. On a topic
-// still being written it covers every entry published so far.
-func (t *Topic) TimeRange() (start, end bagio.Time, err error) {
-	v, err := t.ReadIndex()
-	for i := 0; i < v.Len(); i++ {
-		ts := v.Time(i)
-		if i == 0 || ts.Before(start) {
-			start = ts
-		}
-		if i == 0 || end.Before(ts) {
-			end = ts
-		}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.loaded {
+		return t.ix.Len(), nil
 	}
-	return start, end, err
+	st, err := os.Stat(filepath.Join(t.dir, IndexFileName))
+	if err != nil {
+		return 0, fmt.Errorf("container: index of %q: %w", t.topic, err)
+	}
+	return int(st.Size()) / IndexEntrySize, t.torn(int(st.Size()))
 }
 
 // ordinal is e's position among the topic's entries, -1 if it is none
 // of them: looked up only to name an entry in an error.
 func (t *Topic) ordinal(e IndexEntry) int {
-	v, _ := t.ReadIndex()
+	v, _ := t.Index(obs.Span{}, nil)
 	for i := 0; i < v.Len(); i++ {
 		if v.At(i) == e {
 			return i

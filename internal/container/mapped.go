@@ -11,11 +11,12 @@ import (
 	"unsafe"
 )
 
-// mapping is a sealed part's file — data or index — mapped read-only.
-// A handle that maps its data (MapData) maps each file on first use and
-// shares the mapping among its queries until a finalizer unmaps it; a
-// one-shot handle maps each file for the one cursor that reads it, which
-// unmaps it when it closes. The descriptor is closed right after mmap.
+// mapping is a sealed part's data file mapped read-only; only data is
+// mapped, an index is read (Index). A handle that maps its data
+// (MapData) maps each part's file on first use and shares the mapping
+// among its queries until a finalizer unmaps it; a one-shot handle maps
+// it for the one cursor that reads it, which unmaps it when it closes.
+// The descriptor is closed right after mmap.
 type mapping struct {
 	data     []byte
 	dev, ino uint64        // the file mapped: a path re-created since is another file
@@ -28,30 +29,42 @@ type mapping struct {
 // reads zeros to the page's end, a page wholly past the cut faults.
 var pageSize = uint64(os.Getpagesize())
 
-// MapData makes the container's topics keep one mapping per file for
-// the handle's lifetime, shared by every query, instead of one per
-// cursor: worth it for a handle that serves many queries. Sealed
-// containers only.
+// MapData makes the container's topics keep one mapping per data file,
+// and their index read once, for the handle's lifetime, shared by every
+// query, instead of one per cursor: worth it for a handle that serves
+// many queries. Sealed containers only.
 func (c *Container) MapData() {
 	for _, t := range c.topics {
 		t.mapped = true
 	}
 }
 
-// mapFile maps the file at path whole; nil without an error means mmap
-// refused it (an empty file, the map-count limit), so read the file. It
-// calls the system directly: an os.File would add a poller registration
-// and a FileInfo to each of a one-shot scan's two mappings per part.
-func mapFile(path string, oneShot bool) (*mapping, error) {
+// openFile opens the file at path read-only and returns its
+// descriptor and fstat. It calls the system directly: an os.File would
+// add a poller registration and a FileInfo to each of a one-shot scan's
+// two reads of a part, its index and its data.
+func openFile(path string) (int, syscall.Stat_t, error) {
+	var st syscall.Stat_t
 	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
 	if err != nil {
-		return nil, &os.PathError{Op: "open", Path: path, Err: err}
+		return -1, st, &os.PathError{Op: "open", Path: path, Err: err}
+	}
+	if err := syscall.Fstat(fd, &st); err != nil {
+		syscall.Close(fd)
+		return -1, st, &os.PathError{Op: "stat", Path: path, Err: err}
+	}
+	return fd, st, nil
+}
+
+// mapFile maps the data file at path whole; nil without an error means
+// mmap refused it (an empty file, the map-count limit), so read the
+// file.
+func mapFile(path string, oneShot bool) (*mapping, error) {
+	fd, st, err := openFile(path)
+	if err != nil {
+		return nil, err
 	}
 	defer syscall.Close(fd)
-	var st syscall.Stat_t
-	if err := syscall.Fstat(fd, &st); err != nil {
-		return nil, &os.PathError{Op: "stat", Path: path, Err: err}
-	}
 	data, err := syscall.Mmap(fd, 0, int(st.Size), syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {
 		return nil, nil
@@ -169,15 +182,16 @@ func (t *Topic) Guard(r DataReader, data []byte) Guard {
 // guard is a Guard on a word of the mapping's last page.
 func (m *mapping) guard() Guard { return Guard{(*uint32)(unsafe.Pointer(&m.data[m.lastPage()]))} }
 
-// Pin returns g, the Guard of a run read through r, when r is a pooled
-// handle's shared mapping (MapData), and the zero Guard otherwise: such
-// a run stays mapped while the handle is held, past the cursor that read
-// it, where a one-shot handle's is unmapped when that cursor closes.
-func (t *Topic) Pin(r DataReader, g Guard) Guard {
-	if m, ok := r.(*mapping); ok && !m.oneShot {
-		return g
-	}
-	return Guard{}
+// Pinned returns the Guard of data when it lies in the topic's shared
+// mapping (MapData), and the zero Guard otherwise: such a slice stays
+// mapped while the handle is held, past the cursor that read it, where
+// a one-shot handle's is unmapped when that cursor closes. Any slice of
+// it is guarded by its last page, since readTail copies every run that
+// reaches into that page.
+func (t *Topic) Pinned(data []byte) Guard {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.Guard(t.mapping, data)
 }
 
 // Check faults if the guarded run's part was cut below it.
@@ -198,20 +212,18 @@ func (m *mapping) offset(addr uintptr) (uintptr, bool) {
 }
 
 // Fault turns p, a panic's value out of code reading the topic through
-// r and the index view ix, into the error it stands for: a memory fault
-// (a panic only under runtime/debug.SetPanicOnFault) inside either's
-// mapping is the part cut under it, the topic's ErrIndexBeyondData.
-// Anything else is nil, for the caller to re-panic.
-func (t *Topic) Fault(r DataReader, ix IndexView, p any) error {
+// r, into the error it stands for: a memory fault (a panic only under
+// runtime/debug.SetPanicOnFault) inside r's mapping is the part cut
+// under it, the topic's ErrIndexBeyondData. Anything else is nil, for
+// the caller to re-panic.
+func (t *Topic) Fault(r DataReader, p any) error {
 	f, ok := p.(interface{ Addr() uintptr })
 	if !ok {
 		return nil
 	}
-	data, _ := r.(*mapping)
-	for what, m := range map[string]*mapping{"data": data, "index": ix.m} {
-		if off, in := m.offset(f.Addr()); in {
-			return fmt.Errorf("container: topic %q: %s cut under a mapped read (fault at offset %d): %w", t.topic, what, off, ErrIndexBeyondData)
-		}
+	m, _ := r.(*mapping)
+	if off, in := m.offset(f.Addr()); in {
+		return fmt.Errorf("container: topic %q: data cut under a mapped read (fault at offset %d): %w", t.topic, off, ErrIndexBeyondData)
 	}
 	return nil
 }

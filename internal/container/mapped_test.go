@@ -107,7 +107,7 @@ func TestMappedTopicReadsSlicesOfOneMapping(t *testing.T) {
 		g.Check()
 		return nil
 	}
-	if p := check(before); !errors.Is(topic.Fault(r, IndexView{}, p), ErrIndexBeyondData) {
+	if p := check(before); !errors.Is(topic.Fault(r, p), ErrIndexBeyondData) {
 		t.Errorf("a run sliced before the cut: Check = %v, want a fault in the mapping", p)
 	}
 	data, err := topic.ReadMessageInto(r, entries[0], &scratch)
@@ -164,7 +164,7 @@ func TestMappedFaultIsTyped(t *testing.T) {
 	if p == nil {
 		t.Fatal("touching a page past the cut did not fault")
 	}
-	if err := topic.Fault(r, IndexView{}, p); !errors.Is(err, ErrIndexBeyondData) {
+	if err := topic.Fault(r, p); !errors.Is(err, ErrIndexBeyondData) {
 		t.Errorf("Fault(mapping, fault in it) = %v, want ErrIndexBeyondData", err)
 	}
 	other := sealedTopic(t, payloads)
@@ -173,10 +173,10 @@ func TestMappedFaultIsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.Fault(r2, IndexView{}, p); err != nil {
+	if err := other.Fault(r2, p); err != nil {
 		t.Errorf("Fault(another mapping, the fault) = %v, want nil", err)
 	}
-	if err := topic.Fault(r, IndexView{}, errors.New("not a fault")); err != nil {
+	if err := topic.Fault(r, errors.New("not a fault")); err != nil {
 		t.Errorf("Fault(mapping, a plain panic) = %v, want nil", err)
 	}
 }

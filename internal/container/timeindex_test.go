@@ -40,7 +40,7 @@ func TestTopicWriterPersistsTimeIndex(t *testing.T) {
 		t.Errorf("positions in [5s, 9s] = %v, want 5..9", got)
 	}
 	// The closed writer's handle serves the index it built, no reload.
-	if mem, err := tw.Topic().TimeIndex(); err != nil || !bytes.Equal(mem.Marshal(), ix.Marshal()) {
+	if mem, err := tw.Topic().TimeIndex(20); err != nil || !bytes.Equal(mem.Marshal(), ix.Marshal()) {
 		t.Errorf("writer handle's TimeIndex differs from the persisted file (%v)", err)
 	}
 }
@@ -55,6 +55,7 @@ func TestTopicTimeIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const entries = 20 // buildSealedTopic's: what a query's view of the index holds
 	open := func() *Topic {
 		t.Helper()
 		c, err := Open(root)
@@ -76,7 +77,7 @@ func TestTopicTimeIndex(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ix, err := topic.TimeIndex()
+			ix, err := topic.TimeIndex(entries)
 			if err != nil {
 				t.Error(err)
 			}
@@ -97,12 +98,12 @@ func TestTopicTimeIndex(t *testing.T) {
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if ix, err := topic.TimeIndex(); err != nil || ix != got[0] {
+	if ix, err := topic.TimeIndex(entries); err != nil || ix != got[0] {
 		t.Errorf("second call reloaded (%p vs %p, %v)", ix, got[0], err)
 	}
 
 	// Absent file: an error, never a rebuild (RepairFS writes the file).
-	if _, err := open().TimeIndex(); err == nil {
+	if _, err := open().TimeIndex(entries); err == nil {
 		t.Error("missing time index accepted")
 	}
 
@@ -113,7 +114,7 @@ func TestTopicTimeIndex(t *testing.T) {
 	if err := os.WriteFile(path, orphan.Marshal(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := open().TimeIndex(); !errors.Is(err, ErrIndexBeyondData) {
+	if _, err := open().TimeIndex(entries); !errors.Is(err, ErrIndexBeyondData) {
 		t.Errorf("orphan time index: err = %v, want ErrIndexBeyondData", err)
 	}
 
@@ -121,7 +122,7 @@ func TestTopicTimeIndex(t *testing.T) {
 	if err := os.WriteFile(path, []byte{1, 2, 3}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := open().TimeIndex(); err == nil {
+	if _, err := open().TimeIndex(entries); err == nil {
 		t.Error("corrupt time index accepted")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bagio"
+	"repro/internal/obs"
 )
 
 // mapCache is a minimal unbounded BlockCache for tests.
@@ -141,10 +142,11 @@ func TestReadMessageIntoSpansBlocks(t *testing.T) {
 	}
 }
 
-// TestTimeRangeFollowsWriter: on a topic still being written,
-// TimeRange covers every entry published so far — including ones
-// published after an earlier call, and ones stamped before the first.
-func TestTimeRangeFollowsWriter(t *testing.T) {
+// TestIndexFollowsWriter: on a topic still being written, Index serves
+// every entry published so far — including ones published after an
+// earlier call, and ones stamped before the first — and a view taken
+// earlier keeps the entries it had.
+func TestIndexFollowsWriter(t *testing.T) {
 	c := newTestContainer(t)
 	tw, err := c.CreateTopic(&bagio.Connection{Topic: "/t", Type: "x/Y"})
 	if err != nil {
@@ -152,22 +154,29 @@ func TestTimeRangeFollowsWriter(t *testing.T) {
 	}
 	defer tw.Close()
 	topic := tw.Topic()
-	for _, step := range []struct{ sec, wantStart, wantEnd uint32 }{
-		{10, 10, 10}, {11, 10, 11}, {20, 10, 20}, {5, 5, 20},
-	} {
-		if err := tw.Append(bagio.Time{Sec: step.sec}, []byte("m")); err != nil {
+	secs := []uint32{10, 11, 20, 5}
+	var views []IndexView
+	for _, sec := range secs {
+		if err := tw.Append(bagio.Time{Sec: sec}, []byte("m")); err != nil {
 			t.Fatal(err)
 		}
 		if err := tw.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		start, end, err := topic.TimeRange()
+		v, err := topic.Index(obs.Span{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if start.Sec != step.wantStart || end.Sec != step.wantEnd {
-			t.Errorf("after an append at %ds: TimeRange = [%v, %v], want secs [%d, %d]",
-				step.sec, start, end, step.wantStart, step.wantEnd)
+		views = append(views, v)
+		for i, v := range views {
+			if v.Len() != i+1 {
+				t.Fatalf("after an append at %ds: view %d holds %d entries, want %d", sec, i, v.Len(), i+1)
+			}
+			for j := 0; j < v.Len(); j++ {
+				if v.Time(j).Sec != secs[j] {
+					t.Errorf("after an append at %ds: view %d entry %d at %v, want %ds", sec, i, j, v.Time(j), secs[j])
+				}
+			}
 		}
 	}
 }

@@ -38,21 +38,20 @@ type Stats struct {
 // to a file, socket, or sink; decoding it; counting it) need neither.
 // This is what makes the steady-state query hot loop allocation-free.
 //
-// Pinned Data is the one exception. When Pin is set (not the zero
-// Guard), Data is a slice of a pooled handle's shared mapping below its
-// last page, and stays where it is past the callback: a callback may
-// hold on to it and read it later, until the query's next
-// QuerySpec.Idle call returns — core calls Idle before it settles the
-// part — but no later. Whatever reads it late checks Pin afterwards
-// (Pin.Check), inside the callback or Idle: a part cut under the read
-// then faults into the query's ErrIndexBeyondData as a cut under the
-// callback does, instead of going unnoticed as zeros. A Guard keeps no
-// mapping reachable.
+// Pinned Data is the one exception. When bag.Pinned(m) returns a Guard
+// (not the zero Guard), Data is a slice of a pooled handle's shared
+// mapping below its last page, and stays where it is past the callback:
+// a callback may hold on to it and read it later, until the query's
+// next QuerySpec.Idle call returns — core calls Idle before it settles
+// the part — but no later. Whatever reads it late checks that Guard
+// afterwards (Check), inside the callback or Idle: a part cut under the
+// read then faults into the query's ErrIndexBeyondData as a cut under
+// the callback does, instead of going unnoticed as zeros. A Guard keeps
+// no mapping reachable.
 type MessageRef struct {
 	Conn *bagio.Connection
 	Time bagio.Time
 	Data []byte
-	Pin  container.Guard
 }
 
 // Copy returns an owned copy of Data, valid indefinitely.
@@ -60,13 +59,16 @@ func (m MessageRef) Copy() []byte {
 	return append([]byte(nil), m.Data...)
 }
 
-// msgScratch is one stream's reusable read buffer. Every query plan
+// msgScratch is one stream's reusable read buffers. Every query plan
 // draws scratches from scratchPool — one per concurrent topic stream —
-// so steady-state reads allocate nothing: a buffer grows to the largest
-// message it has carried and is then shared across queries. ix holds
-// the entries a cursor copies out of a mapped index's last page
-// (container.Topic.HoldTail).
-type msgScratch struct{ buf, ix []byte }
+// so steady-state reads allocate nothing: buf grows to the largest
+// extent it has carried, ix to the largest index a one-shot handle's
+// part was read into (container.Topic.Index), sel to the largest
+// selection of survivors, and all are then shared across queries.
+type msgScratch struct {
+	buf, ix []byte
+	sel     container.IndexView
+}
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(msgScratch) }}
 
@@ -204,6 +206,19 @@ func (bag *Bag) MapData() {
 	for _, c := range bag.segs {
 		c.MapData()
 	}
+}
+
+// Pinned returns the Guard under which m.Data, handed to a query's
+// callback, may be read until the query's next Idle (see MessageRef):
+// the zero Guard unless Data lies in this pooled handle's shared mapping
+// of a part of m.Conn's topic. Only a callback that keeps Data asks.
+func (bag *Bag) Pinned(m MessageRef) (g container.Guard) {
+	for _, c := range bag.segs {
+		if t, err := c.Topic(m.Conn.Topic); err == nil && g == (container.Guard{}) {
+			g = t.Pinned(m.Data)
+		}
+	}
+	return g
 }
 
 // Stats returns the operation counters accumulated so far.

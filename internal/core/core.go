@@ -254,7 +254,7 @@ func (b *BORA) organize(r io.ReaderAt, size int64, name string, sp obs.Span) (Du
 	// Count what reached a topic file, not what a failed write left buffered.
 	st.Topics = len(seg.order)
 	for _, tw := range seg.order {
-		ix, _ := tw.Topic().Index(obs.Span{}) // a writer's topic serves its buffer
+		ix, _ := tw.Topic().Index(obs.Span{}, nil) // a writer's topic serves its buffer
 		if n := ix.Len(); n > 0 {
 			last := ix.At(n - 1)
 			st.Messages += int64(n)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"runtime/debug"
 	"sort"
 
@@ -10,18 +9,17 @@ import (
 	"repro/internal/obs"
 )
 
-// cursor is one topic part being read: the part, its index as opened
-// for this cursor, the entries the query selected from it, a position in
-// them, and the open data reader. Every ordering policy is a loop over
-// cursors with lookahead — topic order drains one cursor after another,
-// time order merges many in runs through a heap, and the Follow tail
-// gives each topic's current part a cursor whose selection is the
-// batch's journal entries for it, delivered in journal order.
+// cursor is one topic part being read: the part, the entries the query
+// selected from its index, a position in them, and the open data
+// reader. Every ordering policy is a loop over cursors with lookahead —
+// topic order drains one cursor after another, time order merges many
+// in runs through a heap, and the Follow tail gives each topic's
+// current part a cursor whose selection is the batch's journal entries
+// for it, delivered in journal order.
 type cursor struct {
 	q       *query
 	t       *container.Topic
-	ix      container.IndexView  // the part's index, held until close
-	sel     container.IndexView  // the selection, in delivery order: a range of ix, its survivors, or a copy of its last entries (HoldTail)
+	sel     container.IndexView  // the selection, in delivery order: a range of the part's index, or its survivors
 	inOrder bool                 // the selection is in time order (set where a policy needs it)
 	pos     int                  // the next entry of sel to deliver
 	head    bagio.Time           // time order: the next entry's stamp, decoded once
@@ -29,7 +27,7 @@ type cursor struct {
 	merged  bool                 // time order, Follow tail: delivered between other cursors' entries
 	closed  bool                 // close ran
 	df      container.DataReader // opened by the first delivery
-	scratch *msgScratch          // where reads land: the stream's buffer, or a merged cursor's own, taken at open
+	scratch *msgScratch          // where the index and reads land: the stream's, or a merged cursor's own, taken when it is made
 	// The extent last read, while entries it covers are still to be
 	// delivered: the next held of them lie in ext, whose first byte is
 	// file offset extOff, and guard checks that the part still holds it.
@@ -37,17 +35,14 @@ type cursor struct {
 	extOff uint64
 	held   int
 	guard  container.Guard
-	pin    container.Guard // guard, when the extent is pinned (MessageRef.Pin)
-	// What checks that the index still holds the selection's entries
-	// below ixTail (IndexGuard, taken at the first delivery); from
-	// ixTail on, the entries are read from a copy (HoldTail).
-	ixGuard container.Guard
-	ixTail  int
-	d       Stats
+	d      Stats
 }
 
 // selectEntries decides what the cursor will read from the part's index
-// alone, before any data I/O (the index load is traced under sp). The
+// alone, before any data I/O (the index load is traced under sp). A
+// one-shot handle's sealed part reads its index into the cursor's
+// scratch, held until close: the query reads the index as it was when
+// the part was selected, whatever later becomes of the file. The
 // part's entries are capped at the Follow snapshot limit, filtered to
 // [Start, End], and strided by append ordinal: *phase counts the
 // chain's in-window messages modulo the stride, carried from part to
@@ -63,11 +58,10 @@ type cursor struct {
 // its time index either way.
 func (c *cursor) selectEntries(sp obs.Span, phase *int) error {
 	q := c.q
-	ix, err := c.t.Index(sp)
+	ix, err := c.t.Index(sp, &c.scratch.ix)
 	if err != nil {
 		return err
 	}
-	c.ix = ix
 	if q.limits != nil {
 		ix = ix.Slice(0, min(ix.Len(), q.limits[c.t]))
 	}
@@ -83,7 +77,7 @@ func (c *cursor) selectEntries(sp obs.Span, phase *int) error {
 	var positions []uint32
 	n, coarse := ix.Len(), q.bounded() && q.bag.rec == nil
 	if coarse {
-		tix, err := c.t.TimeIndex()
+		tix, err := c.t.TimeIndex(ix.Len())
 		if err != nil {
 			return err
 		}
@@ -100,18 +94,19 @@ func (c *cursor) selectEntries(sp obs.Span, phase *int) error {
 		if q.Stride == 1 {
 			c.sel = ix.Slice(lo, hi)
 		} else if first := lo + (q.Stride-*phase)%q.Stride; first < hi {
-			c.sel = container.MakeIndexView((hi-first-1)/q.Stride + 1)
+			c.sel = c.scratch.sel.Reset((hi-first-1)/q.Stride + 1)
 			for i := first; i < hi; i += q.Stride {
 				c.sel = c.sel.Append(ix.At(i))
 			}
+			c.scratch.sel = c.sel
 		}
 		*phase = (*phase + hi - lo) % q.Stride
 		c.d.EntriesScanned += c.sel.Len()
 		return nil
 	}
-	sel, ph := container.IndexView{}, *phase // unstrided, sized by its survivors, not its candidates
+	sel, ph := c.scratch.sel.Reset(0), *phase // unstrided, sized by its survivors, not its candidates
 	if q.Stride > 1 {
-		sel = container.MakeIndexView(n/q.Stride + 1)
+		sel = sel.Reset(n/q.Stride + 1)
 	}
 	for i := 0; i < n; i++ {
 		pos := i
@@ -128,7 +123,7 @@ func (c *cursor) selectEntries(sp obs.Span, phase *int) error {
 			ph = 0
 		}
 	}
-	c.sel, *phase = sel, ph
+	c.sel, c.scratch.sel, *phase = sel, sel, ph
 	c.d.EntriesScanned += n
 	return nil
 }
@@ -152,16 +147,15 @@ func (c *cursor) selectEntries(sp obs.Span, phase *int) error {
 // no byte outside a selected message is ever read. The reads are
 // borrowed: data lives in the cursor's scratch (or the mapping) beside
 // its neighbours in the extent and is valid only until the callback
-// returns, or, when it is a slice of a pooled handle's shared mapping,
-// pinned until the query's next Idle — see MessageRef.
+// returns, or, when it is a slice of a pooled handle's shared mapping
+// (Bag.Pinned), until the query's next Idle — see MessageRef.
 //
-// A mapped part can be cut under the query, by a callback, without any
-// read failing. So before each entry is read a container.Guard checks
-// that the index still holds it (container.Topic.IndexGuard; the entries
-// in the index's last page are first copied, HoldTail), the run's Guard
-// checks the data before each callback, and once more after the
-// selection's last; every fault is the policy's to recover (settle) into
-// the part's ErrIndexBeyondData.
+// A mapped part's data can be cut under the query, by a callback,
+// without any read failing. So the run's container.Guard checks the
+// data before each callback, and once more after the selection's last;
+// every fault is the policy's to recover (settle) into the part's
+// ErrIndexBeyondData. The index needs no guard: the selection lies in
+// bytes the process owns.
 func (c *cursor) deliver(n int) (err error) {
 	if n == 0 {
 		return nil
@@ -172,24 +166,9 @@ func (c *cursor) deliver(n int) (err error) {
 			return err
 		}
 		c.d.Seeks++
-		// A merge interleaves its cursors' deliveries and an extent outlives
-		// the call that read it, so a merged cursor reads into a buffer no
-		// other cursor touches: taken here, returned at close, so memory
-		// follows the cursors actually open.
-		if c.merged {
-			c.scratch = scratchPool.Get().(*msgScratch)
-		}
-		c.ixGuard, c.ixTail = t.IndexGuard(c.sel)
 	}
 	df, buf, conn, fn := c.df, &c.scratch.buf, t.Connection(), c.q.fn
 	for ; n > 0; n-- {
-		if c.pos >= c.ixTail { // the entry reaches into the mapped index's last page
-			if c.sel, err = t.HoldTail(c.sel, c.pos, &c.scratch.ix); err != nil {
-				return err
-			}
-			c.pos, c.ixGuard, c.ixTail = 0, container.Guard{}, math.MaxInt
-		}
-		c.ixGuard.Check()
 		e := c.sel.At(c.pos)
 		var data []byte
 		if c.held > 0 {
@@ -203,7 +182,6 @@ func (c *cursor) deliver(n int) (err error) {
 			}
 			c.d.DataReads++
 			c.guard = t.Guard(df, data)
-			c.pin = t.Pin(df, c.guard)
 			if k > 1 { // the read holds the next k-1 entries too
 				c.ext, c.extOff, c.held = data, e.PhysicalOffset, k-1
 				data = data[:e.Length:e.Length]
@@ -213,7 +191,7 @@ func (c *cursor) deliver(n int) (err error) {
 		c.d.BytesRead += int64(len(data))
 		c.d.MessagesRead++
 		c.pos++
-		if err := fn(MessageRef{Conn: conn, Time: e.Time, Data: data, Pin: c.pin}); err != nil {
+		if err := fn(MessageRef{Conn: conn, Time: e.Time, Data: data}); err != nil {
 			return err
 		}
 	}
@@ -223,10 +201,11 @@ func (c *cursor) deliver(n int) (err error) {
 	return nil
 }
 
-// close releases the reader, the index and a merged cursor's scratch,
-// and merges the cursor's counters into the bag's stats, the
-// container-level read counters and the query's attribution — the one
-// place a read's accounting lands. A second close does nothing.
+// close releases the reader and a merged cursor's scratch, with any
+// index read into it, and merges the cursor's counters into the bag's
+// stats, the container-level read counters and the query's attribution
+// — the one place a read's accounting lands. A second close does
+// nothing.
 func (c *cursor) close() {
 	if c.closed {
 		return
@@ -235,10 +214,9 @@ func (c *cursor) close() {
 	if c.df != nil {
 		c.df.Close()
 	}
-	c.ix.Close()
-	// Nothing keeps pointing into what was unmapped.
-	c.ix, c.sel, c.ext, c.guard, c.pin, c.ixGuard = container.IndexView{}, container.IndexView{}, nil, container.Guard{}, container.Guard{}, container.Guard{}
-	if c.merged && c.scratch != nil {
+	// Nothing keeps pointing into what was unmapped or handed back.
+	c.sel, c.ext, c.guard = container.IndexView{}, nil, container.Guard{}
+	if c.merged {
 		scratchPool.Put(c.scratch)
 	}
 	bag, d := c.q.bag, c.d
@@ -258,17 +236,16 @@ func (c *cursor) close() {
 }
 
 // settle, deferred by an ordering policy over the cursors it opened,
-// closes them all and turns a memory fault inside one of their mappings
-// — data or index, cut under the query, touched in selection, in the
-// merge heap, in a read or in the callback — into that part's
-// ErrIndexBeyondData. Any other panic goes on once the cursors are
-// closed.
+// closes them all and turns a memory fault inside one of their data
+// mappings — cut under the query, touched in a read or in the callback
+// — into that part's ErrIndexBeyondData. Any other panic goes on once
+// the cursors are closed.
 func settle(err *error, open *[]*cursor) {
 	p := recover()
 	var fault error
 	for _, c := range *open {
 		if p != nil && fault == nil {
-			fault = c.t.Fault(c.df, c.ix, p)
+			fault = c.t.Fault(c.df, p)
 		}
 		c.close()
 	}

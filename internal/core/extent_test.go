@@ -513,7 +513,7 @@ func TestCachedRunsStopAtBlocks(t *testing.T) {
 		}
 		end := func(e container.IndexEntry) int64 { return int64(e.PhysicalOffset) + int64(e.Length) }
 		var scratch, refScratch []byte
-		view, err := topic.ReadIndex()
+		view, err := topic.Index(obs.Span{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bagio"
+	"repro/internal/obs"
 )
 
 // TopicInfo summarizes one topic of an open BORA bag.
@@ -43,7 +44,7 @@ func (bag *Bag) Info() (Info, error) {
 	for i, ch := range chains {
 		ti := TopicInfo{Topic: ch.name, Type: ch.parts[0].Connection().Type}
 		for _, t := range ch.parts {
-			ix, err := t.ReadIndex()
+			ix, err := t.Index(obs.Span{}, nil)
 			if err != nil {
 				return info, err
 			}

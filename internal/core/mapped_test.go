@@ -26,8 +26,8 @@ func mappedLines(t *testing.T, dir string) int {
 }
 
 // TestNoMappingOutlivesAOneShotQuery: a one-shot handle maps a part's
-// index and data for the cursor that reads them and unmaps both when it
-// closes — after a query that returns, and after one that fails
+// data, and only its data, for the cursor that reads it and unmaps it
+// when it closes — after a query that returns, and after one that fails
 // mid-part, by its callback or by a cut — in every ordering policy. No
 // garbage collection is involved.
 func TestNoMappingOutlivesAOneShotQuery(t *testing.T) {
@@ -87,8 +87,8 @@ func TestNoMappingOutlivesAOneShotQuery(t *testing.T) {
 			if !errors.Is(err, c.want) {
 				t.Errorf("%s, a query that %s: err = %v, want %v", p.name, c.name, err, c.want)
 			}
-			if during != 2 {
-				t.Errorf("%s, a query that %s: %d mappings of the bag while it read, want the part's index and data", p.name, c.name, during)
+			if during != 1 {
+				t.Errorf("%s, a query that %s: %d mappings of the bag while it read, want the part's data alone", p.name, c.name, during)
 			}
 			if after := mappedLines(t, root); after != 0 {
 				t.Errorf("%s, a query that %s: %d mappings of the bag after it, want none", p.name, c.name, after)
@@ -97,16 +97,17 @@ func TestNoMappingOutlivesAOneShotQuery(t *testing.T) {
 	}
 }
 
-// TestIndexCutUnderQueryIsAnError: an index mapped for a query and cut
-// under it ends the query with the part's ErrIndexBeyondData instead of
-// the process, in every ordering policy, on a one-shot handle (mapped
-// per cursor) and a pooled one (mapped once), wherever the cut falls:
-// at a page boundary, so that the pages past it fault; inside a page,
-// which reads zeros to its end; inside the index's last page, which
-// nothing faults on. Every message delivered before the error is the
-// original, never an entry read as zeros. On the pooled handle a cut
-// between queries is refused when the next query opens the index.
-func TestIndexCutUnderQueryIsAnError(t *testing.T) {
+// TestIndexCutUnderQueryChangesNothing: a query reads a part's index as
+// it was when it selected the part, into bytes of its own, so a cut of
+// the index file under it — by its first callback, wherever the cut
+// falls — changes nothing it delivers: every original message, and no
+// error, in every ordering policy, on a one-shot handle (read per
+// cursor) and a pooled one (read once). The pooled handle goes on
+// serving the index it read after a cut between queries, windowed
+// queries included. A fresh one-shot handle reads the index as the cut
+// left it: a torn final entry is refused, and a cut between entries
+// serves exactly the whole entries before it.
+func TestIndexCutUnderQueryChangesNothing(t *testing.T) {
 	const msgs = 2000 // 56,000 bytes of index: 14 pages
 	b := newBORA(t)
 	bag := recordTopic(t, b, "bag", msgs, func(i int) int { return 100 + i%200 })
@@ -132,8 +133,14 @@ func TestIndexCutUnderQueryIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	pooled.MapData()
+	oneShot := func() *Bag {
+		bag, err := b.Open("bag")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bag
+	}
 	page := int64(os.Getpagesize())
-	lastPage := (int64(len(orig)) - 1) &^ (page - 1)
 	cuts := []struct {
 		name string
 		cut  int64
@@ -145,22 +152,28 @@ func TestIndexCutUnderQueryIsAnError(t *testing.T) {
 		{"in the last page, between entries", int64(len(orig)) - 10*container.IndexEntrySize},
 		{"in the last page, mid-entry", int64(len(orig)) - 10*container.IndexEntrySize - 5},
 	}
-	for _, c := range cuts[len(cuts)-2:] {
-		if c.cut <= lastPage {
-			t.Fatalf("cut %s at %d is not past the last page's start %d", c.name, c.cut, lastPage)
+	same := func(name string, got, want []string, err error) {
+		t.Helper()
+		if err != nil || len(got) != len(want) {
+			t.Errorf("%s: %d messages, err = %v; want %d and none", name, len(got), err, len(want))
+			return
 		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%s: message %d is not the original's", name, i)
+				return
+			}
+		}
+	}
+	window := func(spec QuerySpec) QuerySpec {
+		spec.Start, spec.End = entries[msgs/2].Time, entries[msgs-1].Time
+		return spec
 	}
 	for _, h := range []struct {
 		name string
 		open func() *Bag
 	}{
-		{"one-shot", func() *Bag {
-			bag, err := b.Open("bag")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return bag
-		}},
+		{"one-shot", oneShot},
 		{"pooled", func() *Bag { return pooled }},
 	} {
 		for _, c := range cuts {
@@ -178,42 +191,30 @@ func TestIndexCutUnderQueryIsAnError(t *testing.T) {
 					}
 					return nil
 				})
-				name := fmt.Sprintf("%s handle, index cut %s during the query, %s", h.name, c.name, p.name)
-				if !errors.Is(err, container.ErrIndexBeyondData) {
-					t.Errorf("%s: err = %v, want ErrIndexBeyondData", name, err)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Errorf("%s: message %d is not the original's", name, i)
-						break
-					}
-				}
+				same(fmt.Sprintf("%s handle, index cut %s during the query, %s", h.name, c.name, p.name), got, want, err)
 			}
 		}
 	}
-	if err := os.WriteFile(ixPath, orig, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := queryPrefix(pooled, QuerySpec{}); err != nil || len(got) != msgs {
-		t.Fatalf("pooled handle, index restored: %d messages, %v", len(got), err)
-	}
-	for _, cut := range []int64{page, cuts[len(cuts)-1].cut} {
+	for _, c := range cuts {
+		if err := os.WriteFile(ixPath, orig, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(ixPath, c.cut); err != nil {
+			t.Fatal(err)
+		}
 		for _, p := range everyPolicy {
-			spec := p.spec // a window: the selection reads the index past the cut
-			spec.Start, spec.End = entries[msgs/2].Time, entries[msgs-1].Time
-			// Once before the cut, so that the handle holds the time index.
-			if err := os.WriteFile(ixPath, orig, 0o644); err != nil {
-				t.Fatal(err)
+			got, err := queryPrefix(pooled, p.spec)
+			same(fmt.Sprintf("pooled handle, index cut %s between queries, %s", c.name, p.name), got, want, err)
+			got, err = queryPrefix(pooled, window(p.spec))
+			same(fmt.Sprintf("pooled handle, index cut %s between queries, windowed %s", c.name, p.name), got, want[msgs/2:], err)
+			got, err = queryPrefix(oneShot(), p.spec)
+			if c.cut%container.IndexEntrySize != 0 {
+				if err == nil || len(got) != 0 {
+					t.Errorf("one-shot handle opened after an index cut %s, %s: %d messages, err = %v; want none and an error", c.name, p.name, len(got), err)
+				}
+				continue
 			}
-			if got, err := queryPrefix(pooled, spec); err != nil || len(got) != msgs/2 {
-				t.Fatalf("pooled handle, index restored, windowed %s: %d messages, %v", p.name, len(got), err)
-			}
-			if err := os.Truncate(ixPath, cut); err != nil {
-				t.Fatal(err)
-			}
-			if got, err := queryPrefix(pooled, spec); len(got) != 0 || !errors.Is(err, container.ErrIndexBeyondData) {
-				t.Errorf("pooled handle, index cut to %d bytes between queries, windowed %s: %d messages, err = %v, want none and ErrIndexBeyondData", cut, p.name, len(got), err)
-			}
+			same(fmt.Sprintf("one-shot handle opened after an index cut %s, %s", c.name, p.name), got, want[:c.cut/container.IndexEntrySize], err)
 		}
 	}
 }
@@ -289,7 +290,7 @@ func TestCutByTheLastCallbackIsAnError(t *testing.T) {
 
 // TestPinnedDataLastsUntilIdle: a pooled handle's query pins the
 // payloads it hands out as slices of its shared mapping
-// (MessageRef.Pin), and calls Idle after each part's last delivery, so
+// (Bag.Pinned), and calls Idle after each part's last delivery, so
 // a callback that keeps pinned Data sees it checked, unchanged, before
 // the query returns — in every policy. A one-shot handle, whose cursors
 // unmap what they read, pins nothing.
@@ -307,7 +308,7 @@ func TestPinnedDataLastsUntilIdle(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := oneShot.Query(p.spec, func(m MessageRef) error {
-			if m.Pin != (container.Guard{}) {
+			if oneShot.Pinned(m) != (container.Guard{}) {
 				return errors.New("a one-shot handle pinned a payload")
 			}
 			return nil
@@ -334,7 +335,7 @@ func TestPinnedDataLastsUntilIdle(t *testing.T) {
 			return nil
 		}
 		err = pooled.Query(spec, func(m MessageRef) error {
-			if m.Pin == (container.Guard{}) {
+			if pooled.Pinned(m) == (container.Guard{}) {
 				return nil
 			}
 			mu.Lock()

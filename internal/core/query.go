@@ -66,7 +66,7 @@ type QuerySpec struct {
 	// Idle, when non-nil, is the moment for a callback that batches what
 	// it is handed (borad's frame batcher) to push the batch out. Every
 	// plan calls it after a part's last delivery, before it settles the
-	// part's cursors: the last moment pinned Data (MessageRef.Pin) of the
+	// part's cursors: the last moment pinned Data (Bag.Pinned) of the
 	// part may be read, inside the query's fault guard. A Follow query
 	// also calls it each time it has delivered everything recorded so far
 	// and is about to block until the next write. With Workers, several
@@ -87,8 +87,25 @@ type QuerySpec struct {
 // cancelCheckBatch is how many messages a cancellable query reads
 // between context checks: frequent enough that an abandoned stream
 // stops reading from disk promptly, infrequent enough that the check
-// (one atomic add, one channel poll) stays off the per-message profile.
+// (one ctx.Err) stays off the per-message profile.
 const cancelCheckBatch = 64
+
+// checkCancel wraps fn in ctx's cancellation check, made once every
+// cancelCheckBatch messages. It counts in a plain int: a wrapper belongs
+// to the one goroutine that delivers through it — the query's, or one
+// worker's of a pooled topic-order plan.
+func checkCancel(ctx context.Context, fn func(MessageRef) error) func(MessageRef) error {
+	if ctx.Done() == nil {
+		return fn
+	}
+	n := 0
+	return func(m MessageRef) error {
+		if n++; n%cancelCheckBatch == 1 && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		return fn(m)
+	}
+}
 
 // Query reads the bag per spec, invoking fn for every delivered
 // message. The plan — and the obs op it is recorded under — follows
@@ -149,41 +166,28 @@ func (bag *Bag) QuerySpanContext(ctx context.Context, parent obs.Span, spec Quer
 			return inner(m)
 		}
 	}
-	if done := ctx.Done(); done != nil {
-		// The check wraps outside the predicate so it counts messages
-		// read, not messages delivered: a query whose predicate rejects
-		// everything still notices cancellation. The counter is atomic
-		// because pooled streams deliver from several goroutines.
-		inner := fn
-		var n atomic.Int64
-		fn = func(m MessageRef) error {
-			if n.Add(1)%cancelCheckBatch == 1 {
-				select {
-				case <-done:
-					return ctx.Err()
-				default:
-				}
-			}
-			return inner(m)
-		}
-	}
 	// Per-query attribution: the ActiveQuery (if any) is fetched from the
 	// context exactly once per query and carried by pointer — the
-	// per-message hot loops never touch the context.
+	// per-message hot loops never touch the context. The cancellation
+	// check wraps outside the predicate so it counts messages read, not
+	// messages delivered: a query whose predicate rejects everything
+	// still notices cancellation.
 	q := &query{QuerySpec: spec, bag: bag, aq: obs.QueryFromContext(ctx), fn: fn}
 	switch {
 	case spec.Follow:
 		if spec.Workers != 0 {
 			return fmt.Errorf("bora: Follow queries are serial; Workers must be 0, got %d", spec.Workers)
 		}
+		q.fn = checkCancel(ctx, fn)
 		return q.follow(ctx, parent)
 	case spec.Order == OrderTime:
 		if spec.Workers != 0 {
 			return fmt.Errorf("bora: OrderTime queries are serial; Workers must be 0, got %d", spec.Workers)
 		}
+		q.fn = checkCancel(ctx, fn)
 		return q.readTime(parent)
 	default:
-		return q.readTopics(parent)
+		return q.readTopics(ctx, parent)
 	}
 }
 
@@ -193,7 +197,7 @@ type query struct {
 	QuerySpec
 	bag *Bag
 	aq  *obs.ActiveQuery
-	fn  func(MessageRef) error // the callback behind the predicate and cancellation wraps
+	fn  func(MessageRef) error // the callback behind the predicate and cancellation wraps (a pooled worker's copy, its own)
 	// A live Follow's snapshot cut: limits caps each part's selection at
 	// its entry count when the query subscribed (absent parts select
 	// nothing), and phases receives each chain's stride phase at the cut
@@ -226,8 +230,9 @@ func (q *query) bounded() bool {
 // concurrent streams never share a read buffer and steady-state
 // streaming stays allocation-free across queries. The borrowed-Data
 // contract consequently holds per callback invocation even though fn
-// fires from several goroutines.
-func (q *query) readTopics(parent obs.Span) (err error) {
+// fires from several goroutines. Each worker delivers through a copy of
+// the query whose callback counts for its cancellation check alone.
+func (q *query) readTopics(ctx context.Context, parent obs.Span) (err error) {
 	op := q.bag.ops.read
 	if q.Workers != 0 {
 		op = q.bag.ops.readPooled
@@ -253,7 +258,7 @@ func (q *query) readTopics(parent obs.Span) (err error) {
 	// A part's core.read_topic span is a child of the policy's, or — for
 	// a pooled stream — a fork, which gives each concurrent stream its
 	// own trace lane with a stable, disjoint track id.
-	startSpan := sp.ChildOp
+	startSpan, fn := sp.ChildOp, q.fn
 	if workers > 1 {
 		startSpan = sp.ForkOp
 		// Checked on every delivery: once a topic fails, in-flight streams
@@ -261,7 +266,7 @@ func (q *query) readTopics(parent obs.Span) (err error) {
 		// callback raises the flag as it returns, not once its part has
 		// settled, so no other stream outruns the failure.
 		inner := q.fn
-		q.fn = func(m MessageRef) error {
+		fn = func(m MessageRef) error {
 			if first := failed.Load(); first != nil {
 				return *first
 			}
@@ -275,6 +280,8 @@ func (q *query) readTopics(parent obs.Span) (err error) {
 	worker := func() {
 		defer wg.Done()
 		defer panicOnFault(panicOnFault(true))
+		w := *q
+		w.fn = checkCancel(ctx, fn)
 		scratch := scratchPool.Get().(*msgScratch)
 		defer scratchPool.Put(scratch)
 		for failed.Load() == nil {
@@ -284,7 +291,7 @@ func (q *query) readTopics(parent obs.Span) (err error) {
 			}
 			phase := 0
 			for _, t := range chains[i].parts {
-				if err := q.readPart(startSpan(q.bag.ops.readTopic), t, &phase, scratch); err != nil {
+				if err := w.readPart(startSpan(q.bag.ops.readTopic), t, &phase, scratch); err != nil {
 					failed.CompareAndSwap(nil, &err)
 					break
 				}
@@ -351,14 +358,14 @@ func (q *query) readTime(parent obs.Span) (err error) {
 	if err != nil {
 		return err
 	}
-	// Each cursor takes a read buffer of its own when it opens
-	// (cursor.deliver): an extent it read is still being served while
-	// other cursors read theirs.
+	// Each cursor takes a scratch of its own when it is made, for its
+	// index and its reads, and close returns it: an extent it read is
+	// still being served while other cursors read theirs.
 	var h mergeHeap
 	for _, ch := range chains {
 		phase := 0
 		for _, t := range ch.parts {
-			c := &cursor{q: q, t: t, merged: true}
+			c := &cursor{q: q, t: t, merged: true, scratch: scratchPool.Get().(*msgScratch)}
 			open = append(open, c)
 			if err := c.selectEntries(sp, &phase); err != nil {
 				return err
@@ -452,7 +459,7 @@ func (q *query) follow(ctx context.Context, parent obs.Span) (err error) {
 	// delivered one per call in journal order, so deliver looks ahead
 	// over a message's physical neighbours and each cursor reads one
 	// extent per batch. Cursors interleave as in the merge, so each takes
-	// a scratch of its own when it opens.
+	// a scratch of its own when it is made.
 	//
 	// One cursor per topic, keyed by name: rotation only moves forward,
 	// so when a topic's entries land in a newer part its previous cursor
@@ -492,7 +499,7 @@ func (q *query) follow(ctx context.Context, parent obs.Span) (err error) {
 				if c != nil {
 					finished = append(finished, c)
 				}
-				c = &cursor{q: q, t: ref.t, merged: true}
+				c = &cursor{q: q, t: ref.t, merged: true, scratch: scratchPool.Get().(*msgScratch)}
 				cursors[topic] = c
 			}
 			c.d.EntriesScanned++
@@ -512,7 +519,7 @@ func (q *query) follow(ctx context.Context, parent obs.Span) (err error) {
 				return err
 			}
 			if c.pos == c.sel.Len() {
-				c.sel, c.pos = c.sel.Reset(), 0 // drained: the next batch reuses it
+				c.sel, c.pos = c.sel.Reset(0), 0 // drained: the next batch reuses it
 			}
 		}
 		for _, c := range finished {

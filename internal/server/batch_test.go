@@ -432,7 +432,7 @@ func TestDisconnectMidBatch(t *testing.T) {
 }
 
 // sharedPin returns a pin of a pooled handle's shared mapping, as a
-// query hands it out (core.MessageRef.Pin); the pool stays reachable,
+// query's callback asks for it (core.Bag.Pinned); the pool stays reachable,
 // and the mapping with it, until the test ends.
 func sharedPin(t *testing.T) container.Guard {
 	t.Helper()
@@ -445,8 +445,8 @@ func sharedPin(t *testing.T) container.Guard {
 	}
 	var pin container.Guard
 	if err := bag.Query(core.QuerySpec{}, func(m core.MessageRef) error {
-		if m.Pin != (container.Guard{}) {
-			pin = m.Pin
+		if g := bag.Pinned(m); g != (container.Guard{}) {
+			pin = g
 		}
 		return nil
 	}); err != nil {
@@ -734,10 +734,11 @@ func TestFlushChecksPinsAfterTheWrite(t *testing.T) {
 		if off < 100*int64(page) || off%int64(page) != 0 {
 			return nil
 		}
-		if pinned := m.Pin != (container.Guard{}); !c.vectored || !pinned {
+		pin := bag.Pinned(m)
+		if pinned := pin != (container.Guard{}); !c.vectored || !pinned {
 			return fmt.Errorf("payload at %d: vectored %v, pinned %v; want both", off, c.vectored, pinned)
 		}
-		q.out.msg(wire.Msg{Data: m.Data}, m.Pin)
+		q.out.msg(wire.Msg{Data: m.Data}, pin)
 		if err := os.Truncate(filepath.Join(b.Root(), "p", "a", container.DataFileName), off+int64(page/4)); err != nil {
 			return err
 		}

@@ -506,7 +506,7 @@ func (c *conn) close() {
 // appended, behind whatever was pending.
 const flushBytes = 64 << 10
 
-// pinBytes is the smallest pinned payload (core.MessageRef.Pin) a
+// pinBytes is the smallest pinned payload (core.Bag.Pinned) a
 // stream sends from its mapping, by writev, rather than copying it into
 // the batch. Measured on a 2-CPU host, loopback TCP, 64 KiB batches of
 // one payload size: copying wins below it (256 B–1 KiB: 2.1–2.4 GB/s
@@ -544,7 +544,7 @@ type batch struct {
 	bytes  uint64            // their payload bytes
 }
 
-// msg appends m's MSG frame. With a pin (core.MessageRef.Pin) it
+// msg appends m's MSG frame. With a pin (core.Bag.Pinned) it
 // leaves m.Data where it lies, to be written from there.
 func (b *batch) msg(m wire.Msg, pin container.Guard) {
 	if pin == (container.Guard{}) {
@@ -1100,9 +1100,9 @@ func (c *conn) runQuery(q *query, req wire.QueryReq, recv time.Time) {
 			}
 			lastConn, lastIdx = m.Conn, i
 		}
-		pin := m.Pin
-		if !c.vectored || len(m.Data) < pinBytes {
-			pin = container.Guard{} // copied
+		var pin container.Guard // zero: copied
+		if c.vectored && len(m.Data) >= pinBytes {
+			pin = bag.Pinned(m)
 		}
 		q.out.msg(wire.Msg{Conn: lastIdx, Time: m.Time, Data: m.Data}, pin)
 		count++
