@@ -730,6 +730,35 @@ var archRules = []archRule{
 		seeds: []seedFile{{"internal/core/zz_seed.go", `package core; func zz(c interface{ CreateTopicOpts() }) { c.CreateTopicOpts() }`}},
 	},
 	{
+		name: "sites/atomic-writes-only-rewrite-metas",
+		why: "a building container's files are written in place and made durable by the one barrier of its seal (container.CommitFS); " +
+			"a temp file and a rename are only for a meta a reader may hold: container.writeMeta (seal, Repair, StampDerivation) and the live meta writer",
+		check: func(tr *tree) (string, []string) {
+			allowed := map[string]bool{"internal/container.writeMeta": true, "internal/core.writeLiveMeta": true}
+			var held, bad []string
+			for _, f := range tr.files {
+				for _, d := range f.ast.Decls {
+					site := f.dir + "."
+					if fd, ok := d.(*ast.FuncDecl); ok {
+						site += fd.Name.Name
+					}
+					ast.Inspect(d, func(n ast.Node) bool {
+						if n != nil && calledQualified(f, n, "internal/faultfs", "WriteFileAtomic") {
+							if allowed[site] {
+								held = append(held, site)
+							} else {
+								bad = append(bad, tr.pos(n)+": faultfs.WriteFileAtomic called from "+site)
+							}
+						}
+						return true
+					})
+				}
+			}
+			return fmt.Sprintf("faultfs.WriteFileAtomic called from %v", held), bad
+		},
+		seeds: []seedFile{{"internal/container/zz_seed.go", `package container; import "repro/internal/faultfs"; func zz() { faultfs.WriteFileAtomic(nil, "", nil, 0) }`}},
+	},
+	{
 		name: "sites/two-type-registrations",
 		why:  "msgdef fills a connection's md5sum and definition at two (topic, type) registrations: Recorder.typedConnLocked, rosbag Writer.AddConnection",
 		check: func(tr *tree) (string, []string) {

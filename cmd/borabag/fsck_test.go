@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -63,6 +64,46 @@ func fsckBackend(t *testing.T, dir string, crashAt int64) *core.BORA {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// crashPoint names a back-end operation by what it does — "op path",
+// the path relative to the back end — and by which occurrence of it, so
+// a fixture crashes at the same step however many operations the write
+// path issues before it.
+type crashPoint struct {
+	op  string
+	nth int
+}
+
+// number runs build fault-free through an injector and returns the
+// number of p's operation in that run's trace: the CrashAt that stops a
+// run of build at p.
+func (p crashPoint) number(t *testing.T, build func(*core.BORA) error) int64 {
+	t.Helper()
+	backend := t.TempDir()
+	in := faultfs.NewInjector(faultfs.OS, faultfs.Plan{})
+	b, err := core.New(backend, core.Options{IndexFlushEvery: 1, FS: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := build(b); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, line := range in.Trace() {
+		n, op, _ := strings.Cut(line, " ")
+		if strings.ReplaceAll(op, backend+"/", "") == p.op {
+			if seen++; seen == p.nth {
+				at, err := strconv.ParseInt(n, 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return at
+			}
+		}
+	}
+	t.Fatalf("a clean run has no operation %q number %d", p.op, p.nth)
+	return 0
 }
 
 // fsckRecordLive records three segments' worth of messages into the
@@ -130,9 +171,9 @@ func TestFsckCommandBothLayouts(t *testing.T) {
 		"striped topic data (written by an older build) is not supported"
 	type run struct{ out, err string }
 	cases := []struct {
-		name    string
-		build   func(*core.BORA) error
-		crashAt int64
+		name  string
+		build func(*core.BORA) error
+		crash crashPoint // none: the build runs to completion
 		// check is plain fsck of the fixture, repair is fsck -repair of
 		// it, after is plain fsck once repaired.
 		check, repair, after run
@@ -141,7 +182,8 @@ func TestFsckCommandBothLayouts(t *testing.T) {
 			check:  run{out: "<be>/bag: clean (3 topics)\n"},
 			repair: run{out: "<be>/bag: clean (3 topics)\n"},
 			after:  run{out: "<be>/bag: clean (3 topics)\n"}},
-		{name: "crashed classic duplicate", build: duplicate, crashAt: 60,
+		{name: "crashed classic duplicate", build: duplicate,
+			crash: crashPoint{op: "write bag/camera#rgb#image_color/index", nth: 5},
 			check: run{out: "<be>/bag: 9 findings across 3 topics\n",
 				err: "fsck: container is damaged (re-run with -repair to fix)"},
 			repair: run{out: "<be>/bag: 9 findings across 3 topics\n<be>/bag: repaired, now clean (3 topics)\n"},
@@ -150,7 +192,8 @@ func TestFsckCommandBothLayouts(t *testing.T) {
 			check:  run{out: "<be>/bag: clean (live layout, 3 segments)\n"},
 			repair: run{out: "<be>/bag: clean (live layout, 3 segments)\n"},
 			after:  run{out: "<be>/bag: clean (live layout, 3 segments)\n"}},
-		{name: "crashed live recording", build: fsckRecordLive, crashAt: 120,
+		{name: "crashed live recording", build: fsckRecordLive,
+			crash: crashPoint{op: "create bag/seg-00000001/imu/index", nth: 1},
 			check: run{out: "<be>/bag: 4 findings across 2 segments (live layout)\n",
 				err: "fsck: live bag is damaged (re-run with -repair to fix)"},
 			repair: run{out: "<be>/bag: 4 findings across 2 segments (live layout)\n<be>/bag: repaired, now sealed and clean (2 segments)\n"},
@@ -164,9 +207,13 @@ func TestFsckCommandBothLayouts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			var crashAt int64
+			if tc.crash.op != "" {
+				crashAt = tc.crash.number(t, tc.build)
+			}
 			backend := t.TempDir()
-			err := tc.build(fsckBackend(t, backend, tc.crashAt))
-			if (err != nil) != (tc.crashAt > 0) {
+			err := tc.build(fsckBackend(t, backend, crashAt))
+			if (err != nil) != (crashAt > 0) {
 				t.Fatalf("building the fixture: %v", err)
 			}
 			for _, step := range []struct {

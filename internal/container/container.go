@@ -197,9 +197,11 @@ func CreateFS(root string, fs faultfs.Backend) (*Container, error) {
 	if len(ents) > 0 {
 		return nil, fmt.Errorf("container: %s is not empty", root)
 	}
+	// Written in place: a building container's files get no sync and no
+	// rename until its seal commits them all at once (CommitFS).
 	m := &Meta{State: StateBuilding}
-	if err := writeMeta(fs, root, m); err != nil {
-		return nil, err
+	if err := faultfs.WriteFile(fs, filepath.Join(root, MetaFileName), buildingMeta); err != nil {
+		return nil, fmt.Errorf("container: write meta: %w", err)
 	}
 	return &Container{root: root, fs: fs, meta: m, topics: map[string]*Topic{}}, nil
 }
@@ -304,7 +306,7 @@ func (c *Container) CreateTopicOpts(conn *bagio.Connection, opts TopicOptions) (
 	if opts.IndexFlushEvery <= 0 {
 		opts.IndexFlushEvery = DefaultIndexFlushEvery
 	}
-	if err := faultfs.WriteFileAtomic(c.fs, filepath.Join(dir, ConnFileName), encodeConn(conn), 0o644); err != nil {
+	if err := faultfs.WriteFile(c.fs, filepath.Join(dir, ConnFileName), encodeConn(conn)); err != nil {
 		return nil, err
 	}
 	t := &Topic{dir: dir, topic: conn.Topic, conn: conn, growing: true, loaded: true, indexLoadOp: c.indexLoadOp}
@@ -448,11 +450,13 @@ func (tw *TopicWriter) flushIndex() error {
 	return nil
 }
 
-// Close flushes and syncs the data and index files and persists the
-// checksum record, then the coarse time index. The order (data, then
+// Close flushes the data and index files and writes the checksum
+// record, then the coarse time index, all in place and unsynced: the
+// container's seal makes them durable (CommitFS). The order (data, then
 // index, then checksum, then the rebuildable time index) matches the
-// recovery invariant fsck assumes: anything the index claims is backed
-// by data, and a checksum only exists for a complete topic.
+// recovery invariant fsck assumes of a crash that stops the writes:
+// anything the index claims is backed by data, and a checksum only
+// exists for a complete topic.
 func (tw *TopicWriter) Close() error {
 	if tw.closed {
 		return tw.err
@@ -466,16 +470,7 @@ func (tw *TopicWriter) Close() error {
 		tw.data.Close()
 		return err
 	}
-	if err := tw.data.Sync(); err != nil {
-		tw.data.Close()
-		tw.index.Close()
-		return err
-	}
 	if err := tw.data.Close(); err != nil {
-		tw.index.Close()
-		return err
-	}
-	if err := tw.index.Sync(); err != nil {
 		tw.index.Close()
 		return err
 	}
@@ -559,9 +554,10 @@ func readTimeIndex(dir string) (*timeindex.Index, error) {
 	return timeindex.Unmarshal(buf)
 }
 
-// writeTimeIndex persists tix as dir's timeidx file, atomically.
+// writeTimeIndex writes tix as dir's timeidx file, in place: a commit
+// (CommitFS) makes it durable.
 func writeTimeIndex(fs faultfs.Backend, dir string, tix *timeindex.Index) error {
-	return faultfs.WriteFileAtomic(fs, filepath.Join(dir, TimeIdxFileName), tix.Marshal(), 0o644)
+	return faultfs.WriteFile(fs, filepath.Join(dir, TimeIdxFileName), tix.Marshal())
 }
 
 // buildTimeIndex derives the coarse time index from a topic's entries:

@@ -1,6 +1,7 @@
 package container
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -112,6 +113,12 @@ type topicState struct {
 	drop   bool     // unrepairable: remove the whole topic dir
 }
 
+// tornBeforeSeal heads the detail of a finding on a file a container
+// that never committed holds torn. Its files are written in place and
+// synced only by the seal, so a crash mid-build can cut any of them:
+// damage of a building container, not corruption of a committed bag.
+const tornBeforeSeal = "building container, torn before the seal"
+
 // Fsck checks the container rooted at root for crash damage and
 // corruption, returning a typed report. It never mutates the tree; the
 // error return is reserved for inability to examine it (root missing,
@@ -126,12 +133,22 @@ func fsck(root string) (*Report, []*topicState, error) {
 	if _, err := os.Stat(root); err != nil {
 		return nil, nil, fmt.Errorf("container: fsck %s: %w", root, err)
 	}
+	// building: the container never committed — its meta is missing
+	// (a copy stopped before its commit), building, or the building meta
+	// torn while CreateFS wrote it in place.
+	metaPath := filepath.Join(root, MetaFileName)
 	meta, err := ReadMeta(root)
+	building := err != nil || !meta.Sealed()
 	switch {
 	case os.IsNotExist(err):
-		rep.add(FindingMissingMeta, "", filepath.Join(root, MetaFileName), "no container meta file")
+		rep.add(FindingMissingMeta, "", metaPath, "no container meta file")
 	case err != nil:
-		rep.add(FindingBadMeta, "", filepath.Join(root, MetaFileName), "%v", err)
+		if raw, rerr := os.ReadFile(metaPath); rerr == nil && len(raw) < len(buildingMeta) && bytes.HasPrefix(buildingMeta, raw) {
+			rep.add(FindingBadMeta, "", metaPath, "%s: %d of the building meta's %d bytes: %v", tornBeforeSeal, len(raw), len(buildingMeta), err)
+		} else {
+			building = false
+			rep.add(FindingBadMeta, "", metaPath, "%v", err)
+		}
 	case !meta.Sealed():
 		rep.add(FindingStaleMeta, "", filepath.Join(root, MetaFileName),
 			"meta state is %q: the organize pass never committed", meta.State)
@@ -152,7 +169,7 @@ func fsck(root string) (*Report, []*topicState, error) {
 			continue
 		}
 		present[ent.Name()] = true
-		st := fsckTopic(rep, filepath.Join(root, ent.Name()), ent.Name())
+		st := fsckTopic(rep, filepath.Join(root, ent.Name()), ent.Name(), building)
 		states = append(states, st)
 	}
 	rep.Topics = len(states)
@@ -169,9 +186,19 @@ func fsck(root string) (*Report, []*topicState, error) {
 	return rep, states, nil
 }
 
-// fsckTopic examines one topic directory and records findings.
-func fsckTopic(rep *Report, dir, dirName string) *topicState {
+// fsckTopic examines one topic directory and records findings; building
+// says the container never committed, so a file that is there but does
+// not decode was torn before the seal.
+func fsckTopic(rep *Report, dir, dirName string, building bool) *topicState {
 	st := &topicState{dir: dir, name: DecodeTopicDir(dirName), dataSize: -1}
+	// torn is the detail of a finding on a file that failed to load with
+	// err: a building container's file that exists was torn by the crash.
+	torn := func(err error) string {
+		if building && !errors.Is(err, os.ErrNotExist) {
+			return tornBeforeSeal + ": " + err.Error()
+		}
+		return err.Error()
+	}
 
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -192,7 +219,7 @@ func fsckTopic(rep *Report, dir, dirName string) *topicState {
 		rep.add(FindingStripedLayout, st.name, filepath.Join(dir, ConnFileName), "%v", err)
 		return st
 	} else if err != nil {
-		rep.add(FindingBadConn, st.name, filepath.Join(dir, ConnFileName), "%v", err)
+		rep.add(FindingBadConn, st.name, filepath.Join(dir, ConnFileName), "%s", torn(err))
 		st.drop = true
 	} else {
 		st.name = conn.Topic
@@ -246,7 +273,7 @@ func fsckTopic(rep *Report, dir, dirName string) *topicState {
 	// or unparsable is one (repairable) finding; orphans another.
 	tixPath := filepath.Join(dir, TimeIdxFileName)
 	if tix, err := readTimeIndex(dir); err != nil {
-		rep.add(FindingBadTimeIdx, st.name, tixPath, "%v", err)
+		rep.add(FindingBadTimeIdx, st.name, tixPath, "%s", torn(err))
 	} else {
 		st.window = int64(tix.Window())
 		if err := checkTimeIndex(tix, st.keep); err != nil {
@@ -260,7 +287,7 @@ func fsckTopic(rep *Report, dir, dirName string) *topicState {
 	case os.IsNotExist(err):
 		rep.add(FindingChecksumMissing, st.name, filepath.Join(dir, ChecksumFileName), "no checksum record")
 	case err != nil:
-		rep.add(FindingChecksumMismatch, st.name, filepath.Join(dir, ChecksumFileName), "%v", err)
+		rep.add(FindingChecksumMismatch, st.name, filepath.Join(dir, ChecksumFileName), "%s", torn(err))
 	case st.dataSize >= 0 && length != st.dataSize:
 		rep.add(FindingChecksumMismatch, st.name, filepath.Join(dir, ChecksumFileName),
 			"checksum records %d bytes, data has %d", length, st.dataSize)
@@ -337,8 +364,9 @@ func RepairFS(root string, fs faultfs.Backend) (*Report, error) {
 	sort.Strings(manifest)
 	// A repair reseal mints a fresh generation: cached handles built from
 	// the pre-repair tree must read as stale even when the surviving
-	// topic set is unchanged.
-	if err := writeMeta(fs, root, &Meta{State: StateSealed, Gen: newGen(), TopicDirs: manifest}); err != nil {
+	// topic set is unchanged. It commits like a seal: the rewritten files
+	// are durable before the meta names them.
+	if err := CommitFS(fs, root, &Meta{State: StateSealed, Gen: newGen(), TopicDirs: manifest}); err != nil {
 		return nil, err
 	}
 	return Fsck(root)

@@ -219,6 +219,96 @@ func TestFsckDetectsDebrisAndBadTimeIdx(t *testing.T) {
 	}
 }
 
+// TestFsckTornInPlaceFiles tears each file a building container writes
+// in place — the building meta, a topic's conn, checksum and timeidx —
+// to a prefix, as a crash mid-write leaves it: fsck flags it as damage
+// of a container that never committed, and Repair converges to a clean
+// container. The same torn checksum in a sealed container keeps the
+// plain detail: there it is corruption.
+func TestFsckTornInPlaceFiles(t *testing.T) {
+	building := func(t *testing.T) (root, dir string) {
+		t.Helper()
+		root = filepath.Join(t.TempDir(), "bag")
+		c, err := Create(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tw, err := c.CreateTopic(&bagio.Connection{Topic: "/imu", Type: "sensor_msgs/Imu"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			if err := tw.Append(bagio.Time{Sec: uint32(i)}, []byte{byte(i), byte(i + 1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return root, filepath.Join(root, EncodeTopicDir("/imu"))
+	}
+	// tear cuts a file to its first half.
+	tear := func(t *testing.T, path string) {
+		t.Helper()
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, st.Size()/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		file string // relative to the topic directory; ".." names the root
+		kind FindingKind
+	}{
+		{"../" + MetaFileName, FindingBadMeta},
+		{ConnFileName, FindingBadConn},
+		{ChecksumFileName, FindingChecksumMismatch},
+		{TimeIdxFileName, FindingBadTimeIdx},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			root, dir := building(t)
+			path := filepath.Join(dir, tc.file)
+			tear(t, path)
+			rep, err := Fsck(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var f *Finding
+			for i := range rep.Findings {
+				if rep.Findings[i].Kind == tc.kind {
+					f = &rep.Findings[i]
+				}
+			}
+			if f == nil || f.Path != path || !strings.HasPrefix(f.Detail, tornBeforeSeal+": ") {
+				t.Fatalf("findings %v, want %s on %s reading %q", rep.Findings, tc.kind, path, tornBeforeSeal)
+			}
+			after, err := RepairFS(root, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !after.Clean() {
+				t.Fatalf("post-repair findings: %v", after.Findings)
+			}
+			if _, err := Open(root); err != nil {
+				t.Fatalf("repaired container does not open: %v", err)
+			}
+		})
+	}
+	t.Run("sealed", func(t *testing.T) {
+		root, dir := buildSealedTopic(t)
+		tear(t, filepath.Join(dir, ChecksumFileName))
+		rep, err := Fsck(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hasFinding(rep, FindingChecksumMismatch) || strings.Contains(fmt.Sprint(rep.Findings), tornBeforeSeal) {
+			t.Fatalf("findings on a sealed container's torn checksum: %v", rep.Findings)
+		}
+	})
+}
+
 // TestStripedLayoutRefused: a topic directory an older build wrote with
 // its data striped across lane files (conn file: stripes=4) is refused
 // by Open with the typed error, is one fsck finding, and is left alone

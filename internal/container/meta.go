@@ -94,9 +94,8 @@ func ReadMeta(root string) (*Meta, error) {
 	return m, nil
 }
 
-// writeMeta persists m atomically (temp file + rename), so a crash at
-// any point leaves the previous meta — or none — but never a torn one.
-func writeMeta(fs faultfs.Backend, root string, m *Meta) error {
+// encodeMeta renders m as a meta file.
+func encodeMeta(m *Meta) []byte {
 	var b strings.Builder
 	b.WriteString(metaMagic)
 	b.WriteByte('\n')
@@ -112,7 +111,18 @@ func writeMeta(fs faultfs.Backend, root string, m *Meta) error {
 	for _, d := range dirs {
 		b.WriteString("topic=" + d + "\n")
 	}
-	if err := faultfs.WriteFileAtomic(fs, filepath.Join(root, MetaFileName), []byte(b.String()), 0o644); err != nil {
+	return []byte(b.String())
+}
+
+// buildingMeta is the meta CreateFS writes in place: a meta file that is
+// a strict prefix of it was torn by a crash before the container's seal.
+var buildingMeta = encodeMeta(&Meta{State: StateBuilding})
+
+// writeMeta rewrites the meta of a committed container — or commits a
+// building one — atomically (temp file + rename), so a crash at any
+// point leaves the previous meta, never a torn one.
+func writeMeta(fs faultfs.Backend, root string, m *Meta) error {
+	if err := faultfs.WriteFileAtomic(fs, filepath.Join(root, MetaFileName), encodeMeta(m), 0o644); err != nil {
 		return fmt.Errorf("container: write meta: %w", err)
 	}
 	return nil
@@ -168,17 +178,57 @@ func (c *Container) Derivation() string {
 }
 
 // Seal commits the container: the meta flips to sealed, mints a fresh
-// generation, and records the topic directory manifest. Until Seal
-// succeeds the container cannot be opened or listed.
+// generation, and records the topic directory manifest (CommitFS).
+// Until Seal succeeds the container cannot be opened or listed.
 func (c *Container) Seal() error {
 	dirs := make([]string, 0, len(c.topics))
 	for name := range c.topics {
 		dirs = append(dirs, EncodeTopicDir(name))
 	}
 	m := &Meta{State: StateSealed, Gen: newGen(), TopicDirs: dirs}
-	if err := writeMeta(c.fs, c.root, m); err != nil {
+	if err := CommitFS(c.fs, c.root, m); err != nil {
 		return err
 	}
 	c.meta = m
+	return nil
+}
+
+// CommitFS is the second phase of a container's group commit; the first
+// wrote every file of the tree at root in place, with no sync. One
+// barrier (SyncAll) makes durable every file of the topic directories m
+// names, those directories, root and root's parent — so the entries
+// naming them are on disk too. Only then does the sealed meta m replace
+// the building one by rename, the commit point, and a sync of root makes
+// the rename durable. A crash anywhere before the rename leaves a
+// building container, which Open and List refuse and Repair completes.
+// Seal, Repair's reseal and a copied container commit through it.
+func CommitFS(fs faultfs.Backend, root string, m *Meta) error {
+	fs = faultfs.Or(fs)
+	dirs := append([]string(nil), m.TopicDirs...)
+	sort.Strings(dirs)
+	var paths []string
+	for _, d := range dirs {
+		dir := filepath.Join(root, d)
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			return fmt.Errorf("container: commit: %w", err)
+		}
+		for _, ent := range ents {
+			if !ent.IsDir() {
+				paths = append(paths, filepath.Join(dir, ent.Name()))
+			}
+		}
+		paths = append(paths, dir)
+	}
+	paths = append(paths, root, filepath.Dir(root))
+	if err := fs.SyncAll(paths); err != nil {
+		return fmt.Errorf("container: commit: %w", err)
+	}
+	if err := writeMeta(fs, root, m); err != nil {
+		return err
+	}
+	if err := fs.SyncDir(root); err != nil {
+		return fmt.Errorf("container: commit: %w", err)
+	}
 	return nil
 }

@@ -17,13 +17,14 @@ const ChecksumFileName = "checksum"
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// writeChecksum persists the integrity record for a topic's data file,
-// atomically so a crash can never leave a torn (wrong-length) record.
+// writeChecksum writes the integrity record for a topic's data file in
+// place: a commit (CommitFS) makes it durable, and a record a crash tore
+// has the wrong length, which fsck reports.
 func writeChecksum(fs faultfs.Backend, dir string, sum uint32, length int64) error {
 	var buf [12]byte
 	binary.LittleEndian.PutUint32(buf[0:4], sum)
 	binary.LittleEndian.PutUint64(buf[4:12], uint64(length))
-	return faultfs.WriteFileAtomic(fs, filepath.Join(dir, ChecksumFileName), buf[:], 0o644)
+	return faultfs.WriteFile(fs, filepath.Join(dir, ChecksumFileName), buf[:])
 }
 
 // readChecksum loads a topic's integrity record.

@@ -284,12 +284,17 @@ func (b *BORA) CopyContainer(srcRoot, name string) (*Bag, error) {
 	return b.Open(name)
 }
 
-// copyTree copies the sealed container at src to dst through fs. The
-// meta file goes last and atomically — the commit point organize uses —
-// so a copy interrupted anywhere is a directory Open and List refuse,
-// never a sealed container with topics missing.
+// copyTree copies the sealed container at src to dst through fs, in
+// the two phases of a seal: every file is copied in place with no sync,
+// then container.CommitFS makes them durable and writes the source's
+// meta last, atomically — so a copy interrupted anywhere is a directory
+// Open and List refuse, never a sealed container with topics missing.
 func copyTree(fs faultfs.Backend, src, dst string) error {
-	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+	meta, err := container.ReadMeta(src)
+	if err != nil {
+		return err
+	}
+	err = filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -313,9 +318,7 @@ func copyTree(fs faultfs.Backend, src, dst string) error {
 		if err != nil {
 			return err
 		}
-		if _, err = io.Copy(out, in); err == nil {
-			err = out.Sync()
-		}
+		_, err = io.Copy(out, in)
 		if cerr := out.Close(); err == nil {
 			err = cerr
 		}
@@ -324,11 +327,7 @@ func copyTree(fs faultfs.Backend, src, dst string) error {
 	if err != nil {
 		return err
 	}
-	meta, err := os.ReadFile(filepath.Join(src, container.MetaFileName))
-	if err != nil {
-		return err
-	}
-	return faultfs.WriteFileAtomic(fs, filepath.Join(dst, container.MetaFileName), meta, 0o644)
+	return container.CommitFS(fs, dst, meta)
 }
 
 // Open opens a logical bag with the BORA-assisted open (Fig 4b): parse

@@ -2,9 +2,13 @@ package faultfs
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -145,6 +149,162 @@ func TestWriteFileAtomicLeavesNoTornFinalFile(t *testing.T) {
 	}
 	if buf, err := os.ReadFile(filepath.Join(dir, "meta")); err != nil || string(buf) != "final content" {
 		t.Fatalf("committed file = %q, %v", buf, err)
+	}
+}
+
+// barrierTree writes n directories of three files each under dir and
+// returns every file and directory, in creation order, then dir.
+func barrierTree(t *testing.T, dir string, n int) []string {
+	t.Helper()
+	var paths []string
+	for d := 0; d < n; d++ {
+		sub := filepath.Join(dir, fmt.Sprintf("topic%d", d))
+		if err := os.MkdirAll(sub, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"conn", "data", "index"} {
+			p := filepath.Join(sub, name)
+			if err := os.WriteFile(p, []byte(p), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			paths = append(paths, p)
+		}
+		paths = append(paths, sub)
+	}
+	return append(paths, dir)
+}
+
+// TestSyncAllTraceIsCanonical: the barrier is one operation whose trace
+// line lists its paths sorted, however the caller ordered them and
+// however the OS backend's goroutines interleave — run it under -race.
+func TestSyncAllTraceIsCanonical(t *testing.T) {
+	dir := t.TempDir()
+	paths := barrierTree(t, dir, 3)
+	reversed := slices.Clone(paths)
+	slices.Reverse(reversed)
+	var traces [][]string
+	for _, order := range [][]string{paths, reversed} {
+		in := NewInjector(OS, Plan{Seed: 1})
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := in.SyncAll(order); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if in.Ops() != 4 {
+			t.Fatalf("4 barriers counted %d operations", in.Ops())
+		}
+		tr := in.Trace()
+		for i := range tr {
+			tr[i] = tr[i][strings.Index(tr[i], " ")+1:] // drop the number: goroutines race for them
+		}
+		traces = append(traces, tr)
+	}
+	sorted := slices.Clone(paths)
+	slices.Sort(sorted)
+	want := "syncall " + strings.Join(sorted, " ")
+	for _, tr := range traces {
+		for _, line := range tr {
+			if line != want {
+				t.Fatalf("barrier traced as %q, want %q", line, want)
+			}
+		}
+	}
+	// More directories than syncers: each goroutine takes several, and
+	// a file missing from the last one fails the barrier.
+	many := barrierTree(t, t.TempDir(), 2*syncers+1)
+	if err := OS.SyncAll(many); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(many[len(many)-2], "missing")
+	if err := OS.SyncAll(append(many, missing)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("OS barrier over a missing file returned %v", err)
+	}
+}
+
+// TestSyncAllFailAndCrash schedules a fault at the barrier: a failure
+// returns ErrInjected and the injector runs on; a crash syncs nothing,
+// undoes the renames into the directories it names that no sync made
+// durable, and freezes the tree. A rename a SyncDir covered survives.
+func TestSyncAllFailAndCrash(t *testing.T) {
+	// script atomically rewrites a committed file, then a fresh one,
+	// syncing the first one's directory in between, then runs the
+	// barrier over both directories.
+	script := func(fs Backend, dir string) error {
+		paths := barrierTree(t, dir, 2)
+		a, b := filepath.Join(dir, "topic0", "meta"), filepath.Join(dir, "topic1", "meta")
+		if err := WriteFileAtomic(fs, a, []byte("new"), 0o644); err != nil {
+			return err
+		}
+		if err := fs.SyncDir(filepath.Dir(a)); err != nil {
+			return err
+		}
+		if err := WriteFileAtomic(fs, b, []byte("new"), 0o644); err != nil {
+			return err
+		}
+		return fs.SyncAll(paths)
+	}
+	seed := func(t *testing.T) string {
+		dir := t.TempDir()
+		for _, d := range []string{"topic0", "topic1"} {
+			if err := os.MkdirAll(filepath.Join(dir, d), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, "topic1", "meta"), []byte("old"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	clean := NewInjector(OS, Plan{})
+	if err := script(clean, t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	barrier := clean.Ops() // the last operation
+	if tr := clean.Trace(); !strings.Contains(tr[len(tr)-1], " syncall ") {
+		t.Fatalf("last operation is %q, want the barrier", tr[len(tr)-1])
+	}
+
+	dir := seed(t)
+	in := NewInjector(OS, Plan{FailAt: barrier})
+	if err := script(in, dir); !errors.Is(err, ErrInjected) {
+		t.Fatalf("failed barrier returned %v", err)
+	}
+	if err := in.SyncAll([]string{dir}); err != nil || in.Crashed() {
+		t.Fatalf("after a failed barrier: %v, crashed %v", err, in.Crashed())
+	}
+
+	dir = seed(t)
+	in = NewInjector(OS, Plan{CrashAt: barrier})
+	if err := script(in, dir); !errors.Is(err, ErrCrashed) || !in.Crashed() {
+		t.Fatalf("crashed barrier returned %v, crashed %v", err, in.Crashed())
+	}
+	if buf, err := os.ReadFile(filepath.Join(dir, "topic0", "meta")); string(buf) != "new" {
+		t.Errorf("the rename its SyncDir made durable reads %q, %v; want \"new\"", buf, err)
+	}
+	if buf, err := os.ReadFile(filepath.Join(dir, "topic1", "meta")); string(buf) != "old" {
+		t.Errorf("the unsynced rename reads %q, %v after the crash; want \"old\"", buf, err)
+	}
+	ents, err := os.ReadDir(filepath.Join(dir, "topic1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	debris := 0
+	for _, e := range ents {
+		if IsTempDebris(e.Name()) {
+			debris++
+		}
+	}
+	if debris != 1 {
+		t.Errorf("the undone rename left %d temporaries, want its one back", debris)
+	}
+	if err := in.SyncDir(dir); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("a sync after the crash returned %v", err)
 	}
 }
 

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -32,7 +35,13 @@ type Plan struct {
 	// only a seeded-random prefix and return ErrInjected.
 	ShortWriteAt int64
 	// CrashAt tears the Nth operation like ShortWriteAt, then freezes
-	// the tree: it and every later operation return ErrCrashed.
+	// the tree: it and every later operation return ErrCrashed. A crash
+	// at a sync (SyncAll, SyncDir) syncs nothing and loses what the sync
+	// was for: every rename into a directory it names that no earlier
+	// sync of that directory made durable is undone, newest first — the
+	// file is back under its old name and the destination holds what it
+	// held before — as a power cut would leave a directory whose entries
+	// never reached the disk.
 	CrashAt int64
 	// Latency is added to every operation before it runs.
 	Latency time.Duration
@@ -50,11 +59,21 @@ type Injector struct {
 	ops     int64
 	crashed bool
 	trace   []string
+	// unsynced holds, per directory, the renames into it that no sync of
+	// the directory has yet made durable, oldest first.
+	unsynced map[string][]rename
+}
+
+// rename is one rename a crash at a sync of its directory undoes.
+type rename struct {
+	from, to string
+	prev     []byte // to's content before the rename
+	existed  bool   // whether to existed before the rename
 }
 
 // NewInjector wraps under with the fault schedule in plan.
 func NewInjector(under Backend, plan Plan) *Injector {
-	return &Injector{under: under, plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
+	return &Injector{under: under, plan: plan, rng: rand.New(rand.NewSource(plan.Seed)), unsynced: map[string][]rename{}}
 }
 
 // Ops returns the number of operations observed so far. A clean
@@ -164,7 +183,18 @@ func (in *Injector) CreateTemp(dir, pattern string) (File, error) {
 }
 
 func (in *Injector) Rename(oldpath, newpath string) error {
-	return in.dirOp("rename", newpath, func() error { return in.under.Rename(oldpath, newpath) })
+	prev, err := os.ReadFile(newpath)
+	r := rename{from: oldpath, to: newpath, prev: prev, existed: err == nil}
+	return in.dirOp("rename", newpath, func() error {
+		if err := in.under.Rename(oldpath, newpath); err != nil {
+			return err
+		}
+		in.mu.Lock()
+		dir := filepath.Dir(newpath)
+		in.unsynced[dir] = append(in.unsynced[dir], r)
+		in.mu.Unlock()
+		return nil
+	})
 }
 
 func (in *Injector) Remove(path string) error {
@@ -173,6 +203,66 @@ func (in *Injector) Remove(path string) error {
 
 func (in *Injector) Truncate(path string, size int64) error {
 	return in.dirOp("truncate", path, func() error { return in.under.Truncate(path, size) })
+}
+
+// SyncAll is one operation, traced as "syncall" with its paths sorted
+// and space-separated, so the barrier is the same crash point on every
+// run whatever order the caller listed them in.
+func (in *Injector) SyncAll(paths []string) error {
+	return in.sync("syncall", paths, func() error { return in.under.SyncAll(paths) })
+}
+
+func (in *Injector) SyncDir(path string) error {
+	return in.sync("syncdir", []string{path}, func() error { return in.under.SyncDir(path) })
+}
+
+// sync runs a sync of paths as one operation: a crash at it undoes the
+// renames into those paths that no sync has made durable, and a sync
+// that returns makes them durable.
+func (in *Injector) sync(op string, paths []string, fn func() error) error {
+	sorted := slices.Clone(paths)
+	slices.Sort(sorted)
+	v, _ := in.step(op, strings.Join(sorted, " "), 0)
+	if v == vCrash {
+		in.undoRenames(paths)
+	}
+	what := fmt.Sprintf("%s of %d paths", op, len(paths))
+	if len(paths) == 1 {
+		what = op + " " + paths[0]
+	}
+	switch v {
+	case vDead, vCrash:
+		return fmt.Errorf("%s: %w", what, ErrCrashed)
+	case vFail, vShort:
+		return fmt.Errorf("%s: %w", what, ErrInjected)
+	}
+	if err := fn(); err != nil {
+		return err
+	}
+	in.mu.Lock()
+	for _, p := range paths {
+		delete(in.unsynced, p)
+	}
+	in.mu.Unlock()
+	return nil
+}
+
+// undoRenames reverts the unsynced renames into dirs, newest first. It
+// acts on the tree beneath the injector directly: it models what the
+// disk lost, not an operation of the program.
+func (in *Injector) undoRenames(dirs []string) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	for _, dir := range dirs {
+		rs := in.unsynced[dir]
+		for i := len(rs) - 1; i >= 0; i-- {
+			os.Rename(rs[i].to, rs[i].from)
+			if rs[i].existed {
+				os.WriteFile(rs[i].to, rs[i].prev, 0o644)
+			}
+		}
+		delete(in.unsynced, dir)
+	}
 }
 
 // injectFile threads per-write fault decisions through an open file.

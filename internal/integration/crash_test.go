@@ -321,3 +321,70 @@ func TestCrashSweepDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSealIsOneGroupCommit reads the op trace of the sweep's clean
+// 7-topic Duplicate: the seal is one group commit. Every file of every
+// topic is written in place, so the run makes one temporary and one
+// rename — the sealed meta's — where writing each file atomically made
+// 23 of each; one barrier syncs every topic file after the last write
+// and before that rename; and a directory sync makes the rename durable.
+func TestSealIsOneGroupCommit(t *testing.T) {
+	raw, _ := buildCrashBag(t)
+	in, root, err := duplicateWithPlan(t, raw, faultfs.Plan{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := map[string]int{}
+	at := map[string]int{} // op kind → its last position in the trace
+	lastWrite, barrier := -1, ""
+	for i, line := range in.Trace() {
+		f := strings.SplitN(line, " ", 3)
+		op := f[1]
+		count[op]++
+		at[op] = i
+		switch op {
+		case "write":
+			if !strings.Contains(f[2], faultfs.TempPattern) {
+				lastWrite = i
+			}
+		case "syncall":
+			barrier = f[2]
+		}
+	}
+	if count["createtemp"] != 1 || count["rename"] != 1 {
+		t.Errorf("%d createtemp and %d rename operations, want 1 of each", count["createtemp"], count["rename"])
+	}
+	if count["syncall"] != 1 {
+		t.Fatalf("%d barriers, want 1", count["syncall"])
+	}
+	synced := map[string]bool{}
+	for _, p := range strings.Split(barrier, " ") {
+		synced[p] = true
+	}
+	croot := filepath.Join(root, "sweep")
+	topics, err := os.ReadDir(croot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := 0
+	for _, topic := range topics {
+		if !topic.IsDir() {
+			continue
+		}
+		for _, name := range []string{container.DataFileName, container.IndexFileName, container.ConnFileName, container.ChecksumFileName, container.TimeIdxFileName} {
+			if p := filepath.Join(croot, topic.Name(), name); !synced[p] {
+				t.Errorf("the barrier does not sync %s", p)
+			}
+			files++
+		}
+	}
+	if files != 7*5 {
+		t.Errorf("checked %d topic files, want 35 of 7 topics", files)
+	}
+	if at["syncall"] < lastWrite || at["syncall"] > at["rename"] {
+		t.Errorf("barrier is op %d: want it after the last write (op %d) and before the meta rename (op %d)", at["syncall"]+1, lastWrite+1, at["rename"]+1)
+	}
+	if count["syncdir"] < 1 || at["syncdir"] < at["rename"] {
+		t.Errorf("no directory sync follows the meta rename (op %d)", at["rename"]+1)
+	}
+}

@@ -29,6 +29,7 @@ func Reindex(r io.ReaderAt, size int64, ws io.WriteSeeker, opts WriterOptions) (
 	if err != nil {
 		return stats, fmt.Errorf("rosbag: reindex: %w", err)
 	}
+	defer wk.release()
 	w, err := NewWriter(ws, opts)
 	if err != nil {
 		return stats, err

@@ -3,6 +3,7 @@ package rosbag
 import (
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"repro/internal/bagio"
 	"repro/internal/obs"
@@ -30,6 +31,7 @@ func ScanSpan(r io.ReaderAt, size int64, parent obs.Span, fn ScanFunc) error {
 	sp := parent.ChildOp(reg.Op("rosbag.scan"))
 	w, err := openWalk(r, size)
 	if err == nil {
+		defer w.release()
 		// The chunk section ends at index_pos; everything after it is
 		// connection/chunk-info records a scan does not need.
 		var bh *bagio.BagHeader
@@ -60,20 +62,46 @@ type walker struct {
 	delivered int64  // payload bytes handed to the callback
 }
 
-// openWalk checks the magic and reads the bag header record.
+// idleWalker keeps the last finished pass's scratch — the scanner with
+// its 64 KiB read buffer and the chunk block it grew to, and the inflate
+// buffer — for the next pass: a Duplicate scans a whole bag per call.
+// One slot, not a sync.Pool: a pool keeps a walker per P that put one
+// back, and holding a chunk-sized buffer for each of them raised the
+// duplicate workload's peak RSS by 2–3 MB. A pass that finds the slot
+// empty, as concurrent passes do, allocates its own.
+var idleWalker atomic.Pointer[walker]
+
+// openWalk checks the magic and reads the bag header record. The caller
+// releases the walker when the pass is over.
 func openWalk(r io.ReaderAt, size int64) (*walker, error) {
-	sc := bagio.NewRecordScanner(io.NewSectionReader(r, 0, size))
-	if err := sc.ReadMagic(); err != nil {
+	w := idleWalker.Swap(nil)
+	if w == nil {
+		w = &walker{sc: bagio.NewRecordScanner(nil)}
+	}
+	w.sc.Reset(io.NewSectionReader(r, 0, size), 0)
+	if err := w.sc.ReadMagic(); err != nil {
+		w.release()
 		return nil, err
 	}
-	first, err := sc.ReadRecord()
+	first, err := w.sc.ReadRecord()
 	if err != nil {
+		w.release()
 		return nil, fmt.Errorf("rosbag: bag header: %w", err)
 	}
 	if op, err := first.Op(); err != nil || op != bagio.OpBagHeader {
+		w.release()
 		return nil, fmt.Errorf("rosbag: first record is not a bag header")
 	}
-	return &walker{sc: sc, header: first, conns: map[uint32]*bagio.Connection{}}, nil
+	w.header, w.conns, w.chunks, w.delivered = first, map[uint32]*bagio.Connection{}, 0, 0
+	return w, nil
+}
+
+// release leaves the walker's scratch in the idle slot: the next pass
+// overwrites the bytes this one handed its ScanFunc.
+func (w *walker) release() {
+	w.sc.Reset(nil, 0)
+	w.header, w.conns = nil, nil
+	idleWalker.Store(w)
 }
 
 // run delivers every message of the chunk section to fn in file order,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"io"
+	"math"
 	"runtime"
 	"testing"
 
@@ -219,6 +220,38 @@ func TestAllocBudgetScan(t *testing.T) {
 	}
 	if perMsg >= 0.05 {
 		t.Errorf("%.4f allocs/message; the walk must parse in place", perMsg)
+	}
+}
+
+// TestAllocBudgetRepeatScan: a pass leaves its scratch — the scanner's
+// 64 KiB read buffer and the chunk block it grew to — for the next, so
+// a repeat scan of a bag with 128 KiB chunks allocates less than the
+// read buffer alone (the least of several repeats: TotalAlloc counts
+// every goroutine's allocations).
+func TestAllocBudgetRepeatScan(t *testing.T) {
+	const msgs = 3000
+	mf := writeTestBag(t, WriterOptions{ChunkThreshold: 128 << 10}, msgs)
+	scan := func() {
+		if err := Scan(mf, int64(len(mf.buf)), func(*bagio.Connection, bagio.Time, []byte) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan()
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		scan()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a repeat scan of %d messages allocates %d bytes", msgs, least)
+	if raceenabled.Enabled {
+		t.Log("race detector enabled: skipping strict alloc assertion")
+		return
+	}
+	if least >= 64<<10 {
+		t.Errorf("a repeat scan allocates %d bytes, want less than the 64 KiB read buffer", least)
 	}
 }
 
