@@ -223,15 +223,17 @@ func (in *Injector) sync(op string, paths []string, fn func() error) error {
 	sorted := slices.Clone(paths)
 	slices.Sort(sorted)
 	v, _ := in.step(op, strings.Join(sorted, " "), 0)
-	if v == vCrash {
-		in.undoRenames(paths)
-	}
 	what := fmt.Sprintf("%s of %d paths", op, len(paths))
 	if len(paths) == 1 {
 		what = op + " " + paths[0]
 	}
 	switch v {
-	case vDead, vCrash:
+	case vCrash:
+		if err := in.undoRenames(paths); err != nil {
+			return fmt.Errorf("%s: %w (the post-crash tree is not the modelled one: %v)", what, ErrCrashed, err)
+		}
+		return fmt.Errorf("%s: %w", what, ErrCrashed)
+	case vDead:
 		return fmt.Errorf("%s: %w", what, ErrCrashed)
 	case vFail, vShort:
 		return fmt.Errorf("%s: %w", what, ErrInjected)
@@ -247,22 +249,28 @@ func (in *Injector) sync(op string, paths []string, fn func() error) error {
 	return nil
 }
 
-// undoRenames reverts the unsynced renames into dirs, newest first. It
-// acts on the tree beneath the injector directly: it models what the
-// disk lost, not an operation of the program.
-func (in *Injector) undoRenames(dirs []string) {
+// undoRenames reverts the unsynced renames into dirs, newest first, and
+// returns the first error. It acts on the tree beneath the injector
+// directly: it models what the disk lost, not an operation of the
+// program.
+func (in *Injector) undoRenames(dirs []string) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	var first error
 	for _, dir := range dirs {
 		rs := in.unsynced[dir]
 		for i := len(rs) - 1; i >= 0; i-- {
-			os.Rename(rs[i].to, rs[i].from)
-			if rs[i].existed {
-				os.WriteFile(rs[i].to, rs[i].prev, 0o644)
+			err := os.Rename(rs[i].to, rs[i].from)
+			if err == nil && rs[i].existed {
+				err = os.WriteFile(rs[i].to, rs[i].prev, 0o644)
+			}
+			if first == nil {
+				first = err
 			}
 		}
 		delete(in.unsynced, dir)
 	}
+	return first
 }
 
 // injectFile threads per-write fault decisions through an open file.
