@@ -192,11 +192,14 @@ func TestFsckCommandBothLayouts(t *testing.T) {
 			check:  run{out: "<be>/bag: clean (live layout, 3 segments)\n"},
 			repair: run{out: "<be>/bag: clean (live layout, 3 segments)\n"},
 			after:  run{out: "<be>/bag: clean (live layout, 3 segments)\n"}},
+		// Five findings: seg-00000001 is torn and the live meta says
+		// recording, and seg-00000000 is still building — its rotation
+		// issued the commit, and the next rotation or the seal finishes it.
 		{name: "crashed live recording", build: fsckRecordLive,
 			crash: crashPoint{op: "create bag/seg-00000001/imu/index", nth: 1},
-			check: run{out: "<be>/bag: 4 findings across 2 segments (live layout)\n",
+			check: run{out: "<be>/bag: 5 findings across 2 segments (live layout)\n",
 				err: "fsck: live bag is damaged (re-run with -repair to fix)"},
-			repair: run{out: "<be>/bag: 4 findings across 2 segments (live layout)\n<be>/bag: repaired, now sealed and clean (2 segments)\n"},
+			repair: run{out: "<be>/bag: 5 findings across 2 segments (live layout)\n<be>/bag: repaired, now sealed and clean (2 segments)\n"},
 			after:  run{out: "<be>/bag: clean (live layout, 2 segments)\n"}},
 		{name: "striped topic of an older build", build: striped,
 			check: run{out: "<be>/bag: 1 findings across 3 topics\n",

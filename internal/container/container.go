@@ -20,6 +20,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -488,6 +489,12 @@ func (tw *TopicWriter) Close() error {
 	tw.topic.tix = tw.tix
 	tw.topic.mu.Unlock()
 	return nil
+}
+
+// Grow makes room for entries more index entries, so a writer told its
+// topic's length appends them without regrowing its entry buffer.
+func (tw *TopicWriter) Grow(entries int) {
+	tw.ixbuf = slices.Grow(tw.ixbuf, entries*IndexEntrySize)
 }
 
 // LastEntry returns the index entry minted by the most recent Append

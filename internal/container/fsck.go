@@ -366,7 +366,7 @@ func RepairFS(root string, fs faultfs.Backend) (*Report, error) {
 	// the pre-repair tree must read as stale even when the surviving
 	// topic set is unchanged. It commits like a seal: the rewritten files
 	// are durable before the meta names them.
-	if err := CommitFS(fs, root, &Meta{State: StateSealed, Gen: newGen(), TopicDirs: manifest}); err != nil {
+	if err := CommitFS(fs, root, &Meta{State: StateSealed, Gen: newGen(), TopicDirs: manifest})(); err != nil {
 		return nil, err
 	}
 	return Fsck(root)

@@ -180,17 +180,26 @@ func (c *Container) Derivation() string {
 // Seal commits the container: the meta flips to sealed, mints a fresh
 // generation, and records the topic directory manifest (CommitFS).
 // Until Seal succeeds the container cannot be opened or listed.
-func (c *Container) Seal() error {
+func (c *Container) Seal() error { return c.IssueSeal()() }
+
+// IssueSeal is Seal in the two steps of CommitFS: it issues the barrier
+// over the container's files and returns the finish that commits it.
+// The files must not change in between; until the finish succeeds the
+// container is building.
+func (c *Container) IssueSeal() (finish func() error) {
 	dirs := make([]string, 0, len(c.topics))
 	for name := range c.topics {
 		dirs = append(dirs, EncodeTopicDir(name))
 	}
 	m := &Meta{State: StateSealed, Gen: newGen(), TopicDirs: dirs}
-	if err := CommitFS(c.fs, c.root, m); err != nil {
-		return err
+	commit := CommitFS(c.fs, c.root, m)
+	return func() error {
+		if err := commit(); err != nil {
+			return err
+		}
+		c.meta = m
+		return nil
 	}
-	c.meta = m
-	return nil
 }
 
 // CommitFS is the second phase of a container's group commit; the first
@@ -201,8 +210,12 @@ func (c *Container) Seal() error {
 // the building one by rename, the commit point, and a sync of root makes
 // the rename durable. A crash anywhere before the rename leaves a
 // building container, which Open and List refuse and Repair completes.
-// Seal, Repair's reseal and a copied container commit through it.
-func CommitFS(fs faultfs.Backend, root string, m *Meta) error {
+//
+// CommitFS issues the barrier and returns the finish: the barrier's
+// wait, the rename and the sync of root, and the first error of either
+// step. Seal, Repair's reseal and a copied container run the finish at
+// once; a live recording runs it at its next rotation or seal.
+func CommitFS(fs faultfs.Backend, root string, m *Meta) (finish func() error) {
 	fs = faultfs.Or(fs)
 	dirs := append([]string(nil), m.TopicDirs...)
 	sort.Strings(dirs)
@@ -211,7 +224,7 @@ func CommitFS(fs faultfs.Backend, root string, m *Meta) error {
 		dir := filepath.Join(root, d)
 		ents, err := os.ReadDir(dir)
 		if err != nil {
-			return fmt.Errorf("container: commit: %w", err)
+			return func() error { return fmt.Errorf("container: commit: %w", err) }
 		}
 		for _, ent := range ents {
 			if !ent.IsDir() {
@@ -221,14 +234,17 @@ func CommitFS(fs faultfs.Backend, root string, m *Meta) error {
 		paths = append(paths, dir)
 	}
 	paths = append(paths, root, filepath.Dir(root))
-	if err := fs.SyncAll(paths); err != nil {
-		return fmt.Errorf("container: commit: %w", err)
+	wait := fs.SyncAll(paths)
+	return func() error {
+		if err := wait(); err != nil {
+			return fmt.Errorf("container: commit: %w", err)
+		}
+		if err := writeMeta(fs, root, m); err != nil {
+			return err
+		}
+		if err := fs.SyncDir(root); err != nil {
+			return fmt.Errorf("container: commit: %w", err)
+		}
+		return nil
 	}
-	if err := writeMeta(fs, root, m); err != nil {
-		return err
-	}
-	if err := fs.SyncDir(root); err != nil {
-		return fmt.Errorf("container: commit: %w", err)
-	}
-	return nil
 }

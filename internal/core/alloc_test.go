@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -309,7 +310,15 @@ func TestAllocBudgetWindowedQuery(t *testing.T) {
 	if short != long {
 		t.Errorf("a 20 s window allocated %d bytes, a 2 s one %d: the selection costs something per entry", long, short)
 	}
-	allocs := func(spec QuerySpec) float64 { return testing.AllocsPerRun(3, func() { query(spec)() }) }
+	// The least of five repeats: AllocsPerRun counts the whole process's
+	// mallocs, and another goroutine's can land in one of them.
+	allocs := func(spec QuerySpec) float64 {
+		least := math.Inf(1)
+		for i := 0; i < 5; i++ {
+			least = min(least, testing.AllocsPerRun(3, func() { query(spec)() }))
+		}
+		return least
+	}
 	parts := float64(len(bag.Topics())) // a classic bag: one part per topic
 	plain, strided := allocs(window(20, 1)), allocs(window(20, 3))
 	t.Logf("a 20 s window: %.0f allocs per query, %.0f strided", plain, strided)

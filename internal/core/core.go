@@ -230,7 +230,7 @@ func (b *BORA) organize(r io.ReaderAt, size int64, name string, sp obs.Span) (Du
 	}
 	appendOp := b.opts.Obs.Op("organizer.append")
 	err = rosbag.ScanSpan(r, size, sp, func(conn *bagio.Connection, t bagio.Time, data []byte) error {
-		tw, err := seg.writer(conn)
+		tw, err := seg.writer(conn, 0)
 		if err != nil {
 			return err
 		}
@@ -327,7 +327,7 @@ func copyTree(fs faultfs.Backend, src, dst string) error {
 	if err != nil {
 		return err
 	}
-	return container.CommitFS(fs, dst, meta)
+	return container.CommitFS(fs, dst, meta)()
 }
 
 // Open opens a logical bag with the BORA-assisted open (Fig 4b): parse

@@ -20,12 +20,14 @@ import (
 //	<root>/<name>/seg-00000000/  container (sealed once its window closes)
 //	<root>/<name>/seg-00000001/  container (building = the live tail)
 //
-// While recording, the meta says "recording" and exactly the newest
-// segment is building; each rotation seals the old segment through the
-// ordinary building→sealed container lifecycle, so at any instant the
-// sealed prefix is fully consistent and a crash loses at most the
-// building segment's unflushed index tail (container.RepairFS truncates
-// it back to the flushed prefix, exactly as in the crash sweep).
+// While recording, the meta says "recording" and at most the two newest
+// segments are building: each rotation closes the old segment and
+// issues its commit through the ordinary building→sealed container
+// lifecycle, and the next rotation or the seal finishes it. So at any
+// instant the sealed prefix is fully consistent, and a crash loses at
+// most the building tail's unflushed index tail: container.RepairFS
+// reseals a closed segment whole and truncates the tail back to its
+// flushed prefix, exactly as in the crash sweep.
 // Completion writes "complete" plus a fresh generation token, making
 // the bag a plain multi-segment container set that opens anywhere.
 const (

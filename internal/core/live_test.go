@@ -796,17 +796,26 @@ func TestFollowFlushFailureSurfaces(t *testing.T) {
 // touched open would hold 600 descriptors here, and a daemon tailing a
 // recording for a day would run out of them.
 func TestFollowTailReleasesRotatedParts(t *testing.T) {
-	openFiles := func() int {
-		fds, err := os.ReadDir("/proc/self/fd")
-		if err != nil {
-			t.Skipf("cannot count open descriptors: %v", err)
-		}
-		return len(fds)
-	}
 	b := newBORA(t)
 	rec, err := b.CreateLiveBag("live", 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// openFiles counts the descriptors open under the bag, with no
+	// barrier in flight: a pending commit's barrier opens every file it
+	// syncs, so the count finishes it first.
+	openFiles := func() int {
+		rec.mu.Lock()
+		err := rec.finishLocked()
+		rec.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := filesOpenUnder(filepath.Join(b.Root(), "live"))
+		if n < 0 {
+			t.Skip("cannot count open descriptors")
+		}
+		return n
 	}
 	base := int64(3_000_000_000) * 1e9
 	topics := []string{"/imu", "/tf", "/camera"}

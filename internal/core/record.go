@@ -53,6 +53,11 @@ type Recorder struct {
 	count  int64
 	sealed bool
 	closed bool
+	// pending finishes the commit the last rotation issued; commitErr is
+	// the first commit that failed, returned by every later rotation and
+	// by the seal.
+	pending   func() error
+	commitErr error
 
 	// journal[i] is the entry at absolute position jbase+i; positions
 	// below jbase every follower has drained.
@@ -149,9 +154,13 @@ func (r *Recorder) rotateLocked(t bagio.Time) error {
 	if ns < r.segEnd {
 		return nil
 	}
-	if err := r.cur.seal(); err != nil {
+	if err := r.finishLocked(); err != nil {
 		return err
 	}
+	if err := r.cur.close(); err != nil {
+		return err
+	}
+	r.pending = r.cur.c.IssueSeal()
 	seg, err := r.b.createSegment(segmentDir(filepath.Join(r.b.root, r.name), len(r.segs)))
 	if err != nil {
 		return err
@@ -160,6 +169,21 @@ func (r *Recorder) rotateLocked(t bagio.Time) error {
 	r.cur = seg
 	r.segEnd = (ns/r.window)*r.window + r.window
 	return nil
+}
+
+// finishLocked finishes the commit the last rotation issued, if any:
+// the barrier's wait, the sealed meta's rename and the sync of the
+// segment directory. A rotation returns once the barrier is issued, so
+// the writer does not wait on the device; the finish runs at the next
+// rotation or at the seal, under r.mu — fixed points of the op sequence,
+// so a crash point stays reproducible — and at most one commit is
+// pending.
+func (r *Recorder) finishLocked() error {
+	if r.pending != nil {
+		r.commitErr = r.pending()
+		r.pending = nil
+	}
+	return r.commitErr
 }
 
 // errClosedLocked reports a write or registration after Seal or Close.
@@ -180,7 +204,12 @@ func (r *Recorder) appendLocked(conn *bagio.Connection, t bagio.Time, data []byt
 	tw, ok := r.cur.topics[conn.Topic]
 	if !ok {
 		var err error
-		if tw, err = r.cur.writer(conn); err != nil {
+		// A live segment's topic is about as long as the part before it.
+		entries := 0
+		if parts := r.parts[conn.Topic]; len(parts) > 0 {
+			entries, _ = parts[len(parts)-1].MessageCount()
+		}
+		if tw, err = r.cur.writer(conn, entries+entries/8); err != nil {
 			return err
 		}
 		r.parts[conn.Topic] = append(r.parts[conn.Topic], tw.Topic())
@@ -432,6 +461,9 @@ func (r *Recorder) Seal() error {
 func (r *Recorder) sealLocked() error {
 	if r.sealed {
 		return nil
+	}
+	if err := r.finishLocked(); err != nil {
+		return err
 	}
 	if err := r.cur.seal(); err != nil {
 		return err

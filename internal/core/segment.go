@@ -37,10 +37,10 @@ func (b *BORA) createSegment(dir string) (*segment, error) {
 }
 
 // writer returns the writer of conn's topic, creating the topic (with
-// conn's full metadata) on first use. Not safe for concurrent callers:
-// organize calls it from its scanning goroutine, a Recorder under its
-// mutex.
-func (s *segment) writer(conn *bagio.Connection) (*container.TopicWriter, error) {
+// conn's full metadata) on first use, with room for entries index
+// entries. Not safe for concurrent callers: organize calls it from its
+// scanning goroutine, a Recorder under its mutex.
+func (s *segment) writer(conn *bagio.Connection, entries int) (*container.TopicWriter, error) {
 	if tw, ok := s.topics[conn.Topic]; ok {
 		return tw, nil
 	}
@@ -48,6 +48,7 @@ func (s *segment) writer(conn *bagio.Connection) (*container.TopicWriter, error)
 	if err != nil {
 		return nil, err
 	}
+	tw.Grow(entries)
 	s.topics[conn.Topic] = tw
 	s.order = append(s.order, tw)
 	return tw, nil
@@ -69,7 +70,8 @@ func (s *segment) close() error {
 
 // seal commits the segment: every topic writer closes and the container
 // meta flips building→sealed. The sealed segment's Topic objects stay
-// live — followers and a wired Bag keep reading them.
+// live — followers and a wired Bag keep reading them. A live rotation
+// does the same in two steps: close, then the container's IssueSeal.
 func (s *segment) seal() error {
 	if err := s.close(); err != nil {
 		return err

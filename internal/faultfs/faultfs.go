@@ -15,10 +15,13 @@
 // Durability is explicit. A writer makes files durable with one barrier,
 // SyncAll, which fsyncs a whole set of files and directories at once,
 // and makes a rename durable with SyncDir of the directory it landed in.
-// A container is built in two phases on these: its files are written in
-// place with no sync, then one SyncAll makes them all durable before the
-// meta's rename commits the container and a SyncDir makes the commit
-// durable (container.CommitFS).
+// A barrier is issued and awaited in two steps: SyncAll starts the
+// fsyncs and returns their wait, so a writer can go on with other files
+// while the device flushes. A container is built in two phases on these:
+// its files are written in place with no sync, then one SyncAll makes
+// them all durable before the meta's rename commits the container and a
+// SyncDir makes the commit durable (container.CommitFS, which returns
+// the finish — the wait, the rename and the SyncDir — to run later).
 package faultfs
 
 import (
@@ -50,9 +53,11 @@ type Backend interface {
 	Rename(oldpath, newpath string) error
 	Remove(path string) error
 	Truncate(path string, size int64) error
-	// SyncAll is a barrier: it fsyncs every named file and directory and
-	// returns once all are durable, or with the first error.
-	SyncAll(paths []string) error
+	// SyncAll issues a barrier over every named file and directory and
+	// returns its wait, which returns once all are durable, or with the
+	// first error. The barrier is one operation at the call, wherever
+	// the wait runs; the files must not be written between the two.
+	SyncAll(paths []string) (wait func() error)
 	// SyncDir fsyncs a directory, making the entries created in it and
 	// the renames into it durable.
 	SyncDir(path string) error
@@ -83,12 +88,13 @@ func (osFS) SyncDir(path string) error { return syncPath(path) }
 // park hundreds of threads on one device.
 const syncers = 16
 
-// SyncAll syncs the paths in groups, one per directory they name — a
-// topic's files and the topic directory form one — each group in the
-// order given, up to syncers groups at once. The fsyncs of different
-// directories overlap, so a barrier over many topics costs about one
-// round of device flushes rather than one per file.
-func (osFS) SyncAll(paths []string) error {
+// SyncAll starts syncing the paths in groups, one per directory they
+// name — a topic's files and the topic directory form one — each group
+// in the order given, up to syncers groups at once, and returns the
+// wait that joins them. The fsyncs of different directories overlap, so
+// a barrier over many topics costs about one round of device flushes
+// rather than one per file.
+func (osFS) SyncAll(paths []string) func() error {
 	named := make(map[string]bool, len(paths))
 	for _, p := range paths {
 		named[filepath.Dir(p)] = true
@@ -121,13 +127,15 @@ func (osFS) SyncAll(paths []string) error {
 			}
 		}()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	return func() error {
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	return nil
 }
 
 // syncPath opens a file or directory read-only and fsyncs it.

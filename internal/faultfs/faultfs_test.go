@@ -190,7 +190,7 @@ func TestSyncAllTraceIsCanonical(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := in.SyncAll(order); err != nil {
+				if err := in.SyncAll(order)(); err != nil {
 					t.Error(err)
 				}
 			}()
@@ -218,11 +218,11 @@ func TestSyncAllTraceIsCanonical(t *testing.T) {
 	// More directories than syncers: each goroutine takes several, and
 	// a file missing from the last one fails the barrier.
 	many := barrierTree(t, t.TempDir(), 2*syncers+1)
-	if err := OS.SyncAll(many); err != nil {
+	if err := OS.SyncAll(many)(); err != nil {
 		t.Fatal(err)
 	}
 	missing := filepath.Join(many[len(many)-2], "missing")
-	if err := OS.SyncAll(append(many, missing)); !errors.Is(err, os.ErrNotExist) {
+	if err := OS.SyncAll(append(many, missing))(); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("OS barrier over a missing file returned %v", err)
 	}
 }
@@ -247,7 +247,7 @@ func TestSyncAllFailAndCrash(t *testing.T) {
 		if err := WriteFileAtomic(fs, b, []byte("new"), 0o644); err != nil {
 			return err
 		}
-		return fs.SyncAll(paths)
+		return fs.SyncAll(paths)()
 	}
 	seed := func(t *testing.T) string {
 		dir := t.TempDir()
@@ -275,7 +275,7 @@ func TestSyncAllFailAndCrash(t *testing.T) {
 	if err := script(in, dir); !errors.Is(err, ErrInjected) {
 		t.Fatalf("failed barrier returned %v", err)
 	}
-	if err := in.SyncAll([]string{dir}); err != nil || in.Crashed() {
+	if err := in.SyncAll([]string{dir})(); err != nil || in.Crashed() {
 		t.Fatalf("after a failed barrier: %v, crashed %v", err, in.Crashed())
 	}
 
@@ -305,6 +305,45 @@ func TestSyncAllFailAndCrash(t *testing.T) {
 	}
 	if err := in.SyncDir(dir); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("a sync after the crash returned %v", err)
+	}
+}
+
+// TestSyncAllDecidesAtTheCall: an issued barrier is its operation at
+// the call, not at its wait. A crash undoes the renames and freezes the
+// tree before the wait runs, a failure numbers the barrier before the
+// operations issued after it, and the wait only reports the outcome.
+func TestSyncAllDecidesAtTheCall(t *testing.T) {
+	const barrier = 6 // after WriteFileAtomic's createtemp, write, sync, close and rename
+	for _, crash := range []bool{false, true} {
+		dir := t.TempDir()
+		meta := filepath.Join(dir, "meta")
+		if err := os.WriteFile(meta, []byte("old"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		plan, want := Plan{FailAt: barrier}, ErrInjected
+		if crash {
+			plan, want = Plan{CrashAt: barrier}, ErrCrashed
+		}
+		in := NewInjector(OS, plan)
+		if err := WriteFileAtomic(in, meta, []byte("new"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wait := in.SyncAll([]string{dir})
+		if got := in.Crashed(); got != crash {
+			t.Fatalf("crash=%v: crashed %v before the wait", crash, got)
+		}
+		if buf, _ := os.ReadFile(meta); (string(buf) == "old") != crash {
+			t.Errorf("crash=%v: before the wait the meta reads %q", crash, buf)
+		}
+		if err := in.SyncDir(dir); (err != nil) != crash {
+			t.Errorf("crash=%v: the op after the barrier returned %v", crash, err)
+		}
+		if err := wait(); !errors.Is(err, want) {
+			t.Errorf("crash=%v: the wait returned %v, want %v", crash, err, want)
+		}
+		if tr := in.Trace(); len(tr) < barrier || !strings.HasPrefix(tr[barrier-1], fmt.Sprintf("%d syncall ", barrier)) {
+			t.Errorf("crash=%v: the barrier is not op %d: %q", crash, barrier, tr)
+		}
 	}
 }
 

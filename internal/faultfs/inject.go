@@ -207,9 +207,15 @@ func (in *Injector) Truncate(path string, size int64) error {
 
 // SyncAll is one operation, traced as "syncall" with its paths sorted
 // and space-separated, so the barrier is the same crash point on every
-// run whatever order the caller listed them in.
-func (in *Injector) SyncAll(paths []string) error {
-	return in.sync("syncall", paths, func() error { return in.under.SyncAll(paths) })
+// run whatever order the caller listed them in. Its fate is decided at
+// the call — a crash undoes its renames there, a failure is what the
+// wait returns — so the op numbers do not depend on when the wait runs.
+func (in *Injector) SyncAll(paths []string) func() error {
+	var wait func() error
+	if err := in.sync("syncall", paths, func() error { wait = in.under.SyncAll(paths); return nil }); err != nil {
+		return func() error { return err }
+	}
+	return wait
 }
 
 func (in *Injector) SyncDir(path string) error {

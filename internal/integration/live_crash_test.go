@@ -3,13 +3,18 @@ package integration
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bagio"
+	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/faultfs"
 )
@@ -173,5 +178,201 @@ func liveCrashSweep(t *testing.T, every int, window time.Duration) {
 		if !reflect.DeepEqual(followed, posthoc) {
 			t.Fatalf("CrashAt=%d: Follow stream diverges from post-hoc chronological query", n)
 		}
+	}
+}
+
+// TestLiveCrashSweepDeterministic is TestCrashSweepDeterministic for
+// the live recorder, whose rotations issue a segment's commit and
+// finish it a rotation later: two runs of the same seeded plan issue
+// the same back-end operations in the same order and leave identical
+// fsck reports. It crashes at fixed fractions of a clean recording and
+// at every issued barrier — the points a barrier run from a goroutine
+// would move from run to run.
+func TestLiveCrashSweepDeterministic(t *testing.T) {
+	t.Parallel()
+	const every, window = 1, time.Second
+	clean, _, err := liveCrashRecord(t, t.TempDir(), faultfs.Plan{Seed: 1}, every, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := clean.Ops()
+	points := []int64{0, 3, total / 4, total / 2, total - 1}
+	for _, b := range barriers(clean.Trace()) {
+		points = append(points, b.at)
+	}
+	for _, n := range points {
+		rootA, rootB := t.TempDir(), t.TempDir()
+		inA, _, errA := liveCrashRecord(t, rootA, faultfs.Plan{Seed: 42, CrashAt: n}, every, window)
+		inB, _, errB := liveCrashRecord(t, rootB, faultfs.Plan{Seed: 42, CrashAt: n}, every, window)
+		if (errA == nil) != (errB == nil) || (errA == nil) != (n == 0) {
+			t.Fatalf("CrashAt=%d: outcomes %v and %v", n, errA, errB)
+		}
+		ta, tb := inA.Trace(), inB.Trace()
+		for i := 0; i < len(ta) || i < len(tb); i++ {
+			var a, b string
+			if i < len(ta) {
+				a = normalizePath(rootA, ta[i])
+			}
+			if i < len(tb) {
+				b = normalizePath(rootB, tb[i])
+			}
+			if a != b {
+				t.Fatalf("CrashAt=%d: op traces diverge at op %d of %d/%d:\n%q\n%q", n, i+1, len(ta), len(tb), a, b)
+			}
+		}
+		if fa, fb := liveFindings(t, rootA), liveFindings(t, rootB); !reflect.DeepEqual(fa, fb) {
+			t.Fatalf("CrashAt=%d: fsck reports diverge:\n%v\n%v", n, fa, fb)
+		}
+	}
+}
+
+// liveFindings is the fsck of the live bag under root, every segment's
+// findings and the live meta's, with root normalized away.
+func liveFindings(t *testing.T, root string) []container.Finding {
+	t.Helper()
+	if _, err := os.Stat(filepath.Join(root, "live", core.LiveMetaFileName)); os.IsNotExist(err) {
+		return nil
+	}
+	b, err := core.New(root, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, unsealed, err := b.Fsck("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []container.Finding
+	for _, rep := range segs {
+		out = append(out, normalizeFindings(root, rep)...)
+	}
+	if unsealed != nil {
+		out = append(out, normalizeFindings(root, &container.Report{Findings: []container.Finding{*unsealed}})...)
+	}
+	return out
+}
+
+// barrier is one segment's commit in an op trace: the op number of its
+// barrier and of the sync that makes its sealed meta durable.
+type barrier struct {
+	seg          string // the segment directory
+	at, finished int64
+}
+
+// barriers lists the commits of a live recording's trace in order.
+func barriers(trace []string) []barrier {
+	var out []barrier
+	for _, line := range trace {
+		f := strings.SplitN(line, " ", 3)
+		n, _ := strconv.ParseInt(f[0], 10, 64)
+		switch f[1] {
+		case "syncall":
+			for _, p := range strings.Split(f[2], " ") {
+				if strings.HasPrefix(filepath.Base(p), "seg-") {
+					out = append(out, barrier{seg: p, at: n})
+				}
+			}
+		case "syncdir":
+			for i := range out {
+				if out[i].seg == f[2] && out[i].finished == 0 {
+					out[i].finished = n
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestCrashBeforeRotationCommitLosesNothing crashes a live recording
+// between a segment's barrier and the finish of its commit: at the
+// barrier and at every operation after it up to the sync of the sealed
+// meta, while the next segment is recording. The closed segment is
+// still building then, and the next one is the live tail; Repair
+// reseals the first whole, so every message written to it, and to the
+// segments before it, is served.
+func TestCrashBeforeRotationCommitLosesNothing(t *testing.T) {
+	t.Parallel()
+	const every, window = 1, time.Second
+	root := t.TempDir()
+	clean, _, err := liveCrashRecord(t, root, faultfs.Plan{Seed: 1}, every, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := core.New(root, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bag, err := b.Open("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// upTo[seg][topic] counts the topic's messages in seg and before it.
+	upTo := map[string]map[string]int{}
+	sum := map[string]int{}
+	for _, seg := range bag.Segments() {
+		for _, topic := range seg.Topics() {
+			tp, err := seg.Topic(topic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := tp.MessageCount()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum[topic] += n
+		}
+		upTo[filepath.Base(seg.Root())] = maps.Clone(sum)
+	}
+	trace := clean.Trace()
+	commits := barriers(trace)
+	if len(commits) != len(bag.Segments()) {
+		t.Fatalf("%d commits in the trace, %d segments", len(commits), len(bag.Segments()))
+	}
+	crashes, lost := 0, 0
+	for _, c := range commits[:len(commits)-1] { // the last is the seal's, finished at once
+		if !slices.ContainsFunc(trace[c.at:c.finished], func(line string) bool {
+			return strings.Contains(line, " mkdir ") && !strings.Contains(line, c.seg)
+		}) {
+			t.Fatalf("%s: barrier op %d finished at op %d, before the next segment was made: the rotation waited for it", c.seg, c.at, c.finished)
+		}
+		for n := c.at; n <= c.finished; n++ {
+			crashes++
+			root := t.TempDir()
+			in, attempted, err := liveCrashRecord(t, root, faultfs.Plan{Seed: 7, CrashAt: n}, every, window)
+			if err == nil || !in.Crashed() {
+				t.Fatalf("CrashAt=%d: recording returned %v, crashed %v", n, err, in.Crashed())
+			}
+			if _, err := os.Stat(filepath.Join(root, "live", core.LiveMetaFileName)); os.IsNotExist(err) {
+				// The first barrier is the first sync of the bag directory: a
+				// crash at it loses the live meta's rename, as in the sweep.
+				lost++
+				continue
+			}
+			b2, err := core.New(root, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b2.Repair("live"); err != nil {
+				t.Fatalf("CrashAt=%d: Repair: %v", n, err)
+			}
+			bag, err := b2.Open("live")
+			if err != nil {
+				t.Fatalf("CrashAt=%d: repaired bag does not open: %v", n, err)
+			}
+			got := queryPayloads(t, bag, core.QuerySpec{Order: core.OrderTime})
+			for topic, want := range upTo[filepath.Base(c.seg)] {
+				if len(got[topic]) < want {
+					t.Fatalf("CrashAt=%d (%s closed, commit pending): topic %s serves %d messages, %d were written up to that segment", n, filepath.Base(c.seg), topic, len(got[topic]), want)
+				}
+				for i := 0; i < want; i++ {
+					if !bytes.Equal(got[topic][i], attempted[topic][i]) {
+						t.Fatalf("CrashAt=%d: topic %s message %d differs from what was recorded", n, topic, i)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d crash points across %d pending commits, %d before the live meta was durable", crashes, len(commits)-1, lost)
+	if lost > 1 {
+		t.Errorf("%d crash points lost the live meta, want at most the first barrier", lost)
 	}
 }
