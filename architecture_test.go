@@ -297,7 +297,8 @@ var (
 		"cmdVerify": "fsck is the one judge of a container", "metaMagicV1": "fsck is the one judge of a container",
 		"RateTracker": "no hot signal: no workload reaches it", "HotQPS": "no hot signal: no workload reaches it",
 		"NoteQuery": "no hot signal: no workload reaches it", "HotBags": "no hot signal: no workload reaches it",
-		"hotWiden": "no hot signal: no workload reaches it",
+		"hotWiden":         "no hot signal: no workload reaches it",
+		"QuerySpanContext": "one query selection: the parent span rides the context", "Predicate": "one query selection: a filter that cannot be shipped or hashed",
 	}
 	retiredExperiments = []string{"validate-real", "pool-clients", "live-tail"}
 	internalCmd        = []string{"internal", "cmd"}
@@ -934,7 +935,7 @@ var archRules = []archRule{
 }
 
 // maxSpanParams only goes down: ROADMAP's span fold lowers it.
-const maxSpanParams = 7
+const maxSpanParams = 6
 
 // assigns matches `lhs = rhs` and `x.lhs = rhs` for identifiers lhs, rhs.
 func assigns(lhs, rhs string) func(*srcFile, ast.Node) bool {
@@ -1048,10 +1049,10 @@ var importTable = map[string][]string{
 	"examples/timequery":     {"internal/bagio", "internal/core", "internal/rosbag", "internal/workload"},
 	"internal/bench":         {"internal/bagio", "internal/build", "internal/client", "internal/cluster", "internal/cluster/ring", "internal/core", "internal/dbsim", "internal/layout", "internal/obs", "internal/pathsim", "internal/plfsim", "internal/rosbag", "internal/server", "internal/simio", "internal/swarm", "internal/tagman", "internal/workload"},
 	"internal/build":         {"internal/container", "internal/core", "internal/obs"},
-	"internal/client":        {"internal/bagio", "internal/cluster/ring", "internal/obs", "internal/server/wire"},
+	"internal/client":        {"internal/bagio", "internal/cluster/ring", "internal/obs", "internal/server/wire", "internal/spec"},
 	"internal/cluster":       {"internal/simio"},
 	"internal/container":     {"internal/bagio", "internal/faultfs", "internal/obs", "internal/timeindex"},
-	"internal/core":          {"internal/bagio", "internal/container", "internal/faultfs", "internal/msgdef", "internal/msgs", "internal/obs", "internal/rosbag", "internal/tagman"},
+	"internal/core":          {"internal/bagio", "internal/container", "internal/faultfs", "internal/msgdef", "internal/msgs", "internal/obs", "internal/rosbag", "internal/spec", "internal/tagman"},
 	"internal/dbsim":         {"internal/bagio", "internal/msgs", "internal/simio"},
 	"internal/graph":         {"internal/bagio", "internal/core", "internal/msgs"},
 	"internal/msgs":          {"internal/bagio"},
@@ -1061,8 +1062,9 @@ var importTable = map[string][]string{
 	"internal/replay":        {"internal/bagio", "internal/core", "internal/graph", "internal/rosbag"},
 	"internal/rosbag":        {"internal/bagio", "internal/msgdef", "internal/msgs", "internal/obs"},
 	"internal/server":        {"internal/bagio", "internal/container", "internal/core", "internal/obs", "internal/pool", "internal/server/wire"},
-	"internal/server/wire":   {"internal/bagio"},
+	"internal/server/wire":   {"internal/bagio", "internal/spec"},
 	"internal/simio":         {"internal/obs"},
+	"internal/spec":          {"internal/bagio"},
 	"internal/swarm":         {"internal/cluster", "internal/core", "internal/layout", "internal/pathsim", "internal/rosbag", "internal/workload"},
 	"internal/timeindex":     {"internal/bagio"},
 	"internal/vfs":           {"internal/core", "internal/faultfs", "internal/obs", "internal/rosbag"},

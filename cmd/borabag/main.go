@@ -9,7 +9,7 @@
 //	borabag [global flags] duplicate -backend DIR -name bag1 file.bag
 //	borabag [global flags] ls -backend DIR
 //	borabag [global flags] topics -backend DIR -name bag1
-//	borabag [global flags] query -backend DIR -name bag1 -topics /imu,/tf [-start S -end S]
+//	borabag [global flags] query -backend DIR -name bag1 -topics /imu,/tf [-start S -end S] [-stride N]
 //	borabag -remote ADDR query -name bag1 -follow
 //	borabag [global flags] export -backend DIR -name bag1 -o out.bag
 //	borabag [global flags] build -backend DIR -f dataset.json [-workers N]
@@ -43,7 +43,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/rosbag"
@@ -385,37 +384,31 @@ func cmdQuery(args []string) error {
 	window := windowFlags(fs)
 	parallel := fs.Int("parallel", 0, "read topic streams concurrently with this many workers (0 = serial, -1 = GOMAXPROCS)")
 	chrono := fs.Bool("chrono", false, "deliver messages in global timestamp order (serial)")
+	stride := fs.Int("stride", 0, "deliver every Nth message per topic (0 or 1 = all)")
 	follow := fs.Bool("follow", false, "tail a recording bag: stream the sealed prefix, then live messages until sealed or interrupted")
 	quiet := fs.Bool("q", false, "suppress per-message output")
 	fs.Parse(args)
-	if *follow && *parallel != 0 {
-		return fmt.Errorf("query: -follow streams serially; drop -parallel")
-	}
-	var topics []string
-	if *topicsArg != "" {
-		topics = strings.Split(*topicsArg, ",")
-	}
-	// The window flows through TransformSpec, locally and remotely, so a
-	// NaN, negative or beyond-u32 bound is an error and an explicit
-	// -end 0 is an epoch bound rather than silently reading as "no bound".
-	var ts core.TransformSpec
+	// One selection, run locally or sent to the daemon. The window flows
+	// through TransformSpec, so a NaN, negative, beyond-u32 or epoch end
+	// bound is the same error on both paths.
+	ts := core.TransformSpec{Stride: *stride}
 	ts.StartSec, ts.EndSec = window()
 	spec, err := ts.QuerySpec()
 	if err != nil {
 		return fmt.Errorf("query: %w", err)
 	}
+	if *topicsArg != "" {
+		spec.Topics = strings.Split(*topicsArg, ",") // in the order given: topic order streams them so
+	}
+	if *chrono {
+		spec.Order = core.OrderTime
+	}
+	spec.Follow = *follow
 	if remoteAddr != "" {
 		if *parallel != 0 {
 			return fmt.Errorf("query: -parallel is not supported with -remote (the daemon streams serially per query)")
 		}
-		if spec.Predicate != nil {
-			// The wire's zero End means end of bag; widening the window to
-			// that would stream everything the caller excluded.
-			return fmt.Errorf("query: -end 0 (only messages stamped at the epoch) cannot be expressed with -remote")
-		}
-		return remoteQuery(*name, client.QuerySpec{
-			Topics: topics, Start: spec.Start, End: spec.End, Chrono: *chrono, Follow: *follow,
-		}, *quiet)
+		return remoteQuery(*name, spec, *quiet)
 	}
 	b, err := openBackend(*backend)
 	if err != nil {
@@ -441,16 +434,10 @@ func cmdQuery(args []string) error {
 		return nil
 	}
 	queryStart := time.Now()
-	spec.Topics = topics
-	spec.Workers = *parallel
-	if *chrono {
-		spec.Order = core.OrderTime
-	}
-	spec.Follow = *follow
 	// A follow of a still-recording bag has no natural end; ^C bounds it.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := bag.QueryContext(ctx, spec, emit); err != nil && !errors.Is(err, context.Canceled) {
+	if err := bag.Execute(ctx, spec, core.Exec{Workers: *parallel}, emit); err != nil && !errors.Is(err, context.Canceled) {
 		return err
 	}
 	fmt.Printf("open %v, query %v: %d messages, %d bytes (windows scanned: %d)\n",

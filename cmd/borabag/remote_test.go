@@ -4,6 +4,7 @@ import (
 	"net"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/server"
@@ -17,10 +18,10 @@ func queryCounts(t *testing.T, args ...string) (string, error) {
 	return regexp.MustCompile(`\d+ messages, \d+ bytes`).FindString(out), qerr
 }
 
-// TestRemoteQueryWindowParity: `borabag -remote query` takes -start/-end
-// through the same validation as the local path — the same windows are
-// errors, the valid ones deliver the same messages — and refuses the one
-// window the wire cannot express instead of widening it to the whole bag.
+// TestRemoteQueryWindowParity: `borabag -remote query` builds the same
+// selection as the local path — the same windows are errors, an explicit
+// epoch end among them, and the valid ones deliver the same messages,
+// strided or not, in either order.
 func TestRemoteQueryWindowParity(t *testing.T) {
 	dir := chdirTemp(t)
 	backend := filepath.Join(dir, "backend")
@@ -47,10 +48,9 @@ func TestRemoteQueryWindowParity(t *testing.T) {
 		t.Fatalf("unbounded local query: %q, %v", all, err)
 	}
 	for _, tt := range []struct {
-		name       string
-		window     []string
-		wantErr    bool // on both paths
-		remoteOnly bool // an error remotely, a valid (empty) window locally
+		name    string
+		window  []string
+		wantErr bool // on both paths
 	}{
 		{name: "unbounded"},
 		{name: "inside the recording", window: []string{"-start", "1500000000.5", "-end", "1500000001"}},
@@ -61,7 +61,11 @@ func TestRemoteQueryWindowParity(t *testing.T) {
 		{name: "start beyond u32 seconds", window: []string{"-start", "5e9"}, wantErr: true},
 		{name: "NaN end", window: []string{"-end", "NaN"}, wantErr: true},
 		{name: "end before start", window: []string{"-start", "1500000001", "-end", "1500000000"}, wantErr: true},
-		{name: "explicit epoch end", window: []string{"-end", "0"}, remoteOnly: true},
+		{name: "explicit epoch end", window: []string{"-end", "0"}, wantErr: true},
+		{name: "stride 10", window: []string{"-stride", "10"}},
+		{name: "stride 10 inside the recording", window: []string{"-stride", "10", "-start", "1500000000.5", "-end", "1500000001"}},
+		{name: "stride 10 chrono", window: []string{"-stride", "10", "-chrono"}},
+		{name: "negative stride", window: []string{"-stride", "-1"}, wantErr: true},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			args := append([]string{"-name", "w", "-topics", "/imu"}, tt.window...)
@@ -72,19 +76,13 @@ func TestRemoteQueryWindowParity(t *testing.T) {
 			if (lerr != nil) != tt.wantErr {
 				t.Fatalf("local error = %v, want error: %v", lerr, tt.wantErr)
 			}
-			if (rerr != nil) != (tt.wantErr || tt.remoteOnly) {
-				t.Fatalf("remote error = %v, want error: %v", rerr, tt.wantErr || tt.remoteOnly)
-			}
-			if tt.remoteOnly {
-				if local != "0 messages, 0 bytes" {
-					t.Errorf("local -end 0 delivered %q, want nothing", local)
-				}
-				return
+			if (rerr != nil) != tt.wantErr {
+				t.Fatalf("remote error = %v, want error: %v", rerr, tt.wantErr)
 			}
 			if remote != local {
 				t.Errorf("remote delivered %q, local %q", remote, local)
 			}
-			if tt.name == "inside the recording" && (local == all || local == "0 messages, 0 bytes") {
+			if (strings.HasPrefix(tt.name, "stride") || strings.HasSuffix(tt.name, "inside the recording")) && (local == all || local == "0 messages, 0 bytes") {
 				t.Errorf("fixture: window %v delivered %q of %q, want a proper subset", tt.window, local, all)
 			}
 		})

@@ -57,7 +57,7 @@ func FuzzParseSpec(f *testing.F) {
 			if _, internal := g.index[d.From]; internal && rank[d.From] > rank[d.Name] {
 				t.Fatalf("dependency %q ordered after %q", d.From, d.Name)
 			}
-			if err := d.TransformSpec.Validate(); err != nil {
+			if _, err := d.TransformSpec.QuerySpec(); err != nil {
 				t.Fatalf("invalid transform accepted: %v", err)
 			}
 			if _, err := Address(d.From, 1, d.TransformSpec); err != nil {

@@ -114,7 +114,7 @@ func NewGraph(derivations []Derivation) (*Graph, error) {
 		if d.From == d.Name {
 			return nil, &CycleError{Names: []string{d.Name}}
 		}
-		if err := d.TransformSpec.Validate(); err != nil {
+		if _, err := d.TransformSpec.QuerySpec(); err != nil {
 			return nil, fmt.Errorf("build: derivation %q: %w", d.Name, err)
 		}
 	}

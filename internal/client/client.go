@@ -30,6 +30,7 @@ import (
 	"repro/internal/bagio"
 	"repro/internal/obs"
 	"repro/internal/server/wire"
+	"repro/internal/spec"
 )
 
 // Defaults used when an Options field is zero.
@@ -325,54 +326,36 @@ func (c *Client) Stats() (wire.ServerStats, error) {
 	return st, err
 }
 
-// QuerySpec describes one remote query — the network mirror of
-// core.QuerySpec's declarative fields (execution knobs like Workers
-// stay server-side).
-type QuerySpec struct {
-	// Topics to read; empty selects every topic of the bag.
-	Topics []string
-	// Start and End bound the query to [Start, End]; a zero End means
-	// end of bag.
-	Start, End bagio.Time
-	// Chrono delivers messages in global timestamp order across topics
-	// (core.OrderTime) instead of grouped by topic.
-	Chrono bool
-	// Follow streams the bag's live tail after its sealed prefix: Next
-	// blocks on new messages until the recording seals or the stream is
-	// Closed. The stream's connection table may grow mid-stream as the
-	// recording introduces topics.
-	Follow bool
-	// QueryID is the 64-bit trace id the query travels under; zero (the
-	// default) mints a fresh random id per Query call. The id is sent on
-	// the wire so the server's spans and slow-query records carry the
-	// same identity the client logs — Stream.QueryID reports what was
-	// used.
-	QueryID uint64
+// QuerySpec is the selection a remote query streams (spec.Query), the
+// same type core.QuerySpec is: how the daemon runs it stays
+// server-side. With Follow, Next blocks on new messages until the
+// recording seals or the stream is Closed, and the stream's connection
+// table may grow mid-stream as the recording introduces topics.
+type QuerySpec = spec.Query
+
+// Query starts a streaming query against the named bag under a fresh
+// trace id, retrying BUSY rejects with backoff. On success the returned
+// Stream must be consumed (Next until false) or Closed before the next
+// request on this client.
+func (c *Client) Query(name string, q QuerySpec) (*Stream, error) {
+	return c.query(name, q, obs.NewTraceID())
 }
 
-// Query starts a streaming query against the named bag, retrying BUSY
-// rejects with backoff. On success the returned Stream must be
-// consumed (Next until false) or Closed before the next request on
-// this client.
-func (c *Client) Query(name string, q QuerySpec) (*Stream, error) {
-	qid := q.QueryID
-	if qid == 0 {
-		qid = obs.NewTraceID()
+// query is Query under the trace id qid, which is sent on the wire so
+// the server's spans and slow-query records carry the identity the
+// client logs; a ClusterStream keeps one id across its attempts.
+func (c *Client) query(name string, q QuerySpec, qid uint64) (*Stream, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
 	}
 	req := wire.QueryReq{
 		Name:    name,
-		Topics:  q.Topics,
-		Start:   q.Start,
-		End:     q.End,
-		Follow:  q.Follow,
+		Query:   q,
 		TraceID: qid,
 		Window:  uint32(c.opts.Window),
 		// Credit in bytes: a frame-counted window is the wrong size for
 		// every message size but one.
 		ByteCredit: true,
-	}
-	if q.Chrono {
-		req.Order = wire.OrderTime
 	}
 	var lastErr error
 	for i := 0; i < c.opts.Attempts; i++ {

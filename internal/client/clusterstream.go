@@ -23,13 +23,10 @@ import (
 // resumes on another replica. The stream must be consumed (Next until
 // false) or Closed.
 func (cl *Cluster) Query(name string, q QuerySpec) (*ClusterStream, error) {
-	if q.QueryID == 0 {
-		// Mint the trace id once so every failover attempt — possibly on
-		// several daemons — logs under the same query identity.
-		q.QueryID = obs.NewTraceID()
-	}
 	cl.routeC.Inc()
-	cs := &ClusterStream{cl: cl, name: name, spec: q, sum: resumeSeed}
+	// The trace id is minted once so every failover attempt — possibly on
+	// several daemons — logs under the same query identity.
+	cs := &ClusterStream{cl: cl, name: name, spec: q, qid: obs.NewTraceID(), sum: resumeSeed}
 	if err := cs.start(nil); err != nil {
 		return nil, err
 	}
@@ -43,6 +40,7 @@ type ClusterStream struct {
 	cl   *Cluster
 	name string
 	spec QuerySpec
+	qid  uint64 // the trace id of every attempt
 
 	node *node
 	c    *Client
@@ -95,7 +93,7 @@ func (cs *ClusterStream) start(demote *node) error {
 		var st *Stream
 		err := n.withConn(func(conn *Client) (kept bool, err error) {
 			c = conn
-			st, err = conn.Query(cs.name, cs.spec)
+			st, err = conn.query(cs.name, cs.spec, cs.qid)
 			return err == nil, err
 		})
 		if err != nil {
@@ -205,7 +203,7 @@ func (cs *ClusterStream) Err() error { return cs.err }
 func (cs *ClusterStream) Received() (count, bytes uint64) { return cs.delivered, cs.bytes }
 
 // QueryID returns the trace id every attempt of this query ran under.
-func (cs *ClusterStream) QueryID() uint64 { return cs.spec.QueryID }
+func (cs *ClusterStream) QueryID() uint64 { return cs.qid }
 
 // Failovers returns how many times the stream resumed on another
 // replica after losing its serving daemon mid-flight.

@@ -561,10 +561,10 @@ func TestBorrowEquivalence(t *testing.T) {
 func checkBorrowEquivalence(t *testing.T, name string, bag *Bag) {
 	t.Helper()
 	want := groundTruth(t, bag)
-	collect := func(spec QuerySpec) []rec {
+	collect := func(spec QuerySpec, ex Exec) []rec {
 		var mu sync.Mutex // parallel plans deliver from several goroutines
 		var got []rec
-		err := bag.Query(spec, func(m MessageRef) error {
+		err := bag.Execute(context.Background(), spec, ex, func(m MessageRef) error {
 			r := rec{topic: m.Conn.Topic, time: m.Time, data: m.Copy()}
 			mu.Lock()
 			got = append(got, r)
@@ -578,7 +578,7 @@ func checkBorrowEquivalence(t *testing.T, name string, bag *Bag) {
 	}
 
 	// Serial grouped-by-topic delivery matches append order exactly.
-	compareRecs(t, name+"serial", collect(QuerySpec{}), want)
+	compareRecs(t, name+"serial", collect(QuerySpec{}, Exec{}), want)
 
 	// Chrono and parallel plans reorder across topics; compare as sets.
 	wantSorted := append([]rec(nil), want...)
@@ -586,11 +586,12 @@ func checkBorrowEquivalence(t *testing.T, name string, bag *Bag) {
 	for _, c := range []struct {
 		name string
 		spec QuerySpec
+		ex   Exec
 	}{
-		{"chrono", QuerySpec{Order: OrderTime}},
-		{"parallel", QuerySpec{Workers: 2}},
+		{"chrono", QuerySpec{Order: OrderTime}, Exec{}},
+		{"parallel", QuerySpec{}, Exec{Workers: 2}},
 	} {
-		got := collect(c.spec)
+		got := collect(c.spec, c.ex)
 		sortRecs(got)
 		compareRecs(t, name+c.name, got, wantSorted)
 	}
@@ -607,7 +608,7 @@ func TestBorrowEquivalenceParallelRetain(t *testing.T) {
 	sortRecs(want)
 	var mu sync.Mutex
 	var kept []MessageRef
-	err := bag.Query(QuerySpec{Workers: 2}, func(m MessageRef) error {
+	err := bag.Execute(context.Background(), QuerySpec{}, Exec{Workers: 2}, func(m MessageRef) error {
 		r := m
 		r.Data = m.Copy()
 		mu.Lock()

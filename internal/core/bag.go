@@ -42,7 +42,7 @@ type Stats struct {
 // (not the zero Guard), Data is a slice of a pooled handle's shared
 // mapping below its last page, and stays where it is past the callback:
 // a callback may hold on to it and read it later, until the query's
-// next QuerySpec.Idle call returns — core calls Idle before it settles
+// next Exec.Idle call returns — core calls Idle before it settles
 // the part — but no later. Whatever reads it late checks that Guard
 // afterwards (Check), inside the callback or Idle: a part cut under the
 // read then faults into the query's ErrIndexBeyondData as a cut under
@@ -329,7 +329,7 @@ func (bag *Bag) ExportSpan(ws io.WriteSeeker, opts rosbag.WriterOptions, parent 
 		}
 		conns[ch.name] = id
 	}
-	err = bag.QuerySpanContext(context.Background(), sp, QuerySpec{Order: OrderTime}, func(m MessageRef) error {
+	err = bag.Execute(sp.InContext(context.Background()), QuerySpec{Order: OrderTime}, Exec{}, func(m MessageRef) error {
 		return w.WriteMessage(conns[m.Conn.Topic], m.Time, m.Data)
 	})
 	if err != nil {

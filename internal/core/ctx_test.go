@@ -34,16 +34,17 @@ func TestQueryContextCancelMidStream(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		spec QuerySpec
+		ex   Exec
 	}{
-		{"serial", QuerySpec{}},
-		{"chrono", QuerySpec{Order: OrderTime}},
-		{"parallel", QuerySpec{Workers: 2}},
+		{"serial", QuerySpec{}, Exec{}},
+		{"chrono", QuerySpec{Order: OrderTime}, Exec{}},
+		{"parallel", QuerySpec{}, Exec{Workers: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var delivered atomic.Int64
-			err := bag.QueryContext(ctx, tc.spec, func(MessageRef) error {
+			err := bag.Execute(ctx, tc.spec, tc.ex, func(MessageRef) error {
 				if delivered.Add(1) == 1 {
 					cancel()
 				}
@@ -54,7 +55,7 @@ func TestQueryContextCancelMidStream(t *testing.T) {
 			}
 			// The batch check runs on messages read; with workers each
 			// in-flight goroutine may run out its current batch.
-			limit := int64(cancelCheckBatch) * int64(2+tc.spec.Workers)
+			limit := int64(cancelCheckBatch) * int64(2+tc.ex.Workers)
 			if n := delivered.Load(); n > limit {
 				t.Errorf("delivered %d messages after cancel, want <= %d (batched check)", n, limit)
 			}

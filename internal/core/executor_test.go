@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -60,11 +61,13 @@ func TestStrideIsOrderIndependent(t *testing.T) {
 	for _, topic := range topics {
 		want[topic] = []string{"m0", "m3", "m6", "m9"}
 	}
-	check := func(name string, bag *Bag, spec QuerySpec) {
+	check := func(name string, bag *Bag, spec plan) {
 		t.Helper()
 		spec.Stride = 3
 		got := map[string][]string{}
-		for _, r := range collect(t, func(fn func(MessageRef) error) error { return bag.Query(spec, fn) }) {
+		for _, r := range collect(t, func(fn func(MessageRef) error) error {
+			return bag.Execute(context.Background(), spec.QuerySpec, spec.Exec, fn)
+		}) {
 			got[r.Topic] = append(got[r.Topic], r.Data)
 		}
 		for _, ms := range got {
@@ -76,10 +79,10 @@ func TestStrideIsOrderIndependent(t *testing.T) {
 	}
 	checkPlans := func(layout string, bag *Bag) {
 		t.Helper()
-		check(layout+"/topic", bag, QuerySpec{})
-		check(layout+"/pooled", bag, QuerySpec{Workers: 4})
-		check(layout+"/time", bag, QuerySpec{Order: OrderTime})
-		check(layout+"/follow-sealed", bag, QuerySpec{Follow: true})
+		check(layout+"/topic", bag, plan{})
+		check(layout+"/pooled", bag, plan{Exec: Exec{Workers: 4}})
+		check(layout+"/time", bag, plan{QuerySpec: QuerySpec{Order: OrderTime}})
+		check(layout+"/follow-sealed", bag, plan{QuerySpec: QuerySpec{Follow: true}})
 	}
 
 	b := newBORA(t)
@@ -109,7 +112,7 @@ func TestStrideIsOrderIndependent(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		check("live/follow-mid-topic", wired, QuerySpec{Follow: true})
+		check("live/follow-mid-topic", wired, plan{QuerySpec: QuerySpec{Follow: true}})
 	}()
 	waitFollowers(t, rec, 1)
 	write(rec, 4, len(stamps))
@@ -205,13 +208,11 @@ func byTime(ms []oracleMsg) {
 }
 
 // delivered is what the callback must see, in order: the oracle's
-// messages minus the predicate's rejects.
-func delivered(spec QuerySpec, ms []oracleMsg) []queryRec {
+// messages.
+func delivered(ms []oracleMsg) []queryRec {
 	var out []queryRec
 	for _, m := range ms {
-		if spec.Predicate == nil || spec.Predicate(MessageRef{Time: m.Time, Data: []byte(m.Data)}) {
-			out = append(out, m.queryRec)
-		}
+		out = append(out, m.queryRec)
 	}
 	return out
 }
@@ -222,7 +223,7 @@ func (o oracle) wantSealed(spec QuerySpec) []queryRec {
 	if spec.Order == OrderTime || spec.Follow {
 		byTime(ms)
 	}
-	return delivered(spec, ms)
+	return delivered(ms)
 }
 
 // followWant is what a Follow query that subscribed after the log's
@@ -245,7 +246,7 @@ func followWant(full oracle, log []diffWrite, cut int, spec QuerySpec) []queryRe
 	sort.Slice(tail, func(i, j int) bool {
 		return written[tail[i].Topic][tail[i].ord] < written[tail[j].Topic][tail[j].ord]
 	})
-	return delivered(spec, append(snapshot, tail...))
+	return delivered(append(snapshot, tail...))
 }
 
 type diffWrite struct {
@@ -294,8 +295,8 @@ func diffLog(rng *rand.Rand, n int, big bool) []diffWrite {
 	return log
 }
 
-func randomSpec(rng *rand.Rand, topics []string, span int64) QuerySpec {
-	var spec QuerySpec
+func randomSpec(rng *rand.Rand, topics []string, span int64) plan {
+	var spec plan
 	if rng.Intn(3) > 0 {
 		perm := rng.Perm(len(topics))[:1+rng.Intn(len(topics))]
 		for _, i := range perm {
@@ -316,9 +317,6 @@ func randomSpec(rng *rand.Rand, topics []string, span int64) QuerySpec {
 		spec.End = at()
 	}
 	spec.Stride = []int{0, 1, 2, 3, 7}[rng.Intn(5)]
-	if rng.Intn(3) == 0 {
-		spec.Predicate = func(m MessageRef) bool { return (len(m.Data)+int(m.Time.NSec/1e7))%2 == 0 }
-	}
 	switch rng.Intn(4) {
 	case 1:
 		spec.Workers = []int{1, 2, 5, -1}[rng.Intn(4)]
@@ -330,17 +328,25 @@ func randomSpec(rng *rand.Rand, topics []string, span int64) QuerySpec {
 	return spec
 }
 
-func describe(spec QuerySpec) string {
-	return fmt.Sprintf("{Topics:%v Start:%v End:%v Stride:%d Order:%d Workers:%d Follow:%v Predicate:%v}",
-		spec.Topics, spec.Start, spec.End, spec.Stride, spec.Order, spec.Workers, spec.Follow, spec.Predicate != nil)
+// plan is a query under test: its selection and how it runs.
+type plan struct {
+	QuerySpec
+	Exec
+}
+
+func describe(spec plan) string {
+	return fmt.Sprintf("{Topics:%v Start:%v End:%v Stride:%d Order:%d Workers:%d Follow:%v}",
+		spec.Topics, spec.Start, spec.End, spec.Stride, spec.Order, spec.Workers, spec.Follow)
 }
 
 // checkAgainst runs spec on bag and compares with want: the exact
 // sequence for the serial, time and Follow policies, per-topic streams
 // for a pool (whose cross-topic interleaving is arbitrary).
-func checkAgainst(t *testing.T, bag *Bag, spec QuerySpec, want []queryRec) {
+func checkAgainst(t *testing.T, bag *Bag, spec plan, want []queryRec) {
 	t.Helper()
-	got := collect(t, func(fn func(MessageRef) error) error { return bag.Query(spec, fn) })
+	got := collect(t, func(fn func(MessageRef) error) error {
+		return bag.Execute(context.Background(), spec.QuerySpec, spec.Exec, fn)
+	})
 	if spec.Workers != 0 {
 		if !reflect.DeepEqual(byTopic(got), byTopic(want)) {
 			t.Errorf("%s: per-topic streams differ from the oracle (%d msgs, want %d)", describe(spec), len(got), len(want))
@@ -422,11 +428,11 @@ func TestExecutorDifferential(t *testing.T) {
 			for i := 0; i < specsPerBag/4; i++ {
 				spec := randomSpec(rng, known, span)
 				spec.Follow = false
-				checkAgainst(t, wired, spec, prefix.wantSealed(spec))
+				checkAgainst(t, wired, spec, prefix.wantSealed(spec.QuerySpec))
 			}
 			// Follow across the cut: every follower subscribes at the same
 			// point of the log, then the rest is written under them.
-			specs := make([]QuerySpec, 8)
+			specs := make([]plan, 8)
 			gots := make([][]queryRec, len(specs))
 			var wg sync.WaitGroup
 			for i := range specs {
@@ -435,7 +441,7 @@ func TestExecutorDifferential(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					err := wired.Query(specs[i], func(m MessageRef) error {
+					err := wired.Query(specs[i].QuerySpec, func(m MessageRef) error {
 						gots[i] = append(gots[i], queryRec{m.Conn.Topic, m.Time, string(m.Data)})
 						return nil
 					})
@@ -458,7 +464,7 @@ func TestExecutorDifferential(t *testing.T) {
 			}
 			full := buildOracle(t, sealed)
 			for i, spec := range specs {
-				if want := followWant(full, log, cut, spec); !reflect.DeepEqual(gots[i], want) {
+				if want := followWant(full, log, cut, spec.QuerySpec); !reflect.DeepEqual(gots[i], want) {
 					t.Errorf("seed %d cut %d %s: live Follow differs from the oracle (%d msgs, want %d)",
 						seed, cut, describe(spec), len(gots[i]), len(want))
 				}
@@ -470,7 +476,7 @@ func TestExecutorDifferential(t *testing.T) {
 		}
 		for i := 0; i < specsPerBag; i++ {
 			spec := randomSpec(rng, allTopics, span)
-			checkAgainst(t, sealed, spec, o.wantSealed(spec))
+			checkAgainst(t, sealed, spec, o.wantSealed(spec.QuerySpec))
 		}
 	}
 }

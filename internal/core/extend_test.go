@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"sync"
@@ -154,7 +155,7 @@ func TestRebagByTopic(t *testing.T) {
 	}
 }
 
-func TestRebagTimeAndPredicate(t *testing.T) {
+func TestRebagTimeWindowStride(t *testing.T) {
 	b := newBORA(t)
 	src := makeSourceBag(t, t.TempDir(), 10)
 	bag, _, err := b.Duplicate(src, "full")
@@ -166,29 +167,25 @@ func TestRebagTimeAndPredicate(t *testing.T) {
 		Topics: []string{"/imu"},
 		Start:  bagio.TimeFromNanos(base + 2e9),
 		End:    bagio.TimeFromNanos(base + 5e9 - 1),
-		Predicate: func(m MessageRef) bool {
-			var imu msgs.Imu
-			if err := imu.Unmarshal(m.Data); err != nil {
-				return false
-			}
-			return imu.Header.Seq%2 == 0 // keep even samples only
-		},
+		Stride: 2,
 	}
-	sub, kept, err := b.Rebag(bag, "window_even", spec)
+	sub, kept, err := b.Rebag(bag, "window_half", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kept != 15 { // 3 seconds × 10 Hz = 30 in window, half even
+	if kept != 15 { // 3 seconds × 10 Hz = 30 in window, every other one
 		t.Errorf("kept = %d, want 15", kept)
 	}
+	prev := -1
 	err = sub.Query(QuerySpec{}, func(m MessageRef) error {
 		var imu msgs.Imu
 		if err := imu.Unmarshal(m.Data); err != nil {
 			return err
 		}
-		if imu.Header.Seq%2 != 0 {
-			t.Errorf("odd sample %d leaked through", imu.Header.Seq)
+		if seq := int(imu.Header.Seq); prev >= 0 && seq != prev+2 {
+			t.Errorf("sample %d follows %d, want every other one", seq, prev)
 		}
+		prev = int(imu.Header.Seq)
 		return nil
 	})
 	if err != nil {
@@ -211,7 +208,7 @@ func TestQueryParallel(t *testing.T) {
 	}
 	var mu sync.Mutex
 	perTopic := map[string][]bagio.Time{}
-	err = bag.Query(QuerySpec{Workers: 4}, func(m MessageRef) error {
+	err = bag.Execute(context.Background(), QuerySpec{}, Exec{Workers: 4}, func(m MessageRef) error {
 		mu.Lock()
 		perTopic[m.Conn.Topic] = append(perTopic[m.Conn.Topic], m.Time)
 		mu.Unlock()
@@ -247,7 +244,7 @@ func TestQueryParallel(t *testing.T) {
 	// Workers: -1 (auto) also runs the parallel plan.
 	n := 0
 	var nmu sync.Mutex
-	if err := bag.Query(QuerySpec{Topics: []string{"/imu"}, Workers: -1}, func(MessageRef) error {
+	if err := bag.Execute(context.Background(), QuerySpec{Topics: []string{"/imu"}}, Exec{Workers: -1}, func(MessageRef) error {
 		nmu.Lock()
 		n++
 		nmu.Unlock()
@@ -258,7 +255,7 @@ func TestQueryParallel(t *testing.T) {
 	if n != 80 {
 		t.Errorf("imu parallel count = %d", n)
 	}
-	if err := bag.Query(QuerySpec{Topics: []string{"/missing"}, Workers: 2}, func(MessageRef) error { return nil }); err == nil {
+	if err := bag.Execute(context.Background(), QuerySpec{Topics: []string{"/missing"}}, Exec{Workers: 2}, func(MessageRef) error { return nil }); err == nil {
 		t.Error("unknown topic accepted")
 	}
 }
@@ -275,7 +272,7 @@ func TestQueryTimeParallel(t *testing.T) {
 	end := bagio.TimeFromNanos(base + 5e9 - 1)
 	var mu sync.Mutex
 	count := 0
-	err = bag.Query(QuerySpec{Topics: []string{"/imu", "/tf"}, Start: start, End: end, Workers: 2}, func(m MessageRef) error {
+	err = bag.Execute(context.Background(), QuerySpec{Topics: []string{"/imu", "/tf"}, Start: start, End: end}, Exec{Workers: 2}, func(m MessageRef) error {
 		if m.Time.Before(start) || end.Before(m.Time) {
 			t.Errorf("message at %v outside window", m.Time)
 		}

@@ -46,16 +46,17 @@ func writeTopic(t *testing.T, rec *Recorder, lo, hi int, size func(i int) int) {
 	}
 }
 
-// everyPolicy is one spec per ordering policy (pooled being topic order
-// off the calling goroutine).
+// everyPolicy is one selection and plan per ordering policy (pooled
+// being topic order off the calling goroutine).
 var everyPolicy = []struct {
 	name string
 	spec QuerySpec
+	ex   Exec
 }{
-	{"topic order", QuerySpec{}},
-	{"pooled", QuerySpec{Workers: 2}},
-	{"time order", QuerySpec{Order: OrderTime}},
-	{"follow (sealed)", QuerySpec{Follow: true}},
+	{"topic order", QuerySpec{}, Exec{}},
+	{"pooled", QuerySpec{}, Exec{Workers: 2}},
+	{"time order", QuerySpec{Order: OrderTime}, Exec{}},
+	{"follow (sealed)", QuerySpec{Follow: true}, Exec{}},
 }
 
 // TestDataReadsCountsExtents is the claim as a counter: over a plain
@@ -78,13 +79,13 @@ func TestDataReadsCountsExtents(t *testing.T) {
 		aq    *obs.ActiveQuery
 		err   error
 	}
-	// run queries bag with spec; first, when non-nil, runs before the
-	// first message is counted.
-	run := func(bag *Bag, spec QuerySpec, first func()) (r result) {
+	// run queries bag with spec as ex says; first, when non-nil, runs
+	// before the first message is counted.
+	run := func(bag *Bag, spec QuerySpec, ex Exec, first func()) (r result) {
 		before := bag.Stats()
 		r.aq = &obs.ActiveQuery{}
 		var mu sync.Mutex
-		r.err = bag.QueryContext(obs.ContextWithQuery(context.Background(), r.aq), spec, func(m MessageRef) error {
+		r.err = bag.Execute(obs.ContextWithQuery(context.Background(), r.aq), spec, ex, func(m MessageRef) error {
 			mu.Lock()
 			defer mu.Unlock()
 			if r.n == 0 && first != nil {
@@ -97,11 +98,11 @@ func TestDataReadsCountsExtents(t *testing.T) {
 		r.st = Stats{DataReads: after.DataReads - before.DataReads, BytesRead: after.BytesRead - before.BytesRead}
 		return r
 	}
-	sealed := func(spec QuerySpec) result { return run(bag, spec, nil) }
+	sealed := func(spec QuerySpec, ex Exec) result { return run(bag, spec, ex, nil) }
 	// tail follows a live recording of the same messages: the first is
 	// the Follow snapshot's, and the callback holds it while the rest are
 	// written, so the tail drains them as journal batches.
-	tail := func(spec QuerySpec) result {
+	tail := func(spec QuerySpec, ex Exec) result {
 		name := fmt.Sprintf("live-stride-%d", spec.Stride)
 		rec, err := b.CreateLiveBag(name, time.Hour)
 		if err != nil {
@@ -113,7 +114,7 @@ func TestDataReadsCountsExtents(t *testing.T) {
 			t.Fatal(err)
 		}
 		started, release, done := make(chan struct{}), make(chan struct{}), make(chan result, 1)
-		go func() { done <- run(live, spec, func() { close(started); <-release }) }()
+		go func() { done <- run(live, spec, ex, func() { close(started); <-release }) }()
 		select {
 		case <-started:
 		case r := <-done:
@@ -126,8 +127,8 @@ func TestDataReadsCountsExtents(t *testing.T) {
 		}
 		return <-done
 	}
-	check := func(name string, spec QuerySpec, run func(QuerySpec) result) {
-		r := run(spec)
+	check := func(name string, spec QuerySpec, ex Exec, run func(QuerySpec, Exec) result) {
+		r := run(spec, ex)
 		if r.err != nil {
 			t.Fatalf("%s: %v", name, r.err)
 		}
@@ -142,7 +143,7 @@ func TestDataReadsCountsExtents(t *testing.T) {
 		}
 
 		spec.Stride = 10
-		if r = run(spec); r.err != nil {
+		if r = run(spec, ex); r.err != nil {
 			t.Fatalf("%s stride 10: %v", name, r.err)
 		}
 		if r.n != msgs/10 || r.st.DataReads != r.n {
@@ -156,13 +157,13 @@ func TestDataReadsCountsExtents(t *testing.T) {
 		}
 	}
 	for _, c := range everyPolicy {
-		check(c.name, c.spec, sealed)
+		check(c.name, c.spec, c.ex, sealed)
 	}
-	check("follow (live tail)", QuerySpec{Follow: true}, tail)
+	check("follow (live tail)", QuerySpec{Follow: true}, Exec{}, tail)
 
 	setBlockCache(bag, newTestBlockCache(256<<10))
 	for _, c := range everyPolicy {
-		check("block cache, "+c.name, c.spec, sealed)
+		check("block cache, "+c.name, c.spec, c.ex, sealed)
 	}
 }
 
@@ -194,10 +195,10 @@ func perMessagePrefix(t *testing.T, topic *container.Topic) ([]string, error) {
 
 // queryPrefix runs spec to its end or its first error and returns what
 // was delivered before it.
-func queryPrefix(bag *Bag, spec QuerySpec) ([]string, error) {
+func queryPrefix(bag *Bag, spec QuerySpec, ex Exec) ([]string, error) {
 	var mu sync.Mutex
 	var out []string
-	err := bag.Query(spec, func(m MessageRef) error {
+	err := bag.Execute(context.Background(), spec, ex, func(m MessageRef) error {
 		mu.Lock()
 		out = append(out, string(m.Data))
 		mu.Unlock()
@@ -249,7 +250,7 @@ func TestTruncatedDataKeepsPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	pooled.MapData()
-	if got, err := queryPrefix(pooled, QuerySpec{}); err != nil || len(got) != msgs {
+	if got, err := queryPrefix(pooled, QuerySpec{}, Exec{}); err != nil || len(got) != msgs {
 		t.Fatalf("pooled handle before any cut: %d messages, %v", len(got), err)
 	}
 	total := int64(entries[msgs-1].PhysicalOffset) + int64(entries[msgs-1].Length)
@@ -297,7 +298,7 @@ func TestTruncatedDataKeepsPrefix(t *testing.T) {
 				name string
 				bag  *Bag
 			}{{p.name, cutBag}, {p.name + ", block cache", cachedBag}, {p.name + ", mapped after the cut", mappedBag}, {p.name + ", mapped before the cut", pooled}} {
-				got, err := queryPrefix(h.bag, p.spec)
+				got, err := queryPrefix(h.bag, p.spec, p.ex)
 				if !errors.Is(err, container.ErrIndexBeyondData) {
 					t.Errorf("%s, %s: err = %v, want ErrIndexBeyondData", c.name, h.name, err)
 				}
@@ -349,7 +350,7 @@ func TestTruncatedDataKeepsPrefix(t *testing.T) {
 				}
 				var mu sync.Mutex
 				var got []string
-				err := h.bag.Query(p.spec, func(m MessageRef) error {
+				err := h.bag.Execute(context.Background(), p.spec, p.ex, func(m MessageRef) error {
 					mu.Lock()
 					defer mu.Unlock()
 					got = append(got, string(m.Data))
@@ -407,7 +408,7 @@ func TestCorruptIndexEntryFailsBeforeAllocating(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := queryPrefix(corrupt, p.spec)
+		got, err := queryPrefix(corrupt, p.spec, p.ex)
 		if !errors.Is(err, container.ErrIndexBeyondData) {
 			t.Fatalf("%s: err = %v, want ErrIndexBeyondData", p.name, err)
 		}
@@ -560,14 +561,14 @@ func TestCachedRunsStopAtBlocks(t *testing.T) {
 	}
 
 	// Every policy, and a stride and a window, against the uncached handle.
-	same := func(what string, want, got *Bag, spec QuerySpec) {
+	same := func(what string, want, got *Bag, spec QuerySpec, ex Exec) {
 		t.Helper()
 		read := func(bag *Bag) []queryRec {
-			return collect(t, func(fn func(MessageRef) error) error { return bag.Query(spec, fn) })
+			return collect(t, func(fn func(MessageRef) error) error { return bag.Execute(context.Background(), spec, ex, fn) })
 		}
 		w, g := read(want), read(got)
 		equal := reflect.DeepEqual(g, w)
-		if spec.Workers != 0 { // a pool's cross-topic interleaving is arbitrary
+		if ex.Workers != 0 { // a pool's cross-topic interleaving is arbitrary
 			equal = reflect.DeepEqual(byTopic(g), byTopic(w))
 		}
 		if !equal {
@@ -576,11 +577,11 @@ func TestCachedRunsStopAtBlocks(t *testing.T) {
 	}
 	base := int64(1_700_000_000) * 1e9
 	for _, p := range everyPolicy {
-		same(p.name, plain, cached, p.spec)
+		same(p.name, plain, cached, p.spec, p.ex)
 	}
-	same("time order, stride 3", plain, cached, QuerySpec{Order: OrderTime, Stride: 3})
+	same("time order, stride 3", plain, cached, QuerySpec{Order: OrderTime, Stride: 3}, Exec{})
 	same("time order, windowed", plain, cached, QuerySpec{Order: OrderTime,
-		Start: bagio.TimeFromNanos(base + 100e6), End: bagio.TimeFromNanos(base + 400e6)})
+		Start: bagio.TimeFromNanos(base + 100e6), End: bagio.TimeFromNanos(base + 400e6)}, Exec{})
 
 	// Two time-order queries at once on one cached handle.
 	want := collect(t, func(fn func(MessageRef) error) error { return plain.Query(QuerySpec{Order: OrderTime}, fn) })
@@ -643,6 +644,6 @@ func TestCachedRunsStopAtBlocks(t *testing.T) {
 		t.Errorf("the live-wired handle cached %d blocks of a growing file", len(liveCache.m))
 	}
 	sealedLive := open("live", newTestBlockCache(bs))
-	same("sealed live bag, follow", open("live", nil), sealedLive, QuerySpec{Follow: true})
-	same("sealed live bag, topic order", open("live", nil), sealedLive, QuerySpec{})
+	same("sealed live bag, follow", open("live", nil), sealedLive, QuerySpec{Follow: true}, Exec{})
+	same("sealed live bag, topic order", open("live", nil), sealedLive, QuerySpec{}, Exec{})
 }

@@ -6,9 +6,8 @@ import "fmt"
 // logical bag on the same back end — the paper's rebagging operation,
 // performed container-to-container so the result is already
 // BORA-organized (no intermediate bag file, no re-duplication). Any
-// QuerySpec works: the recorder serializes writes, so parallel plans
-// are safe, and per-topic message order is preserved regardless of the
-// delivery order queried.
+// selection works: per-topic message order is preserved regardless of
+// the delivery order queried.
 func (b *BORA) Rebag(bag *Bag, newName string, spec QuerySpec) (*Bag, int64, error) {
 	if bag == nil {
 		return nil, 0, fmt.Errorf("bora: nil source bag")

@@ -97,7 +97,9 @@ func readLiveMeta(dir string) (*liveMeta, error) {
 }
 
 // writeLiveMeta persists m atomically (temp + rename), the same
-// all-or-nothing discipline as container metas.
+// all-or-nothing discipline as container metas, and syncs dir so the
+// rename is durable when it returns: a crash after it cannot leave the
+// bag without its meta, read as classic, with its segments lost.
 func writeLiveMeta(fs faultfs.Backend, dir string, m *liveMeta) error {
 	var b strings.Builder
 	b.WriteString(liveMetaMagic)
@@ -108,6 +110,9 @@ func writeLiveMeta(fs faultfs.Backend, dir string, m *liveMeta) error {
 		b.WriteString("gen=" + strconv.FormatUint(m.Gen, 10) + "\n")
 	}
 	if err := faultfs.WriteFileAtomic(fs, filepath.Join(dir, LiveMetaFileName), []byte(b.String()), 0o644); err != nil {
+		return fmt.Errorf("bora: write live meta: %w", err)
+	}
+	if err := fs.SyncDir(dir); err != nil {
 		return fmt.Errorf("bora: write live meta: %w", err)
 	}
 	return nil

@@ -324,7 +324,7 @@ func TestFollowOnSealedBagTerminates(t *testing.T) {
 		t.Error("follow on sealed bag delivered nothing")
 	}
 	// Follow + Workers is the one rejected combination.
-	err = bag.Query(QuerySpec{Follow: true, Workers: 2}, func(MessageRef) error { return nil })
+	err = bag.Execute(context.Background(), QuerySpec{Follow: true}, Exec{Workers: 2}, func(MessageRef) error { return nil })
 	if err == nil {
 		t.Error("Follow+Workers accepted")
 	}
@@ -734,7 +734,7 @@ func TestFollowFlushFailureSurfaces(t *testing.T) {
 			return nil
 		}
 		go func() {
-			done <- bag.Query(QuerySpec{Follow: true, Idle: idle}, func(MessageRef) error { return nil })
+			done <- bag.Execute(context.Background(), QuerySpec{Follow: true}, Exec{Idle: idle}, func(MessageRef) error { return nil })
 		}()
 		select {
 		case <-parked:
@@ -857,7 +857,7 @@ func TestFollowTailReleasesRotatedParts(t *testing.T) {
 	}
 	before := openFiles()
 	go func() {
-		done <- bag.Query(QuerySpec{Follow: true, Idle: idle}, func(MessageRef) error {
+		done <- bag.Execute(context.Background(), QuerySpec{Follow: true}, Exec{Idle: idle}, func(MessageRef) error {
 			delivered.Add(1)
 			return nil
 		})

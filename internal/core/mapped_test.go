@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -76,7 +77,7 @@ func TestNoMappingOutlivesAOneShotQuery(t *testing.T) {
 			}
 			var mu sync.Mutex
 			n, during := 0, 0
-			err = bag.Query(p.spec, func(MessageRef) error {
+			err = bag.Execute(context.Background(), p.spec, p.ex, func(MessageRef) error {
 				mu.Lock()
 				defer mu.Unlock()
 				if n++; n == 1 {
@@ -115,7 +116,7 @@ func TestIndexCutUnderQueryChangesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := queryPrefix(bag, QuerySpec{})
+	want, err := queryPrefix(bag, QuerySpec{}, Exec{})
 	if err != nil || len(want) != msgs {
 		t.Fatalf("before any cut: %d messages, %v", len(want), err)
 	}
@@ -183,7 +184,7 @@ func TestIndexCutUnderQueryChangesNothing(t *testing.T) {
 				}
 				var mu sync.Mutex
 				var got []string
-				err := h.open().Query(p.spec, func(m MessageRef) error {
+				err := h.open().Execute(context.Background(), p.spec, p.ex, func(m MessageRef) error {
 					mu.Lock()
 					defer mu.Unlock()
 					if got = append(got, string(m.Data)); len(got) == 1 {
@@ -203,11 +204,11 @@ func TestIndexCutUnderQueryChangesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range everyPolicy {
-			got, err := queryPrefix(pooled, p.spec)
+			got, err := queryPrefix(pooled, p.spec, p.ex)
 			same(fmt.Sprintf("pooled handle, index cut %s between queries, %s", c.name, p.name), got, want, err)
-			got, err = queryPrefix(pooled, window(p.spec))
+			got, err = queryPrefix(pooled, window(p.spec), p.ex)
 			same(fmt.Sprintf("pooled handle, index cut %s between queries, windowed %s", c.name, p.name), got, want[msgs/2:], err)
-			got, err = queryPrefix(oneShot(), p.spec)
+			got, err = queryPrefix(oneShot(), p.spec, p.ex)
 			if c.cut%container.IndexEntrySize != 0 {
 				if err == nil || len(got) != 0 {
 					t.Errorf("one-shot handle opened after an index cut %s, %s: %d messages, err = %v; want none and an error", c.name, p.name, len(got), err)
@@ -273,7 +274,7 @@ func TestCutByTheLastCallbackIsAnError(t *testing.T) {
 			spec.Start, spec.End = first.Time, last.Time
 			var mu sync.Mutex
 			n := 0
-			err := h.bag().Query(spec, func(m MessageRef) error {
+			err := h.bag().Execute(context.Background(), spec, p.ex, func(m MessageRef) error {
 				mu.Lock()
 				defer mu.Unlock()
 				if n++; m.Time == last.Time {
@@ -307,7 +308,7 @@ func TestPinnedDataLastsUntilIdle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := oneShot.Query(p.spec, func(m MessageRef) error {
+		if err := oneShot.Execute(context.Background(), p.spec, p.ex, func(m MessageRef) error {
 			if oneShot.Pinned(m) != (container.Guard{}) {
 				return errors.New("a one-shot handle pinned a payload")
 			}
@@ -321,8 +322,8 @@ func TestPinnedDataLastsUntilIdle(t *testing.T) {
 			kept, want       [][]byte
 			pinned, verified int
 		)
-		spec := p.spec
-		spec.Idle = func() error {
+		ex := p.ex
+		ex.Idle = func() error {
 			mu.Lock()
 			defer mu.Unlock()
 			for i := range kept {
@@ -334,7 +335,7 @@ func TestPinnedDataLastsUntilIdle(t *testing.T) {
 			kept, want = kept[:0], want[:0]
 			return nil
 		}
-		err = pooled.Query(spec, func(m MessageRef) error {
+		err = pooled.Execute(context.Background(), p.spec, ex, func(m MessageRef) error {
 			if pooled.Pinned(m) == (container.Guard{}) {
 				return nil
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"io"
 	"path/filepath"
 	"testing"
@@ -49,7 +50,7 @@ func TestObsCoversAllLayers(t *testing.T) {
 	if err := bag.Query(QuerySpec{Start: start, End: end}, func(MessageRef) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := bag.Query(QuerySpec{Workers: 2}, func(MessageRef) error { return nil }); err != nil {
+	if err := bag.Execute(context.Background(), QuerySpec{}, Exec{Workers: 2}, func(MessageRef) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if err := bag.Export(&discardSeeker{}, rosbag.WriterOptions{}); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -70,7 +71,7 @@ func TestReadParallelFailFast(t *testing.T) {
 		}
 		close(poisoned)
 	}()
-	err = bag.Query(QuerySpec{Workers: workers}, func(m MessageRef) error {
+	err = bag.Execute(context.Background(), QuerySpec{}, Exec{Workers: workers}, func(m MessageRef) error {
 		if m.Conn.Topic == "/t0" {
 			return poison
 		}
@@ -103,7 +104,7 @@ func TestReadParallelManyWorkersRace(t *testing.T) {
 	}
 	var mu sync.Mutex
 	perTopicSeen := map[string]int{}
-	err = bag.Query(QuerySpec{Workers: 6}, func(m MessageRef) error {
+	err = bag.Execute(context.Background(), QuerySpec{}, Exec{Workers: 6}, func(m MessageRef) error {
 		mu.Lock()
 		perTopicSeen[m.Conn.Topic]++
 		mu.Unlock()

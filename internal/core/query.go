@@ -10,59 +10,33 @@ import (
 	"repro/internal/bagio"
 	"repro/internal/container"
 	"repro/internal/obs"
+	"repro/internal/spec"
 )
 
-// Order selects the cross-topic delivery order of a Query.
-type Order int
+// QuerySpec is the query selection (spec.Query): topics, window,
+// order, stride and Follow, validated by its one Validate. Bag.Query
+// and BORA.Rebag take it; TransformSpec.QuerySpec builds it.
+type QuerySpec = spec.Query
 
+// Order selects the cross-topic delivery order of a query (spec.Order).
+type Order = spec.Order
+
+// The delivery orders; see spec.OrderTopic and spec.OrderTime.
 const (
-	// OrderTopic (the default) yields messages grouped by topic in the
-	// order requested, each topic in timestamp order — the
-	// layout-friendly order that streams every topic file sequentially
-	// (Fig 7). Only OrderTopic queries may run parallel plans.
-	OrderTopic Order = iota
-	// OrderTime yields messages in global timestamp order across
-	// topics, merging the per-part selections in runs through a typed
-	// min-heap. It exists for consumers (e.g. SLAM replays) that need
-	// cross-topic chronology; pure extraction workloads should prefer
-	// OrderTopic.
-	OrderTime
+	OrderTopic = spec.OrderTopic
+	OrderTime  = spec.OrderTime
 )
 
-// QuerySpec describes one read over an open bag. It is the single query
-// spec across the core API: Bag.Query and BORA.Rebag both take it. The zero value reads every message of every topic,
-// grouped by topic.
-type QuerySpec struct {
-	// Topics to read; empty selects every topic in the bag.
-	Topics []string
-	// Start and End bound the query to [Start, End] inclusive. The
-	// zero Start is the beginning of time; a zero End means
-	// bagio.MaxTime, so a zero window is a full-axis scan.
-	Start bagio.Time
-	End   bagio.Time
-	// Order selects the cross-topic delivery order.
-	Order Order
+// Exec is how a query runs, apart from what it selects.
+type Exec struct {
 	// Workers selects the execution plan for OrderTopic queries: 0
 	// streams the topics serially; any other value fans the per-topic
 	// streams over a worker pool of that size (negative means
 	// GOMAXPROCS). With a pool the callback may fire from several
 	// goroutines at once — it must be goroutine-safe — and the
-	// cross-topic interleaving is arbitrary. Must be 0 with OrderTime:
-	// a chronological merge is inherently serial.
+	// cross-topic interleaving is arbitrary. Must be 0 with OrderTime
+	// and Follow: a chronological merge is inherently serial.
 	Workers int
-	// Stride, when > 1, delivers every Stride-th message of each topic
-	// — the topic's first in-window message, then every Stride-th after
-	// it, counted in append order, so every Order, Workers and Follow
-	// setting delivers the same messages. Unlike Predicate it is part of
-	// the serializable TransformSpec form, so content-addressed dataset
-	// builds can hash it. 0 and 1 deliver everything; negative is an
-	// error.
-	Stride int
-	// Predicate, when non-nil, is consulted per message before the
-	// callback; messages it rejects are read but not delivered. Stride
-	// applies first: the predicate sees only stride-surviving messages
-	// (the rest are never read).
-	Predicate func(MessageRef) bool
 	// Idle, when non-nil, is the moment for a callback that batches what
 	// it is handed (borad's frame batcher) to push the batch out. Every
 	// plan calls it after a part's last delivery, before it settles the
@@ -72,16 +46,6 @@ type QuerySpec struct {
 	// and is about to block until the next write. With Workers, several
 	// streams may call it at once. An error ends the query.
 	Idle func() error
-	// Follow tails a bag that is still recording: the query first
-	// delivers a consistent snapshot of everything recorded before it
-	// subscribed (in timestamp order, like OrderTime), then streams
-	// each new message in write order as it lands, blocking between
-	// writes. It returns only when the recording seals or the context
-	// is cancelled — pass a context (QueryContext) to bound it. On a
-	// bag that is not recording, Follow delivers the chronological
-	// snapshot and returns. Follow queries are serial: Workers must be
-	// 0, and Order is ignored.
-	Follow bool
 }
 
 // cancelCheckBatch is how many messages a cancellable query reads
@@ -108,11 +72,7 @@ func checkCancel(ctx context.Context, fn func(MessageRef) error) func(MessageRef
 }
 
 // Query reads the bag per spec, invoking fn for every delivered
-// message. The plan — and the obs op it is recorded under — follows
-// from the spec: a full-axis serial scan is core.read, a time-bounded
-// serial scan is core.read_time (the coarse window index prunes the
-// per-topic scans), Workers != 0 is core.read_parallel, and
-// OrderTime is core.read_chrono.
+// message, serially; it is Execute with no context and no Exec.
 //
 // The MessageRef passed to fn borrows its Data: the bytes are valid
 // only until fn returns (see the MessageRef ownership contract). Every
@@ -120,70 +80,63 @@ func checkCancel(ctx context.Context, fn func(MessageRef) error) func(MessageRef
 // reads as slices of its mappings — so the steady-state per-message cost
 // of the hot loop is zero allocations.
 func (bag *Bag) Query(spec QuerySpec, fn func(MessageRef) error) error {
-	return bag.QuerySpanContext(context.Background(), obs.Span{}, spec, fn)
+	return bag.Execute(context.Background(), spec, Exec{}, fn)
 }
 
-// QueryContext is Query bound to ctx: cancellation is checked once per
-// message batch, so a canceled query (a disconnected network client, an
-// expired deadline) stops reading from disk within cancelCheckBatch
-// messages and returns ctx.Err().
+// QueryContext is Query bound to ctx; see Execute.
 func (bag *Bag) QueryContext(ctx context.Context, spec QuerySpec, fn func(MessageRef) error) error {
-	return bag.QuerySpanContext(ctx, obs.Span{}, spec, fn)
+	return bag.Execute(ctx, spec, Exec{}, fn)
 }
 
-// QuerySpanContext is QueryContext with its span nested under parent
-// (e.g. a pool or vfs operation wrapping the read). A zero parent traces
-// it as a root.
+// Execute is the one query entry point: it reads the bag per spec,
+// run as ex says, invoking fn for every delivered message. The plan —
+// and the obs op it is recorded under — follows from both: a full-axis
+// serial scan is core.read, a time-bounded serial scan is
+// core.read_time (the coarse window index prunes the per-topic scans),
+// Workers != 0 is core.read_parallel, OrderTime is core.read_chrono
+// and Follow is core.follow.
+//
+// ctx bounds the query: cancellation is checked once per message
+// batch, so a canceled query (a disconnected network client, an
+// expired deadline) stops reading from disk within cancelCheckBatch
+// messages and returns ctx.Err(). ctx also carries what the query is
+// attributed to: its obs.ActiveQuery (obs.ContextWithQuery) and the
+// span its own nests under (obs.Span.InContext; none traces it as a
+// root).
 //
 // Every query runs the same way: the spec is validated into a query,
 // each topic part is resolved to a selection from its index alone
 // (cursor.selectEntries), and one of three ordering policies — topic
 // order, time order, Follow — drains the resulting cursors through
 // cursor.deliver.
-func (bag *Bag) QuerySpanContext(ctx context.Context, parent obs.Span, spec QuerySpec, fn func(MessageRef) error) error {
+func (bag *Bag) Execute(ctx context.Context, spec QuerySpec, ex Exec, fn func(MessageRef) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	if err := spec.Validate(); err != nil {
+		return err
+	}
 	if spec.End.IsZero() {
 		spec.End = bagio.MaxTime
 	}
-	if spec.End.Before(spec.Start) {
-		return fmt.Errorf("bora: end time %v before start time %v", spec.End, spec.Start)
-	}
-	if spec.Stride < 0 {
-		return fmt.Errorf("bora: negative stride %d", spec.Stride)
-	}
 	spec.Stride = max(spec.Stride, 1)
-	if pred := spec.Predicate; pred != nil {
-		inner := fn
-		fn = func(m MessageRef) error {
-			if !pred(m) {
-				return nil
-			}
-			return inner(m)
-		}
+	if ex.Workers != 0 && (spec.Follow || spec.Order == OrderTime) {
+		return fmt.Errorf("bora: Follow and OrderTime queries are serial; Workers must be 0, got %d", ex.Workers)
 	}
-	// Per-query attribution: the ActiveQuery (if any) is fetched from the
-	// context exactly once per query and carried by pointer — the
-	// per-message hot loops never touch the context. The cancellation
-	// check wraps outside the predicate so it counts messages read, not
-	// messages delivered: a query whose predicate rejects everything
-	// still notices cancellation.
-	q := &query{QuerySpec: spec, bag: bag, aq: obs.QueryFromContext(ctx), fn: fn}
+	// Per-query attribution: the ActiveQuery and the parent span (if
+	// any) are fetched from the context exactly once per query and
+	// carried by the query — the per-message hot loops never touch the
+	// context.
+	parent := obs.SpanFromContext(ctx)
+	q := &query{QuerySpec: spec, Exec: ex, bag: bag, aq: obs.QueryFromContext(ctx), fn: fn}
 	switch {
 	case spec.Follow:
-		if spec.Workers != 0 {
-			return fmt.Errorf("bora: Follow queries are serial; Workers must be 0, got %d", spec.Workers)
-		}
 		q.fn = checkCancel(ctx, fn)
 		return q.follow(ctx, parent)
 	case spec.Order == OrderTime:
-		if spec.Workers != 0 {
-			return fmt.Errorf("bora: OrderTime queries are serial; Workers must be 0, got %d", spec.Workers)
-		}
 		q.fn = checkCancel(ctx, fn)
 		return q.readTime(parent)
 	default:
@@ -191,13 +144,14 @@ func (bag *Bag) QuerySpanContext(ctx context.Context, parent obs.Span, spec Quer
 	}
 }
 
-// query is a validated QuerySpec (End and Stride normalized) bound to
-// its bag: what selection and every ordering policy read.
+// query is a validated QuerySpec (End and Stride normalized) and how it
+// runs, bound to its bag: what selection and every ordering policy read.
 type query struct {
 	QuerySpec
+	Exec
 	bag *Bag
 	aq  *obs.ActiveQuery
-	fn  func(MessageRef) error // the callback behind the predicate and cancellation wraps (a pooled worker's copy, its own)
+	fn  func(MessageRef) error // the callback behind the cancellation wrap (a pooled worker's copy, its own)
 	// A live Follow's snapshot cut: limits caps each part's selection at
 	// its entry count when the query subscribed (absent parts select
 	// nothing), and phases receives each chain's stride phase at the cut
@@ -329,7 +283,7 @@ func (q *query) readPart(sp obs.Span, t *container.Topic, phase *int, scratch *m
 	return q.idle(err)
 }
 
-// idle calls QuerySpec.Idle after a policy's last delivery from its
+// idle calls Exec.Idle after a policy's last delivery from its
 // cursors, before settle closes them, unless the deliveries failed.
 func (q *query) idle(err error) error {
 	if err == nil && q.Idle != nil {
@@ -424,7 +378,7 @@ func (q *query) readTime(parent obs.Span) (err error) {
 // bytes are in the data file, each part's batch adjacent). Between
 // writes the query blocks on the subscription's notify channel; it
 // wakes for new messages, for the recording sealing (clean return), or
-// for context cancellation; QuerySpec.Idle runs before each block.
+// for context cancellation; Exec.Idle runs before each block.
 //
 // Messages are delivered exactly once: the cut is taken under the same
 // lock that orders writes, so limits and the journal from pos

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -69,11 +70,12 @@ func TestQueryPlanEquivalence(t *testing.T) {
 		"imu+tf":  {"/imu", "/tf"},
 		"reorder": {"/tf", "/camera/rgb/image_color", "/imu"},
 	}
-	type plan struct {
+	type matrixCase struct {
 		spec    func(topics []string) QuerySpec
+		ex      Exec
 		ordered bool // exact sequence must match the serial baseline
 	}
-	cases := map[string]plan{
+	cases := map[string]matrixCase{
 		"SerialTime": {
 			spec: func(topics []string) QuerySpec {
 				return QuerySpec{Topics: topics, Start: winStart, End: winEnd}
@@ -87,13 +89,15 @@ func TestQueryPlanEquivalence(t *testing.T) {
 		},
 		"Parallel": {
 			spec: func(topics []string) QuerySpec {
-				return QuerySpec{Topics: topics, Start: winStart, End: winEnd, Workers: 2}
+				return QuerySpec{Topics: topics, Start: winStart, End: winEnd}
 			},
+			ex: Exec{Workers: 2},
 		},
 		"ParallelDefaultWorkers": {
 			spec: func(topics []string) QuerySpec {
-				return QuerySpec{Topics: topics, Start: winStart, End: winEnd, Workers: -1}
+				return QuerySpec{Topics: topics, Start: winStart, End: winEnd}
 			},
+			ex: Exec{Workers: -1},
 		},
 	}
 	for setName, topics := range topicSets {
@@ -106,7 +110,7 @@ func TestQueryPlanEquivalence(t *testing.T) {
 		for caseName, c := range cases {
 			t.Run(fmt.Sprintf("%s/%s", caseName, setName), func(t *testing.T) {
 				got := collect(t, func(fn func(MessageRef) error) error {
-					return bag.Query(c.spec(topics), fn)
+					return bag.Execute(context.Background(), c.spec(topics), c.ex, fn)
 				})
 				if c.ordered {
 					if !reflect.DeepEqual(got, want) {
@@ -122,50 +126,8 @@ func TestQueryPlanEquivalence(t *testing.T) {
 	}
 }
 
-// TestQueryPredicate checks that Predicate filters delivery without
-// changing order, and composes with a time window.
-func TestQueryPredicate(t *testing.T) {
-	b := newBORA(t)
-	src := makeSourceBag(t, t.TempDir(), 5)
-	bag, _, err := b.Duplicate(src, "bag1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := collect(t, func(fn func(MessageRef) error) error {
-		return bag.Query(QuerySpec{Topics: []string{"/imu", "/tf"}}, fn)
-	})
-	imuOnly := func(m MessageRef) bool { return m.Conn.Topic == "/imu" }
-	got := collect(t, func(fn func(MessageRef) error) error {
-		return bag.Query(QuerySpec{Topics: []string{"/imu", "/tf"}, Predicate: imuOnly}, fn)
-	})
-	var want []queryRec
-	for _, r := range all {
-		if r.Topic == "/imu" {
-			want = append(want, r)
-		}
-	}
-	if len(want) != 50 {
-		t.Fatalf("expected 50 /imu messages in the baseline, got %d", len(want))
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("predicate delivery differs: got %d msgs, want %d", len(got), len(want))
-	}
-	// Predicate under a chrono plan: same filter, time order.
-	got = collect(t, func(fn func(MessageRef) error) error {
-		return bag.Query(QuerySpec{Order: OrderTime, Predicate: imuOnly}, fn)
-	})
-	if len(got) != 50 {
-		t.Fatalf("chrono predicate delivered %d msgs, want 50", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Time.Before(got[i-1].Time) {
-			t.Fatalf("chrono predicate delivery out of time order at %d", i)
-		}
-	}
-}
-
-// TestQuerySpecErrors pins the spec validation: an inverted window and a
-// parallel chrono plan are rejected up front.
+// TestQuerySpecErrors pins the spec validation: an inverted window, a
+// negative stride and a parallel chrono plan are rejected up front.
 func TestQuerySpecErrors(t *testing.T) {
 	b := newBORA(t)
 	src := makeSourceBag(t, t.TempDir(), 2)
@@ -179,20 +141,25 @@ func TestQuerySpecErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "before start time") {
 		t.Fatalf("inverted window: err = %v, want before-start error", err)
 	}
-	err = bag.Query(QuerySpec{Order: OrderTime, Workers: 4}, func(MessageRef) error { return nil })
+	err = bag.Query(QuerySpec{Stride: -1}, func(MessageRef) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "negative stride") {
+		t.Fatalf("negative stride: err = %v, want negative-stride error", err)
+	}
+	err = bag.Execute(context.Background(), QuerySpec{Order: OrderTime}, Exec{Workers: 4}, func(MessageRef) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "Workers must be 0") {
 		t.Fatalf("OrderTime+Workers: err = %v, want serial-only error", err)
 	}
 }
 
 // TestQueryIsTheOnlyReadEntryPoint pins the completed deprecation: the
-// ReadMessages* wrappers are gone from Bag's method set, leaving Query
-// (and its Context/Span forms) as the single read API.
+// ReadMessages* wrappers and the span-taking QuerySpanContext are gone
+// from Bag's method set, leaving Execute (and its Query/QueryContext
+// wrappers) as the single read API.
 func TestQueryIsTheOnlyReadEntryPoint(t *testing.T) {
 	typ := reflect.TypeOf(&Bag{})
 	for _, name := range []string{
 		"ReadMessages", "ReadMessagesTime", "ReadMessagesChrono",
-		"ReadMessagesParallel", "ReadMessagesTimeParallel",
+		"ReadMessagesParallel", "ReadMessagesTimeParallel", "QuerySpanContext",
 	} {
 		if _, ok := typ.MethodByName(name); ok {
 			t.Errorf("*Bag still has legacy method %s; it should be removed", name)

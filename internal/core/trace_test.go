@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -94,7 +95,7 @@ func TestTraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bag.Query(QuerySpec{Workers: 2}, func(MessageRef) error { return nil }); err != nil {
+	if err := bag.Execute(context.Background(), QuerySpec{}, Exec{Workers: 2}, func(MessageRef) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -162,7 +163,7 @@ func TestParallelReadersDisjointTracks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ { // enough spans to wrap the 64-event ring
-		if err := bag.Query(QuerySpec{Workers: 3}, func(MessageRef) error { return nil }); err != nil {
+		if err := bag.Execute(context.Background(), QuerySpec{}, Exec{Workers: 3}, func(MessageRef) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

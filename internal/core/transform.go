@@ -10,14 +10,13 @@ import (
 	"repro/internal/bagio"
 )
 
-// TransformSpec is the canonical, serializable form of a query's
-// selection — the subset of QuerySpec a dataset build can hash into a
-// content address. A Go func Predicate cannot be addressed (two
-// closures with identical behavior are indistinguishable), so build
-// systems describe their filters with this declarative triple instead:
-// topics, an inclusive time window, and a per-topic stride. The JSON
-// tags are the wire/spec-file form used by internal/build derivations
-// and shared with the borabag CLI's -start/-end/-stride flags.
+// TransformSpec is the spec-file and flag form of a query selection:
+// what a dataset build hashes into a content address, and what the
+// borabag CLI's -topics/-start/-end/-stride flags fill. It keeps what
+// the selection (QuerySpec) cannot hold — bounds in float seconds, and
+// whether each bound was given at all — and converts to the selection
+// with QuerySpec. The JSON tags are the form internal/build derivations
+// use.
 //
 // Start/End are pointers so an explicitly requested epoch bound
 // (start_sec: 0) is distinguishable from an absent one — the
@@ -28,7 +27,8 @@ type TransformSpec struct {
 	// StartSec/EndSec bound the selection to [StartSec, EndSec]
 	// inclusive, in seconds since the epoch. Nil leaves the side
 	// unbounded. Bounds must be finite, non-negative and within the
-	// representable bagio.Time range.
+	// representable bagio.Time range, and an end bound must lie past
+	// the epoch.
 	StartSec *float64 `json:"start_sec,omitempty"`
 	EndSec   *float64 `json:"end_sec,omitempty"`
 	// Stride keeps every Stride-th message of each topic (the first,
@@ -37,70 +37,56 @@ type TransformSpec struct {
 	Stride int `json:"stride,omitempty"`
 }
 
-// maxSeconds is the largest representable bagio.Time in whole seconds
-// (Sec is u32); bounds beyond it are rejected rather than silently
-// wrapped by the float→int conversion.
-const maxSeconds = float64(^uint32(0))
-
-// secondsToNanos converts a spec-file seconds value to nanoseconds,
-// rejecting the values hostile inputs use to smuggle overflow past the
-// conversion (NaN, ±Inf, negatives, beyond-u32-seconds).
-func secondsToNanos(v float64) (int64, error) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("bora: time bound %v is not a finite number", v)
+// bound converts a spec-file bound in seconds to a time, rejecting the
+// values hostile inputs use to smuggle overflow past the float→int
+// conversion: NaN, ±Inf, negatives, and beyond u32 seconds (Time.Sec).
+func bound(v float64) (bagio.Time, error) {
+	switch {
+	case math.IsNaN(v) || math.IsInf(v, 0):
+		return bagio.Time{}, fmt.Errorf("bora: time bound %v is not a finite number", v)
+	case v < 0:
+		return bagio.Time{}, fmt.Errorf("bora: time bound %v is negative (bag times start at the epoch)", v)
+	case v > math.MaxUint32:
+		return bagio.Time{}, fmt.Errorf("bora: time bound %v exceeds the representable range (%v s)", v, uint32(math.MaxUint32))
 	}
-	if v < 0 {
-		return 0, fmt.Errorf("bora: time bound %v is negative (bag times start at the epoch)", v)
-	}
-	if v > maxSeconds {
-		return 0, fmt.Errorf("bora: time bound %v exceeds the representable range (%v s)", v, maxSeconds)
-	}
-	return int64(v * 1e9), nil
+	return bagio.TimeFromNanos(int64(v * 1e9)), nil
 }
 
-// normalize validates the spec and returns its canonical parts: the
-// sorted, deduplicated topic list and the window bounds in nanoseconds
-// (has* false when a side is unbounded).
-func (ts TransformSpec) normalize() (topics []string, startNs, endNs int64, hasStart, hasEnd bool, err error) {
+// QuerySpec validates the transform and returns the selection it
+// describes, its topics sorted and deduplicated. It delivers grouped by
+// topic (OrderTopic) — the order Rebag materializes under, where only
+// per-topic order matters.
+func (ts TransformSpec) QuerySpec() (q QuerySpec, err error) {
 	seen := map[string]bool{}
 	for _, t := range ts.Topics {
-		if t == "" {
-			return nil, 0, 0, false, false, fmt.Errorf("bora: transform names an empty topic")
-		}
-		if strings.ContainsRune(t, '\n') {
-			return nil, 0, 0, false, false, fmt.Errorf("bora: topic %q contains a newline", t)
-		}
 		if !seen[t] {
 			seen[t] = true
-			topics = append(topics, t)
+			q.Topics = append(q.Topics, t)
 		}
 	}
-	sort.Strings(topics)
+	sort.Strings(q.Topics)
+	q.Stride = ts.Stride
 	if ts.StartSec != nil {
-		if startNs, err = secondsToNanos(*ts.StartSec); err != nil {
-			return nil, 0, 0, false, false, err
+		if q.Start, err = bound(*ts.StartSec); err != nil {
+			return QuerySpec{}, err
 		}
-		hasStart = true
 	}
 	if ts.EndSec != nil {
-		if endNs, err = secondsToNanos(*ts.EndSec); err != nil {
-			return nil, 0, 0, false, false, err
+		if q.End, err = bound(*ts.EndSec); err != nil {
+			return QuerySpec{}, err
 		}
-		hasEnd = true
+		if q.End.IsZero() {
+			// A zero End means "no end bound": reading an end at the epoch
+			// so would return everything the caller excluded. It would
+			// select only messages stamped 0.000000000, which rosbag never
+			// writes (ros::TIME_MIN is 1 ns).
+			return QuerySpec{}, fmt.Errorf("bora: end bound %v is at the epoch, before any recorded message", *ts.EndSec)
+		}
 	}
-	if hasStart && hasEnd && endNs < startNs {
-		return nil, 0, 0, false, false, fmt.Errorf("bora: transform window is empty (end %v before start %v)", *ts.EndSec, *ts.StartSec)
+	if err := q.Validate(); err != nil {
+		return QuerySpec{}, err
 	}
-	if ts.Stride < 0 {
-		return nil, 0, 0, false, false, fmt.Errorf("bora: negative stride %d", ts.Stride)
-	}
-	return topics, startNs, endNs, hasStart, hasEnd, nil
-}
-
-// Validate checks the spec without converting it.
-func (ts TransformSpec) Validate() error {
-	_, _, _, _, _, err := ts.normalize()
-	return err
+	return q, nil
 }
 
 // Canonical returns a deterministic byte encoding of the spec:
@@ -109,51 +95,23 @@ func (ts TransformSpec) Validate() error {
 // builds hash this form (together with the source identity) into a
 // derivation address.
 func (ts TransformSpec) Canonical() ([]byte, error) {
-	topics, startNs, endNs, hasStart, hasEnd, err := ts.normalize()
+	q, err := ts.QuerySpec()
 	if err != nil {
 		return nil, err
 	}
 	var b strings.Builder
 	b.WriteString("bora-transform v1\n")
-	for _, t := range topics {
+	for _, t := range q.Topics {
 		b.WriteString("topic=" + t + "\n")
 	}
-	if hasStart {
-		b.WriteString("start=" + strconv.FormatInt(startNs, 10) + "\n")
+	if ts.StartSec != nil {
+		b.WriteString("start=" + strconv.FormatInt(q.Start.Nanos(), 10) + "\n")
 	}
-	if hasEnd {
-		b.WriteString("end=" + strconv.FormatInt(endNs, 10) + "\n")
+	if ts.EndSec != nil {
+		b.WriteString("end=" + strconv.FormatInt(q.End.Nanos(), 10) + "\n")
 	}
-	if ts.Stride > 1 {
-		b.WriteString("stride=" + strconv.Itoa(ts.Stride) + "\n")
+	if q.Stride > 1 {
+		b.WriteString("stride=" + strconv.Itoa(q.Stride) + "\n")
 	}
 	return []byte(b.String()), nil
-}
-
-// QuerySpec converts the transform to an executable query spec. The
-// result delivers grouped by topic (OrderTopic, serial) — the order
-// Rebag materializes under, where only per-topic order matters.
-func (ts TransformSpec) QuerySpec() (QuerySpec, error) {
-	topics, startNs, endNs, hasStart, hasEnd, err := ts.normalize()
-	if err != nil {
-		return QuerySpec{}, err
-	}
-	spec := QuerySpec{Topics: topics, Stride: ts.Stride}
-	if hasStart {
-		spec.Start = bagio.TimeFromNanos(startNs)
-	}
-	if hasEnd {
-		end := bagio.TimeFromNanos(endNs)
-		if end.IsZero() {
-			// An explicit end at the epoch has no QuerySpec encoding (a
-			// zero End means MaxTime), so it becomes the one transform
-			// that needs a predicate: only messages stamped exactly at
-			// the epoch survive. The predicate never participates in
-			// addressing — Canonical covers this case via end=0.
-			spec.Predicate = func(m MessageRef) bool { return m.Time.IsZero() }
-		} else {
-			spec.End = end
-		}
-	}
-	return spec, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -41,11 +42,11 @@ func strideBag(t *testing.T) *Bag {
 
 func TestQueryStride(t *testing.T) {
 	bag := strideBag(t)
-	counts := func(spec QuerySpec) map[string][]byte {
+	countsWith := func(spec QuerySpec, ex Exec) map[string][]byte {
 		t.Helper()
 		out := map[string][]byte{}
 		var mu sync.Mutex // the parallel plan calls back from its workers
-		if err := bag.Query(spec, func(m MessageRef) error {
+		if err := bag.Execute(context.Background(), spec, ex, func(m MessageRef) error {
 			mu.Lock()
 			defer mu.Unlock()
 			out[m.Conn.Topic] = append(out[m.Conn.Topic], m.Data[0])
@@ -55,6 +56,7 @@ func TestQueryStride(t *testing.T) {
 		}
 		return out
 	}
+	counts := func(spec QuerySpec) map[string][]byte { return countsWith(spec, Exec{}) }
 
 	got := counts(QuerySpec{Stride: 3})
 	if len(got["/imu"]) != 34 || len(got["/tf"]) != 14 {
@@ -88,7 +90,7 @@ func TestQueryStride(t *testing.T) {
 
 	// Parallel and chrono plans agree with the serial plan per topic.
 	serial := counts(QuerySpec{Stride: 7})
-	parallel := counts(QuerySpec{Stride: 7, Workers: 4})
+	parallel := countsWith(QuerySpec{Stride: 7}, Exec{Workers: 4})
 	chrono := counts(QuerySpec{Stride: 7, Order: OrderTime})
 	for topic := range serial {
 		if len(parallel[topic]) != len(serial[topic]) {
@@ -97,20 +99,6 @@ func TestQueryStride(t *testing.T) {
 		if !bytes.Equal(chrono[topic], serial[topic]) {
 			t.Errorf("chrono stride differs on %s", topic)
 		}
-	}
-
-	// Stride applies before Predicate: the predicate only sees stride
-	// survivors.
-	var seen int
-	spec := QuerySpec{Topics: []string{"/imu"}, Stride: 10, Predicate: func(m MessageRef) bool {
-		seen++
-		return true
-	}}
-	if err := bag.Query(spec, func(MessageRef) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if seen != 10 {
-		t.Errorf("predicate consulted %d times, want 10", seen)
 	}
 }
 
@@ -129,11 +117,11 @@ func TestTransformSpecCanonical(t *testing.T) {
 		t.Errorf("canonical forms differ:\n%s\n%s", ca, cb)
 	}
 	// Distinct selections encode distinctly, including set-vs-unset
-	// zero bounds and stride 1 vs 2.
+	// zero start bounds and stride 1 vs 2.
 	variants := []TransformSpec{
 		{Topics: []string{"/imu"}},
 		{Topics: []string{"/imu"}, StartSec: f64(0)},
-		{Topics: []string{"/imu"}, EndSec: f64(0)},
+		{Topics: []string{"/imu"}, EndSec: f64(1)},
 		{Topics: []string{"/imu"}, Stride: 2},
 		{},
 	}
@@ -160,11 +148,13 @@ func TestTransformSpecValidation(t *testing.T) {
 		{Stride: -1},
 		{Topics: []string{""}},
 		{Topics: []string{"/a\nb"}},
+		// An end bound at the epoch has no selection: a zero End is "no
+		// end bound", and nothing rosbag writes is stamped before 1 ns.
+		{EndSec: f64(0)},
+		{StartSec: f64(0), EndSec: f64(0)},
+		{EndSec: f64(1e-10)},
 	}
 	for i, ts := range bad {
-		if err := ts.Validate(); err == nil {
-			t.Errorf("bad spec %d validated", i)
-		}
 		if _, err := ts.Canonical(); err == nil {
 			t.Errorf("bad spec %d canonicalized", i)
 		}
@@ -172,9 +162,9 @@ func TestTransformSpecValidation(t *testing.T) {
 			t.Errorf("bad spec %d converted", i)
 		}
 	}
-	ok := TransformSpec{Topics: []string{"/imu"}, StartSec: f64(0), EndSec: f64(0)}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("epoch-to-epoch window rejected: %v", err)
+	ok := TransformSpec{Topics: []string{"/imu"}, StartSec: f64(0), EndSec: f64(1e-9)}
+	if _, err := ok.QuerySpec(); err != nil {
+		t.Errorf("epoch to 1 ns window rejected: %v", err)
 	}
 }
 
@@ -194,18 +184,9 @@ func TestTransformSpecQueryWindow(t *testing.T) {
 		t.Errorf("windowed transform kept %d messages, want 11", n)
 	}
 
-	// An explicit epoch end bound selects only epoch-stamped messages —
-	// here, none — rather than silently reading as "no bound".
-	ts = TransformSpec{EndSec: f64(0)}
-	spec, err = ts.QuerySpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n = 0
-	if err := bag.Query(spec, func(MessageRef) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("explicit end 0 delivered %d messages, want 0", n)
+	// An explicit epoch end bound is refused rather than silently
+	// reading as "no bound".
+	if spec, err := (TransformSpec{EndSec: f64(0)}).QuerySpec(); err == nil {
+		t.Errorf("explicit end 0 converted to %+v", spec)
 	}
 }

@@ -141,7 +141,7 @@ func TestClusterQueryMatchesSingle(t *testing.T) {
 		q     client.QuerySpec
 	}{
 		{"by-topic", client.QuerySpec{}},
-		{"chrono", client.QuerySpec{Chrono: true}},
+		{"chrono", client.QuerySpec{Order: core.OrderTime}},
 		{"imu-only", client.QuerySpec{Topics: []string{workload.TopicIMU}}},
 	}
 	for _, bag := range clusterBags {
@@ -201,7 +201,7 @@ func TestClusterChaosKillMidStream(t *testing.T) {
 	backendDir := buildSharedBackend(t)
 	members, servers := startBoradCluster(t, backendDir, 3)
 	const bag = "robot1"
-	q := client.QuerySpec{Chrono: true}
+	q := client.QuerySpec{Order: core.OrderTime}
 	want := directSequence(t, members[0].Addr, bag, q)
 
 	reg := obs.NewRegistry()

@@ -116,7 +116,8 @@ func liveCrashSweep(t *testing.T, every int, window time.Duration) {
 	if total < 100 {
 		t.Fatalf("suspiciously few backend ops in a clean live recording: %d", total)
 	}
-	t.Logf("sweeping live crash points 1..%d", total)
+	metaDurable := liveMetaSync(t, clean.Trace())
+	t.Logf("sweeping live crash points 1..%d; the live meta is durable after op %d", total, metaDurable)
 
 	for n := int64(1); n <= total; n++ {
 		root := t.TempDir()
@@ -128,7 +129,10 @@ func liveCrashSweep(t *testing.T, every int, window time.Duration) {
 			t.Fatalf("CrashAt=%d: injector never crashed", n)
 		}
 		if _, err := os.Stat(filepath.Join(root, "live", core.LiveMetaFileName)); os.IsNotExist(err) {
-			continue // crashed before the live meta landed: nothing on disk to recover
+			if n > metaDurable {
+				t.Fatalf("CrashAt=%d: the live meta is missing, though its directory was synced at op %d", n, metaDurable)
+			}
+			continue // crashed before the live meta was durable: nothing on disk to recover
 		}
 
 		// Refused: an abandoned recording must not be served as-is.
@@ -251,6 +255,21 @@ func liveFindings(t *testing.T, root string) []container.Finding {
 	return out
 }
 
+// liveMetaSync is the op number of the first sync of the live bag's
+// directory in trace: the one that makes the live meta's rename durable.
+func liveMetaSync(t *testing.T, trace []string) int64 {
+	t.Helper()
+	for _, line := range trace {
+		f := strings.SplitN(line, " ", 3)
+		if f[1] == "syncdir" && filepath.Base(f[2]) == "live" {
+			n, _ := strconv.ParseInt(f[0], 10, 64)
+			return n
+		}
+	}
+	t.Fatal("no sync of the live bag's directory in the trace")
+	return 0
+}
+
 // barrier is one segment's commit in an op trace: the op number of its
 // barrier and of the sync that makes its sealed meta durable.
 type barrier struct {
@@ -342,8 +361,8 @@ func TestCrashBeforeRotationCommitLosesNothing(t *testing.T) {
 				t.Fatalf("CrashAt=%d: recording returned %v, crashed %v", n, err, in.Crashed())
 			}
 			if _, err := os.Stat(filepath.Join(root, "live", core.LiveMetaFileName)); os.IsNotExist(err) {
-				// The first barrier is the first sync of the bag directory: a
-				// crash at it loses the live meta's rename, as in the sweep.
+				// The meta's directory is synced before any segment exists, so
+				// no barrier can lose its rename.
 				lost++
 				continue
 			}
@@ -372,7 +391,7 @@ func TestCrashBeforeRotationCommitLosesNothing(t *testing.T) {
 		}
 	}
 	t.Logf("%d crash points across %d pending commits, %d before the live meta was durable", crashes, len(commits)-1, lost)
-	if lost > 1 {
-		t.Errorf("%d crash points lost the live meta, want at most the first barrier", lost)
+	if lost > 0 {
+		t.Errorf("%d crash points lost the live meta, want none", lost)
 	}
 }

@@ -93,3 +93,19 @@ func QueryFromContext(ctx context.Context) *ActiveQuery {
 	q, _ := ctx.Value(queryKey{}).(*ActiveQuery)
 	return q
 }
+
+// spanKey is the context key a parent span travels under.
+type spanKey struct{}
+
+// InContext returns ctx carrying s, so the spans a query under ctx
+// starts nest under s (a pool or server operation wrapping the read).
+func (s Span) InContext(ctx context.Context) context.Context {
+	return context.WithValue(ctx, spanKey{}, s)
+}
+
+// SpanFromContext returns the span ctx carries, or the zero span, under
+// which children trace as roots. Like QueryFromContext, once per query.
+func SpanFromContext(ctx context.Context) Span {
+	s, _ := ctx.Value(spanKey{}).(Span)
+	return s
+}

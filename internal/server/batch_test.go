@@ -157,10 +157,11 @@ func TestBatchedStreamMatchesLocal(t *testing.T) {
 		}
 		defer cl.Close()
 		for _, bg := range bags {
-			for order, chrono := range []bool{false, true} {
+			for _, order := range []core.Order{core.OrderTopic, core.OrderTime} {
+				chrono := order == core.OrderTime
 				var got []rec
 				within(t, 30*time.Second, fmt.Sprintf("window %d, payload %d, chrono %v", window, bg.size, chrono), func() error {
-					st, err := cl.Query(bg.name, client.QuerySpec{Chrono: chrono})
+					st, err := cl.Query(bg.name, client.QuerySpec{Order: order})
 					if err != nil {
 						return err
 					}

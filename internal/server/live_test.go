@@ -61,7 +61,7 @@ func TestRecordUploadAndQuery(t *testing.T) {
 		t.Error("double Seal accepted")
 	}
 
-	st, err := cl.Query("uploaded", client.QuerySpec{Chrono: true})
+	st, err := cl.Query("uploaded", client.QuerySpec{Order: core.OrderTime})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -266,7 +266,7 @@ func TestOldFormatQueryServedIdentically(t *testing.T) {
 	b := buildBackend(t, nil, 3, 20)
 	_, addr := startServer(t, b, Options{QueryLog: obs.NewQueryLog(8, 0, nil)})
 
-	req := wire.QueryReq{Name: "robot1", Topics: []string{"/sensor00", "/sensor02"}}
+	req := wire.QueryReq{Name: "robot1", Query: client.QuerySpec{Topics: []string{"/sensor00", "/sensor02"}}}
 	oldFormat := wire.EncodeQuery(req) // TraceID 0: byte-identical to the old layout
 	req.TraceID = obs.NewTraceID()
 	req.ParentSpan = 99

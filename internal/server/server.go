@@ -357,7 +357,7 @@ func (s *Server) HTTPHandler() http.Handler {
 // at exactly four points: when it reaches flushBytes; before
 // query.waitCredit parks (the client must see the frames it is to
 // acknowledge); with the stream's terminal frame (endQuery); and at
-// core.QuerySpec.Idle — a Follow query's, about to block on the
+// core.Exec.Idle — a Follow query's, about to block on the
 // recorder, and any query's holding pinned payloads of a part about to
 // settle. The byte stream is the one a Write per frame would produce;
 // only the write boundaries differ.
@@ -979,7 +979,7 @@ func (c *conn) runQuery(q *query, req wire.QueryReq, recv time.Time) {
 				Status:     "ok",
 				DurationNs: time.Since(recv).Nanoseconds(),
 			}
-			if req.Order == wire.OrderTime {
+			if req.Order == core.OrderTime {
 				rec.Order = "time"
 			}
 			if qerr != nil {
@@ -1074,16 +1074,12 @@ func (c *conn) runQuery(q *query, req wire.QueryReq, recv time.Time) {
 	if req.Follow {
 		idle = flush
 	}
-	spec := core.QuerySpec{Topics: req.Topics, Start: req.Start, End: req.End, Follow: req.Follow, Idle: idle}
-	if req.Order == wire.OrderTime {
-		spec.Order = core.OrderTime
-	}
 	// The wire index of the connection the previous message came from: a
 	// stream changes connection once per topic (per message only in time
 	// order), so the topic-name lookup is paid on the change.
 	var lastConn *bagio.Connection
 	var lastIdx uint16
-	err = bag.QuerySpanContext(q.ctx, sp, spec, func(m core.MessageRef) error {
+	err = bag.Execute(sp.InContext(q.ctx), req.Query, core.Exec{Idle: idle}, func(m core.MessageRef) error {
 		if err := q.waitCredit(len(m.Data), flush); err != nil {
 			return err
 		}

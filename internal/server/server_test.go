@@ -89,69 +89,116 @@ type rec struct {
 
 // TestEndToEndMatchesLocal is the acceptance path: a windowed topic
 // query through the daemon must deliver byte-identical messages, in the
-// same order, as core.Bag.Query over the same container.
+// same order, as core.Bag.Query of the same selection over the same
+// container, in either order and strided or not.
 func TestEndToEndMatchesLocal(t *testing.T) {
 	b := buildBackend(t, nil, 6, 40)
 	_, addr := startServer(t, b, Options{})
-
-	spec := core.QuerySpec{
-		Topics: []string{"/sensor01", "/sensor04"},
-		Start:  bagio.TimeFromNanos(timeBase + 5e8),
-		End:    bagio.TimeFromNanos(timeBase + 30e8),
-	}
 	bag, err := b.Open("robot1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var local []rec
-	if err := bag.Query(spec, func(m core.MessageRef) error {
-		local = append(local, rec{Topic: m.Conn.Topic, Time: m.Time, Data: bytes.Clone(m.Data)})
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(local) == 0 {
-		t.Fatal("windowed local query returned nothing; fixture broken")
-	}
-
 	cl, err := client.Dial(addr, client.Options{Window: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	for _, chrono := range []bool{false, true} {
-		st, err := cl.Query("robot1", client.QuerySpec{
-			Topics: spec.Topics, Start: spec.Start, End: spec.End, Chrono: chrono,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var remote []rec
-		for st.Next() {
-			m := st.Message()
-			if m.Type != "sensor_msgs/Imu" {
-				t.Errorf("message type %q", m.Type)
+	for _, order := range []core.Order{core.OrderTopic, core.OrderTime} {
+		for _, stride := range []int{0, 10} {
+			spec := core.QuerySpec{
+				Topics: []string{"/sensor01", "/sensor04"},
+				Start:  bagio.TimeFromNanos(timeBase + 5e8),
+				End:    bagio.TimeFromNanos(timeBase + 30e8),
+				Order:  order,
+				Stride: stride,
 			}
-			remote = append(remote, rec{Topic: m.Topic, Time: m.Time, Data: bytes.Clone(m.Data)})
-		}
-		if err := st.Err(); err != nil {
-			t.Fatal(err)
-		}
-		want := local
-		if chrono {
-			want = nil
-			lspec := spec
-			lspec.Order = core.OrderTime
-			if err := bag.Query(lspec, func(m core.MessageRef) error {
-				want = append(want, rec{Topic: m.Conn.Topic, Time: m.Time, Data: bytes.Clone(m.Data)})
+			var local []rec
+			if err := bag.Query(spec, func(m core.MessageRef) error {
+				local = append(local, rec{Topic: m.Conn.Topic, Time: m.Time, Data: bytes.Clone(m.Data)})
 				return nil
 			}); err != nil {
 				t.Fatal(err)
 			}
+			if len(local) == 0 {
+				t.Fatal("windowed local query returned nothing; fixture broken")
+			}
+			st, err := cl.Query("robot1", spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var remote []rec
+			for st.Next() {
+				m := st.Message()
+				if m.Type != "sensor_msgs/Imu" {
+					t.Errorf("message type %q", m.Type)
+				}
+				remote = append(remote, rec{Topic: m.Topic, Time: m.Time, Data: bytes.Clone(m.Data)})
+			}
+			if err := st.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(remote, local) {
+				t.Errorf("order %d, stride %d: remote stream (%d msgs) differs from local query (%d msgs)",
+					order, stride, len(remote), len(local))
+			}
 		}
-		if !reflect.DeepEqual(remote, want) {
-			t.Errorf("chrono=%v: remote stream (%d msgs) differs from local query (%d msgs)",
-				chrono, len(remote), len(want))
+	}
+}
+
+// TestStridedQuerySendsOnlySurvivors: a strided QUERY streams exactly
+// the messages the local query of the same selection delivers — every
+// tenth of each topic — and END counts those, not the window's: the
+// other nine in ten never cross the wire.
+func TestStridedQuerySendsOnlySurvivors(t *testing.T) {
+	b := buildBackend(t, nil, 3, 200)
+	_, addr := startServer(t, b, Options{})
+	bag, err := b.Open("robot1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := core.QuerySpec{Start: bagio.TimeFromNanos(timeBase + 5e8), End: bagio.TimeFromNanos(timeBase + 150e8)}
+	count := func(s core.QuerySpec) (n uint64) {
+		if err := bag.Query(s, func(core.MessageRef) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	window := count(sel)
+	sel.Stride = 10
+	local := count(sel)
+	if local == 0 || local*9 > window {
+		t.Fatalf("fixture: stride 10 keeps %d of %d in-window messages", local, window)
+	}
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := wire.WriteFrame(nc, wire.OpQuery, wire.EncodeQuery(wire.QueryReq{Name: "robot1", Query: sel})); err != nil {
+		t.Fatal(err)
+	}
+	var frames uint64
+	for {
+		f, err := wire.ReadFrame(nc, wire.DefaultMaxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch f.Op {
+		case wire.OpQueryHdr:
+		case wire.OpMsg:
+			frames++
+		case wire.OpEnd:
+			end, err := wire.DecodeEnd(f.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if frames != local || end.Count != local {
+				t.Errorf("strided window: %d MSG frames, END counts %d; the local query delivers %d of %d", frames, end.Count, local, window)
+			}
+			return
+		default:
+			t.Fatalf("unexpected frame 0x%02x: %s", f.Op, f.Payload)
 		}
 	}
 }

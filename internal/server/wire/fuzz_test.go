@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bagio"
+	"repro/internal/spec"
 )
 
 // FuzzDecodeFrame feeds raw bytes through the frame decoder and every
@@ -18,9 +19,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frameBytes(OpCancel, nil))
 	f.Add(frameBytes(OpQuery, EncodeQuery(QueryReq{
 		Name:   "robot1",
-		Topics: []string{"/imu", "/tf"},
-		Start:  bagio.Time{Sec: 1},
-		End:    bagio.Time{Sec: 2},
+		Query:  spec.Query{Topics: []string{"/imu", "/tf"}, Start: bagio.Time{Sec: 1}, End: bagio.Time{Sec: 2}},
 		Window: 64,
 	})))
 	f.Add(frameBytes(OpQuery, EncodeQuery(QueryReq{ // byte-counted credit, traced, following
@@ -28,7 +27,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		Window:     1 << 20,
 		TraceID:    7,
 		ParentSpan: 8,
-		Follow:     true,
+		Query:      spec.Query{Follow: true},
 		ByteCredit: true,
 	})))
 	f.Add(frameBytes(OpQueryHdr, EncodeQueryHdr([]ConnMeta{{Topic: "/imu", Type: "sensor_msgs/Imu"}})))
@@ -38,6 +37,18 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frameBytes(OpCredit, EncodeCredit(16)))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, byte(OpMsg)}) // lying length
 	f.Add([]byte{0, 0, 0, 0, 0x7f})                    // unknown opcode
+	f.Add(frameBytes(OpQuery, EncodeQuery(QueryReq{    // strided
+		Name:   "robot1",
+		Query:  spec.Query{Start: bagio.Time{Sec: 1}, Stride: 10},
+		Window: 64,
+	})))
+	f.Add(frameBytes(OpQuery, EncodeQuery(QueryReq{ // traced and strided
+		Name:       "robot1",
+		Query:      spec.Query{Topics: []string{"/imu"}, Stride: 10},
+		Window:     1 << 20,
+		TraceID:    7,
+		ParentSpan: 8,
+	})))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data), 1<<20)

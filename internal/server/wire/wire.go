@@ -20,8 +20,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/bagio"
+	"repro/internal/spec"
 )
 
 // HeaderSize is the fixed frame header width: uint32 payload length +
@@ -423,20 +425,14 @@ func capCount(n int) int {
 	return n
 }
 
-// Order selects a query's cross-topic delivery order on the wire.
-const (
-	OrderTopic uint8 = 0 // grouped by topic (core.OrderTopic)
-	OrderTime  uint8 = 1 // global timestamp order (core.OrderTime)
-)
-
-// QueryReq is the QUERY request: a remote core.QuerySpec plus the
-// client's initial flow-control window.
+// QueryReq is the QUERY request: a query selection plus how the client
+// wants it streamed.
 type QueryReq struct {
-	Name   string
-	Topics []string
-	Start  bagio.Time
-	End    bagio.Time
-	Order  uint8
+	Name string
+	// Query is the selection, one spec.Query: the topic list, the
+	// [Start, End] window, a one-byte order and, in the trailing blocks
+	// below, Follow and Stride.
+	spec.Query
 	// Window is the initial credit: the server sends MSG frames while
 	// what it has sent beyond what the client has acknowledged with
 	// CREDIT grants is less than this. It counts frames, or with
@@ -447,23 +443,14 @@ type QueryReq struct {
 	// cross-process observability (obs.QueryID): the server tags its
 	// spans and slow-query records with them so client and server traces
 	// stitch into one timeline. They ride in an optional trailing block
-	// of the frame — present only when TraceID != 0 — which is what
-	// keeps the two directions of version skew working: an untraced
-	// frame is byte-identical to the pre-TraceID format, an old server
-	// ignores the trailing bytes of a traced frame (the decoder never
-	// rejected oversize payloads), and an old client simply never sends
-	// them.
+	// of the frame, present only when TraceID != 0, so an untraced frame
+	// is byte-identical to the pre-TraceID format.
 	TraceID    uint64
 	ParentSpan uint64
-	// Follow streams the live tail after the sealed prefix: END arrives
-	// only when the recording seals (or on CANCEL). It rides in an
-	// optional trailing flags byte — after the trace block when one is
-	// present — which old decoders ignore like the trace block itself.
-	Follow bool
 	// ByteCredit counts Window and every CREDIT grant of the stream in
-	// encoded MSG frame bytes instead of frames. It rides in the flags
-	// byte too: an old server ignores it and counts frames, which only
-	// makes a byte-sized window larger than meant.
+	// encoded MSG frame bytes instead of frames. It rides in the
+	// optional trailing flags byte, after the trace block when one is
+	// present, beside Follow (the live tail after the sealed prefix).
 	ByteCredit bool
 }
 
@@ -471,9 +458,13 @@ type QueryReq struct {
 const (
 	flagFollow     uint8 = 1 << 0
 	flagByteCredit uint8 = 1 << 1
+	flagStride     uint8 = 1 << 2 // a u32 stride follows the flags byte
 )
 
-// EncodeQuery renders a QUERY payload.
+// EncodeQuery renders a QUERY payload. The optional trailing blocks go
+// in a fixed order — trace block (16 bytes), flags byte, stride (4) —
+// and each is present only when it carries something, so a request
+// that needs none of them is the original fixed layout.
 func EncodeQuery(q QueryReq) []byte {
 	var e enc
 	e.str(q.Name)
@@ -483,7 +474,7 @@ func EncodeQuery(q QueryReq) []byte {
 	}
 	e.time(q.Start)
 	e.time(q.End)
-	e.u8(q.Order)
+	e.u8(uint8(q.Order))
 	e.u32(q.Window)
 	if q.TraceID != 0 {
 		e.u64(q.TraceID)
@@ -496,16 +487,21 @@ func EncodeQuery(q QueryReq) []byte {
 	if q.ByteCredit {
 		flags |= flagByteCredit
 	}
+	if q.Stride > 1 {
+		flags |= flagStride
+	}
 	if flags != 0 {
-		// The flags byte is only distinguishable from a trace block by
-		// remaining length, so it must follow the trace block when both
-		// are present (16+1 vs 16 vs 1 vs 0 trailing bytes).
 		e.u8(flags)
+	}
+	if q.Stride > 1 {
+		// A stride past u32 keeps only the first message of each topic,
+		// as the largest u32 does of any topic shorter than 4 G messages.
+		e.u32(uint32(min(uint64(q.Stride), math.MaxUint32)))
 	}
 	return e.b
 }
 
-// DecodeQuery parses a QUERY payload.
+// DecodeQuery parses a QUERY payload and validates its selection.
 func DecodeQuery(p []byte) (QueryReq, error) {
 	d := dec{b: p}
 	q := QueryReq{Name: d.str()}
@@ -519,31 +515,41 @@ func DecodeQuery(p []byte) (QueryReq, error) {
 	}
 	q.Start = d.time()
 	q.End = d.time()
-	q.Order = d.u8()
+	q.Order = spec.Order(d.u8())
 	q.Window = d.u32()
 	if !d.fail {
-		// Optional trailing blocks (newer clients only), dispatched by
-		// exact remaining length: trace block (16), flags byte (1), both
-		// (17). Any other trailing length is a malformed frame, not a
-		// silent fallback.
+		// Optional trailing blocks, dispatched by exact remaining length:
+		// trace block (16), flags byte (1), flags byte and stride (5), or
+		// a trace block before either (17, 21). Any other trailing length
+		// is a malformed frame, not a silent fallback — which is also how
+		// a decoder that predates a block answers a frame that carries it.
 		rem := len(d.b) - d.off
-		switch rem {
-		case 0, 1:
-		case 16, 17:
-			q.TraceID = d.u64()
-			q.ParentSpan = d.u64()
-		default:
+		tail := rem % 16
+		if rem > 21 || tail != 0 && tail != 1 && tail != 5 {
 			d.fail = true
 		}
-		if rem%16 == 1 {
+		if rem >= 16 && !d.fail {
+			q.TraceID = d.u64()
+			q.ParentSpan = d.u64()
+		}
+		if tail > 0 && !d.fail {
 			flags := d.u8()
 			q.Follow, q.ByteCredit = flags&flagFollow != 0, flags&flagByteCredit != 0
+			switch {
+			case (flags&flagStride != 0) != (tail == 5):
+				d.fail = true
+			case tail == 5:
+				q.Stride = int(d.u32())
+			}
 		}
 	}
-	if q.Order > OrderTime {
-		return QueryReq{}, fmt.Errorf("wire: unknown order %d", q.Order)
+	if err := d.err(); err != nil {
+		return QueryReq{}, err
 	}
-	return q, d.err()
+	if err := q.Validate(); err != nil {
+		return QueryReq{}, fmt.Errorf("wire: %w", err)
+	}
+	return q, nil
 }
 
 // ConnMeta is one entry of a stream's connection table: MSG frames

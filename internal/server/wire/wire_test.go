@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"reflect"
 	"testing"
 
 	"repro/internal/bagio"
+	"repro/internal/spec"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -76,11 +78,13 @@ func TestReadFrameRejects(t *testing.T) {
 
 func TestQueryRoundTrip(t *testing.T) {
 	want := QueryReq{
-		Name:   "robot1",
-		Topics: []string{"/imu", "/camera/rgb/image_color"},
-		Start:  bagio.Time{Sec: 100, NSec: 5},
-		End:    bagio.Time{Sec: 200, NSec: 999999999},
-		Order:  OrderTime,
+		Name: "robot1",
+		Query: spec.Query{
+			Topics: []string{"/imu", "/camera/rgb/image_color"},
+			Start:  bagio.Time{Sec: 100, NSec: 5},
+			End:    bagio.Time{Sec: 200, NSec: 999999999},
+			Order:  spec.OrderTime,
+		},
 		Window: 64,
 	}
 	got, err := DecodeQuery(EncodeQuery(want))
@@ -101,9 +105,14 @@ func TestQueryRoundTrip(t *testing.T) {
 	if _, err := DecodeQuery([]byte{0, 1}); !errors.Is(err, ErrTruncated) {
 		t.Errorf("truncated query: err = %v, want ErrTruncated", err)
 	}
-	bad := EncodeQuery(QueryReq{Name: "b", Order: 9})
+	bad := EncodeQuery(QueryReq{Name: "b", Query: spec.Query{Order: 9}})
 	if _, err := DecodeQuery(bad); err == nil {
 		t.Error("unknown order accepted")
+	}
+	// The decoder validates the selection it hands the server.
+	inverted := EncodeQuery(QueryReq{Name: "b", Query: spec.Query{Start: bagio.Time{Sec: 9}, End: bagio.Time{Sec: 1}}})
+	if _, err := DecodeQuery(inverted); err == nil {
+		t.Error("inverted window accepted")
 	}
 }
 
@@ -114,9 +123,7 @@ func TestQueryRoundTrip(t *testing.T) {
 func TestQueryTraceVersioning(t *testing.T) {
 	base := QueryReq{
 		Name:   "robot1",
-		Topics: []string{"/imu"},
-		Start:  bagio.Time{Sec: 100},
-		End:    bagio.Time{Sec: 200},
+		Query:  spec.Query{Topics: []string{"/imu"}, Start: bagio.Time{Sec: 100}, End: bagio.Time{Sec: 200}},
 		Window: 64,
 	}
 
@@ -129,7 +136,7 @@ func TestQueryTraceVersioning(t *testing.T) {
 	e.str("/imu")
 	e.time(base.Start)
 	e.time(base.End)
-	e.u8(base.Order)
+	e.u8(uint8(base.Order))
 	e.u32(base.Window)
 	old := e.b
 	if got := EncodeQuery(base); !bytes.Equal(got, old) {
@@ -266,7 +273,7 @@ func TestRecordRoundTrips(t *testing.T) {
 }
 
 func TestQueryFollowFlag(t *testing.T) {
-	base := QueryReq{Name: "bag1", Topics: []string{"/imu"}, Window: 64}
+	base := QueryReq{Name: "bag1", Query: spec.Query{Topics: []string{"/imu"}}, Window: 64}
 
 	// Follow alone rides in a single trailing byte.
 	fq := base
@@ -300,7 +307,7 @@ func TestQueryFollowFlag(t *testing.T) {
 // flags byte beside Follow, with and without the trace block, and a
 // request without it — an old client's — decodes as frame-counted.
 func TestQueryByteCreditFlag(t *testing.T) {
-	base := QueryReq{Name: "bag1", Topics: []string{"/imu"}, Window: 1 << 20}
+	base := QueryReq{Name: "bag1", Query: spec.Query{Topics: []string{"/imu"}}, Window: 1 << 20}
 	plain := EncodeQuery(base)
 	if got, err := DecodeQuery(plain); err != nil || got.ByteCredit {
 		t.Errorf("old-form request: got %+v err %v; want frame-counted credit", got, err)
@@ -325,6 +332,87 @@ func TestQueryByteCreditFlag(t *testing.T) {
 			q.ByteCredit = false
 			if got, err := DecodeQuery(EncodeQuery(q)); err != nil || got.ByteCredit || got.Follow != follow {
 				t.Errorf("follow %v, trace %d, no bit: got %+v err %v", follow, trace, got, err)
+			}
+		}
+	}
+}
+
+// TestQueryGolden pins the QUERY payloads of an unstrided request in
+// each of its four trailing forms — none, trace block, flags byte, both
+// — to the bytes the encoder produced before the stride block existed,
+// so a request that does not stride reaches a server of either age
+// unchanged.
+func TestQueryGolden(t *testing.T) {
+	base := QueryReq{
+		Name: "robot1",
+		Query: spec.Query{
+			Topics: []string{"/imu", "/tf"},
+			Start:  bagio.Time{Sec: 1500000000, NSec: 5},
+			End:    bagio.Time{Sec: 1500000010, NSec: 7},
+			Order:  spec.OrderTime,
+		},
+		Window: 1 << 20,
+	}
+	traced := base
+	traced.TraceID, traced.ParentSpan = 0x0102030405060708, 0x1112131415161718
+	flagged := base
+	flagged.ByteCredit = true
+	both := traced
+	both.Follow, both.ByteCredit = true, true
+	const fixed = "0006726f626f7431000200042f696d7500032f746659682f000000000559682f0a000000070100100000"
+	for _, tc := range []struct {
+		name string
+		q    QueryReq
+		want string
+	}{
+		{"none", base, fixed},
+		{"trace", traced, fixed + "01020304050607081112131415161718"},
+		{"flags", flagged, fixed + "02"},
+		{"trace and flags", both, fixed + "0102030405060708111213141516171803"},
+	} {
+		for _, stride := range []int{0, 1} { // both mean "every message"
+			q := tc.q
+			q.Stride = stride
+			if got := hex.EncodeToString(EncodeQuery(q)); got != tc.want {
+				t.Errorf("%s, stride %d:\n got %s\nwant %s", tc.name, stride, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestQueryStrideBlock: a stride above 1 rides in a u32 after the
+// flags byte, with or without the trace block and the other flags, and
+// round-trips. Its trailing lengths (5, 21) are ones a decoder that
+// predates it (0, 1, 16, 17) refuses as malformed, so an old server
+// answers a strided query with an error instead of streaming every
+// message.
+func TestQueryStrideBlock(t *testing.T) {
+	base := QueryReq{Name: "bag1", Query: spec.Query{Topics: []string{"/imu"}}, Window: 64}
+	plain := EncodeQuery(base)
+	for _, trace := range []uint64{0, 99} {
+		for _, follow := range []bool{false, true} {
+			q := base
+			q.Stride, q.Follow, q.ByteCredit, q.TraceID, q.ParentSpan = 10, follow, follow, trace, trace/3
+			p := EncodeQuery(q)
+			tail := len(p) - len(plain)
+			if want := map[bool]int{false: 5, true: 21}[trace != 0]; tail != want {
+				t.Errorf("trace %d, follow %v: %d trailing bytes, want %d", trace, follow, tail, want)
+			}
+			if tail == 0 || tail == 1 || tail == 16 || tail == 17 {
+				t.Errorf("trace %d, follow %v: trailing length %d is one an old decoder accepts", trace, follow, tail)
+			}
+			got, err := DecodeQuery(p)
+			if err != nil || !reflect.DeepEqual(got, q) {
+				t.Errorf("trace %d, follow %v: round-trip got %+v err %v", trace, follow, got, err)
+			}
+			// The stride bit without its u32, or the u32 without its bit,
+			// is malformed.
+			if _, err := DecodeQuery(p[:len(p)-4]); !errors.Is(err, ErrTruncated) {
+				t.Errorf("trace %d, follow %v: stride bit without stride: err = %v, want ErrTruncated", trace, follow, err)
+			}
+			p[len(p)-5] &^= flagStride
+			if _, err := DecodeQuery(p); !errors.Is(err, ErrTruncated) {
+				t.Errorf("trace %d, follow %v: stride without its bit: err = %v, want ErrTruncated", trace, follow, err)
 			}
 		}
 	}
