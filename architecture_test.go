@@ -299,6 +299,9 @@ var (
 		"NoteQuery": "no hot signal: no workload reaches it", "HotBags": "no hot signal: no workload reaches it",
 		"hotWiden":         "no hot signal: no workload reaches it",
 		"QuerySpanContext": "one query selection: the parent span rides the context", "Predicate": "one query selection: a filter that cannot be shipped or hashed",
+		"ConnFileName": "a topic is two files: the manifest holds its connection", "ChecksumFileName": "a topic is two files: the manifest holds its checksum",
+		"TimeIdxFileName": "a topic is two files: the time index is derived", "readTimeIndex": "a topic is two files: the time index is derived",
+		"writeTimeIndex": "a topic is two files: the time index is derived", "FindingBadTimeIdx": "a topic is two files: the time index is derived",
 	}
 	retiredExperiments = []string{"validate-real", "pool-clients", "live-tail"}
 	internalCmd        = []string{"internal", "cmd"}
@@ -425,12 +428,13 @@ var archRules = []archRule{
 		seeds: []seedFile{{"internal/core/zz_seed.go", `package core; import _ "repro/internal/organizer"`}},
 	},
 	{
-		name: "names/time-index-file-is-container's",
+		name: "names/topic-files-are-container's",
 		why:  "internal/container alone names a topic directory's files",
 		check: none(everywhere, func(f *srcFile, n ast.Node) bool {
-			return f.dir != "internal/container" && f.refersTo(n, "internal/container", "TimeIdxFileName")
-		}, "container.TimeIdxFileName outside internal/container"),
-		seeds: []seedFile{{"cmd/borabag/zz_seed.go", `package main; import "repro/internal/container"; var _ = container.TimeIdxFileName`}},
+			return f.dir != "internal/container" &&
+				(f.refersTo(n, "internal/container", "DataFileName") || f.refersTo(n, "internal/container", "IndexFileName"))
+		}, "container.DataFileName or IndexFileName outside internal/container"),
+		seeds: []seedFile{{"cmd/borabag/zz_seed.go", `package main; import "repro/internal/container"; var _ = container.IndexFileName`}},
 	},
 	{
 		name: "names/live-layout-is-core's",
@@ -842,12 +846,11 @@ var archRules = []archRule{
 	},
 	{
 		name: "retired/striped-layout",
-		why:  "one data layout: what stays of stripes is the refusal of an older build's container",
+		why:  "one data layout: an older build's striped container is refused whole, by its text meta (container.ErrLegacyMeta)",
 		check: none([]string{"internal/container", "internal/core", "internal/bench", "cmd"}, func(_ *srcFile, n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
-			return ok && striped.MatchString(id.Name) &&
-				id.Name != "ErrStripedLayout" && id.Name != "FindingStripedLayout"
-		}, "a striped-layout name other than the refusal's"),
+			return ok && striped.MatchString(id.Name)
+		}, "a striped-layout name"),
 		seeds: []seedFile{{"internal/container/zz_seed.go", `package container; const DefaultStripes = 4`}},
 	},
 	{

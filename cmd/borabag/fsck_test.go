@@ -149,26 +149,26 @@ func TestFsckCommandBothLayouts(t *testing.T) {
 		_, _, err := b.DuplicateFrom(bytes.NewReader(raw), int64(len(raw)), "bag", obs.Span{})
 		return err
 	}
-	// striped rewrites /tf's conn file the way the older build wrote it.
+	// striped rewrites the bag the way an older build wrote one whose /tf
+	// data is striped: a text meta, and a conn file declaring the lanes.
 	striped := func(b *core.BORA) error {
 		if err := duplicate(b); err != nil {
 			return err
 		}
-		path := filepath.Join(b.Root(), "bag", container.EncodeTopicDir("/tf"), container.ConnFileName)
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		h, err := bagio.DecodeHeader(buf)
-		if err != nil {
-			return err
-		}
+		h := bagio.Header{}
+		h.PutU32("conn", 1)
+		h.PutString("topic", "/tf")
+		h.PutString("type", "bora_test/Msg")
 		h.PutU32("stripes", 4)
 		h.PutU64("stripe_size", 4096)
-		return os.WriteFile(path, h.Encode(), 0o644)
+		bag := filepath.Join(b.Root(), "bag")
+		if err := os.WriteFile(filepath.Join(bag, container.EncodeTopicDir("/tf"), "conn"), h.Encode(), 0o644); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(bag, container.MetaFileName), []byte("bora-container v2\nstate=sealed\ngen=5\n"), 0o644)
 	}
-	const stripedRefusal = "bora: repair <be>/bag: container: repair <be>/bag/tf/conn: " +
-		"striped topic data (written by an older build) is not supported"
+	const stripedRefusal = "bora: repair <be>/bag: container: repair <be>/bag: container: meta of <be>/bag: " +
+		"container: meta written by an older build (text format) is not supported"
 	type run struct{ out, err string }
 	cases := []struct {
 		name  string
@@ -184,9 +184,9 @@ func TestFsckCommandBothLayouts(t *testing.T) {
 			after:  run{out: "<be>/bag: clean (3 topics)\n"}},
 		{name: "crashed classic duplicate", build: duplicate,
 			crash: crashPoint{op: "write bag/camera#rgb#image_color/index", nth: 5},
-			check: run{out: "<be>/bag: 9 findings across 3 topics\n",
+			check: run{out: "<be>/bag: 3 findings across 3 topics\n",
 				err: "fsck: container is damaged (re-run with -repair to fix)"},
-			repair: run{out: "<be>/bag: 9 findings across 3 topics\n<be>/bag: repaired, now clean (3 topics)\n"},
+			repair: run{out: "<be>/bag: 3 findings across 3 topics\n<be>/bag: repaired, now clean (3 topics)\n"},
 			after:  run{out: "<be>/bag: clean (3 topics)\n"}},
 		{name: "complete live", build: fsckRecordLive,
 			check:  run{out: "<be>/bag: clean (live layout, 3 segments)\n"},

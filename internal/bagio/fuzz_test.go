@@ -275,3 +275,39 @@ func FuzzReadRecord(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRawHeaderMessage: for any header bytes, the one-walk Message reads
+// what Op, U32(FieldConn) and GetTime(FieldTime) read one walk each, and
+// fails exactly where they would: the op always, conn and time for a
+// message-data record only.
+func FuzzRawHeaderMessage(f *testing.F) {
+	for _, rec := range seedRecords(f) {
+		if raw, _, err := SplitRecord(rec); err == nil {
+			f.Add([]byte(raw.Header))
+		}
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		h := RawHeader(b)
+		op, conn, tm, err := h.Message()
+		wantOp, wantErr := h.Op()
+		if wantErr == nil && wantOp == OpMessageData {
+			var connErr, timeErr error
+			var wantConn uint32
+			var wantTime Time
+			wantConn, connErr = h.U32(FieldConn)
+			if connErr == nil {
+				wantTime, timeErr = h.GetTime(FieldTime)
+			}
+			if wantErr = connErr; wantErr == nil {
+				wantErr = timeErr
+			}
+			if wantErr == nil && (conn != wantConn || tm != wantTime) {
+				t.Fatalf("Message read conn %d, time %v; the field reads %d, %v", conn, tm, wantConn, wantTime)
+			}
+		}
+		if (err == nil) != (wantErr == nil) || err == nil && op != wantOp {
+			t.Fatalf("Message: op %#x, %v; the field reads: op %#x, %v", op, err, wantOp, wantErr)
+		}
+	})
+}

@@ -307,3 +307,40 @@ func (h RawHeader) GetTime(name string) (Time, error) {
 	v, ok, err := h.field(name)
 	return timeField(name, v, ok, err)
 }
+
+// Message reads the op and, for a message-data record, the conn and
+// time fields in one walk of the header, where Op, U32 and GetTime walk
+// it once each; it fails wherever those three would. conn and t are
+// zero for any other op.
+func (h RawHeader) Message() (op byte, conn uint32, t Time, err error) {
+	o, c, tm, err := h.messageFields()
+	if op, err = opField(o.v, o.ok, err); err != nil || op != OpMessageData {
+		return op, 0, Time{}, err
+	}
+	if conn, err = u32Field(FieldConn, c.v, c.ok, nil); err != nil {
+		return op, 0, Time{}, err
+	}
+	t, err = timeField(FieldTime, tm.v, tm.ok, nil)
+	return op, conn, t, err
+}
+
+// rawField is one field's value in place and whether it is present.
+type rawField struct {
+	v  []byte
+	ok bool
+}
+
+// messageFields walks h once for the op, conn and time fields.
+func (h RawHeader) messageFields() (op, conn, t rawField, err error) {
+	err = walkHeader(h, func(name, value []byte) {
+		switch string(name) {
+		case FieldOp:
+			op = rawField{value, true}
+		case FieldConn:
+			conn = rawField{value, true}
+		case FieldTime:
+			t = rawField{value, true}
+		}
+	})
+	return op, conn, t, err
+}

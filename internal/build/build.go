@@ -182,7 +182,7 @@ func (bld *Builder) derivedo(d Derivation, r *Result) error {
 	}()
 
 	outRoot := filepath.Join(bld.b.Root(), d.Name)
-	if meta, err := container.ReadMeta(outRoot); err == nil && meta.Sealed() && meta.Derivation == addr {
+	if meta, err := container.ReadMetaHead(outRoot); err == nil && meta.Sealed() && meta.Derivation == addr {
 		bld.cacheHits.Inc()
 		r.Gen = meta.Gen
 		return nil

@@ -1,9 +1,12 @@
 // Package container implements the BORA container structure (Fig 5b of
 // the paper): for each logical bag, a root directory on the underlying
 // file system holding one sub-directory per topic. A topic sub-directory
-// stores the topic's message payloads as one large contiguous data file,
-// a fixed-width index file (timestamp, logical offset, length, physical
-// pointer), the connection metadata, and the coarse-grain time index.
+// stores the topic's message payloads as one large contiguous data file
+// and a fixed-width index file (timestamp, logical offset, length,
+// physical pointer). The root's meta file is the container's manifest:
+// every topic's connection metadata, time-index window and checksum
+// (meta.go). The coarse-grain time index is derived from the index a
+// query loads, not stored.
 //
 // Because topic data is aggregated into per-topic files during the
 // one-time duplication step, a later query by topic becomes a whole-file
@@ -32,13 +35,12 @@ import (
 	"repro/internal/timeindex"
 )
 
-// File names inside a topic sub-directory.
+// File names: a topic sub-directory holds the first two, the root the
+// manifest.
 const (
-	DataFileName    = "data"
-	IndexFileName   = "index"
-	ConnFileName    = "conn"
-	TimeIdxFileName = "timeidx"
-	MetaFileName    = ".bora_meta"
+	DataFileName  = "data"
+	IndexFileName = "index"
+	MetaFileName  = ".bora_meta"
 )
 
 // EncodeTopicDir converts a ROS topic name to a file-system-safe
@@ -53,59 +55,14 @@ func DecodeTopicDir(dir string) string {
 	return "/" + strings.ReplaceAll(dir, "#", "/")
 }
 
-// encodeConn renders a topic's conn file: every bagio.Connection field
-// as one header (optional fields add no bytes when unset).
-func encodeConn(conn *bagio.Connection) []byte {
-	h := make(bagio.Header)
-	h.PutU32("conn", conn.ID)
-	h.PutString("topic", conn.Topic)
-	h.PutString("type", conn.Type)
-	h.PutString("md5sum", conn.MD5Sum)
-	h.PutString("message_definition", conn.Def)
-	if conn.Caller != "" {
-		h.PutString("callerid", conn.Caller)
-	}
-	if conn.Latch {
-		h.PutString("latching", "1")
-	}
-	return h.Encode()
-}
-
-// ErrStripedLayout refuses a topic directory whose conn file declares
-// stripes > 1: an older build spread such a topic's data across lane
-// files, a layout this build neither reads nor repairs. Test with
-// errors.Is.
-var ErrStripedLayout = errors.New("striped topic data (written by an older build) is not supported")
-
-// readConn loads and decodes dir's conn file — the inverse of
-// encodeConn. The file is a connection record flattened into one
-// header: the record's own fields (conn, topic) beside its connection
-// header's, so bagio's record decoder reads every field it knows.
-func readConn(dir string) (*bagio.Connection, error) {
-	buf, err := os.ReadFile(filepath.Join(dir, ConnFileName))
-	if err != nil {
-		return nil, err
-	}
-	h, err := bagio.DecodeHeader(buf)
-	if err != nil {
-		return nil, fmt.Errorf("conn file: %w", err)
-	}
-	if n, err := h.U32("stripes"); err == nil && n > 1 {
-		return nil, fmt.Errorf("conn file: %d lanes: %w", n, ErrStripedLayout)
-	}
-	conn, err := bagio.DecodeConnection(&bagio.Record{Header: h, Data: buf})
-	if err != nil {
-		return nil, fmt.Errorf("conn file: %w", err)
-	}
-	return conn, nil
-}
-
 // Container is an open BORA container rooted at a back-end directory.
 type Container struct {
 	root   string
 	fs     faultfs.Backend   // write path: every mutation goes through it
 	meta   *Meta             // parsed meta as of Open/Create/Seal
 	topics map[string]*Topic // keyed by topic name
+	metaf  faultfs.File      // the building manifest, open from CreateFS to the seal
+	err    error             // a failed manifest append: the build cannot be sealed
 
 	indexLoadOp *obs.Op // container.index_load: lazy index-file parses
 	readOp      *obs.Op // container.read: per-message payload reads
@@ -165,6 +122,13 @@ type Topic struct {
 	growing bool       // made by CreateTopic: its writer publishes ix, and data is read through the file
 	mapped  bool       // MapData: one data mapping and one index read for the handle, made on first use under mu
 	mapping *mapping
+	window  time.Duration // the coarse time-index window the manifest records
+
+	// The data file's checksum: the manifest's of a sealed part, or the
+	// one its writer's Close handed over for the seal to record.
+	summed bool
+	sum    uint32
+	size   int64
 
 	indexLoadOp *obs.Op
 
@@ -173,7 +137,8 @@ type Topic struct {
 	loaded  bool      // ix is the index: Index serves it
 	ordered int       // Ordered: of the first checked entries, the leading ordered are in time order
 	checked int
-	tix     *timeindex.Index // memoized TimeIndex (loaded, or the closed writer's)
+	tix     *timeindex.Index // memoized TimeIndex, built over the first tixOf entries
+	tixOf   int
 }
 
 // Create initializes an empty container at root (which must not exist or
@@ -199,18 +164,28 @@ func CreateFS(root string, fs faultfs.Backend) (*Container, error) {
 		return nil, fmt.Errorf("container: %s is not empty", root)
 	}
 	// Written in place: a building container's files get no sync and no
-	// rename until its seal commits them all at once (CommitFS).
-	m := &Meta{State: StateBuilding}
-	if err := faultfs.WriteFile(fs, filepath.Join(root, MetaFileName), buildingMeta); err != nil {
+	// rename until its seal commits them all at once (CommitFS). The
+	// manifest stays open for the topics' headers.
+	f, err := fs.Create(filepath.Join(root, MetaFileName))
+	if err != nil {
 		return nil, fmt.Errorf("container: write meta: %w", err)
 	}
-	return &Container{root: root, fs: fs, meta: m, topics: map[string]*Topic{}}, nil
+	if _, err := f.Write(buildingHead); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("container: write meta: %w", err)
+	}
+	return &Container{root: root, fs: fs, meta: &Meta{State: StateBuilding}, topics: map[string]*Topic{}, metaf: f}, nil
 }
 
-// Open opens an existing container, discovering topic sub-directories.
-// This is the cheap structural parse BORA performs on open (Fig 4b): it
-// lists the directory and reads only the small per-topic connection
-// files — it does not touch data or index files.
+// ErrTopicDirMissing refuses the open of a container whose manifest
+// names a topic directory the tree lacks: a partial delete, which fsck
+// reports as missing-topic-dir. Test with errors.Is.
+var ErrTopicDirMissing = errors.New("container: the manifest names a topic directory the tree lacks")
+
+// Open opens an existing container. This is the cheap structural parse
+// BORA performs on open (Fig 4b): it reads the one manifest, which lists
+// every topic with its connection, and lists the root to check that each
+// topic directory is there — it reads no file inside a topic directory.
 func Open(root string) (*Container, error) {
 	meta, err := ReadMeta(root)
 	if err != nil {
@@ -223,17 +198,17 @@ func Open(root string) (*Container, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Container{root: root, fs: faultfs.OS, meta: meta, topics: map[string]*Topic{}}
+	present := make(map[string]bool, len(ents))
 	for _, ent := range ents {
-		if !ent.IsDir() {
-			continue
+		present[ent.Name()] = ent.IsDir()
+	}
+	c := &Container{root: root, fs: faultfs.OS, meta: meta, topics: make(map[string]*Topic, len(meta.topics))}
+	for _, tm := range meta.topics {
+		if !present[tm.dir] {
+			return nil, fmt.Errorf("container: %s: topic %q in %s: %w", root, tm.conn.Topic, tm.dir, ErrTopicDirMissing)
 		}
-		dir := filepath.Join(root, ent.Name())
-		conn, err := readConn(dir)
-		if err != nil {
-			return nil, fmt.Errorf("container: topic dir %s: %w", ent.Name(), err)
-		}
-		c.topics[conn.Topic] = &Topic{dir: dir, topic: conn.Topic, conn: conn}
+		c.topics[tm.conn.Topic] = &Topic{dir: filepath.Join(root, tm.dir), topic: tm.conn.Topic, conn: tm.conn,
+			window: tm.window, summed: tm.summed, sum: tm.sum, size: tm.size}
 	}
 	return c, nil
 }
@@ -280,7 +255,8 @@ type TopicOptions struct {
 	// sooner, never the index.
 	IndexFlushEvery int
 	// TimeWindow is the width of the coarse time-index windows the
-	// writer builds as it appends (≤ 0 selects timeindex.DefaultWindow).
+	// manifest records for the topic, which its readers build the index
+	// with (≤ 0 selects timeindex.DefaultWindow).
 	TimeWindow time.Duration
 }
 
@@ -295,10 +271,17 @@ func (c *Container) CreateTopic(conn *bagio.Connection) (*TopicWriter, error) {
 	return c.CreateTopicOpts(conn, TopicOptions{})
 }
 
-// CreateTopicOpts is CreateTopic with explicit options.
+// CreateTopicOpts is CreateTopic with explicit options. The topic's
+// header is appended to the building manifest with one write.
 func (c *Container) CreateTopicOpts(conn *bagio.Connection, opts TopicOptions) (*TopicWriter, error) {
 	if _, dup := c.topics[conn.Topic]; dup {
 		return nil, fmt.Errorf("container: topic %q already exists", conn.Topic)
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	if c.metaf == nil {
+		return nil, fmt.Errorf("container: %s is not building", c.root)
 	}
 	dir := filepath.Join(c.root, EncodeTopicDir(conn.Topic))
 	if err := c.fs.MkdirAll(dir, 0o755); err != nil {
@@ -307,13 +290,17 @@ func (c *Container) CreateTopicOpts(conn *bagio.Connection, opts TopicOptions) (
 	if opts.IndexFlushEvery <= 0 {
 		opts.IndexFlushEvery = DefaultIndexFlushEvery
 	}
-	if err := faultfs.WriteFile(c.fs, filepath.Join(dir, ConnFileName), encodeConn(conn)); err != nil {
-		return nil, err
+	if opts.TimeWindow <= 0 {
+		opts.TimeWindow = timeindex.DefaultWindow
 	}
-	t := &Topic{dir: dir, topic: conn.Topic, conn: conn, growing: true, loaded: true, indexLoadOp: c.indexLoadOp}
+	// A failed append may leave part of the header: nothing may follow it.
+	if _, err := c.metaf.Write(encodeTopic(topicMeta{dir: filepath.Base(dir), conn: conn, window: opts.TimeWindow})); err != nil {
+		c.err = fmt.Errorf("container: append the header of %q to the manifest: %w", conn.Topic, err)
+		return nil, c.err
+	}
+	t := &Topic{dir: dir, topic: conn.Topic, conn: conn, window: opts.TimeWindow, growing: true, loaded: true, indexLoadOp: c.indexLoadOp}
 	tw := &TopicWriter{topic: t, fs: c.fs, crc: crc32.New(crcTable),
-		flushEvery: opts.IndexFlushEvery, tix: timeindex.New(opts.TimeWindow),
-		buf: appendBufs.Get().(*[]byte)}
+		flushEvery: opts.IndexFlushEvery, buf: appendBufs.Get().(*[]byte)}
 	ixf, err := c.fs.Create(filepath.Join(dir, IndexFileName))
 	if err != nil {
 		return nil, err
@@ -334,8 +321,8 @@ var appendBufs = sync.Pool{New: func() any { b := make([]byte, 0, appendBufCap);
 
 // TopicWriter appends messages to one topic of a container — the only
 // thing that writes a topic directory. It keeps a running CRC of the
-// data stream and builds the coarse time index as it goes; Close
-// persists both. Payloads collect in an append buffer written as one
+// data stream, which Close hands to the container for its seal to
+// record in the manifest. Payloads collect in an append buffer written as one
 // block when full, every IndexFlushEvery appends, at Flush and at Close
 // (a payload larger than the buffer goes straight through). An index
 // entry is published to the topic, and written to the index file, only
@@ -343,7 +330,8 @@ var appendBufs = sync.Pool{New: func() any { b := make([]byte, 0, appendBufCap);
 // consistent indexed prefix for Repair to recover rather than losing
 // the whole topic. The encoded entries stay in one append-only buffer:
 // its flushed prefix is the topic's index view, and the index file
-// receives what it has not yet written. A failed write is sticky, as in
+// receives what it has not yet written; a writer no reader sees before
+// the seal (Unshared) keeps only that. A failed write is sticky, as in
 // bufio.Writer.
 type TopicWriter struct {
 	topic *Topic
@@ -352,14 +340,16 @@ type TopicWriter struct {
 	index faultfs.File
 
 	crc        hash.Hash32
-	tix        *timeindex.Index // coarse time index, persisted at Close
 	offset     uint64
-	appended   uint32 // messages appended: the next time-index ordinal
+	appended   int64 // messages appended
+	flushed    int64 // of them, the leading ones whose payloads are in the data file
+	flushedOff uint64
 	closed     bool
+	unshared   bool       // publishes no view: ixbuf restarts at every index write
 	err        error      // the first failed write, returned ever after
 	last       IndexEntry // entry minted by the most recent Append
 	buf        *[]byte    // payloads not yet written to the data file
-	ixbuf      []byte     // every entry appended, encoded; published up to the data written
+	ixbuf      []byte     // the entries appended, encoded; published up to the data written
 	written    int        // ixbuf[:written] is in the index file
 	flushEvery int
 }
@@ -391,7 +381,6 @@ func (tw *TopicWriter) Append(t bagio.Time, payload []byte) error {
 		Length:         uint32(len(payload)),
 		PhysicalOffset: tw.offset,
 	}
-	tw.tix.Add(t, tw.appended)
 	tw.appended++
 	tw.last = e
 	tw.offset += uint64(len(payload))
@@ -422,11 +411,12 @@ func (tw *TopicWriter) Flush() error {
 		}
 		*tw.buf = (*tw.buf)[:0]
 	}
+	tw.flushed, tw.flushedOff = tw.appended, tw.offset
 	// Under the topic mutex: a live follower may be taking the view. The
 	// writer alone sets it, so it reads its length unlocked; the bytes
 	// published are never written again, and an Append that moves the
 	// buffer leaves readers the old one.
-	if t, n := tw.topic, len(tw.ixbuf); n > len(t.ix.b) {
+	if t, n := tw.topic, len(tw.ixbuf); !tw.unshared && n > len(t.ix.b) {
 		t.mu.Lock()
 		t.ix = IndexView{b: tw.ixbuf[:n:n]}
 		t.mu.Unlock()
@@ -448,16 +438,36 @@ func (tw *TopicWriter) flushIndex() error {
 		return tw.fail("write index for", err)
 	}
 	tw.written = len(tw.ixbuf)
+	if tw.unshared {
+		tw.ixbuf, tw.written = tw.ixbuf[:0], 0
+	}
 	return nil
 }
 
-// Close flushes the data and index files and writes the checksum
-// record, then the coarse time index, all in place and unsynced: the
-// container's seal makes them durable (CommitFS). The order (data, then
-// index, then checksum, then the rebuildable time index) matches the
-// recovery invariant fsck assumes of a crash that stops the writes:
-// anything the index claims is backed by data, and a checksum only
-// exists for a complete topic.
+// Unshared tells the writer that no reader sees its topic before the
+// container is sealed, as for Duplicate, which opens the sealed
+// container afresh: it publishes no index view, and its entry buffer
+// holds only what the index file has not yet received — sized once for
+// IndexFlushEvery entries and reused from write to write, rather than
+// grown to the whole topic.
+func (tw *TopicWriter) Unshared() {
+	tw.unshared = true
+	tw.ixbuf = make([]byte, 0, tw.flushEvery*IndexEntrySize)
+}
+
+// Flushed reports the messages, and their payload bytes, that reached
+// the data file: all of them once Close succeeds, the flushed prefix
+// after a failed write.
+func (tw *TopicWriter) Flushed() (messages, bytes int64) {
+	return tw.flushed, int64(tw.flushedOff)
+}
+
+// Close flushes the data and index files, in place and unsynced — the
+// container's seal makes them durable (CommitFS) — and hands the data's
+// checksum to the container, whose seal records it in the manifest. The
+// order (data, then index) matches the recovery invariant fsck assumes
+// of a crash that stops the writes: anything the index claims is backed
+// by data, and a checksum only exists for a complete topic.
 func (tw *TopicWriter) Close() error {
 	if tw.closed {
 		return tw.err
@@ -478,16 +488,8 @@ func (tw *TopicWriter) Close() error {
 	if err := tw.index.Close(); err != nil {
 		return err
 	}
-	if err := writeChecksum(tw.fs, tw.topic.dir, tw.crc.Sum32(), int64(tw.offset)); err != nil {
-		return err
-	}
-	if err := writeTimeIndex(tw.fs, tw.topic.dir, tw.tix); err != nil {
-		return err
-	}
-	// The index is final: this handle's TimeIndex serves it from memory.
-	tw.topic.mu.Lock()
-	tw.topic.tix = tw.tix
-	tw.topic.mu.Unlock()
+	t := tw.topic
+	t.summed, t.sum, t.size = true, tw.crc.Sum32(), int64(tw.offset)
 	return nil
 }
 
@@ -518,64 +520,22 @@ func (t *Topic) Connection() *bagio.Connection { return t.conn }
 // Dir returns the topic's back-end directory.
 func (t *Topic) Dir() string { return t.dir }
 
-// TimeIndex returns the coarse-grain time index of a complete topic,
-// loaded from the timeidx file once per handle and served from memory
-// afterwards. A missing or unparsable file is an error, and so is an
-// index naming a message past entries, the length of the caller's view
-// of the topic's index (checkTimeIndex): fsck reports each, and
-// RepairFS rebuilds the file. The index is shared: callers only query
-// it.
-func (t *Topic) TimeIndex(entries int) (*timeindex.Index, error) {
+// TimeIndex returns the coarse-grain time index over v, the topic's
+// index as the caller's query loaded it, with the window the manifest
+// records. It is built on the first call and served from memory while
+// later callers pass a view of the same length (a part cut since is
+// indexed afresh). The index is shared: callers only query it.
+func (t *Topic) TimeIndex(v IndexView) *timeindex.Index {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.tix != nil {
-		return t.tix, nil
+	if t.tix == nil || t.tixOf != v.Len() {
+		tix := timeindex.New(t.window)
+		for i := 0; i < v.Len(); i++ {
+			tix.Add(v.Time(i), uint32(i))
+		}
+		t.tix, t.tixOf = tix, v.Len()
 	}
-	tix, err := readTimeIndex(t.dir)
-	if err == nil {
-		err = checkTimeIndex(tix, entries)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("container: time index of %q: %w", t.topic, err)
-	}
-	t.tix = tix
-	return tix, nil
-}
-
-// checkTimeIndex reports a time index that names a message ordinal at
-// or past n, the topic's entry count: fsck's orphan-time-windows, and
-// an out-of-range read for any query that trusted it.
-func checkTimeIndex(tix *timeindex.Index, n int) error {
-	if max, ok := tix.MaxPosition(); ok && int(max) >= n {
-		return fmt.Errorf("windows reference ordinal %d but only %d messages are indexed: %w", max, n, ErrIndexBeyondData)
-	}
-	return nil
-}
-
-// readTimeIndex loads dir's persisted coarse time index.
-func readTimeIndex(dir string) (*timeindex.Index, error) {
-	buf, err := os.ReadFile(filepath.Join(dir, TimeIdxFileName))
-	if err != nil {
-		return nil, err
-	}
-	return timeindex.Unmarshal(buf)
-}
-
-// writeTimeIndex writes tix as dir's timeidx file, in place: a commit
-// (CommitFS) makes it durable.
-func writeTimeIndex(fs faultfs.Backend, dir string, tix *timeindex.Index) error {
-	return faultfs.WriteFile(fs, filepath.Join(dir, TimeIdxFileName), tix.Marshal())
-}
-
-// buildTimeIndex derives the coarse time index from a topic's entries:
-// what TopicWriter accumulates append by append, recomputed for a topic
-// being repaired.
-func buildTimeIndex(window time.Duration, v IndexView) *timeindex.Index {
-	tix := timeindex.New(window)
-	for i := 0; i < v.Len(); i++ {
-		tix.Add(v.Time(i), uint32(i))
-	}
-	return tix
+	return t.tix
 }
 
 // DataSize returns the total payload bytes of the topic.

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/bagio"
 )
@@ -274,30 +275,82 @@ func TestOpenDiscoversMultipleTopics(t *testing.T) {
 	}
 }
 
-// TestConnFileCarriesEveryField: the conn file round-trips every
-// bagio.Connection field, and a connection without the optional fields
-// costs no bytes for them.
-func TestConnFileCarriesEveryField(t *testing.T) {
+// TestManifestCarriesEveryConnField: a topic's manifest header
+// round-trips every bagio.Connection field, its window and checksum, and
+// a connection without the optional fields costs no bytes for them.
+func TestManifestCarriesEveryConnField(t *testing.T) {
 	full := &bagio.Connection{ID: 3, Topic: "/scan", Type: "acme_msgs/Sweep",
 		MD5Sum: "0123456789abcdef0123456789abcdef", Def: "uint32 seq\n", Caller: "/driver", Latch: true}
-	dir := filepath.Join(t.TempDir(), EncodeTopicDir(full.Topic))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ConnFileName), encodeConn(full), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	conn, err := readConn(dir)
+	want := topicMeta{dir: EncodeTopicDir(full.Topic), conn: full, window: 3 * time.Second, summed: true, sum: 0xdeadbeef, size: 1 << 40}
+	m, err := decodeMeta(encodeMeta(&Meta{State: StateSealed, Gen: 7, Derivation: "abc", topics: []topicMeta{want}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *conn != *full {
-		t.Errorf("read back %+v, wrote %+v", *conn, *full)
+	if m.State != StateSealed || m.Gen != 7 || m.Derivation != "abc" || len(m.topics) != 1 {
+		t.Fatalf("read back %+v", m)
 	}
-	plain := encodeConn(&bagio.Connection{Topic: "/imu", Type: "sensor_msgs/Imu"})
-	for _, field := range []string{"callerid", "latching"} {
+	if got := m.topics[0]; *got.conn != *full || got.dir != want.dir || got.window != want.window ||
+		!got.summed || got.sum != want.sum || got.size != want.size {
+		t.Errorf("read back %+v (conn %+v), wrote %+v (conn %+v)", got, *got.conn, want, *full)
+	}
+	plain := encodeTopic(topicMeta{dir: "imu", conn: &bagio.Connection{Topic: "/imu", Type: "sensor_msgs/Imu"}})
+	for _, field := range []string{"callerid", "latching", "crc"} {
 		if bytes.Contains(plain, []byte(field)) {
-			t.Errorf("plain connection's conn file spends bytes on %q", field)
+			t.Errorf("plain building topic header spends bytes on %q", field)
+		}
+	}
+}
+
+// TestOpenReadsNoTopicFile: with every topic's data and index file
+// deleted and the directories kept, Open still succeeds and lists each
+// topic with its connection — it reads the manifest and lists the root,
+// and nothing inside a topic directory.
+func TestOpenReadsNoTopicFile(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "bag")
+	c, err := Create(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := map[string]*bagio.Connection{
+		"/imu": {ID: 0, Topic: "/imu", Type: "sensor_msgs/Imu", MD5Sum: "6a62c6daae103f4ff57a132d6f95cec2", Def: "float64 x\n"},
+		"/tf":  {ID: 1, Topic: "/tf", Type: "tf2_msgs/TFMessage", Caller: "/broadcaster", Latch: true},
+	}
+	for _, conn := range conns {
+		tw, err := c.CreateTopic(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.Append(bagio.Time{Sec: 1}, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	for topic := range conns {
+		for _, name := range []string{DataFileName, IndexFileName} {
+			if err := os.Remove(filepath.Join(root, EncodeTopicDir(topic), name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c2, err := Open(root)
+	if err != nil {
+		t.Fatalf("Open of a tree whose topic directories are empty: %v", err)
+	}
+	if got := c2.Topics(); !reflect.DeepEqual(got, []string{"/imu", "/tf"}) {
+		t.Fatalf("Topics = %v", got)
+	}
+	for topic, want := range conns {
+		tp, err := c2.Topic(topic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tp.Connection(); *got != *want {
+			t.Errorf("%s: connection %+v, want %+v", topic, *got, *want)
 		}
 	}
 }

@@ -2,14 +2,11 @@ package container
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"time"
 
 	"repro/internal/faultfs"
 )
@@ -21,22 +18,21 @@ const (
 	// FindingMissingMeta: the root has no meta file at all (crash before
 	// the container's first write committed, or not a container).
 	FindingMissingMeta FindingKind = "missing-meta"
-	// FindingBadMeta: the meta file exists but does not parse.
+	// FindingBadMeta: the meta file exists but does not parse. Repair
+	// completes a building manifest a crash cut inside its container
+	// header, and refuses any other: the manifest alone holds the
+	// topics' connections.
 	FindingBadMeta FindingKind = "bad-meta"
 	// FindingStaleMeta: the meta is still in the building state — the
 	// organize pass that created the container never committed.
 	FindingStaleMeta FindingKind = "stale-meta"
-	// FindingMissingTopicDir: the sealed manifest names a topic
-	// directory absent from the tree.
+	// FindingMissingTopicDir: the manifest names a topic directory
+	// absent from the tree.
 	FindingMissingTopicDir FindingKind = "missing-topic-dir"
-	// FindingBadConn: a topic's connection file is missing or does not
-	// decode; without it the topic cannot be served.
+	// FindingBadConn: the manifest has no header for a topic directory
+	// of the tree, or a crash cut it short; without its connection the
+	// topic cannot be served.
 	FindingBadConn FindingKind = "bad-conn"
-	// FindingStripedLayout: a topic's conn file declares the striped
-	// data layout of an older build (ErrStripedLayout). Nothing else in
-	// the directory is examined, and Repair refuses the container
-	// rather than dropping data it cannot read.
-	FindingStripedLayout FindingKind = "striped-layout"
 	// FindingMissingData: a topic has no data file.
 	FindingMissingData FindingKind = "missing-data"
 	// FindingMissingIndex: a topic has no index file; its data cannot
@@ -49,16 +45,11 @@ const (
 	// index references bytes past the end of the data, the entries do
 	// not tile contiguously, or the data file has an unindexed tail.
 	FindingIndexDataMismatch FindingKind = "index-data-mismatch"
-	// FindingOrphanTimeWindows: the coarse time index references
-	// message ordinals beyond the message index.
-	FindingOrphanTimeWindows FindingKind = "orphan-time-windows"
-	// FindingBadTimeIdx: the coarse time index is missing or does not
-	// parse (always rebuildable from the message index).
-	FindingBadTimeIdx FindingKind = "bad-timeidx"
-	// FindingChecksumMissing: a topic has no checksum record.
+	// FindingChecksumMissing: a sealed manifest records no checksum for
+	// a topic.
 	FindingChecksumMissing FindingKind = "checksum-missing"
-	// FindingChecksumMismatch: the checksum record disagrees with the
-	// data file (length or CRC).
+	// FindingChecksumMismatch: the checksum the sealed manifest records
+	// disagrees with the data file (length or CRC).
 	FindingChecksumMismatch FindingKind = "checksum-mismatch"
 	// FindingTempDebris: an abandoned atomic-write temporary survived a
 	// crash mid-rename.
@@ -84,8 +75,10 @@ func (f Finding) String() string {
 type Report struct {
 	Root     string
 	Findings []Finding
-	// Topics is the number of topic directories examined.
+	// Topics is the number of topic directories in the tree.
 	Topics int
+
+	refuse error // why Repair must leave the container alone, if it must
 }
 
 // Clean reports whether fsck found nothing wrong.
@@ -99,9 +92,10 @@ func (r *Report) add(kind FindingKind, topic, path, format string, args ...inter
 // topicState is everything fsck learned about one topic directory,
 // reused by Repair so the repair pass does not re-derive it.
 type topicState struct {
-	dir    string
-	name   string
-	window int64 // timeidx window (ns) if the old file parsed, else 0
+	dir  string
+	name string
+	tm   *topicMeta // the topic's manifest header; nil when it has none
+	sum  uint32     // crc32c of the kept data: Repair's to record
 
 	dataSize int64 // -1 when missing
 
@@ -134,8 +128,8 @@ func fsck(root string) (*Report, []*topicState, error) {
 		return nil, nil, fmt.Errorf("container: fsck %s: %w", root, err)
 	}
 	// building: the container never committed — its meta is missing
-	// (a copy stopped before its commit), building, or the building meta
-	// torn while CreateFS wrote it in place.
+	// (a copy stopped before its first write), building, or its
+	// container header torn while CreateFS wrote it in place.
 	metaPath := filepath.Join(root, MetaFileName)
 	meta, err := ReadMeta(root)
 	building := err != nil || !meta.Sealed()
@@ -143,63 +137,62 @@ func fsck(root string) (*Report, []*topicState, error) {
 	case os.IsNotExist(err):
 		rep.add(FindingMissingMeta, "", metaPath, "no container meta file")
 	case err != nil:
-		if raw, rerr := os.ReadFile(metaPath); rerr == nil && len(raw) < len(buildingMeta) && bytes.HasPrefix(buildingMeta, raw) {
-			rep.add(FindingBadMeta, "", metaPath, "%s: %d of the building meta's %d bytes: %v", tornBeforeSeal, len(raw), len(buildingMeta), err)
+		if raw, rerr := os.ReadFile(metaPath); rerr == nil && len(raw) < len(buildingHead) && bytes.HasPrefix(buildingHead, raw) {
+			rep.add(FindingBadMeta, "", metaPath, "%s: %d of the building header's %d bytes: %v", tornBeforeSeal, len(raw), len(buildingHead), err)
 		} else {
-			building = false
+			building, rep.refuse = false, err
 			rep.add(FindingBadMeta, "", metaPath, "%v", err)
 		}
 	case !meta.Sealed():
-		rep.add(FindingStaleMeta, "", filepath.Join(root, MetaFileName),
+		rep.add(FindingStaleMeta, "", metaPath,
 			"meta state is %q: the organize pass never committed", meta.State)
+	}
+	manifest := map[string]*topicMeta{}
+	if meta != nil {
+		for i := range meta.topics {
+			manifest[meta.topics[i].dir] = &meta.topics[i]
+		}
 	}
 
 	ents, err := os.ReadDir(root)
 	if err != nil {
 		return nil, nil, fmt.Errorf("container: fsck %s: %w", root, err)
 	}
-	present := map[string]bool{}
 	var states []*topicState
 	for _, ent := range ents {
-		if !ent.IsDir() {
-			if faultfs.IsTempDebris(ent.Name()) {
-				rep.add(FindingTempDebris, "", filepath.Join(root, ent.Name()),
-					"abandoned atomic-write temporary")
-			}
-			continue
+		switch {
+		case ent.IsDir():
+			rep.Topics++
+		case rep.refuse == nil && faultfs.IsTempDebris(ent.Name()):
+			rep.add(FindingTempDebris, "", filepath.Join(root, ent.Name()),
+				"abandoned atomic-write temporary")
 		}
-		present[ent.Name()] = true
-		st := fsckTopic(rep, filepath.Join(root, ent.Name()), ent.Name(), building)
-		states = append(states, st)
+		if !ent.IsDir() || rep.refuse != nil {
+			continue // a manifest Repair refuses: nothing else is examined
+		}
+		tm := manifest[ent.Name()]
+		delete(manifest, ent.Name())
+		states = append(states, fsckTopic(rep, filepath.Join(root, ent.Name()), tm, building, meta != nil && meta.torn))
 	}
-	rep.Topics = len(states)
 
-	// The sealed manifest, when present, must be covered by the tree.
-	if meta != nil && meta.Sealed() {
-		for _, dir := range meta.TopicDirs {
-			if !present[dir] {
-				rep.add(FindingMissingTopicDir, DecodeTopicDir(dir), filepath.Join(root, dir),
-					"manifest names topic dir %q but it is absent", dir)
+	// Every topic the manifest names must be in the tree.
+	if meta != nil {
+		for _, tm := range meta.topics {
+			if manifest[tm.dir] != nil {
+				rep.add(FindingMissingTopicDir, tm.conn.Topic, filepath.Join(root, tm.dir),
+					"manifest names topic dir %q but it is absent", tm.dir)
 			}
 		}
 	}
 	return rep, states, nil
 }
 
-// fsckTopic examines one topic directory and records findings; building
-// says the container never committed, so a file that is there but does
-// not decode was torn before the seal.
-func fsckTopic(rep *Report, dir, dirName string, building bool) *topicState {
-	st := &topicState{dir: dir, name: DecodeTopicDir(dirName), dataSize: -1}
-	// torn is the detail of a finding on a file that failed to load with
-	// err: a building container's file that exists was torn by the crash.
-	torn := func(err error) string {
-		if building && !errors.Is(err, os.ErrNotExist) {
-			return tornBeforeSeal + ": " + err.Error()
-		}
-		return err.Error()
-	}
-
+// fsckTopic examines one topic directory and records findings; tm is
+// its manifest header (nil: none), building says the container never
+// committed, and torn that a crash cut the building manifest's last
+// header short — the header of the one topic directory without one.
+func fsckTopic(rep *Report, dir string, tm *topicMeta, building, torn bool) *topicState {
+	st := &topicState{dir: dir, name: DecodeTopicDir(filepath.Base(dir)), tm: tm, dataSize: -1}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		rep.add(FindingBadConn, st.name, dir, "unreadable topic dir: %v", err)
@@ -215,14 +208,16 @@ func fsckTopic(rep *Report, dir, dirName string, building bool) *topicState {
 	}
 
 	// Connection metadata: without it the topic is unservable.
-	if conn, err := readConn(dir); errors.Is(err, ErrStripedLayout) {
-		rep.add(FindingStripedLayout, st.name, filepath.Join(dir, ConnFileName), "%v", err)
-		return st
-	} else if err != nil {
-		rep.add(FindingBadConn, st.name, filepath.Join(dir, ConnFileName), "%s", torn(err))
+	metaPath := filepath.Join(filepath.Dir(dir), MetaFileName)
+	switch {
+	case tm == nil && building && torn:
+		rep.add(FindingBadConn, st.name, metaPath, "%s: the topic's header in the manifest is cut short", tornBeforeSeal)
 		st.drop = true
-	} else {
-		st.name = conn.Topic
+	case tm == nil:
+		rep.add(FindingBadConn, st.name, metaPath, "the manifest has no header for topic dir %q", filepath.Base(dir))
+		st.drop = true
+	default:
+		st.name = tm.conn.Topic
 	}
 
 	// Data length.
@@ -269,34 +264,23 @@ func fsckTopic(rep *Report, dir, dirName string, building bool) *topicState {
 			"data has %d bytes but the index accounts for %d (unindexed tail)", st.dataSize, off)
 	}
 
-	// Coarse time index: rebuildable from the message index, so missing
-	// or unparsable is one (repairable) finding; orphans another.
-	tixPath := filepath.Join(dir, TimeIdxFileName)
-	if tix, err := readTimeIndex(dir); err != nil {
-		rep.add(FindingBadTimeIdx, st.name, tixPath, "%s", torn(err))
-	} else {
-		st.window = int64(tix.Window())
-		if err := checkTimeIndex(tix, st.keep); err != nil {
-			rep.add(FindingOrphanTimeWindows, st.name, tixPath, "%v", err)
-		}
+	// The checksum the sealed manifest records over the data stream; a
+	// building manifest records none.
+	if building || tm == nil {
+		return st
 	}
-
-	// Checksum record over the data stream.
-	sum, length, err := readChecksum(dir)
 	switch {
-	case os.IsNotExist(err):
-		rep.add(FindingChecksumMissing, st.name, filepath.Join(dir, ChecksumFileName), "no checksum record")
-	case err != nil:
-		rep.add(FindingChecksumMismatch, st.name, filepath.Join(dir, ChecksumFileName), "%s", torn(err))
-	case st.dataSize >= 0 && length != st.dataSize:
-		rep.add(FindingChecksumMismatch, st.name, filepath.Join(dir, ChecksumFileName),
-			"checksum records %d bytes, data has %d", length, st.dataSize)
+	case !tm.summed:
+		rep.add(FindingChecksumMissing, st.name, metaPath, "the manifest records no checksum")
+	case st.dataSize >= 0 && tm.size != st.dataSize:
+		rep.add(FindingChecksumMismatch, st.name, metaPath,
+			"checksum records %d bytes, data has %d", tm.size, st.dataSize)
 	case st.dataSize >= 0:
 		if got, err := crcData(dir, st.dataSize); err != nil {
-			rep.add(FindingChecksumMismatch, st.name, filepath.Join(dir, ChecksumFileName), "%v", err)
-		} else if got != sum {
-			rep.add(FindingChecksumMismatch, st.name, filepath.Join(dir, ChecksumFileName),
-				"data crc %08x, recorded %08x", got, sum)
+			rep.add(FindingChecksumMismatch, st.name, filepath.Join(dir, DataFileName), "%v", err)
+		} else if got != tm.sum {
+			rep.add(FindingChecksumMismatch, st.name, metaPath,
+				"data crc %08x, recorded %08x", got, tm.sum)
 		}
 	}
 	return st
@@ -319,13 +303,15 @@ func crcData(dir string, size int64) (uint32, error) {
 
 // RepairFS restores the container at root to a consistent, sealed state:
 // temp debris is removed, each topic is truncated to its longest
-// consistent indexed prefix (index first, then data), coarse time
-// indexes and checksums are rebuilt from the surviving prefix, topics
-// with no usable connection or index are dropped, and the meta is
-// resealed with the surviving manifest. The result is the post-repair
-// fsck report (clean on success) — the repaired container holds a
-// prefix of every topic's original messages, never altered ones.
-// Mutations go through fs (nil: faultfs.OS).
+// consistent indexed prefix (index first, then data), checksums are
+// recomputed over the surviving prefix, topics with no manifest header,
+// data or index are dropped, and the manifest is resealed with the
+// survivors. The result is the post-repair fsck report (clean on
+// success) — the repaired container holds a prefix of every topic's
+// original messages, never altered ones. A manifest that does not parse
+// (and is not a building one a crash cut inside its container header)
+// is refused: the topics' connections are in it alone. Mutations go
+// through fs (nil: faultfs.OS).
 func RepairFS(root string, fs faultfs.Backend) (*Report, error) {
 	fs = faultfs.Or(fs)
 	rep, states, err := fsck(root)
@@ -335,18 +321,18 @@ func RepairFS(root string, fs faultfs.Backend) (*Report, error) {
 	if rep.Clean() {
 		return rep, nil
 	}
-	for _, f := range rep.Findings {
-		if f.Kind == FindingStripedLayout {
-			return nil, fmt.Errorf("container: repair %s: %w", f.Path, ErrStripedLayout)
-		}
+	if rep.refuse != nil {
+		return nil, fmt.Errorf("container: repair %s: %w", root, rep.refuse)
 	}
-	var manifest []string
+	var kept []topicMeta
 	for _, st := range states {
 		if err := repairTopic(fs, st); err != nil {
 			return nil, fmt.Errorf("container: repair %s: %w", st.dir, err)
 		}
 		if !st.drop {
-			manifest = append(manifest, filepath.Base(st.dir))
+			tm := *st.tm
+			tm.summed, tm.sum, tm.size = true, st.sum, int64(st.indexed)
+			kept = append(kept, tm)
 		}
 	}
 	// Root-level debris.
@@ -361,19 +347,18 @@ func RepairFS(root string, fs faultfs.Backend) (*Report, error) {
 			}
 		}
 	}
-	sort.Strings(manifest)
 	// A repair reseal mints a fresh generation: cached handles built from
 	// the pre-repair tree must read as stale even when the surviving
 	// topic set is unchanged. It commits like a seal: the rewritten files
-	// are durable before the meta names them.
-	if err := CommitFS(fs, root, &Meta{State: StateSealed, Gen: newGen(), TopicDirs: manifest})(); err != nil {
+	// are durable before the manifest names them.
+	if err := CommitFS(fs, root, &Meta{State: StateSealed, Gen: newGen(), topics: kept})(); err != nil {
 		return nil, err
 	}
 	return Fsck(root)
 }
 
 // repairTopic makes one topic consistent: drop it entirely, or truncate
-// index and data to the consistent prefix and rebuild the derived files.
+// index and data to the consistent prefix and recompute its checksum.
 func repairTopic(fs faultfs.Backend, st *topicState) error {
 	if st.dataSize < 0 {
 		st.drop = true // no data file: nothing recoverable
@@ -395,16 +380,7 @@ func repairTopic(fs faultfs.Backend, st *topicState) error {
 			return err
 		}
 	}
-	// Rebuild the coarse time index from the surviving entries, keeping
-	// the original window when the old file was readable (0 selects the
-	// default).
-	if err := writeTimeIndex(fs, st.dir, buildTimeIndex(time.Duration(st.window), st.index.Slice(0, st.keep))); err != nil {
-		return err
-	}
-	// Recompute the checksum over the surviving data.
-	sum, err := crcData(st.dir, int64(indexed))
-	if err != nil {
-		return err
-	}
-	return writeChecksum(fs, st.dir, sum, int64(indexed))
+	var err error
+	st.sum, err = crcData(st.dir, int64(indexed))
+	return err
 }

@@ -192,20 +192,17 @@ func TestFsckDetectsMissingTopicDir(t *testing.T) {
 	}
 }
 
-func TestFsckDetectsDebrisAndBadTimeIdx(t *testing.T) {
+func TestFsckDetectsDebris(t *testing.T) {
 	root, dir := buildSealedTopic(t)
-	if err := os.WriteFile(filepath.Join(dir, "checksum.tmp-777"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, TimeIdxFileName), []byte("garbage"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "index.tmp-777"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := Fsck(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hasFinding(rep, FindingTempDebris) || !hasFinding(rep, FindingBadTimeIdx) {
-		t.Fatalf("findings = %v, want temp-debris and bad-timeidx", findingKinds(rep))
+	if kinds := findingKinds(rep); !reflect.DeepEqual(kinds, []FindingKind{FindingTempDebris}) {
+		t.Fatalf("findings = %v, want temp-debris", rep.Findings)
 	}
 	after, err := RepairFS(root, nil)
 	if err != nil {
@@ -214,19 +211,20 @@ func TestFsckDetectsDebrisAndBadTimeIdx(t *testing.T) {
 	if !after.Clean() {
 		t.Fatalf("post-repair findings: %v", after.Findings)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "checksum.tmp-777")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "index.tmp-777")); !os.IsNotExist(err) {
 		t.Error("debris survived repair")
 	}
 }
 
-// TestFsckTornInPlaceFiles tears each file a building container writes
-// in place — the building meta, a topic's conn, checksum and timeidx —
-// to a prefix, as a crash mid-write leaves it: fsck flags it as damage
-// of a container that never committed, and Repair converges to a clean
-// container. The same torn checksum in a sealed container keeps the
-// plain detail: there it is corruption.
+// TestFsckTornInPlaceFiles tears the manifest a building container
+// appends to in place — inside its container header ("../.bora_meta"),
+// and inside the last topic's header ("conn") — as a crash mid-write
+// leaves it: fsck flags it as damage of a container that never
+// committed, and Repair converges to a clean container. A torn sealed
+// manifest keeps the plain detail: there it is corruption, and Repair
+// refuses it, since the topics' connections are in it alone.
 func TestFsckTornInPlaceFiles(t *testing.T) {
-	building := func(t *testing.T) (root, dir string) {
+	building := func(t *testing.T) (root string) {
 		t.Helper()
 		root = filepath.Join(t.TempDir(), "bag")
 		c, err := Create(root)
@@ -245,32 +243,26 @@ func TestFsckTornInPlaceFiles(t *testing.T) {
 		if err := tw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return root, filepath.Join(root, EncodeTopicDir("/imu"))
-	}
-	// tear cuts a file to its first half.
-	tear := func(t *testing.T, path string) {
-		t.Helper()
-		st, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Truncate(path, st.Size()/2); err != nil {
-			t.Fatal(err)
-		}
+		return root
 	}
 	for _, tc := range []struct {
-		file string // relative to the topic directory; ".." names the root
+		name string
+		keep func(size int64) int64 // the bytes of the manifest the crash leaves
 		kind FindingKind
 	}{
-		{"../" + MetaFileName, FindingBadMeta},
-		{ConnFileName, FindingBadConn},
-		{ChecksumFileName, FindingChecksumMismatch},
-		{TimeIdxFileName, FindingBadTimeIdx},
+		{"../" + MetaFileName, func(int64) int64 { return int64(len(buildingHead)) / 2 }, FindingBadMeta},
+		{"conn", func(size int64) int64 { return size - 10 }, FindingBadConn},
 	} {
-		t.Run(tc.file, func(t *testing.T) {
-			root, dir := building(t)
-			path := filepath.Join(dir, tc.file)
-			tear(t, path)
+		t.Run(tc.name, func(t *testing.T) {
+			root := building(t)
+			path := filepath.Join(root, MetaFileName)
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, tc.keep(st.Size())); err != nil {
+				t.Fatal(err)
+			}
 			rep, err := Fsck(root)
 			if err != nil {
 				t.Fatal(err)
@@ -297,63 +289,101 @@ func TestFsckTornInPlaceFiles(t *testing.T) {
 		})
 	}
 	t.Run("sealed", func(t *testing.T) {
-		root, dir := buildSealedTopic(t)
-		tear(t, filepath.Join(dir, ChecksumFileName))
+		root, _ := buildSealedTopic(t)
+		path := filepath.Join(root, MetaFileName)
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, st.Size()-10); err != nil {
+			t.Fatal(err)
+		}
 		rep, err := Fsck(root)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !hasFinding(rep, FindingChecksumMismatch) || strings.Contains(fmt.Sprint(rep.Findings), tornBeforeSeal) {
-			t.Fatalf("findings on a sealed container's torn checksum: %v", rep.Findings)
+		if !hasFinding(rep, FindingBadMeta) || strings.Contains(fmt.Sprint(rep.Findings), tornBeforeSeal) {
+			t.Fatalf("findings on a sealed container's torn manifest: %v", rep.Findings)
+		}
+		before := readTree(t, root)
+		if _, err := RepairFS(root, nil); err == nil {
+			t.Error("Repair accepted a sealed manifest it cannot read")
+		}
+		if after := readTree(t, root); !reflect.DeepEqual(after, before) {
+			t.Error("a refused Repair changed the container")
 		}
 	})
 }
 
-// TestStripedLayoutRefused: a topic directory an older build wrote with
-// its data striped across lane files (conn file: stripes=4) is refused
-// by Open with the typed error, is one fsck finding, and is left alone
-// by Repair — which must not "fix" the container by dropping a topic
-// whose data it cannot read.
-func TestStripedLayoutRefused(t *testing.T) {
-	root, _ := buildSealedTopic(t)
+// olderBuild writes a container the way an older build did: a text
+// meta, and topic directories holding their own conn files. With
+// stripes > 0 its one topic, /cam, has its data striped across that
+// many lane files.
+func olderBuild(t *testing.T, meta string, stripes int) string {
+	t.Helper()
+	root := filepath.Join(t.TempDir(), "bag")
 	dir := filepath.Join(root, EncodeTopicDir("/cam"))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	h, err := bagio.DecodeHeader(encodeConn(&bagio.Connection{Topic: "/cam", Type: "sensor_msgs/Image"}))
-	if err != nil {
-		t.Fatal(err)
+	h := bagio.Header{}
+	h.PutU32("conn", 0)
+	h.PutString("topic", "/cam")
+	h.PutString("type", "sensor_msgs/Image")
+	files := map[string][]byte{"data": []byte("hello")}
+	if stripes > 0 {
+		h.PutU32("stripes", uint32(stripes))
+		h.PutU64("stripe_size", 4096)
+		files = map[string][]byte{"data.0": []byte("hello")}
+		for i := 1; i < stripes; i++ {
+			files[fmt.Sprintf("data.%d", i)] = nil
+		}
 	}
-	h.PutU32("stripes", 4)
-	h.PutU64("stripe_size", 4096)
 	var entry [IndexEntrySize]byte
 	IndexEntry{Length: 5}.encode(entry[:])
-	for name, content := range map[string][]byte{
-		ConnFileName: h.Encode(), IndexFileName: entry[:], "data.0": []byte("hello"),
-		"data.1": nil, "data.2": nil, "data.3": nil,
-	} {
+	files["conn"], files[IndexFileName] = h.Encode(), entry[:]
+	for name, content := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), content, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := readTree(t, root)
+	if err := os.WriteFile(filepath.Join(root, MetaFileName), []byte(meta), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return root
+}
 
-	if _, err := Open(root); !errors.Is(err, ErrStripedLayout) {
-		t.Errorf("Open: %v, want ErrStripedLayout", err)
+// refusedAsLegacy checks that the container at root is refused whole as
+// an older build's: Open fails with ErrLegacyMeta, fsck reports exactly
+// one bad-meta, and Repair refuses it and changes nothing.
+func refusedAsLegacy(t *testing.T, root string) {
+	t.Helper()
+	before := readTree(t, root)
+	if _, err := Open(root); !errors.Is(err, ErrLegacyMeta) {
+		t.Errorf("Open: %v, want ErrLegacyMeta", err)
 	}
 	rep, err := Fsck(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kinds := findingKinds(rep); !reflect.DeepEqual(kinds, []FindingKind{FindingStripedLayout}) {
-		t.Errorf("findings = %v, want exactly one striped-layout", rep.Findings)
+	if kinds := findingKinds(rep); !reflect.DeepEqual(kinds, []FindingKind{FindingBadMeta}) {
+		t.Errorf("findings = %v, want exactly one bad-meta", rep.Findings)
 	}
-	if _, err := RepairFS(root, nil); !errors.Is(err, ErrStripedLayout) {
-		t.Errorf("Repair: %v, want ErrStripedLayout", err)
+	if _, err := RepairFS(root, nil); !errors.Is(err, ErrLegacyMeta) {
+		t.Errorf("Repair: %v, want ErrLegacyMeta", err)
 	}
 	if after := readTree(t, root); !reflect.DeepEqual(after, before) {
 		t.Errorf("Repair changed the refused container:\n got %v\nwant %v", after, before)
 	}
+}
+
+// TestStripedLayoutRefused: a container an older build wrote with a
+// topic's data striped across lane files is refused by Open with the
+// typed error, is one fsck finding, and is left alone by Repair — which
+// must not "fix" the container by dropping a topic whose data it cannot
+// read.
+func TestStripedLayoutRefused(t *testing.T) {
+	refusedAsLegacy(t, olderBuild(t, "bora-container v2\nstate=sealed\ngen=5\ntopic=cam\n", 4))
 }
 
 // readTree maps every file under root (by path below root) to its content.
@@ -425,63 +455,9 @@ func TestReadMetaLifecycle(t *testing.T) {
 	}
 }
 
-// TestReadMetaLegacyV1: a v1 meta is damage, not a format. Open
-// refuses it, fsck reports bad-meta, and RepairFS reseals the container
-// with every topic serving the messages it held before.
+// TestReadMetaLegacyV1: a v1 meta is an older build's format, which
+// this one neither reads nor migrates: Open refuses it with the typed
+// error, fsck reports one bad-meta, and Repair leaves it alone.
 func TestReadMetaLegacyV1(t *testing.T) {
-	root, _ := buildSealedTopic(t)
-	messages := func() []string {
-		t.Helper()
-		c, err := Open(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []string
-		for _, name := range c.Topics() {
-			topic, _ := c.Topic(name)
-			entries, err := topic.Entries()
-			if err != nil {
-				t.Fatal(err)
-			}
-			df, err := topic.OpenData()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var scratch []byte
-			for _, e := range entries {
-				data, err := topic.ReadMessageInto(df, e, &scratch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, fmt.Sprintf("%s %v %x", name, e.Time, data))
-			}
-			df.Close()
-		}
-		return out
-	}
-	before := messages()
-
-	if err := os.WriteFile(filepath.Join(root, MetaFileName), []byte("bora-container v1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(root); err == nil {
-		t.Fatal("Open accepted a v1 meta")
-	}
-	rep, err := Fsck(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasFinding(rep, FindingBadMeta) {
-		t.Fatalf("findings = %v, want bad-meta", findingKinds(rep))
-	}
-	after, err := RepairFS(root, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !after.Clean() {
-		t.Fatalf("post-repair findings: %v", after.Findings)
-	}
-	if got := messages(); !reflect.DeepEqual(got, before) {
-		t.Errorf("repaired container serves %d messages, want the %d it held", len(got), len(before))
-	}
+	refusedAsLegacy(t, olderBuild(t, "bora-container v1\n", 0))
 }

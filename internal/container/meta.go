@@ -1,28 +1,38 @@
 package container
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bagio"
 	"repro/internal/faultfs"
 )
 
-// Container meta lifecycle. A v2 container is created in state
-// "building" and atomically flipped to "sealed" once every topic's
-// data, index, time index and checksum are durable; the sealed meta
-// also records the topic directory list, giving fsck a manifest to
-// check the tree against. A crash mid-organize therefore leaves a
-// building-state meta behind: the container is invisible to Open/List
-// (never served half-written) but identifiable and repairable.
+// The container meta is its manifest: a sequence of bagio headers, each
+// framed by its length (u32le). The first is the container's own —
+// signature and version, state, generation, derivation — and then comes
+// one per topic: its directory, its connection (every bagio.Connection
+// field, as a connection record carries it), its time-index window and,
+// once sealed, its data file's crc32c and length. A container is created
+// building: CreateFS writes the container header in place and each
+// CreateTopic appends its topic's header through the same open file, so
+// a crash can cut at most the last header short. The seal replaces the
+// building manifest atomically (temp file + rename) with the sealed one,
+// which records every topic's checksum. A building container is
+// invisible to Open and List (never served half-written) but
+// identifiable and repairable.
 const (
-	metaMagic = "bora-container v2"
+	metaSignature = "bora-container"
+	metaVersion   = 3
 
 	// StateBuilding marks a container whose organize pass has not
 	// committed; StateSealed marks a complete, openable container.
@@ -34,7 +44,16 @@ const (
 // committed (crashed or still in flight).
 var ErrUnsealed = errors.New("container: not sealed (crashed or in-progress duplicate; run fsck/repair)")
 
-// Meta is the parsed container meta file.
+// ErrLegacyMeta refuses a container whose meta is the text file of an
+// older build (v1 or v2, or the striped data layout that went with
+// them): this build neither reads nor migrates it. Fsck reports it as
+// bad-meta, and Repair leaves it alone. Test with errors.Is.
+var ErrLegacyMeta = errors.New("container: meta written by an older build (text format) is not supported")
+
+// legacyMetaPrefix opens every text meta an older build wrote.
+const legacyMetaPrefix = metaSignature + " v"
+
+// Meta is the parsed container manifest.
 type Meta struct {
 	State string
 	// Gen is the container's generation: it starts at 0 while building
@@ -43,89 +62,271 @@ type Meta struct {
 	// it against the meta on disk to detect that a cached open went
 	// stale without re-walking the tree.
 	Gen uint64
-	// TopicDirs lists the encoded topic directory names recorded at
-	// seal time (v2 sealed metas only), sorted.
-	TopicDirs []string
 	// Derivation is the content address of the build derivation that
 	// materialized this container (empty for containers that are not
 	// build outputs). internal/build stamps it after Seal and compares
 	// it on later builds: a matching address makes the rebuild a no-op.
 	Derivation string
+
+	topics []topicMeta // in manifest order; sealed manifests sort them by dir
+	torn   bool        // a building manifest whose last topic header a crash cut short
+}
+
+// topicMeta is one topic's header of the manifest.
+type topicMeta struct {
+	dir    string
+	conn   *bagio.Connection
+	window time.Duration // the coarse time-index window
+	summed bool          // sum and size are recorded: sealed manifests only
+	sum    uint32        // crc32c of the data file
+	size   int64         // the data file's length
 }
 
 // Sealed reports whether the container committed.
 func (m *Meta) Sealed() bool { return m.State == StateSealed }
 
-// ReadMeta parses the meta file of the container rooted at root. Any
-// signature but v2's is an error, which fsck reports as bad-meta and
-// RepairFS reseals.
+// encodeHead renders the container's own header.
+func encodeHead(m *Meta) []byte {
+	h := bagio.Header{}
+	h.PutString("signature", metaSignature)
+	h.PutU32(bagio.FieldVer, metaVersion)
+	h.PutString("state", m.State)
+	if m.Gen > 0 {
+		h.PutU64("gen", m.Gen)
+	}
+	if m.Derivation != "" {
+		h.PutString("deriv", m.Derivation)
+	}
+	return frame(h)
+}
+
+// encodeTopic renders one topic's header: every bagio.Connection field
+// as a connection record carries it (optional fields add no bytes when
+// unset), the directory, the window and, when summed, the checksum.
+func encodeTopic(tm topicMeta) []byte {
+	h := bagio.Header{}
+	h.PutU32("conn", tm.conn.ID)
+	h.PutString("topic", tm.conn.Topic)
+	h.PutString("type", tm.conn.Type)
+	h.PutString("md5sum", tm.conn.MD5Sum)
+	h.PutString("message_definition", tm.conn.Def)
+	if tm.conn.Caller != "" {
+		h.PutString("callerid", tm.conn.Caller)
+	}
+	if tm.conn.Latch {
+		h.PutString("latching", "1")
+	}
+	h.PutString("dir", tm.dir)
+	h.PutU64("window", uint64(tm.window))
+	if tm.summed {
+		h.PutU32("crc", tm.sum)
+		h.PutU64("size", uint64(tm.size))
+	}
+	return frame(h)
+}
+
+// frame prefixes h's encoding with its length.
+func frame(h bagio.Header) []byte {
+	return append(binary.LittleEndian.AppendUint32(nil, uint32(h.EncodedLen())), h.Encode()...)
+}
+
+// nextHeader splits the first framed header off b and decodes it; raw
+// is its encoding.
+func nextHeader(b []byte) (h bagio.Header, raw, rest []byte, err error) {
+	if len(b) < 4 {
+		return nil, nil, nil, fmt.Errorf("header length cut short (%d bytes)", len(b))
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if uint64(n) > uint64(len(b)-4) {
+		return nil, nil, nil, fmt.Errorf("header of %d bytes in %d", n, len(b)-4)
+	}
+	raw = b[4 : 4+n]
+	h, err = bagio.DecodeHeader(raw)
+	return h, raw, b[4+n:], err
+}
+
+// encodeMeta renders m as a whole manifest.
+func encodeMeta(m *Meta) []byte {
+	buf := encodeHead(m)
+	for _, tm := range m.topics {
+		buf = append(buf, encodeTopic(tm)...)
+	}
+	return buf
+}
+
+// buildingHead is the header CreateFS writes in place: a meta file that
+// is a strict prefix of it was torn by a crash before the container's
+// first topic.
+var buildingHead = encodeHead(&Meta{State: StateBuilding})
+
+// decodeHead parses the container header at the front of buf and
+// returns the rest.
+func decodeHead(buf []byte) (*Meta, []byte, error) {
+	if bytes.HasPrefix(buf, []byte(legacyMetaPrefix)) {
+		return nil, nil, ErrLegacyMeta
+	}
+	h, _, rest, err := nextHeader(buf)
+	if err != nil {
+		return nil, nil, fmt.Errorf("container header: %w", err)
+	}
+	if sig, _ := h.String("signature"); sig != metaSignature {
+		return nil, nil, fmt.Errorf("unrecognized signature %q", sig)
+	}
+	if v, err := h.U32(bagio.FieldVer); err != nil || v != metaVersion {
+		return nil, nil, fmt.Errorf("version %d, want %d (%v)", v, metaVersion, err)
+	}
+	m := &Meta{}
+	m.State, _ = h.String("state")
+	if m.State != StateBuilding && m.State != StateSealed {
+		return nil, nil, fmt.Errorf("state %q", m.State)
+	}
+	if _, ok := h["gen"]; ok {
+		if m.Gen, err = h.U64("gen"); err != nil {
+			return nil, nil, err
+		}
+	}
+	m.Derivation, _ = h.String("deriv")
+	return m, rest, nil
+}
+
+// decodeTopic parses one topic header; raw is its encoding, which
+// carries the connection's fields as a connection record's data does.
+func decodeTopic(h bagio.Header, raw []byte) (topicMeta, error) {
+	var tm topicMeta
+	var err error
+	if tm.dir, err = h.String("dir"); err != nil {
+		return tm, err
+	}
+	w, err := h.U64("window")
+	if err != nil {
+		return tm, err
+	}
+	tm.window = time.Duration(w)
+	if tm.conn, err = bagio.DecodeConnection(&bagio.Record{Header: h, Data: raw}); err != nil {
+		return tm, err
+	}
+	if _, tm.summed = h["crc"]; tm.summed {
+		if tm.sum, err = h.U32("crc"); err != nil {
+			return tm, err
+		}
+		size, err := h.U64("size")
+		if err != nil {
+			return tm, err
+		}
+		tm.size = int64(size)
+	}
+	return tm, nil
+}
+
+// decodeMeta parses a whole manifest. A building manifest whose last
+// topic header is cut short — a crash mid-append — parses up to it and
+// says so (torn); any other damage is an error.
+func decodeMeta(buf []byte) (*Meta, error) {
+	m, rest, err := decodeHead(buf)
+	if err != nil {
+		return nil, err
+	}
+	for len(rest) > 0 {
+		h, raw, next, err := nextHeader(rest)
+		var tm topicMeta
+		if err == nil {
+			tm, err = decodeTopic(h, raw)
+		}
+		if err != nil {
+			if m.State == StateBuilding && len(next) == 0 {
+				m.torn = true
+				return m, nil
+			}
+			return nil, fmt.Errorf("topic header %d: %w", len(m.topics), err)
+		}
+		m.topics, rest = append(m.topics, tm), next
+	}
+	return m, nil
+}
+
+// ReadMeta parses the manifest of the container rooted at root. A meta
+// an older build wrote is ErrLegacyMeta; any other damage is an error,
+// which fsck reports as bad-meta.
 func ReadMeta(root string) (*Meta, error) {
 	buf, err := os.ReadFile(filepath.Join(root, MetaFileName))
 	if err != nil {
 		return nil, err
 	}
-	lines := strings.Split(strings.TrimRight(string(buf), "\n"), "\n")
-	if lines[0] != metaMagic {
-		return nil, fmt.Errorf("container: unrecognized meta signature %q in %s", lines[0], root)
-	}
-	m := &Meta{}
-	for _, line := range lines[1:] {
-		switch {
-		case strings.HasPrefix(line, "state="):
-			m.State = strings.TrimPrefix(line, "state=")
-		case strings.HasPrefix(line, "gen="):
-			gen, err := strconv.ParseUint(strings.TrimPrefix(line, "gen="), 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("container: malformed meta line %q in %s", line, root)
-			}
-			m.Gen = gen
-		case strings.HasPrefix(line, "topic="):
-			m.TopicDirs = append(m.TopicDirs, strings.TrimPrefix(line, "topic="))
-		case strings.HasPrefix(line, "deriv="):
-			m.Derivation = strings.TrimPrefix(line, "deriv=")
-		case line == "":
-		default:
-			return nil, fmt.Errorf("container: malformed meta line %q in %s", line, root)
-		}
-	}
-	if m.State != StateBuilding && m.State != StateSealed {
-		return nil, fmt.Errorf("container: meta state %q in %s", m.State, root)
+	m, err := decodeMeta(buf)
+	if err != nil {
+		return nil, fmt.Errorf("container: meta of %s: %w", root, err)
 	}
 	return m, nil
 }
 
-// encodeMeta renders m as a meta file.
-func encodeMeta(m *Meta) []byte {
-	var b strings.Builder
-	b.WriteString(metaMagic)
-	b.WriteByte('\n')
-	b.WriteString("state=" + m.State + "\n")
-	if m.Gen > 0 {
-		b.WriteString("gen=" + strconv.FormatUint(m.Gen, 10) + "\n")
+// headReadSize covers the container header of any manifest this package
+// writes, derivation included, in one read.
+const headReadSize = 512
+
+// ReadMetaHead parses only the container header of root's manifest —
+// state, generation, derivation — from one read of the file's first
+// bytes, so its cost does not grow with the topics' message
+// definitions. The pool's staleness probe and List take it.
+func ReadMetaHead(root string) (*Meta, error) {
+	path := filepath.Join(root, MetaFileName)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	if m.Derivation != "" {
-		b.WriteString("deriv=" + m.Derivation + "\n")
+	var small [headReadSize]byte
+	n, err := io.ReadFull(f, small[:])
+	f.Close()
+	buf := small[:n]
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = nil // a manifest shorter than the read
 	}
-	dirs := append([]string(nil), m.TopicDirs...)
-	sort.Strings(dirs)
-	for _, d := range dirs {
-		b.WriteString("topic=" + d + "\n")
+	if err == nil && n == headReadSize && int(binary.LittleEndian.Uint32(buf)) > n-4 {
+		buf, err = os.ReadFile(path) // a header longer than the read
 	}
-	return []byte(b.String())
+	if err != nil {
+		return nil, err
+	}
+	m, _, err := decodeHead(buf)
+	if err != nil {
+		return nil, fmt.Errorf("container: meta of %s: %w", root, err)
+	}
+	return m, nil
 }
 
-// buildingMeta is the meta CreateFS writes in place: a meta file that is
-// a strict prefix of it was torn by a crash before the container's seal.
-var buildingMeta = encodeMeta(&Meta{State: StateBuilding})
-
-// writeMeta rewrites the meta of a committed container — or commits a
-// building one — atomically (temp file + rename), so a crash at any
-// point leaves the previous meta, never a torn one.
+// writeMeta rewrites the manifest of a committed container — or commits
+// a building one — atomically (temp file + rename), so a crash at any
+// point leaves the previous manifest, never a torn one.
 func writeMeta(fs faultfs.Backend, root string, m *Meta) error {
 	if err := faultfs.WriteFileAtomic(fs, filepath.Join(root, MetaFileName), encodeMeta(m), 0o644); err != nil {
 		return fmt.Errorf("container: write meta: %w", err)
 	}
 	return nil
+}
+
+// WriteBuildingMeta writes m's topics as the building manifest of the
+// container at root, creating root, in place and with no sync: a copy
+// of a container writes it before the first topic file, so a copy
+// interrupted anywhere is a building container Repair completes, and
+// its commit (CommitFS) replaces it.
+func WriteBuildingMeta(fs faultfs.Backend, root string, m *Meta) error {
+	fs = faultfs.Or(fs)
+	if err := fs.MkdirAll(root, 0o755); err != nil {
+		return err
+	}
+	b := &Meta{State: StateBuilding}
+	for _, tm := range m.topics {
+		tm.summed = false
+		b.topics = append(b.topics, tm)
+	}
+	f, err := fs.Create(filepath.Join(root, MetaFileName))
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(encodeMeta(b))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // genCounter disambiguates seals that land on the same clock reading.
@@ -148,8 +349,8 @@ func newGen() uint64 {
 }
 
 // StampDerivation records a build derivation's content address in the
-// sealed meta of the container rooted at root, preserving the
-// generation and manifest. The address must be a single line. A crash
+// sealed manifest of the container rooted at root, preserving the
+// generation and the topics. The address must be a single line. A crash
 // between Seal and the stamp leaves a sealed container without an
 // address, which a later build treats as a cache miss and rebuilds —
 // safe, just not cached.
@@ -177,21 +378,28 @@ func (c *Container) Derivation() string {
 	return c.meta.Derivation
 }
 
-// Seal commits the container: the meta flips to sealed, mints a fresh
-// generation, and records the topic directory manifest (CommitFS).
+// Seal commits the container: the manifest flips to sealed, mints a
+// fresh generation, and records every topic's checksum (CommitFS).
 // Until Seal succeeds the container cannot be opened or listed.
 func (c *Container) Seal() error { return c.IssueSeal()() }
 
-// IssueSeal is Seal in the two steps of CommitFS: it issues the barrier
-// over the container's files and returns the finish that commits it.
-// The files must not change in between; until the finish succeeds the
-// container is building.
+// IssueSeal is Seal in the two steps of CommitFS: it closes the
+// building manifest, issues the barrier over the container's files and
+// returns the finish that commits it. The files must not change in
+// between; until the finish succeeds the container is building.
 func (c *Container) IssueSeal() (finish func() error) {
-	dirs := make([]string, 0, len(c.topics))
-	for name := range c.topics {
-		dirs = append(dirs, EncodeTopicDir(name))
+	err := c.Abandon()
+	if c.err != nil {
+		err = c.err
 	}
-	m := &Meta{State: StateSealed, Gen: newGen(), TopicDirs: dirs}
+	if err != nil {
+		return func() error { return err }
+	}
+	m := &Meta{State: StateSealed, Gen: newGen()}
+	for _, t := range c.topics {
+		m.topics = append(m.topics, topicMeta{dir: filepath.Base(t.dir), conn: t.conn, window: t.window,
+			summed: t.summed, sum: t.sum, size: t.size})
+	}
 	commit := CommitFS(c.fs, c.root, m)
 	return func() error {
 		if err := commit(); err != nil {
@@ -202,14 +410,28 @@ func (c *Container) IssueSeal() (finish func() error) {
 	}
 }
 
+// Abandon closes the building manifest, which the container holds open
+// from CreateFS to its seal for each new topic's header to be appended.
+// A build that fails before its seal runs it: the container stays
+// building, which Open and List refuse and Repair completes.
+func (c *Container) Abandon() error {
+	if c.metaf == nil {
+		return nil
+	}
+	err := c.metaf.Close()
+	c.metaf = nil
+	return err
+}
+
 // CommitFS is the second phase of a container's group commit; the first
 // wrote every file of the tree at root in place, with no sync. One
-// barrier (SyncAll) makes durable every file of the topic directories m
-// names, those directories, root and root's parent — so the entries
-// naming them are on disk too. Only then does the sealed meta m replace
-// the building one by rename, the commit point, and a sync of root makes
-// the rename durable. A crash anywhere before the rename leaves a
-// building container, which Open and List refuse and Repair completes.
+// barrier (SyncAll) makes durable the data and index file of every
+// topic m names, those topic directories, root and root's parent — so
+// the entries naming them are on disk too. Only then does the sealed
+// manifest m replace the building one by rename, the commit point, and
+// a sync of root makes the rename durable. A crash anywhere before the
+// rename leaves a building container, which Open and List refuse and
+// Repair completes.
 //
 // CommitFS issues the barrier and returns the finish: the barrier's
 // wait, the rename and the sync of root, and the first error of either
@@ -217,21 +439,11 @@ func (c *Container) IssueSeal() (finish func() error) {
 // once; a live recording runs it at its next rotation or seal.
 func CommitFS(fs faultfs.Backend, root string, m *Meta) (finish func() error) {
 	fs = faultfs.Or(fs)
-	dirs := append([]string(nil), m.TopicDirs...)
-	sort.Strings(dirs)
-	var paths []string
-	for _, d := range dirs {
-		dir := filepath.Join(root, d)
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			return func() error { return fmt.Errorf("container: commit: %w", err) }
-		}
-		for _, ent := range ents {
-			if !ent.IsDir() {
-				paths = append(paths, filepath.Join(dir, ent.Name()))
-			}
-		}
-		paths = append(paths, dir)
+	slices.SortFunc(m.topics, func(a, b topicMeta) int { return strings.Compare(a.dir, b.dir) })
+	paths := make([]string, 0, 3*len(m.topics)+2)
+	for _, tm := range m.topics {
+		dir := filepath.Join(root, tm.dir)
+		paths = append(paths, filepath.Join(dir, DataFileName), filepath.Join(dir, IndexFileName), dir)
 	}
 	paths = append(paths, root, filepath.Dir(root))
 	wait := fs.SyncAll(paths)

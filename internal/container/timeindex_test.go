@@ -1,87 +1,96 @@
 package container
 
 import (
-	"bytes"
-	"errors"
-	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bagio"
+	"repro/internal/obs"
 	"repro/internal/timeindex"
 )
 
-// TestTopicWriterPersistsTimeIndex: the writer builds the coarse index
-// as it appends, with the window it was given, and Close persists it.
+// TestTopicWriterPersistsTimeIndex: the writer persists what a topic's
+// coarse index is made of — the window it was given, in the manifest —
+// and a reopened topic builds, from its index, the same index the
+// appends describe.
 func TestTopicWriterPersistsTimeIndex(t *testing.T) {
-	c := newTestContainer(t)
+	root := filepath.Join(t.TempDir(), "bag")
+	c, err := Create(root)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tw, err := c.CreateTopicOpts(&bagio.Connection{Topic: "/imu"}, TopicOptions{TimeWindow: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
-		if err := tw.Append(bagio.Time{Sec: uint32(i)}, []byte{byte(i)}); err != nil {
+	times := make([]bagio.Time, 20)
+	for i := range times {
+		times[i] = bagio.Time{Sec: uint32(i)}
+		if err := tw.Append(times[i], []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := readTimeIndex(tw.Topic().Dir())
+	if err := c.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := Open(root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	topic, err := c2.Topic("/imu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := topic.Index(obs.Span{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := topic.TimeIndex(v)
 	if ix.Window() != 5*time.Second || ix.WindowCount() != 4 {
-		t.Errorf("persisted index: window %v, %d windows; want 5s, 4", ix.Window(), ix.WindowCount())
+		t.Errorf("derived index: window %v, %d windows; want 5s, 4", ix.Window(), ix.WindowCount())
 	}
 	if got := ix.QuerySorted(bagio.Time{Sec: 5}, bagio.Time{Sec: 9}); len(got) != 5 || got[0] != 5 || got[4] != 9 {
 		t.Errorf("positions in [5s, 9s] = %v, want 5..9", got)
 	}
-	// The closed writer's handle serves the index it built, no reload.
-	if mem, err := tw.Topic().TimeIndex(20); err != nil || !bytes.Equal(mem.Marshal(), ix.Marshal()) {
-		t.Errorf("writer handle's TimeIndex differs from the persisted file (%v)", err)
+	want := timeindex.Build(5*time.Second, times)
+	start, end := bagio.Time{}, bagio.Time{Sec: 30}
+	if !reflect.DeepEqual(ix.QuerySorted(start, end), want.QuerySorted(start, end)) {
+		t.Error("derived index differs from one built over the appended stamps")
 	}
 }
 
-// TestTopicTimeIndex: loaded once per handle, an error when the file is
-// absent, corrupt or names a message the topic lacks, and safe under
-// concurrent first calls (run with -race).
+// TestTopicTimeIndex: built once per handle from the view it is given,
+// rebuilt when a later view is shorter (a part cut under the handle),
+// and safe under concurrent first calls (run with -race).
 func TestTopicTimeIndex(t *testing.T) {
-	root, dir := buildSealedTopic(t)
-	path := filepath.Join(dir, TimeIdxFileName)
-	persisted, err := os.ReadFile(path)
+	root, _ := buildSealedTopic(t)
+	c, err := Open(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const entries = 20 // buildSealedTopic's: what a query's view of the index holds
-	open := func() *Topic {
-		t.Helper()
-		c, err := Open(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		topic, err := c.Topic("/imu")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return topic
+	topic, err := c.Topic("/imu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := topic.Index(obs.Span{}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// Concurrent first calls agree on one index.
-	topic := open()
 	got := make([]*timeindex.Index, 8)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ix, err := topic.TimeIndex(entries)
-			if err != nil {
-				t.Error(err)
-			}
-			got[i] = ix
+			got[i] = topic.TimeIndex(v)
 		}(i)
 	}
 	wg.Wait()
@@ -90,39 +99,17 @@ func TestTopicTimeIndex(t *testing.T) {
 			t.Fatalf("concurrent first calls returned different indexes: %p vs %p", ix, got[0])
 		}
 	}
-	if !bytes.Equal(got[0].Marshal(), persisted) {
-		t.Error("loaded index does not match the file")
+	if ix := got[0]; ix.Window() != timeindex.DefaultWindow || ix.WindowCount() != 20 {
+		t.Errorf("index: window %v, %d windows; want the default, 20", ix.Window(), ix.WindowCount())
 	}
 
-	// Loaded once: the handle never goes back to the file.
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
+	// A view of the index cut short: positions stay inside it.
+	cut := v.Slice(0, 10)
+	ix := topic.TimeIndex(cut)
+	if ix == got[0] {
+		t.Fatal("a shorter view was served the index of the longer one")
 	}
-	if ix, err := topic.TimeIndex(entries); err != nil || ix != got[0] {
-		t.Errorf("second call reloaded (%p vs %p, %v)", ix, got[0], err)
-	}
-
-	// Absent file: an error, never a rebuild (RepairFS writes the file).
-	if _, err := open().TimeIndex(entries); err == nil {
-		t.Error("missing time index accepted")
-	}
-
-	// An index naming a message past the topic's entries: refused with
-	// ErrIndexBeyondData, as fsck's orphan-time-windows.
-	orphan := timeindex.New(0)
-	orphan.Add(bagio.Time{Sec: 1}, 20)
-	if err := os.WriteFile(path, orphan.Marshal(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := open().TimeIndex(entries); !errors.Is(err, ErrIndexBeyondData) {
-		t.Errorf("orphan time index: err = %v, want ErrIndexBeyondData", err)
-	}
-
-	// Present but corrupt: an error, never a silent rebuild.
-	if err := os.WriteFile(path, []byte{1, 2, 3}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := open().TimeIndex(entries); err == nil {
-		t.Error("corrupt time index accepted")
+	if pos := ix.QuerySorted(bagio.Time{}, bagio.Time{Sec: 100}); len(pos) != 10 || pos[9] != 9 {
+		t.Errorf("positions over the cut view = %v, want 0..9", pos)
 	}
 }

@@ -1,43 +1,14 @@
 package container
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"strings"
-
-	"repro/internal/faultfs"
 )
 
-// ChecksumFileName stores a topic's data-file integrity record:
-// crc32c(data) and the data length.
-const ChecksumFileName = "checksum"
-
+// crcTable is the checksum of a topic's data file: crc32c, recorded
+// with the data's length in the sealed manifest.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// writeChecksum writes the integrity record for a topic's data file in
-// place: a commit (CommitFS) makes it durable, and a record a crash tore
-// has the wrong length, which fsck reports.
-func writeChecksum(fs faultfs.Backend, dir string, sum uint32, length int64) error {
-	var buf [12]byte
-	binary.LittleEndian.PutUint32(buf[0:4], sum)
-	binary.LittleEndian.PutUint64(buf[4:12], uint64(length))
-	return faultfs.WriteFile(fs, filepath.Join(dir, ChecksumFileName), buf[:])
-}
-
-// readChecksum loads a topic's integrity record.
-func readChecksum(dir string) (sum uint32, length int64, err error) {
-	buf, err := os.ReadFile(filepath.Join(dir, ChecksumFileName))
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(buf) != 12 {
-		return 0, 0, fmt.Errorf("container: checksum file has %d bytes, want 12", len(buf))
-	}
-	return binary.LittleEndian.Uint32(buf[0:4]), int64(binary.LittleEndian.Uint64(buf[4:12])), nil
-}
 
 // VerifyResult reports what fsck found on one topic of a container.
 type VerifyResult struct {

@@ -102,13 +102,25 @@ func TestVerifyDetectsIndexGap(t *testing.T) {
 	}
 }
 
-// TestVerifyWithoutChecksumFile: a topic with no checksum record fails
-// Verify with fsck's checksum-missing finding.
-func TestVerifyWithoutChecksumFile(t *testing.T) {
-	c, dir := buildVerifiedTopic(t)
-	if err := os.Remove(filepath.Join(dir, ChecksumFileName)); err != nil {
+// rewriteChecksum rewrites the sealed manifest of the container at root
+// with edit applied to its one topic's header.
+func rewriteChecksum(t *testing.T, root string, edit func(*topicMeta)) {
+	t.Helper()
+	m, err := ReadMeta(root)
+	if err != nil {
 		t.Fatal(err)
 	}
+	edit(&m.topics[0])
+	if err := writeMeta(faultfs.OS, root, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVerifyWithoutChecksumFile: a topic the sealed manifest records no
+// checksum for fails Verify with fsck's checksum-missing finding.
+func TestVerifyWithoutChecksumFile(t *testing.T) {
+	c, _ := buildVerifiedTopic(t)
+	rewriteChecksum(t, c.Root(), func(tm *topicMeta) { tm.summed = false })
 	results, err := c.Verify()
 	if err == nil {
 		t.Fatal("topic without a checksum record verified")
@@ -121,13 +133,19 @@ func TestVerifyWithoutChecksumFile(t *testing.T) {
 	}
 }
 
+// TestVerifyDetectsBadChecksumFile: a checksum record the data does not
+// match, in crc or in length, fails Verify.
 func TestVerifyDetectsBadChecksumFile(t *testing.T) {
-	c, dir := buildVerifiedTopic(t)
-	if err := os.WriteFile(filepath.Join(dir, ChecksumFileName), []byte{1, 2}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Verify(); err == nil {
-		t.Error("malformed checksum file not detected")
+	for name, edit := range map[string]func(*topicMeta){
+		"crc":    func(tm *topicMeta) { tm.sum ^= 1 },
+		"length": func(tm *topicMeta) { tm.size-- },
+	} {
+		c, _ := buildVerifiedTopic(t)
+		rewriteChecksum(t, c.Root(), edit)
+		results, err := c.Verify()
+		if err == nil || results[0].OK || !strings.Contains(results[0].Detail, string(FindingChecksumMismatch)) {
+			t.Errorf("checksum record with a wrong %s: %v, %+v", name, err, results)
+		}
 	}
 }
 

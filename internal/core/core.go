@@ -28,6 +28,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -75,11 +76,23 @@ type BORA struct {
 	live   map[string]*Recorder
 }
 
-// New opens (creating if needed) a BORA back end rooted at dir.
+// New opens (creating if needed) a BORA back end rooted at dir. A bag
+// a Remove renamed away and did not finish deleting is deleted now.
 func New(dir string, opts Options) (*BORA, error) {
 	opts.FS = faultfs.Or(opts.FS)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("bora: create back end: %w", err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("bora: open back end: %w", err)
+	}
+	for _, ent := range ents {
+		if strings.HasPrefix(ent.Name(), removedPrefix) {
+			if err := os.RemoveAll(filepath.Join(dir, ent.Name())); err != nil {
+				return nil, fmt.Errorf("bora: open back end: %w", err)
+			}
+		}
 	}
 	return &BORA{root: dir, opts: opts}, nil
 }
@@ -107,17 +120,17 @@ func (b *BORA) List() ([]string, error) {
 	}
 	var out []string
 	for _, ent := range ents {
-		if !ent.IsDir() {
+		name := ent.Name()
+		if !ent.IsDir() || ValidBagName(name) != nil {
 			continue
 		}
-		name := ent.Name()
 		if lm, err := readLiveMeta(filepath.Join(b.root, name)); err == nil {
 			if lm.State == liveStateComplete || b.LiveRecorder(name) != nil {
 				out = append(out, name)
 			}
 			continue
 		}
-		if meta, err := container.ReadMeta(filepath.Join(b.root, name)); err == nil && meta.Sealed() {
+		if meta, err := container.ReadMetaHead(filepath.Join(b.root, name)); err == nil && meta.Sealed() {
 			out = append(out, name)
 		}
 	}
@@ -154,9 +167,17 @@ func (b *BORA) bagDir(name string) (string, error) {
 	return filepath.Join(b.root, name), nil
 }
 
+// removedPrefix names a bag directory Remove has renamed away: hidden,
+// so ValidBagName refuses it and List skips it.
+const removedPrefix = ".removed-"
+
 // Remove deletes a logical bag — a classic container or a live bag. A
 // bag a recorder in this process still holds is refused: deleting it
-// would lose every later write silently.
+// would lose every later write silently. The delete is all or nothing:
+// one rename, through the instance's FS, takes the bag directory to a
+// hidden name in the root, then that directory is deleted. A crash or
+// an error before the rename leaves the whole bag; after it, nothing of
+// it is listed or opened, and New deletes what is left.
 func (b *BORA) Remove(name string) error {
 	dir, err := b.bagDir(name)
 	if err != nil {
@@ -170,7 +191,11 @@ func (b *BORA) Remove(name string) error {
 			return fmt.Errorf("bora: %q is not a BORA bag: %w", name, err)
 		}
 	}
-	return os.RemoveAll(dir)
+	gone := filepath.Join(b.root, removedPrefix+name+"-"+strconv.FormatUint(container.NewGen(), 36))
+	if err := b.opts.FS.Rename(dir, gone); err != nil {
+		return fmt.Errorf("bora: remove %q: %w", name, err)
+	}
+	return os.RemoveAll(gone)
 }
 
 // DuplicateStats reports the work done by a duplication.
@@ -228,6 +253,7 @@ func (b *BORA) organize(r io.ReaderAt, size int64, name string, sp obs.Span) (Du
 	if err != nil {
 		return st, err
 	}
+	seg.unshared = true // the sealed container is opened afresh
 	appendOp := b.opts.Obs.Op("organizer.append")
 	err = rosbag.ScanSpan(r, size, sp, func(conn *bagio.Connection, t bagio.Time, data []byte) error {
 		tw, err := seg.writer(conn, 0)
@@ -243,7 +269,7 @@ func (b *BORA) organize(r io.ReaderAt, size int64, name string, sp obs.Span) (Du
 		return nil
 	})
 	if err != nil {
-		seg.close()
+		seg.abandon()
 		err = fmt.Errorf("bora: duplicate: %w", err)
 	} else {
 		// Every topic is complete; seal the container. This is the commit
@@ -254,12 +280,9 @@ func (b *BORA) organize(r io.ReaderAt, size int64, name string, sp obs.Span) (Du
 	// Count what reached a topic file, not what a failed write left buffered.
 	st.Topics = len(seg.order)
 	for _, tw := range seg.order {
-		ix, _ := tw.Topic().Index(obs.Span{}, nil) // a writer's topic serves its buffer
-		if n := ix.Len(); n > 0 {
-			last := ix.At(n - 1)
-			st.Messages += int64(n)
-			st.Bytes += int64(last.PhysicalOffset) + int64(last.Length)
-		}
+		n, bytes := tw.Flushed()
+		st.Messages += n
+		st.Bytes += bytes
 	}
 	return st, err
 }
@@ -285,13 +308,18 @@ func (b *BORA) CopyContainer(srcRoot, name string) (*Bag, error) {
 }
 
 // copyTree copies the sealed container at src to dst through fs, in
-// the two phases of a seal: every file is copied in place with no sync,
-// then container.CommitFS makes them durable and writes the source's
-// meta last, atomically — so a copy interrupted anywhere is a directory
-// Open and List refuse, never a sealed container with topics missing.
+// the two phases of a seal: the source's manifest is written as a
+// building one, then every file is copied in place with no sync, then
+// container.CommitFS makes them durable and writes the source's
+// manifest last, atomically — so a copy interrupted anywhere is a
+// building container Open and List refuse and Repair completes, never a
+// sealed container with topics missing.
 func copyTree(fs faultfs.Backend, src, dst string) error {
 	meta, err := container.ReadMeta(src)
 	if err != nil {
+		return err
+	}
+	if err := container.WriteBuildingMeta(fs, dst, meta); err != nil {
 		return err
 	}
 	err = filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -312,9 +313,10 @@ func TestCopyContainer(t *testing.T) {
 }
 
 // TestCopyContainerCommitsLast crashes a container copy at every
-// back-end operation: what is left behind either refuses to open and
-// stays off the listing, or is the whole source, topic file for topic
-// file — never a sealed container with topics missing.
+// back-end operation: what is left behind either refuses to open, stays
+// off the listing and repairs to a clean container, or is the whole
+// source, topic file for topic file — never a sealed container with
+// topics missing.
 func TestCopyContainerCommitsLast(t *testing.T) {
 	b := newBORA(t)
 	if _, _, err := b.Duplicate(makeSourceBag(t, t.TempDir(), 3), "bag1"); err != nil {
@@ -357,6 +359,11 @@ func TestCopyContainerCommitsLast(t *testing.T) {
 		if _, err := after.Open("copy"); err != nil {
 			if len(names) != 0 {
 				t.Errorf("crash at op %d: List shows %v though Open refuses: %v", at, names, err)
+			}
+			if _, err := os.Stat(filepath.Join(after.Root(), "copy")); err == nil {
+				if reps, err := after.Repair("copy"); err != nil || len(reps) != 1 || !reps[0].Clean() {
+					t.Errorf("crash at op %d: repair of the interrupted copy: %v, %v", at, reps, err)
+				}
 			}
 			continue
 		}
@@ -525,6 +532,66 @@ func TestRemove(t *testing.T) {
 	}
 	if err := b.Remove("."); err == nil {
 		t.Error("Remove of non-container should fail")
+	}
+}
+
+// TestRemoveIsAllOrNothing: a bag that lost one topic directory — what
+// a delete in directory order leaves when it stops part-way — no longer
+// opens with a topic missing, but fails with the typed error. Remove
+// itself is one rename to a hidden name, then the delete: a crash at the
+// rename leaves the whole bag listed and openable, and a bag renamed
+// away whose delete never ran is not listed, and is gone once a back end
+// opens the root again.
+func TestRemoveIsAllOrNothing(t *testing.T) {
+	src := makeSourceBag(t, t.TempDir(), 2)
+	root := filepath.Join(t.TempDir(), "backend")
+	b, err := New(root, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"part", "whole", "gone"} {
+		if _, _, err := b.Duplicate(src, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := os.RemoveAll(filepath.Join(root, "part", container.EncodeTopicDir("/tf"))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Open("part"); !errors.Is(err, container.ErrTopicDirMissing) {
+		t.Errorf("Open of a bag missing a topic dir: %v, want ErrTopicDirMissing", err)
+	}
+
+	crashing, err := New(root, Options{FS: faultfs.NewInjector(faultfs.OS, faultfs.Plan{CrashAt: 1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := crashing.Remove("whole"); !errors.Is(err, faultfs.ErrCrashed) {
+		t.Fatalf("Remove crashed at its rename: %v, want ErrCrashed", err)
+	}
+	if names, err := b.List(); err != nil || !slices.Contains(names, "whole") {
+		t.Errorf("List after a Remove crashed at its rename = %v, %v; want the bag", names, err)
+	}
+	bag, err := b.Open("whole")
+	if err != nil {
+		t.Fatalf("Open after a Remove crashed at its rename: %v", err)
+	}
+	if n := len(bag.Topics()); n != 3 {
+		t.Errorf("the bag a crashed Remove left has %d topics, want 3", n)
+	}
+
+	leftover := filepath.Join(root, removedPrefix+"gone-1")
+	if err := os.Rename(filepath.Join(root, "gone"), leftover); err != nil {
+		t.Fatal(err)
+	}
+	if names, err := b.List(); err != nil || slices.Contains(names, filepath.Base(leftover)) {
+		t.Errorf("List = %v, %v: it lists a bag Remove renamed away", names, err)
+	}
+	if _, err := New(root, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
+		t.Errorf("a renamed-away bag survived New: %v", err)
 	}
 }
 

@@ -54,8 +54,8 @@ type cursor struct {
 // index, strided a view of its survivors, and EntriesScanned counts the
 // probes and survivors. Only a part out of time order walks its
 // candidates (a complete part's coarse time-index windows, a building
-// part's every entry) and counts each. A complete part loads and checks
-// its time index either way.
+// part's every entry) and counts each. A complete part's time index is
+// built from the index it loaded, once per handle, either way.
 func (c *cursor) selectEntries(sp obs.Span, phase *int) error {
 	q := c.q
 	ix, err := c.t.Index(sp, &c.scratch.ix)
@@ -77,10 +77,7 @@ func (c *cursor) selectEntries(sp obs.Span, phase *int) error {
 	var positions []uint32
 	n, coarse := ix.Len(), q.bounded() && q.bag.rec == nil
 	if coarse {
-		tix, err := c.t.TimeIndex(ix.Len())
-		if err != nil {
-			return err
-		}
+		tix := c.t.TimeIndex(ix)
 		c.d.WindowsScanned += tix.WindowsScanned(q.Start, q.End)
 		if !c.inOrder {
 			positions = tix.QuerySorted(q.Start, q.End)

@@ -295,7 +295,7 @@ func (b *BORA) ProbeBag(name string) (gen uint64, recording bool, err error) {
 	} else if !os.IsNotExist(err) {
 		return 0, false, err
 	}
-	meta, err := container.ReadMeta(dir)
+	meta, err := container.ReadMetaHead(dir)
 	if err != nil {
 		return 0, false, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,36 +14,36 @@ import (
 	"repro/internal/rosbag"
 )
 
-// topicFiles reads the writer-owned files of every topic directory of
-// the container at root, keyed "<topic dir>/<file>". The conn file is
-// returned with its connection id removed: ids are the writer's to
-// assign, everything else must match.
+// topicFiles reads the writer-owned bytes of the container at root,
+// keyed "<topic dir>/<file>": every topic's data and index file and its
+// manifest header ("<topic dir>/manifest"), with the connection id
+// removed — ids are the writer's to assign, everything else must match.
+// The container's own header, first in the manifest, carries its
+// generation, which no two seals share.
 func topicFiles(t *testing.T, root string) map[string][]byte {
 	t.Helper()
-	out := map[string][]byte{}
-	dirs, err := os.ReadDir(root)
+	raw, err := os.ReadFile(filepath.Join(root, container.MetaFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range dirs {
-		if !d.IsDir() {
+	out := map[string][]byte{}
+	for first := true; len(raw) > 0; first = false {
+		n := 4 + int(binary.LittleEndian.Uint32(raw))
+		h, err := bagio.DecodeHeader(raw[4:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = raw[n:]
+		if first {
 			continue
 		}
-		for _, name := range []string{container.DataFileName, container.IndexFileName,
-			container.TimeIdxFileName, container.ChecksumFileName, container.ConnFileName} {
-			buf, err := os.ReadFile(filepath.Join(root, d.Name(), name))
-			if err != nil {
+		dir := string(h["dir"])
+		delete(h, "conn")
+		out[dir+"/manifest"] = h.Encode()
+		for _, name := range []string{container.DataFileName, container.IndexFileName} {
+			if out[dir+"/"+name], err = os.ReadFile(filepath.Join(root, dir, name)); err != nil {
 				t.Fatal(err)
 			}
-			if name == container.ConnFileName {
-				h, err := bagio.DecodeHeader(buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				delete(h, "conn")
-				buf = h.Encode()
-			}
-			out[d.Name()+"/"+name] = buf
 		}
 	}
 	return out
@@ -51,10 +52,10 @@ func topicFiles(t *testing.T, root string) map[string][]byte {
 // TestOneWriterEquivalence feeds the same message stream into a
 // container four ways — Duplicate, Rebag of that duplicate, CreateBag +
 // WriteMessage, and a live recording whose window outlasts the stream —
-// and requires byte-identical data, index, timeidx and checksum files
-// per topic (conn files equal modulo the connection id): there is one
-// writer, whoever feeds it. Repairing a copy that lost a timeidx must
-// reproduce the same bytes again.
+// and requires byte-identical data and index files per topic, and
+// manifest headers equal modulo the connection id (connection, window,
+// checksum): there is one writer, whoever feeds it. Repairing a copy
+// whose manifest is building again must reproduce the same bytes.
 func TestOneWriterEquivalence(t *testing.T) {
 	b := newBORA(t)
 	src := makeSourceBag(t, t.TempDir(), 6)
@@ -103,8 +104,8 @@ func TestOneWriterEquivalence(t *testing.T) {
 	}
 
 	want := topicFiles(t, filepath.Join(b.Root(), "dup"))
-	if len(want) != 3*5 {
-		t.Fatalf("duplicate wrote %d topic files, want 15", len(want))
+	if len(want) != 3*3 {
+		t.Fatalf("duplicate wrote %d topic files and headers, want 9", len(want))
 	}
 	for name, root := range map[string]string{
 		"rebag":   filepath.Join(b.Root(), "rebag"),
@@ -122,20 +123,25 @@ func TestOneWriterEquivalence(t *testing.T) {
 		}
 	}
 
-	// Repair rebuilds a lost time index through the writer's own helper.
+	// Repair recomputes the checksums a building manifest lacks, as the
+	// seal recorded them.
 	damaged := filepath.Join(t.TempDir(), "copy")
 	if err := copyTree(faultfs.OS, filepath.Join(b.Root(), "dup"), damaged); err != nil {
 		t.Fatal(err)
 	}
-	lost := filepath.Join(damaged, container.EncodeTopicDir("/imu"), container.TimeIdxFileName)
-	if err := os.Remove(lost); err != nil {
+	meta, err := container.ReadMeta(damaged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := container.WriteBuildingMeta(faultfs.OS, damaged, meta); err != nil {
 		t.Fatal(err)
 	}
 	if rep, err := container.RepairFS(damaged, faultfs.OS); err != nil || !rep.Clean() {
 		t.Fatalf("repair: %v, %v", rep, err)
 	}
-	for file, w := range topicFiles(t, damaged) {
-		if !bytes.Equal(want[file], w) {
+	got := topicFiles(t, damaged)
+	for file, w := range want {
+		if !bytes.Equal(got[file], w) {
 			t.Errorf("repaired copy: %s differs from the original", file)
 		}
 	}

@@ -158,6 +158,7 @@ func (r *Recorder) rotateLocked(t bagio.Time) error {
 		return err
 	}
 	if err := r.cur.close(); err != nil {
+		r.cur.c.Abandon()
 		return err
 	}
 	r.pending = r.cur.c.IssueSeal()
@@ -449,7 +450,7 @@ func (r *Recorder) tailBatch(f *follower, buf []tailRef) ([]tailRef, bool, error
 }
 
 // Seal commits the recording without opening it: the building segment
-// seals (index tails flushed, time indexes persisted, container meta
+// seals (index tails flushed, checksums recorded, container manifest
 // sealed) and, for live bags, the live meta flips to complete with a
 // fresh generation so handle caches see the change. Seal is idempotent;
 // after it, writes fail and live followers drain to a clean end.

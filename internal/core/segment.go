@@ -19,6 +19,9 @@ type segment struct {
 	// map, so a seal issues the same back-end operations in the same
 	// order on every run — a crash point is reproducible from its seed.
 	order []*container.TopicWriter
+	// unshared: no reader sees the topics before the seal (Duplicate),
+	// so the writers keep no index view (container.TopicWriter.Unshared).
+	unshared bool
 }
 
 // createSegment starts a building container at dir, written per the
@@ -49,15 +52,17 @@ func (s *segment) writer(conn *bagio.Connection, entries int) (*container.TopicW
 		return nil, err
 	}
 	tw.Grow(entries)
+	if s.unshared {
+		tw.Unshared()
+	}
 	s.topics[conn.Topic] = tw
 	s.order = append(s.order, tw)
 	return tw, nil
 }
 
-// close closes every topic writer, in creation order, without sealing:
-// a segment abandoned on an error stays building, which Open and List
-// refuse and fsck reports. Every writer is closed even after one fails,
-// so no topic file stays open; the first error is returned.
+// close closes every topic writer, in creation order, without sealing.
+// Every writer is closed even after one fails, so no topic file stays
+// open; the first error is returned.
 func (s *segment) close() error {
 	var first error
 	for _, tw := range s.order {
@@ -68,12 +73,21 @@ func (s *segment) close() error {
 	return first
 }
 
+// abandon closes the writers and the building manifest: a segment
+// abandoned on an error stays building, which Open and List refuse and
+// fsck reports.
+func (s *segment) abandon() {
+	s.close()
+	s.c.Abandon()
+}
+
 // seal commits the segment: every topic writer closes and the container
 // meta flips building→sealed. The sealed segment's Topic objects stay
 // live — followers and a wired Bag keep reading them. A live rotation
 // does the same in two steps: close, then the container's IssueSeal.
 func (s *segment) seal() error {
 	if err := s.close(); err != nil {
+		s.c.Abandon()
 		return err
 	}
 	return s.c.Seal()

@@ -204,22 +204,6 @@ func WriteFileAtomic(fs Backend, path string, data []byte, perm os.FileMode) err
 	return nil
 }
 
-// WriteFile writes data to a new file at path in place — create, write,
-// close — with no sync: a file of a container still building, made
-// durable by the seal's SyncAll. A crash can leave it torn, which fsck
-// reports as damage of a building container and repair rebuilds.
-func WriteFile(fs Backend, path string, data []byte) error {
-	f, err := fs.Create(path)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // Or returns fs, or OS when fs is nil, so option structs can leave the
 // backend unset.
 func Or(fs Backend) Backend {

@@ -148,7 +148,7 @@ func crashSweepDuplicate(t *testing.T, raw []byte, expect map[string][][]byte, e
 		t.Fatalf("clean duplicate: %v", err)
 	}
 	total := clean.Ops()
-	if total < 100 {
+	if total < 50 {
 		t.Fatalf("suspiciously few backend ops in a clean duplicate: %d", total)
 	}
 	t.Logf("sweeping crash points 1..%d", total)
@@ -323,11 +323,14 @@ func TestCrashSweepDeterministic(t *testing.T) {
 }
 
 // TestSealIsOneGroupCommit reads the op trace of the sweep's clean
-// 7-topic Duplicate: the seal is one group commit. Every file of every
-// topic is written in place, so the run makes one temporary and one
-// rename — the sealed meta's — where writing each file atomically made
-// 23 of each; one barrier syncs every topic file after the last write
-// and before that rename; and a directory sync makes the rename durable.
+// 7-topic Duplicate: the seal is one group commit. A topic is two files,
+// data and index, and its connection a header appended to the building
+// manifest, so the run creates 1 + 2×7 files; every file is written in
+// place, so it makes one temporary and one rename — the sealed
+// manifest's — where writing each file atomically made 23 of each; one
+// barrier over 23 paths (14 files, 7 topic directories, the root and
+// its parent) syncs every topic file after the last write and before
+// that rename; and a directory sync makes the rename durable.
 func TestSealIsOneGroupCommit(t *testing.T) {
 	raw, _ := buildCrashBag(t)
 	in, root, err := duplicateWithPlan(t, raw, faultfs.Plan{Seed: 1})
@@ -354,12 +357,18 @@ func TestSealIsOneGroupCommit(t *testing.T) {
 	if count["createtemp"] != 1 || count["rename"] != 1 {
 		t.Errorf("%d createtemp and %d rename operations, want 1 of each", count["createtemp"], count["rename"])
 	}
+	if count["create"] != 1+2*7 {
+		t.Errorf("%d create operations, want 15: the manifest and 7 topics' data and index", count["create"])
+	}
 	if count["syncall"] != 1 {
 		t.Fatalf("%d barriers, want 1", count["syncall"])
 	}
 	synced := map[string]bool{}
 	for _, p := range strings.Split(barrier, " ") {
 		synced[p] = true
+	}
+	if len(synced) != 23 {
+		t.Errorf("the barrier names %d paths, want 23", len(synced))
 	}
 	croot := filepath.Join(root, "sweep")
 	topics, err := os.ReadDir(croot)
@@ -371,15 +380,15 @@ func TestSealIsOneGroupCommit(t *testing.T) {
 		if !topic.IsDir() {
 			continue
 		}
-		for _, name := range []string{container.DataFileName, container.IndexFileName, container.ConnFileName, container.ChecksumFileName, container.TimeIdxFileName} {
+		for _, name := range []string{container.DataFileName, container.IndexFileName} {
 			if p := filepath.Join(croot, topic.Name(), name); !synced[p] {
 				t.Errorf("the barrier does not sync %s", p)
 			}
 			files++
 		}
 	}
-	if files != 7*5 {
-		t.Errorf("checked %d topic files, want 35 of 7 topics", files)
+	if files != 7*2 {
+		t.Errorf("checked %d topic files, want 14 of 7 topics", files)
 	}
 	if at["syncall"] < lastWrite || at["syncall"] > at["rename"] {
 		t.Errorf("barrier is op %d: want it after the last write (op %d) and before the meta rename (op %d)", at["syncall"]+1, lastWrite+1, at["rename"]+1)

@@ -18,7 +18,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/msgs"
 	"repro/internal/rosbag"
-	"repro/internal/timeindex"
 	"repro/internal/vfs"
 	"repro/internal/workload"
 )
@@ -316,66 +315,6 @@ func TestContainerFailureInjection(t *testing.T) {
 		}
 	})
 
-	t.Run("corrupt time index", func(t *testing.T) {
-		tix := filepath.Join(topicDir, container.TimeIdxFileName)
-		orig, err := os.ReadFile(tix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer os.WriteFile(tix, orig, 0o644)
-		if err := os.WriteFile(tix, []byte{1, 2, 3}, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		bag, err := backend.Open("victim")
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = bag.Query(core.QuerySpec{Topics: []string{workload.TopicIMU}, Start: bagio.Time{Sec: 1}, End: bagio.Time{Sec: 2}}, func(core.MessageRef) error { return nil })
-		if err == nil {
-			t.Error("time query over corrupt time index succeeded")
-		}
-	})
-
-	t.Run("time index beyond its topic", func(t *testing.T) {
-		tixPath := filepath.Join(topicDir, container.TimeIdxFileName)
-		orig, err := os.ReadFile(tixPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer os.WriteFile(tixPath, orig, 0o644)
-		c, err := container.Open(filepath.Dir(topicDir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		topic, err := c.Topic(workload.TopicIMU)
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries, err := topic.Entries()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// One window position past the topic's last entry, inside the
-		// queried range: fsck's orphan-time-windows.
-		tix, err := timeindex.Unmarshal(orig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		at := entries[0].Time
-		tix.Add(at, uint32(len(entries)+1000))
-		if err := os.WriteFile(tixPath, tix.Marshal(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		bag, err := backend.Open("victim")
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = bag.Query(core.QuerySpec{Topics: []string{workload.TopicIMU}, Start: at, End: at}, func(core.MessageRef) error { return nil })
-		if !errors.Is(err, container.ErrIndexBeyondData) {
-			t.Errorf("time query over a time index beyond its topic: err = %v, want ErrIndexBeyondData", err)
-		}
-	})
-
 	t.Run("missing data file", func(t *testing.T) {
 		data := filepath.Join(topicDir, container.DataFileName)
 		orig, err := os.ReadFile(data)
@@ -395,18 +334,14 @@ func TestContainerFailureInjection(t *testing.T) {
 		}
 	})
 
-	t.Run("missing conn file fails open", func(t *testing.T) {
-		conn := filepath.Join(topicDir, container.ConnFileName)
-		orig, err := os.ReadFile(conn)
-		if err != nil {
+	t.Run("missing topic dir fails open", func(t *testing.T) {
+		moved := filepath.Join(dir, "moved")
+		if err := os.Rename(topicDir, moved); err != nil {
 			t.Fatal(err)
 		}
-		defer os.WriteFile(conn, orig, 0o644)
-		if err := os.Remove(conn); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := backend.Open("victim"); err == nil {
-			t.Error("open without conn file succeeded")
+		defer os.Rename(moved, topicDir)
+		if _, err := backend.Open("victim"); !errors.Is(err, container.ErrTopicDirMissing) {
+			t.Errorf("open without a topic dir the manifest names: %v, want ErrTopicDirMissing", err)
 		}
 	})
 

@@ -113,7 +113,7 @@ func liveCrashSweep(t *testing.T, every int, window time.Duration) {
 		t.Fatalf("clean live recording: %v", err)
 	}
 	total := clean.Ops()
-	if total < 100 {
+	if total < 50 {
 		t.Fatalf("suspiciously few backend ops in a clean live recording: %d", total)
 	}
 	metaDurable := liveMetaSync(t, clean.Trace())

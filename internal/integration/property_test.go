@@ -2,27 +2,30 @@ package integration
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/bagio"
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/rosbag"
 	"repro/internal/workload"
 )
 
-// stripGenLine drops the gen= line from a meta file's bytes.
-func stripGenLine(buf []byte) []byte {
-	var out []byte
-	for _, line := range bytes.SplitAfter(buf, []byte("\n")) {
-		if bytes.HasPrefix(line, []byte("gen=")) {
-			continue
-		}
-		out = append(out, line...)
+// stripGen drops the generation from a manifest's bytes: the gen field
+// of its first header, the container's own.
+func stripGen(t *testing.T, buf []byte) []byte {
+	t.Helper()
+	n := 4 + int(binary.LittleEndian.Uint32(buf))
+	h, err := bagio.DecodeHeader(buf[4:n])
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	delete(h, "gen")
+	return append(h.Encode(), buf[n:]...)
 }
 
 // treeBytes loads every file under root keyed by relative path.
@@ -42,10 +45,10 @@ func treeBytes(t *testing.T, root string) map[string][]byte {
 			return err
 		}
 		if d.Name() == container.MetaFileName {
-			// The meta's gen= line is a per-seal cache-invalidation
+			// The manifest's generation is a per-seal cache-invalidation
 			// token and unique by design; the fixed point covers the
 			// layout, not the token.
-			buf = stripGenLine(buf)
+			buf = stripGen(t, buf)
 		}
 		out[rel] = buf
 		return nil
@@ -87,8 +90,8 @@ func dupAndExport(t *testing.T, bagPath string) (string, string) {
 // TestDuplicateReconstructFixedPoint checks the organize pipeline is a
 // fixed point: duplicating a bag, reconstructing the bag stream from
 // the container, and duplicating that reconstruction must produce a
-// byte-identical container (data, index, conn, timeidx, checksum and
-// meta files all equal). Any drift — reordered messages, altered
+// byte-identical container (data and index files and the manifest all
+// equal). Any drift — reordered messages, altered
 // payloads, changed metadata — would compound across re-organizations;
 // this pins it to zero across random seeds.
 func TestDuplicateReconstructFixedPoint(t *testing.T) {

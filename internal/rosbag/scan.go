@@ -180,7 +180,8 @@ func (w *walker) chunkRecords(inner []byte, fn ScanFunc) error {
 			return err
 		}
 		inner = rest
-		op, err := rec.Header.Op()
+		// One walk of the header reads a message record's op, conn and time.
+		op, conn, t, err := rec.Header.Message()
 		if err != nil {
 			return err
 		}
@@ -190,16 +191,12 @@ func (w *walker) chunkRecords(inner []byte, fn ScanFunc) error {
 				return err
 			}
 		case bagio.OpMessageData:
-			md, err := rec.MessageData()
-			if err != nil {
-				return err
-			}
-			c := w.conns[md.Conn]
+			c := w.conns[conn]
 			if c == nil {
-				return fmt.Errorf("rosbag: message on connection %d before its connection record", md.Conn)
+				return fmt.Errorf("rosbag: message on connection %d before its connection record", conn)
 			}
-			w.delivered += int64(len(md.Data))
-			if err := fn(c, md.Time, md.Data); err != nil {
+			w.delivered += int64(len(rec.Data))
+			if err := fn(c, t, rec.Data); err != nil {
 				return err
 			}
 		default:

@@ -9,12 +9,14 @@
 // touches only the windows in between — reducing both the number of index
 // entries scanned and the byte range read, which is where the up-to-11×
 // time-query speedups of Figs 13/14/16/18 come from.
+//
+// Unlike the paper's, the index is not stored: a container builds it in
+// memory from the topic's message index, which every query loads whole
+// anyway (container.Topic.TimeIndex).
 package timeindex
 
 import (
 	"cmp"
-	"encoding/binary"
-	"fmt"
 	"slices"
 	"time"
 
@@ -142,23 +144,6 @@ func (ix *Index) WindowsScanned(start, end bagio.Time) int {
 	return len(ix.span(start, end))
 }
 
-// MaxPosition returns the largest message ordinal referenced by any
-// window, and false when the index references no messages. Fsck uses it
-// to detect windows orphaned by a truncated message index.
-func (ix *Index) MaxPosition() (uint32, bool) {
-	var max uint32
-	found := false
-	for _, w := range ix.windows {
-		for _, p := range w.positions {
-			if !found || p > max {
-				max = p
-			}
-			found = true
-		}
-	}
-	return max, found
-}
-
 // Build constructs an index over a topic's message timestamps, where
 // times[i] is the timestamp of the message at ordinal i.
 func Build(width time.Duration, times []bagio.Time) *Index {
@@ -167,72 +152,4 @@ func Build(width time.Duration, times []bagio.Time) *Index {
 		ix.Add(t, uint32(i))
 	}
 	return ix
-}
-
-// Marshal serializes the index:
-//
-//	window:u64 count:u32 (start:i64 n:u32 pos*n)*count
-//
-// Windows are emitted in ascending start order.
-func (ix *Index) Marshal() []byte {
-	size := 8 + 4
-	for _, w := range ix.windows {
-		size += 8 + 4 + 4*len(w.positions)
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(ix.window))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ix.windows)))
-	for _, w := range ix.windows {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(w.start))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(w.positions)))
-		for _, p := range w.positions {
-			buf = binary.LittleEndian.AppendUint32(buf, p)
-		}
-	}
-	return buf
-}
-
-// Unmarshal parses a serialized index. Its windows must be strictly
-// ascending, as Marshal writes them.
-func Unmarshal(buf []byte) (*Index, error) {
-	if len(buf) < 12 {
-		return nil, fmt.Errorf("timeindex: truncated header (%d bytes)", len(buf))
-	}
-	width := int64(binary.LittleEndian.Uint64(buf[0:8]))
-	if width <= 0 {
-		return nil, fmt.Errorf("timeindex: invalid window %d", width)
-	}
-	count := binary.LittleEndian.Uint32(buf[8:12])
-	ix := New(time.Duration(width))
-	// Sized once, by no more windows than the bytes can hold headers for.
-	ix.windows = make([]window, 0, min(int(count), (len(buf)-12)/12))
-	off := 12
-	for i := uint32(0); i < count; i++ {
-		if off+12 > len(buf) {
-			return nil, fmt.Errorf("timeindex: truncated window header at %d", off)
-		}
-		ws := int64(binary.LittleEndian.Uint64(buf[off : off+8]))
-		n := binary.LittleEndian.Uint32(buf[off+8 : off+12])
-		off += 12
-		if off+4*int(n) > len(buf) {
-			return nil, fmt.Errorf("timeindex: truncated position list at %d", off)
-		}
-		if k := len(ix.windows); k > 0 && ws <= ix.windows[k-1].start {
-			what := "descending windows"
-			if ws == ix.windows[k-1].start {
-				what = "duplicate window"
-			}
-			return nil, fmt.Errorf("timeindex: %s: %d after %d", what, ws, ix.windows[k-1].start)
-		}
-		w := window{start: ws, positions: make([]uint32, n)}
-		for j := range w.positions {
-			w.positions[j] = binary.LittleEndian.Uint32(buf[off : off+4])
-			off += 4
-		}
-		ix.windows = append(ix.windows, w)
-	}
-	if off != len(buf) {
-		return nil, fmt.Errorf("timeindex: %d trailing bytes", len(buf)-off)
-	}
-	return ix, nil
 }
