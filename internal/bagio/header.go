@@ -313,34 +313,23 @@ func (h RawHeader) GetTime(name string) (Time, error) {
 // it once each; it fails wherever those three would. conn and t are
 // zero for any other op.
 func (h RawHeader) Message() (op byte, conn uint32, t Time, err error) {
-	o, c, tm, err := h.messageFields()
-	if op, err = opField(o.v, o.ok, err); err != nil || op != OpMessageData {
-		return op, 0, Time{}, err
-	}
-	if conn, err = u32Field(FieldConn, c.v, c.ok, nil); err != nil {
-		return op, 0, Time{}, err
-	}
-	t, err = timeField(FieldTime, tm.v, tm.ok, nil)
-	return op, conn, t, err
-}
-
-// rawField is one field's value in place and whether it is present.
-type rawField struct {
-	v  []byte
-	ok bool
-}
-
-// messageFields walks h once for the op, conn and time fields.
-func (h RawHeader) messageFields() (op, conn, t rawField, err error) {
+	var o, c, tm []byte
+	var hasOp, hasConn, hasTime bool
 	err = walkHeader(h, func(name, value []byte) {
 		switch string(name) {
 		case FieldOp:
-			op = rawField{value, true}
+			o, hasOp = value, true
 		case FieldConn:
-			conn = rawField{value, true}
+			c, hasConn = value, true
 		case FieldTime:
-			t = rawField{value, true}
+			tm, hasTime = value, true
 		}
 	})
+	if op, err = opField(o, hasOp, err); err != nil || op != OpMessageData {
+		return op, 0, Time{}, err
+	}
+	if conn, err = u32Field(FieldConn, c, hasConn, nil); err == nil {
+		t, err = timeField(FieldTime, tm, hasTime, nil)
+	}
 	return op, conn, t, err
 }

@@ -157,11 +157,11 @@ func (m *MessageData) Encode() *Record {
 // The Data slice aliases the record's data block.
 func (r RawRecord) MessageData() (MessageData, error) {
 	var m MessageData
-	_, conn, t, err := r.Header.messageFields()
-	if m.Conn, err = u32Field(FieldConn, conn.v, conn.ok, err); err != nil {
+	var err error
+	if m.Conn, err = r.Header.U32(FieldConn); err != nil {
 		return m, err
 	}
-	if m.Time, err = timeField(FieldTime, t.v, t.ok, nil); err != nil {
+	if m.Time, err = r.Header.GetTime(FieldTime); err != nil {
 		return m, err
 	}
 	m.Data = r.Data

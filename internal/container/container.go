@@ -3,10 +3,7 @@
 // file system holding one sub-directory per topic. A topic sub-directory
 // stores the topic's message payloads as one large contiguous data file
 // and a fixed-width index file (timestamp, logical offset, length,
-// physical pointer). The root's meta file is the container's manifest:
-// every topic's connection metadata, time-index window and checksum
-// (meta.go). The coarse-grain time index is derived from the index a
-// query loads, not stored.
+// physical pointer); the root's meta file is the manifest (meta.go).
 //
 // Because topic data is aggregated into per-topic files during the
 // one-time duplication step, a later query by topic becomes a whole-file
@@ -35,8 +32,7 @@ import (
 	"repro/internal/timeindex"
 )
 
-// File names: a topic sub-directory holds the first two, the root the
-// manifest.
+// File names: a topic sub-directory's two, and the root's manifest.
 const (
 	DataFileName  = "data"
 	IndexFileName = "index"
@@ -116,19 +112,12 @@ func (c *Container) NoteReads(n, bytes int64) {
 type Topic struct {
 	dir     string
 	topic   string
-	conn    *bagio.Connection
 	cache   BlockCache // nil: OpenData reads straight from disk
 	gen     uint64     // container generation baked into cache keys
 	growing bool       // made by CreateTopic: its writer publishes ix, and data is read through the file
 	mapped  bool       // MapData: one data mapping and one index read for the handle, made on first use under mu
 	mapping *mapping
-	window  time.Duration // the coarse time-index window the manifest records
-
-	// The data file's checksum: the manifest's of a sealed part, or the
-	// one its writer's Close handed over for the seal to record.
-	summed bool
-	sum    uint32
-	size   int64
+	meta    topicMeta // the manifest's header; a writer's Close adds the checksum for the seal
 
 	indexLoadOp *obs.Op
 
@@ -137,7 +126,7 @@ type Topic struct {
 	loaded  bool      // ix is the index: Index serves it
 	ordered int       // Ordered: of the first checked entries, the leading ordered are in time order
 	checked int
-	tix     *timeindex.Index // memoized TimeIndex, built over the first tixOf entries
+	tix     *timeindex.Index // memoized TimeIndex, built over tixOf entries
 	tixOf   int
 }
 
@@ -164,8 +153,7 @@ func CreateFS(root string, fs faultfs.Backend) (*Container, error) {
 		return nil, fmt.Errorf("container: %s is not empty", root)
 	}
 	// Written in place: a building container's files get no sync and no
-	// rename until its seal commits them all at once (CommitFS). The
-	// manifest stays open for the topics' headers.
+	// rename until its seal commits them all at once (CommitFS).
 	f, err := fs.Create(filepath.Join(root, MetaFileName))
 	if err != nil {
 		return nil, fmt.Errorf("container: write meta: %w", err)
@@ -178,14 +166,12 @@ func CreateFS(root string, fs faultfs.Backend) (*Container, error) {
 }
 
 // ErrTopicDirMissing refuses the open of a container whose manifest
-// names a topic directory the tree lacks: a partial delete, which fsck
-// reports as missing-topic-dir. Test with errors.Is.
+// names a topic directory the tree lacks. Test with errors.Is.
 var ErrTopicDirMissing = errors.New("container: the manifest names a topic directory the tree lacks")
 
-// Open opens an existing container. This is the cheap structural parse
-// BORA performs on open (Fig 4b): it reads the one manifest, which lists
-// every topic with its connection, and lists the root to check that each
-// topic directory is there — it reads no file inside a topic directory.
+// Open opens an existing container: the cheap structural parse of Fig
+// 4b. It reads the manifest and lists the root; it reads no file inside
+// a topic directory.
 func Open(root string) (*Container, error) {
 	meta, err := ReadMeta(root)
 	if err != nil {
@@ -207,8 +193,7 @@ func Open(root string) (*Container, error) {
 		if !present[tm.dir] {
 			return nil, fmt.Errorf("container: %s: topic %q in %s: %w", root, tm.conn.Topic, tm.dir, ErrTopicDirMissing)
 		}
-		c.topics[tm.conn.Topic] = &Topic{dir: filepath.Join(root, tm.dir), topic: tm.conn.Topic, conn: tm.conn,
-			window: tm.window, summed: tm.summed, sum: tm.sum, size: tm.size}
+		c.topics[tm.conn.Topic] = &Topic{dir: filepath.Join(root, tm.dir), topic: tm.conn.Topic, meta: tm}
 	}
 	return c, nil
 }
@@ -271,8 +256,7 @@ func (c *Container) CreateTopic(conn *bagio.Connection) (*TopicWriter, error) {
 	return c.CreateTopicOpts(conn, TopicOptions{})
 }
 
-// CreateTopicOpts is CreateTopic with explicit options. The topic's
-// header is appended to the building manifest with one write.
+// CreateTopicOpts is CreateTopic with explicit options.
 func (c *Container) CreateTopicOpts(conn *bagio.Connection, opts TopicOptions) (*TopicWriter, error) {
 	if _, dup := c.topics[conn.Topic]; dup {
 		return nil, fmt.Errorf("container: topic %q already exists", conn.Topic)
@@ -293,12 +277,13 @@ func (c *Container) CreateTopicOpts(conn *bagio.Connection, opts TopicOptions) (
 	if opts.TimeWindow <= 0 {
 		opts.TimeWindow = timeindex.DefaultWindow
 	}
+	t := &Topic{dir: dir, topic: conn.Topic, growing: true, loaded: true, indexLoadOp: c.indexLoadOp,
+		meta: topicMeta{dir: filepath.Base(dir), conn: conn, window: opts.TimeWindow}}
 	// A failed append may leave part of the header: nothing may follow it.
-	if _, err := c.metaf.Write(encodeTopic(topicMeta{dir: filepath.Base(dir), conn: conn, window: opts.TimeWindow})); err != nil {
+	if _, err := c.metaf.Write(encodeTopic(t.meta)); err != nil {
 		c.err = fmt.Errorf("container: append the header of %q to the manifest: %w", conn.Topic, err)
 		return nil, c.err
 	}
-	t := &Topic{dir: dir, topic: conn.Topic, conn: conn, window: opts.TimeWindow, growing: true, loaded: true, indexLoadOp: c.indexLoadOp}
 	tw := &TopicWriter{topic: t, fs: c.fs, crc: crc32.New(crcTable),
 		flushEvery: opts.IndexFlushEvery, buf: appendBufs.Get().(*[]byte)}
 	ixf, err := c.fs.Create(filepath.Join(dir, IndexFileName))
@@ -445,28 +430,23 @@ func (tw *TopicWriter) flushIndex() error {
 }
 
 // Unshared tells the writer that no reader sees its topic before the
-// container is sealed, as for Duplicate, which opens the sealed
-// container afresh: it publishes no index view, and its entry buffer
-// holds only what the index file has not yet received — sized once for
-// IndexFlushEvery entries and reused from write to write, rather than
-// grown to the whole topic.
+// seal (Duplicate opens the sealed container afresh): it publishes no
+// index view, and its entry buffer, sized once, holds only what the
+// index file has not yet received.
 func (tw *TopicWriter) Unshared() {
 	tw.unshared = true
 	tw.ixbuf = make([]byte, 0, tw.flushEvery*IndexEntrySize)
 }
 
 // Flushed reports the messages, and their payload bytes, that reached
-// the data file: all of them once Close succeeds, the flushed prefix
-// after a failed write.
+// the data file.
 func (tw *TopicWriter) Flushed() (messages, bytes int64) {
 	return tw.flushed, int64(tw.flushedOff)
 }
 
-// Close flushes the data and index files, in place and unsynced — the
-// container's seal makes them durable (CommitFS) — and hands the data's
-// checksum to the container, whose seal records it in the manifest. The
-// order (data, then index) matches the recovery invariant fsck assumes
-// of a crash that stops the writes: anything the index claims is backed
+// Close flushes the data, then the index, in place and unsynced (the
+// seal makes them durable), and hands the data's checksum to the
+// container for its seal to record: anything the index claims is backed
 // by data, and a checksum only exists for a complete topic.
 func (tw *TopicWriter) Close() error {
 	if tw.closed {
@@ -488,8 +468,7 @@ func (tw *TopicWriter) Close() error {
 	if err := tw.index.Close(); err != nil {
 		return err
 	}
-	t := tw.topic
-	t.summed, t.sum, t.size = true, tw.crc.Sum32(), int64(tw.offset)
+	tw.topic.meta.summed, tw.topic.meta.sum, tw.topic.meta.size = true, tw.crc.Sum32(), int64(tw.offset)
 	return nil
 }
 
@@ -515,21 +494,19 @@ func (tw *TopicWriter) Topic() *Topic { return tw.topic }
 func (t *Topic) Name() string { return t.topic }
 
 // Connection returns the topic's connection metadata.
-func (t *Topic) Connection() *bagio.Connection { return t.conn }
+func (t *Topic) Connection() *bagio.Connection { return t.meta.conn }
 
 // Dir returns the topic's back-end directory.
 func (t *Topic) Dir() string { return t.dir }
 
 // TimeIndex returns the coarse-grain time index over v, the topic's
-// index as the caller's query loaded it, with the window the manifest
-// records. It is built on the first call and served from memory while
-// later callers pass a view of the same length (a part cut since is
-// indexed afresh). The index is shared: callers only query it.
+// index as the caller loaded it, with the manifest's window: built once
+// per handle, again for a view of another length. Callers only query it.
 func (t *Topic) TimeIndex(v IndexView) *timeindex.Index {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.tix == nil || t.tixOf != v.Len() {
-		tix := timeindex.New(t.window)
+		tix := timeindex.New(t.meta.window)
 		for i := 0; i < v.Len(); i++ {
 			tix.Add(v.Time(i), uint32(i))
 		}

@@ -19,9 +19,7 @@ const (
 	// the container's first write committed, or not a container).
 	FindingMissingMeta FindingKind = "missing-meta"
 	// FindingBadMeta: the meta file exists but does not parse. Repair
-	// completes a building manifest a crash cut inside its container
-	// header, and refuses any other: the manifest alone holds the
-	// topics' connections.
+	// refuses it, unless a crash cut a building one's container header.
 	FindingBadMeta FindingKind = "bad-meta"
 	// FindingStaleMeta: the meta is still in the building state — the
 	// organize pass that created the container never committed.
@@ -29,9 +27,8 @@ const (
 	// FindingMissingTopicDir: the manifest names a topic directory
 	// absent from the tree.
 	FindingMissingTopicDir FindingKind = "missing-topic-dir"
-	// FindingBadConn: the manifest has no header for a topic directory
-	// of the tree, or a crash cut it short; without its connection the
-	// topic cannot be served.
+	// FindingBadConn: the manifest has no header for a topic directory,
+	// or a crash cut it short: the topic cannot be served.
 	FindingBadConn FindingKind = "bad-conn"
 	// FindingMissingData: a topic has no data file.
 	FindingMissingData FindingKind = "missing-data"
@@ -147,11 +144,12 @@ func fsck(root string) (*Report, []*topicState, error) {
 		rep.add(FindingStaleMeta, "", metaPath,
 			"meta state is %q: the organize pass never committed", meta.State)
 	}
+	if meta == nil {
+		meta = &Meta{}
+	}
 	manifest := map[string]*topicMeta{}
-	if meta != nil {
-		for i := range meta.topics {
-			manifest[meta.topics[i].dir] = &meta.topics[i]
-		}
+	for i := range meta.topics {
+		manifest[meta.topics[i].dir] = &meta.topics[i]
 	}
 
 	ents, err := os.ReadDir(root)
@@ -172,16 +170,13 @@ func fsck(root string) (*Report, []*topicState, error) {
 		}
 		tm := manifest[ent.Name()]
 		delete(manifest, ent.Name())
-		states = append(states, fsckTopic(rep, filepath.Join(root, ent.Name()), tm, building, meta != nil && meta.torn))
+		states = append(states, fsckTopic(rep, filepath.Join(root, ent.Name()), tm, building, meta.torn))
 	}
-
 	// Every topic the manifest names must be in the tree.
-	if meta != nil {
-		for _, tm := range meta.topics {
-			if manifest[tm.dir] != nil {
-				rep.add(FindingMissingTopicDir, tm.conn.Topic, filepath.Join(root, tm.dir),
-					"manifest names topic dir %q but it is absent", tm.dir)
-			}
+	for _, tm := range meta.topics {
+		if manifest[tm.dir] != nil {
+			rep.add(FindingMissingTopicDir, tm.conn.Topic, filepath.Join(root, tm.dir),
+				"manifest names topic dir %q but it is absent", tm.dir)
 		}
 	}
 	return rep, states, nil
@@ -189,8 +184,7 @@ func fsck(root string) (*Report, []*topicState, error) {
 
 // fsckTopic examines one topic directory and records findings; tm is
 // its manifest header (nil: none), building says the container never
-// committed, and torn that a crash cut the building manifest's last
-// header short — the header of the one topic directory without one.
+// committed, and torn that a crash cut its manifest's last header.
 func fsckTopic(rep *Report, dir string, tm *topicMeta, building, torn bool) *topicState {
 	st := &topicState{dir: dir, name: DecodeTopicDir(filepath.Base(dir)), tm: tm, dataSize: -1}
 	ents, err := os.ReadDir(dir)
@@ -264,8 +258,7 @@ func fsckTopic(rep *Report, dir string, tm *topicMeta, building, torn bool) *top
 			"data has %d bytes but the index accounts for %d (unindexed tail)", st.dataSize, off)
 	}
 
-	// The checksum the sealed manifest records over the data stream; a
-	// building manifest records none.
+	// The checksum the sealed manifest records; a building one has none.
 	if building || tm == nil {
 		return st
 	}

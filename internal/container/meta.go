@@ -18,21 +18,14 @@ import (
 )
 
 // The container meta is its manifest: a sequence of bagio headers, each
-// framed by its length (u32le). The first is the container's own —
-// signature and version, state, generation, derivation — and then comes
-// one per topic: its directory, its connection (every bagio.Connection
-// field, as a connection record carries it), its time-index window and,
-// once sealed, its data file's crc32c and length. A container is created
-// building: CreateFS writes the container header in place and each
-// CreateTopic appends its topic's header through the same open file, so
-// a crash can cut at most the last header short. The seal replaces the
-// building manifest atomically (temp file + rename) with the sealed one,
-// which records every topic's checksum. A building container is
-// invisible to Open and List (never served half-written) but
-// identifiable and repairable.
+// framed by its length (u32le) — the container's own (signature and
+// version, state, generation, derivation), then one per topic (its
+// directory, every bagio.Connection field, its time-index window and,
+// once sealed, its data file's crc32c and length). A building manifest
+// is appended to in place, so a crash can cut at most its last header
+// short; the seal replaces it atomically with the sealed one.
 const (
-	metaSignature = "bora-container"
-	metaVersion   = 3
+	metaSignature = "bora-container v3"
 
 	// StateBuilding marks a container whose organize pass has not
 	// committed; StateSealed marks a complete, openable container.
@@ -45,13 +38,13 @@ const (
 var ErrUnsealed = errors.New("container: not sealed (crashed or in-progress duplicate; run fsck/repair)")
 
 // ErrLegacyMeta refuses a container whose meta is the text file of an
-// older build (v1 or v2, or the striped data layout that went with
-// them): this build neither reads nor migrates it. Fsck reports it as
-// bad-meta, and Repair leaves it alone. Test with errors.Is.
+// older build (v1 or v2, striped or not), which this build neither reads
+// nor migrates: fsck's bad-meta, left alone by Repair. Test with
+// errors.Is.
 var ErrLegacyMeta = errors.New("container: meta written by an older build (text format) is not supported")
 
 // legacyMetaPrefix opens every text meta an older build wrote.
-const legacyMetaPrefix = metaSignature + " v"
+const legacyMetaPrefix = "bora-container v"
 
 // Meta is the parsed container manifest.
 type Meta struct {
@@ -68,7 +61,7 @@ type Meta struct {
 	// it on later builds: a matching address makes the rebuild a no-op.
 	Derivation string
 
-	topics []topicMeta // in manifest order; sealed manifests sort them by dir
+	topics []topicMeta // in manifest order; CommitFS sorts them by dir
 	torn   bool        // a building manifest whose last topic header a crash cut short
 }
 
@@ -89,20 +82,16 @@ func (m *Meta) Sealed() bool { return m.State == StateSealed }
 func encodeHead(m *Meta) []byte {
 	h := bagio.Header{}
 	h.PutString("signature", metaSignature)
-	h.PutU32(bagio.FieldVer, metaVersion)
 	h.PutString("state", m.State)
-	if m.Gen > 0 {
-		h.PutU64("gen", m.Gen)
-	}
+	h.PutU64("gen", m.Gen)
 	if m.Derivation != "" {
 		h.PutString("deriv", m.Derivation)
 	}
 	return frame(h)
 }
 
-// encodeTopic renders one topic's header: every bagio.Connection field
-// as a connection record carries it (optional fields add no bytes when
-// unset), the directory, the window and, when summed, the checksum.
+// encodeTopic renders one topic's header; a connection's optional fields
+// add no bytes when unset.
 func encodeTopic(tm topicMeta) []byte {
 	h := bagio.Header{}
 	h.PutU32("conn", tm.conn.ID)
@@ -130,19 +119,14 @@ func frame(h bagio.Header) []byte {
 	return append(binary.LittleEndian.AppendUint32(nil, uint32(h.EncodedLen())), h.Encode()...)
 }
 
-// nextHeader splits the first framed header off b and decodes it; raw
-// is its encoding.
+// nextHeader splits the first framed header off b and decodes it.
 func nextHeader(b []byte) (h bagio.Header, raw, rest []byte, err error) {
-	if len(b) < 4 {
-		return nil, nil, nil, fmt.Errorf("header length cut short (%d bytes)", len(b))
+	if len(b) < 4 || uint64(binary.LittleEndian.Uint32(b)) > uint64(len(b)-4) {
+		return nil, nil, nil, fmt.Errorf("header cut short at %d bytes", len(b))
 	}
-	n := binary.LittleEndian.Uint32(b)
-	if uint64(n) > uint64(len(b)-4) {
-		return nil, nil, nil, fmt.Errorf("header of %d bytes in %d", n, len(b)-4)
-	}
-	raw = b[4 : 4+n]
+	raw, rest = b[4:4+binary.LittleEndian.Uint32(b)], b[4+binary.LittleEndian.Uint32(b):]
 	h, err = bagio.DecodeHeader(raw)
-	return h, raw, b[4+n:], err
+	return h, raw, rest, err
 }
 
 // encodeMeta renders m as a whole manifest.
@@ -154,68 +138,48 @@ func encodeMeta(m *Meta) []byte {
 	return buf
 }
 
-// buildingHead is the header CreateFS writes in place: a meta file that
-// is a strict prefix of it was torn by a crash before the container's
-// first topic.
+// buildingHead is the header CreateFS writes: a meta file that is a
+// strict prefix of it was torn by a crash.
 var buildingHead = encodeHead(&Meta{State: StateBuilding})
 
-// decodeHead parses the container header at the front of buf and
-// returns the rest.
+// decodeHead parses the container header at the front of buf.
 func decodeHead(buf []byte) (*Meta, []byte, error) {
 	if bytes.HasPrefix(buf, []byte(legacyMetaPrefix)) {
 		return nil, nil, ErrLegacyMeta
 	}
+	m := &Meta{}
 	h, _, rest, err := nextHeader(buf)
+	if err == nil {
+		m.Gen, err = h.U64("gen")
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("container header: %w", err)
 	}
-	if sig, _ := h.String("signature"); sig != metaSignature {
-		return nil, nil, fmt.Errorf("unrecognized signature %q", sig)
+	m.State, m.Derivation = string(h["state"]), string(h["deriv"])
+	if sig := string(h["signature"]); sig != metaSignature || m.State != StateBuilding && m.State != StateSealed {
+		return nil, nil, fmt.Errorf("container header: signature %q, state %q", sig, m.State)
 	}
-	if v, err := h.U32(bagio.FieldVer); err != nil || v != metaVersion {
-		return nil, nil, fmt.Errorf("version %d, want %d (%v)", v, metaVersion, err)
-	}
-	m := &Meta{}
-	m.State, _ = h.String("state")
-	if m.State != StateBuilding && m.State != StateSealed {
-		return nil, nil, fmt.Errorf("state %q", m.State)
-	}
-	if _, ok := h["gen"]; ok {
-		if m.Gen, err = h.U64("gen"); err != nil {
-			return nil, nil, err
-		}
-	}
-	m.Derivation, _ = h.String("deriv")
 	return m, rest, nil
 }
 
-// decodeTopic parses one topic header; raw is its encoding, which
-// carries the connection's fields as a connection record's data does.
-func decodeTopic(h bagio.Header, raw []byte) (topicMeta, error) {
-	var tm topicMeta
-	var err error
-	if tm.dir, err = h.String("dir"); err != nil {
-		return tm, err
-	}
+// decodeTopic parses one topic header; raw, its encoding, carries the
+// connection's fields as a connection record's data does.
+func decodeTopic(h bagio.Header, raw []byte) (tm topicMeta, err error) {
 	w, err := h.U64("window")
-	if err != nil {
-		return tm, err
+	if err == nil {
+		tm.conn, err = bagio.DecodeConnection(&bagio.Record{Header: h, Data: raw})
 	}
-	tm.window = time.Duration(w)
-	if tm.conn, err = bagio.DecodeConnection(&bagio.Record{Header: h, Data: raw}); err != nil {
-		return tm, err
-	}
-	if _, tm.summed = h["crc"]; tm.summed {
-		if tm.sum, err = h.U32("crc"); err != nil {
-			return tm, err
-		}
-		size, err := h.U64("size")
-		if err != nil {
-			return tm, err
+	if _, tm.summed = h["crc"]; err == nil && tm.summed {
+		var size uint64
+		if tm.sum, err = h.U32("crc"); err == nil {
+			size, err = h.U64("size")
 		}
 		tm.size = int64(size)
 	}
-	return tm, nil
+	if tm.dir, tm.window = string(h["dir"]), time.Duration(w); err == nil && tm.dir != EncodeTopicDir(tm.conn.Topic) {
+		err = fmt.Errorf("topic %q in dir %q", tm.conn.Topic, tm.dir)
+	}
+	return tm, err
 }
 
 // decodeMeta parses a whole manifest. A building manifest whose last
@@ -232,11 +196,11 @@ func decodeMeta(buf []byte) (*Meta, error) {
 		if err == nil {
 			tm, err = decodeTopic(h, raw)
 		}
+		if err != nil && m.State == StateBuilding && len(next) == 0 {
+			m.torn = true
+			break
+		}
 		if err != nil {
-			if m.State == StateBuilding && len(next) == 0 {
-				m.torn = true
-				return m, nil
-			}
 			return nil, fmt.Errorf("topic header %d: %w", len(m.topics), err)
 		}
 		m.topics, rest = append(m.topics, tm), next
@@ -244,9 +208,7 @@ func decodeMeta(buf []byte) (*Meta, error) {
 	return m, nil
 }
 
-// ReadMeta parses the manifest of the container rooted at root. A meta
-// an older build wrote is ErrLegacyMeta; any other damage is an error,
-// which fsck reports as bad-meta.
+// ReadMeta parses the manifest of the container rooted at root.
 func ReadMeta(root string) (*Meta, error) {
 	buf, err := os.ReadFile(filepath.Join(root, MetaFileName))
 	if err != nil {
@@ -259,29 +221,26 @@ func ReadMeta(root string) (*Meta, error) {
 	return m, nil
 }
 
-// headReadSize covers the container header of any manifest this package
-// writes, derivation included, in one read.
+// headReadSize holds any container header this package writes.
 const headReadSize = 512
 
-// ReadMetaHead parses only the container header of root's manifest —
-// state, generation, derivation — from one read of the file's first
-// bytes, so its cost does not grow with the topics' message
-// definitions. The pool's staleness probe and List take it.
+// ReadMetaHead parses only the container header of root's manifest,
+// from one read of its first bytes: the cost of the pool's staleness
+// probe and of List does not grow with the topics' definitions.
 func ReadMetaHead(root string) (*Meta, error) {
 	path := filepath.Join(root, MetaFileName)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	var small [headReadSize]byte
-	n, err := io.ReadFull(f, small[:])
+	var head [headReadSize]byte
+	n, err := io.ReadFull(f, head[:])
 	f.Close()
-	buf := small[:n]
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		err = nil // a manifest shorter than the read
-	}
-	if err == nil && n == headReadSize && int(binary.LittleEndian.Uint32(buf)) > n-4 {
+	buf := head[:n]
+	if err == nil && binary.LittleEndian.Uint32(buf) > headReadSize-4 {
 		buf, err = os.ReadFile(path) // a header longer than the read
+	} else if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = nil // a manifest shorter than the read
 	}
 	if err != nil {
 		return nil, err
@@ -293,9 +252,8 @@ func ReadMetaHead(root string) (*Meta, error) {
 	return m, nil
 }
 
-// writeMeta rewrites the manifest of a committed container — or commits
-// a building one — atomically (temp file + rename), so a crash at any
-// point leaves the previous manifest, never a torn one.
+// writeMeta replaces the manifest atomically (temp file + rename): a
+// crash leaves the previous one, never a torn one.
 func writeMeta(fs faultfs.Backend, root string, m *Meta) error {
 	if err := faultfs.WriteFileAtomic(fs, filepath.Join(root, MetaFileName), encodeMeta(m), 0o644); err != nil {
 		return fmt.Errorf("container: write meta: %w", err)
@@ -303,28 +261,23 @@ func writeMeta(fs faultfs.Backend, root string, m *Meta) error {
 	return nil
 }
 
-// WriteBuildingMeta writes m's topics as the building manifest of the
-// container at root, creating root, in place and with no sync: a copy
-// of a container writes it before the first topic file, so a copy
-// interrupted anywhere is a building container Repair completes, and
-// its commit (CommitFS) replaces it.
+// WriteBuildingMeta writes m's topics, without checksums, as the
+// building manifest of a container at root, in place and unsynced: a
+// copy writes it before its first topic file, so an interrupted copy is
+// a building container Repair completes.
 func WriteBuildingMeta(fs faultfs.Backend, root string, m *Meta) error {
 	fs = faultfs.Or(fs)
-	if err := fs.MkdirAll(root, 0o755); err != nil {
-		return err
-	}
 	b := &Meta{State: StateBuilding}
 	for _, tm := range m.topics {
 		tm.summed = false
 		b.topics = append(b.topics, tm)
 	}
 	f, err := fs.Create(filepath.Join(root, MetaFileName))
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(encodeMeta(b))
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if err == nil {
+		_, err = f.Write(encodeMeta(b))
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
 	return err
 }
@@ -384,9 +337,8 @@ func (c *Container) Derivation() string {
 func (c *Container) Seal() error { return c.IssueSeal()() }
 
 // IssueSeal is Seal in the two steps of CommitFS: it closes the
-// building manifest, issues the barrier over the container's files and
-// returns the finish that commits it. The files must not change in
-// between; until the finish succeeds the container is building.
+// building manifest, issues the barrier and returns the finish. The
+// files must not change in between.
 func (c *Container) IssueSeal() (finish func() error) {
 	err := c.Abandon()
 	if c.err != nil {
@@ -397,8 +349,7 @@ func (c *Container) IssueSeal() (finish func() error) {
 	}
 	m := &Meta{State: StateSealed, Gen: newGen()}
 	for _, t := range c.topics {
-		m.topics = append(m.topics, topicMeta{dir: filepath.Base(t.dir), conn: t.conn, window: t.window,
-			summed: t.summed, sum: t.sum, size: t.size})
+		m.topics = append(m.topics, t.meta)
 	}
 	commit := CommitFS(c.fs, c.root, m)
 	return func() error {
@@ -410,10 +361,9 @@ func (c *Container) IssueSeal() (finish func() error) {
 	}
 }
 
-// Abandon closes the building manifest, which the container holds open
-// from CreateFS to its seal for each new topic's header to be appended.
-// A build that fails before its seal runs it: the container stays
-// building, which Open and List refuse and Repair completes.
+// Abandon closes the building manifest, held open from CreateFS for
+// the topics' headers, for a build that fails before its seal: the
+// container stays building, for Repair to complete.
 func (c *Container) Abandon() error {
 	if c.metaf == nil {
 		return nil
@@ -425,13 +375,11 @@ func (c *Container) Abandon() error {
 
 // CommitFS is the second phase of a container's group commit; the first
 // wrote every file of the tree at root in place, with no sync. One
-// barrier (SyncAll) makes durable the data and index file of every
-// topic m names, those topic directories, root and root's parent — so
-// the entries naming them are on disk too. Only then does the sealed
-// manifest m replace the building one by rename, the commit point, and
-// a sync of root makes the rename durable. A crash anywhere before the
-// rename leaves a building container, which Open and List refuse and
-// Repair completes.
+// barrier (SyncAll) makes durable the data and index of every topic m
+// names, their directories, root and root's parent. Only then does the
+// sealed manifest m replace the building one by rename, the commit
+// point, and a sync of root makes the rename durable. A crash before
+// the rename leaves a building container.
 //
 // CommitFS issues the barrier and returns the finish: the barrier's
 // wait, the rename and the sync of root, and the first error of either

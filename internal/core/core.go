@@ -28,7 +28,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -175,9 +174,7 @@ const removedPrefix = ".removed-"
 // bag a recorder in this process still holds is refused: deleting it
 // would lose every later write silently. The delete is all or nothing:
 // one rename, through the instance's FS, takes the bag directory to a
-// hidden name in the root, then that directory is deleted. A crash or
-// an error before the rename leaves the whole bag; after it, nothing of
-// it is listed or opened, and New deletes what is left.
+// hidden name that List skips and New deletes, then it is deleted.
 func (b *BORA) Remove(name string) error {
 	dir, err := b.bagDir(name)
 	if err != nil {
@@ -191,7 +188,7 @@ func (b *BORA) Remove(name string) error {
 			return fmt.Errorf("bora: %q is not a BORA bag: %w", name, err)
 		}
 	}
-	gone := filepath.Join(b.root, removedPrefix+name+"-"+strconv.FormatUint(container.NewGen(), 36))
+	gone := filepath.Join(b.root, fmt.Sprintf("%s%s-%d", removedPrefix, name, container.NewGen()))
 	if err := b.opts.FS.Rename(dir, gone); err != nil {
 		return fmt.Errorf("bora: remove %q: %w", name, err)
 	}
@@ -269,7 +266,7 @@ func (b *BORA) organize(r io.ReaderAt, size int64, name string, sp obs.Span) (Du
 		return nil
 	})
 	if err != nil {
-		seg.abandon()
+		seg.close()
 		err = fmt.Errorf("bora: duplicate: %w", err)
 	} else {
 		// Every topic is complete; seal the container. This is the commit
@@ -317,6 +314,9 @@ func (b *BORA) CopyContainer(srcRoot, name string) (*Bag, error) {
 func copyTree(fs faultfs.Backend, src, dst string) error {
 	meta, err := container.ReadMeta(src)
 	if err != nil {
+		return err
+	}
+	if err := fs.MkdirAll(dst, 0o755); err != nil {
 		return err
 	}
 	if err := container.WriteBuildingMeta(fs, dst, meta); err != nil {

@@ -158,7 +158,6 @@ func (r *Recorder) rotateLocked(t bagio.Time) error {
 		return err
 	}
 	if err := r.cur.close(); err != nil {
-		r.cur.c.Abandon()
 		return err
 	}
 	r.pending = r.cur.c.IssueSeal()

@@ -60,9 +60,11 @@ func (s *segment) writer(conn *bagio.Connection, entries int) (*container.TopicW
 	return tw, nil
 }
 
-// close closes every topic writer, in creation order, without sealing.
-// Every writer is closed even after one fails, so no topic file stays
-// open; the first error is returned.
+// close closes every topic writer, in creation order, and the building
+// manifest, without sealing: a segment abandoned on an error stays
+// building, which Open and List refuse and fsck reports. Every writer
+// is closed even after one fails, so no file stays open; the first
+// error is returned.
 func (s *segment) close() error {
 	var first error
 	for _, tw := range s.order {
@@ -70,15 +72,10 @@ func (s *segment) close() error {
 			first = err
 		}
 	}
+	if err := s.c.Abandon(); err != nil && first == nil {
+		first = err
+	}
 	return first
-}
-
-// abandon closes the writers and the building manifest: a segment
-// abandoned on an error stays building, which Open and List refuse and
-// fsck reports.
-func (s *segment) abandon() {
-	s.close()
-	s.c.Abandon()
 }
 
 // seal commits the segment: every topic writer closes and the container
@@ -87,7 +84,6 @@ func (s *segment) abandon() {
 // does the same in two steps: close, then the container's IssueSeal.
 func (s *segment) seal() error {
 	if err := s.close(); err != nil {
-		s.c.Abandon()
 		return err
 	}
 	return s.c.Seal()

@@ -153,10 +153,10 @@ func (p *Pool) acquire(name string, sp obs.Span) (*core.Bag, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.bag != nil {
-		// Staleness probe: re-read the bag meta and compare the
-		// generation token minted at seal time. One ~200-byte file read
-		// against the readdir + per-topic connection loads + tag-table
-		// build of a cold open — and it catches out-of-band mutations
+		// Staleness probe: re-read the bag meta's first header and
+		// compare the generation token minted at seal time. One read of
+		// the manifest's first bytes against the manifest decode +
+		// readdir + tag-table build of a cold open — and it catches out-of-band mutations
 		// (Repair, Remove + re-Duplicate) that never went through this
 		// pool. Live bags add one wrinkle: while a recording is in
 		// progress there is no generation yet, so a handle is fresh
