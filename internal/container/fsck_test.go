@@ -1,6 +1,7 @@
 package container
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/bagio"
+	"repro/internal/obs"
 )
 
 // buildSealedTopic writes a 20-message topic and seals the container.
@@ -192,17 +194,27 @@ func TestFsckDetectsMissingTopicDir(t *testing.T) {
 	}
 }
 
-func TestFsckDetectsDebris(t *testing.T) {
+// TestFsckDetectsDebrisAndBadTimeIdx: a topic's time index is built
+// from its index, so a bad time index is now a bad index — here one
+// whose last entry a crash tore. Fsck flags it beside a temp file's
+// debris; Repair removes the debris and cuts the index to its whole
+// entries, and the time index the repaired topic builds names exactly
+// the surviving messages.
+func TestFsckDetectsDebrisAndBadTimeIdx(t *testing.T) {
 	root, dir := buildSealedTopic(t)
 	if err := os.WriteFile(filepath.Join(dir, "index.tmp-777"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ixPath := filepath.Join(dir, IndexFileName)
+	if err := os.Truncate(ixPath, 20*IndexEntrySize-IndexEntrySize/2); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := Fsck(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kinds := findingKinds(rep); !reflect.DeepEqual(kinds, []FindingKind{FindingTempDebris}) {
-		t.Fatalf("findings = %v, want temp-debris", rep.Findings)
+	if !hasFinding(rep, FindingTempDebris) || !hasFinding(rep, FindingTruncatedIndexTail) {
+		t.Fatalf("findings = %v, want temp-debris and truncated-index-tail", findingKinds(rep))
 	}
 	after, err := RepairFS(root, nil)
 	if err != nil {
@@ -214,15 +226,31 @@ func TestFsckDetectsDebris(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "index.tmp-777")); !os.IsNotExist(err) {
 		t.Error("debris survived repair")
 	}
+	c, err := Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topic, err := c.Topic("/imu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := topic.Index(obs.Span{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pos := topic.TimeIndex(v).QuerySorted(bagio.Time{}, bagio.Time{Sec: 100}); len(pos) != 19 || pos[18] != 18 {
+		t.Errorf("repaired topic's time index names %v, want 0..18", pos)
+	}
 }
 
 // TestFsckTornInPlaceFiles tears the manifest a building container
 // appends to in place — inside its container header ("../.bora_meta"),
 // and inside the last topic's header ("conn") — as a crash mid-write
 // leaves it: fsck flags it as damage of a container that never
-// committed, and Repair converges to a clean container. A torn sealed
-// manifest keeps the plain detail: there it is corruption, and Repair
-// refuses it, since the topics' connections are in it alone.
+// committed, and Repair converges to a clean container. A sealed
+// manifest keeps the plain detail: there it is corruption. Repair
+// recomputes a damaged checksum ("checksum") and refuses a torn
+// manifest ("sealed"), since the topics' connections are in it alone.
 func TestFsckTornInPlaceFiles(t *testing.T) {
 	building := func(t *testing.T) (root string) {
 		t.Helper()
@@ -288,6 +316,43 @@ func TestFsckTornInPlaceFiles(t *testing.T) {
 			}
 		})
 	}
+	// A building manifest records no checksum; a sealed one does, and
+	// damage to it in place is corruption with the plain detail, which
+	// Repair mends by recomputing the checksum over the data.
+	t.Run("checksum", func(t *testing.T) {
+		root, _ := buildSealedTopic(t)
+		path := filepath.Join(root, MetaFileName)
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := bytes.Index(buf, []byte("crc="))
+		if at < 0 {
+			t.Fatal("sealed manifest records no crc")
+		}
+		buf[at+len("crc=")] ^= 0xff
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Fsck(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kinds := findingKinds(rep); !reflect.DeepEqual(kinds, []FindingKind{FindingChecksumMismatch}) ||
+			rep.Findings[0].Path != path || strings.Contains(rep.Findings[0].Detail, tornBeforeSeal) {
+			t.Fatalf("findings on a sealed manifest's damaged checksum: %v", rep.Findings)
+		}
+		after, err := RepairFS(root, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !after.Clean() {
+			t.Fatalf("post-repair findings: %v", after.Findings)
+		}
+		if _, err := Open(root); err != nil {
+			t.Fatalf("repaired container does not open: %v", err)
+		}
+	})
 	t.Run("sealed", func(t *testing.T) {
 		root, _ := buildSealedTopic(t)
 		path := filepath.Join(root, MetaFileName)

@@ -315,6 +315,63 @@ func TestContainerFailureInjection(t *testing.T) {
 		}
 	})
 
+	// The time index is built from the topic's index: a time query over
+	// a corrupt index fails as a full scan does.
+	t.Run("corrupt time index", func(t *testing.T) {
+		idx := filepath.Join(topicDir, container.IndexFileName)
+		orig, err := os.ReadFile(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer os.WriteFile(idx, orig, 0o644)
+		if err := os.WriteFile(idx, []byte{1, 2, 3}, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		bag, err := backend.Open("victim")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = bag.Query(core.QuerySpec{Topics: []string{workload.TopicIMU}, Start: bagio.Time{Sec: 1}, End: bagio.Time{Sec: 2}}, func(core.MessageRef) error { return nil })
+		if err == nil {
+			t.Error("time query over corrupt time index succeeded")
+		}
+	})
+
+	// A data cut leaves the time index naming messages past the data's
+	// end: a time query over them reports ErrIndexBeyondData.
+	t.Run("time index beyond its topic", func(t *testing.T) {
+		data := filepath.Join(topicDir, container.DataFileName)
+		orig, err := os.ReadFile(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer os.WriteFile(data, orig, 0o644)
+		c, err := container.Open(filepath.Dir(topicDir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		topic, err := c.Topic(workload.TopicIMU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, err := topic.Entries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(data, orig[:len(orig)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		bag, err := backend.Open("victim")
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := entries[len(entries)-1].Time
+		err = bag.Query(core.QuerySpec{Topics: []string{workload.TopicIMU}, Start: at, End: at}, func(core.MessageRef) error { return nil })
+		if !errors.Is(err, container.ErrIndexBeyondData) {
+			t.Errorf("time query over a time index beyond its topic: err = %v, want ErrIndexBeyondData", err)
+		}
+	})
+
 	t.Run("missing data file", func(t *testing.T) {
 		data := filepath.Join(topicDir, container.DataFileName)
 		orig, err := os.ReadFile(data)
