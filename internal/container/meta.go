@@ -375,11 +375,12 @@ func (c *Container) Abandon() error {
 
 // CommitFS is the second phase of a container's group commit; the first
 // wrote every file of the tree at root in place, with no sync. One
-// barrier (SyncAll) makes durable the data and index of every topic m
-// names, their directories, root and root's parent. Only then does the
-// sealed manifest m replace the building one by rename, the commit
-// point, and a sync of root makes the rename durable. A crash before
-// the rename leaves a building container.
+// barrier (SyncAll) makes durable the building manifest at root, the
+// data and index of every topic m names, their directories, root and
+// root's parent. Only then does the sealed manifest m replace the
+// building one by rename, the commit point, and a sync of root makes
+// the rename durable. A crash before the rename leaves a building
+// container whose manifest names every topic, for Repair to complete.
 //
 // CommitFS issues the barrier and returns the finish: the barrier's
 // wait, the rename and the sync of root, and the first error of either
@@ -388,12 +389,12 @@ func (c *Container) Abandon() error {
 func CommitFS(fs faultfs.Backend, root string, m *Meta) (finish func() error) {
 	fs = faultfs.Or(fs)
 	slices.SortFunc(m.topics, func(a, b topicMeta) int { return strings.Compare(a.dir, b.dir) })
-	paths := make([]string, 0, 3*len(m.topics)+2)
+	paths := make([]string, 0, 3*len(m.topics)+3)
 	for _, tm := range m.topics {
 		dir := filepath.Join(root, tm.dir)
 		paths = append(paths, filepath.Join(dir, DataFileName), filepath.Join(dir, IndexFileName), dir)
 	}
-	paths = append(paths, root, filepath.Dir(root))
+	paths = append(paths, filepath.Join(root, MetaFileName), root, filepath.Dir(root))
 	wait := fs.SyncAll(paths)
 	return func() error {
 		if err := wait(); err != nil {

@@ -188,7 +188,9 @@ func (b *BORA) Remove(name string) error {
 			return fmt.Errorf("bora: %q is not a BORA bag: %w", name, err)
 		}
 	}
-	gone := filepath.Join(b.root, fmt.Sprintf("%s%s-%d", removedPrefix, name, container.NewGen()))
+	// The hidden name leaves the bag's out: a name of NAME_MAX bytes
+	// with a prefix would not fit.
+	gone := filepath.Join(b.root, fmt.Sprintf("%s%d", removedPrefix, container.NewGen()))
 	if err := b.opts.FS.Rename(dir, gone); err != nil {
 		return fmt.Errorf("bora: remove %q: %w", name, err)
 	}

@@ -549,10 +549,18 @@ func TestRemoveIsAllOrNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"part", "whole", "gone"} {
+	long := strings.Repeat("n", 255) // NAME_MAX: the longest name ValidBagName accepts
+	for _, name := range []string{"part", "whole", "gone", long} {
 		if _, _, err := b.Duplicate(src, name); err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	if err := b.Remove(long); err != nil {
+		t.Errorf("Remove of a bag with a 255-byte name: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(root, long)); !os.IsNotExist(err) {
+		t.Errorf("the bag with a 255-byte name survived Remove: %v", err)
 	}
 
 	if err := os.RemoveAll(filepath.Join(root, "part", container.EncodeTopicDir("/tf"))); err != nil {
@@ -580,7 +588,7 @@ func TestRemoveIsAllOrNothing(t *testing.T) {
 		t.Errorf("the bag a crashed Remove left has %d topics, want 3", n)
 	}
 
-	leftover := filepath.Join(root, removedPrefix+"gone-1")
+	leftover := filepath.Join(root, removedPrefix+"1")
 	if err := os.Rename(filepath.Join(root, "gone"), leftover); err != nil {
 		t.Fatal(err)
 	}

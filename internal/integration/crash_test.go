@@ -328,9 +328,10 @@ func TestCrashSweepDeterministic(t *testing.T) {
 // manifest, so the run creates 1 + 2×7 files; every file is written in
 // place, so it makes one temporary and one rename — the sealed
 // manifest's — where writing each file atomically made 23 of each; one
-// barrier over 23 paths (14 files, 7 topic directories, the root and
-// its parent) syncs every topic file after the last write and before
-// that rename; and a directory sync makes the rename durable.
+// barrier over 24 paths (14 topic files, the building manifest, 7 topic
+// directories, the root and its parent) syncs every topic file and the
+// building manifest after the last write and before that rename; and a
+// directory sync makes the rename durable.
 func TestSealIsOneGroupCommit(t *testing.T) {
 	raw, _ := buildCrashBag(t)
 	in, root, err := duplicateWithPlan(t, raw, faultfs.Plan{Seed: 1})
@@ -367,10 +368,13 @@ func TestSealIsOneGroupCommit(t *testing.T) {
 	for _, p := range strings.Split(barrier, " ") {
 		synced[p] = true
 	}
-	if len(synced) != 23 {
-		t.Errorf("the barrier names %d paths, want 23", len(synced))
+	if len(synced) != 24 {
+		t.Errorf("the barrier names %d paths, want 24", len(synced))
 	}
 	croot := filepath.Join(root, "sweep")
+	if p := filepath.Join(croot, container.MetaFileName); !synced[p] {
+		t.Errorf("the barrier does not sync the building manifest %s", p)
+	}
 	topics, err := os.ReadDir(croot)
 	if err != nil {
 		t.Fatal(err)
