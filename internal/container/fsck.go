@@ -343,9 +343,8 @@ func RepairFS(root string, fs faultfs.Backend) (*Report, error) {
 	// A repair reseal mints a fresh generation: cached handles built from
 	// the pre-repair tree must read as stale even when the surviving
 	// topic set is unchanged. It commits like a seal: the rewritten files
-	// are durable before the manifest names them. The barrier syncs the
-	// manifest the reseal replaces, so a tree with none (a copy stopped
-	// before its first write) gets an empty building one first.
+	// are durable before the manifest names them. Its barrier syncs the
+	// manifest: a tree with none gets an empty building one first.
 	if _, err := os.Stat(filepath.Join(root, MetaFileName)); os.IsNotExist(err) {
 		if err := WriteBuildingMeta(fs, root, &Meta{}); err != nil {
 			return nil, err

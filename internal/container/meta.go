@@ -2,6 +2,7 @@ package container
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -196,8 +197,7 @@ func decodeMeta(buf []byte) (*Meta, error) {
 		if err == nil {
 			tm, err = decodeTopic(h, raw)
 		}
-		if err != nil && m.State == StateBuilding && len(next) == 0 {
-			m.torn = true
+		if m.torn = err != nil && m.State == StateBuilding && len(next) == 0; m.torn {
 			break
 		}
 		if err != nil {
@@ -340,11 +340,7 @@ func (c *Container) Seal() error { return c.IssueSeal()() }
 // building manifest, issues the barrier and returns the finish. The
 // files must not change in between.
 func (c *Container) IssueSeal() (finish func() error) {
-	err := c.Abandon()
-	if c.err != nil {
-		err = c.err
-	}
-	if err != nil {
+	if err := cmp.Or(c.err, c.Abandon()); err != nil { // a sticky error first
 		return func() error { return err }
 	}
 	m := &Meta{State: StateSealed, Gen: newGen()}
@@ -375,12 +371,11 @@ func (c *Container) Abandon() error {
 
 // CommitFS is the second phase of a container's group commit; the first
 // wrote every file of the tree at root in place, with no sync. One
-// barrier (SyncAll) makes durable the building manifest at root, the
-// data and index of every topic m names, their directories, root and
-// root's parent. Only then does the sealed manifest m replace the
-// building one by rename, the commit point, and a sync of root makes
-// the rename durable. A crash before the rename leaves a building
-// container whose manifest names every topic, for Repair to complete.
+// barrier (SyncAll) makes durable the building manifest, the data and
+// index of every topic m names, their directories, root and root's
+// parent. Only then does the sealed manifest m replace the building one
+// by rename, the commit point, and a sync of root makes the rename
+// durable. A crash before the rename leaves a building container.
 //
 // CommitFS issues the barrier and returns the finish: the barrier's
 // wait, the rename and the sync of root, and the first error of either

@@ -167,7 +167,8 @@ func (b *BORA) bagDir(name string) (string, error) {
 }
 
 // removedPrefix names a bag directory Remove has renamed away: hidden,
-// so ValidBagName refuses it and List skips it.
+// so ValidBagName refuses it and List skips it. A generation follows,
+// not the bag's name, which may already be NAME_MAX bytes long.
 const removedPrefix = ".removed-"
 
 // Remove deletes a logical bag — a classic container or a live bag. A
@@ -188,8 +189,6 @@ func (b *BORA) Remove(name string) error {
 			return fmt.Errorf("bora: %q is not a BORA bag: %w", name, err)
 		}
 	}
-	// The hidden name leaves the bag's out: a name of NAME_MAX bytes
-	// with a prefix would not fit.
 	gone := filepath.Join(b.root, fmt.Sprintf("%s%d", removedPrefix, container.NewGen()))
 	if err := b.opts.FS.Rename(dir, gone); err != nil {
 		return fmt.Errorf("bora: remove %q: %w", name, err)
