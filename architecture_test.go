@@ -302,6 +302,7 @@ var (
 		"ConnFileName": "a topic is two files: the manifest holds its connection", "ChecksumFileName": "a topic is two files: the manifest holds its checksum",
 		"TimeIdxFileName": "a topic is two files: the time index is derived", "readTimeIndex": "a topic is two files: the time index is derived",
 		"writeTimeIndex": "a topic is two files: the time index is derived", "FindingBadTimeIdx": "a topic is two files: the time index is derived",
+		"ForkOp": "one topic-order plan: every plan delivers on the caller's goroutine", "readPooled": "one topic-order plan: every plan delivers on the caller's goroutine",
 	}
 	retiredExperiments = []string{"validate-real", "pool-clients", "live-tail"}
 	internalCmd        = []string{"internal", "cmd"}
@@ -469,6 +470,15 @@ var archRules = []archRule{
 			return calledMethod(n, "ReadExtentInto", "ReadMessageInto")
 		}),
 		seeds: []seedFile{{"internal/core/zz_seed.go", `package core; func zz(t interface{ ReadMessageInto() }) { t.ReadMessageInto() }`}},
+	},
+	{
+		name: "sites/core-starts-no-goroutine",
+		why:  "every query plan delivers on the caller's goroutine (topic order is the paper's whole-file sequential reads; a pooled plan measured slower): checkCancel's plain counter and Exec.Idle's single caller rely on it",
+		check: none([]string{"internal/core"}, func(_ *srcFile, n ast.Node) bool {
+			_, ok := n.(*ast.GoStmt)
+			return ok
+		}, "a go statement in core"),
+		seeds: []seedFile{{"internal/core/zz_seed.go", `package core; func zz() { go func() {}() }`}},
 	},
 	{
 		name: "names/core-does-not-branch-on-reader",

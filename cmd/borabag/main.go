@@ -40,7 +40,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -382,7 +381,6 @@ func cmdQuery(args []string) error {
 	name := fs.String("name", "", "logical bag name (required)")
 	topicsArg := fs.String("topics", "", "comma-separated topic names (empty = all)")
 	window := windowFlags(fs)
-	parallel := fs.Int("parallel", 0, "read topic streams concurrently with this many workers (0 = serial, -1 = GOMAXPROCS)")
 	chrono := fs.Bool("chrono", false, "deliver messages in global timestamp order (serial)")
 	stride := fs.Int("stride", 0, "deliver every Nth message per topic (0 or 1 = all)")
 	follow := fs.Bool("follow", false, "tail a recording bag: stream the sealed prefix, then live messages until sealed or interrupted")
@@ -405,9 +403,6 @@ func cmdQuery(args []string) error {
 	}
 	spec.Follow = *follow
 	if remoteAddr != "" {
-		if *parallel != 0 {
-			return fmt.Errorf("query: -parallel is not supported with -remote (the daemon streams serially per query)")
-		}
 		return remoteQuery(*name, spec, *quiet)
 	}
 	b, err := openBackend(*backend)
@@ -420,24 +415,21 @@ func cmdQuery(args []string) error {
 		return err
 	}
 	openTime := time.Since(openStart)
-	var mu sync.Mutex
 	var count int
 	var bytes int64
 	emit := func(m core.MessageRef) error {
-		mu.Lock() // parallel queries deliver from several goroutines
 		count++
 		bytes += int64(len(m.Data))
 		if !*quiet {
 			fmt.Printf("%s %-32s %d bytes\n", m.Time, m.Conn.Topic, len(m.Data))
 		}
-		mu.Unlock()
 		return nil
 	}
 	queryStart := time.Now()
 	// A follow of a still-recording bag has no natural end; ^C bounds it.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := bag.Execute(ctx, spec, core.Exec{Workers: *parallel}, emit); err != nil && !errors.Is(err, context.Canceled) {
+	if err := bag.QueryContext(ctx, spec, emit); err != nil && !errors.Is(err, context.Canceled) {
 		return err
 	}
 	fmt.Printf("open %v, query %v: %d messages, %d bytes (windows scanned: %d)\n",

@@ -56,9 +56,9 @@ func runFig9(reg *obs.Registry) (*Table, error) {
 		}
 		ext4 := copyTime(simio.SingleNodeSSD())
 		xfs := copyTime(simio.SingleNodeXFS())
-		boraExt4 := pathsim.BoraDuplicate(newLocalEnv(simio.SingleNodeSSD(), reg), bag, simWindow)
-		boraXFS := pathsim.BoraDuplicate(newLocalEnv(simio.SingleNodeXFS(), reg), bag, simWindow)
-		b2b := pathsim.BoraCopyContainer(newLocalEnv(simio.SingleNodeSSD(), reg), bag, simWindow)
+		boraExt4 := pathsim.BoraDuplicate(newLocalEnv(simio.SingleNodeSSD(), reg), bag)
+		boraXFS := pathsim.BoraDuplicate(newLocalEnv(simio.SingleNodeXFS(), reg), bag)
+		b2b := pathsim.BoraCopyContainer(newLocalEnv(simio.SingleNodeSSD(), reg), bag)
 		t.Rows = append(t.Rows, []string{
 			fmtGB(size),
 			fmtDur(ext4), fmtDur(boraExt4), fmt.Sprintf("%.0f%%", (float64(boraExt4)/float64(ext4)-1)*100),

@@ -550,7 +550,7 @@ func compareRecs(t *testing.T, name string, got, want []rec) {
 // TestBorrowEquivalence: every query plan's borrowed payloads are
 // byte-identical to the copying message-at-a-time reference — with the block
 // cache on (zero-copy slices) and off (slices of a coalesced extent)
-// and across serial, chrono, and parallel plans. Runs under -race in CI.
+// and across the serial and chrono plans. Runs under -race in CI.
 func TestBorrowEquivalence(t *testing.T) {
 	for _, bs := range []int64{1 << 20, 1 << 10, 0} {
 		bag, _ := warmBag(t, 5, bs)
@@ -561,14 +561,10 @@ func TestBorrowEquivalence(t *testing.T) {
 func checkBorrowEquivalence(t *testing.T, name string, bag *Bag) {
 	t.Helper()
 	want := groundTruth(t, bag)
-	collect := func(spec QuerySpec, ex Exec) []rec {
-		var mu sync.Mutex // parallel plans deliver from several goroutines
+	collect := func(spec QuerySpec) []rec {
 		var got []rec
-		err := bag.Execute(context.Background(), spec, ex, func(m MessageRef) error {
-			r := rec{topic: m.Conn.Topic, time: m.Time, data: m.Copy()}
-			mu.Lock()
-			got = append(got, r)
-			mu.Unlock()
+		err := bag.Query(spec, func(m MessageRef) error {
+			got = append(got, rec{topic: m.Conn.Topic, time: m.Time, data: m.Copy()})
 			return nil
 		})
 		if err != nil {
@@ -578,51 +574,12 @@ func checkBorrowEquivalence(t *testing.T, name string, bag *Bag) {
 	}
 
 	// Serial grouped-by-topic delivery matches append order exactly.
-	compareRecs(t, name+"serial", collect(QuerySpec{}, Exec{}), want)
+	compareRecs(t, name+"serial", collect(QuerySpec{}), want)
 
-	// Chrono and parallel plans reorder across topics; compare as sets.
+	// The chrono plan reorders across topics; compare as sets.
 	wantSorted := append([]rec(nil), want...)
 	sortRecs(wantSorted)
-	for _, c := range []struct {
-		name string
-		spec QuerySpec
-		ex   Exec
-	}{
-		{"chrono", QuerySpec{Order: OrderTime}, Exec{}},
-		{"parallel", QuerySpec{}, Exec{Workers: 2}},
-	} {
-		got := collect(c.spec, c.ex)
-		sortRecs(got)
-		compareRecs(t, name+c.name, got, wantSorted)
-	}
-}
-
-// TestBorrowEquivalenceParallelRetain: a retaining callback (a ref with
-// copied Data per message, from concurrent goroutines) observes the same bytes the
-// copying reference does — the contract's escape hatch is sound even
-// while scratch buffers are being reused underneath it. Runs under
-// -race in CI.
-func TestBorrowEquivalenceParallelRetain(t *testing.T) {
-	bag, _ := cachedBag(t, 5)
-	want := groundTruth(t, bag)
-	sortRecs(want)
-	var mu sync.Mutex
-	var kept []MessageRef
-	err := bag.Execute(context.Background(), QuerySpec{}, Exec{Workers: 2}, func(m MessageRef) error {
-		r := m
-		r.Data = m.Copy()
-		mu.Lock()
-		kept = append(kept, r)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]rec, len(kept))
-	for i, m := range kept {
-		got[i] = rec{topic: m.Conn.Topic, time: m.Time, data: m.Data}
-	}
+	got := collect(QuerySpec{Order: OrderTime})
 	sortRecs(got)
-	compareRecs(t, "parallel retain", got, want)
+	compareRecs(t, name+"chrono", got, wantSorted)
 }

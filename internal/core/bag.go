@@ -78,7 +78,6 @@ type bagObs struct {
 	read       *obs.Op // core.read: full-topic query (Fig 7)
 	readTime   *obs.Op // core.read_time: topics + time range (Fig 8)
 	readChrono *obs.Op // core.read_chrono: chronological merge, a run of one part per step
-	readPooled *obs.Op // core.read_parallel: concurrent per-topic streams
 	readTopic  *obs.Op // core.read_topic: one topic's sequential stream
 	follow     *obs.Op // core.follow: snapshot + live-tail query
 	export     *obs.Op // core.export: container -> standard bag stream
@@ -89,7 +88,6 @@ func newBagObs(reg *obs.Registry) bagObs {
 		read:       reg.Op("core.read"),
 		readTime:   reg.Op("core.read_time"),
 		readChrono: reg.Op("core.read_chrono"),
-		readPooled: reg.Op("core.read_parallel"),
 		readTopic:  reg.Op("core.read_topic"),
 		follow:     reg.Op("core.follow"),
 		export:     reg.Op("core.export"),

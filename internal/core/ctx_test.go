@@ -34,17 +34,15 @@ func TestQueryContextCancelMidStream(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		spec QuerySpec
-		ex   Exec
 	}{
-		{"serial", QuerySpec{}, Exec{}},
-		{"chrono", QuerySpec{Order: OrderTime}, Exec{}},
-		{"parallel", QuerySpec{}, Exec{Workers: 2}},
+		{"serial", QuerySpec{}},
+		{"chrono", QuerySpec{Order: OrderTime}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var delivered atomic.Int64
-			err := bag.Execute(ctx, tc.spec, tc.ex, func(MessageRef) error {
+			err := bag.QueryContext(ctx, tc.spec, func(MessageRef) error {
 				if delivered.Add(1) == 1 {
 					cancel()
 				}
@@ -53,9 +51,8 @@ func TestQueryContextCancelMidStream(t *testing.T) {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-			// The batch check runs on messages read; with workers each
-			// in-flight goroutine may run out its current batch.
-			limit := int64(cancelCheckBatch) * int64(2+tc.ex.Workers)
+			// The batch check runs on messages read.
+			limit := int64(cancelCheckBatch) * 2
 			if n := delivered.Load(); n > limit {
 				t.Errorf("delivered %d messages after cancel, want <= %d (batched check)", n, limit)
 			}

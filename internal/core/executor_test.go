@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -61,12 +60,12 @@ func TestStrideIsOrderIndependent(t *testing.T) {
 	for _, topic := range topics {
 		want[topic] = []string{"m0", "m3", "m6", "m9"}
 	}
-	check := func(name string, bag *Bag, spec plan) {
+	check := func(name string, bag *Bag, spec QuerySpec) {
 		t.Helper()
 		spec.Stride = 3
 		got := map[string][]string{}
 		for _, r := range collect(t, func(fn func(MessageRef) error) error {
-			return bag.Execute(context.Background(), spec.QuerySpec, spec.Exec, fn)
+			return bag.Query(spec, fn)
 		}) {
 			got[r.Topic] = append(got[r.Topic], r.Data)
 		}
@@ -79,10 +78,9 @@ func TestStrideIsOrderIndependent(t *testing.T) {
 	}
 	checkPlans := func(layout string, bag *Bag) {
 		t.Helper()
-		check(layout+"/topic", bag, plan{})
-		check(layout+"/pooled", bag, plan{Exec: Exec{Workers: 4}})
-		check(layout+"/time", bag, plan{QuerySpec: QuerySpec{Order: OrderTime}})
-		check(layout+"/follow-sealed", bag, plan{QuerySpec: QuerySpec{Follow: true}})
+		check(layout+"/topic", bag, QuerySpec{})
+		check(layout+"/time", bag, QuerySpec{Order: OrderTime})
+		check(layout+"/follow-sealed", bag, QuerySpec{Follow: true})
 	}
 
 	b := newBORA(t)
@@ -112,7 +110,7 @@ func TestStrideIsOrderIndependent(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		check("live/follow-mid-topic", wired, plan{QuerySpec: QuerySpec{Follow: true}})
+		check("live/follow-mid-topic", wired, QuerySpec{Follow: true})
 	}()
 	waitFollowers(t, rec, 1)
 	write(rec, 4, len(stamps))
@@ -295,8 +293,8 @@ func diffLog(rng *rand.Rand, n int, big bool) []diffWrite {
 	return log
 }
 
-func randomSpec(rng *rand.Rand, topics []string, span int64) plan {
-	var spec plan
+func randomSpec(rng *rand.Rand, topics []string, span int64) QuerySpec {
+	var spec QuerySpec
 	if rng.Intn(3) > 0 {
 		perm := rng.Perm(len(topics))[:1+rng.Intn(len(topics))]
 		for _, i := range perm {
@@ -318,8 +316,8 @@ func randomSpec(rng *rand.Rand, topics []string, span int64) plan {
 	}
 	spec.Stride = []int{0, 1, 2, 3, 7}[rng.Intn(5)]
 	switch rng.Intn(4) {
-	case 1:
-		spec.Workers = []int{1, 2, 5, -1}[rng.Intn(4)]
+	case 1: // topic order, as 0; this draw keeps the specs each seed makes
+		rng.Intn(4)
 	case 2:
 		spec.Order = OrderTime
 	case 3:
@@ -328,31 +326,18 @@ func randomSpec(rng *rand.Rand, topics []string, span int64) plan {
 	return spec
 }
 
-// plan is a query under test: its selection and how it runs.
-type plan struct {
-	QuerySpec
-	Exec
-}
-
-func describe(spec plan) string {
-	return fmt.Sprintf("{Topics:%v Start:%v End:%v Stride:%d Order:%d Workers:%d Follow:%v}",
-		spec.Topics, spec.Start, spec.End, spec.Stride, spec.Order, spec.Workers, spec.Follow)
+func describe(spec QuerySpec) string {
+	return fmt.Sprintf("{Topics:%v Start:%v End:%v Stride:%d Order:%d Follow:%v}",
+		spec.Topics, spec.Start, spec.End, spec.Stride, spec.Order, spec.Follow)
 }
 
 // checkAgainst runs spec on bag and compares with want: the exact
-// sequence for the serial, time and Follow policies, per-topic streams
-// for a pool (whose cross-topic interleaving is arbitrary).
-func checkAgainst(t *testing.T, bag *Bag, spec plan, want []queryRec) {
+// sequence, for every policy.
+func checkAgainst(t *testing.T, bag *Bag, spec QuerySpec, want []queryRec) {
 	t.Helper()
 	got := collect(t, func(fn func(MessageRef) error) error {
-		return bag.Execute(context.Background(), spec.QuerySpec, spec.Exec, fn)
+		return bag.Query(spec, fn)
 	})
-	if spec.Workers != 0 {
-		if !reflect.DeepEqual(byTopic(got), byTopic(want)) {
-			t.Errorf("%s: per-topic streams differ from the oracle (%d msgs, want %d)", describe(spec), len(got), len(want))
-		}
-		return
-	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("%s: delivery differs from the oracle (%d msgs, want %d)", describe(spec), len(got), len(want))
 	}
@@ -428,20 +413,20 @@ func TestExecutorDifferential(t *testing.T) {
 			for i := 0; i < specsPerBag/4; i++ {
 				spec := randomSpec(rng, known, span)
 				spec.Follow = false
-				checkAgainst(t, wired, spec, prefix.wantSealed(spec.QuerySpec))
+				checkAgainst(t, wired, spec, prefix.wantSealed(spec))
 			}
 			// Follow across the cut: every follower subscribes at the same
 			// point of the log, then the rest is written under them.
-			specs := make([]plan, 8)
+			specs := make([]QuerySpec, 8)
 			gots := make([][]queryRec, len(specs))
 			var wg sync.WaitGroup
 			for i := range specs {
 				specs[i] = randomSpec(rng, allTopics, span)
-				specs[i].Follow, specs[i].Workers = true, 0
+				specs[i].Follow = true
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					err := wired.Query(specs[i].QuerySpec, func(m MessageRef) error {
+					err := wired.Query(specs[i], func(m MessageRef) error {
 						gots[i] = append(gots[i], queryRec{m.Conn.Topic, m.Time, string(m.Data)})
 						return nil
 					})
@@ -464,7 +449,7 @@ func TestExecutorDifferential(t *testing.T) {
 			}
 			full := buildOracle(t, sealed)
 			for i, spec := range specs {
-				if want := followWant(full, log, cut, spec.QuerySpec); !reflect.DeepEqual(gots[i], want) {
+				if want := followWant(full, log, cut, spec); !reflect.DeepEqual(gots[i], want) {
 					t.Errorf("seed %d cut %d %s: live Follow differs from the oracle (%d msgs, want %d)",
 						seed, cut, describe(spec), len(gots[i]), len(want))
 				}
@@ -476,7 +461,7 @@ func TestExecutorDifferential(t *testing.T) {
 		}
 		for i := 0; i < specsPerBag; i++ {
 			spec := randomSpec(rng, allTopics, span)
-			checkAgainst(t, sealed, spec, o.wantSealed(spec.QuerySpec))
+			checkAgainst(t, sealed, spec, o.wantSealed(spec))
 		}
 	}
 }

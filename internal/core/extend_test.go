@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sort"
 	"strings"
 	"sync"
@@ -196,96 +195,6 @@ func TestRebagTimeWindowStride(t *testing.T) {
 	}
 	if _, _, err := b.Rebag(bag, "full", QuerySpec{}); err == nil {
 		t.Error("rebag onto existing name accepted")
-	}
-}
-
-func TestQueryParallel(t *testing.T) {
-	b := newBORA(t)
-	src := makeSourceBag(t, t.TempDir(), 8)
-	bag, _, err := b.Duplicate(src, "bag1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	perTopic := map[string][]bagio.Time{}
-	err = bag.Execute(context.Background(), QuerySpec{}, Exec{Workers: 4}, func(m MessageRef) error {
-		mu.Lock()
-		perTopic[m.Conn.Topic] = append(perTopic[m.Conn.Topic], m.Time)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(perTopic) != 3 {
-		t.Fatalf("topics = %d", len(perTopic))
-	}
-	total := 0
-	for topic, times := range perTopic {
-		total += len(times)
-		for i := 1; i < len(times); i++ {
-			if times[i].Before(times[i-1]) {
-				t.Errorf("%s: per-topic order violated", topic)
-				break
-			}
-		}
-	}
-	if total != 128 { // 8s × 16 msgs
-		t.Errorf("total = %d, want 128", total)
-	}
-	// Serial and parallel agree on counts.
-	serial := 0
-	if err := bag.Query(QuerySpec{}, func(MessageRef) error { serial++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if serial != total {
-		t.Errorf("serial %d vs parallel %d", serial, total)
-	}
-	// Workers: -1 (auto) also runs the parallel plan.
-	n := 0
-	var nmu sync.Mutex
-	if err := bag.Execute(context.Background(), QuerySpec{Topics: []string{"/imu"}}, Exec{Workers: -1}, func(MessageRef) error {
-		nmu.Lock()
-		n++
-		nmu.Unlock()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n != 80 {
-		t.Errorf("imu parallel count = %d", n)
-	}
-	if err := bag.Execute(context.Background(), QuerySpec{Topics: []string{"/missing"}}, Exec{Workers: 2}, func(MessageRef) error { return nil }); err == nil {
-		t.Error("unknown topic accepted")
-	}
-}
-
-func TestQueryTimeParallel(t *testing.T) {
-	b := newBORA(t)
-	src := makeSourceBag(t, t.TempDir(), 10)
-	bag, _, err := b.Duplicate(src, "bag1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := int64(1_000_000_000_000_000_000)
-	start := bagio.TimeFromNanos(base + 2e9)
-	end := bagio.TimeFromNanos(base + 5e9 - 1)
-	var mu sync.Mutex
-	count := 0
-	err = bag.Execute(context.Background(), QuerySpec{Topics: []string{"/imu", "/tf"}, Start: start, End: end}, Exec{Workers: 2}, func(m MessageRef) error {
-		if m.Time.Before(start) || end.Before(m.Time) {
-			t.Errorf("message at %v outside window", m.Time)
-		}
-		mu.Lock()
-		count++
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 45 { // 3s × (10 imu + 5 tf)
-		t.Errorf("count = %d, want 45", count)
 	}
 }
 

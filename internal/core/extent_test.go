@@ -46,15 +46,13 @@ func writeTopic(t *testing.T, rec *Recorder, lo, hi int, size func(i int) int) {
 	}
 }
 
-// everyPolicy is one selection and plan per ordering policy (pooled
-// being topic order off the calling goroutine).
+// everyPolicy is one selection and plan per ordering policy.
 var everyPolicy = []struct {
 	name string
 	spec QuerySpec
 	ex   Exec
 }{
 	{"topic order", QuerySpec{}, Exec{}},
-	{"pooled", QuerySpec{}, Exec{Workers: 2}},
 	{"time order", QuerySpec{Order: OrderTime}, Exec{}},
 	{"follow (sealed)", QuerySpec{Follow: true}, Exec{}},
 }
@@ -84,10 +82,7 @@ func TestDataReadsCountsExtents(t *testing.T) {
 	run := func(bag *Bag, spec QuerySpec, ex Exec, first func()) (r result) {
 		before := bag.Stats()
 		r.aq = &obs.ActiveQuery{}
-		var mu sync.Mutex
 		r.err = bag.Execute(obs.ContextWithQuery(context.Background(), r.aq), spec, ex, func(m MessageRef) error {
-			mu.Lock()
-			defer mu.Unlock()
 			if r.n == 0 && first != nil {
 				first()
 			}
@@ -196,12 +191,9 @@ func perMessagePrefix(t *testing.T, topic *container.Topic) ([]string, error) {
 // queryPrefix runs spec to its end or its first error and returns what
 // was delivered before it.
 func queryPrefix(bag *Bag, spec QuerySpec, ex Exec) ([]string, error) {
-	var mu sync.Mutex
 	var out []string
 	err := bag.Execute(context.Background(), spec, ex, func(m MessageRef) error {
-		mu.Lock()
 		out = append(out, string(m.Data))
-		mu.Unlock()
 		return nil
 	})
 	return out, err
@@ -348,11 +340,8 @@ func TestTruncatedDataKeepsPrefix(t *testing.T) {
 				if err := os.WriteFile(dataPath, orig, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				var mu sync.Mutex
 				var got []string
 				err := h.bag.Execute(context.Background(), p.spec, p.ex, func(m MessageRef) error {
-					mu.Lock()
-					defer mu.Unlock()
 					got = append(got, string(m.Data))
 					if len(got) == 1 {
 						return os.Truncate(dataPath, c.cut)
@@ -567,11 +556,7 @@ func TestCachedRunsStopAtBlocks(t *testing.T) {
 			return collect(t, func(fn func(MessageRef) error) error { return bag.Execute(context.Background(), spec, ex, fn) })
 		}
 		w, g := read(want), read(got)
-		equal := reflect.DeepEqual(g, w)
-		if ex.Workers != 0 { // a pool's cross-topic interleaving is arbitrary
-			equal = reflect.DeepEqual(byTopic(g), byTopic(w))
-		}
-		if !equal {
+		if !reflect.DeepEqual(g, w) {
 			t.Errorf("%s: delivered %d messages differing from the uncached handle's %d", what, len(g), len(w))
 		}
 	}

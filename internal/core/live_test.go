@@ -323,11 +323,6 @@ func TestFollowOnSealedBagTerminates(t *testing.T) {
 	if n == 0 {
 		t.Error("follow on sealed bag delivered nothing")
 	}
-	// Follow + Workers is the one rejected combination.
-	err = bag.Execute(context.Background(), QuerySpec{Follow: true}, Exec{Workers: 2}, func(MessageRef) error { return nil })
-	if err == nil {
-		t.Error("Follow+Workers accepted")
-	}
 }
 
 // TestRecordSinkUnification drives the same message sequence through

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/container"
@@ -75,11 +74,8 @@ func TestNoMappingOutlivesAOneShotQuery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var mu sync.Mutex
 			n, during := 0, 0
 			err = bag.Execute(context.Background(), p.spec, p.ex, func(MessageRef) error {
-				mu.Lock()
-				defer mu.Unlock()
 				if n++; n == 1 {
 					during = mappedLines(t, root)
 				}
@@ -182,11 +178,8 @@ func TestIndexCutUnderQueryChangesNothing(t *testing.T) {
 				if err := os.WriteFile(ixPath, orig, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				var mu sync.Mutex
 				var got []string
 				err := h.open().Execute(context.Background(), p.spec, p.ex, func(m MessageRef) error {
-					mu.Lock()
-					defer mu.Unlock()
 					if got = append(got, string(m.Data)); len(got) == 1 {
 						return os.Truncate(ixPath, c.cut)
 					}
@@ -272,11 +265,8 @@ func TestCutByTheLastCallbackIsAnError(t *testing.T) {
 			}
 			spec := p.spec
 			spec.Start, spec.End = first.Time, last.Time
-			var mu sync.Mutex
 			n := 0
 			err := h.bag().Execute(context.Background(), spec, p.ex, func(m MessageRef) error {
-				mu.Lock()
-				defer mu.Unlock()
 				if n++; m.Time == last.Time {
 					return os.Truncate(dataPath, int64(last.PhysicalOffset)+1)
 				}
@@ -318,14 +308,11 @@ func TestPinnedDataLastsUntilIdle(t *testing.T) {
 		}
 
 		var (
-			mu               sync.Mutex
 			kept, want       [][]byte
 			pinned, verified int
 		)
 		ex := p.ex
 		ex.Idle = func() error {
-			mu.Lock()
-			defer mu.Unlock()
 			for i := range kept {
 				if !bytes.Equal(kept[i], want[i]) {
 					return fmt.Errorf("pinned payload %d changed before Idle", verified+i)
@@ -339,8 +326,6 @@ func TestPinnedDataLastsUntilIdle(t *testing.T) {
 			if pooled.Pinned(m) == (container.Guard{}) {
 				return nil
 			}
-			mu.Lock()
-			defer mu.Unlock()
 			pinned++
 			kept, want = append(kept, m.Data), append(want, m.Copy())
 			return nil

@@ -2,10 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bagio"
 	"repro/internal/container"
@@ -29,22 +25,13 @@ const (
 
 // Exec is how a query runs, apart from what it selects.
 type Exec struct {
-	// Workers selects the execution plan for OrderTopic queries: 0
-	// streams the topics serially; any other value fans the per-topic
-	// streams over a worker pool of that size (negative means
-	// GOMAXPROCS). With a pool the callback may fire from several
-	// goroutines at once — it must be goroutine-safe — and the
-	// cross-topic interleaving is arbitrary. Must be 0 with OrderTime
-	// and Follow: a chronological merge is inherently serial.
-	Workers int
 	// Idle, when non-nil, is the moment for a callback that batches what
 	// it is handed (borad's frame batcher) to push the batch out. Every
 	// plan calls it after a part's last delivery, before it settles the
 	// part's cursors: the last moment pinned Data (Bag.Pinned) of the
 	// part may be read, inside the query's fault guard. A Follow query
 	// also calls it each time it has delivered everything recorded so far
-	// and is about to block until the next write. With Workers, several
-	// streams may call it at once. An error ends the query.
+	// and is about to block until the next write. An error ends the query.
 	Idle func() error
 }
 
@@ -55,9 +42,8 @@ type Exec struct {
 const cancelCheckBatch = 64
 
 // checkCancel wraps fn in ctx's cancellation check, made once every
-// cancelCheckBatch messages. It counts in a plain int: a wrapper belongs
-// to the one goroutine that delivers through it — the query's, or one
-// worker's of a pooled topic-order plan.
+// cancelCheckBatch messages. It counts in a plain int: every plan
+// delivers on the query's goroutine.
 func checkCancel(ctx context.Context, fn func(MessageRef) error) func(MessageRef) error {
 	if ctx.Done() == nil {
 		return fn
@@ -76,7 +62,7 @@ func checkCancel(ctx context.Context, fn func(MessageRef) error) func(MessageRef
 //
 // The MessageRef passed to fn borrows its Data: the bytes are valid
 // only until fn returns (see the MessageRef ownership contract). Every
-// plan reuses per-stream scratch buffers — and serves a pooled handle's
+// plan reuses pooled scratch buffers — and serves a pooled handle's
 // reads as slices of its mappings — so the steady-state per-message cost
 // of the hot loop is zero allocations.
 func (bag *Bag) Query(spec QuerySpec, fn func(MessageRef) error) error {
@@ -93,8 +79,8 @@ func (bag *Bag) QueryContext(ctx context.Context, spec QuerySpec, fn func(Messag
 // and the obs op it is recorded under — follows from both: a full-axis
 // serial scan is core.read, a time-bounded serial scan is
 // core.read_time (the coarse window index prunes the per-topic scans),
-// Workers != 0 is core.read_parallel, OrderTime is core.read_chrono
-// and Follow is core.follow.
+// OrderTime is core.read_chrono and Follow is core.follow. Every plan
+// calls fn on the caller's goroutine.
 //
 // ctx bounds the query: cancellation is checked once per message
 // batch, so a canceled query (a disconnected network client, an
@@ -123,24 +109,19 @@ func (bag *Bag) Execute(ctx context.Context, spec QuerySpec, ex Exec, fn func(Me
 		spec.End = bagio.MaxTime
 	}
 	spec.Stride = max(spec.Stride, 1)
-	if ex.Workers != 0 && (spec.Follow || spec.Order == OrderTime) {
-		return fmt.Errorf("bora: Follow and OrderTime queries are serial; Workers must be 0, got %d", ex.Workers)
-	}
 	// Per-query attribution: the ActiveQuery and the parent span (if
 	// any) are fetched from the context exactly once per query and
 	// carried by the query — the per-message hot loops never touch the
 	// context.
 	parent := obs.SpanFromContext(ctx)
-	q := &query{QuerySpec: spec, Exec: ex, bag: bag, aq: obs.QueryFromContext(ctx), fn: fn}
+	q := &query{QuerySpec: spec, Exec: ex, bag: bag, aq: obs.QueryFromContext(ctx), fn: checkCancel(ctx, fn)}
 	switch {
 	case spec.Follow:
-		q.fn = checkCancel(ctx, fn)
 		return q.follow(ctx, parent)
 	case spec.Order == OrderTime:
-		q.fn = checkCancel(ctx, fn)
 		return q.readTime(parent)
 	default:
-		return q.readTopics(ctx, parent)
+		return q.readTopics(parent)
 	}
 }
 
@@ -151,7 +132,7 @@ type query struct {
 	Exec
 	bag *Bag
 	aq  *obs.ActiveQuery
-	fn  func(MessageRef) error // the callback behind the cancellation wrap (a pooled worker's copy, its own)
+	fn  func(MessageRef) error // the caller's callback, wrapped in checkCancel
 	// A live Follow's snapshot cut: limits caps each part's selection at
 	// its entry count when the query subscribed (absent parts select
 	// nothing), and phases receives each chain's stride phase at the cut
@@ -165,101 +146,37 @@ func (q *query) bounded() bool {
 	return q.Start != bagio.MinTime || q.End != bagio.MaxTime
 }
 
-// readTopics is the topic-order policy: each chain streams its parts in
-// segment order, which preserves per-topic append order even when the
-// topic spans live segments, and chains are handed to a pool of workers
-// in request order. Workers == 0 is that pool with one worker, the
-// calling goroutine; any other size fans the chains out — the "multiple
-// levels of parallelism in a file system can be exploited to further
-// improve I/O performance" note of Fig 7 — and fails fast: the first
-// error stops the hand-out and ends in-flight streams at their next
-// message, so a poisoned topic cannot force the remaining topics to
-// stream in full (nor fn to keep firing) before the error surfaces.
+// readTopics is the topic-order policy: chains stream in request order,
+// each its parts in segment order, which preserves per-topic append
+// order even when the topic spans live segments — the whole-file
+// sequential reads of Fig 7. The first error ends the query.
 //
 // The span keeps the historical op names: core.read for a full-axis
-// serial scan (Fig 7), core.read_time when the time index bounds it
-// (Fig 8), core.read_parallel for a pool.
+// scan (Fig 7), core.read_time when the time index bounds it (Fig 8).
 //
-// Each worker draws one scratch buffer from the shared scratchPool, so
-// concurrent streams never share a read buffer and steady-state
-// streaming stays allocation-free across queries. The borrowed-Data
-// contract consequently holds per callback invocation even though fn
-// fires from several goroutines. Each worker delivers through a copy of
-// the query whose callback counts for its cancellation check alone.
-func (q *query) readTopics(ctx context.Context, parent obs.Span) (err error) {
+// The query draws one scratch buffer from the shared scratchPool, so
+// steady-state streaming stays allocation-free across queries.
+func (q *query) readTopics(parent obs.Span) (err error) {
 	op := q.bag.ops.read
-	if q.Workers != 0 {
-		op = q.bag.ops.readPooled
-	} else if q.bounded() {
+	if q.bounded() {
 		op = q.bag.ops.readTime
 	}
 	sp := parent.ChildOp(op)
 	defer func() { sp.EndErr(err) }()
+	defer panicOnFault(panicOnFault(true))
 	chains, err := q.bag.chains(q.Topics, false)
 	if err != nil {
 		return err
 	}
-	workers := q.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = max(1, min(workers, len(chains)))
-	var (
-		next   atomic.Int64          // the next chain to hand out
-		failed atomic.Pointer[error] // the run's first error; set means stop
-		wg     sync.WaitGroup
-	)
-	// A part's core.read_topic span is a child of the policy's, or — for
-	// a pooled stream — a fork, which gives each concurrent stream its
-	// own trace lane with a stable, disjoint track id.
-	startSpan, fn := sp.ChildOp, q.fn
-	if workers > 1 {
-		startSpan = sp.ForkOp
-		// Checked on every delivery: once a topic fails, in-flight streams
-		// end at their next message instead of draining in full. A failing
-		// callback raises the flag as it returns, not once its part has
-		// settled, so no other stream outruns the failure.
-		inner := q.fn
-		fn = func(m MessageRef) error {
-			if first := failed.Load(); first != nil {
-				return *first
-			}
-			err := inner(m)
-			if err != nil {
-				failed.CompareAndSwap(nil, &err)
-			}
-			return err
-		}
-	}
-	worker := func() {
-		defer wg.Done()
-		defer panicOnFault(panicOnFault(true))
-		w := *q
-		w.fn = checkCancel(ctx, fn)
-		scratch := scratchPool.Get().(*msgScratch)
-		defer scratchPool.Put(scratch)
-		for failed.Load() == nil {
-			i := int(next.Add(1)) - 1
-			if i >= len(chains) {
-				return
-			}
-			phase := 0
-			for _, t := range chains[i].parts {
-				if err := w.readPart(startSpan(q.bag.ops.readTopic), t, &phase, scratch); err != nil {
-					failed.CompareAndSwap(nil, &err)
-					break
-				}
+	scratch := scratchPool.Get().(*msgScratch)
+	defer scratchPool.Put(scratch)
+	for _, ch := range chains {
+		phase := 0
+		for _, t := range ch.parts {
+			if err := q.readPart(sp.ChildOp(q.bag.ops.readTopic), t, &phase, scratch); err != nil {
+				return err
 			}
 		}
-	}
-	wg.Add(workers)
-	for w := 1; w < workers; w++ {
-		go worker()
-	}
-	worker()
-	wg.Wait()
-	if first := failed.Load(); first != nil {
-		return *first
 	}
 	return nil
 }

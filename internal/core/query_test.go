@@ -1,9 +1,10 @@
 package core
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -20,15 +21,12 @@ type queryRec struct {
 }
 
 // collect runs one read entry point and captures every delivered
-// message. The callback locks: parallel plans may deliver concurrently.
+// message.
 func collect(t *testing.T, read func(fn func(MessageRef) error) error) []queryRec {
 	t.Helper()
-	var mu sync.Mutex
 	var out []queryRec
 	err := read(func(m MessageRef) error {
-		mu.Lock()
 		out = append(out, queryRec{Topic: m.Conn.Topic, Time: m.Time, Data: string(m.Data)})
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {
@@ -38,8 +36,8 @@ func collect(t *testing.T, read func(fn func(MessageRef) error) error) []queryRe
 }
 
 // byTopic regroups a delivery into per-topic streams, the unit whose
-// internal order every plan guarantees (cross-topic interleaving is
-// arbitrary under parallel plans).
+// internal order every plan guarantees (time order interleaves the
+// topics).
 func byTopic(recs []queryRec) map[string][]queryRec {
 	m := map[string][]queryRec{}
 	for _, r := range recs {
@@ -49,10 +47,11 @@ func byTopic(recs []queryRec) map[string][]queryRec {
 }
 
 // TestQueryPlanEquivalence is the plan matrix: across topic selections
-// and time windows, every execution plan of Query (serial, chrono,
-// parallel, parallel with default workers) must deliver byte-identical
-// per-topic streams — and the serial plans an identical sequence — for
-// the same spec.
+// and time windows, every execution plan of Query (serial, chrono) must
+// deliver byte-identical per-topic streams — and the serial plan an
+// identical sequence — for the same spec, also when several goroutines
+// query the one bag at once, as borad's connections do (the Parallel
+// cases; run under -race in CI).
 func TestQueryPlanEquivalence(t *testing.T) {
 	b := newBORA(t)
 	src := makeSourceBag(t, t.TempDir(), 6)
@@ -70,64 +69,68 @@ func TestQueryPlanEquivalence(t *testing.T) {
 		"imu+tf":  {"/imu", "/tf"},
 		"reorder": {"/tf", "/camera/rgb/image_color", "/imu"},
 	}
+	serial := func(topics []string) QuerySpec {
+		return QuerySpec{Topics: topics, Start: winStart, End: winEnd}
+	}
 	type matrixCase struct {
 		spec    func(topics []string) QuerySpec
-		ex      Exec
+		callers int  // goroutines running the spec at once, each checked alone (0 = one)
 		ordered bool // exact sequence must match the serial baseline
 	}
 	cases := map[string]matrixCase{
-		"SerialTime": {
-			spec: func(topics []string) QuerySpec {
-				return QuerySpec{Topics: topics, Start: winStart, End: winEnd}
-			},
-			ordered: true,
-		},
+		"SerialTime": {spec: serial, ordered: true},
 		"Chrono": {
 			spec: func(topics []string) QuerySpec {
 				return QuerySpec{Topics: topics, Start: winStart, End: winEnd, Order: OrderTime}
 			},
 		},
-		"Parallel": {
-			spec: func(topics []string) QuerySpec {
-				return QuerySpec{Topics: topics, Start: winStart, End: winEnd}
-			},
-			ex: Exec{Workers: 2},
-		},
-		"ParallelDefaultWorkers": {
-			spec: func(topics []string) QuerySpec {
-				return QuerySpec{Topics: topics, Start: winStart, End: winEnd}
-			},
-			ex: Exec{Workers: -1},
-		},
+		"Parallel":               {spec: serial, callers: 2, ordered: true},
+		"ParallelDefaultWorkers": {spec: serial, callers: runtime.GOMAXPROCS(0), ordered: true},
 	}
 	for setName, topics := range topicSets {
 		want := collect(t, func(fn func(MessageRef) error) error {
-			return bag.Query(QuerySpec{Topics: topics, Start: winStart, End: winEnd}, fn)
+			return bag.Query(serial(topics), fn)
 		})
 		if len(want) == 0 {
 			t.Fatal("serial baseline delivered no messages; matrix case is vacuous")
 		}
 		for caseName, c := range cases {
 			t.Run(fmt.Sprintf("%s/%s", caseName, setName), func(t *testing.T) {
-				got := collect(t, func(fn func(MessageRef) error) error {
-					return bag.Execute(context.Background(), c.spec(topics), c.ex, fn)
-				})
-				if c.ordered {
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("plan delivery differs from serial: got %d msgs, want %d", len(got), len(want))
-					}
-					return
+				gots := make([][]queryRec, max(c.callers, 1))
+				errs := make([]error, len(gots))
+				var wg sync.WaitGroup
+				for i := range gots {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						errs[i] = bag.Query(c.spec(topics), func(m MessageRef) error {
+							gots[i] = append(gots[i], queryRec{Topic: m.Conn.Topic, Time: m.Time, Data: string(m.Data)})
+							return nil
+						})
+					}(i)
 				}
-				if !reflect.DeepEqual(byTopic(got), byTopic(want)) {
-					t.Fatalf("plan per-topic streams differ from serial: got %d msgs, want %d", len(got), len(want))
+				wg.Wait()
+				for i, got := range gots {
+					if errs[i] != nil {
+						t.Fatalf("caller %d: %v", i, errs[i])
+					}
+					if c.ordered {
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("caller %d: plan delivery differs from serial: got %d msgs, want %d", i, len(got), len(want))
+						}
+						continue
+					}
+					if !reflect.DeepEqual(byTopic(got), byTopic(want)) {
+						t.Fatalf("caller %d: plan per-topic streams differ from serial: got %d msgs, want %d", i, len(got), len(want))
+					}
 				}
 			})
 		}
 	}
 }
 
-// TestQuerySpecErrors pins the spec validation: an inverted window, a
-// negative stride and a parallel chrono plan are rejected up front.
+// TestQuerySpecErrors pins the spec validation: an inverted window and a
+// negative stride are rejected up front.
 func TestQuerySpecErrors(t *testing.T) {
 	b := newBORA(t)
 	src := makeSourceBag(t, t.TempDir(), 2)
@@ -145,9 +148,41 @@ func TestQuerySpecErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "negative stride") {
 		t.Fatalf("negative stride: err = %v, want negative-stride error", err)
 	}
-	err = bag.Execute(context.Background(), QuerySpec{Order: OrderTime}, Exec{Workers: 4}, func(MessageRef) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "Workers must be 0") {
-		t.Fatalf("OrderTime+Workers: err = %v, want serial-only error", err)
+}
+
+// TestReadTopicsFailFast: the topic-order plan ends at the first error.
+// A poisoned first topic delivers nothing from any later topic and
+// opens none of their parts, however many topics follow it.
+func TestReadTopicsFailFast(t *testing.T) {
+	const topics, perTopic = 12, 200
+	b := newBORA(t)
+	src := makeManyTopicBag(t, t.TempDir(), topics, perTopic)
+	bag, _, err := b.Duplicate(src, "many")
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison := errors.New("poisoned topic")
+	before := bag.Stats()
+	delivered := 0
+	err = bag.Query(QuerySpec{}, func(m MessageRef) error {
+		if m.Conn.Topic == "/t0" { // sorts first, so it streams first
+			return poison
+		}
+		delivered++
+		return nil
+	})
+	if !errors.Is(err, poison) {
+		t.Fatalf("err = %v, want the poison error", err)
+	}
+	if delivered != 0 {
+		t.Errorf("delivered %d messages of later topics, want 0", delivered)
+	}
+	after := bag.Stats()
+	if got := after.Seeks - before.Seeks; got != 1 {
+		t.Errorf("opened %d data files, want 1: only /t0's part", got)
+	}
+	if got := after.MessagesRead - before.MessagesRead; got != 1 {
+		t.Errorf("read %d messages, want 1: /t0's first", got)
 	}
 }
 

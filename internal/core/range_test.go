@@ -96,11 +96,11 @@ func rangeWindow(rng *rand.Rand, kind int, log []diffWrite) (start, end bagio.Ti
 // rangeSpecs is every window kind under every stride 1–7, each with a
 // random topic subset and a random policy; follow makes them all Follow
 // queries, and otherwise none is.
-func rangeSpecs(rng *rand.Rand, log []diffWrite, topics []string, follow bool) []plan {
-	var specs []plan
+func rangeSpecs(rng *rand.Rand, log []diffWrite, topics []string, follow bool) []QuerySpec {
+	var specs []QuerySpec
 	for kind := 0; kind < windowKinds; kind++ {
 		for stride := 1; stride <= 7; stride++ {
-			spec := plan{QuerySpec: QuerySpec{Stride: stride, Follow: follow}}
+			spec := QuerySpec{Stride: stride, Follow: follow}
 			spec.Start, spec.End = rangeWindow(rng, kind, log)
 			if rng.Intn(2) == 0 {
 				for _, i := range rng.Perm(len(topics))[:1+rng.Intn(len(topics))] {
@@ -109,8 +109,6 @@ func rangeSpecs(rng *rand.Rand, log []diffWrite, topics []string, follow bool) [
 			}
 			if !follow {
 				switch rng.Intn(4) {
-				case 1:
-					spec.Workers = 2
 				case 2:
 					spec.Order = OrderTime
 				case 3:
@@ -127,11 +125,11 @@ func rangeSpecs(rng *rand.Rand, log []diffWrite, topics []string, follow bool) [
 // every part is in time order, so each must select by range: a query
 // examines no more entries than it keeps plus two binary searches per
 // part.
-func checkRanges(t *testing.T, bag *Bag, o oracle, specs []plan, ordered bool) {
+func checkRanges(t *testing.T, bag *Bag, o oracle, specs []QuerySpec, ordered bool) {
 	t.Helper()
 	for _, spec := range specs {
 		before := bag.Stats().EntriesScanned
-		checkAgainst(t, bag, spec, o.wantSealed(spec.QuerySpec))
+		checkAgainst(t, bag, spec, o.wantSealed(spec))
 		if !ordered {
 			continue
 		}
@@ -149,7 +147,7 @@ func checkRanges(t *testing.T, bag *Bag, o oracle, specs []plan, ordered bool) {
 				probes += 2 * bits.Len(uint(len(entries)))
 			}
 		}
-		kept := len(o.selected(spec.QuerySpec))
+		kept := len(o.selected(spec))
 		if scanned := bag.Stats().EntriesScanned - before; scanned > kept+probes {
 			t.Errorf("%s: examined %d entries to keep %d (≤ %d probes): a walk, not a range", describe(spec), scanned, kept, probes)
 		}
@@ -189,7 +187,7 @@ func TestRangeSelectionMatchesOracle(t *testing.T) {
 		log := orderedLog(rng, writes)
 		// Windows are drawn over the stamps as first recorded, in order.
 		stamps := log
-		specs := func(follow bool) []plan { return rangeSpecs(rng, stamps, topics, follow) }
+		specs := func(follow bool) []QuerySpec { return rangeSpecs(rng, stamps, topics, follow) }
 		b := newBORA(t)
 		record := func(rec *Recorder, ws []diffWrite) {
 			for _, w := range ws {
@@ -238,7 +236,7 @@ func TestRangeSelectionMatchesOracle(t *testing.T) {
 		}
 		record(rec, log[cut:cut+10])
 		for _, spec := range specs(true) {
-			if got, want := snapshotAt(t, wired, f, spec.QuerySpec), prefix.wantSealed(spec.QuerySpec); !reflect.DeepEqual(got, want) {
+			if got, want := snapshotAt(t, wired, f, spec), prefix.wantSealed(spec); !reflect.DeepEqual(got, want) {
 				t.Errorf("seed %d: snapshot %s differs from the oracle (%d msgs, want %d)", seed, describe(spec), len(got), len(want))
 			}
 		}
@@ -252,7 +250,7 @@ func TestRangeSelectionMatchesOracle(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				err := wired.Query(follows[i].QuerySpec, func(m MessageRef) error {
+				err := wired.Query(follows[i], func(m MessageRef) error {
 					gots[i] = append(gots[i], queryRec{m.Conn.Topic, m.Time, string(m.Data)})
 					return nil
 				})
@@ -276,7 +274,7 @@ func TestRangeSelectionMatchesOracle(t *testing.T) {
 		}
 		full := buildOracle(t, sealed)
 		for i, spec := range follows {
-			if want := followWant(full, log, cut, spec.QuerySpec); !reflect.DeepEqual(gots[i], want) {
+			if want := followWant(full, log, cut, spec); !reflect.DeepEqual(gots[i], want) {
 				t.Errorf("seed %d: live Follow %s differs from the oracle (%d msgs, want %d)", seed, describe(spec), len(gots[i]), len(want))
 			}
 		}
@@ -330,9 +328,9 @@ func TestOrderedPrefixTracksWriter(t *testing.T) {
 	}
 
 	full := buildOracle(t, wired)
-	for _, spec := range []plan{{QuerySpec: spec}, {QuerySpec: QuerySpec{Start: spec.Start, End: spec.End}}} {
+	for _, spec := range []QuerySpec{spec, {Start: spec.Start, End: spec.End}} {
 		before = wired.Stats().EntriesScanned
-		checkAgainst(t, wired, spec, full.wantSealed(spec.QuerySpec))
+		checkAgainst(t, wired, spec, full.wantSealed(spec))
 		if scanned := wired.Stats().EntriesScanned - before; scanned != n+2 {
 			t.Errorf("%s: examined %d entries, want all %d: a part out of order walks", describe(spec), scanned, n+2)
 		}

@@ -2,9 +2,7 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/bagio"
@@ -42,13 +40,10 @@ func strideBag(t *testing.T) *Bag {
 
 func TestQueryStride(t *testing.T) {
 	bag := strideBag(t)
-	countsWith := func(spec QuerySpec, ex Exec) map[string][]byte {
+	counts := func(spec QuerySpec) map[string][]byte {
 		t.Helper()
 		out := map[string][]byte{}
-		var mu sync.Mutex // the parallel plan calls back from its workers
-		if err := bag.Execute(context.Background(), spec, ex, func(m MessageRef) error {
-			mu.Lock()
-			defer mu.Unlock()
+		if err := bag.Query(spec, func(m MessageRef) error {
 			out[m.Conn.Topic] = append(out[m.Conn.Topic], m.Data[0])
 			return nil
 		}); err != nil {
@@ -56,7 +51,6 @@ func TestQueryStride(t *testing.T) {
 		}
 		return out
 	}
-	counts := func(spec QuerySpec) map[string][]byte { return countsWith(spec, Exec{}) }
 
 	got := counts(QuerySpec{Stride: 3})
 	if len(got["/imu"]) != 34 || len(got["/tf"]) != 14 {
@@ -88,14 +82,10 @@ func TestQueryStride(t *testing.T) {
 		t.Errorf("windowed stride kept %v", got["/imu"])
 	}
 
-	// Parallel and chrono plans agree with the serial plan per topic.
+	// The chrono plan agrees with the serial plan per topic.
 	serial := counts(QuerySpec{Stride: 7})
-	parallel := countsWith(QuerySpec{Stride: 7}, Exec{Workers: 4})
 	chrono := counts(QuerySpec{Stride: 7, Order: OrderTime})
 	for topic := range serial {
-		if len(parallel[topic]) != len(serial[topic]) {
-			t.Errorf("parallel stride kept %d on %s, serial %d", len(parallel[topic]), topic, len(serial[topic]))
-		}
 		if !bytes.Equal(chrono[topic], serial[topic]) {
 			t.Errorf("chrono stride differs on %s", topic)
 		}

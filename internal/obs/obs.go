@@ -26,13 +26,13 @@
 // cmd/borabench's per-experiment sidecars are thin wrappers over it.
 //
 // A Registry can additionally carry a Tracer (AttachTracer): spans then
-// emit begin/end events — with parent span ids (Span.Child/ChildOp) and
-// per-lane track ids (Span.ForkOp) — into a bounded ring buffer
-// exportable as Chrome trace-event JSON (WriteChromeTrace), loadable in
-// chrome://tracing or Perfetto. cmd/borabag's -trace flag and
-// cmd/borabench's per-experiment trace sidecars are built on it; the
-// virtual clocks of internal/simio feed the same tracer with sim-time
-// timestamps through the Tracer's raw Begin/End API.
+// emit begin/end events — with parent span ids (Span.Child/ChildOp) —
+// into a bounded ring buffer exportable as Chrome trace-event JSON
+// (WriteChromeTrace), loadable in chrome://tracing or Perfetto.
+// cmd/borabag's -trace flag and cmd/borabench's per-experiment trace
+// sidecars are built on it; the virtual clocks of internal/simio feed
+// the same tracer with sim-time timestamps and lanes of their own
+// (Tracer.NewTrack) through the Tracer's raw Begin/End API.
 package obs
 
 import (
@@ -252,10 +252,10 @@ func (o *Op) Name() string {
 
 // Start begins a root span on o. On a nil Op the returned zero Span is
 // a no-op and no clock is read. When the registry carries a tracer, the
-// span also emits a begin event on the main track; use Span.Child /
-// Span.ForkOp to build a hierarchy under it.
+// span also emits a begin event on the main track; use Span.Child to
+// build a hierarchy under it.
 func (o *Op) Start() Span {
-	return Span{}.child(o, false)
+	return Span{}.child(o)
 }
 
 // StartQuery is Start with the span (and every child span derived from
@@ -264,7 +264,7 @@ func (o *Op) Start() Span {
 // the client span that issued it (see Tracer.BeginQuery and the
 // borabag trace-merge subcommand). qid 0 is plain Start.
 func (o *Op) StartQuery(qid uint64) Span {
-	return Span{qid: qid}.child(o, false)
+	return Span{qid: qid}.child(o)
 }
 
 // Observe records one completed event with an externally measured
@@ -319,16 +319,14 @@ func (o *Op) record(d time.Duration, bytes int64, failed bool) {
 
 // Span is an in-flight timed operation. The zero Span (from a nil Op or
 // Registry) is a valid no-op. Spans are values: copy them freely, end
-// them exactly once. A span carries its trace context (id and track)
-// when the registry has a tracer attached; Child and ForkOp create nested
-// spans under it — Child on the same track, ForkOp on a fresh lane for
-// streams that run concurrently with their parent.
+// them exactly once. A span carries its trace id when the registry has
+// a tracer attached; Child and ChildOp create nested spans under it, on
+// the main track.
 type Span struct {
 	op    *Op
 	start int64 // ns since the registry epoch
 	tr    *Tracer
 	id    uint64
-	track uint64
 	qid   uint64 // query trace id; inherited by children (0 = none)
 }
 
@@ -347,44 +345,34 @@ func (s Span) Registry() *Registry {
 	return s.op.reg
 }
 
-// Child begins a nested span on the named op of the parent's registry,
-// on the parent's track. On a zero parent it returns a zero (no-op)
-// span. Hot paths should resolve the *Op once and use ChildOp.
+// Child begins a nested span on the named op of the parent's registry.
+// On a zero parent it returns a zero (no-op) span. Hot paths should
+// resolve the *Op once and use ChildOp.
 func (s Span) Child(name string) Span {
 	if s.op == nil {
 		return Span{}
 	}
-	return s.child(s.op.reg.Op(name), false)
+	return s.child(s.op.reg.Op(name))
 }
 
-// ChildOp begins a nested span on a pre-resolved op, on the parent's
-// track. Unlike Child it records metrics even when the parent is the
-// zero span (the trace span then becomes a root), so layers can accept
-// an optional parent without losing instrumentation.
-func (s Span) ChildOp(op *Op) Span { return s.child(op, false) }
+// ChildOp begins a nested span on a pre-resolved op. Unlike Child it
+// records metrics even when the parent is the zero span (the trace span
+// then becomes a root), so layers can accept an optional parent without
+// losing instrumentation.
+func (s Span) ChildOp(op *Op) Span { return s.child(op) }
 
-// ForkOp is ChildOp on a freshly allocated track (lane): use it for the
-// root span of work that runs concurrently with its parent — a worker
-// goroutine, a parallel per-topic stream — so each concurrent stream
-// renders as its own timeline lane with a stable, disjoint track id.
-func (s Span) ForkOp(op *Op) Span { return s.child(op, true) }
-
-func (s Span) child(op *Op, fork bool) Span {
+func (s Span) child(op *Op) Span {
 	if op == nil {
 		return Span{}
 	}
 	c := Span{op: op, start: op.reg.now(), qid: s.qid}
 	if tr := op.reg.tracer.Load(); tr != nil {
-		var parent, track uint64
+		var parent uint64
 		if s.tr == tr { // inherit context only within the same trace
-			parent, track = s.id, s.track
-		}
-		if fork {
-			track = tr.NewTrack()
+			parent = s.id
 		}
 		c.tr = tr
-		c.track = track
-		c.id = tr.BeginQuery(op.name, c.start, parent, track, s.qid)
+		c.id = tr.BeginQuery(op.name, c.start, parent, 0, s.qid)
 	}
 	return c
 }
@@ -400,7 +388,7 @@ func (s Span) EndBytes(bytes int64) {
 	end := s.op.reg.now()
 	s.op.record(time.Duration(end-s.start), bytes, false)
 	if s.tr != nil {
-		s.tr.End(s.op.name, end, s.id, s.track)
+		s.tr.End(s.op.name, end, s.id, 0)
 	}
 }
 
@@ -413,7 +401,7 @@ func (s Span) EndErr(err error) {
 	end := s.op.reg.now()
 	s.op.record(time.Duration(end-s.start), 0, err != nil)
 	if s.tr != nil {
-		s.tr.End(s.op.name, end, s.id, s.track)
+		s.tr.End(s.op.name, end, s.id, 0)
 	}
 }
 

@@ -40,9 +40,9 @@ func NewTraceID() uint64 {
 // the counters deep layers charge to whichever query caused the work.
 // It travels down the stack inside a context.Context (ContextWithQuery)
 // so the plumbing costs one context value per query, not a signature
-// change per layer. All fields are atomics because parallel query plans
-// deliver from several goroutines; a nil *ActiveQuery is a valid no-op
-// sink, so attribution points record unconditionally.
+// change per layer. All fields are atomics, so any goroutine may charge
+// or read them; a nil *ActiveQuery is a valid no-op sink, so
+// attribution points record unconditionally.
 type ActiveQuery struct {
 	ID QueryID
 

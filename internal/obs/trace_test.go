@@ -124,8 +124,9 @@ func TestChromeTraceStructure(t *testing.T) {
 	root := reg.Op("root").Start()
 	child := root.Child("child")
 	child.End()
-	lane := root.ForkOp(reg.Op("lane"))
-	lane.End()
+	// A lane is a concurrent stream's own track, as a simio clock takes.
+	track := tr.NewTrack()
+	tr.End("lane", 2, tr.BeginQuery("lane", 1, root.SpanID(), track, 0), track)
 	root.End()
 
 	doc := decodeTrace(t, tr)
@@ -134,7 +135,7 @@ func TestChromeTraceStructure(t *testing.T) {
 	}
 	var procName, mainName bool
 	byName := map[string]int{}
-	var rootID, childParent, laneTid any
+	var rootID, childParent, laneParent any
 	for _, e := range doc.TraceEvents {
 		switch e.Ph {
 		case "M":
@@ -158,9 +159,9 @@ func TestChromeTraceStructure(t *testing.T) {
 					t.Errorf("child span on track %d, want parent's (0)", e.Tid)
 				}
 			case "lane":
-				laneTid = e.Tid
-				if e.Tid == 0 {
-					t.Error("forked span stayed on the main track")
+				laneParent = e.Args["parent"]
+				if e.Tid != track {
+					t.Errorf("lane span on track %d, want its own (%d)", e.Tid, track)
 				}
 			}
 		}
@@ -176,7 +177,9 @@ func TestChromeTraceStructure(t *testing.T) {
 	if rootID == nil || childParent == nil || childParent != rootID {
 		t.Errorf("child parent arg %v does not match root span id %v", childParent, rootID)
 	}
-	_ = laneTid
+	if laneParent != rootID {
+		t.Errorf("lane parent arg %v does not match root span id %v", laneParent, rootID)
+	}
 }
 
 // TestSpanChildZeroParentStillRecords pins the ChildOp contract: a zero
@@ -260,10 +263,10 @@ func TestSnapshotDelta(t *testing.T) {
 	}
 }
 
-// TestConcurrentForksDisjointTracks runs concurrent forked spans against
-// a deliberately tiny ring (forcing wraparound) under -race: every
-// concurrent stream must land on its own track, and the exported trace
-// must stay balanced.
+// TestConcurrentForksDisjointTracks runs concurrent lanes of spans
+// against a deliberately tiny ring (forcing wraparound) under -race:
+// every concurrent stream must land on its own track, and the exported
+// trace must stay balanced.
 func TestConcurrentForksDisjointTracks(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(64) // small: guarantees wraparound below
@@ -278,12 +281,14 @@ func TestConcurrentForksDisjointTracks(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			lane := root.ForkOp(reg.Op(fmt.Sprintf("worker-%d", w)))
-			trackCh <- lane.track
+			track := tr.NewTrack()
+			trackCh <- track
+			name := fmt.Sprintf("worker-%d", w)
+			lane := tr.BeginQuery(name, 0, root.SpanID(), track, 0)
 			for i := 0; i < spansEach; i++ {
-				lane.Child("item").End()
+				tr.End("item", int64(i), tr.BeginQuery("item", int64(i), lane, track, 0), track)
 			}
-			lane.End()
+			tr.End(name, spansEach, lane, track)
 		}(w)
 	}
 	wg.Wait()
@@ -293,7 +298,7 @@ func TestConcurrentForksDisjointTracks(t *testing.T) {
 	seen := map[uint64]bool{}
 	for tk := range trackCh {
 		if tk == 0 {
-			t.Error("forked span landed on the main track")
+			t.Error("a lane landed on the main track")
 		}
 		if seen[tk] {
 			t.Errorf("track %d reused by two concurrent streams", tk)
@@ -328,7 +333,7 @@ func TestConcurrentForksDisjointTracks(t *testing.T) {
 	}
 }
 
-// TestTracerConcurrentAtCapacity hammers Begin/End across forked tracks
+// TestTracerConcurrentAtCapacity hammers Begin/End across concurrent tracks
 // with exactly one ring's worth of surviving events: 8 goroutines × 16
 // spans × 2 edges = 256 appended against capacity 128. Under -race this
 // pins the wraparound bookkeeping — the surviving window is exactly the

@@ -7,8 +7,9 @@ import (
 	"repro/internal/simio"
 )
 
-// connFileBytes approximates a per-topic connection metadata file.
-const connFileBytes = 300
+// manifestTopicBytes approximates one topic's record in the container
+// manifest: its connection header and checksum.
+const manifestTopicBytes = 300
 
 // containerIndexEntryBytes is the on-disk width of one container index
 // entry (matches container.IndexEntrySize).
@@ -16,7 +17,7 @@ const containerIndexEntryBytes = 28
 
 // streamSwitchEvery models how often the organizer's interleaved
 // multi-file appends cost the device a repositioning during duplication
-// (the worker pool batches per-topic appends, so switches are rare).
+// (each topic's writer buffers its appends, so switches are rare).
 const streamSwitchEvery = 128
 
 // captureSetup is the one-time cost of an initial capture: FUSE session
@@ -25,10 +26,17 @@ const streamSwitchEvery = 128
 // like this are why Fig 9's relative overhead shrinks as bags grow.
 const captureSetup = 350 * time.Millisecond
 
-// timeIdxBytes approximates a topic's serialized coarse time index.
-func timeIdxBytes(bag *layout.Bag, topic int, window time.Duration) int64 {
-	windows := bag.DurationNs/int64(window) + 1
-	return 12 + windows*12 + int64(bag.Topics[topic].Count)*4
+// manifestBytes approximates the container manifest, the one file that
+// holds every topic's connection.
+func manifestBytes(bag *layout.Bag) int64 {
+	return int64(len(bag.Topics)) * manifestTopicBytes
+}
+
+// indexBytes is a topic's index file, one entry per message. A time
+// query derives the coarse time index from it, so no time-index file is
+// stored.
+func indexBytes(bag *layout.Bag, topic int) int64 {
+	return int64(bag.Topics[topic].Count) * containerIndexEntryBytes
 }
 
 // windowsTouched counts coarse windows a [startNs, endNs] query visits.
@@ -42,10 +50,11 @@ func windowsTouched(startNs, endNs int64, window time.Duration) int64 {
 
 // BoraDuplicate replays the one-time data duplication (Fig 6): a single
 // sequential scan of the source bag, with every message passing through
-// the FUSE front end and being appended to its topic's files by the
-// worker pool. The interleaved multi-stream appends cost periodic
-// repositionings; index and time-index files are written at the end.
-func BoraDuplicate(env simio.Env, bag *layout.Bag, window time.Duration) time.Duration {
+// the FUSE front end and being appended to its topic's data file on the
+// scanning goroutine. The interleaved multi-stream appends cost periodic
+// repositionings; each topic's index is written at the end. A container
+// is the manifest plus two files per topic, data and index.
+func BoraDuplicate(env simio.Env, bag *layout.Bag) time.Duration {
 	start := env.Clock().Elapsed()
 	sw := env.Software()
 	sp := env.Clock().StartOp("core.duplicate")
@@ -55,12 +64,15 @@ func BoraDuplicate(env simio.Env, bag *layout.Bag, window time.Duration) time.Du
 	env.Metadata()
 	env.RandRead(bag.FileBytes())
 	scan.EndBytes(bag.FileBytes())
-	// Create the container and topic sub-directories.
+	// Create the container and its manifest, then each topic's
+	// sub-directory and its two files.
 	env.Metadata()
+	env.Metadata()
+	env.SeqWrite(manifestBytes(bag))
 	for range bag.Topics {
 		env.Metadata() // mkdir
 		env.Metadata() // create data file
-		env.SeqWrite(connFileBytes)
+		env.Metadata() // create index file
 	}
 	// Distribute messages.
 	totalMsgs := bag.MessageCount()
@@ -74,9 +86,7 @@ func BoraDuplicate(env simio.Env, bag *layout.Bag, window time.Duration) time.Du
 			env.Seek()
 		}
 		env.CPU(time.Duration(t.Count) * sw.IndexEntry)
-		// Persist index and coarse time index.
-		env.SeqWrite(int64(t.Count) * containerIndexEntryBytes)
-		env.SeqWrite(timeIdxBytes(bag, i, window))
+		env.SeqWrite(indexBytes(bag, i))
 		app.EndBytes(t.Bytes)
 	}
 	sp.EndBytes(bag.TotalBytes)
@@ -86,23 +96,26 @@ func BoraDuplicate(env simio.Env, bag *layout.Bag, window time.Duration) time.Du
 // BoraCopyContainer replays a BORA-to-BORA copy: a straight tree copy
 // with no re-organization, which is why it runs at native speed in
 // Fig 9.
-func BoraCopyContainer(env simio.Env, bag *layout.Bag, window time.Duration) time.Duration {
+func BoraCopyContainer(env simio.Env, bag *layout.Bag) time.Duration {
 	start := env.Clock().Elapsed()
+	env.RandRead(manifestBytes(bag))
+	env.SeqWrite(manifestBytes(bag))
 	for i := range bag.Topics {
 		env.Metadata()
 		env.RandRead(bag.Topics[i].Bytes)
 		env.Metadata()
 		env.SeqWrite(bag.Topics[i].Bytes)
-		aux := int64(bag.Topics[i].Count)*containerIndexEntryBytes + timeIdxBytes(bag, i, window) + connFileBytes
-		env.RandRead(aux)
-		env.SeqWrite(aux)
+		env.RandRead(indexBytes(bag, i))
+		env.SeqWrite(indexBytes(bag, i))
 	}
 	return env.Clock().Elapsed() - start
 }
 
-// BoraOpen replays the BORA-assisted open (Fig 4b): list the container's
-// sub-directories, read each topic's small connection file, and build
-// the tag manager's hash table on the fly.
+// BoraOpen replays the BORA-assisted open (Fig 4b): list the container
+// root once, read its manifest, and build the tag manager's hash table
+// on the fly. The manifest is a few hundred bytes per topic; reading it
+// is a namespace-class operation (served from the MDS/inode path on
+// cluster file systems), not a data-device repositioning.
 func BoraOpen(env simio.Env, bag *layout.Bag) time.Duration {
 	start := env.Clock().Elapsed()
 	sw := env.Software()
@@ -110,14 +123,9 @@ func BoraOpen(env simio.Env, bag *layout.Bag) time.Duration {
 	defer sp.End()
 	env.CPU(sw.FUSEOp)
 	env.Metadata() // readdir on the container root
+	env.Metadata() // open the manifest
+	env.SeqRead(manifestBytes(bag))
 	for range bag.Topics {
-		env.Metadata() // stat sub-directory
-		// The per-topic connection file is a few hundred bytes co-located
-		// with the directory entry; reading it is a namespace-class
-		// operation (served from the MDS/inode path on cluster file
-		// systems), not a data-device repositioning.
-		env.Metadata()
-		env.SeqRead(connFileBytes)
 		env.CPU(sw.HashInsert) // tag-table insert
 	}
 	return env.Clock().Elapsed() - start
@@ -142,9 +150,9 @@ func BoraQueryTopics(env simio.Env, bag *layout.Bag, topics []string) time.Durat
 		env.Metadata()     // open data file
 		// Load the topic's index, then stream the data file.
 		idx := tsp.Child("container.index_load")
-		env.RandRead(int64(t.Count) * containerIndexEntryBytes)
+		env.RandRead(indexBytes(bag, ti))
 		env.CPU(time.Duration(t.Count) * sw.IndexEntry)
-		idx.EndBytes(int64(t.Count) * containerIndexEntryBytes)
+		idx.EndBytes(indexBytes(bag, ti))
 		env.RandRead(t.Bytes)
 		env.CPU(time.Duration(t.Count) * sw.MsgYield)
 		tsp.EndBytes(t.Bytes)
@@ -155,9 +163,10 @@ func BoraQueryTopics(env simio.Env, bag *layout.Bag, topics []string) time.Durat
 }
 
 // BoraQueryTime replays the combined topics + start-end time query
-// (Fig 8): per topic, load the coarse time index, compute the window
-// range arithmetically, and read only the byte range covered by the
-// touched windows before the fine-grain filter.
+// (Fig 8): per topic, load the index and the coarse time index derived
+// from it, compute the window range arithmetically, and read only the
+// byte range covered by the touched windows before the fine-grain
+// filter.
 func BoraQueryTime(env simio.Env, bag *layout.Bag, topics []string, startNs, endNs int64, window time.Duration) time.Duration {
 	start := env.Clock().Elapsed()
 	want := topicSet(bag, topics)
@@ -178,8 +187,9 @@ func BoraQueryTime(env simio.Env, bag *layout.Bag, topics []string, startNs, end
 		tsp := sp.Child("core.read_topic")
 		env.CPU(sw.FUSEOp)
 		env.Metadata()
-		// Coarse index load + window arithmetic.
-		env.RandRead(timeIdxBytes(bag, ti, window))
+		// Index load (the coarse time index is derived from it) + window
+		// arithmetic.
+		env.RandRead(indexBytes(bag, ti))
 		env.CPU(time.Duration(windowsTouched(startNs, endNs, window)) * sw.WindowLookup)
 		// Entries and bytes covered by the touched windows: the queried
 		// span plus up to one window of slack on each side.

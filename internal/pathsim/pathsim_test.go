@@ -150,7 +150,7 @@ func TestDuplicationOverheadShape(t *testing.T) {
 	overhead := func(bag *layout.Bag) float64 {
 		plain := BaselineWrite(ssd(), bag) + BaselineRead(ssd(), bag)
 		borae := ssd()
-		borat := BoraDuplicate(borae, bag, window)
+		borat := BoraDuplicate(borae, bag)
 		return float64(borat)/float64(plain) - 1
 	}
 	ovSmall, ovLarge := overhead(small), overhead(large)
@@ -166,7 +166,7 @@ func TestDuplicationOverheadShape(t *testing.T) {
 
 	// BORA-to-BORA ≈ native copy speed (within 25%).
 	plain := BaselineWrite(ssd(), large) + BaselineRead(ssd(), large)
-	b2b := BoraCopyContainer(ssd(), large, window)
+	b2b := BoraCopyContainer(ssd(), large)
 	r := float64(b2b) / float64(plain)
 	if r > 1.25 {
 		t.Errorf("BORA-to-BORA copy = %.2f of native, want ≈1", r)

@@ -111,7 +111,7 @@ func TestTimeQuerySelectivityMatchesRealImplementation(t *testing.T) {
 	ti := bag.TopicIndex(topic)
 	env := simio.NewLocalEnv(simio.SingleNodeSSD())
 	BoraQueryTime(env, bag, []string{topic}, 0, bag.DurationNs*3/10, 500*time.Millisecond)
-	idxBytes := timeIdxBytes(bag, ti, 500*time.Millisecond)
+	idxBytes := indexBytes(bag, ti)
 	modelFrac := float64(env.Clock().Ops().BytesRead-idxBytes) / float64(bag.Topics[ti].Bytes)
 
 	if realFrac < 0.25 || realFrac > 0.35 {
